@@ -219,19 +219,10 @@ class BossIndex:
             (np.flatnonzero(codes == c) + 1).astype(np.int64) for c in range(1, 6)
         ]
         n = self.node_count
-        indeg = np.zeros(n + 1, dtype=np.int64)
-        for c in range(1, 6):
-            pos_c = self._sym_pos[c]
-            real = self._closure[pos_c - 1] == 0
-            posr = pos_c[real]
-            if not len(posr):
-                continue
-            unflag = (self._minus[posr - 1] == 0).astype(np.int64)
-            ranks = np.cumsum(unflag)
-            targets = self._k_less(c) + (1 if c == 1 else 0) + ranks
-            if targets.max() > n:
-                raise CorruptIndex("edge target rank exceeds node count")
-            indeg += np.bincount(targets, minlength=n + 1)
+        targets = self.edge_targets()[self._closure == 0]
+        if len(targets) and targets.max() > n:
+            raise CorruptIndex("edge target rank exceeds node count")
+        indeg = np.bincount(targets, minlength=n + 1)
         if indeg[1] != 0:
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if n > 1 and indeg[2:].min() < 1:
@@ -288,6 +279,21 @@ class BossIndex:
         c = int(self._codes[pos - 1])
         r = int(np.searchsorted(self._nav_pos[c], pos, side="right"))
         return self._k_less(c) + (1 if c == 1 else 0) + r
+
+    def edge_targets(self) -> np.ndarray:
+        """Target node of every edge, indexed by position - 1; 0 on closure edges.
+
+        Whole-array form of ``edge_target``: per symbol, the target rank of
+        an edge is the number of unflagged real edges of that symbol up to
+        and including it.
+        """
+        targets = np.zeros(self.edge_count, dtype=np.int64)
+        for c in range(1, 6):
+            idx = self._sym_pos[c] - 1
+            real = self._closure[idx] == 0
+            ranks = np.cumsum(real & (self._minus[idx] == 0))
+            targets[idx] = np.where(real, self._k_less(c) + (1 if c == 1 else 0) + ranks, 0)
+        return targets
 
     def forward(self, v: int, a: int | str) -> int | None:
         if isinstance(a, str):

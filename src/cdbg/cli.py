@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from .colormatrix import compress
 from .container import IndexMeta, read_index, write_index
 from .errors import BadThreshold, CdbgError, IntegrityError
 from .fastx import parse_reads, write_fasta
+from .stages import stage
 from .stats import compute_stats
 from .synthetic import SyntheticConfig, generate_reads
 from .traversal import assemble_all, reconstruct_all
@@ -24,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTEGRITY = 3
+
+
+_THREADS_HELP = "accepted for compatibility and ignored; the work runs in one thread"
 
 
 class UsageError(Exception):
@@ -42,14 +46,14 @@ def make_parser() -> Parser:
     b = sub.add_parser("build", help="index a read file")
     b.add_argument("--input", required=True, help="FASTA/FASTQ read file")
     b.add_argument("--k", type=int, default=25, help="de Bruijn order (default 25)")
-    b.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    b.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     b.add_argument("--output", required=True, help="index container path")
 
     r = sub.add_parser("reconstruct", help="rebuild reads from an index")
     r.add_argument("--index", required=True)
     r.add_argument("--output", required=True, help="one sequence per line")
     r.add_argument("--verify", help="original read file for membership checking")
-    r.add_argument("--threads", type=int, default=1)
+    r.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     a = sub.add_parser("assemble", help="assemble contigs from an index")
     a.add_argument("--index", required=True)
@@ -58,6 +62,7 @@ def make_parser() -> Parser:
 
     s = sub.add_parser("stats", help="print index statistics")
     s.add_argument("--index", required=True)
+    s.add_argument("--json", action="store_true", help="print one JSON object instead")
 
     g = sub.add_parser("synth", help="generate a synthetic read set")
     g.add_argument("--genome-len", type=int, default=100_000)
@@ -70,15 +75,23 @@ def make_parser() -> Parser:
 
 
 def cmd_build(args) -> int:
-    reads = parse_reads(args.input, k=args.k)
+    with stage("parse"):
+        reads = parse_reads(args.input, k=args.k)
     logger.info(
         "parsed %d reads (%d rejected, %d shorter than k, %d duplicates)",
         len(reads), reads.n_rejected, reads.n_too_short, reads.n_duplicates,
     )
-    boss = BossIndex.build(reads, args.k)
-    cmap = mark_colorable(boss)
-    table = color_all(boss, cmap, reads, threads=args.threads)
-    colors = compress(table, cmap)
+    with stage("boss_sort"):
+        boss = BossIndex.build(reads, args.k)
+    with stage("mark"):
+        cmap = mark_colorable(boss)
+    table = color_all(boss, cmap, reads)  # logs the scan and assign stages
+    logger.info(
+        "strings=%d nodes=%d edges=%d p=%d colors=%d",
+        len(table.read_colors), boss.node_count, boss.edge_count, cmap.p, table.num_colors,
+    )
+    with stage("compress"):
+        colors = compress(table, cmap)
     meta = IndexMeta(
         plain_bytes=reads.plain_bytes,
         n_reads=len(reads),
@@ -86,7 +99,8 @@ def cmd_build(args) -> int:
         n_too_short=reads.n_too_short,
         n_strings=len(table.read_colors),
     )
-    index_bytes = write_index(args.output, boss, colors, meta)
+    with stage("write"):
+        index_bytes = write_index(args.output, boss, colors, meta)
     record = compute_stats(boss, colors, meta, index_bytes)
     print(record.as_table())
     return EXIT_OK
@@ -95,7 +109,7 @@ def cmd_build(args) -> int:
 def cmd_reconstruct(args) -> int:
     boss, colors, meta = read_index(args.index)
     verify = parse_reads(args.verify) if args.verify else None
-    report = reconstruct_all(boss, colors, verify_against=verify, threads=args.threads)
+    report = reconstruct_all(boss, colors, verify_against=verify)
     with open(args.output, "w") as fh:
         for s in report.recovered:
             fh.write(s + "\n")
@@ -122,6 +136,9 @@ def cmd_stats(args) -> int:
     boss, colors, meta = read_index(args.index)
     index_bytes = Path(args.index).stat().st_size
     record = compute_stats(boss, colors, meta, index_bytes)
+    if args.json:
+        print(json.dumps(record.as_dict()))
+        return EXIT_OK
     print(record.as_table())
     print()
     for line in record.as_kv_lines():

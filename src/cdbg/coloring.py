@@ -1,25 +1,33 @@
 """Partial graph coloring: colorable-node marking and greedy color assignment.
 
-Only starting, ending and critical nodes are colored. Per string, a
-parallel-safe scan collects W (colorable nodes on the path) and I (ranks
-whose colors must be inspected); a sequential pass then assigns each
-string the smallest color not present on I union W and appends it to every
-W row. The assignment order is the R' order, so results are independent
-of the scan thread count.
+Only starting, ending and critical nodes are colored; they are the p
+colorable nodes. For every string s of R' (the reads plus their reverse
+complements), the scan collects two rank sets over the path of $·s·$:
+
+* W, the colorable nodes on the path, including the ending node;
+* I, the nodes whose colors s must avoid so that it can be told apart at
+  branches: its starting and ending nodes and the successors of every
+  branching node on the path or leading into it.
+
+``scan_all`` computes W and I for all strings at once with whole-array
+operations; ``scan_read`` is the per-string graph walk it agrees with. A
+sequential pass then gives each string, in R' order (the greedy order),
+the smallest color absent from its I and W rows and appends that color to
+every W row.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bitvectors import AnyBitVector, bit_vector
 from .boss import BossIndex
 from .errors import CorruptIndex
-from .sequence import DUMMY, ReadSet, SYMBOL_CODES
+from .sequence import DUMMY, ReadSet, SYMBOL_CODES, encode
+from .stages import stage
 
 @dataclass
 class ColorableMap:
@@ -36,15 +44,20 @@ class ColorableMap:
         return int(self.bitmap.rank1(v))
 
 
+def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
+    """Mask over edges: real edges leaving a node of outdegree > 1 (the
+    outdegree counts closure edges)."""
+    outdeg = np.diff(boss._first_edge[1:])
+    return (targets > 0) & (outdeg[boss._edge_src - 1] > 1)
+
+
 def mark_colorable(boss: BossIndex) -> ColorableMap:
+    """Starting and ending nodes, plus the solid successors of branching nodes."""
     starting, ending, solid = boss.taxonomy_bits()
     bits = (starting | ending).astype(np.uint8)
-    first_edge = boss._first_edge
-    branching = np.flatnonzero(np.diff(first_edge[1:]) > 1) + 1
-    for v in branching:
-        for _, _, t in boss.successors(int(v)):
-            if solid[t - 1]:
-                bits[t - 1] = 1
+    targets = boss.edge_targets()
+    succ = targets[_branch_edges(boss, targets)]
+    bits[succ[solid[succ - 1] == 1] - 1] = 1
     bv = bit_vector(bits)
     return ColorableMap(bitmap=bv, p=int(bv.count))
 
@@ -142,27 +155,136 @@ def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
 def color_all(
     boss: BossIndex, cmap: ColorableMap, reads: ReadSet, threads: int = 1
 ) -> DynamicColorTable:
-    """Scan all strings of R' (parallel) and assign colors sequentially in order."""
+    """Scan all strings of R' at once, then assign colors sequentially in
+    R' order. ``threads`` is accepted for compatibility and ignored."""
     strings = [s for s in reads.strings_with_rc() if len(s) >= boss.k]
-    jobs = scan_all(boss, cmap, strings, threads)
-    table = DynamicColorTable(cmap.p)
-    for job in jobs:
-        table.read_colors.append(assign_color(job, table))
+    with stage("scan"):
+        jobs = scan_all(boss, cmap, strings)
+    with stage("assign"):
+        table = DynamicColorTable(cmap.p)
+        for job in jobs:
+            table.read_colors.append(assign_color(job, table))
     return table
 
 
-def scan_all(
-    boss: BossIndex, cmap: ColorableMap, strings: list[str], threads: int = 1
-) -> list[ColoringJob]:
-    if threads <= 1 or len(strings) < 2:
-        return [scan_read(boss, cmap, s, i) for i, s in enumerate(strings)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(strings) // (threads * 8))
-        jobs = list(
-            pool.map(
-                lambda pair: scan_read(boss, cmap, pair[1], pair[0]),
-                enumerate(strings),
-                chunksize=chunk,
-            )
-        )
-    return jobs
+def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[ColoringJob]:
+    """W and I of every string, equal to ``scan_read`` string by string.
+
+    Raises ``CorruptIndex`` in the cases ``scan_read`` does: a string
+    shorter than k, a path that breaks off the graph, an inspected
+    successor that is not colorable, or a path that does not end on a
+    colorable node.
+    """
+    if not strings:
+        return []
+    k = boss.k
+    if min(len(s) for s in strings) < k:
+        raise CorruptIndex(f"read shorter than order k={k}")
+    targets = boss.edge_targets()
+    path, offsets = _walk_paths(boss, targets, strings)
+    colorable = cmap.bitmap.to_bits().astype(bool)
+    rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
+    n = len(strings)
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    firsts, ends = path[offsets[:-1]], path[offsets[1:] - 1]
+
+    inner = np.ones(len(path), dtype=bool)
+    inner[offsets[1:] - 1] = False
+    ptr, inspected = _inspected_successors(boss, targets)
+    idx, counts = _gather(ptr, path[inner])
+    seen = inspected[idx]
+    bad = seen[~colorable[seen - 1]]
+    if len(bad):
+        raise CorruptIndex(f"uncolorable successor {bad[0]} of a branching node")
+    if not colorable[ends - 1].all():
+        raise CorruptIndex("path did not end on a colorable ending node")
+
+    p1 = cmap.p + 1
+    on_w = colorable[path - 1]
+    w_keys = np.unique(owner[on_w] * p1 + rank[path[on_w] - 1])
+    i_keys = np.unique(np.concatenate([
+        np.repeat(owner[inner], counts) * p1 + rank[seen - 1],
+        np.arange(n) * p1 + rank[firsts - 1],
+        np.arange(n) * p1 + rank[ends - 1],
+    ]))
+    return [
+        ColoringJob(read_index=i, W=w, I=r)
+        for i, (w, r) in enumerate(zip(_split_keys(w_keys, p1, n), _split_keys(i_keys, p1, n)))
+    ]
+
+
+def _walk_paths(
+    boss: BossIndex, targets: np.ndarray, strings: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node path of $·s·$ for every string, from its starting node $·s[:k-2]
+    to its ending node, flat with per-string offsets.
+
+    All strings walk in lockstep from the all-dummy root (node 1) over
+    s + "$"; after k-2 steps each is at its starting node. Strings are
+    ordered longest first, so the ones still walking are a prefix.
+    """
+    k = boss.k
+    steps = np.array([len(s) + 1 for s in strings], dtype=np.int64)
+    syms = encode(DUMMY.join(strings) + DUMMY)
+    sym_start = np.concatenate([[0], np.cumsum(steps)[:-1]])
+    offsets = np.concatenate([[0], np.cumsum(steps - (k - 3))])
+    path = np.empty(offsets[-1], dtype=np.int64)
+
+    first_edge = boss._first_edge
+    width = int(np.diff(first_edge[1:]).max())
+    codes = np.concatenate([boss._codes, np.zeros(width, dtype=boss._codes.dtype)])
+    order = np.argsort(-steps, kind="stable")
+    neg_steps = -steps[order]
+    sym_start, path_start = sym_start[order], offsets[:-1][order] - (k - 2)
+    cur = np.ones(len(strings), dtype=np.int64)
+    for j in range(int(steps.max())):
+        a = int(np.searchsorted(neg_steps, -j))  # strings with more than j steps
+        sym = syms[sym_start[:a] + j]
+        lo, hi = first_edge[cur[:a]], first_edge[cur[:a] + 1]
+        pos = np.zeros(a, dtype=np.int64)  # forward(v, c): first edge of v with symbol c
+        for d in range(width - 1, -1, -1):
+            hit = (lo + d < hi) & (codes[lo + d - 1] == sym)
+            pos[hit] = lo[hit] + d
+        cur = np.where(pos > 0, targets[pos - 1], 0)
+        if not cur.all():
+            i = int(order[np.flatnonzero(cur == 0)].min())
+            if j < k - 2:
+                raise CorruptIndex(f"starting node missing for prefix of string {i}")
+            raise CorruptIndex(f"path of string {i} breaks off the graph")
+        if j >= k - 3:
+            path[path_start[:a] + j + 1] = cur
+    return path, offsets
+
+
+def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR over node ids: the successors ``scan_read`` inspects when its path
+    passes node v before the end. They are the real successors of v when v
+    branches, and, when v has indegree > 1, those of every branching
+    predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``."""
+    n = boss.node_count
+    src = boss._edge_src
+    branch = _branch_edges(boss, targets)
+    own_src, own_tgt = src[branch], targets[branch]
+    own_ptr = np.searchsorted(own_src, np.arange(n + 2))
+    into = branch & (boss._indeg[targets] > 1)
+    idx, counts = _gather(own_ptr, src[into])
+    node = np.concatenate([own_src, np.repeat(targets[into], counts)])
+    tgt = np.concatenate([own_tgt, own_tgt[idx]])
+    node, tgt = np.divmod(np.unique(node * (n + 1) + tgt), n + 1)
+    return np.searchsorted(node, np.arange(n + 2)), tgt
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices of the given CSR rows, concatenated, and each row's length."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
+
+
+def _split_keys(keys: np.ndarray, p1: int, n: int) -> list[list[int]]:
+    """Sorted keys ``string * p1 + rank`` to one sorted rank list per string."""
+    bounds = np.searchsorted(keys // p1, np.arange(n + 1)).tolist()
+    ranks = (keys % p1).tolist()
+    return [ranks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

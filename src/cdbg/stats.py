@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,18 @@ class StatsRecord:
     @property
     def colored_fraction(self) -> float:
         return self.colored_nodes / self.total_nodes if self.total_nodes else 0.0
+
+    @property
+    def bits_per_edge(self) -> float:
+        return 8 * self.index_bytes / self.edge_count if self.edge_count else 0.0
+
+    def as_dict(self) -> dict:
+        """The fields plus the derived ratios, for ``cdbg stats --json``."""
+        return asdict(self) | {
+            "compression_rate": self.compression_rate,
+            "colored_fraction": self.colored_fraction,
+            "bits_per_edge": self.bits_per_edge,
+        }
 
     def as_kv_lines(self) -> list[str]:
         amb = "NA" if self.ambiguous_count is None else str(self.ambiguous_count)

@@ -1,16 +1,16 @@
 """Consumers of the colored index: read reconstruction and contig assembly.
 
-Both walk the graph read-only. Reconstruction follows one color from a
-starting node, taking the unique successor of that color at branches and
-aborting the color as ambiguous when zero or several successors carry it.
-Contig assembly keeps a set of active reads (color -> starting node) and
-extends through branches only when a single successor covers at least an
-``x`` fraction of the active colors.
+Both walk the graph read-only, one Python step per edge, in a single
+thread. Reconstruction spells each color of a starting node by following
+that color: at a branch it takes the one successor whose row holds the
+color, and it gives the color up as ambiguous when no successor or more
+than one holds it. Contig assembly keeps a set of active reads (color ->
+starting node) and extends through a branch only when a single successor
+carries at least an ``x`` fraction of the active colors.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .boss import BossIndex
@@ -105,21 +105,11 @@ def reconstruct_all(
     verify_against: ReadSet | None = None,
     threads: int = 1,
 ) -> ReconstructionReport:
-    """Run build_seqs from every starting node and aggregate the results."""
+    """Run build_seqs from every starting node and aggregate the results.
+    ``threads`` is accepted for compatibility and ignored."""
     report = ReconstructionReport()
-    starts = [int(v) for v in boss.starting_node_ids()]
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda v: _rebuild_start(boss, colors, v),
-                    starts,
-                    chunksize=max(1, len(starts) // (threads * 8)),
-                )
-            )
-    else:
-        results = [_rebuild_start(boss, colors, v) for v in starts]
-    for v, (n_colors, recovered, ambiguous) in zip(starts, results):
+    for v in boss.starting_node_ids().tolist():
+        n_colors, recovered, ambiguous = _rebuild_start(boss, colors, v)
         report.per_start[v] = StartReport(
             colors=n_colors, recovered=len(recovered), ambiguous=ambiguous
         )

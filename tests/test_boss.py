@@ -39,6 +39,9 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
                 got is not None and boss.node_label(got) == want
             )
         assert [boss.node_label(u) for u in boss.backward(v)] == oracle.backward(lab)
+    assert boss.edge_targets().tolist() == [
+        boss.edge_target(pos) or 0 for pos in range(1, boss.edge_count + 1)
+    ]
 
 
 class TestWorkedExample:

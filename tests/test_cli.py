@@ -1,3 +1,5 @@
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,17 @@ class TestBuild:
         assert "colored_nodes" in out and "5" in out
         assert "num_colors" in out
 
+    def test_build_logs_stage_times_and_counts(self, tmp_path):
+        reads = tmp_path / "reads.fa"
+        reads.write_text(">r1\ntacgt\n")
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 0, res.stderr
+        for name in ("parse", "boss_sort", "mark", "scan", "assign", "compress", "write"):
+            assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
+        assert "INFO strings=2 nodes=13 edges=15 p=5 colors=2" in res.stderr.splitlines()
+
     def test_missing_input_flag_is_usage_error(self):
         res = run_cli("build", "--output", "x.cdbg")
         assert res.returncode == 1
@@ -55,6 +68,18 @@ class TestStats:
         assert kv["colored_nodes"] == "5"
         assert kv["num_colors"] == "2"
         assert float(kv["compression_rate"]) > 0
+
+    def test_stats_json(self, tiny_index):
+        _, _, index, _ = tiny_index
+        res = run_cli("stats", "--index", str(index), "--json")
+        assert res.returncode == 0, res.stderr
+        record = json.loads(res.stdout)
+        assert record["colored_nodes"] == 5
+        assert record["num_colors"] == 2
+        assert record["edge_count"] == 15
+        assert record["ambiguous_count"] is None
+        assert record["bits_per_edge"] == 8 * record["index_bytes"] / 15
+        assert record["compression_rate"] > 0
 
     def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path):
         _, _, index, _ = tiny_index

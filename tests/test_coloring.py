@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from cdbg.bitvectors import bit_vector
 from cdbg.boss import BossIndex
 from cdbg.coloring import (
+    ColorableMap,
     ColoringJob,
     DynamicColorTable,
     assign_color,
     color_all,
     mark_colorable,
+    scan_all,
     scan_read,
 )
-from cdbg.sequence import ReadSet
+from cdbg.errors import CorruptIndex
+from cdbg.sequence import ReadSet, reverse_complement
 
 from oracle import NaiveDbg
 
@@ -205,3 +209,90 @@ def test_safety_on_random_sets():
             # safety is only promised for unambiguous reads
             if is_unambiguous(boss, cmap.contains, s):
                 assert path_is_safe(boss, lookup, s, color), s
+
+
+def mixed_read_set(seed: int, k: int) -> ReadSet:
+    """Random reads sharing a segment of k+2 symbols (a repeat, so nodes
+    branch), plus a contained read, a duplicate, a palindrome and a read
+    of length exactly k."""
+    rng = np.random.default_rng(seed)
+
+    def rand(n: int) -> str:
+        return "".join(rng.choice(list("acgt"), size=n))
+
+    segment = rand(k + 2)
+    reads = [
+        rand(int(rng.integers(1, 15))) + segment + rand(int(rng.integers(1, 15)))
+        for _ in range(4)
+    ]
+    reads += [rand(int(rng.integers(k, k + 30))) for _ in range(3)]
+    half = rand(k // 2 + 2)
+    reads += [
+        reads[0][2 : k + 5],
+        reads[1],
+        half + reverse_complement(half),
+        reads[4][:k],
+    ]
+    return ReadSet.from_reads(reads)
+
+
+@pytest.fixture(scope="module", params=[(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)])
+def mixed(request):
+    seed, k = request.param
+    reads = mixed_read_set(seed, k)
+    boss = BossIndex.build(reads, k)
+    strings = [s for s in reads.strings_with_rc() if len(s) >= k]
+    return reads, boss, mark_colorable(boss), strings
+
+
+class TestArrayScanMatchesReference:
+    def test_mark_colorable_matches_oracle(self, mixed):
+        _, boss, cmap, strings = mixed
+        got = {boss.node_label(int(pos) + 1) for pos in cmap.bitmap.ones_positions()}
+        assert got == set(NaiveDbg(strings, boss.k).colorable_labels())
+        assert cmap.p == len(got)
+
+    def test_scan_all_matches_scan_read(self, mixed):
+        _, boss, cmap, strings = mixed
+        want = [scan_read(boss, cmap, s, i) for i, s in enumerate(strings)]
+        assert scan_all(boss, cmap, strings) == want
+
+    def test_color_all_matches_sequential_reference(self, mixed):
+        reads, boss, cmap, strings = mixed
+        want = DynamicColorTable(cmap.p)
+        for i, s in enumerate(strings):
+            want.read_colors.append(assign_color(scan_read(boss, cmap, s, i), want))
+        assert color_all(boss, cmap, reads) == want
+
+    def test_raises_where_scan_read_raises(self, mixed):
+        # clearing critical-node bits makes some inspected successors
+        # uncolorable, and clearing ending-node bits some path ends; only
+        # strings whose path inspects or ends on such a node may fail
+        _, boss, cmap, strings = mixed
+        bits = cmap.bitmap.to_bits().copy()
+        _, ending, solid = boss.taxonomy_bits()
+        bits[np.flatnonzero(bits & solid)[::2]] = 0
+        bits[np.flatnonzero(ending)[::3]] = 0
+        damaged = ColorableMap(bitmap=bit_vector(bits), p=int(bits.sum()))
+        for s in strings:
+            try:
+                want = scan_read(boss, damaged, s, 0)
+            except CorruptIndex:
+                with pytest.raises(CorruptIndex):
+                    scan_all(boss, damaged, [s])
+            else:
+                assert scan_all(boss, damaged, [s]) == [want]
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [
+        "gggggg",  # no starting node for its prefix
+        "taccgt",  # leaves the graph after the starting node
+        "tacg",  # on the graph, but "cg" is no ending node
+    ],
+)
+def test_color_all_rejects_read_not_in_graph(e1, foreign):
+    boss, cmap = e1
+    with pytest.raises(CorruptIndex):
+        color_all(boss, cmap, ReadSet.from_reads([foreign]))
