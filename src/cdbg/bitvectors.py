@@ -275,20 +275,35 @@ class MonotoneSequence:
         )
         return (lo | hi) & _LOW_MASKS[l]
 
+    def _check_lows(self, j: int) -> None:
+        """Raise IntegrityError when the low bits of entry j (0-based) lie
+        past the end of the stored low words."""
+        if (j * self._low_bits + self._low_bits - 1) >> 6 >= len(self._lows):
+            raise IntegrityError(f"Elias-Fano low bits end before entry {j}")
+
     def access(self, j: int) -> int:
         if not 0 <= j < self.n:
             raise BoundsError(f"access index {j} out of range [0, {self.n})")
         high = self._high.select1(j + 1) - 1 - j
-        if self._low_bits == 0:
-            return int(high)
-        return int((np.uint64(high) << np.uint64(self._low_bits)) | self._low(j))
+        l = self._low_bits
+        if l == 0:
+            return high
+        self._check_lows(j)
+        w, s = divmod(j * l, 64)
+        low = int(self._lows[w]) >> s
+        if s + l > 64:
+            low |= int(self._lows[w + 1]) << (64 - s)
+        return (high << l) | (low & ((1 << l) - 1))
 
     def to_array(self) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0, dtype=np.int64)
+        if self._high.count != self.n:
+            raise IntegrityError(f"Elias-Fano high bits mark {self._high.count} entries, not {self.n}")
         highs = self._high.ones_positions() - np.arange(self.n, dtype=np.int64)
         if self._low_bits == 0:
             return highs
+        self._check_lows(self.n - 1)
         lows = self._low(np.arange(self.n, dtype=np.int64)).astype(np.int64)
         return (highs << self._low_bits) | lows
 

@@ -376,6 +376,33 @@ class BossIndex:
         pad = DUMMY * (self.k - 1 - len(syms))
         return pad + "".join(reversed(syms))
 
+    def node_labels(self, ids: np.ndarray) -> np.ndarray:
+        """Label codes of many nodes, one row of k-1 codes per id.
+
+        Whole-array form of ``node_label``: k-1 gathers along the canonical
+        (unflagged, real) incoming edge, whose symbol is the last label
+        symbol of its target. The root is its own predecessor with last
+        symbol ``$``.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 1 or ids.max() > self.node_count):
+            raise BoundsError(f"node id out of range [1, {self.node_count}]")
+        targets = self.edge_targets()
+        canonical = (targets > 0) & (self._minus == 0)
+        pred = np.zeros(self.node_count + 1, dtype=np.int64)
+        last = np.zeros(self.node_count + 1, dtype=np.uint8)
+        pred[targets[canonical]] = self._edge_src[canonical]
+        last[targets[canonical]] = self._codes[canonical]
+        pred[1], last[1] = 1, SYMBOL_CODES[DUMMY]
+        labels = np.empty((len(ids), self.k - 1), dtype=np.uint8)
+        cur = ids
+        for j in range(self.k - 2, -1, -1):
+            labels[:, j] = last[cur]
+            cur = pred[cur]
+            if not cur.all():
+                raise CorruptIndex("a node lacks a canonical incoming edge")
+        return labels
+
     def label_to_node(self, label: str) -> int | None:
         if len(label) != self.k - 1:
             raise BadLabel(f"label length {len(label)} != k-1 = {self.k - 1}")

@@ -17,7 +17,7 @@ from .fastx import parse_reads, write_fasta
 from .stages import stage
 from .stats import compute_stats
 from .synthetic import SyntheticConfig, generate_reads
-from .traversal import assemble_all, reconstruct_all
+from .traversal import assemble_all, reconstruct_all, verified_fraction
 
 logger = logging.getLogger("cdbg")
 
@@ -107,12 +107,23 @@ def cmd_build(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    boss, colors, meta = read_index(args.index)
-    verify = parse_reads(args.verify) if args.verify else None
-    report = reconstruct_all(boss, colors, verify_against=verify)
-    with open(args.output, "w") as fh:
-        for s in report.recovered:
-            fh.write(s + "\n")
+    with stage("load"):
+        boss, colors, meta = read_index(args.index)
+    with stage("reconstruct"):
+        report = reconstruct_all(boss, colors)
+    logger.info(
+        "walks=%d recovered=%d ambiguous=%d",
+        sum(s.colors for s in report.per_start.values()),
+        report.recovered_count,
+        report.ambiguous_count,
+    )
+    if args.verify:
+        with stage("verify"):
+            report.verified_fraction = verified_fraction(report.recovered, parse_reads(args.verify))
+    with stage("write"):
+        with open(args.output, "w") as fh:
+            for s in report.recovered:
+                fh.write(s + "\n")
     print(f"recovered_sequences={report.recovered_count}")
     print(f"ambiguous_count={report.ambiguous_count}")
     if report.verified_fraction is not None:
@@ -123,9 +134,13 @@ def cmd_reconstruct(args) -> int:
 def cmd_assemble(args) -> int:
     if not 0.0 < args.min_frac <= 1.0:
         raise BadThreshold(f"--min-frac {args.min_frac} outside (0, 1]")
-    boss, colors, meta = read_index(args.index)
-    contigs = assemble_all(boss, colors, args.min_frac)
-    write_fasta(args.output, contigs, prefix="contig")
+    with stage("load"):
+        boss, colors, meta = read_index(args.index)
+    with stage("assemble"):
+        contigs = assemble_all(boss, colors, args.min_frac)
+    logger.info("contigs=%d", len(contigs))
+    with stage("write"):
+        write_fasta(args.output, contigs, prefix="contig")
     print(f"contigs={len(contigs)}")
     if contigs:
         print(f"longest={len(contigs[0])}")

@@ -82,7 +82,33 @@ def get_colors(cc: CompressedColors, v: int) -> list[int]:
     return [cc.payload.access(t - 1) - base for t in range(i, j + 1)]
 
 
+def decode_rows(cc: CompressedColors) -> tuple[np.ndarray, np.ndarray]:
+    """All p rows at once as compressed-row arrays: the row of colorable rank
+    r is ``colors[offsets[r - 1]:offsets[r]]``.
+
+    Decodes the payload and F once instead of one ``access`` per color.
+    Raises ``IntegrityError`` unless F has exactly p set bits, the first at
+    position 0, F is as long as the payload, and every row is strictly
+    increasing from color 1 (the payload prefix sums strictly increase).
+    """
+    ps = cc.payload.to_array()
+    starts = cc.F.ones_positions()
+    if cc.F.n != len(ps):
+        raise IntegrityError(f"row bitmap length {cc.F.n} != payload length {len(ps)}")
+    if len(starts) != cc.p:
+        raise IntegrityError(f"row bitmap marks {len(starts)} rows, expected p={cc.p}")
+    offsets = np.append(starts, len(ps))
+    if offsets[0] != 0:
+        raise IntegrityError("row bitmap does not start a row at position 0")
+    if len(ps) and (ps[0] < 1 or np.any(np.diff(ps) <= 0)):
+        raise IntegrityError("color payload is not strictly increasing from 1")
+    base = np.zeros(cc.p, dtype=np.int64)
+    base[1:] = ps[starts[1:] - 1]
+    return offsets, ps - np.repeat(base, np.diff(offsets))
+
+
 def decode_table(cc: CompressedColors) -> list[list[int]]:
     """All rows, in colorable-rank order (test/verification helper)."""
-    ones = cc.N.ones_positions()
-    return [get_colors(cc, int(pos) + 1) for pos in ones]
+    offsets, colors = decode_rows(cc)
+    bounds, flat = offsets.tolist(), colors.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

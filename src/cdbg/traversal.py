@@ -1,22 +1,31 @@
 """Consumers of the colored index: read reconstruction and contig assembly.
 
-Both walk the graph read-only, one Python step per edge, in a single
-thread. Reconstruction spells each color of a starting node by following
-that color: at a branch it takes the one successor whose row holds the
-color, and it gives the color up as ambiguous when no successor or more
-than one holds it. Contig assembly keeps a set of active reads (color ->
-starting node) and extends through a branch only when a single successor
-carries at least an ``x`` fraction of the active colors.
+Reconstruction spells each color of a starting node by following that
+color: at a branch it takes the one successor whose row holds the color,
+and it gives the color up as ambiguous when no successor or more than one
+holds it. ``reconstruct_all`` and ``build_seqs`` walk all their (starting
+node, color) pairs in lockstep, one whole-array step per edge: the color
+table is decoded once per call, and the membership test at a branch is one
+``searchsorted`` over sorted (rank, color) keys. Contig assembly walks one
+starting node at a time, one Python step per edge: it keeps a set of
+active reads (color -> starting node) and extends through a branch only
+when a single successor carries at least an ``x`` fraction of the active
+colors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .boss import BossIndex
-from .colormatrix import CompressedColors, get_colors
-from .errors import BadStart, BadThreshold
+from .coloring import _gather
+from .colormatrix import CompressedColors, decode_rows, get_colors
+from .errors import BadStart, BadThreshold, IntegrityError, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
+
+_SYMBOL_BYTES = np.frombuffer(CODE_SYMBOLS.encode("ascii"), dtype=np.uint8)
 
 
 @dataclass
@@ -38,65 +47,13 @@ class ReconstructionReport:
         return len(self.recovered)
 
 
-def _walk_color(boss: BossIndex, colors: CompressedColors, v: int, color: int) -> str | None:
-    """Spell the color's string from starting node v; None when ambiguous."""
-    syms = list(boss.node_label(v))
-    cur = v
-    steps = 0
-    while not boss.is_ending(cur):
-        steps += 1
-        if steps > boss.edge_count + boss.k:
-            return None  # color trail cycles; only possible for unsafe paths
-        lo, hi = boss.node_edge_range(cur)
-        if hi == lo:
-            pos = lo
-            target = boss.edge_target(pos)
-            if target is None:
-                return None  # closure edge; unreachable from a read walk
-        else:
-            target = None
-            pos = None
-            matches = 0
-            for p in range(lo, hi + 1):
-                t = boss.edge_target(p)
-                if t is None:
-                    continue
-                if color in get_colors(colors, t):
-                    matches += 1
-                    target, pos = t, p
-            if matches != 1:
-                return None
-        syms.append(CODE_SYMBOLS[boss.edge_symbol(pos)])
-        cur = target
-    return "".join(syms).strip(DUMMY)
-
-
 def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     """Reconstruct one string per color of starting node v; ambiguous colors
     are skipped."""
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    out = []
-    for color in get_colors(colors, v):
-        s = _walk_color(boss, colors, v, color)
-        if s is not None:
-            out.append(s)
-    return out
-
-
-def _rebuild_start(
-    boss: BossIndex, colors: CompressedColors, v: int
-) -> tuple[int, list[str], int]:
-    recovered = []
-    ambiguous = 0
-    palette = get_colors(colors, v)
-    for color in palette:
-        s = _walk_color(boss, colors, v, color)
-        if s is None:
-            ambiguous += 1
-        else:
-            recovered.append(s)
-    return len(palette), recovered, ambiguous
+    _, walks = _walk_all(boss, colors, np.array([v], dtype=np.int64))
+    return [s for s in walks if s is not None]
 
 
 def reconstruct_all(
@@ -105,19 +62,108 @@ def reconstruct_all(
     verify_against: ReadSet | None = None,
     threads: int = 1,
 ) -> ReconstructionReport:
-    """Run build_seqs from every starting node and aggregate the results.
-    ``threads`` is accepted for compatibility and ignored."""
+    """What build_seqs gives from every starting node, walked all at once,
+    with per-start counts. ``threads`` is accepted for compatibility and
+    ignored."""
     report = ReconstructionReport()
-    for v in boss.starting_node_ids().tolist():
-        n_colors, recovered, ambiguous = _rebuild_start(boss, colors, v)
+    starts = boss.starting_node_ids()
+    n_colors, walks = _walk_all(boss, colors, starts)
+    bounds = np.concatenate([[0], np.cumsum(n_colors)]).tolist()
+    for v, lo, hi in zip(starts.tolist(), bounds[:-1], bounds[1:]):
+        recovered = [s for s in walks[lo:hi] if s is not None]
+        ambiguous = hi - lo - len(recovered)
         report.per_start[v] = StartReport(
-            colors=n_colors, recovered=len(recovered), ambiguous=ambiguous
+            colors=hi - lo, recovered=len(recovered), ambiguous=ambiguous
         )
         report.recovered.extend(recovered)
         report.ambiguous_count += ambiguous
     if verify_against is not None:
         report.verified_fraction = verified_fraction(report.recovered, verify_against)
     return report
+
+
+def _walk_all(
+    boss: BossIndex, colors: CompressedColors, starts: np.ndarray
+) -> tuple[np.ndarray, list[str | None]]:
+    """Spell every color of every node in ``starts`` in one lockstep walk.
+
+    Returns the number of colors of each start and, per walk in start
+    order and then color order, its string, or None when the walk is
+    ambiguous: it reaches a closure edge, a branch where not exactly one
+    real successor holds its color, or more than edge_count + k steps.
+    Raises ``NotColored`` when a start or an inspected successor is not
+    colorable.
+    """
+    if colors.N.n != boss.node_count:
+        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
+    offsets, row_colors = decode_rows(colors)
+    colorable = colors.N.to_bits().astype(bool)
+    rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
+    if len(rank) and rank[-1] > colors.p:
+        raise IntegrityError(f"colorable bitmap marks more than p={colors.p} nodes")
+    _require_colored(colorable, starts)
+    walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
+    col = row_colors[walk_cols]
+    n_walks = len(col)
+    # membership of color c in the row of rank r is key (r - 1) * width + c;
+    # rows ascend and ranks increase, so the keys are already sorted
+    width = int(row_colors.max()) + 1 if len(row_colors) else 1
+    keys = np.repeat(np.arange(colors.p), np.diff(offsets)) * width + row_colors
+
+    targets = boss.edge_targets()
+    first_edge, codes = boss._first_edge, boss._codes
+    ending = boss.taxonomy_bits()[1].astype(bool)
+    wid = np.arange(n_walks)
+    cur = np.repeat(starts, n_colors)
+    ok = np.zeros(n_walks, dtype=bool)
+    step_wid, step_sym = [], []
+    limit = boss.edge_count + boss.k
+    for step in range(limit + 1):
+        done = ending[cur - 1]
+        ok[wid[done]] = True
+        wid, cur, col = wid[~done], cur[~done], col[~done]
+        if not len(wid) or step == limit:
+            break  # walks left at the limit cycle and stay ambiguous
+        lo = first_edge[cur]
+        single = first_edge[cur + 1] - lo == 1
+        pos = np.where(single, lo, 0)
+        nxt = np.where(single, targets[lo - 1], 0)  # 0 on a closure edge
+        branch = np.flatnonzero(~single)
+        edges, counts = _gather(first_edge, cur[branch])
+        owner = np.repeat(branch, counts)
+        t = targets[edges - 1]
+        real = t > 0  # closure edges are skipped at a branch
+        edges, owner, t = edges[real], owner[real], t[real]
+        _require_colored(colorable, t)
+        q = (rank[t - 1] - 1) * width + col[owner]
+        found = np.searchsorted(keys, q)
+        hit = keys[np.minimum(found, len(keys) - 1)] == q
+        edges, owner, t = edges[hit], owner[hit], t[hit]
+        unique = np.bincount(owner, minlength=len(cur))[owner] == 1
+        pos[owner[unique]] = edges[unique]
+        nxt[owner[unique]] = t[unique]
+        alive = nxt > 0
+        wid, cur, col = wid[alive], nxt[alive], col[alive]
+        step_wid.append(wid)
+        step_sym.append(codes[pos[alive] - 1])
+
+    # each walk's string: its start's label, then one symbol per step
+    labels = boss.node_labels(starts)
+    walk_ids = np.concatenate([np.repeat(np.arange(n_walks), boss.k - 1)] + step_wid)
+    syms = np.concatenate([np.repeat(labels, n_colors, axis=0).ravel()] + step_sym)
+    text = _SYMBOL_BYTES[syms[np.argsort(walk_ids, kind="stable")]].tobytes().decode("ascii")
+    ends = np.cumsum(np.bincount(walk_ids, minlength=n_walks)).tolist()
+    walks = [
+        text[a:b].strip(DUMMY) if good else None
+        for a, b, good in zip([0] + ends[:-1], ends, ok.tolist())
+    ]
+    return n_colors, walks
+
+
+def _require_colored(colorable: np.ndarray, nodes: np.ndarray) -> None:
+    bad = nodes[~colorable[nodes - 1]]
+    if len(bad):
+        raise NotColored(f"node {bad[0]} is not in the colorable set")
 
 
 def verified_fraction(recovered: list[str], original: ReadSet) -> float:

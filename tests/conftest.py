@@ -1,12 +1,13 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cdbg.boss import BossIndex
-from cdbg.sequence import ReadSet
+from cdbg.sequence import ReadSet, reverse_complement
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +21,28 @@ def random_read_set(rng, n_reads: int, min_len: int = 20, max_len: int = 60) -> 
         "".join(rng.choice(list("acgt"), size=rng.integers(min_len, max_len + 1)))
         for _ in range(n_reads)
     ]
+
+
+def mixed_read_set(seed: int, k: int) -> ReadSet:
+    """Random reads sharing a segment of k+2 symbols (a repeat, so nodes
+    branch), plus a contained read, a duplicate, a palindrome and a read
+    of length exactly k."""
+    rng = np.random.default_rng(seed)
+
+    def rand(n: int) -> str:
+        return "".join(rng.choice(list("acgt"), size=n))
+
+    segment = rand(k + 2)
+    reads = [
+        rand(int(rng.integers(1, 15))) + segment + rand(int(rng.integers(1, 15)))
+        for _ in range(4)
+    ]
+    reads += [rand(int(rng.integers(k, k + 30))) for _ in range(3)]
+    half = rand(k // 2 + 2)
+    reads += [
+        reads[0][2 : k + 5],
+        reads[1],
+        half + reverse_complement(half),
+        reads[4][:k],
+    ]
+    return ReadSet.from_reads(reads)

@@ -123,3 +123,40 @@ def is_unambiguous(boss, is_colored, read: str) -> bool:
             if hits >= 2:
                 return False
     return True
+
+
+def walk_color(boss, colors, v: int, color: int) -> str | None:
+    """Spell the color's string from starting node v one graph step at a
+    time; None when ambiguous (the per-color reconstruction reference)."""
+    from cdbg.colormatrix import get_colors
+    from cdbg.sequence import CODE_SYMBOLS, DUMMY
+
+    syms = list(boss.node_label(v))
+    cur = v
+    steps = 0
+    while not boss.is_ending(cur):
+        steps += 1
+        if steps > boss.edge_count + boss.k:
+            return None  # color trail cycles; only possible for unsafe paths
+        lo, hi = boss.node_edge_range(cur)
+        if hi == lo:
+            pos = lo
+            target = boss.edge_target(pos)
+            if target is None:
+                return None  # closure edge; unreachable from a read walk
+        else:
+            target = None
+            pos = None
+            matches = 0
+            for p in range(lo, hi + 1):
+                t = boss.edge_target(p)
+                if t is None:
+                    continue
+                if color in get_colors(colors, t):
+                    matches += 1
+                    target, pos = t, p
+            if matches != 1:
+                return None
+        syms.append(CODE_SYMBOLS[boss.edge_symbol(pos)])
+        cur = target
+    return "".join(syms).strip(DUMMY)

@@ -11,7 +11,7 @@ from cdbg.bitvectors import (
     bit_vector,
     read_bit_vector,
 )
-from cdbg.errors import BoundsError
+from cdbg.errors import BoundsError, IntegrityError
 
 
 def naive_rank(bits, i):
@@ -133,6 +133,28 @@ class TestMonotoneSequence:
         seq = MonotoneSequence(vals)
         assert np.array_equal(seq.to_array(), vals)
         assert seq.access(999_999) == int(vals[-1])
+
+    @pytest.mark.parametrize("gap", [1, 3, 37, 1000, 2**20 + 7, 2**35 + 3])
+    def test_access_every_entry_matches_to_array(self, gap):
+        # gaps set the low-bit width, so entries straddle word boundaries
+        vals = np.cumsum(np.random.default_rng(gap).integers(0, gap, size=300))
+        seq = MonotoneSequence(vals)
+        got = [seq.access(j) for j in range(len(vals))]
+        assert all(type(x) is int for x in got)
+        assert got == vals.tolist() == seq.to_array().tolist()
+
+    def test_truncated_low_words_raise_integrity_error(self):
+        vals = np.cumsum(np.random.default_rng(5).integers(0, 1000, size=200))
+        seq = MonotoneSequence(vals)
+        w = Writer()
+        seq.serialize(w)
+        cut = MonotoneSequence.deserialize(Reader(w.getvalue()))
+        cut._lows = cut._lows[:3]  # covers the first 3 * 64 // l entries only
+        assert cut.access(0) == vals[0]
+        with pytest.raises(IntegrityError):
+            cut.access(len(vals) - 1)
+        with pytest.raises(IntegrityError):
+            cut.to_array()
 
 
 class TestSymbolSequence:

@@ -3,7 +3,7 @@ import pytest
 
 from cdbg.boss import BossIndex
 from cdbg.errors import BadLabel, BadOrder, BoundsError, EmptyIndex
-from cdbg.sequence import ReadSet, reverse_complement
+from cdbg.sequence import CODE_SYMBOLS, ReadSet, reverse_complement
 
 from oracle import NaiveDbg
 
@@ -16,6 +16,8 @@ def oracle_for(reads: list[str], k: int) -> NaiveDbg:
 def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
     assert boss.node_count == oracle.node_count
     assert boss.edge_count == oracle.edge_count
+    labels = boss.node_labels(np.arange(1, boss.node_count + 1))
+    assert ["".join(CODE_SYMBOLS[c] for c in row) for row in labels.tolist()] == oracle.labels
     for v in range(1, boss.node_count + 1):
         lab = boss.node_label(v)
         assert lab == oracle.label(v)

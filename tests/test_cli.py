@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,11 @@ from pathlib import Path
 import pytest
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
+# the CLI runs from this checkout's sources, installed or not
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, cwd=None):
@@ -15,6 +21,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd or PKG_ROOT,
+        env=CLI_ENV,
     )
 
 
@@ -105,6 +112,17 @@ class TestReconstruct:
         assert "recovered_percentage=100.00" in res.stdout
         assert "ambiguous_count=0" in res.stdout
 
+    def test_reconstruct_logs_stage_times_and_counts(self, tiny_index, tmp_path):
+        _, reads, index, _ = tiny_index
+        res = run_cli(
+            "reconstruct", "--index", str(index), "--output", str(tmp_path / "r.txt"),
+            "--verify", str(reads),
+        )
+        assert res.returncode == 0, res.stderr
+        for name in ("load", "reconstruct", "verify", "write"):
+            assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
+        assert "INFO walks=2 recovered=2 ambiguous=0" in res.stderr.splitlines()
+
     def test_missing_index_is_data_error(self, tmp_path):
         res = run_cli(
             "reconstruct", "--index", str(tmp_path / "none.cdbg"),
@@ -127,6 +145,15 @@ class TestAssemble:
         text = out.read_text()
         assert "tacgtaac" in text
         assert text.startswith(">contig_1")
+
+    def test_assemble_logs_stage_times_and_counts(self, tiny_index, tmp_path):
+        _, _, index, _ = tiny_index
+        res = run_cli("assemble", "--index", str(index), "--output", str(tmp_path / "c.fa"))
+        assert res.returncode == 0, res.stderr
+        for name in ("load", "assemble", "write"):
+            assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
+        assert "INFO contigs=2" in res.stderr.splitlines()
+        assert "contigs=2" in res.stdout.splitlines()
 
     def test_zero_threshold_is_usage_error(self, tiny_index, tmp_path):
         _, _, index, _ = tiny_index

@@ -14,8 +14,9 @@ from cdbg.coloring import (
     scan_read,
 )
 from cdbg.errors import CorruptIndex
-from cdbg.sequence import ReadSet, reverse_complement
+from cdbg.sequence import ReadSet
 
+from conftest import mixed_read_set
 from oracle import NaiveDbg
 
 
@@ -209,31 +210,6 @@ def test_safety_on_random_sets():
             # safety is only promised for unambiguous reads
             if is_unambiguous(boss, cmap.contains, s):
                 assert path_is_safe(boss, lookup, s, color), s
-
-
-def mixed_read_set(seed: int, k: int) -> ReadSet:
-    """Random reads sharing a segment of k+2 symbols (a repeat, so nodes
-    branch), plus a contained read, a duplicate, a palindrome and a read
-    of length exactly k."""
-    rng = np.random.default_rng(seed)
-
-    def rand(n: int) -> str:
-        return "".join(rng.choice(list("acgt"), size=n))
-
-    segment = rand(k + 2)
-    reads = [
-        rand(int(rng.integers(1, 15))) + segment + rand(int(rng.integers(1, 15)))
-        for _ in range(4)
-    ]
-    reads += [rand(int(rng.integers(k, k + 30))) for _ in range(3)]
-    half = rand(k // 2 + 2)
-    reads += [
-        reads[0][2 : k + 5],
-        reads[1],
-        half + reverse_complement(half),
-        reads[4][:k],
-    ]
-    return ReadSet.from_reads(reads)
 
 
 @pytest.fixture(scope="module", params=[(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdbg.bitvectors import bit_vector
+from cdbg.bitvectors import BitVector, SparseBitVector, bit_vector
 from cdbg.boss import BossIndex
 from cdbg.coloring import ColorableMap, DynamicColorTable, color_all, mark_colorable
-from cdbg.colormatrix import compress, decode_table, get_colors
-from cdbg.errors import IncompleteColoring, NotColored
+from cdbg.colormatrix import CompressedColors, compress, decode_rows, decode_table, get_colors
+from cdbg.errors import IncompleteColoring, IntegrityError, NotColored
 from cdbg.sequence import ReadSet
 from cdbg._binio import Reader, Writer
 
@@ -113,3 +113,52 @@ def test_size_beats_plain_bit_matrix():
     cc.serialize(w)
     plain_matrix_bytes = (p * num_colors + 7) // 8
     assert len(w.getvalue()) <= plain_matrix_bytes
+
+
+@pytest.mark.parametrize("max_len,kind", [(1, BitVector), (8, SparseBitVector)])
+def test_decode_rows_matches_get_colors(max_len, kind):
+    """Rows of one color keep F plain; rows of 4 to 8 colors push its
+    density below the sparse threshold, as the long rows of a repeat do."""
+    rng = np.random.default_rng(max_len)
+    p = 80
+    rows = [
+        sorted(rng.choice(np.arange(1, 40), size=int(n), replace=False).tolist())
+        for n in rng.integers(max(1, max_len // 2), max_len + 1, size=p)
+    ]
+    bits = np.zeros(3 * p, dtype=np.uint8)
+    bits[rng.choice(3 * p, size=p, replace=False)] = 1
+    cc = compress(table_of(rows), ColorableMap(bitmap=bit_vector(bits), p=p))
+    assert type(cc.F) is kind
+    offsets, colors = decode_rows(cc)
+    for r, pos in enumerate(cc.N.ones_positions()):
+        assert colors[offsets[r] : offsets[r + 1]].tolist() == get_colors(cc, int(pos) + 1)
+    assert decode_table(cc) == rows
+
+
+def with_f(cc, f_bits):
+    return CompressedColors(
+        N=cc.N, F=bit_vector(np.asarray(f_bits, dtype=np.uint8)),
+        payload=cc.payload, p=cc.p, num_colors=cc.num_colors,
+    )
+
+
+class TestDecodeRowsRejectsCorruptRows:
+    def cc(self):
+        return compress(table_of([[1, 3], [2], [1, 2, 5]]), cmap_of(3))
+
+    def test_too_few_row_starts(self):
+        cc = self.cc()
+        bits = cc.F.to_bits().copy()
+        bits[np.flatnonzero(bits)[-1]] = 0
+        with pytest.raises(IntegrityError):
+            decode_rows(with_f(cc, bits))
+
+    def test_row_bitmap_longer_than_payload(self):
+        cc = self.cc()
+        with pytest.raises(IntegrityError):
+            decode_rows(with_f(cc, np.append(cc.F.to_bits(), 0)))
+
+    def test_row_bitmap_shorter_than_payload(self):
+        cc = self.cc()
+        with pytest.raises(IntegrityError):
+            decode_rows(with_f(cc, cc.F.to_bits()[:-1]))

@@ -1,18 +1,22 @@
+import numpy as np
 import pytest
 
+from cdbg.bitvectors import bit_vector
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
-from cdbg.colormatrix import compress
-from cdbg.errors import BadStart, BadThreshold
+from cdbg.colormatrix import CompressedColors, compress, get_colors
+from cdbg.errors import BadStart, BadThreshold, NotColored
 from cdbg.sequence import ReadSet, reverse_complement
 from cdbg.traversal import (
+    StartReport,
     assemble_all,
     build_seqs,
     contig_assm,
     reconstruct_all,
 )
 
-from oracle import is_unambiguous
+from conftest import mixed_read_set
+from oracle import is_unambiguous, walk_color
 
 
 def index_for(raw_reads, k):
@@ -64,8 +68,6 @@ class TestReconstructAll:
             assert s in reads.reads or reverse_complement(s) in reads.reads
 
     def test_soundness_random(self):
-        import numpy as np
-
         rng = np.random.default_rng(77)
         raw = [
             "".join(rng.choice(list("acgt"), size=int(rng.integers(25, 50))))
@@ -89,6 +91,91 @@ class TestReconstructAll:
         r8 = reconstruct_all(boss, colors, threads=8)
         assert sorted(r1.recovered) == sorted(r8.recovered)
         assert r1.ambiguous_count == r8.ambiguous_count
+
+
+def reference_walks(boss, colors):
+    """Per-color reference walk from every starting node: {start: walks}."""
+    return {
+        v: [walk_color(boss, colors, v, c) for c in get_colors(colors, v)]
+        for v in boss.starting_node_ids().tolist()
+    }
+
+
+def assert_matches_reference(boss, colors):
+    walks = reference_walks(boss, colors)
+    report = reconstruct_all(boss, colors)
+    want = [s for ws in walks.values() for s in ws if s is not None]
+    assert report.recovered == want
+    assert report.per_start == {
+        v: StartReport(
+            colors=len(ws),
+            recovered=sum(s is not None for s in ws),
+            ambiguous=sum(s is None for s in ws),
+        )
+        for v, ws in walks.items()
+    }
+    assert report.ambiguous_count == sum(st.ambiguous for st in report.per_start.values())
+    for v, ws in walks.items():
+        assert build_seqs(boss, colors, v) == [s for s in ws if s is not None]
+    return report
+
+
+MIXED = [(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def mixed_indexes():
+    out = {}
+    for seed, k in MIXED:
+        _, boss, colors = index_for(list(mixed_read_set(seed, k).reads), k)
+        out[seed, k] = boss, colors
+    return out
+
+
+class TestLockstepMatchesReference:
+    def test_reconstruct_and_build_seqs(self, mixed_indexes):
+        ambiguous = 0
+        for boss, colors in mixed_indexes.values():
+            ambiguous += assert_matches_reference(boss, colors).ambiguous_count
+        assert ambiguous > 0  # the repeated segment makes some walks ambiguous
+
+    def test_cleared_successor_bit_raises_not_colored(self, mixed_indexes):
+        # clearing the bits of critical nodes makes branch successors
+        # uncolorable; the reference and the lockstep walk must both raise
+        raised = 0
+        for boss, colors in mixed_indexes.values():
+            bits = colors.N.to_bits().copy()
+            _, _, solid = boss.taxonomy_bits()
+            bits[np.flatnonzero(bits & solid)] = 0
+            damaged = CompressedColors(
+                N=bit_vector(bits), F=colors.F, payload=colors.payload,
+                p=colors.p, num_colors=colors.num_colors,
+            )
+            try:
+                reference_walks(boss, damaged)
+            except NotColored:
+                raised += 1
+                with pytest.raises(NotColored):
+                    reconstruct_all(boss, damaged)
+            else:
+                assert_matches_reference(boss, damaged)
+        assert raised > 0
+
+
+def test_cycling_color_trail_is_ambiguous():
+    # drop the read's color from its ending node: at the self-looping node
+    # "aa" only the loop keeps the color, so the walk cycles until the
+    # edge_count + k step guard gives it up
+    reads = ReadSet.from_reads(["aaaaa"])
+    boss = BossIndex.build(reads, k=3)
+    cmap = mark_colorable(boss)
+    table = color_all(boss, cmap, reads)
+    table.rows[cmap.rank(boss.label_to_node("a$")) - 1] = [99]
+    colors = compress(table, cmap)
+    start = boss.label_to_node("$a")
+    assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
+    report = assert_matches_reference(boss, colors)
+    assert report.per_start[start].ambiguous == 1
 
 
 class TestContigAssm:
