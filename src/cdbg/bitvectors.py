@@ -295,6 +295,36 @@ class MonotoneSequence:
             low |= int(self._lows[w + 1]) << (64 - s)
         return (high << l) | (low & ((1 << l) - 1))
 
+    def access_range(self, i: int, j: int) -> list[int]:
+        """Entries i..j-1 (0-based): one select for entry i, then a forward
+        scan over the high bits of the run."""
+        if not 0 <= i <= j <= self.n:
+            raise BoundsError(f"access range [{i}, {j}) outside [0, {self.n})")
+        if i == j:
+            return []
+        pos = self._high.select1(i + 1) - 1
+        if self._high.count < j:
+            raise IntegrityError(f"Elias-Fano high bits mark {self._high.count} entries, not {self.n}")
+        words = self._high._words
+        w, s = divmod(pos, 64)
+        x = int(words[w]) >> s << s
+        highs = []
+        for e in range(i, j):
+            while not x:
+                w += 1
+                x = int(words[w])
+            highs.append((w << 6) + (x & -x).bit_length() - 1 - e)
+            x &= x - 1
+        l = self._low_bits
+        if l == 0:
+            return highs
+        self._check_lows(j - 1)
+        first = i * l >> 6
+        lows = int.from_bytes(self._lows[first : ((j * l - 1) >> 6) + 1].tobytes(), "little")
+        mask = (1 << l) - 1
+        shift = i * l - (first << 6)
+        return [(h << l) | (lows >> (shift + t * l) & mask) for t, h in enumerate(highs)]
+
     def to_array(self) -> np.ndarray:
         if self.n == 0:
             return np.zeros(0, dtype=np.int64)

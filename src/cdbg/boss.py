@@ -295,6 +295,19 @@ class BossIndex:
             targets[idx] = np.where(real, self._k_less(c) + (1 if c == 1 else 0) + ranks, 0)
         return targets
 
+    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Predecessors of every node as compressed-row arrays: those of node
+        v are ``sources[offsets[v - 1]:offsets[v]]``, in BOSS order.
+
+        Whole-array form of ``backward``: the real edges, stably sorted by
+        target, keep their position order within each target.
+        """
+        targets = self.edge_targets()
+        real = np.flatnonzero(targets)
+        order = real[np.argsort(targets[real], kind="stable")]
+        offsets = np.concatenate([[0], np.cumsum(self._indeg[1:])])
+        return offsets, self._edge_src[order]
+
     def forward(self, v: int, a: int | str) -> int | None:
         if isinstance(a, str):
             if a not in SYMBOL_CODES:

@@ -11,7 +11,7 @@ from pathlib import Path
 from .boss import BossIndex
 from .coloring import color_all, mark_colorable
 from .colormatrix import compress
-from .container import IndexMeta, read_index, write_index
+from .container import IndexMeta, deserialize_index, read_index, section_sizes, write_index
 from .errors import BadThreshold, CdbgError, IntegrityError
 from .fastx import parse_reads, write_fasta
 from .stages import stage
@@ -148,9 +148,9 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    boss, colors, meta = read_index(args.index)
-    index_bytes = Path(args.index).stat().st_size
-    record = compute_stats(boss, colors, meta, index_bytes)
+    data = Path(args.index).read_bytes()
+    boss, colors, meta = deserialize_index(data)
+    record = compute_stats(boss, colors, meta, len(data), section_bytes=section_sizes(data))
     if args.json:
         print(json.dumps(record.as_dict()))
         return EXIT_OK

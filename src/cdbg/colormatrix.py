@@ -78,8 +78,10 @@ def get_colors(cc: CompressedColors, v: int) -> list[int]:
     r = int(cc.N.rank1(v))
     i = cc.F.select1(r)
     j = cc.F.select1(r + 1) - 1 if r < cc.p else len(cc.payload)
-    base = cc.payload.access(i - 2) if i >= 2 else 0
-    return [cc.payload.access(t - 1) - base for t in range(i, j + 1)]
+    if i < 2:
+        return cc.payload.access_range(0, j)
+    base, *sums = cc.payload.access_range(i - 2, j)
+    return [s - base for s in sums]
 
 
 def decode_rows(cc: CompressedColors) -> tuple[np.ndarray, np.ndarray]:

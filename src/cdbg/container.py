@@ -113,5 +113,24 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
     return boss, colors, meta
 
 
+def section_sizes(data: bytes) -> dict[str, int]:
+    """Payload bytes of each section, by tag, as the container header
+    declares them. Raises ``IntegrityError`` on a bad magic or a declared
+    length that runs past the end of the data before the CRC."""
+    body = data[:-4]
+    if len(data) < len(MAGIC) + 8 or body[:4] != MAGIC:
+        raise IntegrityError("not a cdbg container")
+    r = Reader(body, pos=len(MAGIC) + 3)
+    sizes = {}
+    for _ in range(r.u8()):
+        tag = r._take(4).decode("ascii", errors="replace")
+        length = r.u64()
+        if length > len(body) - r._pos:
+            raise IntegrityError(f"section {tag} declares {length} bytes past the end of the data")
+        sizes[tag] = length
+        r._pos += length
+    return sizes
+
+
 def read_index(path: str | Path) -> tuple[BossIndex, CompressedColors, IndexMeta]:
     return deserialize_index(Path(path).read_bytes())

@@ -21,6 +21,7 @@ class StatsRecord:
     index_bytes: int
     plain_bytes: int
     ambiguous_count: int | None = None
+    section_bytes: dict[str, int] | None = None  # payload bytes by section tag
 
     @property
     def compression_rate(self) -> float:
@@ -44,6 +45,7 @@ class StatsRecord:
 
     def as_kv_lines(self) -> list[str]:
         amb = "NA" if self.ambiguous_count is None else str(self.ambiguous_count)
+        sections = [f"bytes_{tag}={n}" for tag, n in (self.section_bytes or {}).items()]
         return [
             f"total_nodes={self.total_nodes}",
             f"solid_nodes={self.solid_nodes}",
@@ -55,7 +57,7 @@ class StatsRecord:
             f"compression_rate={self.compression_rate:.4f}",
             f"colored_fraction={self.colored_fraction:.6f}",
             f"ambiguous_count={amb}",
-        ]
+        ] + sections
 
     def as_table(self) -> str:
         rows = [line.split("=", 1) for line in self.as_kv_lines()]
@@ -69,6 +71,7 @@ def compute_stats(
     meta: IndexMeta,
     index_bytes: int,
     ambiguous_count: int | None = None,
+    section_bytes: dict[str, int] | None = None,
 ) -> StatsRecord:
     _, _, solid = boss.taxonomy_bits()
     return StatsRecord(
@@ -80,4 +83,5 @@ def compute_stats(
         index_bytes=index_bytes,
         plain_bytes=meta.plain_bytes,
         ambiguous_count=ambiguous_count,
+        section_bytes=section_bytes,
     )

@@ -6,11 +6,15 @@ and it gives the color up as ambiguous when no successor or more than one
 holds it. ``reconstruct_all`` and ``build_seqs`` walk all their (starting
 node, color) pairs in lockstep, one whole-array step per edge: the color
 table is decoded once per call, and the membership test at a branch is one
-``searchsorted`` over sorted (rank, color) keys. Contig assembly walks one
-starting node at a time, one Python step per edge: it keeps a set of
+``searchsorted`` over sorted (rank, color) keys.
+
+Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
-colors.
+colors. Each call first builds one view of the index from whole-array
+passes (decoded color table, successor and predecessor lists, node types)
+and then walks over plain Python lists, with each node's color set
+decoded once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .boss import BossIndex
 from .coloring import _gather
-from .colormatrix import CompressedColors, decode_rows, get_colors
+from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, IntegrityError, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
 
@@ -94,13 +98,7 @@ def _walk_all(
     Raises ``NotColored`` when a start or an inspected successor is not
     colorable.
     """
-    if colors.N.n != boss.node_count:
-        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
-    offsets, row_colors = decode_rows(colors)
-    colorable = colors.N.to_bits().astype(bool)
-    rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
-    if len(rank) and rank[-1] > colors.p:
-        raise IntegrityError(f"colorable bitmap marks more than p={colors.p} nodes")
+    offsets, row_colors, colorable, rank = _color_table(boss, colors)
     _require_colored(colorable, starts)
     walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
     col = row_colors[walk_cols]
@@ -160,6 +158,25 @@ def _walk_all(
     return n_colors, walks
 
 
+def _color_table(
+    boss: BossIndex, colors: CompressedColors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The decoded rows (``decode_rows``), the colorable bitmap as bools and
+    its running rank, where ``rank[v - 1]`` is the row number of node v.
+
+    Raises ``IntegrityError`` unless the bitmap covers every node and marks
+    at most p of them.
+    """
+    if colors.N.n != boss.node_count:
+        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
+    offsets, row_colors = decode_rows(colors)
+    colorable = colors.N.to_bits().astype(bool)
+    rank = np.cumsum(colorable)
+    if len(rank) and rank[-1] > colors.p:
+        raise IntegrityError(f"colorable bitmap marks more than p={colors.p} nodes")
+    return offsets, row_colors, colorable, rank
+
+
 def _require_colored(colorable: np.ndarray, nodes: np.ndarray) -> None:
     bad = nodes[~colorable[nodes - 1]]
     if len(bad):
@@ -177,34 +194,112 @@ def verified_fraction(recovered: list[str], original: ReadSet) -> float:
 
 def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> str:
     """Assemble one contig starting from v with extension threshold x."""
-    if not 0.0 < x <= 1.0:
-        raise BadThreshold(f"threshold {x} outside (0, 1]")
+    _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    active: dict[int, int] = {c: v for c in get_colors(colors, v)}
+    return _assemble_from(_AssemblyView(boss, colors), v, _labels(boss, [v])[0], x)
+
+
+def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
+    """Contigs from every starting node, deduplicated up to reverse
+    complement, longest first.
+
+    The output is every per-start contig, as ``contig_assm`` gives it from
+    each starting node: a contig contained in a longer one is kept. The
+    walks share one view of the index built for the call.
+    """
+    _check_threshold(x)
+    view = _AssemblyView(boss, colors)
+    starts = boss.starting_node_ids()
+    seen: set[str] = set()
+    contigs: list[str] = []
+    for v, label in zip(starts.tolist(), _labels(boss, starts)):
+        s = _assemble_from(view, v, label, x)
+        if not s:
+            continue
+        canon = min(s, reverse_complement(s))
+        if canon not in seen:
+            seen.add(canon)
+            contigs.append(s)
+    contigs.sort(key=lambda s: (-len(s), s))
+    return contigs
+
+
+def _check_threshold(x: float) -> None:
+    if not 0.0 < x <= 1.0:
+        raise BadThreshold(f"threshold {x} outside (0, 1]")
+
+
+def _labels(boss: BossIndex, ids) -> list[str]:
+    """Labels of many nodes from one ``node_labels`` call."""
+    w = boss.k - 1
+    text = _SYMBOL_BYTES[boss.node_labels(ids)].tobytes().decode("ascii")
+    return [text[i : i + w] for i in range(0, len(text), w)]
+
+
+class _AssemblyView:
+    """The index as plain Python lists, built from whole-array passes once
+    per call. Color sets are decoded on first use and kept for the call."""
+
+    def __init__(self, boss: BossIndex, colors: CompressedColors):
+        offsets, row_colors, colorable, rank = _color_table(boss, colors)
+        self._offsets, self._row_colors = offsets.tolist(), row_colors.tolist()
+        self._colorable, self._rank = colorable.tolist(), rank.tolist()
+        self._sets: dict[int, frozenset[int]] = {}
+        self.first_edge = boss._first_edge.tolist()
+        self.targets = boss.edge_targets().tolist()  # 0 on closure edges
+        self.codes = boss._codes.tolist()
+        pred_offsets, preds = boss.predecessors()
+        self.pred_offsets, self.preds = pred_offsets.tolist(), preds.tolist()
+        starting, ending, _ = boss.taxonomy_bits()
+        self.starting, self.ending = starting.tolist(), ending.tolist()
+        self.edge_count = boss.edge_count
+
+    def colors_of(self, v: int) -> frozenset[int]:
+        got = self._sets.get(v)
+        if got is None:
+            if not self._colorable[v - 1]:
+                raise NotColored(f"node {v} is not in the colorable set")
+            r = self._rank[v - 1]
+            got = frozenset(self._row_colors[self._offsets[r - 1] : self._offsets[r]])
+            self._sets[v] = got
+        return got
+
+
+def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
+    """Walk from starting node v, whose label is given, keeping a set of
+    active reads (color -> starting node); extend through a branch only
+    when a single successor carries at least an x fraction of them."""
+    colors_of, starting, ending = view.colors_of, view.starting, view.ending
+    first_edge, targets, codes = view.first_edge, view.targets, view.codes
+    pred_offsets, preds = view.pred_offsets, view.preds
+    active: dict[int, int] = {c: v for c in colors_of(v)}
     finished: set[tuple[int, int]] = set()
-    syms = list(boss.node_label(v))
+    syms = [label]
     cur = v
     steps = 0
-    while steps <= boss.edge_count:
+    while steps <= view.edge_count:
         steps += 1
-        if boss.indegree(cur) > 1:
-            for u in boss.backward(cur):
-                if boss.is_starting(u):
-                    for c in get_colors(colors, u):
+        lo, hi = pred_offsets[cur - 1], pred_offsets[cur]
+        if hi - lo > 1:
+            for u in preds[lo:hi]:
+                if starting[u - 1]:
+                    for c in colors_of(u):
                         if (c, u) not in finished:
                             active[c] = u
-        succ = boss.successors(cur)
+        succ = [
+            (pos, t) for pos in range(first_edge[cur], first_edge[cur + 1]) if (t := targets[pos - 1])
+        ]
         if len(succ) == 1:
-            pos, sym, target = succ[0]
-            if boss.is_ending(target):
+            pos, target = succ[0]
+            if ending[target - 1]:
                 break
-            syms.append(CODE_SYMBOLS[sym])
+            syms.append(CODE_SYMBOLS[codes[pos - 1]])
             cur = target
             continue
         if not succ:
             break  # closure-only node; unreachable from a starting walk
-        succ_colors = {t: set(get_colors(colors, t)) for _, _, t in succ}
+        succ_colors = {t: colors_of(t) for _, t in succ}
         # stop when two successors share a color: no safe continuation
         seen: set[int] = set()
         shared = False
@@ -218,37 +313,19 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
         if not q_keys:
             break
         candidates = [
-            (pos, sym, t)
-            for pos, sym, t in succ
-            if not boss.is_ending(t)
-            and len(succ_colors[t] & q_keys) / len(q_keys) >= x
+            (pos, t)
+            for pos, t in succ
+            if not ending[t - 1] and len(succ_colors[t] & q_keys) / len(q_keys) >= x
         ]
-        for _, _, t in succ:
-            if boss.is_ending(t):
+        for _, t in succ:
+            if ending[t - 1]:
                 for c in succ_colors[t]:
                     if c in active:
                         finished.add((c, active.pop(c)))
         if len(candidates) != 1:
             break
-        pos, sym, target = candidates[0]
-        syms.append(CODE_SYMBOLS[sym])
+        pos, target = candidates[0]
+        syms.append(CODE_SYMBOLS[codes[pos - 1]])
         active = {c: s for c, s in active.items() if c in succ_colors[target]}
         cur = target
     return "".join(syms).lstrip(DUMMY)
-
-
-def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
-    """Contigs from every starting node, deduplicated up to reverse
-    complement, longest first."""
-    seen: set[str] = set()
-    contigs: list[str] = []
-    for v in boss.starting_node_ids():
-        s = contig_assm(boss, colors, int(v), x)
-        if not s:
-            continue
-        canon = min(s, reverse_complement(s))
-        if canon not in seen:
-            seen.add(canon)
-            contigs.append(s)
-    contigs.sort(key=lambda s: (-len(s), s))
-    return contigs

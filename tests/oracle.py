@@ -160,3 +160,87 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
         syms.append(CODE_SYMBOLS[boss.edge_symbol(pos)])
         cur = target
     return "".join(syms).strip(DUMMY)
+
+
+def contig_assm_ref(boss, colors, v: int, x: float) -> str:
+    """Assemble one contig from starting node v one graph step at a time,
+    with one ``get_colors`` per color set (the assembly reference)."""
+    from cdbg.colormatrix import get_colors
+    from cdbg.errors import BadStart, BadThreshold
+    from cdbg.sequence import CODE_SYMBOLS, DUMMY
+
+    if not 0.0 < x <= 1.0:
+        raise BadThreshold(f"threshold {x} outside (0, 1]")
+    if not boss.is_starting(v):
+        raise BadStart(f"node {v} is not a starting node")
+    active: dict[int, int] = {c: v for c in get_colors(colors, v)}
+    finished: set[tuple[int, int]] = set()
+    syms = list(boss.node_label(v))
+    cur = v
+    steps = 0
+    while steps <= boss.edge_count:
+        steps += 1
+        if boss.indegree(cur) > 1:
+            for u in boss.backward(cur):
+                if boss.is_starting(u):
+                    for c in get_colors(colors, u):
+                        if (c, u) not in finished:
+                            active[c] = u
+        succ = boss.successors(cur)
+        if len(succ) == 1:
+            pos, sym, target = succ[0]
+            if boss.is_ending(target):
+                break
+            syms.append(CODE_SYMBOLS[sym])
+            cur = target
+            continue
+        if not succ:
+            break  # closure-only node; unreachable from a starting walk
+        succ_colors = {t: set(get_colors(colors, t)) for _, _, t in succ}
+        # stop when two successors share a color: no safe continuation
+        seen: set[int] = set()
+        shared = False
+        for cset in succ_colors.values():
+            if cset & seen:
+                shared = True
+            seen |= cset
+        if shared:
+            break
+        q_keys = set(active)
+        if not q_keys:
+            break
+        candidates = [
+            (pos, sym, t)
+            for pos, sym, t in succ
+            if not boss.is_ending(t)
+            and len(succ_colors[t] & q_keys) / len(q_keys) >= x
+        ]
+        for _, _, t in succ:
+            if boss.is_ending(t):
+                for c in succ_colors[t]:
+                    if c in active:
+                        finished.add((c, active.pop(c)))
+        if len(candidates) != 1:
+            break
+        pos, sym, target = candidates[0]
+        syms.append(CODE_SYMBOLS[sym])
+        active = {c: s for c, s in active.items() if c in succ_colors[target]}
+        cur = target
+    return "".join(syms).lstrip(DUMMY)
+
+
+def assemble_all_ref(boss, colors, x: float) -> list[str]:
+    """``contig_assm_ref`` from every starting node, deduplicated up to
+    reverse complement, longest first."""
+    from cdbg.sequence import reverse_complement
+
+    seen: set[str] = set()
+    contigs: list[str] = []
+    for v in boss.starting_node_ids().tolist():
+        s = contig_assm_ref(boss, colors, v, x)
+        canon = min(s, reverse_complement(s))
+        if s and canon not in seen:
+            seen.add(canon)
+            contigs.append(s)
+    contigs.sort(key=lambda s: (-len(s), s))
+    return contigs

@@ -143,6 +143,22 @@ class TestMonotoneSequence:
         assert all(type(x) is int for x in got)
         assert got == vals.tolist() == seq.to_array().tolist()
 
+    @pytest.mark.parametrize("gap", [1, 3, 37, 1000, 2**20 + 7, 2**35 + 3])
+    def test_access_range_matches_access(self, gap):
+        vals = np.cumsum(np.random.default_rng(gap).integers(0, gap, size=300))
+        seq = MonotoneSequence(vals)
+        want = [seq.access(j) for j in range(len(vals))]
+        assert seq.access_range(0, len(vals)) == want
+        for i in range(len(vals)):
+            assert seq.access_range(i, i + 1) == want[i : i + 1]
+            j = min(len(vals), i + 1 + i % 9)
+            assert seq.access_range(i, j) == want[i:j]
+            assert seq.access_range(i, i) == []
+        assert all(type(x) is int for x in seq.access_range(0, len(vals)))
+        for i, j in ((-1, 2), (2, 1), (0, len(vals) + 1)):
+            with pytest.raises(BoundsError):
+                seq.access_range(i, j)
+
     def test_truncated_low_words_raise_integrity_error(self):
         vals = np.cumsum(np.random.default_rng(5).integers(0, 1000, size=200))
         seq = MonotoneSequence(vals)
@@ -153,6 +169,11 @@ class TestMonotoneSequence:
         assert cut.access(0) == vals[0]
         with pytest.raises(IntegrityError):
             cut.access(len(vals) - 1)
+        assert cut.access_range(0, 3) == vals[:3].tolist()
+        with pytest.raises(IntegrityError):
+            cut.access_range(0, len(vals))
+        with pytest.raises(IntegrityError):
+            cut.access_range(len(vals) - 2, len(vals))
         with pytest.raises(IntegrityError):
             cut.to_array()
 

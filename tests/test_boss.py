@@ -44,6 +44,10 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
     assert boss.edge_targets().tolist() == [
         boss.edge_target(pos) or 0 for pos in range(1, boss.edge_count + 1)
     ]
+    offsets, sources = boss.predecessors()
+    assert len(offsets) == boss.node_count + 1
+    for v in range(1, boss.node_count + 1):
+        assert sources[offsets[v - 1] : offsets[v]].tolist() == boss.backward(v)
 
 
 class TestWorkedExample:

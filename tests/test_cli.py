@@ -75,6 +75,9 @@ class TestStats:
         assert kv["colored_nodes"] == "5"
         assert kv["num_colors"] == "2"
         assert float(kv["compression_rate"]) > 0
+        assert sum(int(kv[f"bytes_{tag}"]) for tag in ("META", "BOSS", "COLR")) < int(
+            kv["index_bytes"]
+        )
 
     def test_stats_json(self, tiny_index):
         _, _, index, _ = tiny_index
@@ -87,6 +90,11 @@ class TestStats:
         assert record["ambiguous_count"] is None
         assert record["bits_per_edge"] == 8 * record["index_bytes"] / 15
         assert record["compression_rate"] > 0
+        sections = record["section_bytes"]
+        assert list(sections) == ["META", "BOSS", "COLR"]
+        assert all(n > 0 for n in sections.values())
+        header = 4 + 1 + 2 + 1 + len(sections) * (4 + 8)  # magic, version, k, count, tables
+        assert sum(sections.values()) == Path(index).stat().st_size - header - 4  # CRC32
 
     def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path):
         _, _, index, _ = tiny_index

@@ -4,7 +4,14 @@ import pytest
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import compress, decode_table
-from cdbg.container import IndexMeta, deserialize_index, read_index, serialize_index, write_index
+from cdbg.container import (
+    IndexMeta,
+    deserialize_index,
+    read_index,
+    section_sizes,
+    serialize_index,
+    write_index,
+)
 from cdbg.errors import IntegrityError, ParseError
 from cdbg.fastx import parse_reads, sniff_format, write_fasta
 from cdbg.sequence import ReadSet
@@ -104,6 +111,26 @@ class TestContainer:
         data[0] = ord("X")
         with pytest.raises(IntegrityError):
             deserialize_index(bytes(data))
+
+
+    def test_section_sizes_fill_the_body(self, built):
+        data = serialize_index(*built)
+        sizes = section_sizes(data)
+        assert list(sizes) == ["META", "BOSS", "COLR"]
+        header = 4 + 1 + 2 + 1 + len(sizes) * (4 + 8)
+        assert sum(sizes.values()) == len(data) - header - 4
+
+    def test_section_length_past_the_end(self, built):
+        # a single section that claims everything after its length field
+        # and one byte of the trailing CRC
+        data = bytearray(serialize_index(*built))
+        data[4 + 1 + 2] = 1
+        at = 4 + 1 + 2 + 1 + 4
+        data[at : at + 8] = (len(data) - at - 8 - 4 + 1).to_bytes(8, "little")
+        with pytest.raises(IntegrityError):
+            section_sizes(bytes(data))
+        data[at : at + 8] = (len(data) - at - 8 - 4).to_bytes(8, "little")
+        assert section_sizes(bytes(data)) == {"META": len(data) - at - 8 - 4}
 
 
 class TestSynthetic:

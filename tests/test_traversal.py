@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdbg.bitvectors import bit_vector
+from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector, bit_vector
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
@@ -16,7 +16,7 @@ from cdbg.traversal import (
 )
 
 from conftest import mixed_read_set
-from oracle import is_unambiguous, walk_color
+from oracle import assemble_all_ref, contig_assm_ref, is_unambiguous, walk_color
 
 
 def index_for(raw_reads, k):
@@ -132,6 +132,17 @@ def mixed_indexes():
     return out
 
 
+def without_critical_colors(boss, colors):
+    """The index with the N bits of critical (solid colorable) nodes cleared."""
+    bits = colors.N.to_bits().copy()
+    _, _, solid = boss.taxonomy_bits()
+    bits[np.flatnonzero(bits & solid)] = 0
+    return CompressedColors(
+        N=bit_vector(bits), F=colors.F, payload=colors.payload,
+        p=colors.p, num_colors=colors.num_colors,
+    )
+
+
 class TestLockstepMatchesReference:
     def test_reconstruct_and_build_seqs(self, mixed_indexes):
         ambiguous = 0
@@ -144,13 +155,7 @@ class TestLockstepMatchesReference:
         # uncolorable; the reference and the lockstep walk must both raise
         raised = 0
         for boss, colors in mixed_indexes.values():
-            bits = colors.N.to_bits().copy()
-            _, _, solid = boss.taxonomy_bits()
-            bits[np.flatnonzero(bits & solid)] = 0
-            damaged = CompressedColors(
-                N=bit_vector(bits), F=colors.F, payload=colors.payload,
-                p=colors.p, num_colors=colors.num_colors,
-            )
+            damaged = without_critical_colors(boss, colors)
             try:
                 reference_walks(boss, damaged)
             except NotColored:
@@ -160,6 +165,63 @@ class TestLockstepMatchesReference:
             else:
                 assert_matches_reference(boss, damaged)
         assert raised > 0
+
+
+class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
+    def test_contig_assm_and_assemble_all(self, mixed_indexes, x):
+        for boss, colors in mixed_indexes.values():
+            for v in boss.starting_node_ids().tolist():
+                assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, colors, v, x)
+            assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+
+    def test_cleared_critical_bits_raise_not_colored(self, mixed_indexes):
+        raised = 0
+        for boss, colors in mixed_indexes.values():
+            damaged = without_critical_colors(boss, colors)
+            for v in boss.starting_node_ids().tolist():
+                try:
+                    want = contig_assm_ref(boss, damaged, v, 0.5)
+                except NotColored:
+                    raised += 1
+                    with pytest.raises(NotColored):
+                        contig_assm(boss, damaged, v, 0.5)
+                else:
+                    assert contig_assm(boss, damaged, v, 0.5) == want
+            try:
+                want_all = assemble_all_ref(boss, damaged, 0.5)
+            except NotColored:
+                with pytest.raises(NotColored):
+                    assemble_all(boss, damaged, 0.5)
+            else:
+                assert assemble_all(boss, damaged, 0.5) == want_all
+        assert raised > 0
+
+
+def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
+    """Assembly and reconstruction run on views built from whole arrays:
+    none of the per-element index lookups is called."""
+    calls = {}
+    for cls, name in [
+        (MonotoneSequence, "access"),
+        (BitVector, "select1"),
+        (SparseBitVector, "select1"),
+        (BossIndex, "edge_target"),
+        (BossIndex, "successors"),
+        (BossIndex, "backward"),
+    ]:
+        key = f"{cls.__name__}.{name}"
+        calls[key] = 0
+
+        def counted(*args, _key=key, _orig=getattr(cls, name), **kwargs):
+            calls[_key] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    boss, colors = mixed_indexes[1, 9]
+    assert assemble_all(boss, colors, 0.5)
+    assert reconstruct_all(boss, colors).recovered
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_cycling_color_trail_is_ambiguous():
