@@ -65,6 +65,8 @@ class Reader:
 
     def array(self, dtype) -> np.ndarray:
         n = self.u64()
+        if n % np.dtype(dtype).itemsize:
+            raise IntegrityError(f"array of {n} bytes is not whole {np.dtype(dtype).name} items")
         return np.frombuffer(self._take(n), dtype=np.dtype(dtype).newbyteorder("<")).astype(
             dtype, copy=False
         )

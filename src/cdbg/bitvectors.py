@@ -359,11 +359,12 @@ class MonotoneSequence:
 
 
 class SymbolSequence:
-    """Sequence over a small integer alphabet with per-symbol rank/select.
+    """Sequence over a small integer alphabet, held as its codes only.
 
     Built for the 5-letter DNA+dummy alphabet (codes 1..5). ``access`` and
     ``select`` use 1-based positions, ``rank(c, i)`` counts occurrences of
-    ``c`` in the prefix of length ``i``.
+    ``c`` in the prefix of length ``i``; rank, select and count scan the
+    codes. On disk it is one bitvector per symbol.
     """
 
     def __init__(self, codes: np.ndarray, sigma: int = 5):
@@ -373,9 +374,6 @@ class SymbolSequence:
         self.n = len(codes)
         self.sigma = sigma
         self._codes = codes
-        self._pos = [np.zeros(0, dtype=np.int64)] + [
-            np.flatnonzero(codes == c).astype(np.int64) for c in range(1, sigma + 1)
-        ]
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -387,18 +385,18 @@ class SymbolSequence:
             raise BoundsError(f"symbol {c} outside alphabet")
         if not 0 <= i <= self.n:
             raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
-        return int(np.searchsorted(self._pos[c], i, side="left"))
+        return int(np.count_nonzero(self._codes[:i] == c))
 
     def select(self, c: int, j: int) -> int:
         if not 1 <= c <= self.sigma:
             raise BoundsError(f"symbol {c} outside alphabet")
-        pos = self._pos[c]
+        pos = np.flatnonzero(self._codes == c)
         if not 1 <= j <= len(pos):
             raise BoundsError(f"select occurrence {j} out of range [1, {len(pos)}]")
         return int(pos[j - 1]) + 1
 
     def count(self, c: int) -> int:
-        return len(self._pos[c])
+        return int(np.count_nonzero(self._codes == c))
 
     def codes(self) -> np.ndarray:
         return self._codes
@@ -408,9 +406,7 @@ class SymbolSequence:
         w.u64(self.n)
         w.u8(self.sigma)
         for c in range(1, self.sigma + 1):
-            bits = np.zeros(self.n, dtype=np.uint8)
-            bits[self._pos[c]] = 1
-            bit_vector(bits).serialize(w)
+            bit_vector(self._codes == c).serialize(w)
 
     @classmethod
     def deserialize(cls, r: Reader) -> "SymbolSequence":
@@ -421,5 +417,9 @@ class SymbolSequence:
         codes = np.zeros(n, dtype=np.uint8)
         for c in range(1, sigma + 1):
             bv = read_bit_vector(r)
+            if bv.n != n:
+                raise IntegrityError(f"symbol {c} bitvector has {bv.n} bits, not {n}")
             codes[bv.ones_positions()] = c
+        if not codes.all():
+            raise IntegrityError("an edge position carries no symbol")
         return cls(codes, sigma=sigma)

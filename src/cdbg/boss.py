@@ -5,7 +5,7 @@ takes all k-windows as edges, sorts them by the reverse-lexicographic
 (colex) order of the source (k-1)-label with the edge symbol as
 tie-break, and emits:
 
-* ``E``  edge symbols in sorted order (rank/select per symbol),
+* ``E``  edge symbols in sorted order, one code per edge,
 * ``B``  bitmap marking the first outgoing symbol of each node,
 * ``K``  cumulative counts of node labels by last symbol.
 
@@ -17,6 +17,11 @@ node without incoming edges, so target arithmetic for symbol ``$`` skips
 it; for solid symbols the textbook BOSS arithmetic applies unchanged.
 Edges whose target equals the previous same-symbol edge's target carry a
 disambiguation flag and are excluded from the target ranking.
+
+In RAM the graph keeps one set of navigation arrays, derived once at
+build and at load and at the narrowest width that holds an edge
+position: each edge's source and target, each node's first edge,
+indegree and canonical incoming edge. Every query reads them.
 """
 
 from __future__ import annotations
@@ -203,31 +208,44 @@ class BossIndex:
         return boss
 
     def _build_caches(self) -> None:
+        """The navigation arrays every query reads, built once at build and
+        at load: each edge's source and target node, each node's first edge,
+        indegree and canonical (real, unflagged) incoming edge."""
+        n, m = self.node_count, self.edge_count
+        width = np.int32 if m < 2**31 - 1 else np.int64
         b_bits = self._B.to_bits()
-        self._first_edge = np.concatenate(
-            [[0], np.flatnonzero(b_bits) + 1, [self.edge_count + 1]]
-        ).astype(np.int64)
-        self._edge_src = np.cumsum(b_bits).astype(np.int64)  # position (0-based) -> node id
-        codes = self._E.codes()
-        self._codes = codes
-        real_unflagged = (self._minus == 0) & (self._closure == 0)
-        self._nav_pos = [np.zeros(0, dtype=np.int64)] + [
-            (np.flatnonzero((codes == c) & real_unflagged) + 1).astype(np.int64)
-            for c in range(1, 6)
-        ]
-        self._sym_pos = [np.zeros(0, dtype=np.int64)] + [
-            (np.flatnonzero(codes == c) + 1).astype(np.int64) for c in range(1, 6)
-        ]
-        n = self.node_count
-        targets = self.edge_targets()[self._closure == 0]
+        self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
+        self._edge_src = np.cumsum(b_bits, dtype=width)  # position (0-based) -> node id
+        self._codes = self._E.codes()
+        targets = self._derive_targets()
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
+        self._targets = targets.astype(width)
+        self._targets.flags.writeable = False
         indeg = np.bincount(targets, minlength=n + 1)
+        indeg[0] = 0  # closure edges
         if indeg[1] != 0:
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if n > 1 and indeg[2:].min() < 1:
             raise CorruptIndex("non-root node without incoming edge")
-        self._indeg = indeg
+        self._indeg = indeg.astype(width)
+        canonical = np.flatnonzero((targets > 0) & (self._minus == 0))
+        self._in_edge = np.zeros(n + 1, dtype=width)
+        self._in_edge[targets[canonical]] = canonical + 1
+        if len(canonical) != n - 1 or not self._in_edge[2:].all():
+            raise CorruptIndex("a node lacks a canonical incoming edge")
+
+    def _derive_targets(self) -> np.ndarray:
+        """Target node of every edge, 0 on closure edges: per symbol, the
+        target rank of an edge is the number of unflagged real edges of
+        that symbol up to and including it; ``$`` targets skip the root."""
+        targets = np.zeros(self.edge_count, dtype=np.int64)
+        for c in range(1, 6):
+            idx = np.flatnonzero(self._codes == c)
+            real = self._closure[idx] == 0
+            ranks = np.cumsum(real & (self._minus[idx] == 0))
+            targets[idx] = np.where(real, self._kcum[c - 1] + (c == 1) + ranks, 0)
+        return targets
 
     # -- basic accessors ---------------------------------------------------
 
@@ -248,15 +266,9 @@ class BossIndex:
     def edge_disambiguation_flags(self) -> np.ndarray:
         return self._minus
 
-    def _k_less(self, c: int) -> int:
-        return int(self._kcum[c - 1])
-
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
             raise BoundsError(f"node id {v} out of range [1, {self.node_count}]")
-
-    def _last_symbol(self, v: int) -> int:
-        return int(np.searchsorted(self._kcum, v, side="left"))
 
     # -- navigation --------------------------------------------------------
 
@@ -274,26 +286,12 @@ class BossIndex:
 
     def edge_target(self, pos: int) -> int | None:
         """Target node of the edge at 1-based position pos; None on closure."""
-        if self._closure[pos - 1]:
-            return None
-        c = int(self._codes[pos - 1])
-        r = int(np.searchsorted(self._nav_pos[c], pos, side="right"))
-        return self._k_less(c) + (1 if c == 1 else 0) + r
+        return int(self._targets[pos - 1]) or None
 
     def edge_targets(self) -> np.ndarray:
-        """Target node of every edge, indexed by position - 1; 0 on closure edges.
-
-        Whole-array form of ``edge_target``: per symbol, the target rank of
-        an edge is the number of unflagged real edges of that symbol up to
-        and including it.
-        """
-        targets = np.zeros(self.edge_count, dtype=np.int64)
-        for c in range(1, 6):
-            idx = self._sym_pos[c] - 1
-            real = self._closure[idx] == 0
-            ranks = np.cumsum(real & (self._minus[idx] == 0))
-            targets[idx] = np.where(real, self._k_less(c) + (1 if c == 1 else 0) + ranks, 0)
-        return targets
+        """Target node of every edge, indexed by position - 1; 0 on closure
+        edges. The array is the graph's own and read-only."""
+        return self._targets
 
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
         """Predecessors of every node as compressed-row arrays: those of node
@@ -302,7 +300,7 @@ class BossIndex:
         Whole-array form of ``backward``: the real edges, stably sorted by
         target, keep their position order within each target.
         """
-        targets = self.edge_targets()
+        targets = self._targets
         real = np.flatnonzero(targets)
         order = real[np.argsort(targets[real], kind="stable")]
         offsets = np.concatenate([[0], np.cumsum(self._indeg[1:])])
@@ -341,28 +339,21 @@ class BossIndex:
         self._check_node(v)
         return int(self._indeg[v])
 
-    def _incoming_positions(self, v: int) -> list[int]:
-        if v == 1:
-            return []
-        c = self._last_symbol(v)
-        j = v - self._k_less(c) - (1 if c == 1 else 0)
-        nav = self._nav_pos[c]
-        if not 1 <= j <= len(nav):
-            raise CorruptIndex(f"node {v} lacks a canonical incoming edge")
-        p0 = int(nav[j - 1])
-        p1 = int(nav[j]) if j < len(nav) else self.edge_count + 1
-        allpos = self._sym_pos[c]
-        lo = int(np.searchsorted(allpos, p0, side="left"))
-        hi = int(np.searchsorted(allpos, p1, side="left"))
-        positions = allpos[lo:hi]
-        if c == 1:
-            positions = positions[self._closure[positions - 1] == 0]
-        return [int(p) for p in positions]
-
     def backward(self, v: int) -> list[int]:
-        """All predecessor node ids, in BOSS order."""
+        """All predecessor node ids, in BOSS order.
+
+        The predecessors share their last k-2 label symbols, so they are at
+        most 5 consecutive nodes from the source of the canonical incoming
+        edge; the edges into v are those of them whose target is v.
+        """
         self._check_node(v)
-        return [int(self._edge_src[p - 1]) for p in self._incoming_positions(v)]
+        p = int(self._in_edge[v])
+        if not p:
+            return []
+        u = int(self._edge_src[p - 1])
+        hi = int(self._first_edge[min(u + 5, self.node_count + 1)])
+        hits = np.flatnonzero(self._targets[p - 1 : hi - 1] == v) + p - 1
+        return self._edge_src[hits].tolist()
 
     def backward_r(self, v: int, j: int) -> int:
         preds = self.backward(v)
@@ -376,16 +367,10 @@ class BossIndex:
         self._check_node(v)
         syms: list[str] = []
         cur = v
-        for _ in range(self.k - 1):
-            if cur == 1:
-                break
-            c = self._last_symbol(cur)
-            syms.append(CODE_SYMBOLS[c])
-            j = cur - self._k_less(c) - (1 if c == 1 else 0)
-            nav = self._nav_pos[c]
-            if not 1 <= j <= len(nav):
-                raise CorruptIndex(f"node {cur} lacks a canonical incoming edge")
-            cur = int(self._edge_src[int(nav[j - 1]) - 1])
+        while cur != 1 and len(syms) < self.k - 1:
+            p = int(self._in_edge[cur])
+            syms.append(CODE_SYMBOLS[self._codes[p - 1]])
+            cur = int(self._edge_src[p - 1])
         pad = DUMMY * (self.k - 1 - len(syms))
         return pad + "".join(reversed(syms))
 
@@ -393,27 +378,20 @@ class BossIndex:
         """Label codes of many nodes, one row of k-1 codes per id.
 
         Whole-array form of ``node_label``: k-1 gathers along the canonical
-        (unflagged, real) incoming edge, whose symbol is the last label
-        symbol of its target. The root is its own predecessor with last
-        symbol ``$``.
+        incoming edge, whose symbol is the last label symbol of its target,
+        over the requested ids only. Label symbols left of the root are
+        ``$``.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 1 or ids.max() > self.node_count):
             raise BoundsError(f"node id out of range [1, {self.node_count}]")
-        targets = self.edge_targets()
-        canonical = (targets > 0) & (self._minus == 0)
-        pred = np.zeros(self.node_count + 1, dtype=np.int64)
-        last = np.zeros(self.node_count + 1, dtype=np.uint8)
-        pred[targets[canonical]] = self._edge_src[canonical]
-        last[targets[canonical]] = self._codes[canonical]
-        pred[1], last[1] = 1, SYMBOL_CODES[DUMMY]
-        labels = np.empty((len(ids), self.k - 1), dtype=np.uint8)
-        cur = ids
+        labels = np.full((len(ids), self.k - 1), SYMBOL_CODES[DUMMY], dtype=np.uint8)
+        rows, cur = np.arange(len(ids)), ids
         for j in range(self.k - 2, -1, -1):
-            labels[:, j] = last[cur]
-            cur = pred[cur]
-            if not cur.all():
-                raise CorruptIndex("a node lacks a canonical incoming edge")
+            keep = cur != 1
+            rows, pos = rows[keep], self._in_edge[cur[keep]] - 1
+            labels[rows, j] = self._codes[pos]
+            cur = self._edge_src[pos]
         return labels
 
     def label_to_node(self, label: str) -> int | None:
@@ -495,5 +473,12 @@ class BossIndex:
         boss._starting = read_bit_vector(r).to_bits()
         boss._ending = read_bit_vector(r).to_bits()
         boss._solid = read_bit_vector(r).to_bits()
+        n, m, kcum = boss.node_count, boss.edge_count, boss._kcum
+        if len(kcum) != 6 or kcum[0] != 0 or kcum[-1] != n or (np.diff(kcum) < 0).any():
+            raise IntegrityError("K does not rise in 6 entries from 0 to node_count")
+        if {boss._E.n, boss._B.n, len(boss._minus), len(boss._closure)} != {m}:
+            raise IntegrityError("edge symbols or edge flags disagree with edge_count")
+        if n < 1 or {boss._B.count, len(boss._starting), len(boss._ending), len(boss._solid)} != {n}:
+            raise IntegrityError("node bitmap or node types disagree with node_count")
         boss._build_caches()
         return boss

@@ -180,7 +180,7 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
     k = boss.k
     if min(len(s) for s in strings) < k:
         raise CorruptIndex(f"read shorter than order k={k}")
-    targets = boss.edge_targets()
+    targets = boss.edge_targets().astype(np.int64)  # int64 once per call, as in the walks
     path, offsets = _walk_paths(boss, targets, strings)
     colorable = cmap.bitmap.to_bits().astype(bool)
     rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
@@ -230,7 +230,7 @@ def _walk_paths(
     offsets = np.concatenate([[0], np.cumsum(steps - (k - 3))])
     path = np.empty(offsets[-1], dtype=np.int64)
 
-    first_edge = boss._first_edge
+    first_edge = boss._first_edge.astype(np.int64)
     width = int(np.diff(first_edge[1:]).max())
     codes = np.concatenate([boss._codes, np.zeros(width, dtype=boss._codes.dtype)])
     order = np.argsort(-steps, kind="stable")
@@ -260,9 +260,11 @@ def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndar
     """CSR over node ids: the successors ``scan_read`` inspects when its path
     passes node v before the end. They are the real successors of v when v
     branches, and, when v has indegree > 1, those of every branching
-    predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``."""
+    predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``. Node ids
+    are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds
+    int32 once n > 46,340."""
     n = boss.node_count
-    src = boss._edge_src
+    src = boss._edge_src.astype(np.int64)
     branch = _branch_edges(boss, targets)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))

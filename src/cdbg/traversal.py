@@ -108,9 +108,9 @@ def _walk_all(
     width = int(row_colors.max()) + 1 if len(row_colors) else 1
     keys = np.repeat(np.arange(colors.p), np.diff(offsets)) * width + row_colors
 
-    targets = boss.edge_targets()
-    first_edge, codes = boss._first_edge, boss._codes
-    ending = boss.taxonomy_bits()[1].astype(bool)
+    # int64 once per call: mixed-width numpy steps on small arrays are slower
+    targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
+    codes, ending = boss._codes, boss.taxonomy_bits()[1].view(bool)
     wid = np.arange(n_walks)
     cur = np.repeat(starts, n_colors)
     ok = np.zeros(n_walks, dtype=bool)
@@ -126,20 +126,21 @@ def _walk_all(
         single = first_edge[cur + 1] - lo == 1
         pos = np.where(single, lo, 0)
         nxt = np.where(single, targets[lo - 1], 0)  # 0 on a closure edge
-        branch = np.flatnonzero(~single)
-        edges, counts = _gather(first_edge, cur[branch])
-        owner = np.repeat(branch, counts)
-        t = targets[edges - 1]
-        real = t > 0  # closure edges are skipped at a branch
-        edges, owner, t = edges[real], owner[real], t[real]
-        _require_colored(colorable, t)
-        q = (rank[t - 1] - 1) * width + col[owner]
-        found = np.searchsorted(keys, q)
-        hit = keys[np.minimum(found, len(keys) - 1)] == q
-        edges, owner, t = edges[hit], owner[hit], t[hit]
-        unique = np.bincount(owner, minlength=len(cur))[owner] == 1
-        pos[owner[unique]] = edges[unique]
-        nxt[owner[unique]] = t[unique]
+        if not single.all():
+            branch = np.flatnonzero(~single)
+            edges, counts = _gather(first_edge, cur[branch])
+            owner = np.repeat(branch, counts)
+            t = targets[edges - 1]
+            real = t > 0  # closure edges are skipped at a branch
+            edges, owner, t = edges[real], owner[real], t[real]
+            _require_colored(colorable, t)
+            q = (rank[t - 1] - 1) * width + col[owner]
+            found = np.searchsorted(keys, q)
+            hit = keys[np.minimum(found, len(keys) - 1)] == q
+            edges, owner, t = edges[hit], owner[hit], t[hit]
+            unique = np.bincount(owner, minlength=len(cur))[owner] == 1
+            pos[owner[unique]] = edges[unique]
+            nxt[owner[unique]] = t[unique]
         alive = nxt > 0
         wid, cur, col = wid[alive], nxt[alive], col[alive]
         step_wid.append(wid)

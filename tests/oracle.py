@@ -96,6 +96,26 @@ class NaiveDbg:
         ]
 
 
+def edge_targets_ref(boss) -> list[int]:
+    """Target node of every edge, 0 on closure edges, from the edge codes,
+    the disambiguation and closure flags and K alone: the target of a real
+    edge of symbol c is K[c-1] (plus 1 for ``$``, whose targets skip the
+    root) plus the number of unflagged real edges of symbol c up to and
+    including it."""
+    K = boss.K.tolist()
+    seen = [0] * 6
+    targets = []
+    for c, flagged, closure in zip(
+        boss.E.codes().tolist(), boss.edge_disambiguation_flags.tolist(), boss._closure.tolist()
+    ):
+        if closure:
+            targets.append(0)
+            continue
+        seen[c] += not flagged
+        targets.append(K[c - 1] + (c == 1) + seen[c])
+    return targets
+
+
 def walk_path(boss, read: str) -> list[int]:
     """Node ids of the $·read·$ path in the succinct index."""
     from cdbg.sequence import DUMMY, SYMBOL_CODES

@@ -204,3 +204,21 @@ class TestSymbolSequence:
         SymbolSequence(codes).serialize(w)
         ss = SymbolSequence.deserialize(Reader(w.getvalue()))
         assert np.array_equal(ss.codes(), codes)
+
+    @pytest.mark.parametrize(
+        "n,rows",
+        [
+            (3, [[1, 0, 0], [0, 1, 0]]),  # position 3 carries no symbol
+            (3, [[1, 0, 1, 0], [0, 1, 0, 0]]),  # bitvectors longer than the sequence
+            (4, [[1, 0, 1], [0, 1, 0]]),  # and shorter
+        ],
+    )
+    def test_deserialize_rejects_inconsistent_symbol_bitvectors(self, n, rows):
+        w = Writer()
+        w.u8(1)
+        w.u64(n)
+        w.u8(len(rows))
+        for bits in rows:
+            BitVector(np.array(bits, dtype=np.uint8)).serialize(w)
+        with pytest.raises(IntegrityError):
+            SymbolSequence.deserialize(Reader(w.getvalue()))

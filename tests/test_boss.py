@@ -5,7 +5,7 @@ from cdbg.boss import BossIndex
 from cdbg.errors import BadLabel, BadOrder, BoundsError, EmptyIndex
 from cdbg.sequence import CODE_SYMBOLS, ReadSet, reverse_complement
 
-from oracle import NaiveDbg
+from oracle import NaiveDbg, edge_targets_ref
 
 
 def oracle_for(reads: list[str], k: int) -> NaiveDbg:
@@ -41,13 +41,27 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
                 got is not None and boss.node_label(got) == want
             )
         assert [boss.node_label(u) for u in boss.backward(v)] == oracle.backward(lab)
-    assert boss.edge_targets().tolist() == [
-        boss.edge_target(pos) or 0 for pos in range(1, boss.edge_count + 1)
-    ]
+    assert_targets_match_reference(boss)
     offsets, sources = boss.predecessors()
     assert len(offsets) == boss.node_count + 1
     for v in range(1, boss.node_count + 1):
         assert sources[offsets[v - 1] : offsets[v]].tolist() == boss.backward(v)
+
+
+def assert_targets_match_reference(boss: BossIndex):
+    """Stored edge targets and canonical incoming edges against the ones
+    derived from codes, flags and K by ``edge_targets_ref``."""
+    targets = edge_targets_ref(boss)
+    assert boss.edge_targets().tolist() == targets
+    assert [boss.edge_target(pos) or 0 for pos in range(1, boss.edge_count + 1)] == targets
+    in_edge = [0] * (boss.node_count + 1)
+    flags = boss.edge_disambiguation_flags.tolist()
+    for pos, (t, flagged) in enumerate(zip(targets, flags), start=1):
+        if t and not flagged:
+            assert in_edge[t] == 0, f"node {t} has two canonical incoming edges"
+            in_edge[t] = pos
+    assert boss._in_edge.tolist() == in_edge
+    assert not boss.edge_targets().flags.writeable
 
 
 class TestWorkedExample:

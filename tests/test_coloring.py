@@ -15,9 +15,10 @@ from cdbg.coloring import (
 )
 from cdbg.errors import CorruptIndex
 from cdbg.sequence import ReadSet
+from cdbg.synthetic import SyntheticConfig, generate_reads
 
 from conftest import mixed_read_set
-from oracle import NaiveDbg
+from oracle import NaiveDbg, edge_targets_ref
 
 
 def labels_of_ranks(boss, cmap, ranks):
@@ -272,3 +273,21 @@ def test_color_all_rejects_read_not_in_graph(e1, foreign):
     boss, cmap = e1
     with pytest.raises(CorruptIndex):
         color_all(boss, cmap, ReadSet.from_reads([foreign]))
+
+
+def test_scan_on_a_graph_past_int32_keys():
+    # 55,055 nodes: node * (n + 1) + target no longer fits in int32, and the
+    # navigation arrays are stored narrow, so the scan must widen them
+    _, reads = generate_reads(SyntheticConfig(genome_len=6000, read_len=100, coverage=10, seed=0))
+    rs = ReadSet.from_reads(reads)
+    boss = BossIndex.build(rs, k=25)
+    assert boss.node_count > 46_341
+    assert boss.edge_targets().tolist() == edge_targets_ref(boss)
+    cmap = mark_colorable(boss)
+    strings = rs.strings_with_rc()
+    picked = np.random.default_rng(5).choice(len(strings), size=50, replace=False)
+    sample = [strings[i] for i in sorted(picked)]
+    got = scan_all(boss, cmap, sample)
+    for i, s in enumerate(sample):
+        want = scan_read(boss, cmap, s, i)
+        assert (got[i].W, got[i].I) == (want.W, want.I), i

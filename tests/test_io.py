@@ -1,5 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+
+from cdbg._binio import Reader
+from cdbg.bitvectors import read_bit_vector
 
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
@@ -131,6 +137,93 @@ class TestContainer:
             section_sizes(bytes(data))
         data[at : at + 8] = (len(data) - at - 8 - 4).to_bytes(8, "little")
         assert section_sizes(bytes(data)) == {"META": len(data) - at - 8 - 4}
+
+
+def boss_fields(data: bytes) -> dict[str, int]:
+    """Byte offsets in the container of the graph section's fields; for a
+    bitvector, the offset of its bit count."""
+    sizes = section_sizes(data)
+    r = Reader(data, pos=4 + 1 + 2 + 1 + (4 + 8) + sizes["META"] + (4 + 8))
+    at = {}
+    r.u8()
+    r.u16()
+    for name in ("node_count", "edge_count"):
+        at[name] = r._pos
+        r.u64()
+    at["K"] = r._pos
+    r.array(np.int64)
+    r.u8()
+    at["E"] = r._pos
+    r.u64()
+    for _ in range(r.u8()):
+        read_bit_vector(r)
+    for name in ("B", "minus", "closure", "starting", "ending", "solid"):
+        at[name] = r._pos + 2  # after the representation tag and version
+        read_bit_vector(r)
+    return at
+
+
+def resealed(data: bytearray) -> bytes:
+    """The container with its CRC computed again over the changed body."""
+    body = bytes(data[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def add_to_u64(data: bytes, at: int, delta: int) -> bytes:
+    blob = bytearray(data)
+    value = (int.from_bytes(blob[at : at + 8], "little") + delta) % 2**64
+    blob[at : at + 8] = value.to_bytes(8, "little")
+    return resealed(blob)
+
+
+class TestLoaderCrossChecks:
+    """A graph section whose CRC is valid but whose parts disagree raises
+    ``IntegrityError`` at load, not IndexError or ValueError later."""
+
+    @pytest.fixture()
+    def data(self, built):
+        return serialize_index(*built)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_edge_count_must_match_edges_and_flags(self, data, delta):
+        with pytest.raises(IntegrityError, match="edge_count"):
+            deserialize_index(add_to_u64(data, boss_fields(data)["edge_count"], delta))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_node_count_must_match_node_bitmap(self, data, delta):
+        with pytest.raises(IntegrityError, match="node_count"):
+            deserialize_index(add_to_u64(data, boss_fields(data)["node_count"], delta))
+
+    @pytest.mark.parametrize("field", ["E", "B", "minus", "closure"])
+    def test_edge_lengths_must_agree(self, data, field):
+        with pytest.raises(IntegrityError):
+            deserialize_index(add_to_u64(data, boss_fields(data)[field], 1))
+
+    @pytest.mark.parametrize("field", ["starting", "ending", "solid"])
+    def test_node_type_lengths_must_match_node_count(self, data, field):
+        with pytest.raises(IntegrityError, match="node_count"):
+            deserialize_index(add_to_u64(data, boss_fields(data)[field], 1))
+
+    def test_node_bitmap_count_must_match_node_count(self, built, data):
+        boss = built[0]
+        # clear the node-boundary bit of the last node: B keeps its length
+        last = int(boss._first_edge[boss.node_count]) - 1
+        words_at = boss_fields(data)["B"] + 8 + 8
+        blob = bytearray(data)
+        blob[words_at + last // 8] ^= 1 << (last % 8)
+        with pytest.raises(IntegrityError, match="node_count"):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("entry,value", [(0, 1), (5, -1), (5, 1), (1, 100), (2, -100)])
+    def test_k_must_rise_from_zero_to_node_count(self, data, entry, value):
+        at = boss_fields(data)["K"] + 8 + 8 * entry
+        with pytest.raises(IntegrityError, match="K"):
+            deserialize_index(add_to_u64(data, at, value))
+
+    def test_array_bytes_must_be_whole_items(self, data):
+        # K declares 47 bytes: not a whole number of int64 entries
+        with pytest.raises(IntegrityError, match="not whole"):
+            deserialize_index(add_to_u64(data, boss_fields(data)["K"], -1))
 
 
 class TestSynthetic:

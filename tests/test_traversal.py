@@ -200,7 +200,8 @@ class TestAssemblyMatchesReference:
 
 def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
     """Assembly and reconstruction run on views built from whole arrays:
-    none of the per-element index lookups is called."""
+    none of the per-element index lookups is called, and no query derives
+    the edge targets again (only building or loading the graph does)."""
     calls = {}
     for cls, name in [
         (MonotoneSequence, "access"),
@@ -209,6 +210,7 @@ def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
         (BossIndex, "edge_target"),
         (BossIndex, "successors"),
         (BossIndex, "backward"),
+        (BossIndex, "_derive_targets"),
     ]:
         key = f"{cls.__name__}.{name}"
         calls[key] = 0
@@ -219,9 +221,15 @@ def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     boss, colors = mixed_indexes[1, 9]
+    start = int(boss.starting_node_ids()[0])
     assert assemble_all(boss, colors, 0.5)
     assert reconstruct_all(boss, colors).recovered
+    assert build_seqs(boss, colors, start)
+    assert contig_assm(boss, colors, start, 0.5)
+    assert len(boss.node_labels(np.arange(1, boss.node_count + 1))) == boss.node_count
     assert calls == dict.fromkeys(calls, 0)
+    BossIndex.build(mixed_read_set(1, 9), k=9)
+    assert calls["BossIndex._derive_targets"] == 1
 
 
 def test_cycling_color_trail_is_ambiguous():
