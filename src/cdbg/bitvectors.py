@@ -1,4 +1,4 @@
-"""Rank/select bitvectors, Elias-Fano monotone sequences, symbol sequences.
+"""Rank/select bitvectors, Elias-Fano monotone sequences, packed symbol sequences.
 
 Conventions (fixed by the public contracts):
 
@@ -109,6 +109,8 @@ class BitVector:
             raise IntegrityError("unsupported plain bitvector version")
         n = r.u64()
         words = r.array(np.uint64)
+        if len(words) != (n + 63) // 64 or (n % 64 and int(words[-1]) >> (n % 64)):
+            raise IntegrityError(f"plain bitvector words do not hold exactly {n} bits")
         bv = cls.__new__(cls)
         bv.n = n
         bv._words = words
@@ -181,23 +183,21 @@ class SparseBitVector:
             raise IntegrityError("unsupported sparse bitvector version")
         n = r.u64()
         pos = MonotoneSequence.deserialize(r).to_array()
-        return cls(n, pos)
+        try:
+            return cls(n, pos)
+        except (BoundsError, ValueError) as exc:
+            raise IntegrityError(f"sparse bitvector: {exc}") from exc
 
 
 AnyBitVector = BitVector | SparseBitVector
 
 
-def bit_vector(bits: np.ndarray, kind: str = "auto") -> AnyBitVector:
-    """Build a bitvector, choosing the representation by density."""
+def bit_vector(bits: np.ndarray) -> AnyBitVector:
+    """Build a bitvector, sparse when at most 25% of its bits are set."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if kind == "auto":
-        density = bits.mean() if len(bits) else 1.0
-        kind = "sparse" if density <= SPARSE_DENSITY_THRESHOLD else "plain"
-    if kind == "plain":
-        return BitVector(bits)
-    if kind == "sparse":
+    if len(bits) and bits.mean() <= SPARSE_DENSITY_THRESHOLD:
         return SparseBitVector.from_bits(bits)
-    raise ValueError(f"unknown bitvector kind {kind!r}")
+    return BitVector(bits)
 
 
 def read_bit_vector(r: Reader) -> AnyBitVector:
@@ -359,20 +359,14 @@ class MonotoneSequence:
 
 
 class SymbolSequence:
-    """Sequence over a small integer alphabet, held as its codes only.
+    """Sequence of edge symbols, codes 1..5: one byte per code in RAM, one
+    packed array of 3-bit codes on disk. ``access`` uses 1-based positions."""
 
-    Built for the 5-letter DNA+dummy alphabet (codes 1..5). ``access`` and
-    ``select`` use 1-based positions, ``rank(c, i)`` counts occurrences of
-    ``c`` in the prefix of length ``i``; rank, select and count scan the
-    codes. On disk it is one bitvector per symbol.
-    """
-
-    def __init__(self, codes: np.ndarray, sigma: int = 5):
+    def __init__(self, codes: np.ndarray):
         codes = np.asarray(codes, dtype=np.uint8)
-        if codes.size and (codes.min() < 1 or codes.max() > sigma):
-            raise ValueError(f"symbol codes must lie in [1, {sigma}]")
+        if codes.size and (codes.min() < 1 or codes.max() > 5):
+            raise ValueError("symbol codes must lie in [1, 5]")
         self.n = len(codes)
-        self.sigma = sigma
         self._codes = codes
 
     def access(self, i: int) -> int:
@@ -380,46 +374,25 @@ class SymbolSequence:
             raise BoundsError(f"access position {i} out of range [1, {self.n}]")
         return int(self._codes[i - 1])
 
-    def rank(self, c: int, i: int) -> int:
-        if not 1 <= c <= self.sigma:
-            raise BoundsError(f"symbol {c} outside alphabet")
-        if not 0 <= i <= self.n:
-            raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
-        return int(np.count_nonzero(self._codes[:i] == c))
-
-    def select(self, c: int, j: int) -> int:
-        if not 1 <= c <= self.sigma:
-            raise BoundsError(f"symbol {c} outside alphabet")
-        pos = np.flatnonzero(self._codes == c)
-        if not 1 <= j <= len(pos):
-            raise BoundsError(f"select occurrence {j} out of range [1, {len(pos)}]")
-        return int(pos[j - 1]) + 1
-
-    def count(self, c: int) -> int:
-        return int(np.count_nonzero(self._codes == c))
-
     def codes(self) -> np.ndarray:
         return self._codes
 
     def serialize(self, w: Writer) -> None:
-        w.u8(1)  # version
+        w.u8(2)  # version: packed 3-bit codes, lowest bit first
         w.u64(self.n)
-        w.u8(self.sigma)
-        for c in range(1, self.sigma + 1):
-            bit_vector(self._codes == c).serialize(w)
+        bits = (self._codes[:, None] >> np.arange(3, dtype=np.uint8)) & 1
+        w.array(np.packbits(bits, bitorder="little"))
 
     @classmethod
     def deserialize(cls, r: Reader) -> "SymbolSequence":
-        if r.u8() != 1:
+        if r.u8() != 2:
             raise IntegrityError("unsupported symbol sequence version")
         n = r.u64()
-        sigma = r.u8()
-        codes = np.zeros(n, dtype=np.uint8)
-        for c in range(1, sigma + 1):
-            bv = read_bit_vector(r)
-            if bv.n != n:
-                raise IntegrityError(f"symbol {c} bitvector has {bv.n} bits, not {n}")
-            codes[bv.ones_positions()] = c
-        if not codes.all():
-            raise IntegrityError("an edge position carries no symbol")
-        return cls(codes, sigma=sigma)
+        packed = r.array(np.uint8)
+        if len(packed) != (3 * n + 7) // 8:
+            raise IntegrityError(f"{len(packed)} bytes of packed symbols for {n} symbols")
+        bits = np.unpackbits(packed, bitorder="little")[: 3 * n].reshape(n, 3)
+        codes = bits[:, 0] | bits[:, 1] << 1 | bits[:, 2] << 2
+        if n and (codes.min() < 1 or codes.max() > 5):
+            raise IntegrityError("a packed symbol code lies outside [1, 5]")
+        return cls(codes)

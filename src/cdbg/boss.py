@@ -1,27 +1,29 @@
 """BOSS representation of the de Bruijn graph over reads plus reverse complements.
 
-Construction pads every string with k-1 dummies in front and k-2 behind,
-takes all k-windows as edges, sorts them by the reverse-lexicographic
-(colex) order of the source (k-1)-label with the edge symbol as
-tie-break, and emits:
+Construction pads every string s with k-1 dummies ``$`` in front and two
+behind, takes all k-windows as edges, sorts them by the colex (reverse
+lexicographic) order of the source (k-1)-label with the edge symbol as
+tie-break, and drops repeats. The first ``$`` behind s ends the
+label of its ending node ``s[-(k-2):] + "$"``; the second is that node's
+closure edge, a ``$`` edge with no target. So every node keeps an
+outgoing edge, and the all-dummy root (node 1) is the only node without
+incoming edges: target arithmetic for ``$`` skips it, and for solid
+symbols the textbook BOSS arithmetic applies unchanged. An edge whose
+target equals the previous same-symbol edge's target carries a
+disambiguation flag and is left out of the target ranking.
 
-* ``E``  edge symbols in sorted order, one code per edge,
-* ``B``  bitmap marking the first outgoing symbol of each node,
-* ``K``  cumulative counts of node labels by last symbol.
+Colex order puts the labels that end in ``$`` first, so the ending nodes
+are exactly ids ``2..K[1]``, each owns one edge, and the closure edges are
+the edge positions ``first_edge[2] .. first_edge[K[1] + 1] - 1``.
 
-Every node keeps at least one outgoing edge: the chain-terminal dummy
-node of each string (single solid symbol followed by k-2 dummies; for
-k = 3 that is the ending node itself) carries a structural ``$`` closure
-edge with no navigable target. The all-dummy root is then the unique
-node without incoming edges, so target arithmetic for symbol ``$`` skips
-it; for solid symbols the textbook BOSS arithmetic applies unchanged.
-Edges whose target equals the previous same-symbol edge's target carry a
-disambiguation flag and are excluded from the target ranking.
-
-In RAM the graph keeps one set of navigation arrays, derived once at
-build and at load and at the narrowest width that holds an edge
-position: each edge's source and target, each node's first edge,
-indegree and canonical incoming edge. Every query reads them.
+Stored: k, the node and edge counts, ``K`` (cumulative counts of node
+labels by last symbol), ``E`` (the edge symbols, packed as 3-bit codes),
+``B`` (a bitmap marking each node's first edge) and the disambiguation
+flags. Derived, once at build and at load, at the narrowest width that
+holds an edge position: each edge's source and target, each node's first
+edge and canonical incoming edge, and the starting nodes, the last level
+of the tree of labels with a leading ``$`` below the root. Node types,
+indegrees and the solid nodes are computed where they are asked for.
 """
 
 from __future__ import annotations
@@ -102,10 +104,9 @@ class BossIndex:
 
     @classmethod
     def _from_strings(cls, strings: list[str], k: int) -> "BossIndex":
-        n_digits = k + 1  # k-1 colex label digits, edge symbol, closure flag
         big_parts = []
         pre = np.ones(k - 1, dtype=np.uint8)
-        post = np.ones(k - 2, dtype=np.uint8)
+        post = np.ones(2, dtype=np.uint8)  # the ending node's `$`, then its closure edge
         sep = np.full(1, _SENTINEL, dtype=np.uint8)
         for s in strings:
             big_parts.extend((pre, encode(s), post, sep))
@@ -114,48 +115,25 @@ class BossIndex:
 
         # window digits: colex label (label read right to left), then symbol
         cols = [big[k - 2 - j : k - 2 - j + t_count] for j in range(k - 1)]
-        cols.append(big[k - 1 : k - 1 + t_count])  # edge symbol
-        cols.append(np.zeros(t_count, dtype=np.uint8))  # closure flag
-        words = _pack_digit_columns(cols, n_digits)
-
+        cols.append(big[k - 1 : k - 1 + t_count])
         sentinel_cum = np.concatenate([[0], np.cumsum(big == _SENTINEL)])
         valid = (sentinel_cum[k:] - sentinel_cum[:-k]) == 0
-
-        sym = big[k - 1 : k - 1 + t_count][valid].copy()
-        closure = np.zeros(len(sym), dtype=np.uint8)
-        words = [w[valid] for w in words]
-
-        # chain-terminal closure rows: label = last solid symbol + k-2 dummies
-        lasts = np.array([SYMBOL_CODES[s[-1]] for s in strings], dtype=np.uint8)
-        tcols = [np.ones(len(strings), dtype=np.uint8) for _ in range(k - 3 + 1)]
-        tcols.append(lasts)  # digit k-2 = label[0]
-        tcols.append(np.ones(len(strings), dtype=np.uint8))  # symbol $
-        tcols.append(np.ones(len(strings), dtype=np.uint8))  # closure
-        twords = _pack_digit_columns(tcols, n_digits)
-
-        words = [np.concatenate([w, tw]) for w, tw in zip(words, twords)]
-        sym = np.concatenate([sym, np.ones(len(strings), dtype=np.uint8)])
-        closure = np.concatenate([closure, np.ones(len(strings), dtype=np.uint8)])
-
+        words = [w[valid] for w in _pack_digit_columns(cols, k)]
         order = np.lexsort(tuple(words[::-1]))
         words = [w[order] for w in words]
-        sym = sym[order]
-        closure = closure[order]
 
-        dup = np.ones(len(sym), dtype=bool)
-        if len(sym) > 1:
-            same = np.ones(len(sym) - 1, dtype=bool)
+        dup = np.ones(len(words[0]), dtype=bool)
+        if len(dup) > 1:
+            same = np.ones(len(dup) - 1, dtype=bool)
             for w in words:
                 same &= w[1:] == w[:-1]
             dup[1:] = ~same
         words = [w[dup] for w in words]
-        sym = sym[dup]
-        closure = closure[dup]
+        sym = _extract_digit(words, k - 1)
         m = len(sym)
 
-        # node boundaries: source label change (ignore symbol + closure digits)
-        label_masks = _digit_masks(n_digits, k - 1)
-        masked = [w & np.uint64(mk) for w, mk in zip(words, label_masks)]
+        # node boundaries: source label change (ignore the symbol digit)
+        masked = [w & np.uint64(mk) for w, mk in zip(words, _digit_masks(k, k - 1))]
         b_bits = np.zeros(m, dtype=np.uint8)
         b_bits[0] = 1
         if m > 1:
@@ -165,25 +143,17 @@ class BossIndex:
             b_bits[1:] = diff
 
         node_pos = np.flatnonzero(b_bits)
-        n_nodes = len(node_pos)
-
-        # per-node label digits for taxonomy and K
-        node_words = [w[node_pos] for w in masked]
-        label_cols = [_extract_digit(node_words, k - 2 - c) for c in range(k - 1)]
-        label_mat = np.stack(label_cols, axis=1)  # label[0..k-2] per node
-        solid = (label_mat >= 2).all(axis=1)
-        starting = (label_mat[:, 0] == 1) & (label_mat[:, 1:] >= 2).all(axis=1)
-        ending = (label_mat[:, -1] == 1) & (label_mat[:, :-1] >= 2).all(axis=1)
-
-        last_sym = label_mat[:, -1]
+        last_sym = _extract_digit([w[node_pos] for w in masked], 0)
         counts = np.bincount(last_sym, minlength=6)[1:6]
         kcum = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)  # A[i] = #last <= i
 
-        # disambiguation flags: same symbol and same target as previous edge
-        suffix_masks = _digit_masks(n_digits, k - 2)
+        # disambiguation flags: same symbol and same target as previous edge;
+        # closure edges (`$` out of a label ending in `$`) have no target
+        closure = (_extract_digit(words, 0) == 1) & (sym == 1)
+        suffix_masks = _digit_masks(k, k - 2)
         minus = np.zeros(m, dtype=np.uint8)
         for c in range(1, 6):
-            idx = np.flatnonzero((sym == c) & (closure == 0))
+            idx = np.flatnonzero((sym == c) & ~closure)
             if len(idx) < 2:
                 continue
             same = np.ones(len(idx) - 1, dtype=bool)
@@ -198,54 +168,71 @@ class BossIndex:
         boss._B = BitVector(b_bits)
         boss._kcum = kcum
         boss._minus = minus
-        boss._closure = closure
-        boss._starting = starting.astype(np.uint8)
-        boss._ending = ending.astype(np.uint8)
-        boss._solid = solid.astype(np.uint8)
-        boss.node_count = n_nodes
+        boss.node_count = len(node_pos)
         boss.edge_count = m
         boss._build_caches()
         return boss
 
     def _build_caches(self) -> None:
         """The navigation arrays every query reads, built once at build and
-        at load: each edge's source and target node, each node's first edge,
-        indegree and canonical (real, unflagged) incoming edge."""
+        at load: each edge's source and target node, each node's first edge
+        and canonical (real, unflagged) incoming edge, and the starting
+        nodes."""
         n, m = self.node_count, self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
         b_bits = self._B.to_bits()
         self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
         self._edge_src = np.cumsum(b_bits, dtype=width)  # position (0-based) -> node id
         self._codes = self._E.codes()
+        ends = int(self._kcum[1])
+        if ends < 2 or self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
+            raise CorruptIndex("an ending node does not own exactly one closure edge")
         targets = self._derive_targets()
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
         self._targets = targets.astype(width)
         self._targets.flags.writeable = False
         indeg = np.bincount(targets, minlength=n + 1)
-        indeg[0] = 0  # closure edges
         if indeg[1] != 0:
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if n > 1 and indeg[2:].min() < 1:
             raise CorruptIndex("non-root node without incoming edge")
-        self._indeg = indeg.astype(width)
         canonical = np.flatnonzero((targets > 0) & (self._minus == 0))
         self._in_edge = np.zeros(n + 1, dtype=width)
         self._in_edge[targets[canonical]] = canonical + 1
         if len(canonical) != n - 1 or not self._in_edge[2:].all():
             raise CorruptIndex("a node lacks a canonical incoming edge")
+        self._starting = np.sort(self._dollar_tree()[-1])
+        self._starting.flags.writeable = False
 
     def _derive_targets(self) -> np.ndarray:
         """Target node of every edge, 0 on closure edges: per symbol, the
         target rank of an edge is the number of unflagged real edges of
         that symbol up to and including it; ``$`` targets skip the root."""
+        real = np.ones(self.edge_count, dtype=bool)
+        real[self._first_edge[2] - 1 : self._first_edge[self._kcum[1] + 1] - 1] = False
         targets = np.zeros(self.edge_count, dtype=np.int64)
         for c in range(1, 6):
             idx = np.flatnonzero(self._codes == c)
-            real = self._closure[idx] == 0
-            ranks = np.cumsum(real & (self._minus[idx] == 0))
-            targets[idx] = np.where(real, self._kcum[c - 1] + (c == 1) + ranks, 0)
+            ranks = np.cumsum(real[idx] & (self._minus[idx] == 0))
+            targets[idx] = np.where(real[idx], self._kcum[c - 1] + (c == 1) + ranks, 0)
         return targets
+
+    def _dollar_tree(self) -> list[np.ndarray]:
+        """Node ids of the labels with a leading ``$``, by depth 1..k-2
+        below the root: depth d holds the labels ``$``*(k-1-d) + x with x
+        solid and of length d, and its last level holds the starting nodes.
+        Each has exactly one incoming edge, so a level is the targets of
+        the edges of the level above."""
+        indeg = np.bincount(self._targets, minlength=self.node_count + 1)
+        level, levels = np.ones(1, dtype=np.int64), []
+        for _ in range(self.k - 2):
+            edges, _ = _gather(self._first_edge, level)
+            level = self._targets[edges - 1].astype(np.int64)
+            if len(level) and (level.min() <= self._kcum[1] or (indeg[level] != 1).any()):
+                raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
+            levels.append(level)
+        return levels
 
     # -- basic accessors ---------------------------------------------------
 
@@ -303,7 +290,8 @@ class BossIndex:
         targets = self._targets
         real = np.flatnonzero(targets)
         order = real[np.argsort(targets[real], kind="stable")]
-        offsets = np.concatenate([[0], np.cumsum(self._indeg[1:])])
+        indeg = np.bincount(targets, minlength=self.node_count + 1)
+        offsets = np.concatenate([[0], np.cumsum(indeg[1:])])
         return offsets, self._edge_src[order]
 
     def forward(self, v: int, a: int | str) -> int | None:
@@ -336,8 +324,7 @@ class BossIndex:
         return out
 
     def indegree(self, v: int) -> int:
-        self._check_node(v)
-        return int(self._indeg[v])
+        return len(self.backward(v))
 
     def backward(self, v: int) -> list[int]:
         """All predecessor node ids, in BOSS order.
@@ -416,33 +403,40 @@ class BossIndex:
 
     def is_starting(self, v: int) -> bool:
         self._check_node(v)
-        return bool(self._starting[v - 1])
+        i = int(np.searchsorted(self._starting, v))
+        return i < len(self._starting) and int(self._starting[i]) == v
 
     def is_ending(self, v: int) -> bool:
         self._check_node(v)
-        return bool(self._ending[v - 1])
+        return bool(2 <= v <= self._kcum[1])
 
     def is_solid(self, v: int) -> bool:
-        self._check_node(v)
-        return bool(self._solid[v - 1])
+        return not self.is_ending(v) and self.node_label(v)[0] != DUMMY
 
     def is_critical(self, v: int) -> bool:
         """Solid node with at least one predecessor of outdegree > 1."""
-        self._check_node(v)
-        if not self._solid[v - 1]:
+        if not self.is_solid(v):
             return False
         return any(self.outdegree(u) > 1 for u in self.backward(v))
 
     def starting_node_ids(self) -> np.ndarray:
-        return np.flatnonzero(self._starting).astype(np.int64) + 1
+        """Sorted ids of the starting nodes; the graph's own array."""
+        return self._starting
 
-    def taxonomy_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._starting, self._ending, self._solid
+    def solid_mask(self) -> np.ndarray:
+        """One bool per node, indexed by id - 1: true on labels without
+        ``$``, the nodes that are neither the root, an ending node nor in
+        the tree of labels with a leading ``$``."""
+        solid = np.ones(self.node_count, dtype=bool)
+        solid[: self._kcum[1]] = False
+        for level in self._dollar_tree():
+            solid[level - 1] = False
+        return solid
 
     # -- serialization -----------------------------------------------------
 
     def serialize(self, w: Writer) -> None:
-        w.u8(1)  # section version
+        w.u8(2)  # section version
         w.u16(self.k)
         w.u64(self.node_count)
         w.u64(self.edge_count)
@@ -450,14 +444,10 @@ class BossIndex:
         self._E.serialize(w)
         self._B.serialize(w)
         bit_vector(self._minus).serialize(w)
-        bit_vector(self._closure).serialize(w)
-        bit_vector(self._starting).serialize(w)
-        bit_vector(self._ending).serialize(w)
-        bit_vector(self._solid).serialize(w)
 
     @classmethod
     def deserialize(cls, r: Reader) -> "BossIndex":
-        if r.u8() != 1:
+        if r.u8() != 2:
             raise IntegrityError("unsupported graph section version")
         boss = cls.__new__(cls)
         boss.k = r.u16()
@@ -468,17 +458,26 @@ class BossIndex:
         if r.u8() != 1:
             raise IntegrityError("node-boundary bitmap must be plain")
         boss._B = BitVector._deserialize_body(r)
-        boss._minus = read_bit_vector(r).to_bits()
-        boss._closure = read_bit_vector(r).to_bits()
-        boss._starting = read_bit_vector(r).to_bits()
-        boss._ending = read_bit_vector(r).to_bits()
-        boss._solid = read_bit_vector(r).to_bits()
+        minus = read_bit_vector(r)
         n, m, kcum = boss.node_count, boss.edge_count, boss._kcum
         if len(kcum) != 6 or kcum[0] != 0 or kcum[-1] != n or (np.diff(kcum) < 0).any():
             raise IntegrityError("K does not rise in 6 entries from 0 to node_count")
-        if {boss._E.n, boss._B.n, len(boss._minus), len(boss._closure)} != {m}:
+        if {boss._E.n, boss._B.n, minus.n} != {m}:
             raise IntegrityError("edge symbols or edge flags disagree with edge_count")
-        if n < 1 or {boss._B.count, len(boss._starting), len(boss._ending), len(boss._solid)} != {n}:
-            raise IntegrityError("node bitmap or node types disagree with node_count")
-        boss._build_caches()
+        if n < 1 or boss._B.count != n:
+            raise IntegrityError("node bitmap disagrees with node_count")
+        boss._minus = minus.to_bits()
+        try:
+            boss._build_caches()
+        except CorruptIndex as exc:
+            raise IntegrityError(f"graph section: {exc}") from exc
         return boss
+
+
+def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices of the given CSR rows, concatenated, and each row's length."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts

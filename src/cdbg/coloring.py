@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvectors import AnyBitVector, bit_vector
-from .boss import BossIndex
+from .boss import BossIndex, _gather
 from .errors import CorruptIndex
 from .sequence import DUMMY, ReadSet, SYMBOL_CODES, encode
 from .stages import stage
@@ -53,11 +53,12 @@ def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
 
 def mark_colorable(boss: BossIndex) -> ColorableMap:
     """Starting and ending nodes, plus the solid successors of branching nodes."""
-    starting, ending, solid = boss.taxonomy_bits()
-    bits = (starting | ending).astype(np.uint8)
+    bits = np.zeros(boss.node_count, dtype=np.uint8)
+    bits[boss.starting_node_ids() - 1] = 1
+    bits[1 : boss.K[1]] = 1  # the ending nodes, ids 2..K[1]
     targets = boss.edge_targets()
     succ = targets[_branch_edges(boss, targets)]
-    bits[succ[solid[succ - 1] == 1] - 1] = 1
+    bits[succ[boss.solid_mask()[succ - 1]] - 1] = 1
     bv = bit_vector(bits)
     return ColorableMap(bitmap=bv, p=int(bv.count))
 
@@ -268,21 +269,12 @@ def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndar
     branch = _branch_edges(boss, targets)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))
-    into = branch & (boss._indeg[targets] > 1)
+    into = branch & (np.bincount(targets, minlength=n + 1)[targets] > 1)
     idx, counts = _gather(own_ptr, src[into])
     node = np.concatenate([own_src, np.repeat(targets[into], counts)])
     tgt = np.concatenate([own_tgt, own_tgt[idx]])
     node, tgt = np.divmod(np.unique(node * (n + 1) + tgt), n + 1)
     return np.searchsorted(node, np.arange(n + 2)), tgt
-
-
-def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry indices of the given CSR rows, concatenated, and each row's length."""
-    starts = ptr[rows]
-    counts = ptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
 
 
 def _split_keys(keys: np.ndarray, p1: int, n: int) -> list[list[int]]:

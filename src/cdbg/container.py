@@ -19,7 +19,7 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -110,6 +110,8 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
         raise IntegrityError("container misses a required section")
     if boss.k != k:
         raise IntegrityError("header k disagrees with graph section")
+    if colors.N.n != boss.node_count:
+        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
     return boss, colors, meta
 
 

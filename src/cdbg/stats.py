@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .boss import BossIndex
 from .colormatrix import CompressedColors
 from .container import IndexMeta
@@ -73,10 +71,9 @@ def compute_stats(
     ambiguous_count: int | None = None,
     section_bytes: dict[str, int] | None = None,
 ) -> StatsRecord:
-    _, _, solid = boss.taxonomy_bits()
     return StatsRecord(
         total_nodes=boss.node_count,
-        solid_nodes=int(np.sum(solid)),
+        solid_nodes=int(boss.solid_mask().sum()),
         edge_count=boss.edge_count,
         colored_nodes=colors.p,
         num_colors=colors.num_colors,

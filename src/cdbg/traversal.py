@@ -12,8 +12,8 @@ Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
 colors. Each call first builds one view of the index from whole-array
-passes (decoded color table, successor and predecessor lists, node types)
-and then walks over plain Python lists, with each node's color set
+passes (decoded color table, successor and predecessor lists, starting
+nodes) and then walks over plain Python lists, with each node's color set
 decoded once.
 """
 
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boss import BossIndex
-from .coloring import _gather
+from .boss import BossIndex, _gather
 from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, IntegrityError, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
@@ -110,14 +109,14 @@ def _walk_all(
 
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
-    codes, ending = boss._codes, boss.taxonomy_bits()[1].view(bool)
+    codes, last_ending = boss._codes, int(boss.K[1])  # ending nodes are ids 2..K[1]
     wid = np.arange(n_walks)
     cur = np.repeat(starts, n_colors)
     ok = np.zeros(n_walks, dtype=bool)
     step_wid, step_sym = [], []
     limit = boss.edge_count + boss.k
     for step in range(limit + 1):
-        done = ending[cur - 1]
+        done = cur <= last_ending
         ok[wid[done]] = True
         wid, cur, col = wid[~done], cur[~done], col[~done]
         if not len(wid) or step == limit:
@@ -252,8 +251,8 @@ class _AssemblyView:
         self.codes = boss._codes.tolist()
         pred_offsets, preds = boss.predecessors()
         self.pred_offsets, self.preds = pred_offsets.tolist(), preds.tolist()
-        starting, ending, _ = boss.taxonomy_bits()
-        self.starting, self.ending = starting.tolist(), ending.tolist()
+        self.starting = set(boss.starting_node_ids().tolist())
+        self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
 
     def colors_of(self, v: int) -> frozenset[int]:
@@ -271,7 +270,7 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
     when a single successor carries at least an x fraction of them."""
-    colors_of, starting, ending = view.colors_of, view.starting, view.ending
+    colors_of, starting, last_ending = view.colors_of, view.starting, view.last_ending
     first_edge, targets, codes = view.first_edge, view.targets, view.codes
     pred_offsets, preds = view.pred_offsets, view.preds
     active: dict[int, int] = {c: v for c in colors_of(v)}
@@ -284,7 +283,7 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
         lo, hi = pred_offsets[cur - 1], pred_offsets[cur]
         if hi - lo > 1:
             for u in preds[lo:hi]:
-                if starting[u - 1]:
+                if u in starting:
                     for c in colors_of(u):
                         if (c, u) not in finished:
                             active[c] = u
@@ -293,7 +292,7 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
         ]
         if len(succ) == 1:
             pos, target = succ[0]
-            if ending[target - 1]:
+            if target <= last_ending:
                 break
             syms.append(CODE_SYMBOLS[codes[pos - 1]])
             cur = target
@@ -316,10 +315,10 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
         candidates = [
             (pos, t)
             for pos, t in succ
-            if not ending[t - 1] and len(succ_colors[t] & q_keys) / len(q_keys) >= x
+            if t > last_ending and len(succ_colors[t] & q_keys) / len(q_keys) >= x
         ]
         for _, t in succ:
-            if ending[t - 1]:
+            if t <= last_ending:
                 for c in succ_colors[t]:
                     if c in active:
                         finished.add((c, active.pop(c)))

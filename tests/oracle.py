@@ -1,9 +1,10 @@
 """Naive hash-map de Bruijn graph used as the differential-testing oracle.
 
-Built from the same padded k-mer multiset as the succinct index (k-1
-leading dummies, k-2 trailing dummies, plus one structural closure edge
-per chain-terminal node), but with plain dictionaries over label strings
-and brute-force queries throughout.
+Built from the same padded k-mer set as the succinct index: each string
+gets k-1 leading dummies and one trailing dummy, and its ending node (the
+last k-2 symbols followed by ``$``) gets one structural closure edge
+without a target. Node types follow from the labels alone; everything is
+held in plain dictionaries over label strings and queried by brute force.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ class NaiveDbg:
         self.k = k
         edges: set[tuple[str, str, bool]] = set()
         for s in strings:
-            padded = DUMMY * (k - 1) + s + DUMMY * (k - 2)
+            padded = DUMMY * (k - 1) + s + DUMMY
             for t in range(len(padded) - k + 1):
                 window = padded[t : t + k]
                 edges.add((window[: k - 1], window[k - 1], False))
-            terminal = padded[-(k - 1):]
-            edges.add((terminal, DUMMY, True))
+            edges.add((padded[-(k - 1):], DUMMY, True))
         self.out: dict[str, list[tuple[str, str | None]]] = defaultdict(list)
         self.incoming: dict[str, list[str]] = defaultdict(list)
         labels: set[str] = set()
@@ -98,17 +98,17 @@ class NaiveDbg:
 
 def edge_targets_ref(boss) -> list[int]:
     """Target node of every edge, 0 on closure edges, from the edge codes,
-    the disambiguation and closure flags and K alone: the target of a real
-    edge of symbol c is K[c-1] (plus 1 for ``$``, whose targets skip the
-    root) plus the number of unflagged real edges of symbol c up to and
-    including it."""
+    the disambiguation flags, B and K alone: the closure edges are those
+    leaving the ending nodes 2..K[1], and the target of a real edge of
+    symbol c is K[c-1] (plus 1 for ``$``, whose targets skip the root) plus
+    the number of unflagged real edges of symbol c up to and including it."""
     K = boss.K.tolist()
     seen = [0] * 6
     targets = []
-    for c, flagged, closure in zip(
-        boss.E.codes().tolist(), boss.edge_disambiguation_flags.tolist(), boss._closure.tolist()
+    for pos, (c, flagged) in enumerate(
+        zip(boss.E.codes().tolist(), boss.edge_disambiguation_flags.tolist()), start=1
     ):
-        if closure:
+        if 2 <= boss.B.rank1(pos) <= K[1]:
             targets.append(0)
             continue
         seen[c] += not flagged

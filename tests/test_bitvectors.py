@@ -75,13 +75,12 @@ def test_differential_rank_select_1000_random_vectors():
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
 def test_bitvector_roundtrip_both_kinds(bits_list):
     bits = np.array(bits_list, dtype=np.uint8)
-    for kind in ("plain", "sparse"):
-        bv = bit_vector(bits, kind)
+    for bv in (BitVector(bits), SparseBitVector.from_bits(bits)):
         w = Writer()
         bv.serialize(w)
         bv2 = read_bit_vector(Reader(w.getvalue()))
         assert np.array_equal(bv2.to_bits(), bits)
-        assert bv2.kind == kind
+        assert bv2.kind == bv.kind
 
 
 def test_density_threshold_selects_representation():
@@ -179,46 +178,34 @@ class TestMonotoneSequence:
 
 
 class TestSymbolSequence:
-    def test_rank_prefix_sums(self):
-        rng = np.random.default_rng(5)
-        codes = rng.integers(1, 6, size=257).astype(np.uint8)
-        ss = SymbolSequence(codes)
-        for i in (0, 1, 100, 257):
-            assert sum(ss.rank(c, i) for c in range(1, 6)) == i
-
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=200))
-    def test_rank_select_access_vs_naive(self, codes_list):
+    @given(st.lists(st.integers(1, 5), min_size=0, max_size=200))
+    def test_packed_roundtrip(self, codes_list):
         codes = np.array(codes_list, dtype=np.uint8)
-        ss = SymbolSequence(codes)
-        for c in range(1, 6):
-            occ = np.flatnonzero(codes == c) + 1
-            for j, p in enumerate(occ, start=1):
-                assert ss.select(c, j) == p
-            assert ss.rank(c, len(codes)) == len(occ)
+        w = Writer()
+        SymbolSequence(codes).serialize(w)
+        data = w.getvalue()
+        assert len(data) == 1 + 8 + 8 + (3 * len(codes) + 7) // 8
+        ss = SymbolSequence.deserialize(Reader(data))
+        assert np.array_equal(ss.codes(), codes)
         for i in range(1, len(codes) + 1):
             assert ss.access(i) == codes[i - 1]
 
-    def test_roundtrip(self):
-        codes = np.array([1, 5, 2, 2, 3, 4, 1], dtype=np.uint8)
+    @staticmethod
+    def packed(n: int, payload: bytes) -> Reader:
         w = Writer()
-        SymbolSequence(codes).serialize(w)
-        ss = SymbolSequence.deserialize(Reader(w.getvalue()))
-        assert np.array_equal(ss.codes(), codes)
-
-    @pytest.mark.parametrize(
-        "n,rows",
-        [
-            (3, [[1, 0, 0], [0, 1, 0]]),  # position 3 carries no symbol
-            (3, [[1, 0, 1, 0], [0, 1, 0, 0]]),  # bitvectors longer than the sequence
-            (4, [[1, 0, 1], [0, 1, 0]]),  # and shorter
-        ],
-    )
-    def test_deserialize_rejects_inconsistent_symbol_bitvectors(self, n, rows):
-        w = Writer()
-        w.u8(1)
+        w.u8(2)
         w.u64(n)
-        w.u8(len(rows))
-        for bits in rows:
-            BitVector(np.array(bits, dtype=np.uint8)).serialize(w)
-        with pytest.raises(IntegrityError):
-            SymbolSequence.deserialize(Reader(w.getvalue()))
+        w.array(np.frombuffer(payload, dtype=np.uint8))
+        return Reader(w.getvalue())
+
+    @pytest.mark.parametrize("n,payload", [(3, b"\x11"), (3, b"\x11\x00\x00"), (10**12, b"")])
+    def test_rejects_wrong_byte_count(self, n, payload):
+        with pytest.raises(IntegrityError, match="bytes of packed symbols"):
+            SymbolSequence.deserialize(self.packed(n, payload))
+
+    @pytest.mark.parametrize("code", [0, 6, 7])
+    def test_rejects_code_outside_alphabet(self, code):
+        # codes 1, then code, little end first: 3 bits each
+        payload = bytes([1 | code << 3])
+        with pytest.raises(IntegrityError, match="outside"):
+            SymbolSequence.deserialize(self.packed(2, payload))

@@ -5,7 +5,7 @@ from cdbg.boss import BossIndex
 from cdbg.errors import BadLabel, BadOrder, BoundsError, EmptyIndex
 from cdbg.sequence import CODE_SYMBOLS, ReadSet, reverse_complement
 
-from oracle import NaiveDbg, edge_targets_ref
+from oracle import DUMMY, NaiveDbg, edge_targets_ref
 
 
 def oracle_for(reads: list[str], k: int) -> NaiveDbg:
@@ -41,6 +41,14 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
                 got is not None and boss.node_label(got) == want
             )
         assert [boss.node_label(u) for u in boss.backward(v)] == oracle.backward(lab)
+    closure_sources = boss._edge_src[boss.edge_targets() == 0].tolist()
+    assert {boss.node_label(v) for v in closure_sources} == {
+        src for src, out in oracle.out.items() if (DUMMY, None) in out
+    }
+    assert boss.starting_node_ids().tolist() == [
+        v for v in range(1, boss.node_count + 1) if oracle.is_starting(oracle.label(v))
+    ]
+    assert boss.solid_mask().tolist() == [oracle.is_solid(lab) for lab in oracle.labels]
     assert_targets_match_reference(boss)
     offsets, sources = boss.predecessors()
     assert len(offsets) == boss.node_count + 1
@@ -186,14 +194,16 @@ class TestInvariants:
                 assert any(t == v for _, _, t in e1_boss.successors(u))
 
 
-@pytest.mark.parametrize("seed,k", [(1, 5), (2, 9), (3, 15), (4, 5), (5, 9)])
+@pytest.mark.parametrize("seed,k", [(1, 5), (2, 9), (3, 15), (4, 5), (5, 9), (6, 3), (7, 63)])
 def test_random_read_sets_match_oracle(seed, k):
+    # plus one duplicate read and one read contained in another
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
     reads = [
-        "".join(rng.choice(list("acgt"), size=int(rng.integers(20, 41))))
+        "".join(rng.choice(list("acgt"), size=int(rng.integers(max(20, k + 1), max(41, k + 21)))))
         for _ in range(n)
     ]
+    reads += [reads[0], reads[1][1 : k + 1]]
     boss = BossIndex.build(ReadSet.from_reads(reads), k=k)
     assert_matches_oracle(boss, oracle_for(reads, k))
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,7 @@ class TestBuild:
         assert res.returncode == 0, res.stderr
         for name in ("parse", "boss_sort", "mark", "scan", "assign", "compress", "write"):
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
-        assert "INFO strings=2 nodes=13 edges=15 p=5 colors=2" in res.stderr.splitlines()
+        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
 
     def test_missing_input_flag_is_usage_error(self):
         res = run_cli("build", "--output", "x.cdbg")
@@ -86,9 +87,10 @@ class TestStats:
         record = json.loads(res.stdout)
         assert record["colored_nodes"] == 5
         assert record["num_colors"] == 2
-        assert record["edge_count"] == 15
+        assert record["total_nodes"] == 11
+        assert record["edge_count"] == 13
         assert record["ambiguous_count"] is None
-        assert record["bits_per_edge"] == 8 * record["index_bytes"] / 15
+        assert record["bits_per_edge"] == 8 * record["index_bytes"] / 13
         assert record["compression_rate"] > 0
         sections = record["section_bytes"]
         assert list(sections) == ["META", "BOSS", "COLR"]
@@ -96,14 +98,20 @@ class TestStats:
         header = 4 + 1 + 2 + 1 + len(sections) * (4 + 8)  # magic, version, k, count, tables
         assert sum(sections.values()) == Path(index).stat().st_size - header - 4  # CRC32
 
-    def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path):
+    @pytest.mark.parametrize("damage", ["checksum", "version 1"])
+    def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path, damage):
         _, _, index, _ = tiny_index
         blob = bytearray(Path(index).read_bytes())
-        blob[-1] ^= 0xFF
+        if damage == "checksum":
+            blob[-1] ^= 0xFF
+        else:  # a format 1 container, with a valid checksum
+            blob[4] = 1
+            blob[-4:] = zlib.crc32(bytes(blob[:-4])).to_bytes(4, "little")
         bad = tmp_path / "bad.cdbg"
         bad.write_bytes(bytes(blob))
         res = run_cli("stats", "--index", str(bad))
         assert res.returncode == 3
+        assert ("version" in res.stderr) == (damage == "version 1")
 
 
 class TestReconstruct:

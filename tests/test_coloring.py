@@ -247,9 +247,8 @@ class TestArrayScanMatchesReference:
         # strings whose path inspects or ends on such a node may fail
         _, boss, cmap, strings = mixed
         bits = cmap.bitmap.to_bits().copy()
-        _, ending, solid = boss.taxonomy_bits()
-        bits[np.flatnonzero(bits & solid)[::2]] = 0
-        bits[np.flatnonzero(ending)[::3]] = 0
+        bits[np.flatnonzero(bits & boss.solid_mask())[::2]] = 0
+        bits[np.arange(1, boss.K[1])[::3]] = 0  # ending nodes are ids 2..K[1]
         damaged = ColorableMap(bitmap=bit_vector(bits), p=int(bits.sum()))
         for s in strings:
             try:
@@ -276,9 +275,9 @@ def test_color_all_rejects_read_not_in_graph(e1, foreign):
 
 
 def test_scan_on_a_graph_past_int32_keys():
-    # 55,055 nodes: node * (n + 1) + target no longer fits in int32, and the
+    # 51,067 nodes: node * (n + 1) + target no longer fits in int32, and the
     # navigation arrays are stored narrow, so the scan must widen them
-    _, reads = generate_reads(SyntheticConfig(genome_len=6000, read_len=100, coverage=10, seed=0))
+    _, reads = generate_reads(SyntheticConfig(genome_len=9000, read_len=100, coverage=10, seed=0))
     rs = ReadSet.from_reads(reads)
     boss = BossIndex.build(rs, k=25)
     assert boss.node_count > 46_341

@@ -21,7 +21,7 @@ def cmap_of(p, n=None):
     n = n or p
     bits = np.zeros(n, dtype=np.uint8)
     bits[:p] = 1
-    bv = bit_vector(bits, "plain")
+    bv = BitVector(bits)
     return ColorableMap(bitmap=bv, p=p)
 
 

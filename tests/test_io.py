@@ -1,16 +1,18 @@
+import hashlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from cdbg._binio import Reader
-from cdbg.bitvectors import read_bit_vector
+from cdbg._binio import Reader, Writer
+from cdbg.bitvectors import MonotoneSequence, read_bit_vector
 
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import compress, decode_table
 from cdbg.container import (
+    FORMAT_VERSION,
     IndexMeta,
     deserialize_index,
     read_index,
@@ -82,6 +84,15 @@ class TestFastx:
 
 
 class TestContainer:
+    def test_worked_example_container_is_pinned(self, built):
+        # a change to these bytes is a format change: bump FORMAT_VERSION
+        data = serialize_index(*built)
+        assert data[4] == FORMAT_VERSION == 2
+        assert len(data) == 395
+        assert hashlib.sha256(data).hexdigest() == (
+            "998e22801b32ba7f6eef3e6ddfec999dfc8a790de782c2dbddf352fad267bdce"
+        )
+
     def test_roundtrip_bit_exact(self, built):
         boss, colors, meta = built
         data = serialize_index(boss, colors, meta)
@@ -140,8 +151,9 @@ class TestContainer:
 
 
 def boss_fields(data: bytes) -> dict[str, int]:
-    """Byte offsets in the container of the graph section's fields; for a
-    bitvector, the offset of its bit count."""
+    """Byte offsets in the container of the graph section's fields: for E,
+    of its symbol count and of its packed byte count; for a bitvector, of
+    its bit count; "end" is where the section ends."""
     sizes = section_sizes(data)
     r = Reader(data, pos=4 + 1 + 2 + 1 + (4 + 8) + sizes["META"] + (4 + 8))
     at = {}
@@ -155,11 +167,12 @@ def boss_fields(data: bytes) -> dict[str, int]:
     r.u8()
     at["E"] = r._pos
     r.u64()
-    for _ in range(r.u8()):
-        read_bit_vector(r)
-    for name in ("B", "minus", "closure", "starting", "ending", "solid"):
+    at["E_bytes"] = r._pos
+    r.array(np.uint8)
+    for name in ("B", "minus"):
         at[name] = r._pos + 2  # after the representation tag and version
         read_bit_vector(r)
+    at["end"] = r._pos
     return at
 
 
@@ -176,9 +189,27 @@ def add_to_u64(data: bytes, at: int, delta: int) -> bytes:
     return resealed(blob)
 
 
+def with_minus(data: bytes, n: int, positions: list[int]) -> bytes:
+    """The container with its disambiguation flags replaced by a sparse
+    bitvector of n bits set at the given positions, written as is."""
+    w = Writer()
+    w.u8(2)
+    w.u8(1)
+    w.u64(n)
+    MonotoneSequence(np.array(positions, dtype=np.int64)).serialize(w)
+    at = boss_fields(data)
+    start, end = at["minus"] - 2, at["end"]
+    blob = bytearray(data[:start] + w.getvalue() + data[end:])
+    length_at = 4 + 1 + 2 + 1 + (4 + 8) + section_sizes(data)["META"] + 4
+    new_length = section_sizes(data)["BOSS"] + len(w.getvalue()) - (end - start)
+    blob[length_at : length_at + 8] = new_length.to_bytes(8, "little")
+    return resealed(blob)
+
+
 class TestLoaderCrossChecks:
-    """A graph section whose CRC is valid but whose parts disagree raises
-    ``IntegrityError`` at load, not IndexError or ValueError later."""
+    """A container whose CRC is valid but whose parts disagree raises
+    ``IntegrityError`` at load, before any declared length is allocated,
+    not IndexError, ValueError or MemoryError later."""
 
     @pytest.fixture()
     def data(self, built):
@@ -194,15 +225,54 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="node_count"):
             deserialize_index(add_to_u64(data, boss_fields(data)["node_count"], delta))
 
-    @pytest.mark.parametrize("field", ["E", "B", "minus", "closure"])
-    def test_edge_lengths_must_agree(self, data, field):
+    @pytest.mark.parametrize("field", ["E", "B", "minus"])
+    @pytest.mark.parametrize("delta", [1, 2**40])
+    def test_edge_lengths_must_agree(self, data, field, delta):
         with pytest.raises(IntegrityError):
-            deserialize_index(add_to_u64(data, boss_fields(data)[field], 1))
+            deserialize_index(add_to_u64(data, boss_fields(data)[field], delta))
 
-    @pytest.mark.parametrize("field", ["starting", "ending", "solid"])
-    def test_node_type_lengths_must_match_node_count(self, data, field):
-        with pytest.raises(IntegrityError, match="node_count"):
-            deserialize_index(add_to_u64(data, boss_fields(data)[field], 1))
+    def test_plain_bit_count_must_fit_its_words(self, built, data):
+        # B of 2**40 bits held in one word, with edge_count raised to match
+        at = boss_fields(data)
+        big = add_to_u64(data, at["B"], 2**40 - built[0].edge_count)
+        with pytest.raises(IntegrityError, match="words"):
+            deserialize_index(add_to_u64(big, at["edge_count"], 2**40 - built[0].edge_count))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_packed_symbols_must_fill_their_bytes(self, data, delta):
+        with pytest.raises(IntegrityError, match="packed symbols"):
+            deserialize_index(add_to_u64(data, boss_fields(data)["E_bytes"], delta))
+
+    @pytest.mark.parametrize("code", [0, 6, 7])
+    def test_symbol_codes_must_lie_in_the_alphabet(self, data, code):
+        blob = bytearray(data)
+        first = boss_fields(data)["E_bytes"] + 8
+        blob[first] = blob[first] & ~7 | code  # the code of the first edge
+        with pytest.raises(IntegrityError, match="outside"):
+            deserialize_index(resealed(blob))
+
+    def test_sparse_positions_must_increase(self, built, data):
+        boss = built[0]
+        m, flags = boss.edge_count, np.flatnonzero(boss.edge_disambiguation_flags).tolist()
+        assert serialize_index(*deserialize_index(with_minus(data, m, flags))) == data
+        with pytest.raises(IntegrityError, match="sparse"):
+            deserialize_index(with_minus(data, m, [3, 3]))
+
+    def test_sparse_positions_must_lie_below_the_length(self, built, data):
+        m = built[0].edge_count
+        with pytest.raises(IntegrityError, match="sparse"):
+            deserialize_index(with_minus(data, m, [m]))
+
+    def test_graph_must_be_consistent(self, built, data):
+        # every edge flagged: no edge has a target of its own
+        m = built[0].edge_count
+        with pytest.raises(IntegrityError, match="graph section"):
+            deserialize_index(with_minus(data, m, list(range(m))))
+
+    def test_colorable_bitmap_must_cover_the_nodes(self, data):
+        n_at = boss_fields(data)["end"] + (4 + 8) + 1 + 8 + 8 + 2  # COLR: version, p, colors, N
+        with pytest.raises(IntegrityError, match="colorable bitmap covers 12 of 11 nodes"):
+            deserialize_index(add_to_u64(data, n_at, 1))
 
     def test_node_bitmap_count_must_match_node_count(self, built, data):
         boss = built[0]

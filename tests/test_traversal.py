@@ -135,8 +135,7 @@ def mixed_indexes():
 def without_critical_colors(boss, colors):
     """The index with the N bits of critical (solid colorable) nodes cleared."""
     bits = colors.N.to_bits().copy()
-    _, _, solid = boss.taxonomy_bits()
-    bits[np.flatnonzero(bits & solid)] = 0
+    bits[np.flatnonzero(bits & boss.solid_mask())] = 0
     return CompressedColors(
         N=bit_vector(bits), F=colors.F, payload=colors.payload,
         p=colors.p, num_colors=colors.num_colors,
