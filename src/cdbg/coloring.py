@@ -12,13 +12,14 @@ complements), the scan collects two rank sets over the path of $·s·$:
 ``scan_all`` computes W and I for all strings at once with whole-array
 operations; ``scan_read`` is the per-string graph walk it agrees with. A
 sequential pass then gives each string, in R' order (the greedy order),
-the smallest color absent from its I and W rows and appends that color to
-every W row.
+the smallest color absent from its I and W rows. Each row is one Python
+int with bit c - 1 set for color c, so the occupied colors are the OR of
+the string's I and W rows, its color is the lowest zero bit of that OR,
+and the W rows take that bit.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,15 +75,28 @@ class ColoringJob:
 
 
 class DynamicColorTable:
-    """Growable per-colorable-node color lists, kept sorted and duplicate-free."""
+    """Growable per-colorable-node color sets: ``masks[r - 1]`` is the row of
+    colorable rank r as a Python int, with bit c - 1 set for color c."""
 
     def __init__(self, p: int):
-        self.rows: list[list[int]] = [[] for _ in range(p)]
+        self.masks: list[int] = [0] * p
         self.read_colors: list[int] = []
+
+    @classmethod
+    def from_rows(cls, rows: list[list[int]]) -> "DynamicColorTable":
+        """A table holding the given colors at each colorable rank, in order."""
+        table = cls(len(rows))
+        table.masks = [sum(1 << (c - 1) for c in set(row)) for row in rows]
+        return table
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """Each row's colors in increasing order; a copy, derived from the masks."""
+        return [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in self.masks]
 
     @property
     def p(self) -> int:
-        return len(self.rows)
+        return len(self.masks)
 
     @property
     def num_colors(self) -> int:
@@ -91,7 +105,7 @@ class DynamicColorTable:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DynamicColorTable)
-            and self.rows == other.rows
+            and self.masks == other.masks
             and self.read_colors == other.read_colors
         )
 
@@ -137,20 +151,18 @@ def scan_read(boss: BossIndex, cmap: ColorableMap, read: str, read_index: int = 
 
 
 def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
-    """Pick the smallest color absent from I union W rows; append it to W rows."""
-    rows = table.rows
-    occupied: set[int] = set()
+    """Pick the smallest color absent from I union W rows; add it to W rows."""
+    masks = table.masks
+    occupied = 0
     for r in job.I:
-        occupied.update(rows[r - 1])
+        occupied |= masks[r - 1]
     for r in job.W:
-        occupied.update(rows[r - 1])
-    color = 1
-    while color in occupied:
-        color += 1
+        occupied |= masks[r - 1]
+    bit = ~occupied & (occupied + 1)  # the lowest zero bit
     for r in job.W:
-        insort(rows[r - 1], color)
-    job.assigned_color = color
-    return color
+        masks[r - 1] |= bit
+    job.assigned_color = bit.bit_length()
+    return job.assigned_color
 
 
 def color_all(
@@ -181,8 +193,7 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
     k = boss.k
     if min(len(s) for s in strings) < k:
         raise CorruptIndex(f"read shorter than order k={k}")
-    targets = boss.edge_targets().astype(np.int64)  # int64 once per call, as in the walks
-    path, offsets = _walk_paths(boss, targets, strings)
+    path, offsets = _walk_paths(boss, strings)
     colorable = cmap.bitmap.to_bits().astype(bool)
     rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
     n = len(strings)
@@ -191,7 +202,7 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
 
     inner = np.ones(len(path), dtype=bool)
     inner[offsets[1:] - 1] = False
-    ptr, inspected = _inspected_successors(boss, targets)
+    ptr, inspected = _inspected_successors(boss)
     idx, counts = _gather(ptr, path[inner])
     seen = inspected[idx]
     bad = seen[~colorable[seen - 1]]
@@ -202,8 +213,8 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
 
     p1 = cmap.p + 1
     on_w = colorable[path - 1]
-    w_keys = np.unique(owner[on_w] * p1 + rank[path[on_w] - 1])
-    i_keys = np.unique(np.concatenate([
+    w_keys = _unique(owner[on_w] * p1 + rank[path[on_w] - 1])
+    i_keys = _unique(np.concatenate([
         np.repeat(owner[inner], counts) * p1 + rank[seen - 1],
         np.arange(n) * p1 + rank[firsts - 1],
         np.arange(n) * p1 + rank[ends - 1],
@@ -214,9 +225,7 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
     ]
 
 
-def _walk_paths(
-    boss: BossIndex, targets: np.ndarray, strings: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Node path of $·s·$ for every string, from its starting node $·s[:k-2]
     to its ending node, flat with per-string offsets.
 
@@ -231,22 +240,18 @@ def _walk_paths(
     offsets = np.concatenate([[0], np.cumsum(steps - (k - 3))])
     path = np.empty(offsets[-1], dtype=np.int64)
 
-    first_edge = boss._first_edge.astype(np.int64)
-    width = int(np.diff(first_edge[1:]).max())
-    codes = np.concatenate([boss._codes, np.zeros(width, dtype=boss._codes.dtype)])
+    # forward(v, c) is fwd[5 * v + c - 1], the target of v's edge with symbol c,
+    # at the narrowest width that holds an index into the table
+    size = 5 * (boss.node_count + 1)
+    fwd = np.zeros(size, dtype=np.int32 if size < 2**31 else np.int64)
+    fwd[5 * boss._edge_src.astype(np.int64) + boss._codes - 1] = boss.edge_targets()
     order = np.argsort(-steps, kind="stable")
     neg_steps = -steps[order]
     sym_start, path_start = sym_start[order], offsets[:-1][order] - (k - 2)
     cur = np.ones(len(strings), dtype=np.int64)
     for j in range(int(steps.max())):
         a = int(np.searchsorted(neg_steps, -j))  # strings with more than j steps
-        sym = syms[sym_start[:a] + j]
-        lo, hi = first_edge[cur[:a]], first_edge[cur[:a] + 1]
-        pos = np.zeros(a, dtype=np.int64)  # forward(v, c): first edge of v with symbol c
-        for d in range(width - 1, -1, -1):
-            hit = (lo + d < hi) & (codes[lo + d - 1] == sym)
-            pos[hit] = lo[hit] + d
-        cur = np.where(pos > 0, targets[pos - 1], 0)
+        cur = fwd[5 * cur[:a] + syms[sym_start[:a] + j] - 1]
         if not cur.all():
             i = int(order[np.flatnonzero(cur == 0)].min())
             if j < k - 2:
@@ -257,7 +262,7 @@ def _walk_paths(
     return path, offsets
 
 
-def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     """CSR over node ids: the successors ``scan_read`` inspects when its path
     passes node v before the end. They are the real successors of v when v
     branches, and, when v has indegree > 1, those of every branching
@@ -265,7 +270,7 @@ def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndar
     are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds
     int32 once n > 46,340."""
     n = boss.node_count
-    src = boss._edge_src.astype(np.int64)
+    src, targets = boss._edge_src.astype(np.int64), boss.edge_targets().astype(np.int64)
     branch = _branch_edges(boss, targets)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))
@@ -273,8 +278,17 @@ def _inspected_successors(boss: BossIndex, targets: np.ndarray) -> tuple[np.ndar
     idx, counts = _gather(own_ptr, src[into])
     node = np.concatenate([own_src, np.repeat(targets[into], counts)])
     tgt = np.concatenate([own_tgt, own_tgt[idx]])
-    node, tgt = np.divmod(np.unique(node * (n + 1) + tgt), n + 1)
+    node, tgt = np.divmod(_unique(node * (n + 1) + tgt), n + 1)
     return np.searchsorted(node, np.arange(n + 2)), tgt
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of int keys by sort and neighbour mask: numpy 2's
+    ``np.unique`` hashes int keys, which is several times slower here."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def _split_keys(keys: np.ndarray, p1: int, n: int) -> list[list[int]]:

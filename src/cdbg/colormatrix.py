@@ -9,6 +9,7 @@ time linear in its length: color h of row [i..j] is ps[i+h-1] - ps[i-1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,29 +46,35 @@ class CompressedColors:
         n = read_bit_vector(r)
         f = read_bit_vector(r)
         payload = MonotoneSequence.deserialize(r)
+        if n.count != p or f.count != p:
+            raise IntegrityError(f"N marks {n.count} colorable nodes and F {f.count} rows, not p={p}")
+        if f.n != len(payload):
+            raise IntegrityError(f"row bitmap length {f.n} != payload length {len(payload)}")
         return cls(N=n, F=f, payload=payload, p=p, num_colors=num_colors)
 
 
 def compress(table: DynamicColorTable, cmap: ColorableMap) -> CompressedColors:
-    """Delta-encode the table rows in colorable-rank order."""
-    deltas: list[int] = []
-    f_bits: list[int] = []
-    num_colors = 0
-    for idx, row in enumerate(table.rows):
-        if not row:
-            raise IncompleteColoring(f"colorable rank {idx + 1} received no color")
-        f_bits.append(1)
-        f_bits.extend([0] * (len(row) - 1))
-        deltas.append(row[0])
-        deltas.extend(row[j] - row[j - 1] for j in range(1, len(row)))
-        num_colors = max(num_colors, row[-1])
-    prefix = np.cumsum(np.asarray(deltas, dtype=np.int64))
+    """Delta-encode the table rows in colorable-rank order. The (rank, color)
+    pairs come from the nonzero bytes of the row masks, so memory is the
+    masks' own bytes plus a few words per entry; a prefix sum is the color
+    plus the last colors of all earlier rows."""
+    masks = table.masks
+    if 0 in masks:
+        raise IncompleteColoring(f"colorable rank {masks.index(0) + 1} received no color")
+    last = np.array([m.bit_length() for m in masks], dtype=np.int64)  # each row's last color
+    sizes = (last + 7) // 8
+    data = b"".join(map(int.to_bytes, masks, sizes.tolist(), repeat("little")))
+    data = np.frombuffer(data, dtype=np.uint8)
+    nz = np.flatnonzero(data)
+    i, bit = np.nonzero(np.unpackbits(data[nz, None], axis=1, bitorder="little"))
+    row = np.repeat(np.arange(len(masks)), sizes)[nz[i]]
+    colors = 8 * (nz[i] - (np.cumsum(sizes) - sizes)[row]) + bit + 1
     return CompressedColors(
         N=cmap.bitmap,
-        F=bit_vector(np.asarray(f_bits, dtype=np.uint8)),
-        payload=MonotoneSequence(prefix),
-        p=len(table.rows),
-        num_colors=num_colors,
+        F=bit_vector(np.diff(row, prepend=-1) != 0),
+        payload=MonotoneSequence(colors + (np.cumsum(last) - last)[row]),
+        p=len(masks),
+        num_colors=int(last.max(initial=0)),
     )
 
 

@@ -12,9 +12,9 @@ Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
 colors. Each call first builds one view of the index from whole-array
-passes (decoded color table, successor and predecessor lists, starting
-nodes) and then walks over plain Python lists, with each node's color set
-decoded once.
+passes (decoded color table, predecessor lists, starting nodes); the walk
+reads it one node at a time, and a node's successors, starting
+predecessors and color set are read out of the arrays once per call.
 """
 
 from __future__ import annotations
@@ -238,22 +238,38 @@ def _labels(boss: BossIndex, ids) -> list[str]:
 
 
 class _AssemblyView:
-    """The index as plain Python lists, built from whole-array passes once
-    per call. Color sets are decoded on first use and kept for the call."""
+    """The index for one call, read one node at a time: the whole-graph
+    arrays are wrapped in memoryviews, whose items index as Python ints
+    without a copy of the arrays, and a node's record and color set are
+    built on first use and kept for the call."""
 
     def __init__(self, boss: BossIndex, colors: CompressedColors):
         offsets, row_colors, colorable, rank = _color_table(boss, colors)
-        self._offsets, self._row_colors = offsets.tolist(), row_colors.tolist()
-        self._colorable, self._rank = colorable.tolist(), rank.tolist()
-        self._sets: dict[int, frozenset[int]] = {}
-        self.first_edge = boss._first_edge.tolist()
-        self.targets = boss.edge_targets().tolist()  # 0 on closure edges
-        self.codes = boss._codes.tolist()
         pred_offsets, preds = boss.predecessors()
-        self.pred_offsets, self.preds = pred_offsets.tolist(), preds.tolist()
+        self._offsets, self._row_colors = memoryview(offsets), memoryview(row_colors)
+        self._colorable, self._rank = memoryview(colorable), memoryview(rank)
+        self._first_edge, self._codes = memoryview(boss._first_edge), memoryview(boss._codes)
+        self._targets = memoryview(boss.edge_targets())  # 0 on closure edges
+        self._pred_offsets, self._preds = memoryview(pred_offsets), memoryview(preds)
+        self._sets: dict[int, frozenset[int]] = {}
+        self._records: dict[int, tuple[list[tuple[str, int]], list[int]]] = {}
         self.starting = set(boss.starting_node_ids().tolist())
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
+
+    def record(self, v: int) -> tuple[list[tuple[str, int]], list[int]]:
+        """(symbol, target) of each real outgoing edge of v, and the starting
+        predecessors of v when it has more than one predecessor."""
+        got = self._records.get(v)
+        if got is None:
+            codes, targets = self._codes, self._targets
+            edges = range(self._first_edge[v] - 1, self._first_edge[v + 1] - 1)
+            preds = self._preds[self._pred_offsets[v - 1] : self._pred_offsets[v]]
+            got = self._records[v] = (
+                [(CODE_SYMBOLS[codes[e]], t) for e in edges if (t := targets[e])],
+                [u for u in preds if u in self.starting] if len(preds) > 1 else [],
+            )
+        return got
 
     def colors_of(self, v: int) -> frozenset[int]:
         got = self._sets.get(v)
@@ -270,9 +286,7 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
     when a single successor carries at least an x fraction of them."""
-    colors_of, starting, last_ending = view.colors_of, view.starting, view.last_ending
-    first_edge, targets, codes = view.first_edge, view.targets, view.codes
-    pred_offsets, preds = view.pred_offsets, view.preds
+    colors_of, record, last_ending = view.colors_of, view.record, view.last_ending
     active: dict[int, int] = {c: v for c in colors_of(v)}
     finished: set[tuple[int, int]] = set()
     syms = [label]
@@ -280,21 +294,16 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
     steps = 0
     while steps <= view.edge_count:
         steps += 1
-        lo, hi = pred_offsets[cur - 1], pred_offsets[cur]
-        if hi - lo > 1:
-            for u in preds[lo:hi]:
-                if u in starting:
-                    for c in colors_of(u):
-                        if (c, u) not in finished:
-                            active[c] = u
-        succ = [
-            (pos, t) for pos in range(first_edge[cur], first_edge[cur + 1]) if (t := targets[pos - 1])
-        ]
+        succ, starting_preds = record(cur)
+        for u in starting_preds:
+            for c in colors_of(u):
+                if (c, u) not in finished:
+                    active[c] = u
         if len(succ) == 1:
-            pos, target = succ[0]
+            sym, target = succ[0]
             if target <= last_ending:
                 break
-            syms.append(CODE_SYMBOLS[codes[pos - 1]])
+            syms.append(sym)
             cur = target
             continue
         if not succ:
@@ -313,8 +322,8 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
         if not q_keys:
             break
         candidates = [
-            (pos, t)
-            for pos, t in succ
+            (sym, t)
+            for sym, t in succ
             if t > last_ending and len(succ_colors[t] & q_keys) / len(q_keys) >= x
         ]
         for _, t in succ:
@@ -324,8 +333,8 @@ def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
                         finished.add((c, active.pop(c)))
         if len(candidates) != 1:
             break
-        pos, target = candidates[0]
-        syms.append(CODE_SYMBOLS[codes[pos - 1]])
+        sym, target = candidates[0]
+        syms.append(sym)
         active = {c: s for c, s in active.items() if c in succ_colors[target]}
         cur = target
     return "".join(syms).lstrip(DUMMY)

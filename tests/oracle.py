@@ -264,3 +264,49 @@ def assemble_all_ref(boss, colors, x: float) -> list[str]:
             contigs.append(s)
     contigs.sort(key=lambda s: (-len(s), s))
     return contigs
+
+
+def color_rows_ref(boss, cmap, strings: list[str]) -> tuple[list[list[int]], list[int]]:
+    """Greedy colouring over sorted colour lists, one string at a time in the
+    given order: each string takes the smallest colour absent from its I and
+    W rows (``scan_read``), inserted into every W row. Returns the rows in
+    colorable-rank order and each string's colour."""
+    from bisect import insort
+
+    from cdbg.coloring import scan_read
+
+    rows: list[list[int]] = [[] for _ in range(cmap.p)]
+    read_colors = []
+    for i, s in enumerate(strings):
+        job = scan_read(boss, cmap, s, i)
+        occupied = set()
+        for r in job.I + job.W:
+            occupied.update(rows[r - 1])
+        color = 1
+        while color in occupied:
+            color += 1
+        for r in job.W:
+            insort(rows[r - 1], color)
+        read_colors.append(color)
+    return rows, read_colors
+
+
+def compress_ref(rows: list[list[int]], cmap):
+    """The colour section of the given non-empty rows, delta-encoded one
+    entry at a time."""
+    import numpy as np
+
+    from cdbg.bitvectors import MonotoneSequence, bit_vector
+    from cdbg.colormatrix import CompressedColors
+
+    deltas, f_bits = [], []
+    for row in rows:
+        f_bits += [1] + [0] * (len(row) - 1)
+        deltas += [row[0]] + [b - a for a, b in zip(row, row[1:])]
+    return CompressedColors(
+        N=cmap.bitmap,
+        F=bit_vector(np.array(f_bits, dtype=np.uint8)),
+        payload=MonotoneSequence(np.cumsum(deltas)),
+        p=len(rows),
+        num_colors=max(row[-1] for row in rows),
+    )

@@ -1,3 +1,5 @@
+from itertools import islice, product
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from cdbg.coloring import (
     scan_all,
     scan_read,
 )
-from cdbg.errors import CorruptIndex
+from cdbg.colormatrix import compress
+from cdbg.errors import CorruptIndex, IncompleteColoring
+from cdbg._binio import Writer
 from cdbg.sequence import ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 
 from conftest import mixed_read_set
-from oracle import NaiveDbg, edge_targets_ref
+from oracle import NaiveDbg, color_rows_ref, compress_ref, edge_targets_ref
 
 
 def labels_of_ranks(boss, cmap, ranks):
@@ -88,9 +92,7 @@ class TestAssignColor:
         assert table.rows == [[1], [], [1]]
 
     def test_occupied_colors_skipped(self):
-        table = DynamicColorTable(2)
-        table.rows[0] = [1, 2]
-        table.rows[1] = [4]
+        table = DynamicColorTable.from_rows([[1, 2], [4]])
         job = ColoringJob(read_index=0, W=[2], I=[1, 2])
         assert assign_color(job, table) == 3
         assert table.rows[1] == [3, 4]
@@ -213,6 +215,63 @@ def test_safety_on_random_sets():
                 assert path_is_safe(boss, lookup, s, color), s
 
 
+def serialized(colors) -> bytes:
+    w = Writer()
+    colors.serialize(w)
+    return w.getvalue()
+
+
+def assert_coloring_matches_references(reads, boss, cmap, strings) -> DynamicColorTable:
+    """``color_all`` equals the sequential ``scan_read`` + ``assign_color``
+    pass and the sorted-list reference, and its compressed colour section
+    serializes to the bytes of the reference rows delta-encoded entry by
+    entry."""
+    got = color_all(boss, cmap, reads)
+    want = DynamicColorTable(cmap.p)
+    for i, s in enumerate(strings):
+        want.read_colors.append(assign_color(scan_read(boss, cmap, s, i), want))
+    assert got == want
+    rows, read_colors = color_rows_ref(boss, cmap, strings)
+    assert (got.rows, got.read_colors) == (rows, read_colors)
+    assert serialized(compress(got, cmap)) == serialized(compress_ref(rows, cmap))
+    return got
+
+
+def test_palindrome_without_branches_matches_references():
+    # "acgt" is its own reverse complement: one string and no branching
+    # node, so no successor is inspected and the inspected keys are empty
+    reads = ReadSet.from_reads(["acgt"])
+    boss = BossIndex.build(reads, k=3)
+    cmap = mark_colorable(boss)
+    table = assert_coloring_matches_references(reads, boss, cmap, reads.strings_with_rc())
+    assert table.rows == [[1], [1]]
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """80 reads behind one shared 7-symbol prefix, k=9: the starting node's
+    row holds 80 colours, so row bitmasks are wider than a machine word."""
+    reads = ReadSet.from_reads(["gattaca" + "".join(t) for t in islice(product("acgt", repeat=4), 80)])
+    boss = BossIndex.build(reads, 9)
+    return reads, boss, mark_colorable(boss), reads.strings_with_rc()
+
+
+class TestWideRows:
+    def test_color_all_matches_references(self, wide):
+        table = assert_coloring_matches_references(*wide)
+        assert table.num_colors == 80
+        assert max(len(row) for row in table.rows) == 80
+
+    @pytest.mark.parametrize("which", ["widest", "last"])
+    def test_empty_row_raises(self, wide, which):
+        reads, boss, cmap, _ = wide
+        rows = color_all(boss, cmap, reads).rows
+        r = max(range(len(rows)), key=lambda i: len(rows[i])) if which == "widest" else len(rows) - 1
+        rows[r] = []
+        with pytest.raises(IncompleteColoring, match=f"colorable rank {r + 1} received no color"):
+            compress(DynamicColorTable.from_rows(rows), cmap)
+
+
 @pytest.fixture(scope="module", params=[(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)])
 def mixed(request):
     seed, k = request.param
@@ -235,11 +294,7 @@ class TestArrayScanMatchesReference:
         assert scan_all(boss, cmap, strings) == want
 
     def test_color_all_matches_sequential_reference(self, mixed):
-        reads, boss, cmap, strings = mixed
-        want = DynamicColorTable(cmap.p)
-        for i, s in enumerate(strings):
-            want.read_colors.append(assign_color(scan_read(boss, cmap, s, i), want))
-        assert color_all(boss, cmap, reads) == want
+        assert_coloring_matches_references(*mixed)
 
     def test_raises_where_scan_read_raises(self, mixed):
         # clearing critical-node bits makes some inspected successors

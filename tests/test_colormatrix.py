@@ -12,9 +12,7 @@ from cdbg._binio import Reader, Writer
 
 
 def table_of(rows):
-    t = DynamicColorTable(len(rows))
-    t.rows = [list(r) for r in rows]
-    return t
+    return DynamicColorTable.from_rows(rows)
 
 
 def cmap_of(p, n=None):
@@ -49,7 +47,7 @@ class TestCompress:
 
     @given(
         st.lists(
-            st.lists(st.integers(1, 50), min_size=1, max_size=6, unique=True).map(sorted),
+            st.lists(st.integers(1, 200), min_size=1, max_size=6, unique=True).map(sorted),
             min_size=1,
             max_size=30,
         )

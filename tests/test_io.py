@@ -176,6 +176,19 @@ def boss_fields(data: bytes) -> dict[str, int]:
     return at
 
 
+def colr_fields(data: bytes) -> dict[str, int]:
+    """Byte offsets in the container of the colour section's p and of the
+    bit count of its row bitmap F."""
+    r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
+    r.u8()
+    at = {"p": r._pos}
+    r.u64()
+    r.u64()
+    read_bit_vector(r)
+    at["F"] = r._pos + 2  # after the representation tag and version
+    return at
+
+
 def resealed(data: bytearray) -> bytes:
     """The container with its CRC computed again over the changed body."""
     body = bytes(data[:-4])
@@ -273,6 +286,23 @@ class TestLoaderCrossChecks:
         n_at = boss_fields(data)["end"] + (4 + 8) + 1 + 8 + 8 + 2  # COLR: version, p, colors, N
         with pytest.raises(IntegrityError, match="colorable bitmap covers 12 of 11 nodes"):
             deserialize_index(add_to_u64(data, n_at, 1))
+
+    def test_colorable_bitmap_must_mark_p_nodes(self, data):
+        with pytest.raises(IntegrityError, match="N marks 5 colorable nodes and F 5 rows, not p=6"):
+            deserialize_index(add_to_u64(data, colr_fields(data)["p"], 1))
+
+    def test_row_bitmap_must_mark_p_rows(self, data):
+        # the worked example has five rows of one colour: F is plain, all set
+        words_at = colr_fields(data)["F"] + 8 + 8
+        assert data[words_at] == 0b11111
+        blob = bytearray(data)
+        blob[words_at] ^= 0b10  # clear the start of the second row
+        with pytest.raises(IntegrityError, match="N marks 5 colorable nodes and F 4 rows, not p=5"):
+            deserialize_index(resealed(blob))
+
+    def test_row_bitmap_must_be_as_long_as_the_payload(self, data):
+        with pytest.raises(IntegrityError, match="row bitmap length 6 != payload length 5"):
+            deserialize_index(add_to_u64(data, colr_fields(data)["F"], 1))
 
     def test_node_bitmap_count_must_match_node_count(self, built, data):
         boss = built[0]

@@ -3,7 +3,7 @@ import pytest
 
 from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector, bit_vector
 from cdbg.boss import BossIndex
-from cdbg.coloring import color_all, mark_colorable
+from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
 from cdbg.errors import BadStart, BadThreshold, NotColored
 from cdbg.sequence import ReadSet, reverse_complement
@@ -238,9 +238,9 @@ def test_cycling_color_trail_is_ambiguous():
     reads = ReadSet.from_reads(["aaaaa"])
     boss = BossIndex.build(reads, k=3)
     cmap = mark_colorable(boss)
-    table = color_all(boss, cmap, reads)
-    table.rows[cmap.rank(boss.label_to_node("a$")) - 1] = [99]
-    colors = compress(table, cmap)
+    rows = color_all(boss, cmap, reads).rows
+    rows[cmap.rank(boss.label_to_node("a$")) - 1] = [99]
+    colors = compress(DynamicColorTable.from_rows(rows), cmap)
     start = boss.label_to_node("$a")
     assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
     report = assert_matches_reference(boss, colors)
