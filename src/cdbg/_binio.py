@@ -19,9 +19,6 @@ class Writer:
     def u16(self, v: int) -> None:
         self._parts.append(struct.pack("<H", v))
 
-    def u32(self, v: int) -> None:
-        self._parts.append(struct.pack("<I", v))
-
     def u64(self, v: int) -> None:
         self._parts.append(struct.pack("<Q", v))
 
@@ -56,9 +53,6 @@ class Reader:
 
     def u16(self) -> int:
         return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]

@@ -10,6 +10,10 @@ Conventions (fixed by the public contracts):
 Two bitvector representations exist: a plain packed one for dense vectors
 and a position-list one for sparse vectors, serialized via Elias-Fano.
 ``bit_vector`` picks between them with a 25% density threshold.
+
+Fixed-width fields (the 3-bit edge symbols, the Elias-Fano low bits) are
+stored by one codec, ``_pack_fields``/``_unpack_fields``: a little-endian
+bit stream in which bit b of field i is stream bit ``i * width + b``.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from .errors import BoundsError, IntegrityError
-
-_LOW_MASKS = (np.uint64(1) << np.arange(65, dtype=np.uint64)) - np.uint64(1)
-# _LOW_MASKS[64] overflows to 0 under uint64 wraparound; fix it to all-ones.
-_LOW_MASKS[64] = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 SPARSE_DENSITY_THRESHOLD = 0.25
 
@@ -40,6 +40,32 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 
 def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
+
+
+def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
+    """Nonnegative values below 2**width as a little-endian bit stream of
+    width-bit fields, in ceil(n * width / 8) bytes."""
+    bits = np.empty((len(values), width), dtype=np.uint8)
+    for b in range(width):
+        bits[:, b] = (values >> b) & 1
+    return np.packbits(bits, bitorder="little")
+
+
+def _unpack_fields(data: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n width-bit fields of the bit stream in data, as int64.
+    Fields are summed one bit column at a time, so the temporaries are the
+    stream's bits and one n-entry column."""
+    bits = np.unpackbits(data.view(np.uint8), count=n * width, bitorder="little")
+    values = np.zeros(n, dtype=np.int64)
+    for b in range(width):
+        values |= bits[b::width].astype(np.int64) << b
+    return values
+
+
+def _low_words(n: int, width: int) -> int:
+    """Words of Elias-Fano low bits that format 2 stores for n entries of
+    the given width: enough for the fields plus one spare trailing word."""
+    return (n * width + 63) // 64 + 1 if n * width else 0
 
 
 class BitVector:
@@ -62,21 +88,13 @@ class BitVector:
             raise BoundsError(f"bit index {i} out of range [0, {self.n})")
         return int((self._words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
 
-    def rank1(self, i):
-        """Set bits in the prefix of length i; accepts scalars or arrays."""
-        if np.isscalar(i) or isinstance(i, (int, np.integer)):
-            if not 0 <= i <= self.n:
-                raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
-            w, r = divmod(int(i), 64)
-            part = int(self._words[w]) & ((1 << r) - 1) if r else 0
-            return int(self._block[w]) + part.bit_count()
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
-            raise BoundsError("rank position out of range")
-        w, r = np.divmod(i, 64)
-        words = np.where(w < len(self._words), self._words[np.minimum(w, len(self._words) - 1)], 0)
-        part = _popcount(words.astype(np.uint64) & _LOW_MASKS[r])
-        return self._block[w] + part
+    def rank1(self, i: int) -> int:
+        """Set bits in the prefix of length i."""
+        if not 0 <= i <= self.n:
+            raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
+        w, r = divmod(int(i), 64)
+        part = int(self._words[w]) & ((1 << r) - 1) if r else 0
+        return int(self._block[w]) + part.bit_count()
 
     def select1(self, j: int) -> int:
         """1-based position of the j-th set bit."""
@@ -148,15 +166,10 @@ class SparseBitVector:
         k = np.searchsorted(self._pos, i)
         return int(k < self.count and self._pos[k] == i)
 
-    def rank1(self, i):
-        if np.isscalar(i) or isinstance(i, (int, np.integer)):
-            if not 0 <= i <= self.n:
-                raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
-            return int(np.searchsorted(self._pos, i, side="left"))
-        i = np.asarray(i, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
-            raise BoundsError("rank position out of range")
-        return np.searchsorted(self._pos, i, side="left")
+    def rank1(self, i: int) -> int:
+        if not 0 <= i <= self.n:
+            raise BoundsError(f"rank position {i} out of range [0, {self.n}]")
+        return int(np.searchsorted(self._pos, i, side="left"))
 
     def select1(self, j: int) -> int:
         if not 1 <= j <= self.count:
@@ -212,8 +225,13 @@ def read_bit_vector(r: Reader) -> AnyBitVector:
 class MonotoneSequence:
     """Elias-Fano encoded nondecreasing sequence of nonnegative integers.
 
-    ``access(j)`` is 0-based and O(1); whole-sequence decoding is
-    vectorized via ``to_array``.
+    Entry j is split into its high part ``v >> l``, stored in unary as set
+    bit ``high + j`` of a plain bitvector, and its l low bits, stored as the
+    j-th field of a fixed-width bit stream in uint64 words. ``deserialize``
+    checks that the high bits mark exactly n entries and that the low words
+    are exactly as many as n and l need, so ``access`` (0-based),
+    ``access_range`` and the whole-sequence ``to_array`` read only checked
+    structure.
     """
 
     def __init__(self, values: np.ndarray):
@@ -226,74 +244,25 @@ class MonotoneSequence:
         self.n = len(values)
         universe = int(values[-1]) + 1 if self.n else 1
         self._low_bits = max(0, int(np.log2(max(1, universe // max(1, self.n)))))
-        self._build(values, universe)
+        self._build(values)
 
-    def _build(self, values: np.ndarray, universe: int) -> None:
+    def _build(self, values: np.ndarray) -> None:
         l = self._low_bits
-        if self.n == 0:
-            self._lows = np.zeros(0, dtype=np.uint64)
-            self._high = BitVector(np.zeros(0, dtype=np.uint8))
-            return
-        highs = (values >> l).astype(np.int64)
-        high_len = self.n + int(highs[-1]) + 1
-        high_bits = np.zeros(high_len, dtype=np.uint8)
-        high_bits[highs + np.arange(self.n, dtype=np.int64)] = 1
+        highs = values >> l
+        high_bits = np.zeros(self.n + int(highs[-1]) + 1 if self.n else 0, dtype=np.uint8)
+        high_bits[highs + np.arange(self.n)] = 1
         self._high = BitVector(high_bits)
-        if l == 0:
-            self._lows = np.zeros(0, dtype=np.uint64)
-            return
-        lows = values.astype(np.uint64) & _LOW_MASKS[l]
-        offsets = np.arange(self.n, dtype=np.int64) * l
-        words = np.zeros((offsets[-1] + l + 63) // 64 + 1, dtype=np.uint64)
-        widx, shift = np.divmod(offsets, 64)
-        shift = shift.astype(np.uint64)
-        np.bitwise_or.at(words, widx, (lows << shift) & _LOW_MASKS[64])
-        spill = (shift.astype(np.int64) + l) > 64
-        if spill.any():
-            np.bitwise_or.at(
-                words,
-                widx[spill] + 1,
-                lows[spill] >> (np.uint64(64) - shift[spill]),
-            )
-        self._lows = words
+        lows = np.zeros(8 * _low_words(self.n, l), dtype=np.uint8)
+        packed = _pack_fields(values & ((1 << l) - 1), l)
+        lows[: len(packed)] = packed
+        self._lows = lows.view("<u8").astype(np.uint64, copy=False)
 
     def __len__(self) -> int:
         return self.n
 
-    def _low(self, j) -> np.ndarray:
-        l = self._low_bits
-        off = np.asarray(j, dtype=np.int64) * l
-        widx, shift = np.divmod(off, 64)
-        shift = shift.astype(np.uint64)
-        lo = self._lows[widx] >> shift
-        need_spill = (shift.astype(np.int64) + l) > 64
-        hi = np.where(
-            need_spill,
-            self._lows[np.minimum(widx + 1, len(self._lows) - 1)]
-            << (np.uint64(64) - np.where(shift > 0, shift, np.uint64(1))),
-            np.uint64(0),
-        )
-        return (lo | hi) & _LOW_MASKS[l]
-
-    def _check_lows(self, j: int) -> None:
-        """Raise IntegrityError when the low bits of entry j (0-based) lie
-        past the end of the stored low words."""
-        if (j * self._low_bits + self._low_bits - 1) >> 6 >= len(self._lows):
-            raise IntegrityError(f"Elias-Fano low bits end before entry {j}")
-
     def access(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise BoundsError(f"access index {j} out of range [0, {self.n})")
-        high = self._high.select1(j + 1) - 1 - j
-        l = self._low_bits
-        if l == 0:
-            return high
-        self._check_lows(j)
-        w, s = divmod(j * l, 64)
-        low = int(self._lows[w]) >> s
-        if s + l > 64:
-            low |= int(self._lows[w + 1]) << (64 - s)
-        return (high << l) | (low & ((1 << l) - 1))
+        """Entry j (0-based)."""
+        return self.access_range(j, j + 1)[0]
 
     def access_range(self, i: int, j: int) -> list[int]:
         """Entries i..j-1 (0-based): one select for entry i, then a forward
@@ -303,8 +272,6 @@ class MonotoneSequence:
         if i == j:
             return []
         pos = self._high.select1(i + 1) - 1
-        if self._high.count < j:
-            raise IntegrityError(f"Elias-Fano high bits mark {self._high.count} entries, not {self.n}")
         words = self._high._words
         w, s = divmod(pos, 64)
         x = int(words[w]) >> s << s
@@ -316,9 +283,6 @@ class MonotoneSequence:
             highs.append((w << 6) + (x & -x).bit_length() - 1 - e)
             x &= x - 1
         l = self._low_bits
-        if l == 0:
-            return highs
-        self._check_lows(j - 1)
         first = i * l >> 6
         lows = int.from_bytes(self._lows[first : ((j * l - 1) >> 6) + 1].tobytes(), "little")
         mask = (1 << l) - 1
@@ -326,16 +290,8 @@ class MonotoneSequence:
         return [(h << l) | (lows >> (shift + t * l) & mask) for t, h in enumerate(highs)]
 
     def to_array(self) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self._high.count != self.n:
-            raise IntegrityError(f"Elias-Fano high bits mark {self._high.count} entries, not {self.n}")
         highs = self._high.ones_positions() - np.arange(self.n, dtype=np.int64)
-        if self._low_bits == 0:
-            return highs
-        self._check_lows(self.n - 1)
-        lows = self._low(np.arange(self.n, dtype=np.int64)).astype(np.int64)
-        return (highs << self._low_bits) | lows
+        return (highs << self._low_bits) | _unpack_fields(self._lows, self.n, self._low_bits)
 
     def serialize(self, w: Writer) -> None:
         w.u8(1)  # version
@@ -355,6 +311,12 @@ class MonotoneSequence:
         if r.u8() != 1:
             raise IntegrityError("monotone sequence payload must be a plain bitvector")
         seq._high = BitVector._deserialize_body(r)
+        if seq._high.count != seq.n:
+            raise IntegrityError(f"Elias-Fano high bits mark {seq._high.count} entries, not {seq.n}")
+        if len(seq._lows) != _low_words(seq.n, seq._low_bits):
+            raise IntegrityError(
+                f"{len(seq._lows)} Elias-Fano low words for {seq.n} entries of {seq._low_bits} bits"
+            )
         return seq
 
 
@@ -380,8 +342,7 @@ class SymbolSequence:
     def serialize(self, w: Writer) -> None:
         w.u8(2)  # version: packed 3-bit codes, lowest bit first
         w.u64(self.n)
-        bits = (self._codes[:, None] >> np.arange(3, dtype=np.uint8)) & 1
-        w.array(np.packbits(bits, bitorder="little"))
+        w.array(_pack_fields(self._codes, 3))
 
     @classmethod
     def deserialize(cls, r: Reader) -> "SymbolSequence":
@@ -391,8 +352,7 @@ class SymbolSequence:
         packed = r.array(np.uint8)
         if len(packed) != (3 * n + 7) // 8:
             raise IntegrityError(f"{len(packed)} bytes of packed symbols for {n} symbols")
-        bits = np.unpackbits(packed, bitorder="little")[: 3 * n].reshape(n, 3)
-        codes = bits[:, 0] | bits[:, 1] << 1 | bits[:, 2] << 2
+        codes = _unpack_fields(packed, n, 3).astype(np.uint8)
         if n and (codes.min() < 1 or codes.max() > 5):
             raise IntegrityError("a packed symbol code lies outside [1, 5]")
         return cls(codes)

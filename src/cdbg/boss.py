@@ -19,16 +19,23 @@ the edge positions ``first_edge[2] .. first_edge[K[1] + 1] - 1``.
 Stored: k, the node and edge counts, ``K`` (cumulative counts of node
 labels by last symbol), ``E`` (the edge symbols, packed as 3-bit codes),
 ``B`` (a bitmap marking each node's first edge) and the disambiguation
-flags. Derived, once at build and at load, at the narrowest width that
-holds an edge position: each edge's source and target, each node's first
-edge and canonical incoming edge, and the starting nodes, the last level
-of the tree of labels with a leading ``$`` below the root. Node types,
-indegrees and the solid nodes are computed where they are asked for.
+flags. In RAM each structure is held once. ``E`` is one byte per edge and
+the flags stay the bitvector they were built or loaded as. ``B`` is
+unpacked once, at build and at load, into the first-edge array, the one
+node-boundary array; ``B`` itself and each edge's source are derived from
+it when asked for. Also derived at build and at load, at the narrowest
+width that holds an edge position: each edge's target, each node's parent
+(the source of its canonical incoming edge), and the starting nodes, the
+last level of the tree of labels with a leading ``$`` below the root. A
+node's last label symbol is its bucket in ``K``, so a label is read by
+stepping from parent to parent. Node types, indegrees and the solid nodes
+are computed where they are asked for.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -165,29 +172,27 @@ class BossIndex:
         boss = cls.__new__(cls)
         boss.k = k
         boss._E = SymbolSequence(sym)
-        boss._B = BitVector(b_bits)
         boss._kcum = kcum
-        boss._minus = minus
+        boss._flags = bit_vector(minus)
         boss.node_count = len(node_pos)
         boss.edge_count = m
-        boss._build_caches()
+        boss._build_caches(b_bits, minus)
         return boss
 
-    def _build_caches(self) -> None:
+    def _build_caches(self, b_bits: np.ndarray, minus: np.ndarray) -> None:
         """The navigation arrays every query reads, built once at build and
-        at load: each edge's source and target node, each node's first edge
-        and canonical (real, unflagged) incoming edge, and the starting
-        nodes."""
+        at load from the unpacked ``B`` and flags, which are not kept: each
+        node's first edge (the only node-boundary array), each edge's target,
+        each node's parent (the source of its canonical, real and unflagged,
+        incoming edge) and the starting nodes."""
         n, m = self.node_count, self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
-        b_bits = self._B.to_bits()
         self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
-        self._edge_src = np.cumsum(b_bits, dtype=width)  # position (0-based) -> node id
         self._codes = self._E.codes()
         ends = int(self._kcum[1])
         if ends < 2 or self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
             raise CorruptIndex("an ending node does not own exactly one closure edge")
-        targets = self._derive_targets()
+        targets = self._derive_targets(minus)
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
         self._targets = targets.astype(width)
@@ -197,15 +202,20 @@ class BossIndex:
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if n > 1 and indeg[2:].min() < 1:
             raise CorruptIndex("non-root node without incoming edge")
-        canonical = np.flatnonzero((targets > 0) & (self._minus == 0))
-        self._in_edge = np.zeros(n + 1, dtype=width)
-        self._in_edge[targets[canonical]] = canonical + 1
-        if len(canonical) != n - 1 or not self._in_edge[2:].all():
+        canonical = np.flatnonzero((targets > 0) & (minus == 0))
+        self._parent = np.zeros(n + 1, dtype=width)
+        self._parent[targets[canonical]] = self.edge_sources()[canonical]
+        if len(canonical) != n - 1 or not self._parent[2:].all():
             raise CorruptIndex("a node lacks a canonical incoming edge")
+        # labels take their last symbol from K: it must be the symbol of the
+        # canonical incoming edge (the root's `$` has none)
+        in_symbols = np.bincount(self._codes[canonical], minlength=6)[1:]
+        if (in_symbols != np.diff(self._kcum) - [1, 0, 0, 0, 0]).any():
+            raise CorruptIndex("K disagrees with the symbols of the canonical incoming edges")
         self._starting = np.sort(self._dollar_tree()[-1])
         self._starting.flags.writeable = False
 
-    def _derive_targets(self) -> np.ndarray:
+    def _derive_targets(self, minus: np.ndarray) -> np.ndarray:
         """Target node of every edge, 0 on closure edges: per symbol, the
         target rank of an edge is the number of unflagged real edges of
         that symbol up to and including it; ``$`` targets skip the root."""
@@ -214,7 +224,7 @@ class BossIndex:
         targets = np.zeros(self.edge_count, dtype=np.int64)
         for c in range(1, 6):
             idx = np.flatnonzero(self._codes == c)
-            ranks = np.cumsum(real[idx] & (self._minus[idx] == 0))
+            ranks = np.cumsum(real[idx] & (minus[idx] == 0))
             targets[idx] = np.where(real[idx], self._kcum[c - 1] + (c == 1) + ranks, 0)
         return targets
 
@@ -242,7 +252,11 @@ class BossIndex:
 
     @property
     def B(self) -> BitVector:
-        return self._B
+        """Bitmap marking each node's first edge, built from the first-edge
+        array on each access."""
+        bits = np.zeros(self.edge_count, dtype=np.uint8)
+        bits[self._first_edge[1:-1] - 1] = 1
+        return BitVector(bits)
 
     @property
     def K(self) -> np.ndarray:
@@ -251,7 +265,8 @@ class BossIndex:
 
     @property
     def edge_disambiguation_flags(self) -> np.ndarray:
-        return self._minus
+        """One 0/1 byte per edge, unpacked from the flags on each access."""
+        return self._flags.to_bits()
 
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
@@ -280,6 +295,12 @@ class BossIndex:
         edges. The array is the graph's own and read-only."""
         return self._targets
 
+    def edge_sources(self) -> np.ndarray:
+        """Source node of every edge, indexed by position - 1; built on each
+        call from the outdegrees."""
+        outdeg = np.diff(self._first_edge[1:])
+        return np.repeat(np.arange(1, self.node_count + 1, dtype=outdeg.dtype), outdeg)
+
     def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
         """Predecessors of every node as compressed-row arrays: those of node
         v are ``sources[offsets[v - 1]:offsets[v]]``, in BOSS order.
@@ -292,7 +313,7 @@ class BossIndex:
         order = real[np.argsort(targets[real], kind="stable")]
         indeg = np.bincount(targets, minlength=self.node_count + 1)
         offsets = np.concatenate([[0], np.cumsum(indeg[1:])])
-        return offsets, self._edge_src[order]
+        return offsets, self.edge_sources()[order]
 
     def forward(self, v: int, a: int | str) -> int | None:
         if isinstance(a, str):
@@ -330,43 +351,36 @@ class BossIndex:
         """All predecessor node ids, in BOSS order.
 
         The predecessors share their last k-2 label symbols, so they are at
-        most 5 consecutive nodes from the source of the canonical incoming
-        edge; the edges into v are those of them whose target is v.
+        most 5 consecutive nodes from the parent, the first of them; the
+        edges into v are those of them whose target is v.
         """
         self._check_node(v)
-        p = int(self._in_edge[v])
-        if not p:
+        u = int(self._parent[v])
+        if not u:
             return []
-        u = int(self._edge_src[p - 1])
-        hi = int(self._first_edge[min(u + 5, self.node_count + 1)])
-        hits = np.flatnonzero(self._targets[p - 1 : hi - 1] == v) + p - 1
-        return self._edge_src[hits].tolist()
-
-    def backward_r(self, v: int, j: int) -> int:
-        preds = self.backward(v)
-        if not 1 <= j <= len(preds):
-            raise BoundsError(f"predecessor rank {j} out of range [1, {len(preds)}]")
-        return preds[j - 1]
+        bounds = self._first_edge[u : u + 6].tolist()
+        hits = np.flatnonzero(self._targets[bounds[0] - 1 : bounds[-1] - 1] == v).tolist()
+        return [u + bisect_right(bounds, bounds[0] + h) - 1 for h in hits]
 
     # -- labels ------------------------------------------------------------
 
     def node_label(self, v: int) -> str:
         self._check_node(v)
+        K = self._kcum.tolist()
         syms: list[str] = []
         cur = v
         while cur != 1 and len(syms) < self.k - 1:
-            p = int(self._in_edge[cur])
-            syms.append(CODE_SYMBOLS[self._codes[p - 1]])
-            cur = int(self._edge_src[p - 1])
+            syms.append(CODE_SYMBOLS[bisect_left(K, cur)])
+            cur = int(self._parent[cur])
         pad = DUMMY * (self.k - 1 - len(syms))
         return pad + "".join(reversed(syms))
 
     def node_labels(self, ids: np.ndarray) -> np.ndarray:
         """Label codes of many nodes, one row of k-1 codes per id.
 
-        Whole-array form of ``node_label``: k-1 gathers along the canonical
-        incoming edge, whose symbol is the last label symbol of its target,
-        over the requested ids only. Label symbols left of the root are
+        Whole-array form of ``node_label``: k-1 steps from parent to
+        parent over the requested ids only, each taking a node's last label
+        symbol from its bucket in ``K``. Label symbols left of the root are
         ``$``.
         """
         ids = np.asarray(ids, dtype=np.int64)
@@ -376,9 +390,9 @@ class BossIndex:
         rows, cur = np.arange(len(ids)), ids
         for j in range(self.k - 2, -1, -1):
             keep = cur != 1
-            rows, pos = rows[keep], self._in_edge[cur[keep]] - 1
-            labels[rows, j] = self._codes[pos]
-            cur = self._edge_src[pos]
+            rows, cur = rows[keep], cur[keep]
+            labels[rows, j] = np.searchsorted(self._kcum, cur)
+            cur = self._parent[cur]
         return labels
 
     def label_to_node(self, label: str) -> int | None:
@@ -442,8 +456,8 @@ class BossIndex:
         w.u64(self.edge_count)
         w.array(self._kcum)
         self._E.serialize(w)
-        self._B.serialize(w)
-        bit_vector(self._minus).serialize(w)
+        self.B.serialize(w)
+        self._flags.serialize(w)
 
     @classmethod
     def deserialize(cls, r: Reader) -> "BossIndex":
@@ -457,18 +471,19 @@ class BossIndex:
         boss._E = SymbolSequence.deserialize(r)
         if r.u8() != 1:
             raise IntegrityError("node-boundary bitmap must be plain")
-        boss._B = BitVector._deserialize_body(r)
-        minus = read_bit_vector(r)
+        b = BitVector._deserialize_body(r)
+        boss._flags = read_bit_vector(r)
         n, m, kcum = boss.node_count, boss.edge_count, boss._kcum
+        if not 3 <= boss.k <= MAX_K:
+            raise IntegrityError(f"order k={boss.k} outside [3, {MAX_K}]")
         if len(kcum) != 6 or kcum[0] != 0 or kcum[-1] != n or (np.diff(kcum) < 0).any():
             raise IntegrityError("K does not rise in 6 entries from 0 to node_count")
-        if {boss._E.n, boss._B.n, minus.n} != {m}:
+        if {boss._E.n, b.n, boss._flags.n} != {m}:
             raise IntegrityError("edge symbols or edge flags disagree with edge_count")
-        if n < 1 or boss._B.count != n:
+        if n < 1 or b.count != n:
             raise IntegrityError("node bitmap disagrees with node_count")
-        boss._minus = minus.to_bits()
         try:
-            boss._build_caches()
+            boss._build_caches(b.to_bits(), boss._flags.to_bits())
         except CorruptIndex as exc:
             raise IntegrityError(f"graph section: {exc}") from exc
         return boss

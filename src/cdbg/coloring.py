@@ -49,7 +49,7 @@ def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
     """Mask over edges: real edges leaving a node of outdegree > 1 (the
     outdegree counts closure edges)."""
     outdeg = np.diff(boss._first_edge[1:])
-    return (targets > 0) & (outdeg[boss._edge_src - 1] > 1)
+    return (targets > 0) & np.repeat(outdeg > 1, outdeg)
 
 
 def mark_colorable(boss: BossIndex) -> ColorableMap:
@@ -244,7 +244,7 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
     # at the narrowest width that holds an index into the table
     size = 5 * (boss.node_count + 1)
     fwd = np.zeros(size, dtype=np.int32 if size < 2**31 else np.int64)
-    fwd[5 * boss._edge_src.astype(np.int64) + boss._codes - 1] = boss.edge_targets()
+    fwd[5 * boss.edge_sources().astype(np.int64) + boss._codes - 1] = boss.edge_targets()
     order = np.argsort(-steps, kind="stable")
     neg_steps = -steps[order]
     sym_start, path_start = sym_start[order], offsets[:-1][order] - (k - 2)
@@ -270,7 +270,7 @@ def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds
     int32 once n > 46,340."""
     n = boss.node_count
-    src, targets = boss._edge_src.astype(np.int64), boss.edge_targets().astype(np.int64)
+    src, targets = boss.edge_sources().astype(np.int64), boss.edge_targets().astype(np.int64)
     branch = _branch_edges(boss, targets)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))

@@ -78,36 +78,43 @@ def write_index(path: str | Path, boss: BossIndex, colors: CompressedColors, met
     return len(data)
 
 
+def _walk(data: bytes) -> tuple[int, int, list[tuple[str, bytes]]]:
+    """The header's format version and k, and each section's tag and
+    payload in file order. Raises ``IntegrityError`` on a container too
+    small or with a bad magic, and on a declared section length that runs
+    past the end of the data before the CRC."""
+    if len(data) < len(MAGIC) + 8 or data[:4] != MAGIC:
+        raise IntegrityError("not a cdbg container")
+    r = Reader(data[:-4], pos=len(MAGIC))
+    version, k = r.u8(), r.u16()
+    sections = []
+    for _ in range(r.u8()):
+        tag, length = r._take(4).decode("ascii", errors="replace"), r.u64()
+        if length > len(r._data) - r._pos:
+            raise IntegrityError(f"section {tag} declares {length} bytes past the end of the data")
+        sections.append((tag, r._take(length)))
+    return version, k, sections
+
+
+_SECTIONS = {"META": IndexMeta, "BOSS": BossIndex, "COLR": CompressedColors}
+
+
 def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMeta]:
-    if len(data) < len(MAGIC) + 8:
-        raise IntegrityError("container too small")
-    body, crc_bytes = data[:-4], data[-4:]
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
+    if int.from_bytes(data[-4:], "little") != zlib.crc32(memoryview(data)[:-4]):
         raise IntegrityError("checksum mismatch")
-    r = Reader(body)
-    if body[:4] != MAGIC:
-        raise IntegrityError("bad magic")
-    r = Reader(body, pos=4)
-    if r.u8() != FORMAT_VERSION:
+    version, k, sections = _walk(data)
+    if version != FORMAT_VERSION:
         raise IntegrityError("unsupported container version")
-    k = r.u16()
-    n_sections = r.u8()
-    boss = colors = meta = None
-    for _ in range(n_sections):
-        tag = body[r._pos : r._pos + 4]
-        r._pos += 4
-        length = r.u64()
-        payload = Reader(body[r._pos : r._pos + length])
-        r._pos += length
-        if tag == b"META":
-            meta = IndexMeta.deserialize(payload)
-        elif tag == b"BOSS":
-            boss = BossIndex.deserialize(payload)
-        elif tag == b"COLR":
-            colors = CompressedColors.deserialize(payload)
-        # unknown tags are skipped by construction
-    if boss is None or colors is None or meta is None:
+    found = {}
+    for tag, payload in sections:
+        if tag in _SECTIONS:  # unknown tags are skipped
+            r = Reader(payload)
+            found[tag] = _SECTIONS[tag].deserialize(r)
+            if not r.done():
+                raise IntegrityError(f"section {tag} holds bytes past its structures")
+    if len(found) < len(_SECTIONS):
         raise IntegrityError("container misses a required section")
+    meta, boss, colors = found["META"], found["BOSS"], found["COLR"]
     if boss.k != k:
         raise IntegrityError("header k disagrees with graph section")
     if colors.N.n != boss.node_count:
@@ -117,21 +124,9 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
 
 def section_sizes(data: bytes) -> dict[str, int]:
     """Payload bytes of each section, by tag, as the container header
-    declares them. Raises ``IntegrityError`` on a bad magic or a declared
-    length that runs past the end of the data before the CRC."""
-    body = data[:-4]
-    if len(data) < len(MAGIC) + 8 or body[:4] != MAGIC:
-        raise IntegrityError("not a cdbg container")
-    r = Reader(body, pos=len(MAGIC) + 3)
-    sizes = {}
-    for _ in range(r.u8()):
-        tag = r._take(4).decode("ascii", errors="replace")
-        length = r.u64()
-        if length > len(body) - r._pos:
-            raise IntegrityError(f"section {tag} declares {length} bytes past the end of the data")
-        sizes[tag] = length
-        r._pos += length
-    return sizes
+    declares them. Raises ``IntegrityError`` as ``deserialize_index`` does
+    on a bad magic or a declared length past the end of the data."""
+    return {tag: len(payload) for tag, payload in _walk(data)[2]}
 
 
 def read_index(path: str | Path) -> tuple[BossIndex, CompressedColors, IndexMeta]:

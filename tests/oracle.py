@@ -103,12 +103,13 @@ def edge_targets_ref(boss) -> list[int]:
     symbol c is K[c-1] (plus 1 for ``$``, whose targets skip the root) plus
     the number of unflagged real edges of symbol c up to and including it."""
     K = boss.K.tolist()
+    B = boss.B
     seen = [0] * 6
     targets = []
     for pos, (c, flagged) in enumerate(
         zip(boss.E.codes().tolist(), boss.edge_disambiguation_flags.tolist()), start=1
     ):
-        if 2 <= boss.B.rank1(pos) <= K[1]:
+        if 2 <= B.rank1(pos) <= K[1]:
             targets.append(0)
             continue
         seen[c] += not flagged

@@ -41,7 +41,7 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
                 got is not None and boss.node_label(got) == want
             )
         assert [boss.node_label(u) for u in boss.backward(v)] == oracle.backward(lab)
-    closure_sources = boss._edge_src[boss.edge_targets() == 0].tolist()
+    closure_sources = boss.edge_sources()[boss.edge_targets() == 0].tolist()
     assert {boss.node_label(v) for v in closure_sources} == {
         src for src, out in oracle.out.items() if (DUMMY, None) in out
     }
@@ -57,18 +57,22 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
 
 
 def assert_targets_match_reference(boss: BossIndex):
-    """Stored edge targets and canonical incoming edges against the ones
-    derived from codes, flags and K by ``edge_targets_ref``."""
+    """Stored edge targets, derived edge sources and each node's parent (the
+    source of its canonical incoming edge) against the ones derived from
+    codes, flags, B and K by ``edge_targets_ref`` and ``B.rank1``."""
     targets = edge_targets_ref(boss)
     assert boss.edge_targets().tolist() == targets
     assert [boss.edge_target(pos) or 0 for pos in range(1, boss.edge_count + 1)] == targets
-    in_edge = [0] * (boss.node_count + 1)
+    B = boss.B
+    sources = [B.rank1(pos) for pos in range(1, boss.edge_count + 1)]
+    assert boss.edge_sources().tolist() == sources
+    parent = [0] * (boss.node_count + 1)
     flags = boss.edge_disambiguation_flags.tolist()
-    for pos, (t, flagged) in enumerate(zip(targets, flags), start=1):
+    for src, t, flagged in zip(sources, targets, flags):
         if t and not flagged:
-            assert in_edge[t] == 0, f"node {t} has two canonical incoming edges"
-            in_edge[t] = pos
-    assert boss._in_edge.tolist() == in_edge
+            assert parent[t] == 0, f"node {t} has two canonical incoming edges"
+            parent[t] = src
+    assert boss._parent.tolist() == parent
     assert not boss.edge_targets().flags.writeable
 
 

@@ -1,6 +1,11 @@
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,10 @@ from cdbg.container import (
 )
 from cdbg.errors import IntegrityError, ParseError
 from cdbg.fastx import parse_reads, sniff_format, write_fasta
-from cdbg.sequence import ReadSet
+from cdbg.sequence import SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
+
+from conftest import mixed_read_set
 
 
 @pytest.fixture()
@@ -34,6 +41,16 @@ def built(tmp_path):
     colors = compress(color_all(boss, cmap, reads), cmap)
     meta = IndexMeta(plain_bytes=reads.plain_bytes, n_reads=1, n_strings=2)
     return boss, colors, meta
+
+
+@pytest.fixture()
+def mixed():
+    """The container of a mixed read set at k=9, whose colour payload has
+    one low bit per entry (the worked example's has none)."""
+    reads = mixed_read_set(1, 9)
+    boss = BossIndex.build(reads, k=9)
+    cmap = mark_colorable(boss)
+    return serialize_index(boss, compress(color_all(boss, cmap, reads), cmap), IndexMeta())
 
 
 class TestFastx:
@@ -177,8 +194,9 @@ def boss_fields(data: bytes) -> dict[str, int]:
 
 
 def colr_fields(data: bytes) -> dict[str, int]:
-    """Byte offsets in the container of the colour section's p and of the
-    bit count of its row bitmap F."""
+    """Byte offsets in the container of the colour section's p, of the bit
+    count of its row bitmap F, and of the payload's low words (their byte
+    count) and high bits (their bit count)."""
     r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
     r.u8()
     at = {"p": r._pos}
@@ -186,6 +204,13 @@ def colr_fields(data: bytes) -> dict[str, int]:
     r.u64()
     read_bit_vector(r)
     at["F"] = r._pos + 2  # after the representation tag and version
+    read_bit_vector(r)
+    r.u8()
+    r.u64()
+    r.u8()
+    at["lows"] = r._pos
+    r.array(np.uint64)
+    at["high"] = r._pos + 2
     return at
 
 
@@ -202,6 +227,25 @@ def add_to_u64(data: bytes, at: int, delta: int) -> bytes:
     return resealed(blob)
 
 
+def section_length_at(data: bytes, tag: str) -> int:
+    """Byte offset in the container of the declared length of section tag."""
+    at = 4 + 1 + 2 + 1 + 4
+    for t, size in section_sizes(data).items():
+        if t == tag:
+            return at
+        at += size + 4 + 8
+    raise KeyError(tag)
+
+
+def spliced(data: bytes, tag: str, start: int, end: int, new: bytes) -> bytes:
+    """The container with bytes start..end, inside section tag, replaced by
+    new; the section's declared length and the CRC follow."""
+    blob = bytearray(data[:start] + new + data[end:])
+    at = section_length_at(data, tag)
+    blob[at : at + 8] = (section_sizes(data)[tag] + len(new) - (end - start)).to_bytes(8, "little")
+    return resealed(blob)
+
+
 def with_minus(data: bytes, n: int, positions: list[int]) -> bytes:
     """The container with its disambiguation flags replaced by a sparse
     bitvector of n bits set at the given positions, written as is."""
@@ -211,12 +255,7 @@ def with_minus(data: bytes, n: int, positions: list[int]) -> bytes:
     w.u64(n)
     MonotoneSequence(np.array(positions, dtype=np.int64)).serialize(w)
     at = boss_fields(data)
-    start, end = at["minus"] - 2, at["end"]
-    blob = bytearray(data[:start] + w.getvalue() + data[end:])
-    length_at = 4 + 1 + 2 + 1 + (4 + 8) + section_sizes(data)["META"] + 4
-    new_length = section_sizes(data)["BOSS"] + len(w.getvalue()) - (end - start)
-    blob[length_at : length_at + 8] = new_length.to_bytes(8, "little")
-    return resealed(blob)
+    return spliced(data, "BOSS", at["minus"] - 2, at["end"], w.getvalue())
 
 
 class TestLoaderCrossChecks:
@@ -262,6 +301,18 @@ class TestLoaderCrossChecks:
         first = boss_fields(data)["E_bytes"] + 8
         blob[first] = blob[first] & ~7 | code  # the code of the first edge
         with pytest.raises(IntegrityError, match="outside"):
+            deserialize_index(resealed(blob))
+
+    def test_edge_symbols_must_agree_with_k(self, built, data):
+        # every g edge relabelled c: the c targets then also cover the g
+        # bucket of K, so only the symbols disagree with K
+        codes = built[0].E.codes().copy()
+        codes[codes == SYMBOL_CODES["g"]] = SYMBOL_CODES["c"]
+        first = boss_fields(data)["E_bytes"] + 8
+        packed = np.packbits((codes[:, None] >> np.arange(3)) & 1, bitorder="little").tobytes()
+        blob = bytearray(data)
+        blob[first : first + len(packed)] = packed
+        with pytest.raises(IntegrityError, match="K disagrees"):
             deserialize_index(resealed(blob))
 
     def test_sparse_positions_must_increase(self, built, data):
@@ -324,6 +375,63 @@ class TestLoaderCrossChecks:
         # K declares 47 bytes: not a whole number of int64 entries
         with pytest.raises(IntegrityError, match="not whole"):
             deserialize_index(add_to_u64(data, boss_fields(data)["K"], -1))
+
+    @pytest.mark.parametrize("delta", [1, 1000])
+    def test_last_section_must_fit_the_body(self, data, delta):
+        # COLR declares more bytes than remain before the CRC
+        with pytest.raises(IntegrityError, match="COLR declares"):
+            deserialize_index(add_to_u64(data, section_length_at(data, "COLR"), delta))
+
+    def test_sections_must_be_read_to_their_end(self, data):
+        end = section_length_at(data, "META") + 8 + section_sizes(data)["META"]
+        with pytest.raises(IntegrityError, match="META holds bytes past"):
+            deserialize_index(spliced(data, "META", end, end, b"\0"))
+
+    def test_payload_high_bits_must_mark_its_entries(self, data):
+        words_at = colr_fields(data)["high"] + 8 + 8
+        blob = bytearray(data)
+        assert blob[words_at] & 0b100  # the high bit of the first entry
+        blob[words_at] ^= 0b100
+        with pytest.raises(IntegrityError, match="high bits mark 4 entries, not 5"):
+            deserialize_index(resealed(blob))
+
+    def test_payload_low_words_must_fit_its_entries(self, mixed):
+        at = colr_fields(mixed)["lows"]
+        n_bytes = int.from_bytes(mixed[at : at + 8], "little")
+        assert n_bytes == 16  # one word of 60 one-bit fields, and the spare word
+        shorter = (n_bytes - 8).to_bytes(8, "little") + mixed[at + 8 : at + n_bytes]
+        with pytest.raises(IntegrityError, match="1 Elias-Fano low words for 60 entries of 1 bits"):
+            deserialize_index(spliced(mixed, "COLR", at, at + 8 + n_bytes, shorter))
+
+    @pytest.mark.parametrize("seed", [2, 21])
+    def test_bit_flips_load_or_raise_integrity_error(self, seed):
+        # each of 400 containers with 1-3 flipped bits and a resealed CRC
+        # loads and answers, or raises IntegrityError (or NotColored from a
+        # query); the script caps its own address space
+        script = Path(__file__).with_name("fuzz_container.py")
+        src = str(Path(__file__).parents[1] / "src")
+        res = subprocess.run(
+            [sys.executable, str(script), str(seed), "400"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert res.returncode == 0, res.stderr
+        counts = json.loads(res.stdout)
+        assert sum(counts.values()) == 400
+        assert counts["refused"] > 300 and counts["answered"] > 0
+
+
+def test_loaded_graph_holds_two_per_edge_arrays(mixed):
+    # edge sources, B and the flags are derived or packed on demand, not
+    # held per edge; the arrays of the graph's parts (E, the flags) count
+    boss = deserialize_index(mixed)[0]
+    assert boss.edge_count not in (boss.node_count + 1, boss.node_count + 2)
+    arrays = {}
+    for owner in (boss, *vars(boss).values()):
+        for name, a in getattr(owner, "__dict__", {}).items():
+            if isinstance(a, np.ndarray) and len(a) == boss.edge_count:
+                arrays.setdefault(id(a), name)
+    assert sorted(arrays.values()) == ["_codes", "_targets"]
 
 
 class TestSynthetic:
