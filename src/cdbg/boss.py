@@ -24,12 +24,16 @@ the flags stay the bitvector they were built or loaded as. ``B`` is
 unpacked once, at build and at load, into the first-edge array, the one
 node-boundary array; ``B`` itself and each edge's source are derived from
 it when asked for. Also derived at build and at load, at the narrowest
-width that holds an edge position: each edge's target, each node's parent
-(the source of its canonical incoming edge), and the starting nodes, the
-last level of the tree of labels with a leading ``$`` below the root. A
-node's last label symbol is its bucket in ``K``, so a label is read by
-stepping from parent to parent. Node types, indegrees and the solid nodes
-are computed where they are asked for.
+width that holds an edge position: each edge's target and each node's
+parent (the source of its canonical incoming edge). A node's last label
+symbol is its bucket in ``K``, and its parent's label ends with its first
+k-2 symbols, so a label is read by stepping from parent to parent.
+A label starts with ``$`` exactly when its chain of parents reaches the
+root within k-2 steps: the starting nodes are those whose (k-2)-th parent
+is the root, and the solid nodes are the non-ending nodes whose chain
+does not reach it. From these the colourable bitmap (starting, ending and
+critical nodes) is derived too. Indegrees and the solid mask are computed
+where they are asked for.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._binio import Reader, Writer
-from .bitvectors import BitVector, SymbolSequence, bit_vector, read_bit_vector
+from .bitvectors import AnyBitVector, BitVector, SymbolSequence, bit_vector, read_bit_vector
 from .errors import BadLabel, BadOrder, BoundsError, CorruptIndex, EmptyIndex, IntegrityError
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, SYMBOL_CODES, encode
 
@@ -184,7 +188,9 @@ class BossIndex:
         at load from the unpacked ``B`` and flags, which are not kept: each
         node's first edge (the only node-boundary array), each edge's target,
         each node's parent (the source of its canonical, real and unflagged,
-        incoming edge) and the starting nodes."""
+        incoming edge), the starting nodes (those whose (k-2)-th parent is
+        the root) and the colourable bitmap: the starting and ending nodes
+        and the solid targets of the real edges of branching nodes."""
         n, m = self.node_count, self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
         self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
@@ -212,8 +218,20 @@ class BossIndex:
         in_symbols = np.bincount(self._codes[canonical], minlength=6)[1:]
         if (in_symbols != np.diff(self._kcum) - [1, 0, 0, 0, 0]).any():
             raise CorruptIndex("K disagrees with the symbols of the canonical incoming edges")
-        self._starting = np.sort(self._dollar_tree()[-1])
+        # a label starts with `$` when its parent chain reaches the root
+        # within k-2 steps; such labels form a tree below the root
+        anc = self._ancestors(self.k - 2)
+        dollar = np.flatnonzero(anc[2:] < 2) + 2
+        if len(dollar) and (dollar.min() <= ends or (indeg[dollar] != 1).any()):
+            raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
+        self._starting = np.flatnonzero(anc == 1)
         self._starting.flags.writeable = False
+        bits = np.zeros(n + 1, dtype=np.uint8)
+        bits[self._starting] = 1
+        bits[2 : ends + 1] = 1
+        succ = targets[_branch_edges(self, targets)]
+        bits[succ[self._solid(anc)[succ]]] = 1
+        self._colorable = bit_vector(bits[1:])
 
     def _derive_targets(self, minus: np.ndarray) -> np.ndarray:
         """Target node of every edge, 0 on closure edges: per symbol, the
@@ -228,21 +246,27 @@ class BossIndex:
             targets[idx] = np.where(real[idx], self._kcum[c - 1] + (c == 1) + ranks, 0)
         return targets
 
-    def _dollar_tree(self) -> list[np.ndarray]:
-        """Node ids of the labels with a leading ``$``, by depth 1..k-2
-        below the root: depth d holds the labels ``$``*(k-1-d) + x with x
-        solid and of length d, and its last level holds the starting nodes.
-        Each has exactly one incoming edge, so a level is the targets of
-        the edges of the level above."""
-        indeg = np.bincount(self._targets, minlength=self.node_count + 1)
-        level, levels = np.ones(1, dtype=np.int64), []
-        for _ in range(self.k - 2):
-            edges, _ = _gather(self._first_edge, level)
-            level = self._targets[edges - 1].astype(np.int64)
-            if len(level) and (level.min() <= self._kcum[1] or (indeg[level] != 1).any()):
-                raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
-            levels.append(level)
-        return levels
+    def _ancestors(self, d: int) -> np.ndarray:
+        """The d-th parent of every node, by id, 0 past the root: binary
+        lifting over the parent array, widened to int64 once because int64
+        gathers are faster here than int32 ones."""
+        up = self._parent.astype(np.int64)
+        anc = np.arange(self.node_count + 1)
+        while d:
+            if d & 1:
+                anc = up[anc]
+            d >>= 1
+            if d:
+                up = up[up]
+        return anc
+
+    def _solid(self, anc: np.ndarray) -> np.ndarray:
+        """Mask over ids 0..n of the labels without ``$``, from the
+        (k-2)-th parents: above the ending nodes and not below the root
+        within k-2 steps."""
+        solid = anc >= 2
+        solid[: self._kcum[1] + 1] = False
+        return solid
 
     # -- basic accessors ---------------------------------------------------
 
@@ -257,6 +281,12 @@ class BossIndex:
         bits = np.zeros(self.edge_count, dtype=np.uint8)
         bits[self._first_edge[1:-1] - 1] = 1
         return BitVector(bits)
+
+    @property
+    def colorable(self) -> AnyBitVector:
+        """Bitmap over node ids - 1 of the p nodes that receive colours:
+        starting, ending and critical nodes. Derived at build and at load."""
+        return self._colorable
 
     @property
     def K(self) -> np.ndarray:
@@ -300,20 +330,6 @@ class BossIndex:
         call from the outdegrees."""
         outdeg = np.diff(self._first_edge[1:])
         return np.repeat(np.arange(1, self.node_count + 1, dtype=outdeg.dtype), outdeg)
-
-    def predecessors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Predecessors of every node as compressed-row arrays: those of node
-        v are ``sources[offsets[v - 1]:offsets[v]]``, in BOSS order.
-
-        Whole-array form of ``backward``: the real edges, stably sorted by
-        target, keep their position order within each target.
-        """
-        targets = self._targets
-        real = np.flatnonzero(targets)
-        order = real[np.argsort(targets[real], kind="stable")]
-        indeg = np.bincount(targets, minlength=self.node_count + 1)
-        offsets = np.concatenate([[0], np.cumsum(indeg[1:])])
-        return offsets, self.edge_sources()[order]
 
     def forward(self, v: int, a: int | str) -> int | None:
         if isinstance(a, str):
@@ -439,13 +455,8 @@ class BossIndex:
 
     def solid_mask(self) -> np.ndarray:
         """One bool per node, indexed by id - 1: true on labels without
-        ``$``, the nodes that are neither the root, an ending node nor in
-        the tree of labels with a leading ``$``."""
-        solid = np.ones(self.node_count, dtype=bool)
-        solid[: self._kcum[1]] = False
-        for level in self._dollar_tree():
-            solid[level - 1] = False
-        return solid
+        ``$``. Computed from the (k-2)-th parents on each call."""
+        return self._solid(self._ancestors(self.k - 2))[1:]
 
     # -- serialization -----------------------------------------------------
 
@@ -496,3 +507,10 @@ def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
+
+
+def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
+    """Mask over edges: real edges leaving a node of outdegree > 1 (the
+    outdegree counts closure edges)."""
+    outdeg = np.diff(boss._first_edge[1:])
+    return (targets > 0) & np.repeat(outdeg > 1, outdeg)

@@ -1,8 +1,10 @@
-"""Partial graph coloring: colorable-node marking and greedy color assignment.
+"""Partial graph coloring: the colorable nodes and greedy color assignment.
 
 Only starting, ending and critical nodes are colored; they are the p
-colorable nodes. For every string s of R' (the reads plus their reverse
-complements), the scan collects two rank sets over the path of $·s·$:
+colorable nodes. The graph derives their bitmap N at build and at load
+(``BossIndex.colorable``), so the index does not store it. For every
+string s of R' (the reads plus their reverse complements), the scan
+collects two rank sets over the path of $·s·$:
 
 * W, the colorable nodes on the path, including the ending node;
 * I, the nodes whose colors s must avoid so that it can be told apart at
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitvectors import AnyBitVector, bit_vector
-from .boss import BossIndex, _gather
+from .bitvectors import AnyBitVector
+from .boss import BossIndex, _branch_edges, _gather
 from .errors import CorruptIndex
 from .sequence import DUMMY, ReadSet, SYMBOL_CODES, encode
 from .stages import stage
@@ -45,23 +47,10 @@ class ColorableMap:
         return int(self.bitmap.rank1(v))
 
 
-def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
-    """Mask over edges: real edges leaving a node of outdegree > 1 (the
-    outdegree counts closure edges)."""
-    outdeg = np.diff(boss._first_edge[1:])
-    return (targets > 0) & np.repeat(outdeg > 1, outdeg)
-
-
 def mark_colorable(boss: BossIndex) -> ColorableMap:
-    """Starting and ending nodes, plus the solid successors of branching nodes."""
-    bits = np.zeros(boss.node_count, dtype=np.uint8)
-    bits[boss.starting_node_ids() - 1] = 1
-    bits[1 : boss.K[1]] = 1  # the ending nodes, ids 2..K[1]
-    targets = boss.edge_targets()
-    succ = targets[_branch_edges(boss, targets)]
-    bits[succ[boss.solid_mask()[succ - 1]] - 1] = 1
-    bv = bit_vector(bits)
-    return ColorableMap(bitmap=bv, p=int(bv.count))
+    """Starting and ending nodes, plus the solid successors of branching
+    nodes: the graph's own colourable bitmap, derived with the graph."""
+    return ColorableMap(bitmap=boss.colorable, p=boss.colorable.count)
 
 
 @dataclass

@@ -4,6 +4,11 @@ Rows of the dynamic table are concatenated as deltas (first element
 absolute, later elements differences) into one list; its prefix sums are
 strictly increasing and stored with Elias-Fano so that a row decodes in
 time linear in its length: color h of row [i..j] is ps[i+h-1] - ps[i-1].
+
+The color section stores only the number of colors, F and the payload.
+N is the graph's colorable bitmap (``BossIndex.colorable``), derived from
+the graph at load, and p is its count. The section is checked once, at
+load, against them, so the decoders read trusted arrays.
 """
 
 from __future__ import annotations
@@ -30,27 +35,34 @@ class CompressedColors:
     num_colors: int
 
     def serialize(self, w: Writer) -> None:
-        w.u8(1)  # section version
-        w.u64(self.p)
+        w.u8(2)  # section version
         w.u64(self.num_colors)
-        self.N.serialize(w)
         self.F.serialize(w)
         self.payload.serialize(w)
 
     @classmethod
-    def deserialize(cls, r: Reader) -> "CompressedColors":
-        if r.u8() != 1:
+    def deserialize(cls, r: Reader, colorable: AnyBitVector) -> "CompressedColors":
+        """The section, with N the loaded graph's colorable bitmap. Raises
+        ``IntegrityError`` unless F marks one row per colorable node, the
+        first at position 0, F is as long as the payload, and the payload
+        strictly increases from 1, so that every row is non-empty and
+        strictly increasing."""
+        if r.u8() != 2:
             raise IntegrityError("unsupported color section version")
-        p = r.u64()
         num_colors = r.u64()
-        n = read_bit_vector(r)
         f = read_bit_vector(r)
         payload = MonotoneSequence.deserialize(r)
-        if n.count != p or f.count != p:
-            raise IntegrityError(f"N marks {n.count} colorable nodes and F {f.count} rows, not p={p}")
+        p = colorable.count
+        if f.count != p:
+            raise IntegrityError(f"row bitmap marks {f.count} rows, not p={p}")
         if f.n != len(payload):
             raise IntegrityError(f"row bitmap length {f.n} != payload length {len(payload)}")
-        return cls(N=n, F=f, payload=payload, p=p, num_colors=num_colors)
+        if f.n and not f.get(0):
+            raise IntegrityError("row bitmap does not start a row at position 0")
+        ps = payload.to_array()
+        if len(ps) and (ps[0] < 1 or (np.diff(ps) <= 0).any()):
+            raise IntegrityError("color payload is not strictly increasing from 1")
+        return cls(N=colorable, F=f, payload=payload, p=p, num_colors=num_colors)
 
 
 def compress(table: DynamicColorTable, cmap: ColorableMap) -> CompressedColors:
@@ -95,22 +107,12 @@ def decode_rows(cc: CompressedColors) -> tuple[np.ndarray, np.ndarray]:
     """All p rows at once as compressed-row arrays: the row of colorable rank
     r is ``colors[offsets[r - 1]:offsets[r]]``.
 
-    Decodes the payload and F once instead of one ``access`` per color.
-    Raises ``IntegrityError`` unless F has exactly p set bits, the first at
-    position 0, F is as long as the payload, and every row is strictly
-    increasing from color 1 (the payload prefix sums strictly increase).
+    Decodes the payload and F once instead of one ``access`` per color;
+    both were checked at load.
     """
     ps = cc.payload.to_array()
     starts = cc.F.ones_positions()
-    if cc.F.n != len(ps):
-        raise IntegrityError(f"row bitmap length {cc.F.n} != payload length {len(ps)}")
-    if len(starts) != cc.p:
-        raise IntegrityError(f"row bitmap marks {len(starts)} rows, expected p={cc.p}")
     offsets = np.append(starts, len(ps))
-    if offsets[0] != 0:
-        raise IntegrityError("row bitmap does not start a row at position 0")
-    if len(ps) and (ps[0] < 1 or np.any(np.diff(ps) <= 0)):
-        raise IntegrityError("color payload is not strictly increasing from 1")
     base = np.zeros(cc.p, dtype=np.int64)
     base[1:] = ps[starts[1:] - 1]
     return offsets, ps - np.repeat(base, np.diff(offsets))

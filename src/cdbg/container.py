@@ -19,7 +19,7 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -96,29 +96,34 @@ def _walk(data: bytes) -> tuple[int, int, list[tuple[str, bytes]]]:
     return version, k, sections
 
 
-_SECTIONS = {"META": IndexMeta, "BOSS": BossIndex, "COLR": CompressedColors}
+_SECTIONS = ("META", "BOSS", "COLR")
+
+
+def _read(found: dict[str, bytes], tag: str, read):
+    """The structures of section tag, read by read, which must consume it."""
+    r = Reader(found[tag])
+    obj = read(r)
+    if not r.done():
+        raise IntegrityError(f"section {tag} holds bytes past its structures")
+    return obj
 
 
 def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMeta]:
+    """The index in data. The graph section is read before the color
+    section, whose rows are checked against the graph's colorable nodes."""
     if int.from_bytes(data[-4:], "little") != zlib.crc32(memoryview(data)[:-4]):
         raise IntegrityError("checksum mismatch")
     version, k, sections = _walk(data)
     if version != FORMAT_VERSION:
         raise IntegrityError("unsupported container version")
-    found = {}
-    for tag, payload in sections:
-        if tag in _SECTIONS:  # unknown tags are skipped
-            r = Reader(payload)
-            found[tag] = _SECTIONS[tag].deserialize(r)
-            if not r.done():
-                raise IntegrityError(f"section {tag} holds bytes past its structures")
+    found = {tag: payload for tag, payload in sections if tag in _SECTIONS}  # unknown tags are skipped
     if len(found) < len(_SECTIONS):
         raise IntegrityError("container misses a required section")
-    meta, boss, colors = found["META"], found["BOSS"], found["COLR"]
+    meta = _read(found, "META", IndexMeta.deserialize)
+    boss = _read(found, "BOSS", BossIndex.deserialize)
     if boss.k != k:
         raise IntegrityError("header k disagrees with graph section")
-    if colors.N.n != boss.node_count:
-        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
+    colors = _read(found, "COLR", lambda r: CompressedColors.deserialize(r, boss.colorable))
     return boss, colors, meta
 
 

@@ -75,16 +75,10 @@ def iter_fastq(path: str | Path) -> Iterator[str]:
             yield seq
 
 
-def parse_reads(path: str | Path, fmt: str = "auto", k: int | None = None) -> ReadSet:
-    """Stream records from a FASTA/FASTQ file into a validated ReadSet."""
-    if fmt == "auto":
-        fmt = sniff_format(path)
-    if fmt == "fasta":
-        records = iter_fasta(path)
-    elif fmt == "fastq":
-        records = iter_fastq(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def parse_reads(path: str | Path, k: int | None = None) -> ReadSet:
+    """Stream records from a FASTA/FASTQ file, its format sniffed, into a
+    validated ReadSet."""
+    records = iter_fasta(path) if sniff_format(path) == "fasta" else iter_fastq(path)
     return ReadSet.from_reads(records, k=k)
 
 

@@ -10,8 +10,7 @@ comparison of labels agrees with the code order.
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +21,6 @@ logger = logging.getLogger(__name__)
 
 DUMMY = "$"
 ALPHABET = "acgt"
-SIGMA = 5  # $ a c g t
 
 SYMBOL_CODES = {DUMMY: 1, "a": 2, "c": 3, "g": 4, "t": 5}
 CODE_SYMBOLS = "\x00$acgt"  # code -> character, index 0 unused
@@ -67,10 +65,6 @@ def encode(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("ascii").translate(_ENCODE_TABLE), dtype=np.uint8)
 
 
-def decode(codes: Iterable[int]) -> str:
-    return "".join(CODE_SYMBOLS[c] for c in codes)
-
-
 @dataclass
 class ReadSet:
     """Deduplicated reads plus the derived double-stranded view.
@@ -86,7 +80,6 @@ class ReadSet:
     n_rejected: int = 0
     n_duplicates: int = 0
     n_too_short: int = 0
-    reject_reasons: Counter = field(default_factory=Counter)
 
     @classmethod
     def from_reads(cls, raw_reads: Iterable[str | bytes], k: int | None = None) -> "ReadSet":
@@ -94,7 +87,6 @@ class ReadSet:
         rejected = 0
         duplicates = 0
         too_short = 0
-        reasons: Counter = Counter()
         for raw in raw_reads:
             seq, reason = validate_read(raw, k=k)
             if seq is None:
@@ -102,7 +94,6 @@ class ReadSet:
                     too_short += 1
                 else:
                     rejected += 1
-                reasons[reason] += 1
                 continue
             if seq in kept:
                 duplicates += 1
@@ -115,7 +106,6 @@ class ReadSet:
             n_rejected=rejected,
             n_duplicates=duplicates,
             n_too_short=too_short,
-            reject_reasons=reasons,
         )
 
     def __len__(self) -> int:

@@ -12,9 +12,9 @@ Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
 colors. Each call first builds one view of the index from whole-array
-passes (decoded color table, predecessor lists, starting nodes); the walk
-reads it one node at a time, and a node's successors, starting
-predecessors and color set are read out of the arrays once per call.
+passes (decoded color table, the starting predecessors of nodes with
+indegree > 1); the walk reads it one node at a time, and a node's
+successors and color set are read out of the arrays once per call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .boss import BossIndex, _gather
 from .colormatrix import CompressedColors, decode_rows
-from .errors import BadStart, BadThreshold, IntegrityError, NotColored
+from .errors import BadStart, BadThreshold, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
 
 _SYMBOL_BYTES = np.frombuffer(CODE_SYMBOLS.encode("ascii"), dtype=np.uint8)
@@ -97,7 +97,7 @@ def _walk_all(
     Raises ``NotColored`` when a start or an inspected successor is not
     colorable.
     """
-    offsets, row_colors, colorable, rank = _color_table(boss, colors)
+    offsets, row_colors, colorable, rank = _color_table(colors)
     _require_colored(colorable, starts)
     walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
     col = row_colors[walk_cols]
@@ -158,23 +158,12 @@ def _walk_all(
     return n_colors, walks
 
 
-def _color_table(
-    boss: BossIndex, colors: CompressedColors
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _color_table(colors: CompressedColors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The decoded rows (``decode_rows``), the colorable bitmap as bools and
-    its running rank, where ``rank[v - 1]`` is the row number of node v.
-
-    Raises ``IntegrityError`` unless the bitmap covers every node and marks
-    at most p of them.
-    """
-    if colors.N.n != boss.node_count:
-        raise IntegrityError(f"colorable bitmap covers {colors.N.n} of {boss.node_count} nodes")
+    its running rank, where ``rank[v - 1]`` is the row number of node v."""
     offsets, row_colors = decode_rows(colors)
     colorable = colors.N.to_bits().astype(bool)
-    rank = np.cumsum(colorable)
-    if len(rank) and rank[-1] > colors.p:
-        raise IntegrityError(f"colorable bitmap marks more than p={colors.p} nodes")
-    return offsets, row_colors, colorable, rank
+    return offsets, row_colors, colorable, np.cumsum(colorable)
 
 
 def _require_colored(colorable: np.ndarray, nodes: np.ndarray) -> None:
@@ -244,16 +233,23 @@ class _AssemblyView:
     built on first use and kept for the call."""
 
     def __init__(self, boss: BossIndex, colors: CompressedColors):
-        offsets, row_colors, colorable, rank = _color_table(boss, colors)
-        pred_offsets, preds = boss.predecessors()
+        offsets, row_colors, colorable, rank = _color_table(colors)
         self._offsets, self._row_colors = memoryview(offsets), memoryview(row_colors)
         self._colorable, self._rank = memoryview(colorable), memoryview(rank)
         self._first_edge, self._codes = memoryview(boss._first_edge), memoryview(boss._codes)
-        self._targets = memoryview(boss.edge_targets())  # 0 on closure edges
-        self._pred_offsets, self._preds = memoryview(pred_offsets), memoryview(preds)
+        targets = boss.edge_targets()  # 0 on closure edges
+        self._targets = memoryview(targets)
+        # the starting predecessors of each node of indegree > 1, in BOSS
+        # order: the real out-edges of the starting nodes, in source order
+        starts = boss.starting_node_ids()
+        edges, counts = _gather(boss._first_edge, starts)
+        into = targets[edges - 1]
+        keep = (into > 0) & (np.bincount(targets, minlength=boss.node_count + 1)[into] > 1)
+        self._starting_preds: dict[int, list[int]] = {}
+        for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
+            self._starting_preds.setdefault(t, []).append(u)
         self._sets: dict[int, frozenset[int]] = {}
         self._records: dict[int, tuple[list[tuple[str, int]], list[int]]] = {}
-        self.starting = set(boss.starting_node_ids().tolist())
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
 
@@ -264,10 +260,9 @@ class _AssemblyView:
         if got is None:
             codes, targets = self._codes, self._targets
             edges = range(self._first_edge[v] - 1, self._first_edge[v + 1] - 1)
-            preds = self._preds[self._pred_offsets[v - 1] : self._pred_offsets[v]]
             got = self._records[v] = (
                 [(CODE_SYMBOLS[codes[e]], t) for e in edges if (t := targets[e])],
-                [u for u in preds if u in self.starting] if len(preds) > 1 else [],
+                self._starting_preds.get(v, []),
             )
         return got
 

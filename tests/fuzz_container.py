@@ -4,7 +4,9 @@ Serializes a small index (a 600 bp synthetic genome at 5x, k=9), then for
 each case flips 1-3 random bits of the container body, seals the CRC again
 and loads the result. A container must either load or raise
 ``IntegrityError``; one that loads must answer ``reconstruct_all`` and
-``assemble_all`` or raise ``IntegrityError`` or ``NotColored``.
+``assemble_all`` or raise ``NotColored``: a damaged graph can still
+derive a colorable set that misses a node a walk reaches, but every
+structure a query reads was checked at load.
 
 The process first caps its own address space, so an allocation sized by a
 damaged length field fails as ``MemoryError`` here instead of exhausting
@@ -58,7 +60,7 @@ def main(seed: int, cases: int) -> int:
 
     data = index_bytes()
     rng = np.random.default_rng(seed)
-    counts = {"refused": 0, "answered": 0, "IntegrityError": 0, "NotColored": 0}
+    counts = {"refused": 0, "answered": 0, "NotColored": 0}
     for case in range(cases):
         damaged = flipped(data, rng)
         try:
@@ -71,8 +73,8 @@ def main(seed: int, cases: int) -> int:
                 reconstruct_all(boss, colors)
                 assemble_all(boss, colors, 1.0)
                 counts["answered"] += 1
-            except (IntegrityError, NotColored) as exc:
-                counts[type(exc).__name__] += 1
+            except NotColored:
+                counts["NotColored"] += 1
         except Exception:
             print(f"case {case} of seed {seed}:", file=sys.stderr)
             traceback.print_exc()

@@ -104,10 +104,10 @@ class TestContainer:
     def test_worked_example_container_is_pinned(self, built):
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
-        assert data[4] == FORMAT_VERSION == 2
-        assert len(data) == 395
+        assert data[4] == FORMAT_VERSION == 3
+        assert len(data) == 361
         assert hashlib.sha256(data).hexdigest() == (
-            "998e22801b32ba7f6eef3e6ddfec999dfc8a790de782c2dbddf352fad267bdce"
+            "972c4c4523596d849117fbcc7f3fe9885c64c29da047f3dd0b9f1471c31d8ff7"
         )
 
     def test_roundtrip_bit_exact(self, built):
@@ -129,6 +129,9 @@ class TestContainer:
             for sym in "$acgt":
                 assert boss2.forward(v, sym) == boss.forward(v, sym)
         assert decode_table(colors2) == decode_table(colors)
+        # N is not stored: the loaded graph derives the same colorable nodes
+        assert colors2.N is boss2.colorable
+        assert colors2.N.to_bits().tolist() == colors.N.to_bits().tolist()
 
     def test_checksum_detects_corruption(self, built, tmp_path):
         boss, colors, meta = built
@@ -194,15 +197,15 @@ def boss_fields(data: bytes) -> dict[str, int]:
 
 
 def colr_fields(data: bytes) -> dict[str, int]:
-    """Byte offsets in the container of the colour section's p, of the bit
-    count of its row bitmap F, and of the payload's low words (their byte
-    count) and high bits (their bit count)."""
+    """Byte offsets in the container of the colour section's fields: where
+    the section starts, where its row bitmap F starts and F's bit count,
+    and the payload's low words (their byte count) and high bits (their
+    bit count)."""
     r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
+    at = {"section": r._pos}
     r.u8()
-    at = {"p": r._pos}
     r.u64()
-    r.u64()
-    read_bit_vector(r)
+    at["F_start"] = r._pos
     at["F"] = r._pos + 2  # after the representation tag and version
     read_bit_vector(r)
     r.u8()
@@ -333,27 +336,63 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="graph section"):
             deserialize_index(with_minus(data, m, list(range(m))))
 
-    def test_colorable_bitmap_must_cover_the_nodes(self, data):
-        n_at = boss_fields(data)["end"] + (4 + 8) + 1 + 8 + 8 + 2  # COLR: version, p, colors, N
-        with pytest.raises(IntegrityError, match="colorable bitmap covers 12 of 11 nodes"):
-            deserialize_index(add_to_u64(data, n_at, 1))
-
-    def test_colorable_bitmap_must_mark_p_nodes(self, data):
-        with pytest.raises(IntegrityError, match="N marks 5 colorable nodes and F 5 rows, not p=6"):
-            deserialize_index(add_to_u64(data, colr_fields(data)["p"], 1))
-
-    def test_row_bitmap_must_mark_p_rows(self, data):
+    @pytest.mark.parametrize("row", [1, 4])
+    def test_row_bitmap_must_mark_p_rows(self, data, row):
         # the worked example has five rows of one colour: F is plain, all set
         words_at = colr_fields(data)["F"] + 8 + 8
         assert data[words_at] == 0b11111
         blob = bytearray(data)
-        blob[words_at] ^= 0b10  # clear the start of the second row
-        with pytest.raises(IntegrityError, match="N marks 5 colorable nodes and F 4 rows, not p=5"):
+        blob[words_at] ^= 1 << row  # clear the start of a later row
+        with pytest.raises(IntegrityError, match="row bitmap marks 4 rows, not p=5"):
             deserialize_index(resealed(blob))
 
-    def test_row_bitmap_must_be_as_long_as_the_payload(self, data):
-        with pytest.raises(IntegrityError, match="row bitmap length 6 != payload length 5"):
-            deserialize_index(add_to_u64(data, colr_fields(data)["F"], 1))
+    @pytest.mark.parametrize("delta,message", [
+        (1, "row bitmap length 6 != payload length 5"),
+        (-1, "words do not hold exactly 4 bits"),  # the dropped bit is set
+    ])
+    def test_row_bitmap_must_be_as_long_as_the_payload(self, data, delta, message):
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(add_to_u64(data, colr_fields(data)["F"], delta))
+
+    def test_row_bitmap_must_start_a_row_first(self, mixed):
+        # move the first row start to the first bit of F that is clear
+        words_at = colr_fields(mixed)["F"] + 8 + 8
+        assert mixed[words_at] & 0b11111 == 0b01111
+        blob = bytearray(mixed)
+        blob[words_at] ^= 0b10001
+        with pytest.raises(IntegrityError, match="row bitmap does not start a row at position 0"):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("clear,set_", [(4, 3), (2, 0)])
+    def test_payload_must_increase_strictly_from_one(self, data, clear, set_):
+        # the payload [2, 3, 4, 6, 8] has no low bits: entry j's high bit
+        # is bit value + j; moving one keeps its count, and gives
+        # [2, 2, 4, 6, 8] or [0, 3, 4, 6, 8]
+        words_at = colr_fields(data)["high"] + 8 + 8
+        assert data[words_at] == 0b1010100
+        blob = bytearray(data)
+        blob[words_at] ^= (1 << clear) | (1 << set_)
+        with pytest.raises(IntegrityError, match="not strictly increasing from 1"):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("version,message", [
+        (2, "unsupported container version"),
+        (FORMAT_VERSION, "unsupported color section version"),
+    ])
+    def test_format_2_is_refused(self, built, data, version, message):
+        # format 2 stored p and the colorable bitmap N in a version 1
+        # colour section, ahead of F
+        colors = built[1]
+        w = Writer()
+        w.u8(1)
+        w.u64(colors.p)
+        w.u64(colors.num_colors)
+        colors.N.serialize(w)
+        at = colr_fields(data)
+        old = bytearray(spliced(data, "COLR", at["section"], at["F_start"], w.getvalue()))
+        old[4] = version
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(resealed(old))
 
     def test_node_bitmap_count_must_match_node_count(self, built, data):
         boss = built[0]
@@ -406,8 +445,8 @@ class TestLoaderCrossChecks:
     @pytest.mark.parametrize("seed", [2, 21])
     def test_bit_flips_load_or_raise_integrity_error(self, seed):
         # each of 400 containers with 1-3 flipped bits and a resealed CRC
-        # loads and answers, or raises IntegrityError (or NotColored from a
-        # query); the script caps its own address space
+        # raises IntegrityError at load, or loads and answers (or raises
+        # NotColored from a query); the script caps its own address space
         script = Path(__file__).with_name("fuzz_container.py")
         src = str(Path(__file__).parents[1] / "src")
         res = subprocess.run(
