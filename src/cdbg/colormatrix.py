@@ -5,10 +5,11 @@ absolute, later elements differences) into one list; its prefix sums are
 strictly increasing and stored with Elias-Fano so that a row decodes in
 time linear in its length: color h of row [i..j] is ps[i+h-1] - ps[i-1].
 
-The color section stores only the number of colors, F and the payload.
-N is the graph's colorable bitmap (``BossIndex.colorable``), derived from
-the graph at load, and p is its count. The section is checked once, at
-load, against them, so the decoders read trusted arrays.
+The color section stores only F and the payload. N is the graph's
+colorable bitmap (``BossIndex.colorable``), derived from the graph at
+load, p is its count, and the number of colors is the largest last color
+of a row. The section is checked once, at load, so the decoders read
+trusted arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class CompressedColors:
 
     def serialize(self, w: Writer) -> None:
         w.u8(2)  # section version
-        w.u64(self.num_colors)
         self.F.serialize(w)
         self.payload.serialize(w)
 
@@ -46,10 +46,10 @@ class CompressedColors:
         ``IntegrityError`` unless F marks one row per colorable node, the
         first at position 0, F is as long as the payload, and the payload
         strictly increases from 1, so that every row is non-empty and
-        strictly increasing."""
+        strictly increasing. The number of colors is the largest last color
+        of a row."""
         if r.u8() != 2:
             raise IntegrityError("unsupported color section version")
-        num_colors = r.u64()
         f = read_bit_vector(r)
         payload = MonotoneSequence.deserialize(r)
         p = colorable.count
@@ -62,6 +62,8 @@ class CompressedColors:
         ps = payload.to_array()
         if len(ps) and (ps[0] < 1 or (np.diff(ps) <= 0).any()):
             raise IntegrityError("color payload is not strictly increasing from 1")
+        ends = np.append(f.ones_positions()[1:], len(ps)) - 1
+        num_colors = int(np.diff(ps[ends], prepend=0).max()) if p else 0
         return cls(N=colorable, F=f, payload=payload, p=p, num_colors=num_colors)
 
 

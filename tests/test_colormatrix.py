@@ -87,7 +87,8 @@ class TestGetColors:
         assert decode_table(cc) == table.rows
 
     def test_serialization_roundtrip(self, e1):
-        # the section does not store N: the loader passes the graph's
+        # the section stores neither N nor the number of colours: the
+        # loader passes the graph's N and takes the largest last colour
         boss, cc, table = e1
         w = Writer()
         cc.serialize(w)
@@ -95,6 +96,17 @@ class TestGetColors:
         assert decode_table(cc2) == table.rows
         assert cc2.N is boss.colorable
         assert (cc2.p, cc2.num_colors) == (cc.p, cc.num_colors)
+
+
+@given(st.lists(st.lists(st.integers(1, 70), min_size=1, max_size=5, unique=True).map(sorted),
+                max_size=30))
+def test_loaded_num_colors_is_the_largest_last_color(rows):
+    cc = compress(table_of(rows), cmap_of(len(rows)))
+    w = Writer()
+    cc.serialize(w)
+    cc2 = CompressedColors.deserialize(Reader(w.getvalue()), cc.N)
+    assert decode_table(cc2) == rows
+    assert cc2.num_colors == cc.num_colors == max((row[-1] for row in rows), default=0)
 
 
 def test_size_beats_plain_bit_matrix():

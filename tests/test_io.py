@@ -43,14 +43,17 @@ def built(tmp_path):
     return boss, colors, meta
 
 
+def container_of(reads: ReadSet, k: int) -> bytes:
+    boss = BossIndex.build(reads, k=k)
+    cmap = mark_colorable(boss)
+    return serialize_index(boss, compress(color_all(boss, cmap, reads), cmap), IndexMeta())
+
+
 @pytest.fixture()
 def mixed():
     """The container of a mixed read set at k=9, whose colour payload has
     one low bit per entry (the worked example's has none)."""
-    reads = mixed_read_set(1, 9)
-    boss = BossIndex.build(reads, k=9)
-    cmap = mark_colorable(boss)
-    return serialize_index(boss, compress(color_all(boss, cmap, reads), cmap), IndexMeta())
+    return container_of(mixed_read_set(1, 9), 9)
 
 
 class TestFastx:
@@ -105,9 +108,9 @@ class TestContainer:
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
         assert data[4] == FORMAT_VERSION == 3
-        assert len(data) == 361
+        assert len(data) == 353
         assert hashlib.sha256(data).hexdigest() == (
-            "972c4c4523596d849117fbcc7f3fe9885c64c29da047f3dd0b9f1471c31d8ff7"
+            "f91caacc128cd4c849f706ffeaa965e26aaddbe7c3e01fc13ab3dabeebe2bc7c"
         )
 
     def test_roundtrip_bit_exact(self, built):
@@ -204,7 +207,6 @@ def colr_fields(data: bytes) -> dict[str, int]:
     r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
     at = {"section": r._pos}
     r.u8()
-    r.u64()
     at["F_start"] = r._pos
     at["F"] = r._pos + 2  # after the representation tag and version
     read_bit_vector(r)
@@ -346,11 +348,14 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="row bitmap marks 4 rows, not p=5"):
             deserialize_index(resealed(blob))
 
-    @pytest.mark.parametrize("delta,message", [
-        (1, "row bitmap length 6 != payload length 5"),
-        (-1, "words do not hold exactly 4 bits"),  # the dropped bit is set
+    @pytest.mark.parametrize("reads,delta,message", [
+        (["tacgt"], 1, "row bitmap length 6 != payload length 5"),
+        (["tacgt"], -1, "words do not hold exactly 4 bits"),  # the dropped bit is set
+        # the last row holds two colours, so the dropped bit is clear
+        (["tacgt", "tacgg"], -1, "row bitmap length 13 != payload length 14"),
     ])
-    def test_row_bitmap_must_be_as_long_as_the_payload(self, data, delta, message):
+    def test_row_bitmap_must_be_as_long_as_the_payload(self, reads, delta, message):
+        data = container_of(ReadSet.from_reads(reads), 4)
         with pytest.raises(IntegrityError, match=message):
             deserialize_index(add_to_u64(data, colr_fields(data)["F"], delta))
 
