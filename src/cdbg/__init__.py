@@ -1,7 +1,7 @@
 """Succinct colored de Bruijn graph index for DNA sequencing reads."""
 
 from .boss import BossIndex
-from .coloring import ColorableMap, DynamicColorTable, color_all, mark_colorable, scan_read
+from .coloring import DynamicColorTable, color_all, mark_colorable
 from .colormatrix import CompressedColors, compress, get_colors
 from .sequence import ReadSet, reverse_complement, validate_read
 from .traversal import (
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BossIndex",
-    "ColorableMap",
     "CompressedColors",
     "DynamicColorTable",
     "ReadSet",
@@ -30,6 +29,5 @@ __all__ = [
     "mark_colorable",
     "reconstruct_all",
     "reverse_complement",
-    "scan_read",
     "validate_read",
 ]

@@ -75,12 +75,15 @@ class BitVector:
 
     def __init__(self, bits: np.ndarray):
         bits = np.asarray(bits, dtype=np.uint8)
-        self.n = len(bits)
-        self._words = _pack_bits(bits) if self.n else np.zeros(0, dtype=np.uint64)
-        # _block[w] = number of set bits in words[:w]
-        self._block = np.zeros(len(self._words) + 1, dtype=np.int64)
-        if len(self._words):
-            np.cumsum(_popcount(self._words), out=self._block[1:])
+        self._hold(len(bits), _pack_bits(bits))
+
+    def _hold(self, n: int, words: np.ndarray) -> None:
+        """Keep n bits packed in words and build the rank directory:
+        ``_block[w]`` is the number of set bits in ``words[:w]``."""
+        self.n = n
+        self._words = words
+        self._block = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum(_popcount(words), out=self._block[1:])
         self.count = int(self._block[-1])
 
     def get(self, i: int) -> int:
@@ -130,12 +133,7 @@ class BitVector:
         if len(words) != (n + 63) // 64 or (n % 64 and int(words[-1]) >> (n % 64)):
             raise IntegrityError(f"plain bitvector words do not hold exactly {n} bits")
         bv = cls.__new__(cls)
-        bv.n = n
-        bv._words = words
-        bv._block = np.zeros(len(words) + 1, dtype=np.int64)
-        if len(words):
-            np.cumsum(_popcount(words), out=bv._block[1:])
-        bv.count = int(bv._block[-1])
+        bv._hold(n, words)
         return bv
 
 

@@ -32,8 +32,7 @@ A label starts with ``$`` exactly when its chain of parents reaches the
 root within k-2 steps: the starting nodes are those whose (k-2)-th parent
 is the root, and the solid nodes are the non-ending nodes whose chain
 does not reach it. From these the colourable bitmap (starting, ending and
-critical nodes) is derived too. Indegrees and the solid mask are computed
-where they are asked for.
+critical nodes) is derived too.
 """
 
 from __future__ import annotations
@@ -305,18 +304,6 @@ class BossIndex:
 
     # -- navigation --------------------------------------------------------
 
-    def outdegree(self, v: int) -> int:
-        self._check_node(v)
-        return int(self._first_edge[v + 1] - self._first_edge[v])
-
-    def node_edge_range(self, v: int) -> tuple[int, int]:
-        """1-based inclusive range of edge positions owned by node v."""
-        self._check_node(v)
-        return int(self._first_edge[v]), int(self._first_edge[v + 1] - 1)
-
-    def edge_symbol(self, pos: int) -> int:
-        return int(self._codes[pos - 1])
-
     def edge_target(self, pos: int) -> int | None:
         """Target node of the edge at 1-based position pos; None on closure."""
         return int(self._targets[pos - 1]) or None
@@ -339,30 +326,21 @@ class BossIndex:
             a = SYMBOL_CODES[a]
         if not 1 <= a <= 5:
             raise BoundsError(f"symbol code {a} outside [1, 5]")
-        lo, hi = self.node_edge_range(v)
-        for pos in range(lo, hi + 1):
+        self._check_node(v)
+        for pos in range(self._first_edge[v], self._first_edge[v + 1]):
             if self._codes[pos - 1] == a:
                 return self.edge_target(pos)
         return None
 
-    def forward_r(self, v: int, r: int) -> int | None:
-        lo, hi = self.node_edge_range(v)
-        if not 1 <= r <= hi - lo + 1:
-            raise BoundsError(f"edge rank {r} out of range [1, {hi - lo + 1}]")
-        return self.edge_target(lo + r - 1)
-
     def successors(self, v: int) -> list[tuple[int, int, int]]:
         """(edge position, symbol, target) per real outgoing edge of v."""
-        lo, hi = self.node_edge_range(v)
+        self._check_node(v)
         out = []
-        for pos in range(lo, hi + 1):
+        for pos in range(self._first_edge[v], self._first_edge[v + 1]):
             t = self.edge_target(pos)
             if t is not None:
                 out.append((pos, int(self._codes[pos - 1]), t))
         return out
-
-    def indegree(self, v: int) -> int:
-        return len(self.backward(v))
 
     def backward(self, v: int) -> list[int]:
         """All predecessor node ids, in BOSS order.
@@ -436,19 +414,6 @@ class BossIndex:
         self._check_node(v)
         i = int(np.searchsorted(self._starting, v))
         return i < len(self._starting) and int(self._starting[i]) == v
-
-    def is_ending(self, v: int) -> bool:
-        self._check_node(v)
-        return bool(2 <= v <= self._kcum[1])
-
-    def is_solid(self, v: int) -> bool:
-        return not self.is_ending(v) and self.node_label(v)[0] != DUMMY
-
-    def is_critical(self, v: int) -> bool:
-        """Solid node with at least one predecessor of outdegree > 1."""
-        if not self.is_solid(v):
-            return False
-        return any(self.outdegree(u) > 1 for u in self.backward(v))
 
     def starting_node_ids(self) -> np.ndarray:
         """Sorted ids of the starting nodes; the graph's own array."""

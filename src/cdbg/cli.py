@@ -84,14 +84,15 @@ def cmd_build(args) -> int:
     with stage("boss_sort"):
         boss = BossIndex.build(reads, args.k)
     with stage("mark"):
-        cmap = mark_colorable(boss)
-    table = color_all(boss, cmap, reads)  # logs the scan and assign stages
+        colorable = mark_colorable(boss)
+    table = color_all(boss, colorable, reads)  # logs the scan and assign stages
     logger.info(
         "strings=%d nodes=%d edges=%d p=%d colors=%d",
-        len(table.read_colors), boss.node_count, boss.edge_count, cmap.p, table.num_colors,
+        len(table.read_colors), boss.node_count, boss.edge_count, colorable.count,
+        table.num_colors,
     )
     with stage("compress"):
-        colors = compress(table, cmap)
+        colors = compress(table, colorable)
     meta = IndexMeta(
         plain_bytes=reads.plain_bytes,
         n_reads=len(reads),

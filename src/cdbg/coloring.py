@@ -12,12 +12,12 @@ collects two rank sets over the path of $·s·$:
   branching node on the path or leading into it.
 
 ``scan_all`` computes W and I for all strings at once with whole-array
-operations; ``scan_read`` is the per-string graph walk it agrees with. A
-sequential pass then gives each string, in R' order (the greedy order),
-the smallest color absent from its I and W rows. Each row is one Python
-int with bit c - 1 set for color c, so the occupied colors are the OR of
-the string's I and W rows, its color is the lowest zero bit of that OR,
-and the W rows take that bit.
+operations; ``tests/oracle.py::scan_read_ref`` is the per-string graph
+walk it agrees with. A sequential pass then gives each string, in R'
+order (the greedy order), the smallest color absent from its I and W
+rows. Each row is one Python int with bit c - 1 set for color c, so the
+occupied colors are the OR of the string's I and W rows, its color is the
+lowest zero bit of that OR, and the W rows take that bit.
 """
 
 from __future__ import annotations
@@ -29,38 +29,22 @@ import numpy as np
 from .bitvectors import AnyBitVector
 from .boss import BossIndex, _branch_edges, _gather
 from .errors import CorruptIndex
-from .sequence import DUMMY, ReadSet, SYMBOL_CODES, encode
+from .sequence import DUMMY, ReadSet, encode
 from .stages import stage
 
-@dataclass
-class ColorableMap:
-    """Bitmap over node ids marking the p nodes that receive colors."""
 
-    bitmap: AnyBitVector
-    p: int
-
-    def contains(self, v: int) -> bool:
-        return bool(self.bitmap.get(v - 1))
-
-    def rank(self, v: int) -> int:
-        """1-based rank of node v among colorable nodes (requires membership)."""
-        return int(self.bitmap.rank1(v))
-
-
-def mark_colorable(boss: BossIndex) -> ColorableMap:
+def mark_colorable(boss: BossIndex) -> AnyBitVector:
     """Starting and ending nodes, plus the solid successors of branching
     nodes: the graph's own colourable bitmap, derived with the graph."""
-    return ColorableMap(bitmap=boss.colorable, p=boss.colorable.count)
+    return boss.colorable
 
 
 @dataclass
 class ColoringJob:
     """Scan result for one string of R': ranks to color and ranks to inspect."""
 
-    read_index: int
     W: list[int]
     I: list[int]
-    assigned_color: int = 0
 
 
 class DynamicColorTable:
@@ -99,44 +83,9 @@ class DynamicColorTable:
         )
 
 
-def scan_read(boss: BossIndex, cmap: ColorableMap, read: str, read_index: int = -1) -> ColoringJob:
-    """Walk the path of $·read·$ and collect the W and I rank sets."""
-    k = boss.k
-    if len(read) < k:
-        raise CorruptIndex(f"read shorter than order k={k}")
-    v = boss.label_to_node(DUMMY + read[: k - 2])
-    if v is None:
-        raise CorruptIndex("starting node missing for read prefix")
-
-    nbits = cmap.bitmap
-    w_ranks: set[int] = set()
-    i_ranks: set[int] = set()
-
-    def inspect_successors(u: int) -> None:
-        for _, _, t in boss.successors(u):
-            if not nbits.get(t - 1):
-                raise CorruptIndex(f"uncolorable successor {t} of branching node {u}")
-            i_ranks.add(int(nbits.rank1(t)))
-
-    i_ranks.add(int(nbits.rank1(v)))
-    for ch in read[k - 2 :] + DUMMY:
-        if boss.outdegree(v) > 1:
-            inspect_successors(v)
-        if boss.indegree(v) > 1:
-            for u in boss.backward(v):
-                if boss.outdegree(u) > 1:
-                    inspect_successors(u)
-        if nbits.get(v - 1):
-            w_ranks.add(int(nbits.rank1(v)))
-        v = boss.forward(v, SYMBOL_CODES[ch])
-        if v is None:
-            raise CorruptIndex("read path breaks off the graph")
-    if not nbits.get(v - 1):
-        raise CorruptIndex("path did not end on a colorable ending node")
-    end_rank = int(nbits.rank1(v))
-    w_ranks.add(end_rank)
-    i_ranks.add(end_rank)
-    return ColoringJob(read_index=read_index, W=sorted(w_ranks), I=sorted(i_ranks))
+def scan_read(boss: BossIndex, colorable: AnyBitVector, read: str) -> ColoringJob:
+    """W and I of one string: ``scan_all`` of that string alone."""
+    return scan_all(boss, colorable, [read])[0]
 
 
 def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
@@ -150,29 +99,29 @@ def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
     bit = ~occupied & (occupied + 1)  # the lowest zero bit
     for r in job.W:
         masks[r - 1] |= bit
-    job.assigned_color = bit.bit_length()
-    return job.assigned_color
+    return bit.bit_length()
 
 
 def color_all(
-    boss: BossIndex, cmap: ColorableMap, reads: ReadSet, threads: int = 1
+    boss: BossIndex, colorable: AnyBitVector, reads: ReadSet, threads: int = 1
 ) -> DynamicColorTable:
     """Scan all strings of R' at once, then assign colors sequentially in
     R' order. ``threads`` is accepted for compatibility and ignored."""
     strings = [s for s in reads.strings_with_rc() if len(s) >= boss.k]
     with stage("scan"):
-        jobs = scan_all(boss, cmap, strings)
+        jobs = scan_all(boss, colorable, strings)
     with stage("assign"):
-        table = DynamicColorTable(cmap.p)
+        table = DynamicColorTable(colorable.count)
         for job in jobs:
             table.read_colors.append(assign_color(job, table))
     return table
 
 
-def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[ColoringJob]:
-    """W and I of every string, equal to ``scan_read`` string by string.
+def scan_all(boss: BossIndex, colorable: AnyBitVector, strings: list[str]) -> list[ColoringJob]:
+    """W and I of every string, equal to the per-string graph walk
+    ``tests/oracle.py::scan_read_ref`` string by string.
 
-    Raises ``CorruptIndex`` in the cases ``scan_read`` does: a string
+    Raises ``CorruptIndex`` in the cases that walk does: a string
     shorter than k, a path that breaks off the graph, an inspected
     successor that is not colorable, or a path that does not end on a
     colorable node.
@@ -183,8 +132,8 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
     if min(len(s) for s in strings) < k:
         raise CorruptIndex(f"read shorter than order k={k}")
     path, offsets = _walk_paths(boss, strings)
-    colorable = cmap.bitmap.to_bits().astype(bool)
-    rank = np.cumsum(colorable)  # rank[v - 1] = rank1(v)
+    on = colorable.to_bits().astype(bool)
+    rank = np.cumsum(on)  # rank[v - 1] = rank1(v)
     n = len(strings)
     owner = np.repeat(np.arange(n), np.diff(offsets))
     firsts, ends = path[offsets[:-1]], path[offsets[1:] - 1]
@@ -194,14 +143,14 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
     ptr, inspected = _inspected_successors(boss)
     idx, counts = _gather(ptr, path[inner])
     seen = inspected[idx]
-    bad = seen[~colorable[seen - 1]]
+    bad = seen[~on[seen - 1]]
     if len(bad):
         raise CorruptIndex(f"uncolorable successor {bad[0]} of a branching node")
-    if not colorable[ends - 1].all():
+    if not on[ends - 1].all():
         raise CorruptIndex("path did not end on a colorable ending node")
 
-    p1 = cmap.p + 1
-    on_w = colorable[path - 1]
+    p1 = colorable.count + 1
+    on_w = on[path - 1]
     w_keys = _unique(owner[on_w] * p1 + rank[path[on_w] - 1])
     i_keys = _unique(np.concatenate([
         np.repeat(owner[inner], counts) * p1 + rank[seen - 1],
@@ -209,8 +158,8 @@ def scan_all(boss: BossIndex, cmap: ColorableMap, strings: list[str]) -> list[Co
         np.arange(n) * p1 + rank[ends - 1],
     ]))
     return [
-        ColoringJob(read_index=i, W=w, I=r)
-        for i, (w, r) in enumerate(zip(_split_keys(w_keys, p1, n), _split_keys(i_keys, p1, n)))
+        ColoringJob(W=w, I=r)
+        for w, r in zip(_split_keys(w_keys, p1, n), _split_keys(i_keys, p1, n))
     ]
 
 
@@ -252,8 +201,9 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
 
 
 def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
-    """CSR over node ids: the successors ``scan_read`` inspects when its path
-    passes node v before the end. They are the real successors of v when v
+    """CSR over node ids: the successors the per-string walk
+    (``tests/oracle.py::scan_read_ref``) inspects when its path passes
+    node v before the end. They are the real successors of v when v
     branches, and, when v has indegree > 1, those of every branching
     predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``. Node ids
     are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds

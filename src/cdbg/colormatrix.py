@@ -21,7 +21,7 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from .bitvectors import AnyBitVector, MonotoneSequence, bit_vector, read_bit_vector
-from .coloring import ColorableMap, DynamicColorTable
+from .coloring import DynamicColorTable
 from .errors import IncompleteColoring, IntegrityError, NotColored
 
 
@@ -67,8 +67,9 @@ class CompressedColors:
         return cls(N=colorable, F=f, payload=payload, p=p, num_colors=num_colors)
 
 
-def compress(table: DynamicColorTable, cmap: ColorableMap) -> CompressedColors:
-    """Delta-encode the table rows in colorable-rank order. The (rank, color)
+def compress(table: DynamicColorTable, colorable: AnyBitVector) -> CompressedColors:
+    """Delta-encode the table rows in colorable-rank order; N is
+    ``colorable``, the graph's colourable bitmap. The (rank, color)
     pairs come from the nonzero bytes of the row masks, so memory is the
     masks' own bytes plus a few words per entry; a prefix sum is the color
     plus the last colors of all earlier rows."""
@@ -84,7 +85,7 @@ def compress(table: DynamicColorTable, cmap: ColorableMap) -> CompressedColors:
     row = np.repeat(np.arange(len(masks)), sizes)[nz[i]]
     colors = 8 * (nz[i] - (np.cumsum(sizes) - sizes)[row]) + bit + 1
     return CompressedColors(
-        N=cmap.bitmap,
+        N=colorable,
         F=bit_vector(np.diff(row, prepend=-1) != 0),
         payload=MonotoneSequence(colors + (np.cumsum(last) - last)[row]),
         p=len(masks),
@@ -118,10 +119,3 @@ def decode_rows(cc: CompressedColors) -> tuple[np.ndarray, np.ndarray]:
     base = np.zeros(cc.p, dtype=np.int64)
     base[1:] = ps[starts[1:] - 1]
     return offsets, ps - np.repeat(base, np.diff(offsets))
-
-
-def decode_table(cc: CompressedColors) -> list[list[int]]:
-    """All rows, in colorable-rank order (test/verification helper)."""
-    offsets, colors = decode_rows(cc)
-    bounds, flat = offsets.tolist(), colors.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -39,8 +39,8 @@ def index_bytes() -> bytes:
     _, reads = generate_reads(SyntheticConfig(genome_len=600, read_len=60, coverage=5, seed=0))
     read_set = ReadSet.from_reads(reads)
     boss = BossIndex.build(read_set, k=9)
-    cmap = mark_colorable(boss)
-    colors = compress(color_all(boss, cmap, read_set), cmap)
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, read_set), colorable)
     return serialize_index(boss, colors, IndexMeta())
 
 

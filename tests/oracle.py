@@ -5,6 +5,11 @@ gets k-1 leading dummies and one trailing dummy, and its ending node (the
 last k-2 symbols followed by ``$``) gets one structural closure edge
 without a target. Node types follow from the labels alone; everything is
 held in plain dictionaries over label strings and queried by brute force.
+
+The module also holds the one-node-at-a-time readers of the succinct
+index (``outdegree``, ``is_critical``, ...) and the per-string, per-colour
+and per-contig walks that the library's whole-array paths replaced; the
+tests check those paths against them.
 """
 
 from __future__ import annotations
@@ -96,6 +101,56 @@ class NaiveDbg:
         ]
 
 
+# -- per-node readers of the succinct index ---------------------------------
+
+
+def node_edge_range(boss, v: int) -> tuple[int, int]:
+    """1-based inclusive range of edge positions owned by node v."""
+    boss._check_node(v)
+    return int(boss._first_edge[v]), int(boss._first_edge[v + 1] - 1)
+
+
+def outdegree(boss, v: int) -> int:
+    """Edges leaving v, closure edges included."""
+    lo, hi = node_edge_range(boss, v)
+    return hi - lo + 1
+
+
+def edge_symbol(boss, pos: int) -> int:
+    return int(boss.E.codes()[pos - 1])
+
+
+def forward_r(boss, v: int, r: int) -> int | None:
+    """Target of the r-th edge of v; None on a closure edge."""
+    from cdbg.errors import BoundsError
+
+    lo, hi = node_edge_range(boss, v)
+    if not 1 <= r <= hi - lo + 1:
+        raise BoundsError(f"edge rank {r} out of range [1, {hi - lo + 1}]")
+    return boss.edge_target(lo + r - 1)
+
+
+def indegree(boss, v: int) -> int:
+    return len(boss.backward(v))
+
+
+def is_ending(boss, v: int) -> bool:
+    """Ending nodes are ids 2..K[1], the labels ending in ``$``."""
+    boss._check_node(v)
+    return bool(2 <= v <= boss.K[1])
+
+
+def is_solid(boss, v: int) -> bool:
+    return not is_ending(boss, v) and boss.node_label(v)[0] != DUMMY
+
+
+def is_critical(boss, v: int) -> bool:
+    """Solid node with at least one predecessor of outdegree > 1."""
+    if not is_solid(boss, v):
+        return False
+    return any(outdegree(boss, u) > 1 for u in boss.backward(v))
+
+
 def edge_targets_ref(boss) -> list[int]:
     """Target node of every edge, 0 on closure edges, from the edge codes,
     the disambiguation flags, B and K alone: the closure edges are those
@@ -137,7 +192,7 @@ def is_unambiguous(boss, is_colored, read: str) -> bool:
     on_path = set(path)
     colored_on_path = {u for u in on_path if is_colored(u)}
     for v in on_path:
-        if boss.outdegree(v) > 1:
+        if outdegree(boss, v) > 1:
             hits = sum(
                 1 for _, _, t in boss.successors(v) if t in colored_on_path
             )
@@ -155,11 +210,11 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
     syms = list(boss.node_label(v))
     cur = v
     steps = 0
-    while not boss.is_ending(cur):
+    while not is_ending(boss, cur):
         steps += 1
         if steps > boss.edge_count + boss.k:
             return None  # color trail cycles; only possible for unsafe paths
-        lo, hi = boss.node_edge_range(cur)
+        lo, hi = node_edge_range(boss, cur)
         if hi == lo:
             pos = lo
             target = boss.edge_target(pos)
@@ -178,7 +233,7 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
                     target, pos = t, p
             if matches != 1:
                 return None
-        syms.append(CODE_SYMBOLS[boss.edge_symbol(pos)])
+        syms.append(CODE_SYMBOLS[edge_symbol(boss, pos)])
         cur = target
     return "".join(syms).strip(DUMMY)
 
@@ -201,7 +256,7 @@ def contig_assm_ref(boss, colors, v: int, x: float) -> str:
     steps = 0
     while steps <= boss.edge_count:
         steps += 1
-        if boss.indegree(cur) > 1:
+        if indegree(boss, cur) > 1:
             for u in boss.backward(cur):
                 if boss.is_starting(u):
                     for c in get_colors(colors, u):
@@ -210,7 +265,7 @@ def contig_assm_ref(boss, colors, v: int, x: float) -> str:
         succ = boss.successors(cur)
         if len(succ) == 1:
             pos, sym, target = succ[0]
-            if boss.is_ending(target):
+            if is_ending(boss, target):
                 break
             syms.append(CODE_SYMBOLS[sym])
             cur = target
@@ -233,11 +288,11 @@ def contig_assm_ref(boss, colors, v: int, x: float) -> str:
         candidates = [
             (pos, sym, t)
             for pos, sym, t in succ
-            if not boss.is_ending(t)
+            if not is_ending(boss, t)
             and len(succ_colors[t] & q_keys) / len(q_keys) >= x
         ]
         for _, _, t in succ:
-            if boss.is_ending(t):
+            if is_ending(boss, t):
                 for c in succ_colors[t]:
                     if c in active:
                         finished.add((c, active.pop(c)))
@@ -267,19 +322,62 @@ def assemble_all_ref(boss, colors, x: float) -> list[str]:
     return contigs
 
 
-def color_rows_ref(boss, cmap, strings: list[str]) -> tuple[list[list[int]], list[int]]:
+def scan_read_ref(boss, colorable, read: str):
+    """Walk the path of $·read·$ one node at a time and collect the W and I
+    rank sets (the per-string reference for ``coloring.scan_all``)."""
+    from cdbg.coloring import ColoringJob
+    from cdbg.errors import CorruptIndex
+    from cdbg.sequence import DUMMY, SYMBOL_CODES
+
+    k = boss.k
+    if len(read) < k:
+        raise CorruptIndex(f"read shorter than order k={k}")
+    v = boss.label_to_node(DUMMY + read[: k - 2])
+    if v is None:
+        raise CorruptIndex("starting node missing for read prefix")
+
+    nbits = colorable
+    w_ranks: set[int] = set()
+    i_ranks: set[int] = set()
+
+    def inspect_successors(u: int) -> None:
+        for _, _, t in boss.successors(u):
+            if not nbits.get(t - 1):
+                raise CorruptIndex(f"uncolorable successor {t} of branching node {u}")
+            i_ranks.add(int(nbits.rank1(t)))
+
+    i_ranks.add(int(nbits.rank1(v)))
+    for ch in read[k - 2 :] + DUMMY:
+        if outdegree(boss, v) > 1:
+            inspect_successors(v)
+        if indegree(boss, v) > 1:
+            for u in boss.backward(v):
+                if outdegree(boss, u) > 1:
+                    inspect_successors(u)
+        if nbits.get(v - 1):
+            w_ranks.add(int(nbits.rank1(v)))
+        v = boss.forward(v, SYMBOL_CODES[ch])
+        if v is None:
+            raise CorruptIndex("read path breaks off the graph")
+    if not nbits.get(v - 1):
+        raise CorruptIndex("path did not end on a colorable ending node")
+    end_rank = int(nbits.rank1(v))
+    w_ranks.add(end_rank)
+    i_ranks.add(end_rank)
+    return ColoringJob(W=sorted(w_ranks), I=sorted(i_ranks))
+
+
+def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]], list[int]]:
     """Greedy colouring over sorted colour lists, one string at a time in the
     given order: each string takes the smallest colour absent from its I and
-    W rows (``scan_read``), inserted into every W row. Returns the rows in
-    colorable-rank order and each string's colour."""
+    W rows (``scan_read_ref``), inserted into every W row. Returns the rows
+    in colorable-rank order and each string's colour."""
     from bisect import insort
 
-    from cdbg.coloring import scan_read
-
-    rows: list[list[int]] = [[] for _ in range(cmap.p)]
+    rows: list[list[int]] = [[] for _ in range(colorable.count)]
     read_colors = []
-    for i, s in enumerate(strings):
-        job = scan_read(boss, cmap, s, i)
+    for s in strings:
+        job = scan_read_ref(boss, colorable, s)
         occupied = set()
         for r in job.I + job.W:
             occupied.update(rows[r - 1])
@@ -292,7 +390,7 @@ def color_rows_ref(boss, cmap, strings: list[str]) -> tuple[list[list[int]], lis
     return rows, read_colors
 
 
-def compress_ref(rows: list[list[int]], cmap):
+def compress_ref(rows: list[list[int]], colorable):
     """The colour section of the given non-empty rows, delta-encoded one
     entry at a time."""
     import numpy as np
@@ -305,9 +403,18 @@ def compress_ref(rows: list[list[int]], cmap):
         f_bits += [1] + [0] * (len(row) - 1)
         deltas += [row[0]] + [b - a for a, b in zip(row, row[1:])]
     return CompressedColors(
-        N=cmap.bitmap,
+        N=colorable,
         F=bit_vector(np.array(f_bits, dtype=np.uint8)),
         payload=MonotoneSequence(np.cumsum(deltas)),
         p=len(rows),
         num_colors=max(row[-1] for row in rows),
     )
+
+
+def decode_table(cc) -> list[list[int]]:
+    """All rows of a colour section, in colorable-rank order, as lists."""
+    from cdbg.colormatrix import decode_rows
+
+    offsets, colors = decode_rows(cc)
+    bounds, flat = offsets.tolist(), colors.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -6,7 +6,6 @@ import pytest
 from cdbg.bitvectors import bit_vector
 from cdbg.boss import BossIndex
 from cdbg.coloring import (
-    ColorableMap,
     ColoringJob,
     DynamicColorTable,
     assign_color,
@@ -22,97 +21,106 @@ from cdbg.sequence import ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 
 from conftest import mixed_read_set
-from oracle import NaiveDbg, color_rows_ref, compress_ref, edge_targets_ref
+from oracle import (
+    NaiveDbg,
+    color_rows_ref,
+    compress_ref,
+    edge_targets_ref,
+    is_unambiguous,
+    outdegree,
+    scan_read_ref,
+)
 
 
-def labels_of_ranks(boss, cmap, ranks):
-    ones = cmap.bitmap.ones_positions()
+def labels_of_ranks(boss, colorable, ranks):
+    ones = colorable.ones_positions()
     return {boss.node_label(int(ones[r - 1]) + 1) for r in ranks}
 
 
 @pytest.fixture(scope="module")
 def e1():
     boss = BossIndex.build(ReadSet.from_reads(["tacgt"]), k=4)
-    cmap = mark_colorable(boss)
-    return boss, cmap
+    colorable = mark_colorable(boss)
+    return boss, colorable
 
 
 class TestMarkColorable:
     def test_worked_example(self, e1):
-        boss, cmap = e1
-        assert cmap.p == 5
+        boss, colorable = e1
+        assert colorable.count == 5
         labels = {
-            boss.node_label(int(pos) + 1) for pos in cmap.bitmap.ones_positions()
+            boss.node_label(int(pos) + 1) for pos in colorable.ones_positions()
         }
         assert labels == {"$ta", "$ac", "gta", "gt$", "ta$"}
 
     def test_matches_definition_on_oracle(self, e1):
-        boss, cmap = e1
+        boss, colorable = e1
         want = set(NaiveDbg(["tacgt", "acgta"], 4).colorable_labels())
-        got = {boss.node_label(int(pos) + 1) for pos in cmap.bitmap.ones_positions()}
+        got = {boss.node_label(int(pos) + 1) for pos in colorable.ones_positions()}
         assert got == want
 
     def test_straight_line_read_marks_only_endpoints(self):
         boss = BossIndex.build(ReadSet.from_reads(["aacctg"]), k=4)
-        cmap = mark_colorable(boss)
+        colorable = mark_colorable(boss)
         labels = {
-            boss.node_label(int(pos) + 1) for pos in cmap.bitmap.ones_positions()
+            boss.node_label(int(pos) + 1) for pos in colorable.ones_positions()
         }
         # two strands, each contributing its starting and ending node
         assert labels == {"$aa", "tg$", "$ca", "tt$"}
-        assert cmap.p == 4
+        assert colorable.count == 4
 
 
 class TestScanRead:
     def test_first_strand(self, e1):
-        boss, cmap = e1
-        job = scan_read(boss, cmap, "tacgt")
-        assert labels_of_ranks(boss, cmap, job.W) == {"$ta", "gt$"}
-        assert labels_of_ranks(boss, cmap, job.I) >= {"$ta", "gta", "gt$"}
+        boss, colorable = e1
+        job = scan_read_ref(boss, colorable, "tacgt")
+        assert scan_read(boss, colorable, "tacgt") == job
+        assert labels_of_ranks(boss, colorable, job.W) == {"$ta", "gt$"}
+        assert labels_of_ranks(boss, colorable, job.I) >= {"$ta", "gta", "gt$"}
 
     def test_second_strand(self, e1):
-        boss, cmap = e1
-        job = scan_read(boss, cmap, "acgta")
-        assert labels_of_ranks(boss, cmap, job.W) == {"$ac", "gta", "ta$"}
-        assert labels_of_ranks(boss, cmap, job.I) >= {"$ac", "gta", "gt$", "ta$"}
+        boss, colorable = e1
+        job = scan_read_ref(boss, colorable, "acgta")
+        assert labels_of_ranks(boss, colorable, job.W) == {"$ac", "gta", "ta$"}
+        assert labels_of_ranks(boss, colorable, job.I) >= {"$ac", "gta", "gt$", "ta$"}
 
     def test_straight_line_w_equals_i(self):
         boss = BossIndex.build(ReadSet.from_reads(["aacctg"]), k=4)
-        cmap = mark_colorable(boss)
-        job = scan_read(boss, cmap, "aacctg")
-        assert labels_of_ranks(boss, cmap, job.W) == {"$aa", "tg$"}
-        assert labels_of_ranks(boss, cmap, job.I) == {"$aa", "tg$"}
+        colorable = mark_colorable(boss)
+        job = scan_read_ref(boss, colorable, "aacctg")
+        assert labels_of_ranks(boss, colorable, job.W) == {"$aa", "tg$"}
+        assert labels_of_ranks(boss, colorable, job.I) == {"$aa", "tg$"}
 
 
 class TestAssignColor:
     def test_first_read_gets_color_one(self):
         table = DynamicColorTable(3)
-        job = ColoringJob(read_index=0, W=[1, 3], I=[1, 2, 3])
+        job = ColoringJob(W=[1, 3], I=[1, 2, 3])
         assert assign_color(job, table) == 1
         assert table.rows == [[1], [], [1]]
 
     def test_occupied_colors_skipped(self):
         table = DynamicColorTable.from_rows([[1, 2], [4]])
-        job = ColoringJob(read_index=0, W=[2], I=[1, 2])
+        job = ColoringJob(W=[2], I=[1, 2])
         assert assign_color(job, table) == 3
         assert table.rows[1] == [3, 4]
 
     def test_e1_order(self, e1):
-        boss, cmap = e1
-        table = DynamicColorTable(cmap.p)
-        j1 = scan_read(boss, cmap, "tacgt", 0)
-        j2 = scan_read(boss, cmap, "acgta", 1)
+        boss, colorable = e1
+        table = DynamicColorTable(colorable.count)
+        j1 = scan_read_ref(boss, colorable, "tacgt")
+        j2 = scan_read_ref(boss, colorable, "acgta")
         assert assign_color(j1, table) == 1
         assert assign_color(j2, table) == 2
 
 
 class TestColorAll:
     def test_e1_table(self, e1):
-        boss, cmap = e1
-        table = color_all(boss, cmap, ReadSet.from_reads(["tacgt"]))
+        boss, colorable = e1
+        table = color_all(boss, colorable, ReadSet.from_reads(["tacgt"]))
         by_label = {
             boss.node_label(int(pos) + 1): row
-            for pos, row in zip(cmap.bitmap.ones_positions(), table.rows)
+            for pos, row in zip(colorable.ones_positions(), table.rows)
         }
         assert by_label == {
             "$ta": [1],
@@ -124,15 +132,15 @@ class TestColorAll:
         assert table.read_colors == [1, 2]
 
     def test_determinism_across_threads(self, e1):
-        boss, cmap = e1
+        boss, colorable = e1
         reads = ReadSet.from_reads(["tacgt"])
-        tables = [color_all(boss, cmap, reads, threads=t) for t in (1, 3, 8)]
+        tables = [color_all(boss, colorable, reads, threads=t) for t in (1, 3, 8)]
         assert tables[0] == tables[1] == tables[2]
 
     def test_disjoint_reads_share_color_one(self):
         reads = ReadSet.from_reads(["aaccaa", "gagaga"])
         boss = BossIndex.build(reads, k=4)
-        cmap = mark_colorable(boss)
+        colorable = mark_colorable(boss)
         # precondition: solid paths are disjoint across all four strands
         strings = reads.strings_with_rc()
         kmer_sets = [
@@ -141,26 +149,26 @@ class TestColorAll:
         for a in range(len(kmer_sets)):
             for b in range(a + 1, len(kmer_sets)):
                 assert not (kmer_sets[a] & kmer_sets[b])
-        table = color_all(boss, cmap, reads)
+        table = color_all(boss, colorable, reads)
         assert set(table.read_colors) == {1}
 
     def test_economy_bound(self, e1):
-        boss, cmap = e1
-        table = color_all(boss, cmap, ReadSet.from_reads(["tacgt"]))
+        boss, colorable = e1
+        table = color_all(boss, colorable, ReadSet.from_reads(["tacgt"]))
         assert table.num_colors <= 2  # |R'| strings
 
     def test_table_shape(self, e1):
-        boss, cmap = e1
-        table = color_all(boss, cmap, ReadSet.from_reads(["tacgt"]))
-        assert table.p == cmap.p
+        boss, colorable = e1
+        table = color_all(boss, colorable, ReadSet.from_reads(["tacgt"]))
+        assert table.p == colorable.count
         for row in table.rows:
             assert row == sorted(set(row))
 
     def test_both_strands_colored(self):
         reads = ReadSet.from_reads(["ccgtaat"])
         boss = BossIndex.build(reads, k=4)
-        cmap = mark_colorable(boss)
-        table = color_all(boss, cmap, reads)
+        colorable = mark_colorable(boss)
+        table = color_all(boss, colorable, reads)
         assert len(table.read_colors) == 2
 
 
@@ -172,7 +180,7 @@ def path_is_safe(boss, cc_get, read, color):
     k = boss.k
     v = boss.label_to_node(DUMMY + read[: k - 2])
     for ch in read[k - 2 :] + DUMMY:
-        if boss.outdegree(v) > 1:
+        if outdegree(boss, v) > 1:
             hits = 0
             for _, _, t in boss.successors(v):
                 if color in cc_get(t):
@@ -183,18 +191,16 @@ def path_is_safe(boss, cc_get, read, color):
     return True
 
 
-def table_color_lookup(cmap, table):
+def table_color_lookup(colorable, table):
     def lookup(v):
-        if not cmap.contains(v):
+        if not colorable.get(v - 1):
             return []
-        return table.rows[cmap.rank(v) - 1]
+        return table.rows[colorable.rank1(v) - 1]
 
     return lookup
 
 
 def test_safety_on_random_sets():
-    from oracle import is_unambiguous
-
     rng = np.random.default_rng(123)
     for trial in range(12):
         k = [5, 9, 15][trial % 3]
@@ -205,13 +211,13 @@ def test_safety_on_random_sets():
         ]
         reads = ReadSet.from_reads(raw)
         boss = BossIndex.build(reads, k=k)
-        cmap = mark_colorable(boss)
-        table = color_all(boss, cmap, reads)
-        lookup = table_color_lookup(cmap, table)
+        colorable = mark_colorable(boss)
+        table = color_all(boss, colorable, reads)
+        lookup = table_color_lookup(colorable, table)
         strings = [s for s in reads.strings_with_rc() if len(s) >= k]
         for s, color in zip(strings, table.read_colors):
             # safety is only promised for unambiguous reads
-            if is_unambiguous(boss, cmap.contains, s):
+            if is_unambiguous(boss, lambda v: colorable.get(v - 1), s):
                 assert path_is_safe(boss, lookup, s, color), s
 
 
@@ -221,19 +227,19 @@ def serialized(colors) -> bytes:
     return w.getvalue()
 
 
-def assert_coloring_matches_references(reads, boss, cmap, strings) -> DynamicColorTable:
-    """``color_all`` equals the sequential ``scan_read`` + ``assign_color``
+def assert_coloring_matches_references(reads, boss, colorable, strings) -> DynamicColorTable:
+    """``color_all`` equals the sequential ``scan_read_ref`` + ``assign_color``
     pass and the sorted-list reference, and its compressed colour section
     serializes to the bytes of the reference rows delta-encoded entry by
     entry."""
-    got = color_all(boss, cmap, reads)
-    want = DynamicColorTable(cmap.p)
+    got = color_all(boss, colorable, reads)
+    want = DynamicColorTable(colorable.count)
     for i, s in enumerate(strings):
-        want.read_colors.append(assign_color(scan_read(boss, cmap, s, i), want))
+        want.read_colors.append(assign_color(scan_read_ref(boss, colorable, s), want))
     assert got == want
-    rows, read_colors = color_rows_ref(boss, cmap, strings)
+    rows, read_colors = color_rows_ref(boss, colorable, strings)
     assert (got.rows, got.read_colors) == (rows, read_colors)
-    assert serialized(compress(got, cmap)) == serialized(compress_ref(rows, cmap))
+    assert serialized(compress(got, colorable)) == serialized(compress_ref(rows, colorable))
     return got
 
 
@@ -242,8 +248,8 @@ def test_palindrome_without_branches_matches_references():
     # node, so no successor is inspected and the inspected keys are empty
     reads = ReadSet.from_reads(["acgt"])
     boss = BossIndex.build(reads, k=3)
-    cmap = mark_colorable(boss)
-    table = assert_coloring_matches_references(reads, boss, cmap, reads.strings_with_rc())
+    colorable = mark_colorable(boss)
+    table = assert_coloring_matches_references(reads, boss, colorable, reads.strings_with_rc())
     assert table.rows == [[1], [1]]
 
 
@@ -264,12 +270,12 @@ class TestWideRows:
 
     @pytest.mark.parametrize("which", ["widest", "last"])
     def test_empty_row_raises(self, wide, which):
-        reads, boss, cmap, _ = wide
-        rows = color_all(boss, cmap, reads).rows
+        reads, boss, colorable, _ = wide
+        rows = color_all(boss, colorable, reads).rows
         r = max(range(len(rows)), key=lambda i: len(rows[i])) if which == "widest" else len(rows) - 1
         rows[r] = []
         with pytest.raises(IncompleteColoring, match=f"colorable rank {r + 1} received no color"):
-            compress(DynamicColorTable.from_rows(rows), cmap)
+            compress(DynamicColorTable.from_rows(rows), colorable)
 
 
 @pytest.fixture(scope="module", params=[(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)])
@@ -283,15 +289,15 @@ def mixed(request):
 
 class TestArrayScanMatchesReference:
     def test_mark_colorable_matches_oracle(self, mixed):
-        _, boss, cmap, strings = mixed
-        got = {boss.node_label(int(pos) + 1) for pos in cmap.bitmap.ones_positions()}
+        _, boss, colorable, strings = mixed
+        got = {boss.node_label(int(pos) + 1) for pos in colorable.ones_positions()}
         assert got == set(NaiveDbg(strings, boss.k).colorable_labels())
-        assert cmap.p == len(got)
+        assert colorable.count == len(got)
 
     def test_scan_all_matches_scan_read(self, mixed):
-        _, boss, cmap, strings = mixed
-        want = [scan_read(boss, cmap, s, i) for i, s in enumerate(strings)]
-        assert scan_all(boss, cmap, strings) == want
+        _, boss, colorable, strings = mixed
+        want = [scan_read_ref(boss, colorable, s) for s in strings]
+        assert scan_all(boss, colorable, strings) == want
 
     def test_color_all_matches_sequential_reference(self, mixed):
         assert_coloring_matches_references(*mixed)
@@ -300,14 +306,14 @@ class TestArrayScanMatchesReference:
         # clearing critical-node bits makes some inspected successors
         # uncolorable, and clearing ending-node bits some path ends; only
         # strings whose path inspects or ends on such a node may fail
-        _, boss, cmap, strings = mixed
-        bits = cmap.bitmap.to_bits().copy()
+        _, boss, colorable, strings = mixed
+        bits = colorable.to_bits().copy()
         bits[np.flatnonzero(bits & boss.solid_mask())[::2]] = 0
         bits[np.arange(1, boss.K[1])[::3]] = 0  # ending nodes are ids 2..K[1]
-        damaged = ColorableMap(bitmap=bit_vector(bits), p=int(bits.sum()))
+        damaged = bit_vector(bits)
         for s in strings:
             try:
-                want = scan_read(boss, damaged, s, 0)
+                want = scan_read_ref(boss, damaged, s)
             except CorruptIndex:
                 with pytest.raises(CorruptIndex):
                     scan_all(boss, damaged, [s])
@@ -324,9 +330,9 @@ class TestArrayScanMatchesReference:
     ],
 )
 def test_color_all_rejects_read_not_in_graph(e1, foreign):
-    boss, cmap = e1
+    boss, colorable = e1
     with pytest.raises(CorruptIndex):
-        color_all(boss, cmap, ReadSet.from_reads([foreign]))
+        color_all(boss, colorable, ReadSet.from_reads([foreign]))
 
 
 def test_scan_on_a_graph_past_int32_keys():
@@ -337,11 +343,11 @@ def test_scan_on_a_graph_past_int32_keys():
     boss = BossIndex.build(rs, k=25)
     assert boss.node_count > 46_341
     assert boss.edge_targets().tolist() == edge_targets_ref(boss)
-    cmap = mark_colorable(boss)
+    colorable = mark_colorable(boss)
     strings = rs.strings_with_rc()
     picked = np.random.default_rng(5).choice(len(strings), size=50, replace=False)
     sample = [strings[i] for i in sorted(picked)]
-    got = scan_all(boss, cmap, sample)
+    got = scan_all(boss, colorable, sample)
     for i, s in enumerate(sample):
-        want = scan_read(boss, cmap, s, i)
+        want = scan_read_ref(boss, colorable, s)
         assert (got[i].W, got[i].I) == (want.W, want.I), i

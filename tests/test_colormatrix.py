@@ -4,44 +4,45 @@ from hypothesis import given, strategies as st
 
 from cdbg.bitvectors import BitVector, SparseBitVector, bit_vector
 from cdbg.boss import BossIndex
-from cdbg.coloring import ColorableMap, DynamicColorTable, color_all, mark_colorable
-from cdbg.colormatrix import CompressedColors, compress, decode_rows, decode_table, get_colors
+from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
+from cdbg.colormatrix import CompressedColors, compress, decode_rows, get_colors
 from cdbg.errors import IncompleteColoring, NotColored
 from cdbg.sequence import ReadSet
 from cdbg._binio import Reader, Writer
+
+from oracle import decode_table
 
 
 def table_of(rows):
     return DynamicColorTable.from_rows(rows)
 
 
-def cmap_of(p, n=None):
+def colorable_of(p, n=None):
     n = n or p
     bits = np.zeros(n, dtype=np.uint8)
     bits[:p] = 1
-    bv = BitVector(bits)
-    return ColorableMap(bitmap=bv, p=p)
+    return BitVector(bits)
 
 
 class TestCompress:
     def test_delta_layout(self):
-        cc = compress(table_of([[1], [1, 3], [2]]), cmap_of(3))
+        cc = compress(table_of([[1], [1, 3], [2]]), colorable_of(3))
         # prefix sums of deltas [1, 1, 2, 2]
         assert list(cc.payload.to_array()) == [1, 2, 4, 6]
         assert list(cc.F.to_bits()) == [1, 1, 0, 1]
         assert cc.num_colors == 3
 
     def test_single_row(self):
-        cc = compress(table_of([[5]]), cmap_of(1))
+        cc = compress(table_of([[5]]), colorable_of(1))
         assert list(cc.payload.to_array()) == [5]
         assert list(cc.F.to_bits()) == [1]
 
     def test_empty_row_raises(self):
         with pytest.raises(IncompleteColoring):
-            compress(table_of([[1], []]), cmap_of(2))
+            compress(table_of([[1], []]), colorable_of(2))
 
     def test_f_invariants(self):
-        cc = compress(table_of([[2, 7], [1], [3, 4, 9]]), cmap_of(3))
+        cc = compress(table_of([[2, 7], [1], [3, 4, 9]]), colorable_of(3))
         assert cc.F.count == cc.p
         assert cc.F.get(0) == 1
 
@@ -53,11 +54,11 @@ class TestCompress:
         )
     )
     def test_roundtrip_random_tables(self, rows):
-        cc = compress(table_of(rows), cmap_of(len(rows)))
+        cc = compress(table_of(rows), colorable_of(len(rows)))
         assert decode_table(cc) == [list(r) for r in rows]
 
     def test_payload_strictly_increasing(self):
-        cc = compress(table_of([[1, 2], [1], [4]]), cmap_of(3))
+        cc = compress(table_of([[1, 2], [1], [4]]), colorable_of(3))
         ps = cc.payload.to_array()
         assert np.all(np.diff(ps) > 0)
 
@@ -65,9 +66,9 @@ class TestCompress:
 @pytest.fixture(scope="module")
 def e1():
     boss = BossIndex.build(ReadSet.from_reads(["tacgt"]), k=4)
-    cmap = mark_colorable(boss)
-    table = color_all(boss, cmap, ReadSet.from_reads(["tacgt"]))
-    return boss, compress(table, cmap), table
+    colorable = mark_colorable(boss)
+    table = color_all(boss, colorable, ReadSet.from_reads(["tacgt"]))
+    return boss, compress(table, colorable), table
 
 
 class TestGetColors:
@@ -101,7 +102,7 @@ class TestGetColors:
 @given(st.lists(st.lists(st.integers(1, 70), min_size=1, max_size=5, unique=True).map(sorted),
                 max_size=30))
 def test_loaded_num_colors_is_the_largest_last_color(rows):
-    cc = compress(table_of(rows), cmap_of(len(rows)))
+    cc = compress(table_of(rows), colorable_of(len(rows)))
     w = Writer()
     cc.serialize(w)
     cc2 = CompressedColors.deserialize(Reader(w.getvalue()), cc.N)
@@ -117,8 +118,7 @@ def test_size_beats_plain_bit_matrix():
     n_nodes = 4 * p
     bits = np.zeros(n_nodes, dtype=np.uint8)
     bits[rng.choice(n_nodes, size=p, replace=False)] = 1
-    cmap = ColorableMap(bitmap=bit_vector(bits), p=p)
-    cc = compress(table_of(rows), cmap)
+    cc = compress(table_of(rows), bit_vector(bits))
     w = Writer()
     cc.serialize(w)
     plain_matrix_bytes = (p * num_colors + 7) // 8
@@ -137,7 +137,7 @@ def test_decode_rows_matches_get_colors(max_len, kind):
     ]
     bits = np.zeros(3 * p, dtype=np.uint8)
     bits[rng.choice(3 * p, size=p, replace=False)] = 1
-    cc = compress(table_of(rows), ColorableMap(bitmap=bit_vector(bits), p=p))
+    cc = compress(table_of(rows), bit_vector(bits))
     assert type(cc.F) is kind
     offsets, colors = decode_rows(cc)
     for r, pos in enumerate(cc.N.ones_positions()):

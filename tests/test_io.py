@@ -15,7 +15,7 @@ from cdbg.bitvectors import MonotoneSequence, read_bit_vector
 
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
-from cdbg.colormatrix import compress, decode_table
+from cdbg.colormatrix import compress
 from cdbg.container import (
     FORMAT_VERSION,
     IndexMeta,
@@ -31,22 +31,24 @@ from cdbg.sequence import SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 
 from conftest import mixed_read_set
+from oracle import decode_table, indegree, outdegree
 
 
 @pytest.fixture()
 def built(tmp_path):
     reads = ReadSet.from_reads(["tacgt"])
     boss = BossIndex.build(reads, k=4)
-    cmap = mark_colorable(boss)
-    colors = compress(color_all(boss, cmap, reads), cmap)
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, reads), colorable)
     meta = IndexMeta(plain_bytes=reads.plain_bytes, n_reads=1, n_strings=2)
     return boss, colors, meta
 
 
 def container_of(reads: ReadSet, k: int) -> bytes:
     boss = BossIndex.build(reads, k=k)
-    cmap = mark_colorable(boss)
-    return serialize_index(boss, compress(color_all(boss, cmap, reads), cmap), IndexMeta())
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, reads), colorable)
+    return serialize_index(boss, colors, IndexMeta())
 
 
 @pytest.fixture()
@@ -126,8 +128,8 @@ class TestContainer:
         boss2, colors2, _ = read_index(path)
         for v in range(1, boss.node_count + 1):
             assert boss2.node_label(v) == boss.node_label(v)
-            assert boss2.outdegree(v) == boss.outdegree(v)
-            assert boss2.indegree(v) == boss.indegree(v)
+            assert outdegree(boss2, v) == outdegree(boss, v)
+            assert indegree(boss2, v) == indegree(boss, v)
             assert boss2.backward(v) == boss.backward(v)
             for sym in "$acgt":
                 assert boss2.forward(v, sym) == boss.forward(v, sym)

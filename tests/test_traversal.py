@@ -22,8 +22,8 @@ from oracle import assemble_all_ref, contig_assm_ref, is_unambiguous, walk_color
 def index_for(raw_reads, k):
     reads = ReadSet.from_reads(raw_reads)
     boss = BossIndex.build(reads, k=k)
-    cmap = mark_colorable(boss)
-    colors = compress(color_all(boss, cmap, reads), cmap)
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, reads), colorable)
     return reads, boss, colors
 
 
@@ -237,10 +237,10 @@ def test_cycling_color_trail_is_ambiguous():
     # edge_count + k step guard gives it up
     reads = ReadSet.from_reads(["aaaaa"])
     boss = BossIndex.build(reads, k=3)
-    cmap = mark_colorable(boss)
-    rows = color_all(boss, cmap, reads).rows
-    rows[cmap.rank(boss.label_to_node("a$")) - 1] = [99]
-    colors = compress(DynamicColorTable.from_rows(rows), cmap)
+    colorable = mark_colorable(boss)
+    rows = color_all(boss, colorable, reads).rows
+    rows[colorable.rank1(boss.label_to_node("a$")) - 1] = [99]
+    colors = compress(DynamicColorTable.from_rows(rows), colorable)
     start = boss.label_to_node("$a")
     assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
     report = assert_matches_reference(boss, colors)
