@@ -1,9 +1,7 @@
 """BOSS representation of the de Bruijn graph over reads plus reverse complements.
 
 Construction pads every string s with k-1 dummies ``$`` in front and two
-behind, takes all k-windows as edges, sorts them by the colex (reverse
-lexicographic) order of the source (k-1)-label with the edge symbol as
-tie-break, and drops repeats. The first ``$`` behind s ends the
+behind and takes all k-windows as edges. The first ``$`` behind s ends the
 label of its ending node ``s[-(k-2):] + "$"``; the second is that node's
 closure edge, a ``$`` edge with no target. So every node keeps an
 outgoing edge, and the all-dummy root (node 1) is the only node without
@@ -11,6 +9,18 @@ incoming edges: target arithmetic for ``$`` skips it, and for solid
 symbols the textbook BOSS arithmetic applies unchanged. An edge whose
 target equals the previous same-symbol edge's target carries a
 disambiguation flag and is left out of the target ranking.
+
+Each window is a key of k base-5 digits (codes 1..5 less one): its source
+(k-1)-label read right to left, then the edge symbol, so keys sort in the
+colex (reverse lexicographic) order of labels with the symbol as tie-break.
+A key's first uint64 word holds 27 digits (5**27 < 2**63), each later word
+13. Up to k=27 a key is one word, sorted and deduplicated at once. Longer
+keys fold left to right: the key so far becomes its rank among its
+distinct values, shifted left 31 bits with the next word ORed in (5**13 <
+2**31), and is sorted again; so fewer than 2**33 windows, and at most four
+words for k <= 63. Dividing the sorted distinct keys by powers of 5 gives
+the node boundaries (the key without its last digit changes), the last
+label symbols, the closure edges and the label suffixes the flags compare.
 
 Colex order puts the labels that end in ``$`` first, so the ending nodes
 are exactly ids ``2..K[1]``, each owns one edge, and the closure edges are
@@ -42,49 +52,93 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from ._arrays import _unique
 from ._binio import Reader, Writer
 from .bitvectors import AnyBitVector, BitVector, SymbolSequence, bit_vector, read_bit_vector
 from .errors import BadLabel, BadOrder, BoundsError, CorruptIndex, EmptyIndex, IntegrityError
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, SYMBOL_CODES, encode
+from .stages import stage
 
 logger = logging.getLogger(__name__)
 
-_SENTINEL = 6
-_DIGITS_PER_WORD = 20  # 3 bits per digit, 60 bits used per 64-bit word
+_HEAD_DIGITS = 27  # 5**27 < 2**63: the digits of the first key word
+_TAIL_DIGITS = 13  # 5**13 < 2**31: the digits of each later word
+_TAIL_BITS = np.uint64(31)
 
 MAX_K = 63
 
 
-def _pack_digit_columns(columns: list[np.ndarray], n_digits: int) -> list[np.ndarray]:
-    """Pack per-row digit columns (most significant first) into uint64 words."""
-    n_rows = len(columns[0]) if columns else 0
-    n_words = (n_digits + _DIGITS_PER_WORD - 1) // _DIGITS_PER_WORD
-    words = [np.zeros(n_rows, dtype=np.uint64) for _ in range(n_words)]
-    for j, col in enumerate(columns):
-        w, s = divmod(j, _DIGITS_PER_WORD)
-        shift = np.uint64(3 * (_DIGITS_PER_WORD - 1 - s))
-        words[w] |= col.astype(np.uint64) << shift
-    return words
+def _word_spans(k: int) -> list[tuple[int, int]]:
+    """(first digit, digit count) of each word of a k-digit key."""
+    tails = range(_HEAD_DIGITS, k, _TAIL_DIGITS)
+    return [(0, min(k, _HEAD_DIGITS))] + [(j, min(_TAIL_DIGITS, k - j)) for j in tails]
 
 
-def _digit_masks(n_digits: int, keep: int) -> list[int]:
-    """Per-word masks keeping only the first ``keep`` digits."""
-    n_words = (n_digits + _DIGITS_PER_WORD - 1) // _DIGITS_PER_WORD
-    masks = []
-    for w in range(n_words):
-        m = 0
-        for s in range(_DIGITS_PER_WORD):
-            j = w * _DIGITS_PER_WORD + s
-            if j < keep:
-                m |= 7 << (3 * (_DIGITS_PER_WORD - 1 - s))
-        masks.append(m)
-    return masks
+def _runs(digits: np.ndarray, n: int) -> np.ndarray:
+    """``x[i] = sum(digits[i + t] * 5**t for t < n)`` for every i with
+    i + n <= len(digits), by doubling the run length."""
+    run, have = np.zeros(len(digits) + 1, dtype=np.uint64), 0
+    block, width = digits.astype(np.uint64), 1  # run and block: have and width digits
+    while n:
+        if n & 1:
+            run = run[: len(block) - have] + block[have:] * np.uint64(5**have)
+            have += width
+        n >>= 1
+        if n:
+            block = block[: len(block) - width] + block[width:] * np.uint64(5**width)
+            width *= 2
+    return run
 
 
-def _extract_digit(words: list[np.ndarray], j: int) -> np.ndarray:
-    w, s = divmod(j, _DIGITS_PER_WORD)
-    shift = np.uint64(3 * (_DIGITS_PER_WORD - 1 - s))
-    return ((words[w] >> shift) & np.uint64(7)).astype(np.uint8)
+def _sorted_windows(strings: list[str], k: int) -> list[np.ndarray]:
+    """The distinct k-windows of the padded strings in colex order, as the
+    words of their base-5 keys (see the module docstring)."""
+    pad = DUMMY * (k - 1)
+    digits = encode(pad + f"{DUMMY * 2}{pad}".join(strings) + DUMMY * 2) - 1
+    t_count = len(digits) - k + 1
+    valid = np.ones(len(digits), dtype=bool)  # windows inside one padded string
+    ends = np.cumsum([len(s) + k + 1 for s in strings])
+    valid[(ends[:, None] - np.arange(1, k)).ravel()] = False
+    valid = valid[:t_count]
+
+    # the label digits of the window at i are digits[i + k - 2] down to
+    # digits[i], so a word's label digits are one run read backwards
+    words = []
+    for first, count in _word_spans(k):
+        n = min(count, k - 1 - first)
+        word = _runs(digits, n)[k - 1 - first - n :][:t_count]
+        if first + count == k:  # the last word ends with the edge symbol
+            word = word * np.uint64(5) + digits[k - 1 :]
+        words.append(word[valid])
+
+    # fold: the key so far becomes its rank among its distinct values, and
+    # the next word fills the 31 bits below it
+    key, levels = words[0], []
+    for i in range(1, len(words)):
+        order = np.argsort(key)
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        levels.append(key[new])
+        words[i:] = [w[order] for w in words[i:]]
+        key = (np.cumsum(new) - 1).astype(np.uint64) << _TAIL_BITS | words[i]
+    key = _unique(key)
+    tails = []
+    for distinct in reversed(levels):
+        tails.append(key & np.uint64(2**31 - 1))
+        key = distinct[key >> _TAIL_BITS]
+    return [key] + tails[::-1]
+
+
+def _same_prefix(words: list[np.ndarray], k: int, keep: int) -> np.ndarray:
+    """Mask over rows 1.. of k-digit keys, split in words: true where the
+    first ``keep`` digits equal those of the row before."""
+    same = np.ones(len(words[0]) - 1, dtype=bool)
+    for w, (first, count) in zip(words, _word_spans(k)):
+        if first < keep:
+            w = w // np.uint64(5 ** max(first + count - keep, 0))
+            same &= w[1:] == w[:-1]
+    return same
 
 
 class BossIndex:
@@ -101,85 +155,43 @@ class BossIndex:
 
     @classmethod
     def build(cls, reads: ReadSet, k: int) -> "BossIndex":
+        """The graph of the reads and their reverse complements. Logs the
+        stages ``boss_sort`` (the stored structures) and ``boss_derive``."""
         if not 3 <= k <= MAX_K:
             raise BadOrder(f"order k={k} outside supported range [3, {MAX_K}]")
         kept = [r for r in reads.reads if len(r) >= k]
-        skipped = len(reads.reads) - len(kept)
-        if skipped:
-            logger.warning("skipped %d reads shorter than k=%d", skipped, k)
+        if len(kept) < len(reads.reads):
+            logger.warning("skipped %d reads shorter than k=%d", len(reads.reads) - len(kept), k)
         if not kept:
             raise EmptyIndex("no read of length >= k to index")
-        strings = ReadSet(reads=tuple(kept)).strings_with_rc()
-        return cls._from_strings(strings, k)
+        with stage("boss_sort"):
+            words = _sorted_windows(ReadSet(reads=tuple(kept)).strings_with_rc(), k)
+            m = len(words[0])
+            sym = (words[-1] % np.uint64(5)).astype(np.uint8) + 1
+            b_bits = np.ones(m, dtype=np.uint8)  # a node starts where the label changes
+            b_bits[1:] = ~_same_prefix(words, k, k - 1)
+            last = (words[0] // np.uint64(5 ** (min(k, _HEAD_DIGITS) - 1))).astype(np.uint8) + 1
+            counts = np.bincount(last[b_bits == 1], minlength=6)[1:6]  # nodes by last symbol
+            kcum = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)  # A[i] = #last <= i
 
-    @classmethod
-    def _from_strings(cls, strings: list[str], k: int) -> "BossIndex":
-        big_parts = []
-        pre = np.ones(k - 1, dtype=np.uint8)
-        post = np.ones(2, dtype=np.uint8)  # the ending node's `$`, then its closure edge
-        sep = np.full(1, _SENTINEL, dtype=np.uint8)
-        for s in strings:
-            big_parts.extend((pre, encode(s), post, sep))
-        big = np.concatenate(big_parts)
-        t_count = len(big) - k + 1
+            # disambiguation flags: same symbol and same target as previous edge;
+            # closure edges (`$` out of a label ending in `$`) have no target
+            closure = (last == 1) & (sym == 1)
+            minus = np.zeros(m, dtype=np.uint8)
+            for c in range(1, 6):
+                idx = np.flatnonzero((sym == c) & ~closure)
+                if len(idx) > 1:
+                    minus[idx[1:]] = _same_prefix([w[idx] for w in words], k, k - 2)
 
-        # window digits: colex label (label read right to left), then symbol
-        cols = [big[k - 2 - j : k - 2 - j + t_count] for j in range(k - 1)]
-        cols.append(big[k - 1 : k - 1 + t_count])
-        sentinel_cum = np.concatenate([[0], np.cumsum(big == _SENTINEL)])
-        valid = (sentinel_cum[k:] - sentinel_cum[:-k]) == 0
-        words = [w[valid] for w in _pack_digit_columns(cols, k)]
-        order = np.lexsort(tuple(words[::-1]))
-        words = [w[order] for w in words]
-
-        dup = np.ones(len(words[0]), dtype=bool)
-        if len(dup) > 1:
-            same = np.ones(len(dup) - 1, dtype=bool)
-            for w in words:
-                same &= w[1:] == w[:-1]
-            dup[1:] = ~same
-        words = [w[dup] for w in words]
-        sym = _extract_digit(words, k - 1)
-        m = len(sym)
-
-        # node boundaries: source label change (ignore the symbol digit)
-        masked = [w & np.uint64(mk) for w, mk in zip(words, _digit_masks(k, k - 1))]
-        b_bits = np.zeros(m, dtype=np.uint8)
-        b_bits[0] = 1
-        if m > 1:
-            diff = np.zeros(m - 1, dtype=bool)
-            for w in masked:
-                diff |= w[1:] != w[:-1]
-            b_bits[1:] = diff
-
-        node_pos = np.flatnonzero(b_bits)
-        last_sym = _extract_digit([w[node_pos] for w in masked], 0)
-        counts = np.bincount(last_sym, minlength=6)[1:6]
-        kcum = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)  # A[i] = #last <= i
-
-        # disambiguation flags: same symbol and same target as previous edge;
-        # closure edges (`$` out of a label ending in `$`) have no target
-        closure = (_extract_digit(words, 0) == 1) & (sym == 1)
-        suffix_masks = _digit_masks(k, k - 2)
-        minus = np.zeros(m, dtype=np.uint8)
-        for c in range(1, 6):
-            idx = np.flatnonzero((sym == c) & ~closure)
-            if len(idx) < 2:
-                continue
-            same = np.ones(len(idx) - 1, dtype=bool)
-            for w, mk in zip(words, suffix_masks):
-                wc = w[idx] & np.uint64(mk)
-                same &= wc[1:] == wc[:-1]
-            minus[idx[1:]] = same.astype(np.uint8)
-
-        boss = cls.__new__(cls)
-        boss.k = k
-        boss._E = SymbolSequence(sym)
-        boss._kcum = kcum
-        boss._flags = bit_vector(minus)
-        boss.node_count = len(node_pos)
-        boss.edge_count = m
-        boss._build_caches(b_bits, minus)
+            boss = cls.__new__(cls)
+            boss.k = k
+            boss._E = SymbolSequence(sym)
+            boss._kcum = kcum
+            boss._flags = bit_vector(minus)
+            boss.node_count = int(kcum[-1])
+            boss.edge_count = m
+        with stage("boss_derive"):
+            boss._build_caches(b_bits, minus)
         return boss
 
     def _build_caches(self, b_bits: np.ndarray, minus: np.ndarray) -> None:
@@ -395,18 +407,9 @@ class BossIndex:
             raise BadLabel(f"label length {len(label)} != k-1 = {self.k - 1}")
         if any(ch not in SYMBOL_CODES for ch in label):
             raise BadLabel(f"label {label!r} contains symbols outside the alphabet")
-        key = label[::-1]
-        lo, hi = 1, self.node_count
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            mid_key = self.node_label(mid)[::-1]
-            if mid_key == key:
-                return mid
-            if mid_key < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
+        n = self.node_count  # binary search over the colex-sorted labels
+        i = bisect_left(range(1, n + 1), label[::-1], key=lambda v: self.node_label(v)[::-1])
+        return i + 1 if i < n and self.node_label(i + 1) == label else None
 
     # -- taxonomy ----------------------------------------------------------
 
@@ -464,15 +467,6 @@ class BossIndex:
         except CorruptIndex as exc:
             raise IntegrityError(f"graph section: {exc}") from exc
         return boss
-
-
-def _gather(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry indices of the given CSR rows, concatenated, and each row's length."""
-    starts = ptr[rows]
-    counts = ptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
 
 
 def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:

@@ -81,8 +81,7 @@ def cmd_build(args) -> int:
         "parsed %d reads (%d rejected, %d shorter than k, %d duplicates)",
         len(reads), reads.n_rejected, reads.n_too_short, reads.n_duplicates,
     )
-    with stage("boss_sort"):
-        boss = BossIndex.build(reads, args.k)
+    boss = BossIndex.build(reads, args.k)  # logs the boss_sort and boss_derive stages
     with stage("mark"):
         colorable = mark_colorable(boss)
     table = color_all(boss, colorable, reads)  # logs the scan and assign stages

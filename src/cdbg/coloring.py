@@ -9,7 +9,9 @@ collects two rank sets over the path of $·s·$:
 * W, the colorable nodes on the path, including the ending node;
 * I, the nodes whose colors s must avoid so that it can be told apart at
   branches: its starting and ending nodes and the successors of every
-  branching node on the path or leading into it.
+  branching node on the path or leading into a path node of indegree > 1,
+  the ending node included (a later string that ends there must not take
+  the colour of one that branched off before it).
 
 ``scan_all`` computes W and I for all strings at once with whole-array
 operations; ``tests/oracle.py::scan_read_ref`` is the per-string graph
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvectors import AnyBitVector
-from .boss import BossIndex, _branch_edges, _gather
+from ._arrays import _gather, _unique
+from .boss import BossIndex, _branch_edges
 from .errors import CorruptIndex
 from .sequence import DUMMY, ReadSet, encode
 from .stages import stage
@@ -138,10 +141,8 @@ def scan_all(boss: BossIndex, colorable: AnyBitVector, strings: list[str]) -> li
     owner = np.repeat(np.arange(n), np.diff(offsets))
     firsts, ends = path[offsets[:-1]], path[offsets[1:] - 1]
 
-    inner = np.ones(len(path), dtype=bool)
-    inner[offsets[1:] - 1] = False
     ptr, inspected = _inspected_successors(boss)
-    idx, counts = _gather(ptr, path[inner])
+    idx, counts = _gather(ptr, path)
     seen = inspected[idx]
     bad = seen[~on[seen - 1]]
     if len(bad):
@@ -153,7 +154,7 @@ def scan_all(boss: BossIndex, colorable: AnyBitVector, strings: list[str]) -> li
     on_w = on[path - 1]
     w_keys = _unique(owner[on_w] * p1 + rank[path[on_w] - 1])
     i_keys = _unique(np.concatenate([
-        np.repeat(owner[inner], counts) * p1 + rank[seen - 1],
+        np.repeat(owner, counts) * p1 + rank[seen - 1],
         np.arange(n) * p1 + rank[firsts - 1],
         np.arange(n) * p1 + rank[ends - 1],
     ]))
@@ -203,8 +204,8 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
 def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     """CSR over node ids: the successors the per-string walk
     (``tests/oracle.py::scan_read_ref``) inspects when its path passes
-    node v before the end. They are the real successors of v when v
-    branches, and, when v has indegree > 1, those of every branching
+    node v, the ending node included. They are the real successors of v
+    when v branches, and, when v has indegree > 1, those of every branching
     predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``. Node ids
     are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds
     int32 once n > 46,340."""
@@ -219,15 +220,6 @@ def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     tgt = np.concatenate([own_tgt, own_tgt[idx]])
     node, tgt = np.divmod(_unique(node * (n + 1) + tgt), n + 1)
     return np.searchsorted(node, np.arange(n + 2)), tgt
-
-
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique`` of int keys by sort and neighbour mask: numpy 2's
-    ``np.unique`` hashes int keys, which is several times slower here."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
 
 
 def _split_keys(keys: np.ndarray, p1: int, n: int) -> list[list[int]]:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boss import BossIndex, _gather
+from ._arrays import _gather
+from .boss import BossIndex
 from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement

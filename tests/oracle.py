@@ -346,8 +346,8 @@ def scan_read_ref(boss, colorable, read: str):
                 raise CorruptIndex(f"uncolorable successor {t} of branching node {u}")
             i_ranks.add(int(nbits.rank1(t)))
 
-    i_ranks.add(int(nbits.rank1(v)))
-    for ch in read[k - 2 :] + DUMMY:
+    def visit(v: int) -> None:
+        # the rules hold at every path node, the ending node included
         if outdegree(boss, v) > 1:
             inspect_successors(v)
         if indegree(boss, v) > 1:
@@ -356,9 +356,14 @@ def scan_read_ref(boss, colorable, read: str):
                     inspect_successors(u)
         if nbits.get(v - 1):
             w_ranks.add(int(nbits.rank1(v)))
+
+    i_ranks.add(int(nbits.rank1(v)))
+    for ch in read[k - 2 :] + DUMMY:
+        visit(v)
         v = boss.forward(v, SYMBOL_CODES[ch])
         if v is None:
             raise CorruptIndex("read path breaks off the graph")
+    visit(v)
     if not nbits.get(v - 1):
         raise CorruptIndex("path did not end on a colorable ending node")
     end_rank = int(nbits.rank1(v))

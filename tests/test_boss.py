@@ -204,7 +204,13 @@ class TestInvariants:
                 assert any(t == v for _, _, t in e1_boss.successors(u))
 
 
-@pytest.mark.parametrize("seed,k", [(1, 5), (2, 9), (3, 15), (4, 5), (5, 9), (6, 3), (7, 63)])
+# k=27 is the widest one-word key; 28, 41 and 54 put the edge symbol alone
+# in a folded word, 40 fills the second word and 55 folds four words
+@pytest.mark.parametrize(
+    "seed,k",
+    [(1, 5), (2, 9), (3, 15), (4, 5), (5, 9), (6, 3), (7, 63)]
+    + [(8, 27), (9, 28), (10, 40), (11, 41), (12, 54), (13, 55)],
+)
 def test_random_read_sets_match_oracle(seed, k):
     # plus one duplicate read and one read contained in another
     rng = np.random.default_rng(seed)

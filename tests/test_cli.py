@@ -50,7 +50,8 @@ class TestBuild:
             "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
         )
         assert res.returncode == 0, res.stderr
-        for name in ("parse", "boss_sort", "mark", "scan", "assign", "compress", "write"):
+        stages = ("parse", "boss_sort", "boss_derive", "mark", "scan", "assign", "compress", "write")
+        for name in stages:
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
         assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
 

@@ -115,6 +115,20 @@ class TestContainer:
             "f91caacc128cd4c849f706ffeaa965e26aaddbe7c3e01fc13ab3dabeebe2bc7c"
         )
 
+    @pytest.mark.parametrize(
+        "k,digest",
+        [
+            (25, "507995544d70eab2ea6e7bc8c3d9f9ef4cec905708befed47647e2820cdff76f"),
+            (31, "c049404132c5192ecb380d7a5d4e669df25787934f55fbc7dd8731a6185ff7a0"),
+        ],
+    )
+    def test_synthetic_read_set_container_is_pinned(self, k, digest):
+        # a 2 kb / 10x read set: graph construction, colouring and the
+        # container at a realistic size, one key word at k=25 and two at k=31
+        _, raw = generate_reads(SyntheticConfig(genome_len=2000, coverage=10, seed=0))
+        data = container_of(ReadSet.from_reads(raw), k)
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_roundtrip_bit_exact(self, built):
         boss, colors, meta = built
         data = serialize_index(boss, colors, meta)

@@ -84,6 +84,33 @@ class TestReconstructAll:
             if is_unambiguous(boss, lambda v: colors.N.get(v - 1) == 1, s):
                 assert s in got
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_strings_ending_on_a_shared_suffix_are_recovered(self, k):
+        # reads end on one shared (k-2)-suffix after different symbols, so
+        # its ending node has indegree > 1, and other reads pass through it,
+        # so branching nodes lead into that ending node: a string that ends
+        # there must not take the colour of one that branched off before it
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+
+            def rand(n) -> str:
+                return "".join(rng.choice(list("acgt"), size=int(n)))
+
+            tail = rand(k - 2)
+            raw = [rand(rng.integers(1, 8)) + tail for _ in range(3)]
+            raw += [rand(rng.integers(1, 8)) + tail + rand(rng.integers(1, 8)) for _ in range(3)]
+            raw += [rand(rng.integers(k, k + 10)) for _ in range(2)]
+            reads, boss, colors = index_for(raw, k)
+            got = set(reconstruct_all(boss, colors).recovered)
+            for s in reads.strings_with_rc():
+                mers = [s[i : i + k - 1] for i in range(len(s) - k + 2)]
+                if (
+                    len(s) >= k
+                    and len(set(mers)) == len(mers)
+                    and is_unambiguous(boss, lambda v: colors.N.get(v - 1) == 1, s)
+                ):
+                    assert s in got, (seed, s)
+
     def test_threads_do_not_change_result(self):
         raw = ["tacgtacc", "ccgtaatg", "tttacagg"]
         reads, boss, colors = index_for(raw, 5)
