@@ -11,12 +11,14 @@ Two bitvector representations exist: a plain packed one for dense vectors
 and a position-list one for sparse vectors, serialized via Elias-Fano.
 ``bit_vector`` picks between them with a 25% density threshold.
 
-Fixed-width fields (the 3-bit edge symbols, the Elias-Fano low bits) are
+Fixed-width fields (the 2-bit edge symbols, the Elias-Fano low bits) are
 stored by one codec, ``_pack_fields``/``_unpack_fields``: a little-endian
 bit stream in which bit b of field i is stream bit ``i * width + b``.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +54,17 @@ def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _unpack_fields(data: np.ndarray, n: int, width: int) -> np.ndarray:
-    """The first n width-bit fields of the bit stream in data, as int64.
-    Fields are summed one bit column at a time, so the temporaries are the
-    stream's bits and one n-entry column."""
+    """The first n width-bit fields of the bit stream in data, as uint8 up
+    to width 8 and as int64 above. Fields are summed one bit column at a
+    time, so the temporaries are the stream's bits and one n-entry column."""
+    if not width:
+        return np.zeros(n, dtype=np.uint8)
     bits = np.unpackbits(data.view(np.uint8), count=n * width, bitorder="little")
-    values = np.zeros(n, dtype=np.int64)
-    for b in range(width):
-        values |= bits[b::width].astype(np.int64) << b
+    if width > 8:
+        bits = bits.astype(np.int64)
+    values = bits[::width].copy()
+    for b in range(1, width):
+        values |= bits[b::width] << values.dtype.type(b)
     return values
 
 
@@ -78,13 +84,18 @@ class BitVector:
         self._hold(len(bits), _pack_bits(bits))
 
     def _hold(self, n: int, words: np.ndarray) -> None:
-        """Keep n bits packed in words and build the rank directory:
-        ``_block[w]`` is the number of set bits in ``words[:w]``."""
+        """Keep n bits packed in words, and their count."""
         self.n = n
         self._words = words
-        self._block = np.zeros(len(words) + 1, dtype=np.int64)
-        np.cumsum(_popcount(words), out=self._block[1:])
-        self.count = int(self._block[-1])
+        self.count = int(_popcount(words).sum())
+
+    @cached_property
+    def _block(self) -> np.ndarray:
+        """The rank directory, built at the first rank or select:
+        ``_block[w]`` is the number of set bits in ``words[:w]``."""
+        block = np.zeros(len(self._words) + 1, dtype=np.int64)
+        np.cumsum(_popcount(self._words), out=block[1:])
+        return block
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -147,7 +158,7 @@ class SparseBitVector:
         if positions.size:
             if positions.min() < 0 or positions.max() >= n:
                 raise BoundsError("set-bit position out of range")
-            if np.any(np.diff(positions) <= 0):
+            if (positions[1:] <= positions[:-1]).any():
                 raise ValueError("positions must be strictly increasing")
         self.n = int(n)
         self._pos = positions
@@ -193,11 +204,14 @@ class SparseBitVector:
         if r.u8() != 1:
             raise IntegrityError("unsupported sparse bitvector version")
         n = r.u64()
-        pos = MonotoneSequence.deserialize(r).to_array()
-        try:
-            return cls(n, pos)
-        except (BoundsError, ValueError) as exc:
-            raise IntegrityError(f"sparse bitvector: {exc}") from exc
+        pos = MonotoneSequence.deserialize(r).to_array()  # nonnegative
+        if (pos[1:] <= pos[:-1]).any():
+            raise IntegrityError("sparse bitvector: positions must be strictly increasing")
+        if len(pos) and pos[-1] >= n:
+            raise IntegrityError("sparse bitvector: set-bit position out of range")
+        bv = cls.__new__(cls)
+        bv.n, bv._pos, bv.count = n, pos, len(pos)
+        return bv
 
 
 AnyBitVector = BitVector | SparseBitVector
@@ -206,7 +220,7 @@ AnyBitVector = BitVector | SparseBitVector
 def bit_vector(bits: np.ndarray) -> AnyBitVector:
     """Build a bitvector, sparse when at most 25% of its bits are set."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) and bits.mean() <= SPARSE_DENSITY_THRESHOLD:
+    if len(bits) and np.count_nonzero(bits) <= SPARSE_DENSITY_THRESHOLD * len(bits):
         return SparseBitVector.from_bits(bits)
     return BitVector(bits)
 
@@ -237,7 +251,7 @@ class MonotoneSequence:
         if values.size:
             if values.min() < 0:
                 raise ValueError("values must be nonnegative")
-            if np.any(np.diff(values) < 0):
+            if (values[1:] < values[:-1]).any():
                 raise ValueError("values must be nondecreasing")
         self.n = len(values)
         universe = int(values[-1]) + 1 if self.n else 1
@@ -319,15 +333,32 @@ class MonotoneSequence:
 
 
 class SymbolSequence:
-    """Sequence of edge symbols, codes 1..5: one byte per code in RAM, one
-    packed array of 3-bit codes on disk. ``access`` uses 1-based positions."""
+    """Sequence of edge symbols, codes 1..5 (``$acgt``), one byte per code
+    in RAM; ``access`` uses 1-based positions. The symbols hold one run of
+    ``closure_len`` ``$`` symbols from ``closure_start`` (0-based), the
+    graph's closure edges.
 
-    def __init__(self, codes: np.ndarray):
+    On disk that run is its start alone, one byte (in the graph it is the
+    root's outdegree, at most 4), and its length is the caller's. The other
+    ``$`` symbols are one bitvector over the symbols outside the run, and
+    every remaining symbol is a 2-bit code, a c g t = 0 1 2 3, packed by
+    ``_pack_fields``.
+    """
+
+    def __init__(self, codes: np.ndarray, closure_start: int, closure_len: int):
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.size and (codes.min() < 1 or codes.max() > 5):
             raise ValueError("symbol codes must lie in [1, 5]")
+        run = codes[closure_start : closure_start + closure_len]
+        if not 0 <= closure_start <= len(codes) - closure_len or (run != 1).any():
+            raise ValueError("the closure run must be $ symbols inside the sequence")
+        self._hold(codes, closure_start, closure_len)
+
+    def _hold(self, codes: np.ndarray, closure_start: int, closure_len: int) -> None:
         self.n = len(codes)
         self._codes = codes
+        self.closure_start = closure_start
+        self.closure_len = closure_len
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -337,20 +368,44 @@ class SymbolSequence:
     def codes(self) -> np.ndarray:
         return self._codes
 
+    def _split(self) -> tuple[AnyBitVector, np.ndarray]:
+        """The ``$`` marks over the symbols outside the closure run, and the
+        packed 2-bit codes of the unmarked ones."""
+        start = self.closure_start
+        rest = np.concatenate([self._codes[:start], self._codes[start + self.closure_len :]])
+        dollar = rest == 1
+        return bit_vector(dollar), _pack_fields(rest[~dollar] - 2, 2)
+
     def serialize(self, w: Writer) -> None:
-        w.u8(2)  # version: packed 3-bit codes, lowest bit first
-        w.u64(self.n)
-        w.array(_pack_fields(self._codes, 3))
+        marks, packed = self._split()
+        w.u8(self.closure_start)
+        marks.serialize(w)
+        w.array(packed)
 
     @classmethod
-    def deserialize(cls, r: Reader) -> "SymbolSequence":
-        if r.u8() != 2:
-            raise IntegrityError("unsupported symbol sequence version")
-        n = r.u64()
+    def deserialize(cls, r: Reader, n: int, closure_len: int) -> "SymbolSequence":
+        """The n symbols of a sequence whose closure run is closure_len
+        long. The lengths are checked against the stored bytes before any
+        n-sized array is allocated."""
+        start = r.u8()
+        marks = read_bit_vector(r)
         packed = r.array(np.uint8)
-        if len(packed) != (3 * n + 7) // 8:
-            raise IntegrityError(f"{len(packed)} bytes of packed symbols for {n} symbols")
-        codes = _unpack_fields(packed, n, 3).astype(np.uint8)
-        if n and (codes.min() < 1 or codes.max() > 5):
-            raise IntegrityError("a packed symbol code lies outside [1, 5]")
-        return cls(codes)
+        if marks.n + closure_len != n:
+            raise IntegrityError(
+                f"$ marks cover {marks.n} symbols, not edge_count - {closure_len} closure edges"
+            )
+        if start > marks.n:
+            raise IntegrityError(f"closure run at {start} starts past the {n} edges")
+        if marks.count < closure_len:
+            raise IntegrityError(f"{marks.count} $ edges cannot enter {closure_len} ending nodes")
+        rest = marks.n - marks.count
+        if len(packed) != (2 * rest + 7) // 8:
+            raise IntegrityError(f"{len(packed)} bytes of packed symbols for {rest} symbols")
+        if rest % 4 and int(packed[-1]) >> 2 * (rest % 4):
+            raise IntegrityError("packed symbols set bits past their last symbol")
+        other = marks.to_bits()
+        other[other == 0] = _unpack_fields(packed, rest, 2) + 2
+        run = np.ones(closure_len, dtype=np.uint8)
+        seq = cls.__new__(cls)
+        seq._hold(np.concatenate([other[:start], run, other[start:]]), start, closure_len)
+        return seq

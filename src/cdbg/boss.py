@@ -27,11 +27,21 @@ are exactly ids ``2..K[1]``, each owns one edge, and the closure edges are
 the edge positions ``first_edge[2] .. first_edge[K[1] + 1] - 1``.
 
 Stored: k, the node and edge counts, ``K`` (cumulative counts of node
-labels by last symbol), ``E`` (the edge symbols, packed as 3-bit codes),
-``B`` (a bitmap marking each node's first edge) and the disambiguation
-flags. In RAM each structure is held once. ``E`` is one byte per edge and
-the flags stay the bitvector they were built or loaded as. ``B`` is
-unpacked once, at build and at load, into the first-edge array, the one
+labels by last symbol), ``E`` (the edge symbols), ``B`` (a bitmap marking
+each node's first edge) and the disambiguation flags, each ``E`` and ``B``
+only where it cannot be derived. The closure edges' ``$`` symbols fill a
+run of ``K[1] - 1`` edges that starts at the root's outdegree, so only the
+start is stored. Every other ``$`` edge enters an ending node (and, ``$``
+being the least symbol, is its node's first edge): their positions are one
+bitvector. The remaining symbols are 2-bit codes. A node's edges carry
+strictly increasing symbols, so a node starts at every edge whose symbol
+is not greater than the previous edge's, and ``B`` is stored only at the
+others, the rising edges. The loader decodes the symbols, reads ``B`` off
+them and keeps neither the ``$`` positions nor the stored bits.
+
+In RAM each structure is held once. ``E`` is one byte per edge and the
+flags stay the bitvector they were built or loaded as. ``B`` is unpacked
+once, at build and at load, into the first-edge array, the one
 node-boundary array; ``B`` itself and each edge's source are derived from
 it when asked for. Also derived at build and at load, at the narrowest
 width that holds an edge position: each edge's target and each node's
@@ -185,7 +195,7 @@ class BossIndex:
 
             boss = cls.__new__(cls)
             boss.k = k
-            boss._E = SymbolSequence(sym)
+            boss._E = SymbolSequence(sym, int(np.argmax(closure)), int(closure.sum()))
             boss._kcum = kcum
             boss._flags = bit_vector(minus)
             boss.node_count = int(kcum[-1])
@@ -209,6 +219,8 @@ class BossIndex:
         ends = int(self._kcum[1])
         if ends < 2 or self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
             raise CorruptIndex("an ending node does not own exactly one closure edge")
+        if self._first_edge[2] - 1 != self._E.closure_start:
+            raise CorruptIndex("the closure run does not start at the first ending node")
         targets = self._derive_targets(minus)
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
@@ -290,9 +302,13 @@ class BossIndex:
     def B(self) -> BitVector:
         """Bitmap marking each node's first edge, built from the first-edge
         array on each access."""
+        return BitVector(self._b_bits())
+
+    def _b_bits(self) -> np.ndarray:
+        """``B`` unpacked, one 0/1 byte per edge."""
         bits = np.zeros(self.edge_count, dtype=np.uint8)
         bits[self._first_edge[1:-1] - 1] = 1
-        return BitVector(bits)
+        return bits
 
     @property
     def colorable(self) -> AnyBitVector:
@@ -429,44 +445,76 @@ class BossIndex:
 
     # -- serialization -----------------------------------------------------
 
+    def _rising_bits(self) -> AnyBitVector:
+        """``B`` at the rising edges, the only bits that are stored."""
+        return bit_vector(self._b_bits()[_rising(self._codes)])
+
     def serialize(self, w: Writer) -> None:
-        w.u8(2)  # section version
+        w.u8(3)  # section version
         w.u16(self.k)
         w.u64(self.node_count)
         w.u64(self.edge_count)
         w.array(self._kcum)
         self._E.serialize(w)
-        self.B.serialize(w)
+        self._rising_bits().serialize(w)
         self._flags.serialize(w)
+
+    def structure_bytes(self) -> dict[str, int]:
+        """Serialized bytes of the graph section's per-edge structures: the
+        2-bit codes, the ``$`` positions, the ``B`` bits and the flags."""
+        marks, packed = self._E._split()
+        parts = {
+            "codes": lambda w: w.array(packed),
+            "dollars": marks.serialize,
+            "B": self._rising_bits().serialize,
+            "flags": self._flags.serialize,
+        }
+        sizes = {}
+        for name, write in parts.items():
+            w = Writer()
+            write(w)
+            sizes[name] = len(w.getvalue())
+        return sizes
 
     @classmethod
     def deserialize(cls, r: Reader) -> "BossIndex":
-        if r.u8() != 2:
+        if r.u8() != 3:
             raise IntegrityError("unsupported graph section version")
         boss = cls.__new__(cls)
         boss.k = r.u16()
-        boss.node_count = r.u64()
-        boss.edge_count = r.u64()
-        boss._kcum = r.array(np.int64)
-        boss._E = SymbolSequence.deserialize(r)
-        if r.u8() != 1:
-            raise IntegrityError("node-boundary bitmap must be plain")
-        b = BitVector._deserialize_body(r)
-        boss._flags = read_bit_vector(r)
-        n, m, kcum = boss.node_count, boss.edge_count, boss._kcum
+        n = boss.node_count = r.u64()
+        m = boss.edge_count = r.u64()
+        kcum = boss._kcum = r.array(np.int64)
         if not 3 <= boss.k <= MAX_K:
             raise IntegrityError(f"order k={boss.k} outside [3, {MAX_K}]")
         if len(kcum) != 6 or kcum[0] != 0 or kcum[-1] != n or (np.diff(kcum) < 0).any():
             raise IntegrityError("K does not rise in 6 entries from 0 to node_count")
-        if {boss._E.n, b.n, boss._flags.n} != {m}:
-            raise IntegrityError("edge symbols or edge flags disagree with edge_count")
-        if n < 1 or b.count != n:
-            raise IntegrityError("node bitmap disagrees with node_count")
+        if kcum[1] < 2:
+            raise IntegrityError("K counts no ending node")
+        boss._E = SymbolSequence.deserialize(r, m, int(kcum[1]) - 1)
+        rising = _rising(boss._E.codes())
+        b = read_bit_vector(r)
+        boss._flags = read_bit_vector(r)
+        if boss._flags.n != m:
+            raise IntegrityError("edge flags disagree with edge_count")
+        if b.n != len(rising):
+            raise IntegrityError(f"node bitmap holds {b.n} bits for {len(rising)} rising edges")
+        if m - len(rising) + b.count != n:
+            raise IntegrityError("first edges of the node bitmap disagree with node_count")
+        b_bits = np.ones(m, dtype=np.uint8)
+        b_bits[rising] = b.to_bits()
         try:
-            boss._build_caches(b.to_bits(), boss._flags.to_bits())
+            boss._build_caches(b_bits, boss._flags.to_bits())
         except CorruptIndex as exc:
             raise IntegrityError(f"graph section: {exc}") from exc
         return boss
+
+
+def _rising(codes: np.ndarray) -> np.ndarray:
+    """Positions of the edges whose symbol exceeds the previous edge's. A
+    node's edges carry strictly increasing symbols, so a node starts at
+    every other edge, and only there does ``B`` need a stored bit."""
+    return np.flatnonzero(codes[1:] > codes[:-1]) + 1
 
 
 def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .boss import BossIndex
-from .coloring import color_all, mark_colorable
+from .coloring import color_all
 from .colormatrix import compress
 from .container import IndexMeta, deserialize_index, read_index, section_sizes, write_index
 from .errors import BadThreshold, CdbgError, IntegrityError
@@ -69,6 +69,10 @@ def make_parser() -> Parser:
     g.add_argument("--read-len", type=int, default=100)
     g.add_argument("--coverage", type=int, default=20)
     g.add_argument("--seed", type=int, default=0)
+    g.add_argument(
+        "--error-rate", type=float, default=0.0, dest="error_rate",
+        help="chance that a read base is substituted by another, seeded (default 0)",
+    )
     g.add_argument("--output", required=True, help="FASTA of sampled reads")
     g.add_argument("--genome-out", help="optionally also write the genome FASTA")
     return p
@@ -82,8 +86,7 @@ def cmd_build(args) -> int:
         len(reads), reads.n_rejected, reads.n_too_short, reads.n_duplicates,
     )
     boss = BossIndex.build(reads, args.k)  # logs the boss_sort and boss_derive stages
-    with stage("mark"):
-        colorable = mark_colorable(boss)
+    colorable = boss.colorable  # derived with the graph, in boss_derive
     table = color_all(boss, colorable, reads)  # logs the scan and assign stages
     logger.info(
         "strings=%d nodes=%d edges=%d p=%d colors=%d",
@@ -150,7 +153,10 @@ def cmd_assemble(args) -> int:
 def cmd_stats(args) -> int:
     data = Path(args.index).read_bytes()
     boss, colors, meta = deserialize_index(data)
-    record = compute_stats(boss, colors, meta, len(data), section_bytes=section_sizes(data))
+    record = compute_stats(
+        boss, colors, meta, len(data),
+        section_bytes=section_sizes(data), graph_bytes=boss.structure_bytes(),
+    )
     if args.json:
         print(json.dumps(record.as_dict()))
         return EXIT_OK
@@ -168,6 +174,7 @@ def cmd_synth(args) -> int:
             read_len=args.read_len,
             coverage=args.coverage,
             seed=args.seed,
+            error_rate=args.error_rate,
         )
     except ValueError as exc:
         raise UsageError(str(exc))

@@ -19,7 +19,7 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass

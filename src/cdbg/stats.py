@@ -20,6 +20,7 @@ class StatsRecord:
     plain_bytes: int
     ambiguous_count: int | None = None
     section_bytes: dict[str, int] | None = None  # payload bytes by section tag
+    graph_bytes: dict[str, int] | None = None  # graph section bytes by structure
 
     @property
     def compression_rate(self) -> float:
@@ -44,6 +45,7 @@ class StatsRecord:
     def as_kv_lines(self) -> list[str]:
         amb = "NA" if self.ambiguous_count is None else str(self.ambiguous_count)
         sections = [f"bytes_{tag}={n}" for tag, n in (self.section_bytes or {}).items()]
+        sections += [f"bytes_BOSS_{name}={n}" for name, n in (self.graph_bytes or {}).items()]
         return [
             f"total_nodes={self.total_nodes}",
             f"solid_nodes={self.solid_nodes}",
@@ -53,6 +55,7 @@ class StatsRecord:
             f"index_bytes={self.index_bytes}",
             f"plain_bytes={self.plain_bytes}",
             f"compression_rate={self.compression_rate:.4f}",
+            f"bits_per_edge={self.bits_per_edge:.4f}",
             f"colored_fraction={self.colored_fraction:.6f}",
             f"ambiguous_count={amb}",
         ] + sections
@@ -70,6 +73,7 @@ def compute_stats(
     index_bytes: int,
     ambiguous_count: int | None = None,
     section_bytes: dict[str, int] | None = None,
+    graph_bytes: dict[str, int] | None = None,
 ) -> StatsRecord:
     return StatsRecord(
         total_nodes=boss.node_count,
@@ -81,4 +85,5 @@ def compute_stats(
         plain_bytes=meta.plain_bytes,
         ambiguous_count=ambiguous_count,
         section_bytes=section_bytes,
+        graph_bytes=graph_bytes,
     )

@@ -1,4 +1,5 @@
-"""Deterministic synthetic genome and error-free read sampling."""
+"""Deterministic synthetic genome and read sampling, with optional seeded
+substitution errors."""
 
 from __future__ import annotations
 
@@ -15,12 +16,15 @@ class SyntheticConfig:
     read_len: int = 100
     coverage: int = 20
     seed: int = 0
+    error_rate: float = 0.0  # chance that a read base is substituted
 
     def __post_init__(self):
         if self.read_len > self.genome_len:
             raise ValueError("read length exceeds genome length")
         if min(self.genome_len, self.read_len, self.coverage) <= 0:
             raise ValueError("genome length, read length and coverage must be positive")
+        if not 0.0 <= self.error_rate <= 1.0:
+            raise ValueError("error rate must lie in [0, 1]")
 
     @property
     def n_reads(self) -> int:
@@ -34,7 +38,10 @@ def generate_genome(cfg: SyntheticConfig) -> str:
 
 
 def generate_reads(cfg: SyntheticConfig) -> tuple[str, list[str]]:
-    """Uniform error-free reads off both strands; same seed, same output."""
+    """Uniform reads off both strands; same seed, same output. Each read
+    base is replaced, with probability ``cfg.error_rate``, by one of the
+    other three bases. The errors come from a generator of their own, so
+    the reads drawn do not depend on the rate."""
     genome = generate_genome(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     n = cfg.n_reads
@@ -44,4 +51,18 @@ def generate_reads(cfg: SyntheticConfig) -> tuple[str, list[str]]:
     for pos, strand in zip(starts, strands):
         r = genome[pos : pos + cfg.read_len]
         reads.append(reverse_complement(r) if strand else r)
+    if cfg.error_rate:
+        reads = _substitute(reads, cfg.error_rate, np.random.default_rng(cfg.seed + 2))
     return genome, reads
+
+
+def _substitute(reads: list[str], rate: float, rng: np.random.Generator) -> list[str]:
+    """The reads with each base replaced, with probability rate, by one of
+    the other three bases, uniformly."""
+    codes = np.frombuffer("".join(reads).encode("ascii"), dtype=np.uint8)
+    codes = np.searchsorted(np.frombuffer(b"acgt", dtype=np.uint8), codes)
+    hit = np.flatnonzero(rng.random(len(codes)) < rate)
+    codes[hit] = (codes[hit] + rng.integers(1, 4, size=len(hit))) % 4
+    text = np.frombuffer(b"acgt", dtype=np.uint8)[codes].tobytes().decode("ascii")
+    ends = np.cumsum([len(r) for r in reads]).tolist()
+    return [text[a:b] for a, b in zip([0] + ends, ends)]

@@ -182,34 +182,63 @@ class TestMonotoneSequence:
 
 
 class TestSymbolSequence:
-    @given(st.lists(st.integers(1, 5), min_size=0, max_size=200))
-    def test_packed_roundtrip(self, codes_list):
-        codes = np.array(codes_list, dtype=np.uint8)
+    @given(
+        st.lists(st.integers(1, 5), min_size=0, max_size=200),
+        st.integers(0, 4),
+        st.integers(0, 30),
+    )
+    def test_packed_roundtrip(self, codes_list, start, run):
+        # in a graph every closure edge's node is entered by another $ edge
+        codes_list = codes_list + [1] * run
+        start = min(start, len(codes_list))
+        codes = np.array(codes_list[:start] + [1] * run + codes_list[start:], dtype=np.uint8)
         w = Writer()
-        SymbolSequence(codes).serialize(w)
+        SymbolSequence(codes, start, run).serialize(w)
         data = w.getvalue()
-        assert len(data) == 1 + 8 + 8 + (3 * len(codes) + 7) // 8
-        ss = SymbolSequence.deserialize(Reader(data))
+        other = np.array(codes_list, dtype=np.uint8)
+        marks = Writer()
+        bit_vector(other == 1).serialize(marks)
+        rest = int((other != 1).sum())
+        assert len(data) == 1 + len(marks.getvalue()) + 8 + (2 * rest + 7) // 8
+        ss = SymbolSequence.deserialize(Reader(data), len(codes), run)
         assert np.array_equal(ss.codes(), codes)
+        assert (ss.closure_start, ss.closure_len) == (start, run)
         for i in range(1, len(codes) + 1):
             assert ss.access(i) == codes[i - 1]
 
+    def test_closure_run_must_be_dollars_inside(self):
+        codes = np.array([2, 1, 1, 3], dtype=np.uint8)
+        SymbolSequence(codes, 1, 2)
+        for start, run in [(0, 2), (2, 2), (3, 2)]:
+            with pytest.raises(ValueError, match="closure run"):
+                SymbolSequence(codes, start, run)
+
     @staticmethod
-    def packed(n: int, payload: bytes) -> Reader:
+    def stored(marks, payload: bytes, start: int = 0) -> Reader:
         w = Writer()
-        w.u8(2)
-        w.u64(n)
+        w.u8(start)
+        marks.serialize(w)
         w.array(np.frombuffer(payload, dtype=np.uint8))
         return Reader(w.getvalue())
 
-    @pytest.mark.parametrize("n,payload", [(3, b"\x11"), (3, b"\x11\x00\x00"), (10**12, b"")])
+    @pytest.mark.parametrize("n,payload", [(3, b""), (3, b"\x11\x00"), (10**12, b"")])
     def test_rejects_wrong_byte_count(self, n, payload):
+        # n symbols, none of them $; the sparse marks of 10**12 bits are
+        # refused before anything of that length is allocated
+        marks = SparseBitVector(n, np.array([], dtype=np.int64))
         with pytest.raises(IntegrityError, match="bytes of packed symbols"):
-            SymbolSequence.deserialize(self.packed(n, payload))
+            SymbolSequence.deserialize(self.stored(marks, payload), n, 0)
 
-    @pytest.mark.parametrize("code", [0, 6, 7])
-    def test_rejects_code_outside_alphabet(self, code):
-        # codes 1, then code, little end first: 3 bits each
-        payload = bytes([1 | code << 3])
-        with pytest.raises(IntegrityError, match="outside"):
-            SymbolSequence.deserialize(self.packed(2, payload))
+    @pytest.mark.parametrize("byte", [0b01000000, 0b10000000])
+    def test_rejects_bits_past_the_last_symbol(self, byte):
+        # three 2-bit codes fill bits 0..5 of the one byte
+        marks = bit_vector(np.zeros(3, dtype=np.uint8))
+        ok = SymbolSequence.deserialize(self.stored(marks, b"\x24"), 3, 0)
+        assert ok.codes().tolist() == [2, 3, 4]
+        with pytest.raises(IntegrityError, match="past their last symbol"):
+            SymbolSequence.deserialize(self.stored(marks, bytes([0x24 | byte])), 3, 0)
+
+    def test_rejects_marks_that_miss_the_edge_count(self):
+        marks = bit_vector(np.array([1, 0, 0], dtype=np.uint8))
+        with pytest.raises(IntegrityError, match="edge_count"):
+            SymbolSequence.deserialize(self.stored(marks, b"\x00"), 6, 2)

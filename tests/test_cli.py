@@ -50,9 +50,10 @@ class TestBuild:
             "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
         )
         assert res.returncode == 0, res.stderr
-        stages = ("parse", "boss_sort", "boss_derive", "mark", "scan", "assign", "compress", "write")
+        stages = ("parse", "boss_sort", "boss_derive", "scan", "assign", "compress", "write")
         for name in stages:
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
+        assert re.findall(r"^INFO stage (\w+):", res.stderr, re.M) == list(stages)
         assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
 
     def test_missing_input_flag_is_usage_error(self):
@@ -80,6 +81,11 @@ class TestStats:
         assert sum(int(kv[f"bytes_{tag}"]) for tag in ("META", "BOSS", "COLR")) < int(
             kv["index_bytes"]
         )
+        bits = 8 * int(kv["index_bytes"]) / 13
+        assert float(kv["bits_per_edge"]) == pytest.approx(bits, abs=1e-4)
+        graph = {name: int(kv[f"bytes_BOSS_{name}"]) for name in ("codes", "dollars", "B", "flags")}
+        # version, k, the two counts, K with its length and the closure start
+        assert sum(graph.values()) + 1 + 2 + 8 + 8 + (8 + 48) + 1 == int(kv["bytes_BOSS"])
 
     def test_stats_json(self, tiny_index):
         _, _, index, _ = tiny_index
@@ -98,6 +104,11 @@ class TestStats:
         assert all(n > 0 for n in sections.values())
         header = 4 + 1 + 2 + 1 + len(sections) * (4 + 8)  # magic, version, k, count, tables
         assert sum(sections.values()) == Path(index).stat().st_size - header - 4  # CRC32
+        graph = record["graph_bytes"]
+        assert list(graph) == ["codes", "dollars", "B", "flags"]
+        # 9 of the 11 edges outside the closure run are not $: 3 bytes of codes
+        assert graph["codes"] == 8 + 3
+        assert sum(graph.values()) + 1 + 2 + 8 + 8 + (8 + 48) + 1 == sections["BOSS"]
 
     @pytest.mark.parametrize("damage", ["checksum", "version 1"])
     def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path, damage):
@@ -203,6 +214,36 @@ class TestSynth:
             assert res.returncode == 0
             assert "reads=200" in res.stdout
         assert a.read_bytes() == b.read_bytes()
+
+    def synth(self, target, *extra):
+        res = run_cli(
+            "synth", "--genome-len", "3000", "--read-len", "60",
+            "--coverage", "4", "--seed", "11", "--output", str(target), *extra,
+        )
+        assert res.returncode == 0, res.stderr
+        return [line for line in target.read_text().splitlines() if not line.startswith(">")]
+
+    def test_error_rate_zero_changes_nothing(self, tmp_path):
+        a, b = tmp_path / "a.fa", tmp_path / "b.fa"
+        self.synth(a)
+        self.synth(b, "--error-rate", "0")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_error_rate_substitutes_bases(self, tmp_path):
+        clean = self.synth(tmp_path / "a.fa")
+        noisy = self.synth(tmp_path / "b.fa", "--error-rate", "0.02")
+        assert [len(r) for r in noisy] == [len(r) for r in clean]
+        assert all(set(r) <= set("acgt") for r in noisy)
+        # 12,000 bases at 2%: 240 expected, standard deviation about 15
+        changed = sum(x != y for r, s in zip(clean, noisy) for x, y in zip(r, s))
+        assert 180 <= changed <= 300
+        # the errors are seeded too
+        assert self.synth(tmp_path / "c.fa", "--error-rate", "0.02") == noisy
+
+    @pytest.mark.parametrize("rate", ["-0.1", "1.5"])
+    def test_error_rate_outside_zero_one_is_usage_error(self, tmp_path, rate):
+        res = run_cli("synth", "--error-rate", rate, "--output", str(tmp_path / "x.fa"))
+        assert res.returncode == 1
 
     def test_read_longer_than_genome_is_usage_error(self, tmp_path):
         res = run_cli(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cdbg._binio import Reader, Writer
-from cdbg.bitvectors import MonotoneSequence, read_bit_vector
+from cdbg.bitvectors import MonotoneSequence, SymbolSequence, read_bit_vector
 
 from cdbg.boss import BossIndex
 from cdbg.coloring import color_all, mark_colorable
@@ -29,6 +29,7 @@ from cdbg.errors import IntegrityError, ParseError
 from cdbg.fastx import parse_reads, sniff_format, write_fasta
 from cdbg.sequence import SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
+from cdbg.traversal import assemble_all, reconstruct_all
 
 from conftest import mixed_read_set
 from oracle import decode_table, indegree, outdegree
@@ -109,17 +110,17 @@ class TestContainer:
     def test_worked_example_container_is_pinned(self, built):
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
-        assert data[4] == FORMAT_VERSION == 3
-        assert len(data) == 353
+        assert data[4] == FORMAT_VERSION == 4
+        assert len(data) == 413
         assert hashlib.sha256(data).hexdigest() == (
-            "f91caacc128cd4c849f706ffeaa965e26aaddbe7c3e01fc13ab3dabeebe2bc7c"
+            "6a7dcfdbaf800d7977e1c92dd3b6c55e94f8f4f54b15c36239d143c39b26d77c"
         )
 
     @pytest.mark.parametrize(
         "k,digest",
         [
-            (25, "507995544d70eab2ea6e7bc8c3d9f9ef4cec905708befed47647e2820cdff76f"),
-            (31, "c049404132c5192ecb380d7a5d4e669df25787934f55fbc7dd8731a6185ff7a0"),
+            (25, "1d7082381a65ab77346d7069044c8744e72abeff13f0afbbdcdac04304a6762d"),
+            (31, "38cf9457d3461b9e887bd78332cf3c1cdfcd4dbb4f9f4caa1814a7b28dca01e9"),
         ],
     )
     def test_synthetic_read_set_container_is_pinned(self, k, digest):
@@ -190,12 +191,14 @@ class TestContainer:
 
 
 def boss_fields(data: bytes) -> dict[str, int]:
-    """Byte offsets in the container of the graph section's fields: for E,
-    of its symbol count and of its packed byte count; for a bitvector, of
-    its bit count; "end" is where the section ends."""
+    """Byte offsets in the container of the graph section's fields: the
+    section start, the counts, K, the closure run's start byte, the packed
+    2-bit codes' byte count ("E_bytes"); for a bitvector (the $ marks
+    "dollars", "B" and "minus"), of its bit count, two bytes after its
+    start; "end" is where the section ends."""
     sizes = section_sizes(data)
     r = Reader(data, pos=4 + 1 + 2 + 1 + (4 + 8) + sizes["META"] + (4 + 8))
-    at = {}
+    at = {"section": r._pos}
     r.u8()
     r.u16()
     for name in ("node_count", "edge_count"):
@@ -203,13 +206,14 @@ def boss_fields(data: bytes) -> dict[str, int]:
         r.u64()
     at["K"] = r._pos
     r.array(np.int64)
+    at["closure"] = r._pos
     r.u8()
-    at["E"] = r._pos
-    r.u64()
+    at["dollars"] = r._pos + 2  # after the representation tag and version
+    read_bit_vector(r)
     at["E_bytes"] = r._pos
     r.array(np.uint8)
     for name in ("B", "minus"):
-        at[name] = r._pos + 2  # after the representation tag and version
+        at[name] = r._pos + 2
         read_bit_vector(r)
     at["end"] = r._pos
     return at
@@ -267,16 +271,18 @@ def spliced(data: bytes, tag: str, start: int, end: int, new: bytes) -> bytes:
     return resealed(blob)
 
 
-def with_minus(data: bytes, n: int, positions: list[int]) -> bytes:
-    """The container with its disambiguation flags replaced by a sparse
-    bitvector of n bits set at the given positions, written as is."""
+def with_sparse(data: bytes, field: str, n: int, positions: list[int]) -> bytes:
+    """The container with a bitvector of the graph section ("dollars" or
+    "minus") replaced by a sparse bitvector of n bits set at the given
+    positions, written as is."""
     w = Writer()
     w.u8(2)
     w.u8(1)
     w.u64(n)
     MonotoneSequence(np.array(positions, dtype=np.int64)).serialize(w)
     at = boss_fields(data)
-    return spliced(data, "BOSS", at["minus"] - 2, at["end"], w.getvalue())
+    end = {"dollars": at["E_bytes"], "minus": at["end"]}[field]
+    return spliced(data, "BOSS", at[field] - 2, end, w.getvalue())
 
 
 class TestLoaderCrossChecks:
@@ -298,61 +304,115 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="node_count"):
             deserialize_index(add_to_u64(data, boss_fields(data)["node_count"], delta))
 
-    @pytest.mark.parametrize("field", ["E", "B", "minus"])
+    @pytest.mark.parametrize("field", ["dollars", "B", "minus"])
     @pytest.mark.parametrize("delta", [1, 2**40])
     def test_edge_lengths_must_agree(self, data, field, delta):
         with pytest.raises(IntegrityError):
             deserialize_index(add_to_u64(data, boss_fields(data)[field], delta))
 
-    def test_plain_bit_count_must_fit_its_words(self, built, data):
-        # B of 2**40 bits held in one word, with edge_count raised to match
-        at = boss_fields(data)
-        big = add_to_u64(data, at["B"], 2**40 - built[0].edge_count)
+    def test_plain_bit_count_must_fit_its_words(self, data):
+        # B of 2**40 bits held in one word
+        at = boss_fields(data)["B"]
+        stored = int.from_bytes(data[at : at + 8], "little")
         with pytest.raises(IntegrityError, match="words"):
-            deserialize_index(add_to_u64(big, at["edge_count"], 2**40 - built[0].edge_count))
+            deserialize_index(add_to_u64(data, at, 2**40 - stored))
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_packed_symbols_must_fill_their_bytes(self, data, delta):
         with pytest.raises(IntegrityError, match="packed symbols"):
             deserialize_index(add_to_u64(data, boss_fields(data)["E_bytes"], delta))
 
-    @pytest.mark.parametrize("code", [0, 6, 7])
-    def test_symbol_codes_must_lie_in_the_alphabet(self, data, code):
+    def test_packed_symbols_must_not_run_past_the_last(self, built, data):
+        # 11 edges outside the closure run, 2 of them $: 9 codes leave
+        # bits 2..7 of the last byte clear
+        marks, _ = built[0].E._split()
+        assert marks.n - marks.count == 9
+        at = boss_fields(data)["E_bytes"]
+        last = at + 8 + int.from_bytes(data[at : at + 8], "little") - 1
         blob = bytearray(data)
-        first = boss_fields(data)["E_bytes"] + 8
-        blob[first] = blob[first] & ~7 | code  # the code of the first edge
-        with pytest.raises(IntegrityError, match="outside"):
+        blob[last] |= 0x80
+        with pytest.raises(IntegrityError, match="past their last symbol"):
             deserialize_index(resealed(blob))
 
     def test_edge_symbols_must_agree_with_k(self, built, data):
         # every g edge relabelled c: the c targets then also cover the g
-        # bucket of K, so only the symbols disagree with K
-        codes = built[0].E.codes().copy()
+        # bucket of K, so only the symbols disagree with K; the worked
+        # example has no c edge next to a g edge, so the rising edges, and
+        # with them the node boundaries, stay as they are
+        E = built[0].E
+        codes = E.codes().copy()
         codes[codes == SYMBOL_CODES["g"]] = SYMBOL_CODES["c"]
+        _, packed = SymbolSequence(codes, E.closure_start, E.closure_len)._split()
         first = boss_fields(data)["E_bytes"] + 8
-        packed = np.packbits((codes[:, None] >> np.arange(3)) & 1, bitorder="little").tobytes()
         blob = bytearray(data)
-        blob[first : first + len(packed)] = packed
+        blob[first : first + len(packed)] = packed.tobytes()
         with pytest.raises(IntegrityError, match="K disagrees"):
             deserialize_index(resealed(blob))
 
-    def test_sparse_positions_must_increase(self, built, data):
+    @pytest.mark.parametrize("field", ["dollars", "minus"])
+    def test_sparse_positions_must_increase(self, built, data, field):
         boss = built[0]
-        m, flags = boss.edge_count, np.flatnonzero(boss.edge_disambiguation_flags).tolist()
-        assert serialize_index(*deserialize_index(with_minus(data, m, flags))) == data
+        marks, _ = boss.E._split()
+        n, ones = {
+            "dollars": (marks.n, marks.ones_positions().tolist()),
+            "minus": (boss.edge_count, np.flatnonzero(boss.edge_disambiguation_flags).tolist()),
+        }[field]
+        assert serialize_index(*deserialize_index(with_sparse(data, field, n, ones))) == data
         with pytest.raises(IntegrityError, match="sparse"):
-            deserialize_index(with_minus(data, m, [3, 3]))
+            deserialize_index(with_sparse(data, field, n, [ones[0], ones[0]]))
 
-    def test_sparse_positions_must_lie_below_the_length(self, built, data):
-        m = built[0].edge_count
+    @pytest.mark.parametrize("field", ["dollars", "minus"])
+    def test_sparse_positions_must_lie_below_the_length(self, data, field):
+        at = boss_fields(data)[field]
+        n = int.from_bytes(data[at : at + 8], "little")
         with pytest.raises(IntegrityError, match="sparse"):
-            deserialize_index(with_minus(data, m, [m]))
+            deserialize_index(with_sparse(data, field, n, [1, n]))
+
+    def test_dollar_edges_must_enter_every_ending_node(self, built, data):
+        # two ending nodes, each entered by a $ edge; one $ mark dropped
+        marks, _ = built[0].E._split()
+        one = marks.ones_positions().tolist()[:1]
+        with pytest.raises(IntegrityError, match="1 \\$ edges cannot enter 2 ending nodes"):
+            deserialize_index(with_sparse(data, "dollars", marks.n, one))
+
+    @pytest.mark.parametrize("start", [12, 255])
+    def test_closure_run_must_lie_inside_the_edges(self, data, start):
+        # 13 edges, 2 in the closure run: it may start at 0..11
+        blob = bytearray(data)
+        blob[boss_fields(data)["closure"]] = start
+        message = f"closure run at {start} starts past the 13 edges"
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("start", [3, 6, 8])
+    def test_closure_run_must_start_at_the_first_ending_node(self, data, start):
+        # the root owns edges 0 and 1, so the run starts at 2; moved to
+        # these starts it leaves 5 rising edges, so the node bitmap still
+        # fits and gives 11 nodes, two of them single $ edges
+        at = boss_fields(data)["closure"]
+        assert data[at] == 2
+        blob = bytearray(data)
+        blob[at] = start
+        with pytest.raises(IntegrityError, match="closure run does not start"):
+            deserialize_index(resealed(blob))
+
+    def test_node_bitmap_must_hold_a_bit_per_rising_edge(self, data):
+        # 5 rising edges; a sixth bit still fits the word
+        with pytest.raises(IntegrityError, match="node bitmap holds 6 bits for 5 rising edges"):
+            deserialize_index(add_to_u64(data, boss_fields(data)["B"], 1))
+
+    def test_k_must_count_an_ending_node(self, data):
+        # K[1] = 0: no label ends in $, not even the root's
+        at = boss_fields(data)["K"] + 8 + 8
+        assert int.from_bytes(data[at : at + 8], "little") == 3
+        with pytest.raises(IntegrityError, match="K counts no ending node"):
+            deserialize_index(add_to_u64(data, at, -3))
 
     def test_graph_must_be_consistent(self, built, data):
         # every edge flagged: no edge has a target of its own
         m = built[0].edge_count
         with pytest.raises(IntegrityError, match="graph section"):
-            deserialize_index(with_minus(data, m, list(range(m))))
+            deserialize_index(with_sparse(data, "minus", m, list(range(m))))
 
     @pytest.mark.parametrize("row", [1, 4])
     def test_row_bitmap_must_mark_p_rows(self, data, row):
@@ -415,15 +475,39 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match=message):
             deserialize_index(resealed(old))
 
-    def test_node_bitmap_count_must_match_node_count(self, built, data):
-        boss = built[0]
-        # clear the node-boundary bit of the last node: B keeps its length
-        last = int(boss._first_edge[boss.node_count]) - 1
+    def test_node_bitmap_count_must_match_node_count(self, data):
+        # B's bits at the 5 rising edges are 0 1 1 1 0; clearing the
+        # second keeps B's length and starts one node fewer
         words_at = boss_fields(data)["B"] + 8 + 8
+        assert data[words_at] == 0b01110
         blob = bytearray(data)
-        blob[words_at + last // 8] ^= 1 << (last % 8)
-        with pytest.raises(IntegrityError, match="node_count"):
+        blob[words_at] ^= 0b10
+        with pytest.raises(IntegrityError, match="disagree with node_count"):
             deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("version,message", [
+        (3, "unsupported container version"),
+        (FORMAT_VERSION, "unsupported graph section version"),
+    ])
+    def test_format_3_is_refused(self, built, data, version, message):
+        # format 3 stored E as 3-bit codes with their count and B as a
+        # plain bitvector of one bit per edge, in a version 2 graph section
+        boss = built[0]
+        w = Writer()
+        w.u8(2)
+        w.u16(boss.k)
+        w.u64(boss.node_count)
+        w.u64(boss.edge_count)
+        w.array(boss.K)
+        w.u8(2)
+        w.u64(boss.edge_count)
+        w.array(np.packbits((boss.E.codes()[:, None] >> np.arange(3)) & 1, bitorder="little"))
+        boss.B.serialize(w)
+        at = boss_fields(data)
+        old = bytearray(spliced(data, "BOSS", at["section"], at["minus"] - 2, w.getvalue()))
+        old[4] = version
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(resealed(old))
 
     @pytest.mark.parametrize("entry,value", [(0, 1), (5, -1), (5, 1), (1, 100), (2, -100)])
     def test_k_must_rise_from_zero_to_node_count(self, data, entry, value):
@@ -479,6 +563,38 @@ class TestLoaderCrossChecks:
         counts = json.loads(res.stdout)
         assert sum(counts.values()) == 400
         assert counts["refused"] > 300 and counts["answered"] > 0
+
+
+def error_read_set() -> ReadSet:
+    """A 2 kb / 10x synthetic read set with 1% substitutions: more $ edges
+    than ending nodes, and branches the error-free sets lack."""
+    cfg = SyntheticConfig(genome_len=2000, coverage=10, seed=0, error_rate=0.01)
+    return ReadSet.from_reads(generate_reads(cfg)[1])
+
+
+@pytest.mark.parametrize("reads,k", [
+    *[(f"mixed-{seed}", k) for seed in (1, 2, 3) for k in (3, 63)],
+    ("mixed-4", 4),
+    ("errors", 25),
+])
+def test_format_round_trip(reads, k):
+    # the loaded index equals the built one structure by structure, writes
+    # the same bytes again and answers the same
+    read_set = error_read_set() if reads == "errors" else mixed_read_set(int(reads[6:]), k)
+    boss = BossIndex.build(read_set, k=k)
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, read_set), colorable)
+    data = serialize_index(boss, colors, IndexMeta())
+    boss2, colors2, meta2 = deserialize_index(data)
+    assert np.array_equal(boss2._codes, boss._codes)
+    assert np.array_equal(boss2._first_edge, boss._first_edge)
+    assert np.array_equal(boss2.edge_disambiguation_flags, boss.edge_disambiguation_flags)
+    assert decode_table(colors2) == decode_table(colors)
+    assert serialize_index(boss2, colors2, meta2) == data
+    assert reconstruct_all(boss2, colors2).recovered == reconstruct_all(boss, colors).recovered
+    assert assemble_all(boss2, colors2, 0.5) == assemble_all(boss, colors, 0.5)
+    if reads == "errors":  # some ending node is entered by two $ edges
+        assert boss.E._split()[0].count > boss.E.closure_len
 
 
 def test_loaded_graph_holds_two_per_edge_arrays(mixed):
