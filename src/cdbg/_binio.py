@@ -1,8 +1,11 @@
-"""Little-endian fixed-width binary readers/writers for serialization."""
+"""Little-endian fixed-width binary readers/writers for serialization.
+
+Arrays carry no length: the reader is told how many items to take."""
 
 from __future__ import annotations
 
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +29,9 @@ class Writer:
         self._parts.append(b)
 
     def array(self, a: np.ndarray) -> None:
-        """Length-prefixed little-endian dump of a 1-d array."""
+        """Little-endian dump of a 1-d array, without its length."""
         a = np.ascontiguousarray(a)
-        data = a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes()
-        self.u64(len(data))
-        self.raw(data)
+        self.raw(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -57,13 +58,41 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
-    def array(self, dtype) -> np.ndarray:
-        n = self.u64()
-        if n % np.dtype(dtype).itemsize:
-            raise IntegrityError(f"array of {n} bytes is not whole {np.dtype(dtype).name} items")
-        return np.frombuffer(self._take(n), dtype=np.dtype(dtype).newbyteorder("<")).astype(
-            dtype, copy=False
-        )
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next count items of dtype; ``IntegrityError`` if fewer remain."""
+        dtype = np.dtype(dtype)
+        data = self._take(count * dtype.itemsize)
+        return np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype, copy=False)
 
     def done(self) -> bool:
         return self._pos == len(self._data)
+
+
+Pieces = dict[str, Callable[[Writer], None]]
+
+
+def serialized_sizes(pieces: Pieces) -> dict[str, int]:
+    """Bytes that each named writer of a structure's fields writes."""
+    sizes = {}
+    for name, write in pieces.items():
+        w = Writer()
+        write(w)
+        sizes[name] = len(w.getvalue())
+    return sizes
+
+
+class Fields:
+    """A structure stored as named fields: ``pieces`` gives the writer of
+    each, in file order, so that what is written and what is reported as
+    written come from the same code."""
+
+    def pieces(self) -> Pieces:
+        raise NotImplementedError
+
+    def serialize(self, w: Writer) -> None:
+        for write in self.pieces().values():
+            write(w)
+
+    def structure_bytes(self) -> dict[str, int]:
+        """Bytes of each field, in file order; they sum to the structure."""
+        return serialized_sizes(self.pieces())

@@ -9,7 +9,9 @@ Conventions (fixed by the public contracts):
 
 Two bitvector representations exist: a plain packed one for dense vectors
 and a position-list one for sparse vectors, serialized via Elias-Fano.
-``bit_vector`` picks between them with a 25% density threshold.
+``bit_vector`` picks whichever of the two serializes smaller. On disk a
+bitvector is a one-byte tag and its body; its length is not stored, the
+loader passes it to ``read_bit_vector``.
 
 Fixed-width fields (the 2-bit edge symbols, the Elias-Fano low bits) are
 stored by one codec, ``_pack_fields``/``_unpack_fields``: a little-endian
@@ -22,10 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._binio import Reader, Writer
+from ._binio import Fields, Pieces, Reader, Writer, serialized_sizes
 from .errors import BoundsError, IntegrityError
-
-SPARSE_DENSITY_THRESHOLD = 0.25
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -66,12 +66,6 @@ def _unpack_fields(data: np.ndarray, n: int, width: int) -> np.ndarray:
     for b in range(1, width):
         values |= bits[b::width] << values.dtype.type(b)
     return values
-
-
-def _low_words(n: int, width: int) -> int:
-    """Words of Elias-Fano low bits that format 2 stores for n entries of
-    the given width: enough for the fields plus one spare trailing word."""
-    return (n * width + 63) // 64 + 1 if n * width else 0
 
 
 class BitVector:
@@ -131,18 +125,13 @@ class BitVector:
 
     def serialize(self, w: Writer) -> None:
         w.u8(1)  # representation tag
-        w.u8(1)  # version
-        w.u64(self.n)
         w.array(self._words)
 
     @classmethod
-    def _deserialize_body(cls, r: Reader) -> "BitVector":
-        if r.u8() != 1:
-            raise IntegrityError("unsupported plain bitvector version")
-        n = r.u64()
-        words = r.array(np.uint64)
-        if len(words) != (n + 63) // 64 or (n % 64 and int(words[-1]) >> (n % 64)):
-            raise IntegrityError(f"plain bitvector words do not hold exactly {n} bits")
+    def _deserialize_body(cls, r: Reader, n: int) -> "BitVector":
+        words = r.array(np.uint64, (n + 63) // 64)
+        if n % 64 and int(words[-1]) >> (n % 64):
+            raise IntegrityError(f"plain bitvector sets bits past its {n} bits")
         bv = cls.__new__(cls)
         bv._hold(n, words)
         return bv
@@ -194,16 +183,11 @@ class SparseBitVector:
         return bits
 
     def serialize(self, w: Writer) -> None:
-        w.u8(2)
-        w.u8(1)
-        w.u64(self.n)
+        w.u8(2)  # representation tag
         MonotoneSequence(self._pos).serialize(w)
 
     @classmethod
-    def _deserialize_body(cls, r: Reader) -> "SparseBitVector":
-        if r.u8() != 1:
-            raise IntegrityError("unsupported sparse bitvector version")
-        n = r.u64()
+    def _deserialize_body(cls, r: Reader, n: int) -> "SparseBitVector":
         pos = MonotoneSequence.deserialize(r).to_array()  # nonnegative
         if (pos[1:] <= pos[:-1]).any():
             raise IntegrityError("sparse bitvector: positions must be strictly increasing")
@@ -218,19 +202,20 @@ AnyBitVector = BitVector | SparseBitVector
 
 
 def bit_vector(bits: np.ndarray) -> AnyBitVector:
-    """Build a bitvector, sparse when at most 25% of its bits are set."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) and np.count_nonzero(bits) <= SPARSE_DENSITY_THRESHOLD * len(bits):
-        return SparseBitVector.from_bits(bits)
-    return BitVector(bits)
+    """Build a bitvector in whichever representation serializes smaller,
+    plain on a tie."""
+    plain, sparse = BitVector(bits), SparseBitVector.from_bits(bits)
+    size = serialized_sizes({"plain": plain.serialize, "sparse": sparse.serialize})
+    return sparse if size["sparse"] < size["plain"] else plain
 
 
-def read_bit_vector(r: Reader) -> AnyBitVector:
+def read_bit_vector(r: Reader, n: int) -> AnyBitVector:
+    """The bitvector of n bits at the reader's position."""
     tag = r.u8()
     if tag == 1:
-        return BitVector._deserialize_body(r)
+        return BitVector._deserialize_body(r, n)
     if tag == 2:
-        return SparseBitVector._deserialize_body(r)
+        return SparseBitVector._deserialize_body(r, n)
     raise IntegrityError(f"unknown bitvector tag {tag}")
 
 
@@ -239,11 +224,14 @@ class MonotoneSequence:
 
     Entry j is split into its high part ``v >> l``, stored in unary as set
     bit ``high + j`` of a plain bitvector, and its l low bits, stored as the
-    j-th field of a fixed-width bit stream in uint64 words. ``deserialize``
-    checks that the high bits mark exactly n entries and that the low words
-    are exactly as many as n and l need, so ``access`` (0-based),
+    j-th field of a fixed-width bit stream in uint64 words.
+
+    Stored: n, l, the ``ceil(n * l / 64)`` low words, and the high words
+    with their count. ``deserialize`` checks that the high bits mark exactly
+    n entries, the last in the last word, and that every value the high
+    bits and l allow fits a nonnegative int64, so ``access`` (0-based),
     ``access_range`` and the whole-sequence ``to_array`` read only checked
-    structure.
+    structure and agree.
     """
 
     def __init__(self, values: np.ndarray):
@@ -261,10 +249,10 @@ class MonotoneSequence:
     def _build(self, values: np.ndarray) -> None:
         l = self._low_bits
         highs = values >> l
-        high_bits = np.zeros(self.n + int(highs[-1]) + 1 if self.n else 0, dtype=np.uint8)
+        high_bits = np.zeros(self.n + int(highs[-1]) if self.n else 0, dtype=np.uint8)
         high_bits[highs + np.arange(self.n)] = 1
         self._high = BitVector(high_bits)
-        lows = np.zeros(8 * _low_words(self.n, l), dtype=np.uint8)
+        lows = np.zeros(8 * ((self.n * l + 63) // 64), dtype=np.uint8)
         packed = _pack_fields(values & ((1 << l) - 1), l)
         lows[: len(packed)] = packed
         self._lows = lows.view("<u8").astype(np.uint64, copy=False)
@@ -306,43 +294,42 @@ class MonotoneSequence:
         return (highs << self._low_bits) | _unpack_fields(self._lows, self.n, self._low_bits)
 
     def serialize(self, w: Writer) -> None:
-        w.u8(1)  # version
         w.u64(self.n)
         w.u8(self._low_bits)
         w.array(self._lows)
-        self._high.serialize(w)
+        w.u64(len(self._high._words))
+        w.array(self._high._words)
 
     @classmethod
     def deserialize(cls, r: Reader) -> "MonotoneSequence":
-        if r.u8() != 1:
-            raise IntegrityError("unsupported monotone sequence version")
         seq = cls.__new__(cls)
-        seq.n = r.u64()
-        seq._low_bits = r.u8()
-        seq._lows = r.array(np.uint64)
-        if r.u8() != 1:
-            raise IntegrityError("monotone sequence payload must be a plain bitvector")
-        seq._high = BitVector._deserialize_body(r)
-        if seq._high.count != seq.n:
-            raise IntegrityError(f"Elias-Fano high bits mark {seq._high.count} entries, not {seq.n}")
-        if len(seq._lows) != _low_words(seq.n, seq._low_bits):
+        n = seq.n = r.u64()
+        l = seq._low_bits = r.u8()
+        seq._lows = r.array(np.uint64, (n * l + 63) // 64)
+        words = r.array(np.uint64, r.u64())
+        top = 64 * len(words) - 64 + int(words[-1]).bit_length() if len(words) else 0
+        high = seq._high = BitVector.__new__(BitVector)
+        high._hold(top, words)
+        if high.count != n or (len(words) and not words[-1]):
             raise IntegrityError(
-                f"{len(seq._lows)} Elias-Fano low words for {seq.n} entries of {seq._low_bits} bits"
+                f"Elias-Fano high bits mark {high.count} entries in {len(words)} words, not {n}"
             )
+        if (top - n + 1) << l > 2**63:  # past the last entry's high part
+            raise IntegrityError(f"Elias-Fano values of {l} low bits overflow int64")
         return seq
 
 
-class SymbolSequence:
+class SymbolSequence(Fields):
     """Sequence of edge symbols, codes 1..5 (``$acgt``), one byte per code
     in RAM; ``access`` uses 1-based positions. The symbols hold one run of
     ``closure_len`` ``$`` symbols from ``closure_start`` (0-based), the
     graph's closure edges.
 
     On disk that run is its start alone, one byte (in the graph it is the
-    root's outdegree, at most 4), and its length is the caller's. The other
-    ``$`` symbols are one bitvector over the symbols outside the run, and
-    every remaining symbol is a 2-bit code, a c g t = 0 1 2 3, packed by
-    ``_pack_fields``.
+    root's outdegree, at most 4); its length and the sequence's are the
+    caller's. The other ``$`` symbols are one bitvector over the symbols
+    outside the run, and every remaining symbol is a 2-bit code, a c g t =
+    0 1 2 3, packed by ``_pack_fields``; the marks give the number of codes.
     """
 
     def __init__(self, codes: np.ndarray, closure_start: int, closure_len: int):
@@ -376,31 +363,29 @@ class SymbolSequence:
         dollar = rest == 1
         return bit_vector(dollar), _pack_fields(rest[~dollar] - 2, 2)
 
-    def serialize(self, w: Writer) -> None:
+    def pieces(self) -> Pieces:
         marks, packed = self._split()
-        w.u8(self.closure_start)
-        marks.serialize(w)
-        w.array(packed)
+        return {
+            "closure": lambda w: w.u8(self.closure_start),
+            "dollars": marks.serialize,
+            "codes": lambda w: w.array(packed),
+        }
 
     @classmethod
     def deserialize(cls, r: Reader, n: int, closure_len: int) -> "SymbolSequence":
         """The n symbols of a sequence whose closure run is closure_len
         long. The lengths are checked against the stored bytes before any
         n-sized array is allocated."""
+        if closure_len > n:
+            raise IntegrityError(f"{closure_len} closure edges exceed the {n} edges")
         start = r.u8()
-        marks = read_bit_vector(r)
-        packed = r.array(np.uint8)
-        if marks.n + closure_len != n:
-            raise IntegrityError(
-                f"$ marks cover {marks.n} symbols, not edge_count - {closure_len} closure edges"
-            )
+        marks = read_bit_vector(r, n - closure_len)
         if start > marks.n:
             raise IntegrityError(f"closure run at {start} starts past the {n} edges")
         if marks.count < closure_len:
             raise IntegrityError(f"{marks.count} $ edges cannot enter {closure_len} ending nodes")
         rest = marks.n - marks.count
-        if len(packed) != (2 * rest + 7) // 8:
-            raise IntegrityError(f"{len(packed)} bytes of packed symbols for {rest} symbols")
+        packed = r.array(np.uint8, (2 * rest + 7) // 8)
         if rest % 4 and int(packed[-1]) >> 2 * (rest % 4):
             raise IntegrityError("packed symbols set bits past their last symbol")
         other = marks.to_bits()

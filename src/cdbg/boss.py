@@ -26,18 +26,21 @@ Colex order puts the labels that end in ``$`` first, so the ending nodes
 are exactly ids ``2..K[1]``, each owns one edge, and the closure edges are
 the edge positions ``first_edge[2] .. first_edge[K[1] + 1] - 1``.
 
-Stored: k, the node and edge counts, ``K`` (cumulative counts of node
-labels by last symbol), ``E`` (the edge symbols), ``B`` (a bitmap marking
-each node's first edge) and the disambiguation flags, each ``E`` and ``B``
-only where it cannot be derived. The closure edges' ``$`` symbols fill a
-run of ``K[1] - 1`` edges that starts at the root's outdegree, so only the
-start is stored. Every other ``$`` edge enters an ending node (and, ``$``
-being the least symbol, is its node's first edge): their positions are one
-bitvector. The remaining symbols are 2-bit codes. A node's edges carry
-strictly increasing symbols, so a node starts at every edge whose symbol
-is not greater than the previous edge's, and ``B`` is stored only at the
-others, the rising edges. The loader decodes the symbols, reads ``B`` off
-them and keeps neither the ``$`` positions nor the stored bits.
+Stored, each field only where the loader cannot compute it: the edge
+count, ``K[1..5]`` (cumulative counts of node labels by last symbol;
+``K[0]`` is 0 and ``K[5]`` is the node count), ``E`` (the edge symbols),
+``B`` (a bitmap marking each node's first edge) and the disambiguation
+flags, one bit per edge. k is the container header's. The closure edges'
+``$`` symbols fill a run of ``K[1] - 1`` edges that starts at the root's
+outdegree, so only the start is stored. Every other ``$`` edge enters an
+ending node (and, ``$`` being the least symbol, is its node's first edge):
+their positions are one bitvector over the edges outside the run. The
+remaining symbols are 2-bit codes, as many as the unmarked edges. A node's
+edges carry strictly increasing symbols, so a node starts at every edge
+whose symbol is not greater than the previous edge's, and ``B`` is stored
+only at the others, the rising edges. The loader decodes the symbols,
+reads ``B`` off them and keeps neither the ``$`` positions nor the stored
+bits.
 
 In RAM each structure is held once. ``E`` is one byte per edge and the
 flags stay the bitvector they were built or loaded as. ``B`` is unpacked
@@ -63,7 +66,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from ._arrays import _unique
-from ._binio import Reader, Writer
+from ._binio import Fields, Pieces, Reader
 from .bitvectors import AnyBitVector, BitVector, SymbolSequence, bit_vector, read_bit_vector
 from .errors import BadLabel, BadOrder, BoundsError, CorruptIndex, EmptyIndex, IntegrityError
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, SYMBOL_CODES, encode
@@ -151,7 +154,7 @@ def _same_prefix(words: list[np.ndarray], k: int, keep: int) -> np.ndarray:
     return same
 
 
-class BossIndex:
+class BossIndex(Fields):
     """Succinct de Bruijn graph of order k with node taxonomy queries.
 
     Node ids are 1-based ranks in BOSS (colex label) order. Edge positions
@@ -254,7 +257,7 @@ class BossIndex:
         bits[2 : ends + 1] = 1
         succ = targets[_branch_edges(self, targets)]
         bits[succ[self._solid(anc)[succ]]] = 1
-        self._colorable = bit_vector(bits[1:])
+        self._colorable = BitVector(bits[1:])
 
     def _derive_targets(self, minus: np.ndarray) -> np.ndarray:
         """Target node of every edge, 0 on closure edges: per symbol, the
@@ -311,7 +314,7 @@ class BossIndex:
         return bits
 
     @property
-    def colorable(self) -> AnyBitVector:
+    def colorable(self) -> BitVector:
         """Bitmap over node ids - 1 of the p nodes that receive colours:
         starting, ending and critical nodes. Derived at build and at load."""
         return self._colorable
@@ -449,58 +452,35 @@ class BossIndex:
         """``B`` at the rising edges, the only bits that are stored."""
         return bit_vector(self._b_bits()[_rising(self._codes)])
 
-    def serialize(self, w: Writer) -> None:
-        w.u8(3)  # section version
-        w.u16(self.k)
-        w.u64(self.node_count)
-        w.u64(self.edge_count)
-        w.array(self._kcum)
-        self._E.serialize(w)
-        self._rising_bits().serialize(w)
-        self._flags.serialize(w)
-
-    def structure_bytes(self) -> dict[str, int]:
-        """Serialized bytes of the graph section's per-edge structures: the
-        2-bit codes, the ``$`` positions, the ``B`` bits and the flags."""
-        marks, packed = self._E._split()
-        parts = {
-            "codes": lambda w: w.array(packed),
-            "dollars": marks.serialize,
+    def pieces(self) -> Pieces:
+        return {
+            "edge_count": lambda w: w.u64(self.edge_count),
+            "K": lambda w: w.array(self._kcum[1:]),
+            **self._E.pieces(),
             "B": self._rising_bits().serialize,
             "flags": self._flags.serialize,
         }
-        sizes = {}
-        for name, write in parts.items():
-            w = Writer()
-            write(w)
-            sizes[name] = len(w.getvalue())
-        return sizes
 
     @classmethod
-    def deserialize(cls, r: Reader) -> "BossIndex":
-        if r.u8() != 3:
-            raise IntegrityError("unsupported graph section version")
+    def deserialize(cls, r: Reader, k: int) -> "BossIndex":
+        """The graph section of an index of order k."""
+        if not 3 <= k <= MAX_K:
+            raise IntegrityError(f"order k={k} outside [3, {MAX_K}]")
         boss = cls.__new__(cls)
-        boss.k = r.u16()
-        n = boss.node_count = r.u64()
+        boss.k = k
         m = boss.edge_count = r.u64()
-        kcum = boss._kcum = r.array(np.int64)
-        if not 3 <= boss.k <= MAX_K:
-            raise IntegrityError(f"order k={boss.k} outside [3, {MAX_K}]")
-        if len(kcum) != 6 or kcum[0] != 0 or kcum[-1] != n or (np.diff(kcum) < 0).any():
-            raise IntegrityError("K does not rise in 6 entries from 0 to node_count")
+        kcum = boss._kcum = np.concatenate([[0], r.array(np.int64, 5)])
+        if (np.diff(kcum) < 0).any():
+            raise IntegrityError("K does not rise from 0")
         if kcum[1] < 2:
             raise IntegrityError("K counts no ending node")
+        n = boss.node_count = int(kcum[5])
         boss._E = SymbolSequence.deserialize(r, m, int(kcum[1]) - 1)
         rising = _rising(boss._E.codes())
-        b = read_bit_vector(r)
-        boss._flags = read_bit_vector(r)
-        if boss._flags.n != m:
-            raise IntegrityError("edge flags disagree with edge_count")
-        if b.n != len(rising):
-            raise IntegrityError(f"node bitmap holds {b.n} bits for {len(rising)} rising edges")
+        b = read_bit_vector(r, len(rising))
+        boss._flags = read_bit_vector(r, m)
         if m - len(rising) + b.count != n:
-            raise IntegrityError("first edges of the node bitmap disagree with node_count")
+            raise IntegrityError(f"first edges of the node bitmap disagree with the K[5]={n} nodes")
         b_bits = np.ones(m, dtype=np.uint8)
         b_bits[rising] = b.to_bits()
         try:

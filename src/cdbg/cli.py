@@ -156,6 +156,7 @@ def cmd_stats(args) -> int:
     record = compute_stats(
         boss, colors, meta, len(data),
         section_bytes=section_sizes(data), graph_bytes=boss.structure_bytes(),
+        color_bytes=colors.structure_bytes(),
     )
     if args.json:
         print(json.dumps(record.as_dict()))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitvectors import AnyBitVector
+from .bitvectors import BitVector
 from ._arrays import _gather, _unique
 from .boss import BossIndex, _branch_edges
 from .errors import CorruptIndex
@@ -36,7 +36,7 @@ from .sequence import DUMMY, ReadSet, encode
 from .stages import stage
 
 
-def mark_colorable(boss: BossIndex) -> AnyBitVector:
+def mark_colorable(boss: BossIndex) -> BitVector:
     """Starting and ending nodes, plus the solid successors of branching
     nodes: the graph's own colourable bitmap, derived with the graph."""
     return boss.colorable
@@ -86,7 +86,7 @@ class DynamicColorTable:
         )
 
 
-def scan_read(boss: BossIndex, colorable: AnyBitVector, read: str) -> ColoringJob:
+def scan_read(boss: BossIndex, colorable: BitVector, read: str) -> ColoringJob:
     """W and I of one string: ``scan_all`` of that string alone."""
     return scan_all(boss, colorable, [read])[0]
 
@@ -106,7 +106,7 @@ def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
 
 
 def color_all(
-    boss: BossIndex, colorable: AnyBitVector, reads: ReadSet, threads: int = 1
+    boss: BossIndex, colorable: BitVector, reads: ReadSet, threads: int = 1
 ) -> DynamicColorTable:
     """Scan all strings of R' at once, then assign colors sequentially in
     R' order. ``threads`` is accepted for compatibility and ignored."""
@@ -120,7 +120,7 @@ def color_all(
     return table
 
 
-def scan_all(boss: BossIndex, colorable: AnyBitVector, strings: list[str]) -> list[ColoringJob]:
+def scan_all(boss: BossIndex, colorable: BitVector, strings: list[str]) -> list[ColoringJob]:
     """W and I of every string, equal to the per-string graph walk
     ``tests/oracle.py::scan_read_ref`` string by string.
 

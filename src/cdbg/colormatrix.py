@@ -5,11 +5,11 @@ absolute, later elements differences) into one list; its prefix sums are
 strictly increasing and stored with Elias-Fano so that a row decodes in
 time linear in its length: color h of row [i..j] is ps[i+h-1] - ps[i-1].
 
-The color section stores only F and the payload. N is the graph's
-colorable bitmap (``BossIndex.colorable``), derived from the graph at
-load, p is its count, and the number of colors is the largest last color
-of a row. The section is checked once, at load, so the decoders read
-trusted arrays.
+The color section stores only the payload and then F, whose length is the
+payload's. N is the graph's colorable bitmap (``BossIndex.colorable``),
+derived from the graph at load and held as plain words, p is its count,
+and the number of colors is the largest last color of a row. The section
+is checked once, at load, so the decoders read trusted arrays.
 """
 
 from __future__ import annotations
@@ -19,44 +19,38 @@ from itertools import repeat
 
 import numpy as np
 
-from ._binio import Reader, Writer
-from .bitvectors import AnyBitVector, MonotoneSequence, bit_vector, read_bit_vector
+from ._binio import Fields, Pieces, Reader
+from .bitvectors import AnyBitVector, BitVector, MonotoneSequence, bit_vector, read_bit_vector
 from .coloring import DynamicColorTable
 from .errors import IncompleteColoring, IntegrityError, NotColored
 
 
 @dataclass
-class CompressedColors:
+class CompressedColors(Fields):
     """Immutable (N, F, payload) triple answering per-node color queries."""
 
-    N: AnyBitVector
+    N: BitVector
     F: AnyBitVector
     payload: MonotoneSequence  # prefix sums of the delta list M'
     p: int
     num_colors: int
 
-    def serialize(self, w: Writer) -> None:
-        w.u8(2)  # section version
-        self.F.serialize(w)
-        self.payload.serialize(w)
+    def pieces(self) -> Pieces:
+        return {"payload": self.payload.serialize, "F": self.F.serialize}
 
     @classmethod
-    def deserialize(cls, r: Reader, colorable: AnyBitVector) -> "CompressedColors":
+    def deserialize(cls, r: Reader, colorable: BitVector) -> "CompressedColors":
         """The section, with N the loaded graph's colorable bitmap. Raises
-        ``IntegrityError`` unless F marks one row per colorable node, the
-        first at position 0, F is as long as the payload, and the payload
+        ``IntegrityError`` unless F, as long as the payload, marks one row
+        per colorable node, the first at position 0, and the payload
         strictly increases from 1, so that every row is non-empty and
         strictly increasing. The number of colors is the largest last color
         of a row."""
-        if r.u8() != 2:
-            raise IntegrityError("unsupported color section version")
-        f = read_bit_vector(r)
         payload = MonotoneSequence.deserialize(r)
+        f = read_bit_vector(r, len(payload))
         p = colorable.count
         if f.count != p:
             raise IntegrityError(f"row bitmap marks {f.count} rows, not p={p}")
-        if f.n != len(payload):
-            raise IntegrityError(f"row bitmap length {f.n} != payload length {len(payload)}")
         if f.n and not f.get(0):
             raise IntegrityError("row bitmap does not start a row at position 0")
         ps = payload.to_array()
@@ -67,7 +61,7 @@ class CompressedColors:
         return cls(N=colorable, F=f, payload=payload, p=p, num_colors=num_colors)
 
 
-def compress(table: DynamicColorTable, colorable: AnyBitVector) -> CompressedColors:
+def compress(table: DynamicColorTable, colorable: BitVector) -> CompressedColors:
     """Delta-encode the table rows in colorable-rank order; N is
     ``colorable``, the graph's colourable bitmap. The (rank, color)
     pairs come from the nonzero bytes of the row masks, so memory is the

@@ -4,6 +4,12 @@ All multi-byte integers are little-endian fixed-width. Sections are
 length-prefixed so readers can skip tags they do not know. The trailing
 CRC32 covers every preceding byte; any mismatch (or bad magic/version)
 raises IntegrityError.
+
+The header's version is the only one in the file, and its k the only k.
+Inside the sections a field is stored only when the loader cannot compute
+it from the header or from the fields it has already read: no section,
+bitvector or Elias-Fano part carries a version, and no array or
+bitvector carries a length the loader knows.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -33,7 +39,6 @@ class IndexMeta:
     n_strings: int = 0
 
     def serialize(self, w: Writer) -> None:
-        w.u8(1)
         w.u64(self.plain_bytes)
         w.u64(self.n_reads)
         w.u64(self.n_rejected)
@@ -42,8 +47,6 @@ class IndexMeta:
 
     @classmethod
     def deserialize(cls, r: Reader) -> "IndexMeta":
-        if r.u8() != 1:
-            raise IntegrityError("unsupported meta section version")
         return cls(
             plain_bytes=r.u64(),
             n_reads=r.u64(),
@@ -120,9 +123,7 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
     if len(found) < len(_SECTIONS):
         raise IntegrityError("container misses a required section")
     meta = _read(found, "META", IndexMeta.deserialize)
-    boss = _read(found, "BOSS", BossIndex.deserialize)
-    if boss.k != k:
-        raise IntegrityError("header k disagrees with graph section")
+    boss = _read(found, "BOSS", lambda r: BossIndex.deserialize(r, k))
     colors = _read(found, "COLR", lambda r: CompressedColors.deserialize(r, boss.colorable))
     return boss, colors, meta
 

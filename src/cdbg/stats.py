@@ -21,6 +21,7 @@ class StatsRecord:
     ambiguous_count: int | None = None
     section_bytes: dict[str, int] | None = None  # payload bytes by section tag
     graph_bytes: dict[str, int] | None = None  # graph section bytes by structure
+    color_bytes: dict[str, int] | None = None  # color section bytes by structure
 
     @property
     def compression_rate(self) -> float:
@@ -46,6 +47,7 @@ class StatsRecord:
         amb = "NA" if self.ambiguous_count is None else str(self.ambiguous_count)
         sections = [f"bytes_{tag}={n}" for tag, n in (self.section_bytes or {}).items()]
         sections += [f"bytes_BOSS_{name}={n}" for name, n in (self.graph_bytes or {}).items()]
+        sections += [f"bytes_COLR_{name}={n}" for name, n in (self.color_bytes or {}).items()]
         return [
             f"total_nodes={self.total_nodes}",
             f"solid_nodes={self.solid_nodes}",
@@ -74,6 +76,7 @@ def compute_stats(
     ambiguous_count: int | None = None,
     section_bytes: dict[str, int] | None = None,
     graph_bytes: dict[str, int] | None = None,
+    color_bytes: dict[str, int] | None = None,
 ) -> StatsRecord:
     return StatsRecord(
         total_nodes=boss.node_count,
@@ -86,4 +89,5 @@ def compute_stats(
         ambiguous_count=ambiguous_count,
         section_bytes=section_bytes,
         graph_bytes=graph_bytes,
+        color_bytes=color_bytes,
     )

@@ -73,22 +73,33 @@ def test_differential_rank_select_1000_random_vectors():
             assert bv.select1(bv.rank1(p)) == p
 
 
+def serialized(bv) -> bytes:
+    w = Writer()
+    bv.serialize(w)
+    return w.getvalue()
+
+
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
 def test_bitvector_roundtrip_both_kinds(bits_list):
     bits = np.array(bits_list, dtype=np.uint8)
     for bv in (BitVector(bits), SparseBitVector.from_bits(bits)):
-        w = Writer()
-        bv.serialize(w)
-        bv2 = read_bit_vector(Reader(w.getvalue()))
+        bv2 = read_bit_vector(Reader(serialized(bv)), len(bits))
         assert np.array_equal(bv2.to_bits(), bits)
         assert bv2.kind == bv.kind
 
 
-def test_density_threshold_selects_representation():
-    sparse = bit_vector(np.array([1] + [0] * 99, dtype=np.uint8))
-    dense = bit_vector(np.array([1, 0] * 50, dtype=np.uint8))
-    assert sparse.kind == "sparse"
-    assert dense.kind == "plain"
+@given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_bit_vector_is_stored_in_the_smaller_encoding(n, density, rnd):
+    bits = np.array([rnd.random() < density for _ in range(n)], dtype=np.uint8)
+    bv = bit_vector(bits)
+    sizes = {
+        kind: len(serialized(make(bits)))
+        for kind, make in (("plain", BitVector), ("sparse", SparseBitVector.from_bits))
+    }
+    assert len(serialized(bv)) == min(sizes.values())
+    assert bv.kind == ("sparse" if sizes["sparse"] < sizes["plain"] else "plain")
+    r = Reader(serialized(bv))
+    assert np.array_equal(read_bit_vector(r, n).to_bits(), bits) and r.done()
 
 
 def test_sparse_serializes_smaller_than_plain():
@@ -159,26 +170,47 @@ class TestMonotoneSequence:
             with pytest.raises(BoundsError):
                 seq.access_range(i, j)
 
-    def test_truncated_low_words_raise_integrity_error(self):
-        vals = np.cumsum(np.random.default_rng(5).integers(0, 1000, size=200))
-        seq = MonotoneSequence(vals)
-        full = seq._lows
-        # the first 3 * 64 // l entries only; the spare trailing word
-        # dropped; one word too many
-        for n_words in (3, len(full) - 1, len(full) + 1):
-            seq._lows = np.resize(full, n_words)
-            w = Writer()
-            seq.serialize(w)
-            with pytest.raises(IntegrityError, match="low words"):
-                MonotoneSequence.deserialize(Reader(w.getvalue()))
-
     def test_high_bits_must_mark_n_entries(self):
         seq = MonotoneSequence(np.array([1, 2, 4, 4, 9]))
         seq.n += 1
-        w = Writer()
-        seq.serialize(w)
-        with pytest.raises(IntegrityError, match="high bits mark 5 entries, not 6"):
-            MonotoneSequence.deserialize(Reader(w.getvalue()))
+        with pytest.raises(IntegrityError, match="high bits mark 5 entries in 1 words, not 6"):
+            MonotoneSequence.deserialize(Reader(serialized(seq)))
+
+    def test_high_bits_end_at_the_last_entry(self):
+        # 32 entries of no low bits, the last 32: its high bit is bit 63,
+        # so the high bits fill one word exactly
+        vals = np.r_[0:31, 32]
+        seq = MonotoneSequence(vals)
+        assert seq._low_bits == 0 and len(seq._high._words) == 1
+        assert MonotoneSequence.deserialize(Reader(serialized(seq))).to_array().tolist() == vals.tolist()
+
+    def test_high_words_must_end_with_the_last_entry(self):
+        seq = MonotoneSequence(np.array([1, 2, 4, 4, 9]))
+        seq._high._words = np.append(seq._high._words, np.uint64(0))
+        with pytest.raises(IntegrityError, match="in 2 words, not 5"):
+            MonotoneSequence.deserialize(Reader(serialized(seq)))
+
+    @pytest.mark.parametrize("values,width,ok", [
+        ([5], 63, False), ([5], 64, False), ([0], 63, True), ([0], 64, False),
+        ([2**63 - 1], 63, True), ([2**62, 2**63 - 1], 62, True),  # as built
+    ])
+    def test_stored_width_must_keep_values_in_int64(self, values, width, ok):
+        # one entry holding 5 has high part 1 at its built width 2; at
+        # stored width 64 it would decode as 1 through to_array and as
+        # 2**64 + 1 through access_range. A width is refused when the
+        # largest value it and the high bits allow exceeds 2**63 - 1
+        seq = MonotoneSequence(np.array(values, dtype=np.int64))
+        data = bytearray(serialized(seq))
+        data[8] = width
+        n_low = (len(values) * width + 63) // 64 - len(seq._lows)
+        data[9:9] = bytes(8 * n_low)  # the low words the stored width needs
+        if not ok:
+            with pytest.raises(IntegrityError, match=f"values of {width} low bits overflow int64"):
+                MonotoneSequence.deserialize(Reader(bytes(data)))
+            return
+        loaded = MonotoneSequence.deserialize(Reader(bytes(data)))
+        assert loaded.to_array().tolist() == loaded.access_range(0, len(values))
+        assert min(loaded.to_array()) >= 0
 
 
 class TestSymbolSequence:
@@ -192,14 +224,10 @@ class TestSymbolSequence:
         codes_list = codes_list + [1] * run
         start = min(start, len(codes_list))
         codes = np.array(codes_list[:start] + [1] * run + codes_list[start:], dtype=np.uint8)
-        w = Writer()
-        SymbolSequence(codes, start, run).serialize(w)
-        data = w.getvalue()
+        data = serialized(SymbolSequence(codes, start, run))
         other = np.array(codes_list, dtype=np.uint8)
-        marks = Writer()
-        bit_vector(other == 1).serialize(marks)
         rest = int((other != 1).sum())
-        assert len(data) == 1 + len(marks.getvalue()) + 8 + (2 * rest + 7) // 8
+        assert len(data) == 1 + len(serialized(bit_vector(other == 1))) + (2 * rest + 7) // 8
         ss = SymbolSequence.deserialize(Reader(data), len(codes), run)
         assert np.array_equal(ss.codes(), codes)
         assert (ss.closure_start, ss.closure_len) == (start, run)
@@ -215,18 +243,15 @@ class TestSymbolSequence:
 
     @staticmethod
     def stored(marks, payload: bytes, start: int = 0) -> Reader:
-        w = Writer()
-        w.u8(start)
-        marks.serialize(w)
-        w.array(np.frombuffer(payload, dtype=np.uint8))
-        return Reader(w.getvalue())
+        return Reader(bytes([start]) + serialized(marks) + payload)
 
-    @pytest.mark.parametrize("n,payload", [(3, b""), (3, b"\x11\x00"), (10**12, b"")])
+    @pytest.mark.parametrize("n,payload", [(3, b""), (10**12, b"")])
     def test_rejects_wrong_byte_count(self, n, payload):
-        # n symbols, none of them $; the sparse marks of 10**12 bits are
-        # refused before anything of that length is allocated
+        # n symbols, none of them $, and no packed codes; the sparse marks
+        # of 10**12 bits are refused before anything of that length is
+        # allocated
         marks = SparseBitVector(n, np.array([], dtype=np.int64))
-        with pytest.raises(IntegrityError, match="bytes of packed symbols"):
+        with pytest.raises(IntegrityError, match="truncated"):
             SymbolSequence.deserialize(self.stored(marks, payload), n, 0)
 
     @pytest.mark.parametrize("byte", [0b01000000, 0b10000000])
@@ -238,7 +263,6 @@ class TestSymbolSequence:
         with pytest.raises(IntegrityError, match="past their last symbol"):
             SymbolSequence.deserialize(self.stored(marks, bytes([0x24 | byte])), 3, 0)
 
-    def test_rejects_marks_that_miss_the_edge_count(self):
-        marks = bit_vector(np.array([1, 0, 0], dtype=np.uint8))
-        with pytest.raises(IntegrityError, match="edge_count"):
-            SymbolSequence.deserialize(self.stored(marks, b"\x00"), 6, 2)
+    def test_rejects_a_closure_run_longer_than_the_sequence(self):
+        with pytest.raises(IntegrityError, match="3 closure edges exceed the 2 edges"):
+            SymbolSequence.deserialize(Reader(b""), 2, 3)

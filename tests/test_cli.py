@@ -83,9 +83,13 @@ class TestStats:
         )
         bits = 8 * int(kv["index_bytes"]) / 13
         assert float(kv["bits_per_edge"]) == pytest.approx(bits, abs=1e-4)
-        graph = {name: int(kv[f"bytes_BOSS_{name}"]) for name in ("codes", "dollars", "B", "flags")}
-        # version, k, the two counts, K with its length and the closure start
-        assert sum(graph.values()) + 1 + 2 + 8 + 8 + (8 + 48) + 1 == int(kv["bytes_BOSS"])
+        # each section is the sum of its fields
+        for tag, names in (
+            ("BOSS", ("edge_count", "K", "closure", "dollars", "codes", "B", "flags")),
+            ("COLR", ("payload", "F")),
+        ):
+            fields = [int(kv[f"bytes_{tag}_{name}"]) for name in names]
+            assert sum(fields) == int(kv[f"bytes_{tag}"])
 
     def test_stats_json(self, tiny_index):
         _, _, index, _ = tiny_index
@@ -105,10 +109,13 @@ class TestStats:
         header = 4 + 1 + 2 + 1 + len(sections) * (4 + 8)  # magic, version, k, count, tables
         assert sum(sections.values()) == Path(index).stat().st_size - header - 4  # CRC32
         graph = record["graph_bytes"]
-        assert list(graph) == ["codes", "dollars", "B", "flags"]
+        assert list(graph) == ["edge_count", "K", "closure", "dollars", "codes", "B", "flags"]
         # 9 of the 11 edges outside the closure run are not $: 3 bytes of codes
-        assert graph["codes"] == 8 + 3
-        assert sum(graph.values()) + 1 + 2 + 8 + 8 + (8 + 48) + 1 == sections["BOSS"]
+        assert (graph["edge_count"], graph["K"], graph["closure"], graph["codes"]) == (8, 40, 1, 3)
+        assert sum(graph.values()) == sections["BOSS"]
+        color = record["color_bytes"]
+        assert list(color) == ["payload", "F"]
+        assert sum(color.values()) == sections["COLR"]
 
     @pytest.mark.parametrize("damage", ["checksum", "version 1"])
     def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path, damage):

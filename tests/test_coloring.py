@@ -3,7 +3,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from cdbg.bitvectors import bit_vector
+from cdbg.bitvectors import BitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import (
     ColoringJob,
@@ -310,7 +310,7 @@ class TestArrayScanMatchesReference:
         bits = colorable.to_bits().copy()
         bits[np.flatnonzero(bits & boss.solid_mask())[::2]] = 0
         bits[np.arange(1, boss.K[1])[::3]] = 0  # ending nodes are ids 2..K[1]
-        damaged = bit_vector(bits)
+        damaged = BitVector(bits)
         for s in strings:
             try:
                 want = scan_read_ref(boss, damaged, s)

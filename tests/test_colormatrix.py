@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cdbg.bitvectors import BitVector, SparseBitVector, bit_vector
+from cdbg.bitvectors import BitVector, SparseBitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, decode_rows, get_colors
@@ -118,17 +118,18 @@ def test_size_beats_plain_bit_matrix():
     n_nodes = 4 * p
     bits = np.zeros(n_nodes, dtype=np.uint8)
     bits[rng.choice(n_nodes, size=p, replace=False)] = 1
-    cc = compress(table_of(rows), bit_vector(bits))
+    cc = compress(table_of(rows), BitVector(bits))
     w = Writer()
     cc.serialize(w)
     plain_matrix_bytes = (p * num_colors + 7) // 8
     assert len(w.getvalue()) <= plain_matrix_bytes
 
 
-@pytest.mark.parametrize("max_len,kind", [(1, BitVector), (8, SparseBitVector)])
+@pytest.mark.parametrize("max_len,kind", [(1, BitVector), (24, SparseBitVector)])
 def test_decode_rows_matches_get_colors(max_len, kind):
-    """Rows of one color keep F plain; rows of 4 to 8 colors push its
-    density below the sparse threshold, as the long rows of a repeat do."""
+    """Rows of one color keep F plain; rows of 12 to 24 colors make F
+    sparse enough that its positions serialize smaller, as the long rows
+    of a repeat can."""
     rng = np.random.default_rng(max_len)
     p = 80
     rows = [
@@ -137,7 +138,7 @@ def test_decode_rows_matches_get_colors(max_len, kind):
     ]
     bits = np.zeros(3 * p, dtype=np.uint8)
     bits[rng.choice(3 * p, size=p, replace=False)] = 1
-    cc = compress(table_of(rows), bit_vector(bits))
+    cc = compress(table_of(rows), BitVector(bits))
     assert type(cc.F) is kind
     offsets, colors = decode_rows(cc)
     for r, pos in enumerate(cc.N.ones_positions()):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from cdbg._binio import Reader, Writer
-from cdbg.bitvectors import MonotoneSequence, SymbolSequence, read_bit_vector
+from cdbg.bitvectors import BitVector, MonotoneSequence, SymbolSequence
 
 from cdbg.boss import BossIndex
+from cdbg.cli import main as cli_main
 from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import compress
 from cdbg.container import (
@@ -110,17 +111,17 @@ class TestContainer:
     def test_worked_example_container_is_pinned(self, built):
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
-        assert data[4] == FORMAT_VERSION == 4
-        assert len(data) == 413
+        assert data[4] == FORMAT_VERSION == 5
+        assert len(data) == 201  # format 3 took 353 bytes, format 4 413
         assert hashlib.sha256(data).hexdigest() == (
-            "6a7dcfdbaf800d7977e1c92dd3b6c55e94f8f4f54b15c36239d143c39b26d77c"
+            "90b8244ea70c5ce937f093dc8a99f7b47669b2dc893cbfe68c14f2319e39ef4e"
         )
 
     @pytest.mark.parametrize(
         "k,digest",
         [
-            (25, "1d7082381a65ab77346d7069044c8744e72abeff13f0afbbdcdac04304a6762d"),
-            (31, "38cf9457d3461b9e887bd78332cf3c1cdfcd4dbb4f9f4caa1814a7b28dca01e9"),
+            (25, "0ddcea038756da82c7bb29453b96850e0dd23223f7442ecb68077b0f179e84cc"),
+            (31, "00254b3e75d4f6f56524d2edd0b6c7a406f47392333fa2ce25dbae2ad864dcb1"),
         ],
     )
     def test_synthetic_read_set_container_is_pinned(self, k, digest):
@@ -191,51 +192,35 @@ class TestContainer:
 
 
 def boss_fields(data: bytes) -> dict[str, int]:
-    """Byte offsets in the container of the graph section's fields: the
-    section start, the counts, K, the closure run's start byte, the packed
-    2-bit codes' byte count ("E_bytes"); for a bitvector (the $ marks
-    "dollars", "B" and "minus"), of its bit count, two bytes after its
-    start; "end" is where the section ends."""
-    sizes = section_sizes(data)
-    r = Reader(data, pos=4 + 1 + 2 + 1 + (4 + 8) + sizes["META"] + (4 + 8))
-    at = {"section": r._pos}
-    r.u8()
-    r.u16()
-    for name in ("node_count", "edge_count"):
-        at[name] = r._pos
-        r.u64()
-    at["K"] = r._pos
-    r.array(np.int64)
-    at["closure"] = r._pos
-    r.u8()
-    at["dollars"] = r._pos + 2  # after the representation tag and version
-    read_bit_vector(r)
-    at["E_bytes"] = r._pos
-    r.array(np.uint8)
-    for name in ("B", "minus"):
-        at[name] = r._pos + 2
-        read_bit_vector(r)
-    at["end"] = r._pos
+    """Byte offsets in the container of the graph section's fields, in file
+    order: "edge_count" (where the section starts), "K" (K[1]),
+    "closure" (the closure run's start byte), the bitvectors "dollars",
+    "B" and "minus" (each at its tag byte), "codes" (the packed 2-bit
+    codes), and "end", where the section ends. The field sizes are those
+    ``cdbg stats`` reports."""
+    pos = 4 + 1 + 2 + 1 + (4 + 8) + section_sizes(data)["META"] + (4 + 8)
+    at = {}
+    for name, n in deserialize_index(data)[0].structure_bytes().items():
+        at["minus" if name == "flags" else name] = pos
+        pos += n
+    at["end"] = pos
     return at
 
 
 def colr_fields(data: bytes) -> dict[str, int]:
     """Byte offsets in the container of the colour section's fields: where
-    the section starts, where its row bitmap F starts and F's bit count,
-    and the payload's low words (their byte count) and high bits (their
-    bit count)."""
+    the section starts, with the payload's entry count; the payload's low
+    width and high words (after their count); and the row bitmap F, at its
+    tag byte."""
     r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
     at = {"section": r._pos}
-    r.u8()
-    at["F_start"] = r._pos
-    at["F"] = r._pos + 2  # after the representation tag and version
-    read_bit_vector(r)
-    r.u8()
-    r.u64()
-    r.u8()
-    at["lows"] = r._pos
-    r.array(np.uint64)
-    at["high"] = r._pos + 2
+    n = r.u64()
+    at["width"] = r._pos
+    width = r.u8()
+    r.array(np.uint64, (n * width + 63) // 64)  # the low words
+    at["high"] = r._pos + 8
+    r.array(np.uint64, r.u64())
+    at["F"] = r._pos
     return at
 
 
@@ -271,18 +256,33 @@ def spliced(data: bytes, tag: str, start: int, end: int, new: bytes) -> bytes:
     return resealed(blob)
 
 
-def with_sparse(data: bytes, field: str, n: int, positions: list[int]) -> bytes:
+def with_sparse(data: bytes, field: str, positions: list[int]) -> bytes:
     """The container with a bitvector of the graph section ("dollars" or
-    "minus") replaced by a sparse bitvector of n bits set at the given
+    "minus") replaced by a sparse bitvector with bits set at the given
     positions, written as is."""
     w = Writer()
     w.u8(2)
-    w.u8(1)
-    w.u64(n)
     MonotoneSequence(np.array(positions, dtype=np.int64)).serialize(w)
     at = boss_fields(data)
-    end = {"dollars": at["E_bytes"], "minus": at["end"]}[field]
-    return spliced(data, "BOSS", at[field] - 2, end, w.getvalue())
+    end = {"dollars": at["codes"], "minus": at["end"]}[field]
+    return spliced(data, "BOSS", at[field], end, w.getvalue())
+
+
+# The worked example's container in format 4, as format 4 wrote it
+FORMAT_4_WORKED_EXAMPLE = bytes.fromhex(
+    "43444247040400034d455441290000000000000001050000000000000001000000000000"
+    "00000000000000000000000000000000000200000000000000424f5353fd000000000000"
+    "000304000b000000000000000d0000000000000030000000000000000000000000000000"
+    "03000000000000000600000000000000080000000000000009000000000000000b000000"
+    "000000000202010b00000000000000010200000000000000021000000000000000040000"
+    "000000000000000000000000000101050000000000000008000000000000000a00000000"
+    "00000003000000000000005c3a000101050000000000000008000000000000000e000000"
+    "0000000002010d0000000000000001010000000000000003100000000000000000000000"
+    "000000000000000000000000010103000000000000000800000000000000020000000000"
+    "0000434f4c524700000000000000020101050000000000000008000000000000001f0000"
+    "000000000001050000000000000000000000000000000001010e00000000000000080000"
+    "000000000054120000000000008e548636"
+)
 
 
 class TestLoaderCrossChecks:
@@ -294,41 +294,51 @@ class TestLoaderCrossChecks:
     def data(self, built):
         return serialize_index(*built)
 
-    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_fields_are_where_the_sizes_put_them(self, built, data):
+        # what the offsets below rest on: the worked example's graph
+        # section holds 13 edges, K[1..5] = 3 6 8 9 11, the closure run at
+        # 2 and its bitvectors plain; its colour section holds 5 entries of
+        # no low bits, then F
+        at, colr = boss_fields(data), colr_fields(data)
+        assert int.from_bytes(data[at["edge_count"] : at["K"]], "little") == 13
+        assert np.frombuffer(data[at["K"] : at["K"] + 40], "<i8").tolist() == [3, 6, 8, 9, 11]
+        assert data[at["closure"]] == 2
+        assert [data[at[name]] for name in ("dollars", "B", "minus")] == [1, 1, 1]
+        assert at["end"] + (4 + 8) == colr["section"]
+        assert data[colr["section"]] == 5 and data[colr["width"]] == 0
+        assert data[colr["F"]] == 1 and colr["F"] + 9 == len(data) - 4
+
+    @pytest.mark.parametrize("tag,field", [
+        *[("BOSS", f) for f in ("edge_count", "K", "closure", "dollars", "codes", "B", "flags")],
+        ("COLR", "payload"), ("COLR", "F"),
+    ])
+    def test_section_cut_inside_a_field_is_refused(self, data, tag, field):
+        # no field stores its own length: each is read at the length the
+        # loader computed, so a section that ends inside one is truncated
+        boss, colors, _ = deserialize_index(data)
+        sizes = {"BOSS": boss.structure_bytes(), "COLR": colors.structure_bytes()}[tag]
+        start = section_length_at(data, tag) + 8
+        end = start
+        for name, n in sizes.items():
+            end += n
+            if name == field:
+                break
+        cut = spliced(data, tag, end - 1, start + section_sizes(data)[tag], b"")
+        with pytest.raises(IntegrityError, match="truncated"):
+            deserialize_index(cut)
+
+    @pytest.mark.parametrize("delta", [-1, 1, 2**40])
     def test_edge_count_must_match_edges_and_flags(self, data, delta):
-        with pytest.raises(IntegrityError, match="edge_count"):
-            deserialize_index(add_to_u64(data, boss_fields(data)["edge_count"], delta))
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_node_count_must_match_node_bitmap(self, data, delta):
-        with pytest.raises(IntegrityError, match="node_count"):
-            deserialize_index(add_to_u64(data, boss_fields(data)["node_count"], delta))
-
-    @pytest.mark.parametrize("field", ["dollars", "B", "minus"])
-    @pytest.mark.parametrize("delta", [1, 2**40])
-    def test_edge_lengths_must_agree(self, data, field, delta):
+        # the lengths of the $ marks, the codes and the flags follow from it
         with pytest.raises(IntegrityError):
-            deserialize_index(add_to_u64(data, boss_fields(data)[field], delta))
-
-    def test_plain_bit_count_must_fit_its_words(self, data):
-        # B of 2**40 bits held in one word
-        at = boss_fields(data)["B"]
-        stored = int.from_bytes(data[at : at + 8], "little")
-        with pytest.raises(IntegrityError, match="words"):
-            deserialize_index(add_to_u64(data, at, 2**40 - stored))
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_packed_symbols_must_fill_their_bytes(self, data, delta):
-        with pytest.raises(IntegrityError, match="packed symbols"):
-            deserialize_index(add_to_u64(data, boss_fields(data)["E_bytes"], delta))
+            deserialize_index(add_to_u64(data, boss_fields(data)["edge_count"], delta))
 
     def test_packed_symbols_must_not_run_past_the_last(self, built, data):
         # 11 edges outside the closure run, 2 of them $: 9 codes leave
         # bits 2..7 of the last byte clear
         marks, _ = built[0].E._split()
         assert marks.n - marks.count == 9
-        at = boss_fields(data)["E_bytes"]
-        last = at + 8 + int.from_bytes(data[at : at + 8], "little") - 1
+        last = boss_fields(data)["codes"] + 3 - 1
         blob = bytearray(data)
         blob[last] |= 0x80
         with pytest.raises(IntegrityError, match="past their last symbol"):
@@ -343,7 +353,7 @@ class TestLoaderCrossChecks:
         codes = E.codes().copy()
         codes[codes == SYMBOL_CODES["g"]] = SYMBOL_CODES["c"]
         _, packed = SymbolSequence(codes, E.closure_start, E.closure_len)._split()
-        first = boss_fields(data)["E_bytes"] + 8
+        first = boss_fields(data)["codes"]
         blob = bytearray(data)
         blob[first : first + len(packed)] = packed.tobytes()
         with pytest.raises(IntegrityError, match="K disagrees"):
@@ -351,29 +361,43 @@ class TestLoaderCrossChecks:
 
     @pytest.mark.parametrize("field", ["dollars", "minus"])
     def test_sparse_positions_must_increase(self, built, data, field):
+        # the worked example stores both plain; the loader reads either form
         boss = built[0]
-        marks, _ = boss.E._split()
-        n, ones = {
-            "dollars": (marks.n, marks.ones_positions().tolist()),
-            "minus": (boss.edge_count, np.flatnonzero(boss.edge_disambiguation_flags).tolist()),
+        ones = {
+            "dollars": boss.E._split()[0].ones_positions().tolist(),
+            "minus": np.flatnonzero(boss.edge_disambiguation_flags).tolist(),
         }[field]
-        assert serialize_index(*deserialize_index(with_sparse(data, field, n, ones))) == data
+        loaded = deserialize_index(with_sparse(data, field, ones))[0]
+        assert np.array_equal(loaded.E.codes(), boss.E.codes())
+        assert np.array_equal(loaded.edge_disambiguation_flags, boss.edge_disambiguation_flags)
         with pytest.raises(IntegrityError, match="sparse"):
-            deserialize_index(with_sparse(data, field, n, [ones[0], ones[0]]))
+            deserialize_index(with_sparse(data, field, [ones[0], ones[0]]))
 
     @pytest.mark.parametrize("field", ["dollars", "minus"])
     def test_sparse_positions_must_lie_below_the_length(self, data, field):
-        at = boss_fields(data)[field]
-        n = int.from_bytes(data[at : at + 8], "little")
+        # the $ marks cover the 11 edges outside the closure run, the flags
+        # all 13 edges
+        n = {"dollars": 11, "minus": 13}[field]
         with pytest.raises(IntegrityError, match="sparse"):
-            deserialize_index(with_sparse(data, field, n, [1, n]))
+            deserialize_index(with_sparse(data, field, [1, n]))
+
+    def test_flag_width_must_keep_positions_in_int64(self, built, data):
+        # one flag, at edge 8, stored sparse: 3 low bits in one word. Read
+        # with 63 low bits, its entry would decode to a negative position
+        assert np.flatnonzero(built[0].edge_disambiguation_flags).tolist() == [8]
+        crafted = bytearray(with_sparse(data, "minus", [8]))
+        width_at = boss_fields(data)["minus"] + 1 + 8
+        assert crafted[width_at] == 3
+        crafted[width_at] = 63
+        with pytest.raises(IntegrityError, match="63 low bits overflow int64"):
+            deserialize_index(resealed(crafted))
 
     def test_dollar_edges_must_enter_every_ending_node(self, built, data):
         # two ending nodes, each entered by a $ edge; one $ mark dropped
         marks, _ = built[0].E._split()
         one = marks.ones_positions().tolist()[:1]
         with pytest.raises(IntegrityError, match="1 \\$ edges cannot enter 2 ending nodes"):
-            deserialize_index(with_sparse(data, "dollars", marks.n, one))
+            deserialize_index(with_sparse(data, "dollars", one))
 
     @pytest.mark.parametrize("start", [12, 255])
     def test_closure_run_must_lie_inside_the_edges(self, data, start):
@@ -396,14 +420,9 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="closure run does not start"):
             deserialize_index(resealed(blob))
 
-    def test_node_bitmap_must_hold_a_bit_per_rising_edge(self, data):
-        # 5 rising edges; a sixth bit still fits the word
-        with pytest.raises(IntegrityError, match="node bitmap holds 6 bits for 5 rising edges"):
-            deserialize_index(add_to_u64(data, boss_fields(data)["B"], 1))
-
     def test_k_must_count_an_ending_node(self, data):
         # K[1] = 0: no label ends in $, not even the root's
-        at = boss_fields(data)["K"] + 8 + 8
+        at = boss_fields(data)["K"]
         assert int.from_bytes(data[at : at + 8], "little") == 3
         with pytest.raises(IntegrityError, match="K counts no ending node"):
             deserialize_index(add_to_u64(data, at, -3))
@@ -412,33 +431,29 @@ class TestLoaderCrossChecks:
         # every edge flagged: no edge has a target of its own
         m = built[0].edge_count
         with pytest.raises(IntegrityError, match="graph section"):
-            deserialize_index(with_sparse(data, "minus", m, list(range(m))))
+            deserialize_index(with_sparse(data, "minus", list(range(m))))
 
     @pytest.mark.parametrize("row", [1, 4])
     def test_row_bitmap_must_mark_p_rows(self, data, row):
         # the worked example has five rows of one colour: F is plain, all set
-        words_at = colr_fields(data)["F"] + 8 + 8
+        words_at = colr_fields(data)["F"] + 1
         assert data[words_at] == 0b11111
         blob = bytearray(data)
         blob[words_at] ^= 1 << row  # clear the start of a later row
         with pytest.raises(IntegrityError, match="row bitmap marks 4 rows, not p=5"):
             deserialize_index(resealed(blob))
 
-    @pytest.mark.parametrize("reads,delta,message", [
-        (["tacgt"], 1, "row bitmap length 6 != payload length 5"),
-        (["tacgt"], -1, "words do not hold exactly 4 bits"),  # the dropped bit is set
-        # the last row holds two colours, so the dropped bit is clear
-        (["tacgt", "tacgg"], -1, "row bitmap length 13 != payload length 14"),
-    ])
-    def test_row_bitmap_must_be_as_long_as_the_payload(self, reads, delta, message):
-        data = container_of(ReadSet.from_reads(reads), 4)
-        with pytest.raises(IntegrityError, match=message):
-            deserialize_index(add_to_u64(data, colr_fields(data)["F"], delta))
+    def test_plain_bits_past_the_length_are_refused(self, data):
+        # F holds one bit per payload entry: 5
+        blob = bytearray(data)
+        blob[colr_fields(data)["F"] + 1] |= 1 << 5
+        with pytest.raises(IntegrityError, match="sets bits past its 5 bits"):
+            deserialize_index(resealed(blob))
 
     def test_row_bitmap_must_start_a_row_first(self, mixed):
         # move the first row start to the first bit of F that is clear
-        words_at = colr_fields(mixed)["F"] + 8 + 8
-        assert mixed[words_at] & 0b11111 == 0b01111
+        words_at = colr_fields(mixed)["F"] + 1
+        assert mixed[words_at - 1] == 1 and mixed[words_at] & 0b11111 == 0b01111
         blob = bytearray(mixed)
         blob[words_at] ^= 0b10001
         with pytest.raises(IntegrityError, match="row bitmap does not start a row at position 0"):
@@ -449,76 +464,49 @@ class TestLoaderCrossChecks:
         # the payload [2, 3, 4, 6, 8] has no low bits: entry j's high bit
         # is bit value + j; moving one keeps its count, and gives
         # [2, 2, 4, 6, 8] or [0, 3, 4, 6, 8]
-        words_at = colr_fields(data)["high"] + 8 + 8
+        words_at = colr_fields(data)["high"]
         assert data[words_at] == 0b1010100
         blob = bytearray(data)
         blob[words_at] ^= (1 << clear) | (1 << set_)
         with pytest.raises(IntegrityError, match="not strictly increasing from 1"):
             deserialize_index(resealed(blob))
 
-    @pytest.mark.parametrize("version,message", [
-        (2, "unsupported container version"),
-        (FORMAT_VERSION, "unsupported color section version"),
-    ])
-    def test_format_2_is_refused(self, built, data, version, message):
-        # format 2 stored p and the colorable bitmap N in a version 1
-        # colour section, ahead of F
-        colors = built[1]
-        w = Writer()
-        w.u8(1)
-        w.u64(colors.p)
-        w.u64(colors.num_colors)
-        colors.N.serialize(w)
-        at = colr_fields(data)
-        old = bytearray(spliced(data, "COLR", at["section"], at["F_start"], w.getvalue()))
-        old[4] = version
-        with pytest.raises(IntegrityError, match=message):
-            deserialize_index(resealed(old))
-
     def test_node_bitmap_count_must_match_node_count(self, data):
         # B's bits at the 5 rising edges are 0 1 1 1 0; clearing the
-        # second keeps B's length and starts one node fewer
-        words_at = boss_fields(data)["B"] + 8 + 8
+        # second keeps B's length and starts one node fewer than K[5]
+        words_at = boss_fields(data)["B"] + 1
         assert data[words_at] == 0b01110
         blob = bytearray(data)
         blob[words_at] ^= 0b10
-        with pytest.raises(IntegrityError, match="disagree with node_count"):
+        with pytest.raises(IntegrityError, match="disagree with the K\\[5\\]=11 nodes"):
             deserialize_index(resealed(blob))
 
-    @pytest.mark.parametrize("version,message", [
-        (3, "unsupported container version"),
-        (FORMAT_VERSION, "unsupported graph section version"),
-    ])
-    def test_format_3_is_refused(self, built, data, version, message):
-        # format 3 stored E as 3-bit codes with their count and B as a
-        # plain bitvector of one bit per edge, in a version 2 graph section
-        boss = built[0]
-        w = Writer()
-        w.u8(2)
-        w.u16(boss.k)
-        w.u64(boss.node_count)
-        w.u64(boss.edge_count)
-        w.array(boss.K)
-        w.u8(2)
-        w.u64(boss.edge_count)
-        w.array(np.packbits((boss.E.codes()[:, None] >> np.arange(3)) & 1, bitorder="little"))
-        boss.B.serialize(w)
-        at = boss_fields(data)
-        old = bytearray(spliced(data, "BOSS", at["section"], at["minus"] - 2, w.getvalue()))
+    @pytest.mark.parametrize("version", [2, 3, 4])
+    def test_format_4_is_refused(self, tmp_path, version):
+        # format 4 stored a version byte in each section and in each
+        # bitvector, k and the node count in the graph section, and a
+        # length in front of each array; formats 2 and 3 are refused alike
+        old = bytearray(FORMAT_4_WORKED_EXAMPLE)
+        assert hashlib.sha256(old).hexdigest() == (
+            "6a7dcfdbaf800d7977e1c92dd3b6c55e94f8f4f54b15c36239d143c39b26d77c"
+        )
         old[4] = version
-        with pytest.raises(IntegrityError, match=message):
+        with pytest.raises(IntegrityError, match="unsupported container version"):
+            deserialize_index(resealed(old))
+        path = tmp_path / "v4.cdbg"
+        path.write_bytes(resealed(old))
+        assert cli_main(["stats", "--index", str(path)]) == 3
+        # read as format 5, its sections are refused too
+        old[4] = FORMAT_VERSION
+        with pytest.raises(IntegrityError):
             deserialize_index(resealed(old))
 
-    @pytest.mark.parametrize("entry,value", [(0, 1), (5, -1), (5, 1), (1, 100), (2, -100)])
+    @pytest.mark.parametrize("entry,value", [(5, -1), (5, 1), (1, 100), (2, -100)])
     def test_k_must_rise_from_zero_to_node_count(self, data, entry, value):
-        at = boss_fields(data)["K"] + 8 + 8 * entry
+        # K[0] = 0 is not stored, and K[5] is the node count
+        at = boss_fields(data)["K"] + 8 * (entry - 1)
         with pytest.raises(IntegrityError, match="K"):
             deserialize_index(add_to_u64(data, at, value))
-
-    def test_array_bytes_must_be_whole_items(self, data):
-        # K declares 47 bytes: not a whole number of int64 entries
-        with pytest.raises(IntegrityError, match="not whole"):
-            deserialize_index(add_to_u64(data, boss_fields(data)["K"], -1))
 
     @pytest.mark.parametrize("delta", [1, 1000])
     def test_last_section_must_fit_the_body(self, data, delta):
@@ -532,20 +520,12 @@ class TestLoaderCrossChecks:
             deserialize_index(spliced(data, "META", end, end, b"\0"))
 
     def test_payload_high_bits_must_mark_its_entries(self, data):
-        words_at = colr_fields(data)["high"] + 8 + 8
+        words_at = colr_fields(data)["high"]
         blob = bytearray(data)
         assert blob[words_at] & 0b100  # the high bit of the first entry
         blob[words_at] ^= 0b100
-        with pytest.raises(IntegrityError, match="high bits mark 4 entries, not 5"):
+        with pytest.raises(IntegrityError, match="high bits mark 4 entries in 1 words, not 5"):
             deserialize_index(resealed(blob))
-
-    def test_payload_low_words_must_fit_its_entries(self, mixed):
-        at = colr_fields(mixed)["lows"]
-        n_bytes = int.from_bytes(mixed[at : at + 8], "little")
-        assert n_bytes == 16  # one word of 60 one-bit fields, and the spare word
-        shorter = (n_bytes - 8).to_bytes(8, "little") + mixed[at + 8 : at + n_bytes]
-        with pytest.raises(IntegrityError, match="1 Elias-Fano low words for 60 entries of 1 bits"):
-            deserialize_index(spliced(mixed, "COLR", at, at + 8 + n_bytes, shorter))
 
     @pytest.mark.parametrize("seed", [2, 21])
     def test_bit_flips_load_or_raise_integrity_error(self, seed):
@@ -595,6 +575,16 @@ def test_format_round_trip(reads, k):
     assert assemble_all(boss2, colors2, 0.5) == assemble_all(boss, colors, 0.5)
     if reads == "errors":  # some ending node is entered by two $ edges
         assert boss.E._split()[0].count > boss.E.closure_len
+
+
+def test_colorable_bitmap_is_held_as_plain_words(mixed):
+    # N is never stored; held as words it takes n / 8 bytes, where set-bit
+    # positions would take 8 bytes per colourable node
+    built = BossIndex.build(mixed_read_set(1, 9), k=9)
+    for boss in (built, deserialize_index(mixed)[0]):
+        assert type(boss.colorable) is BitVector
+        assert boss.colorable.n == boss.node_count
+    assert np.array_equal(built.colorable._words, deserialize_index(mixed)[0].colorable._words)
 
 
 def test_loaded_graph_holds_two_per_edge_arrays(mixed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector, bit_vector
+from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
@@ -164,7 +164,7 @@ def without_critical_colors(boss, colors):
     bits = colors.N.to_bits().copy()
     bits[np.flatnonzero(bits & boss.solid_mask())] = 0
     return CompressedColors(
-        N=bit_vector(bits), F=colors.F, payload=colors.payload,
+        N=BitVector(bits), F=colors.F, payload=colors.payload,
         p=colors.p, num_colors=colors.num_colors,
     )
 
