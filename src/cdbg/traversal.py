@@ -3,18 +3,22 @@
 Reconstruction spells each color of a starting node by following that
 color: at a branch it takes the one successor whose row holds the color,
 and it gives the color up as ambiguous when no successor or more than one
-holds it. ``reconstruct_all`` and ``build_seqs`` walk all their (starting
-node, color) pairs in lockstep, one whole-array step per edge: the color
-table is decoded once per call, and the membership test at a branch is one
-``searchsorted`` over sorted (rank, color) keys.
+holds it. ``reconstruct_all`` and ``build_seqs`` decode the color table
+once per call and choose the walk by the number of (starting node, color)
+pairs. Below ``LOCKSTEP_MIN_WALKS`` pairs, each pair is walked one node at
+a time over an ``_IndexView``. From there on all pairs are walked in
+lockstep, one whole-array step per edge, and the membership test at a
+branch is one ``searchsorted`` over sorted (rank, color) keys. A lockstep
+step costs about the same however many walks it carries, so a few walks
+(``build_seqs`` from one start) are faster one at a time and many walks
+are faster in lockstep. Both give the same strings.
 
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
-colors. Each call first builds one view of the index from whole-array
-passes (decoded color table, the starting predecessors of nodes with
-indegree > 1); the walk reads it one node at a time, and a node's
-successors and color set are read out of the arrays once per call.
+colors. It reads the same ``_IndexView``, plus the starting predecessors
+of the nodes with indegree > 1, which the view derives in one whole-array
+pass on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
 
-_SYMBOL_BYTES = np.frombuffer(CODE_SYMBOLS.encode("ascii"), dtype=np.uint8)
+_CODE_ASCII = bytes.maketrans(bytes(range(len(CODE_SYMBOLS))), CODE_SYMBOLS.encode("ascii"))
 
 
 @dataclass
@@ -56,7 +60,7 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     are skipped."""
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    _, walks = _walk_all(boss, colors, np.array([v], dtype=np.int64))
+    _, walks = _walk_all(boss, colors, np.array([v], dtype=np.int64), [boss.node_label(v)])
     return [s for s in walks if s is not None]
 
 
@@ -71,7 +75,7 @@ def reconstruct_all(
     ignored."""
     report = ReconstructionReport()
     starts = boss.starting_node_ids()
-    n_colors, walks = _walk_all(boss, colors, starts)
+    n_colors, walks = _walk_all(boss, colors, starts, _labels(boss, starts))
     bounds = np.concatenate([[0], np.cumsum(n_colors)]).tolist()
     for v, lo, hi in zip(starts.tolist(), bounds[:-1], bounds[1:]):
         recovered = [s for s in walks[lo:hi] if s is not None]
@@ -86,35 +90,85 @@ def reconstruct_all(
     return report
 
 
+# The number of walks from which _walk_all steps them in lockstep. Measured
+# on a 2-core 2.1 GHz Xeon (medians of 30-40 alternated pairs, one at a
+# time against lockstep): all 96 walks of repeats-k25 took 5.9 against
+# 7.5 ms; strided starts of decode-k25-10x took 4.9 against 6.1 ms at 98
+# walks, 6.2 against 6.2 ms at 164 and 11.5 against 5.5 ms at all 394; on
+# build-k31-30x, 103 walks took 8.5 against 7.1 ms.
+LOCKSTEP_MIN_WALKS = 128
+
+
 def _walk_all(
-    boss: BossIndex, colors: CompressedColors, starts: np.ndarray
+    boss: BossIndex, colors: CompressedColors, starts: np.ndarray, labels: list[str]
 ) -> tuple[np.ndarray, list[str | None]]:
-    """Spell every color of every node in ``starts`` in one lockstep walk.
+    """Spell every color of every node in ``starts``, whose labels are given.
 
     Returns the number of colors of each start and, per walk in start
     order and then color order, its string, or None when the walk is
-    ambiguous: it reaches a closure edge, a branch where not exactly one
-    real successor holds its color, or more than edge_count + k steps.
-    Raises ``NotColored`` when a start or an inspected successor is not
-    colorable.
+    ambiguous: it reaches a branch where not exactly one real successor
+    holds its color, or takes more than edge_count + k steps. Raises
+    ``NotColored`` when a start or an inspected successor is not
+    colorable. Fewer than ``LOCKSTEP_MIN_WALKS`` walks go one node at a
+    time, more go in lockstep.
     """
-    offsets, row_colors, colorable, rank = _color_table(colors)
+    table = _color_table(colors)
+    offsets, row_colors, colorable, rank = table
     _require_colored(colorable, starts)
     walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
-    col = row_colors[walk_cols]
+    cur, col = np.repeat(starts, n_colors), row_colors[walk_cols]
+    if len(col) < LOCKSTEP_MIN_WALKS:
+        view = _IndexView(boss, table)
+        steps = [_walk_color(view, v, c) for v, c in zip(cur.tolist(), col.tolist())]
+    else:
+        steps = _walk_lockstep(boss, table, cur, col)
+    walk_labels = (label for label, n in zip(labels, n_colors.tolist()) for _ in range(n))
+    walks = [
+        None if s is None else (label + s).strip(DUMMY) for label, s in zip(walk_labels, steps)
+    ]
+    return n_colors, walks
+
+
+def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
+    """The symbols that color c's walk from starting node v appends to v's
+    label, one node at a time; None when the walk is ambiguous."""
+    first_edge, targets, codes = view.first_edge, view.targets, view.codes
+    colors_of, last_ending = view.colors_of, view.last_ending
+    syms = bytearray()  # one code per step
+    while v > last_ending:
+        if len(syms) == view.step_limit:
+            return None  # a walk this long cycles
+        e, end = first_edge[v] - 1, first_edge[v + 1] - 1
+        if end - e > 1:  # closure edges are skipped at a branch
+            hits = [f for f in range(e, end) if (t := targets[f]) and c in colors_of(t)]
+            if len(hits) != 1:
+                return None
+            e = hits[0]
+        v = targets[e]
+        if not v:
+            return None  # a closure edge
+        syms.append(codes[e])
+    return syms.translate(_CODE_ASCII).decode()
+
+
+def _walk_lockstep(
+    boss: BossIndex, table: tuple[np.ndarray, ...], cur: np.ndarray, col: np.ndarray
+) -> list[str | None]:
+    """What ``_walk_color`` gives for each walk (start ``cur``, color
+    ``col``), all walks at once: one whole-array step per edge."""
+    offsets, row_colors, colorable, rank = table
     n_walks = len(col)
     # membership of color c in the row of rank r is key (r - 1) * width + c;
     # rows ascend and ranks increase, so the keys are already sorted
     width = int(row_colors.max()) + 1 if len(row_colors) else 1
-    keys = np.repeat(np.arange(colors.p), np.diff(offsets)) * width + row_colors
+    keys = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)) * width + row_colors
 
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
     codes, last_ending = boss._codes, int(boss.K[1])  # ending nodes are ids 2..K[1]
     wid = np.arange(n_walks)
-    cur = np.repeat(starts, n_colors)
     ok = np.zeros(n_walks, dtype=bool)
-    step_wid, step_sym = [], []
+    step_wid, step_sym = [wid[:0]], [codes[:0]]
     limit = boss.edge_count + boss.k
     for step in range(limit + 1):
         done = cur <= last_ending
@@ -146,17 +200,14 @@ def _walk_all(
         step_wid.append(wid)
         step_sym.append(codes[pos[alive] - 1])
 
-    # each walk's string: its start's label, then one symbol per step
-    labels = boss.node_labels(starts)
-    walk_ids = np.concatenate([np.repeat(np.arange(n_walks), boss.k - 1)] + step_wid)
-    syms = np.concatenate([np.repeat(labels, n_colors, axis=0).ravel()] + step_sym)
-    text = _SYMBOL_BYTES[syms[np.argsort(walk_ids, kind="stable")]].tobytes().decode("ascii")
+    # each walk's symbols, one per step, in step order
+    walk_ids, syms = np.concatenate(step_wid), np.concatenate(step_sym)
+    text = syms[np.argsort(walk_ids, kind="stable")].tobytes().translate(_CODE_ASCII).decode()
     ends = np.cumsum(np.bincount(walk_ids, minlength=n_walks)).tolist()
-    walks = [
-        text[a:b].strip(DUMMY) if good else None
+    return [
+        text[a:b] if good else None
         for a, b, good in zip([0] + ends[:-1], ends, ok.tolist())
     ]
-    return n_colors, walks
 
 
 def _color_table(colors: CompressedColors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -187,7 +238,7 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    return _assemble_from(_AssemblyView(boss, colors), v, _labels(boss, [v])[0], x)
+    return _assemble_from(_IndexView(boss, _color_table(colors)), v, boss.node_label(v), x)
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
@@ -199,7 +250,7 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
     walks share one view of the index built for the call.
     """
     _check_threshold(x)
-    view = _AssemblyView(boss, colors)
+    view = _IndexView(boss, _color_table(colors))
     starts = boss.starting_node_ids()
     seen: set[str] = set()
     contigs: list[str] = []
@@ -223,44 +274,57 @@ def _check_threshold(x: float) -> None:
 def _labels(boss: BossIndex, ids) -> list[str]:
     """Labels of many nodes from one ``node_labels`` call."""
     w = boss.k - 1
-    text = _SYMBOL_BYTES[boss.node_labels(ids)].tobytes().decode("ascii")
+    text = boss.node_labels(ids).tobytes().translate(_CODE_ASCII).decode()
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
-class _AssemblyView:
+class _IndexView:
     """The index for one call, read one node at a time: the whole-graph
     arrays are wrapped in memoryviews, whose items index as Python ints
     without a copy of the arrays, and a node's record and color set are
     built on first use and kept for the call."""
 
-    def __init__(self, boss: BossIndex, colors: CompressedColors):
-        offsets, row_colors, colorable, rank = _color_table(colors)
+    def __init__(self, boss: BossIndex, table: tuple[np.ndarray, ...]):
+        offsets, row_colors, colorable, rank = table
+        self._boss = boss
         self._offsets, self._row_colors = memoryview(offsets), memoryview(row_colors)
         self._colorable, self._rank = memoryview(colorable), memoryview(rank)
-        self._first_edge, self._codes = memoryview(boss._first_edge), memoryview(boss._codes)
-        targets = boss.edge_targets()  # 0 on closure edges
-        self._targets = memoryview(targets)
-        # the starting predecessors of each node of indegree > 1, in BOSS
-        # order: the real out-edges of the starting nodes, in source order
-        starts = boss.starting_node_ids()
+        self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
+        self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
+        self._sets: dict[int, frozenset[int]] = {}
+        self._records: dict[int, tuple[list[tuple[str, int]], list[int]]] = {}
+        # derived at the first record; set here, not by a cached property,
+        # since an attribute added after __init__ slows every attribute load
+        # of the view (about 7% of assemble_all in CPython 3.11)
+        self._starting_preds: dict[int, list[int]] | None = None
+        self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
+        self.edge_count = boss.edge_count
+        self.step_limit = boss.edge_count + boss.k
+
+    def _derive_starting_preds(self) -> dict[int, list[int]]:
+        """The starting predecessors of each node of indegree > 1, in BOSS
+        order: the real out-edges of the starting nodes, in source order.
+        One whole-array pass, made at the first ``record``: only assembly
+        reads them."""
+        boss = self._boss
+        targets, starts = boss.edge_targets(), boss.starting_node_ids()
         edges, counts = _gather(boss._first_edge, starts)
         into = targets[edges - 1]
         keep = (into > 0) & (np.bincount(targets, minlength=boss.node_count + 1)[into] > 1)
-        self._starting_preds: dict[int, list[int]] = {}
+        preds: dict[int, list[int]] = {}
         for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
-            self._starting_preds.setdefault(t, []).append(u)
-        self._sets: dict[int, frozenset[int]] = {}
-        self._records: dict[int, tuple[list[tuple[str, int]], list[int]]] = {}
-        self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
-        self.edge_count = boss.edge_count
+            preds.setdefault(t, []).append(u)
+        return preds
 
     def record(self, v: int) -> tuple[list[tuple[str, int]], list[int]]:
         """(symbol, target) of each real outgoing edge of v, and the starting
         predecessors of v when it has more than one predecessor."""
         got = self._records.get(v)
         if got is None:
-            codes, targets = self._codes, self._targets
-            edges = range(self._first_edge[v] - 1, self._first_edge[v + 1] - 1)
+            if self._starting_preds is None:
+                self._starting_preds = self._derive_starting_preds()
+            codes, targets = self.codes, self.targets
+            edges = range(self.first_edge[v] - 1, self.first_edge[v + 1] - 1)
             got = self._records[v] = (
                 [(CODE_SYMBOLS[codes[e]], t) for e in edges if (t := targets[e])],
                 self._starting_preds.get(v, []),
@@ -278,7 +342,7 @@ class _AssemblyView:
         return got
 
 
-def _assemble_from(view: _AssemblyView, v: int, label: str, x: float) -> str:
+def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
     when a single successor carries at least an x fraction of them."""

@@ -102,6 +102,24 @@ def test_bit_vector_is_stored_in_the_smaller_encoding(n, density, rnd):
     assert np.array_equal(read_bit_vector(r, n).to_bits(), bits) and r.done()
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 1000, 2049, 4096])
+@pytest.mark.parametrize("density", [0.0, 0.002, 0.02, 0.05, 0.1, 0.15, 0.2, 0.5, 0.9, 1.0])
+def test_bit_vector_choice_matches_serializing_both(n, density):
+    # bit_vector computes both sizes; the rule it replaces serialized both
+    rng = np.random.default_rng(n * 1000 + int(density * 1000))
+    for _ in range(5):
+        bits = (rng.random(n) < density).astype(np.uint8)
+        plain, sparse = BitVector(bits), SparseBitVector.from_bits(bits)
+        want = "sparse" if len(serialized(sparse)) < len(serialized(plain)) else "plain"
+        bv = bit_vector(bits)
+        assert bv.kind == want
+        pos = sparse.ones_positions()
+        size = MonotoneSequence.serialized_size(len(pos), int(pos[-1]) if len(pos) else 0)
+        assert 1 + size == len(serialized(sparse))  # tag byte, then the sequence
+        r = Reader(serialized(bv))
+        assert np.array_equal(read_bit_vector(r, n).to_bits(), bits) and r.done()
+
+
 def test_sparse_serializes_smaller_than_plain():
     rng = np.random.default_rng(3)
     bits = np.zeros(200_000, dtype=np.uint8)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from cdbg import traversal
 from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
@@ -15,7 +18,7 @@ from cdbg.traversal import (
     reconstruct_all,
 )
 
-from conftest import mixed_read_set
+from conftest import mixed_read_set, random_read_set
 from oracle import assemble_all_ref, contig_assm_ref, is_unambiguous, walk_color
 
 
@@ -169,28 +172,75 @@ def without_critical_colors(boss, colors):
     )
 
 
-class TestLockstepMatchesReference:
-    def test_reconstruct_and_build_seqs(self, mixed_indexes):
+@pytest.fixture(params=["one_at_a_time", "lockstep"])
+def walk(request, monkeypatch):
+    """Every ``_walk_all`` call of the test takes the named walk."""
+    crossover = sys.maxsize if request.param == "one_at_a_time" else 0
+    monkeypatch.setattr(traversal, "LOCKSTEP_MIN_WALKS", crossover)
+    return request.param
+
+
+class TestWalksMatchReference:
+    def test_reconstruct_and_build_seqs(self, mixed_indexes, walk):
         ambiguous = 0
         for boss, colors in mixed_indexes.values():
             ambiguous += assert_matches_reference(boss, colors).ambiguous_count
         assert ambiguous > 0  # the repeated segment makes some walks ambiguous
 
-    def test_cleared_successor_bit_raises_not_colored(self, mixed_indexes):
+    def test_cleared_successor_bit_raises_not_colored(self, mixed_indexes, walk):
         # clearing the bits of critical nodes makes branch successors
-        # uncolorable; the reference and the lockstep walk must both raise
+        # uncolorable; the reference and the walk must both raise, from
+        # every start and from all starts at once
         raised = 0
         for boss, colors in mixed_indexes.values():
             damaged = without_critical_colors(boss, colors)
+            for v in boss.starting_node_ids().tolist():
+                try:
+                    want = [walk_color(boss, damaged, v, c) for c in get_colors(damaged, v)]
+                except NotColored:
+                    raised += 1
+                    with pytest.raises(NotColored):
+                        build_seqs(boss, damaged, v)
+                else:
+                    assert build_seqs(boss, damaged, v) == [s for s in want if s is not None]
             try:
                 reference_walks(boss, damaged)
             except NotColored:
-                raised += 1
                 with pytest.raises(NotColored):
                     reconstruct_all(boss, damaged)
             else:
                 assert_matches_reference(boss, damaged)
         assert raised > 0
+
+
+def test_build_seqs_matches_reconstruct_all_above_the_crossover():
+    # reconstruct_all walks this index in lockstep and build_seqs walks one
+    # start's colors one at a time; each start's strings must agree
+    raw = random_read_set(np.random.default_rng(5), 120, 15, 40)
+    _, boss, colors = index_for(raw, 7)  # k small enough for repeats
+    report = reconstruct_all(boss, colors)
+    per_start = report.per_start.values()
+    assert sum(st.colors for st in per_start) >= traversal.LOCKSTEP_MIN_WALKS
+    assert max(st.colors for st in per_start) < traversal.LOCKSTEP_MIN_WALKS
+    assert report.ambiguous_count > 0
+    got = []
+    for v in report.per_start:
+        got.extend(build_seqs(boss, colors, v))
+    assert got == report.recovered
+
+
+def test_reconstruction_leaves_the_starting_predecessors_underived(mixed_indexes, monkeypatch):
+    # only assembly reads the starting predecessors of the view
+    def fail(view):
+        raise AssertionError("starting predecessors derived")
+
+    monkeypatch.setattr(traversal._IndexView, "_derive_starting_preds", fail)
+    boss, colors = mixed_indexes[1, 9]
+    start = int(boss.starting_node_ids()[0])
+    assert build_seqs(boss, colors, start)
+    assert reconstruct_all(boss, colors).recovered
+    with pytest.raises(AssertionError, match="starting predecessors"):
+        contig_assm(boss, colors, start, 0.5)
 
 
 class TestAssemblyMatchesReference:
@@ -258,7 +308,7 @@ def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
     assert calls["BossIndex._derive_targets"] == 1
 
 
-def test_cycling_color_trail_is_ambiguous():
+def test_cycling_color_trail_is_ambiguous(walk):
     # drop the read's color from its ending node: at the self-looping node
     # "aa" only the loop keeps the color, so the walk cycles until the
     # edge_count + k step guard gives it up
