@@ -28,10 +28,6 @@ from ._binio import Fields, Pieces, Reader, Writer
 from .errors import BoundsError, IntegrityError
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """bits (0/1 uint8) -> uint64 words, bit i of word w = bits[64w + i]."""
     packed = np.packbits(bits, bitorder="little")
@@ -81,14 +77,14 @@ class BitVector:
         """Keep n bits packed in words, and their count."""
         self.n = n
         self._words = words
-        self.count = int(_popcount(words).sum())
+        self.count = int(np.bitwise_count(words).sum())
 
     @cached_property
     def _block(self) -> np.ndarray:
         """The rank directory, built at the first rank or select:
         ``_block[w]`` is the number of set bits in ``words[:w]``."""
         block = np.zeros(len(self._words) + 1, dtype=np.int64)
-        np.cumsum(_popcount(self._words), out=block[1:])
+        np.cumsum(np.bitwise_count(self._words), out=block[1:])
         return block
 
     def get(self, i: int) -> int:

@@ -1,8 +1,10 @@
 """Streaming FASTA/FASTQ input and FASTA output.
 
 The format is sniffed from the first non-blank byte ('>' FASTA, '@'
-FASTQ). Qualities and record identifiers are discarded; sequence
-validation happens downstream in ReadSet.
+FASTQ). The file is read as bytes, so a byte that is not UTF-8 cannot
+stop the parse. Qualities and record identifiers are discarded; each
+sequence goes to ReadSet as bytes, which rejects one that is not ASCII
+acgt as a counted ``non_acgt`` read.
 """
 
 from __future__ import annotations
@@ -28,17 +30,17 @@ def sniff_format(path: str | Path) -> str:
     raise ParseError("empty input file")
 
 
-def iter_fasta(path: str | Path) -> Iterator[str]:
-    seq_parts: list[str] = []
+def iter_fasta(path: str | Path) -> Iterator[bytes]:
+    seq_parts: list[bytes] = []
     saw_header = False
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith(">"):
+            if line.startswith(b">"):
                 if seq_parts:
-                    yield "".join(seq_parts)
+                    yield b"".join(seq_parts)
                     seq_parts = []
                 saw_header = True
             else:
@@ -46,11 +48,11 @@ def iter_fasta(path: str | Path) -> Iterator[str]:
                     raise ParseError("sequence data before first header", line=lineno)
                 seq_parts.append(line)
     if seq_parts:
-        yield "".join(seq_parts)
+        yield b"".join(seq_parts)
 
 
-def iter_fastq(path: str | Path) -> Iterator[str]:
-    with open(path) as fh:
+def iter_fastq(path: str | Path) -> Iterator[bytes]:
+    with open(path, "rb") as fh:
         lineno = 0
         while True:
             header = fh.readline()
@@ -59,7 +61,7 @@ def iter_fastq(path: str | Path) -> Iterator[str]:
             lineno += 1
             if not header.strip():
                 continue
-            if not header.startswith("@"):
+            if not header.startswith(b"@"):
                 raise ParseError("record does not start with '@'", line=lineno)
             seq = fh.readline()
             plus = fh.readline()
@@ -67,7 +69,7 @@ def iter_fastq(path: str | Path) -> Iterator[str]:
             if not qual:
                 raise ParseError("truncated record", line=lineno)
             seq = seq.strip()
-            if not plus.startswith("+"):
+            if not plus.startswith(b"+"):
                 raise ParseError("missing '+' separator", line=lineno + 2)
             if len(qual.strip()) != len(seq):
                 raise ParseError("quality length differs from sequence", line=lineno + 3)

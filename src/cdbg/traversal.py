@@ -16,9 +16,10 @@ are faster in lockstep. Both give the same strings.
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
-colors. It reads the same ``_IndexView``, plus the starting predecessors
-of the nodes with indegree > 1, which the view derives in one whole-array
-pass on first use.
+colors. It steps through the same ``_IndexView`` as reconstruction, and
+reads the starting predecessors of the nodes with indegree > 1 from a map
+that ``contig_assm`` and ``assemble_all`` derive once per call
+(``_starting_preds``); reconstruction never derives it.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    return _assemble_from(_IndexView(boss, _color_table(colors)), v, boss.node_label(v), x)
+    view = _IndexView(boss, _color_table(colors))
+    return _assemble_from(view, _starting_preds(boss), v, boss.node_label(v), x)
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
@@ -247,15 +249,17 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
 
     The output is every per-start contig, as ``contig_assm`` gives it from
     each starting node: a contig contained in a longer one is kept. The
-    walks share one view of the index built for the call.
+    walks share one view of the index and one starting-predecessor map,
+    built for the call.
     """
     _check_threshold(x)
     view = _IndexView(boss, _color_table(colors))
+    starting_preds = _starting_preds(boss)
     starts = boss.starting_node_ids()
     seen: set[str] = set()
     contigs: list[str] = []
     for v, label in zip(starts.tolist(), _labels(boss, starts)):
-        s = _assemble_from(view, v, label, x)
+        s = _assemble_from(view, starting_preds, v, label, x)
         if not s:
             continue
         canon = min(s, reverse_complement(s))
@@ -278,58 +282,37 @@ def _labels(boss: BossIndex, ids) -> list[str]:
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
+def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
+    """The starting predecessors of each node of indegree > 1, in BOSS
+    order: the real out-edges of the starting nodes, in source order."""
+    targets, starts = boss.edge_targets(), boss.starting_node_ids()
+    edges, counts = _gather(boss._first_edge, starts)
+    into = targets[edges - 1]
+    keep = (into > 0) & (np.bincount(targets, minlength=boss.node_count + 1)[into] > 1)
+    preds: dict[int, list[int]] = {}
+    for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
+        preds.setdefault(t, []).append(u)
+    return preds
+
+
 class _IndexView:
     """The index for one call, read one node at a time: the whole-graph
     arrays are wrapped in memoryviews, whose items index as Python ints
-    without a copy of the arrays, and a node's record and color set are
-    built on first use and kept for the call."""
+    without a copy of the arrays. A node's color set, and a branching
+    node's real (code, target) out-edges, are built on first use and kept
+    for the call."""
 
     def __init__(self, boss: BossIndex, table: tuple[np.ndarray, ...]):
         offsets, row_colors, colorable, rank = table
-        self._boss = boss
         self._offsets, self._row_colors = memoryview(offsets), memoryview(row_colors)
         self._colorable, self._rank = memoryview(colorable), memoryview(rank)
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
         self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
         self._sets: dict[int, frozenset[int]] = {}
-        self._records: dict[int, tuple[list[tuple[str, int]], list[int]]] = {}
-        # derived at the first record; set here, not by a cached property,
-        # since an attribute added after __init__ slows every attribute load
-        # of the view (about 7% of assemble_all in CPython 3.11)
-        self._starting_preds: dict[int, list[int]] | None = None
+        self.branches: dict[int, list[tuple[int, int]]] = {}
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
         self.step_limit = boss.edge_count + boss.k
-
-    def _derive_starting_preds(self) -> dict[int, list[int]]:
-        """The starting predecessors of each node of indegree > 1, in BOSS
-        order: the real out-edges of the starting nodes, in source order.
-        One whole-array pass, made at the first ``record``: only assembly
-        reads them."""
-        boss = self._boss
-        targets, starts = boss.edge_targets(), boss.starting_node_ids()
-        edges, counts = _gather(boss._first_edge, starts)
-        into = targets[edges - 1]
-        keep = (into > 0) & (np.bincount(targets, minlength=boss.node_count + 1)[into] > 1)
-        preds: dict[int, list[int]] = {}
-        for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
-            preds.setdefault(t, []).append(u)
-        return preds
-
-    def record(self, v: int) -> tuple[list[tuple[str, int]], list[int]]:
-        """(symbol, target) of each real outgoing edge of v, and the starting
-        predecessors of v when it has more than one predecessor."""
-        got = self._records.get(v)
-        if got is None:
-            if self._starting_preds is None:
-                self._starting_preds = self._derive_starting_preds()
-            codes, targets = self.codes, self.targets
-            edges = range(self.first_edge[v] - 1, self.first_edge[v + 1] - 1)
-            got = self._records[v] = (
-                [(CODE_SYMBOLS[codes[e]], t) for e in edges if (t := targets[e])],
-                self._starting_preds.get(v, []),
-            )
-        return got
 
     def colors_of(self, v: int) -> frozenset[int]:
         got = self._sets.get(v)
@@ -342,32 +325,33 @@ class _IndexView:
         return got
 
 
-def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
+def _assemble_from(
+    view: _IndexView, starting_preds: dict[int, list[int]], v: int, label: str, x: float
+) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
     when a single successor carries at least an x fraction of them."""
-    colors_of, record, last_ending = view.colors_of, view.record, view.last_ending
+    first_edge, targets, codes = view.first_edge, view.targets, view.codes
+    colors_of, branches, last_ending = view.colors_of, view.branches, view.last_ending
     active: dict[int, int] = {c: v for c in colors_of(v)}
     finished: set[tuple[int, int]] = set()
-    syms = [label]
+    syms = bytearray()  # one code per step
     cur = v
-    steps = 0
-    while steps <= view.edge_count:
-        steps += 1
-        succ, starting_preds = record(cur)
-        for u in starting_preds:
+    for _ in range(view.edge_count + 1):
+        for u in starting_preds.get(cur, ()):
             for c in colors_of(u):
                 if (c, u) not in finished:
                     active[c] = u
-        if len(succ) == 1:
-            sym, target = succ[0]
-            if target <= last_ending:
-                break
-            syms.append(sym)
-            cur = target
+        e, end = first_edge[cur] - 1, first_edge[cur + 1] - 1
+        if end - e == 1:
+            cur = targets[e]
+            if cur <= last_ending:
+                break  # an ending node or a closure edge
+            syms.append(codes[e])
             continue
-        if not succ:
-            break  # closure-only node; unreachable from a starting walk
+        succ = branches.get(cur)
+        if succ is None:
+            succ = branches[cur] = [(codes[f], t) for f in range(e, end) if (t := targets[f])]
         succ_colors = {t: colors_of(t) for _, t in succ}
         # stop when two successors share a color: no safe continuation
         seen: set[int] = set()
@@ -382,8 +366,8 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
         if not q_keys:
             break
         candidates = [
-            (sym, t)
-            for sym, t in succ
+            (code, t)
+            for code, t in succ
             if t > last_ending and len(succ_colors[t] & q_keys) / len(q_keys) >= x
         ]
         for _, t in succ:
@@ -393,8 +377,7 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
                         finished.add((c, active.pop(c)))
         if len(candidates) != 1:
             break
-        sym, target = candidates[0]
-        syms.append(sym)
-        active = {c: s for c, s in active.items() if c in succ_colors[target]}
-        cur = target
-    return "".join(syms).lstrip(DUMMY)
+        code, cur = candidates[0]
+        syms.append(code)
+        active = {c: s for c, s in active.items() if c in succ_colors[cur]}
+    return (label + syms.translate(_CODE_ASCII).decode()).lstrip(DUMMY)

@@ -66,6 +66,41 @@ class TestBuild:
         )
         assert res.returncode == 2
 
+    def test_latin1_header_builds(self, tmp_path):
+        reads = tmp_path / "reads.fa"
+        reads.write_bytes(b">r1 espa\xf1a\ntacgt\n")
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 0, res.stderr
+        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
+
+    def test_undecodable_read_is_rejected(self, tmp_path):
+        reads = tmp_path / "reads.fa"
+        reads.write_bytes(b">r1\ntacgt\n>r2\ntac\xffgt\n")
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 0, res.stderr
+        assert "1 rejected" in res.stderr
+        # the verify file goes through the same parser
+        res = run_cli(
+            "reconstruct", "--index", str(tmp_path / "i.cdbg"),
+            "--output", str(tmp_path / "r.txt"), "--verify", str(reads),
+        )
+        assert res.returncode == 0, res.stderr
+        assert "recovered_percentage=100.00" in res.stdout
+
+    def test_fastq_of_only_an_undecodable_read_is_data_error(self, tmp_path):
+        reads = tmp_path / "reads.fq"
+        reads.write_bytes(b"@r1\ntac\xffgt\n+\nIIIIII\n")
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 2
+        assert "error: no read of length >= k" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestStats:
     def test_stats_worked_example(self, tiny_index):

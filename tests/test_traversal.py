@@ -10,6 +10,7 @@ from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
 from cdbg.errors import BadStart, BadThreshold, NotColored
 from cdbg.sequence import ReadSet, reverse_complement
+from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import (
     StartReport,
     assemble_all,
@@ -230,11 +231,11 @@ def test_build_seqs_matches_reconstruct_all_above_the_crossover():
 
 
 def test_reconstruction_leaves_the_starting_predecessors_underived(mixed_indexes, monkeypatch):
-    # only assembly reads the starting predecessors of the view
-    def fail(view):
+    # only assembly reads the starting predecessors
+    def fail(boss):
         raise AssertionError("starting predecessors derived")
 
-    monkeypatch.setattr(traversal._IndexView, "_derive_starting_preds", fail)
+    monkeypatch.setattr(traversal, "_starting_preds", fail)
     boss, colors = mixed_indexes[1, 9]
     start = int(boss.starting_node_ids()[0])
     assert build_seqs(boss, colors, start)
@@ -272,6 +273,32 @@ class TestAssemblyMatchesReference:
             else:
                 assert assemble_all(boss, damaged, 0.5) == want_all
         assert raised > 0
+
+
+@pytest.fixture(scope="module")
+def error_indexes():
+    """Indexes of reads with substitution errors, whose tips and bubbles
+    give many branching nodes and nodes of indegree > 1."""
+    out = {}
+    for seed in (1, 2):
+        cfg = SyntheticConfig(genome_len=300, read_len=40, coverage=6, seed=seed, error_rate=0.02)
+        raw = generate_reads(cfg)[1]
+        for k in (9, 15):
+            out[seed, k] = index_for(raw, k)[1:]
+    return out
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0])
+def test_assembly_on_error_reads_matches_reference(error_indexes, x):
+    for boss, colors in error_indexes.values():
+        for v in boss.starting_node_ids().tolist():
+            assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, colors, v, x)
+        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+
+
+def test_reconstruction_on_error_reads_matches_reference(error_indexes):
+    for boss, colors in error_indexes.values():
+        assert_matches_reference(boss, colors)
 
 
 def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
