@@ -159,6 +159,13 @@ class BossIndex(Fields):
 
     Node ids are 1-based ranks in BOSS (colex label) order. Edge positions
     are 1-based indices into ``E``.
+
+    ``_query`` is empty at build and at load. The first traversal query
+    on the graph fills it with its view (``traversal._GraphView``), which
+    every later query reuses: memoryviews over the graph's own arrays (no
+    copy), the real out-edges of each branching node a walk has reached
+    and, once assembly has asked for it, the starting predecessors of the
+    nodes of indegree > 1. It is held until the graph is dropped.
     """
 
     def __init__(self):
@@ -258,6 +265,7 @@ class BossIndex(Fields):
         succ = targets[_branch_edges(self, targets)]
         bits[succ[self._solid(anc)[succ]]] = 1
         self._colorable = BitVector(bits[1:])
+        self._query = None  # see the class docstring
 
     def _derive_targets(self, minus: np.ndarray) -> np.ndarray:
         """Target node of every edge, 0 on closure edges: per symbol, the
@@ -392,12 +400,12 @@ class BossIndex(Fields):
 
     def node_label(self, v: int) -> str:
         self._check_node(v)
-        K = self._kcum.tolist()
+        K, parent = self._kcum.tolist(), memoryview(self._parent)
         syms: list[str] = []
         cur = v
         while cur != 1 and len(syms) < self.k - 1:
             syms.append(CODE_SYMBOLS[bisect_left(K, cur)])
-            cur = int(self._parent[cur])
+            cur = parent[cur]
         pad = DUMMY * (self.k - 1 - len(syms))
         return pad + "".join(reversed(syms))
 

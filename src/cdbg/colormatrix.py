@@ -14,7 +14,7 @@ is checked once, at load, so the decoders read trusted arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -27,13 +27,22 @@ from .errors import IncompleteColoring, IntegrityError, NotColored
 
 @dataclass
 class CompressedColors(Fields):
-    """Immutable (N, F, payload) triple answering per-node color queries."""
+    """Immutable (N, F, payload) triple answering per-node color queries.
+
+    ``_query`` is empty at build and at load. The first traversal query
+    on these colors fills it with their view (``traversal._ColorView``),
+    which every later query reuses: the decoded rows (8 B per color entry
+    and per row), the colorable bitmap as bools and its running rank (9 B
+    per node), and the color set of each node a walk has inspected. It is
+    held until the colors are dropped.
+    """
 
     N: BitVector
     F: AnyBitVector
     payload: MonotoneSequence  # prefix sums of the delta list M'
     p: int
     num_colors: int
+    _query: object = field(default=None, init=False, compare=False, repr=False)
 
     def pieces(self) -> Pieces:
         return {"payload": self.payload.serialize, "F": self.F.serialize}

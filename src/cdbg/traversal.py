@@ -3,23 +3,29 @@
 Reconstruction spells each color of a starting node by following that
 color: at a branch it takes the one successor whose row holds the color,
 and it gives the color up as ambiguous when no successor or more than one
-holds it. ``reconstruct_all`` and ``build_seqs`` decode the color table
-once per call and choose the walk by the number of (starting node, color)
-pairs. Below ``LOCKSTEP_MIN_WALKS`` pairs, each pair is walked one node at
-a time over an ``_IndexView``. From there on all pairs are walked in
-lockstep, one whole-array step per edge, and the membership test at a
-branch is one ``searchsorted`` over sorted (rank, color) keys. A lockstep
-step costs about the same however many walks it carries, so a few walks
+holds it. Every query (``build_seqs``, ``reconstruct_all``,
+``contig_assm``, ``assemble_all``) reads the index through two views,
+each derived on the first query that needs it and kept on its object for
+every later query: the graph's ``_GraphView`` in ``BossIndex._query`` and
+the colors' ``_ColorView`` in ``CompressedColors._query``. So the color
+table is decoded once per loaded index, not once per call.
+
+A query chooses the walk by the number of (starting node, color) pairs.
+Below ``LOCKSTEP_MIN_WALKS`` pairs, each pair is walked one node at a time
+over the views. From there on all pairs are walked in lockstep, one
+whole-array step per edge, and the membership test at a branch is one
+``searchsorted`` over sorted (rank, color) keys. A lockstep step costs
+about the same however many walks it carries, so a few walks
 (``build_seqs`` from one start) are faster one at a time and many walks
 are faster in lockstep. Both give the same strings.
 
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
-colors. It steps through the same ``_IndexView`` as reconstruction, and
-reads the starting predecessors of the nodes with indegree > 1 from a map
-that ``contig_assm`` and ``assemble_all`` derive once per call
-(``_starting_preds``); reconstruction never derives it.
+colors. It steps through the same views as reconstruction, and reads the
+starting predecessors of the nodes with indegree > 1 from a map
+(``_starting_preds``) that the graph view derives on the first assembly
+query; reconstruction never derives it.
 """
 
 from __future__ import annotations
@@ -61,8 +67,11 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     are skipped."""
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    _, walks = _walk_all(boss, colors, np.array([v], dtype=np.int64), [boss.node_label(v)])
-    return [s for s in walks if s is not None]
+    palette = _ColorView.of(colors)
+    row = palette.row(v).tolist()
+    steps = _walk_pairs(boss, _GraphView.of(boss), palette, [v] * len(row), row)
+    label = boss.node_label(v)
+    return [(label + s).strip(DUMMY) for s in steps if s is not None]
 
 
 def reconstruct_all(
@@ -91,12 +100,14 @@ def reconstruct_all(
     return report
 
 
-# The number of walks from which _walk_all steps them in lockstep. Measured
-# on a 2-core 2.1 GHz Xeon (medians of 30-40 alternated pairs, one at a
-# time against lockstep): all 96 walks of repeats-k25 took 5.9 against
-# 7.5 ms; strided starts of decode-k25-10x took 4.9 against 6.1 ms at 98
-# walks, 6.2 against 6.2 ms at 164 and 11.5 against 5.5 ms at all 394; on
-# build-k31-30x, 103 walks took 8.5 against 7.1 ms.
+# The number of walks from which _walk_pairs steps them in lockstep.
+# Measured on a 2-core 2.1 GHz Xeon (medians of 30-40 alternated pairs, one
+# at a time against lockstep, each timing including one decode of the color
+# table): all 96 walks of repeats-k25 took 5.9 against 7.5 ms; strided
+# starts of decode-k25-10x took 4.9 against 6.1 ms at 98 walks, 6.2 against
+# 6.2 ms at 164 and 11.5 against 5.5 ms at all 394; on build-k31-30x, 103
+# walks took 8.5 against 7.1 ms. Both walks read the same decoded table,
+# which every query on an index shares, so the crossover holds without it.
 LOCKSTEP_MIN_WALKS = 128
 
 
@@ -110,19 +121,15 @@ def _walk_all(
     ambiguous: it reaches a branch where not exactly one real successor
     holds its color, or takes more than edge_count + k steps. Raises
     ``NotColored`` when a start or an inspected successor is not
-    colorable. Fewer than ``LOCKSTEP_MIN_WALKS`` walks go one node at a
-    time, more go in lockstep.
+    colorable. The walks read the index's views, derived on its first
+    query (see the module docstring).
     """
-    table = _color_table(colors)
-    offsets, row_colors, colorable, rank = table
+    palette = _ColorView.of(colors)
+    offsets, row_colors, colorable, rank = palette.table
     _require_colored(colorable, starts)
     walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
     cur, col = np.repeat(starts, n_colors), row_colors[walk_cols]
-    if len(col) < LOCKSTEP_MIN_WALKS:
-        view = _IndexView(boss, table)
-        steps = [_walk_color(view, v, c) for v, c in zip(cur.tolist(), col.tolist())]
-    else:
-        steps = _walk_lockstep(boss, table, cur, col)
+    steps = _walk_pairs(boss, _GraphView.of(boss), palette, cur.tolist(), col.tolist())
     walk_labels = (label for label, n in zip(labels, n_colors.tolist()) for _ in range(n))
     walks = [
         None if s is None else (label + s).strip(DUMMY) for label, s in zip(walk_labels, steps)
@@ -130,14 +137,26 @@ def _walk_all(
     return n_colors, walks
 
 
-def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
+def _walk_pairs(
+    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: list[int], col: list[int]
+) -> list[str | None]:
+    """What ``_walk_color`` gives for each walk (start ``cur[i]``, color
+    ``col[i]``). Fewer than ``LOCKSTEP_MIN_WALKS`` walks go one node at a
+    time, more go in lockstep."""
+    if len(col) < LOCKSTEP_MIN_WALKS:
+        return [_walk_color(graph, palette, v, c) for v, c in zip(cur, col)]
+    cur, col = np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64)
+    return _walk_lockstep(boss, palette.table, cur, col)
+
+
+def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
     """The symbols that color c's walk from starting node v appends to v's
     label, one node at a time; None when the walk is ambiguous."""
-    first_edge, targets, codes = view.first_edge, view.targets, view.codes
-    colors_of, last_ending = view.colors_of, view.last_ending
+    first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
+    colors_of, last_ending = palette.colors_of, graph.last_ending
     syms = bytearray()  # one code per step
     while v > last_ending:
-        if len(syms) == view.step_limit:
+        if len(syms) == graph.step_limit:
             return None  # a walk this long cycles
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
         if end - e > 1:  # closure edges are skipped at a branch
@@ -211,14 +230,6 @@ def _walk_lockstep(
     ]
 
 
-def _color_table(colors: CompressedColors) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The decoded rows (``decode_rows``), the colorable bitmap as bools and
-    its running rank, where ``rank[v - 1]`` is the row number of node v."""
-    offsets, row_colors = decode_rows(colors)
-    colorable = colors.N.to_bits().astype(bool)
-    return offsets, row_colors, colorable, np.cumsum(colorable)
-
-
 def _require_colored(colorable: np.ndarray, nodes: np.ndarray) -> None:
     bad = nodes[~colorable[nodes - 1]]
     if len(bad):
@@ -239,8 +250,8 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    view = _IndexView(boss, _color_table(colors))
-    return _assemble_from(view, _starting_preds(boss), v, boss.node_label(v), x)
+    graph, palette = _GraphView.for_assembly(boss), _ColorView.of(colors)
+    return _assemble_from(graph, palette, v, boss.node_label(v), x)
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
@@ -249,17 +260,16 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
 
     The output is every per-start contig, as ``contig_assm`` gives it from
     each starting node: a contig contained in a longer one is kept. The
-    walks share one view of the index and one starting-predecessor map,
-    built for the call.
+    walks share the index's views and its starting-predecessor map, as
+    every ``contig_assm`` call does.
     """
     _check_threshold(x)
-    view = _IndexView(boss, _color_table(colors))
-    starting_preds = _starting_preds(boss)
+    graph, palette = _GraphView.for_assembly(boss), _ColorView.of(colors)
     starts = boss.starting_node_ids()
     seen: set[str] = set()
     contigs: list[str] = []
     for v, label in zip(starts.tolist(), _labels(boss, starts)):
-        s = _assemble_from(view, starting_preds, v, label, x)
+        s = _assemble_from(graph, palette, v, label, x)
         if not s:
             continue
         canon = min(s, reverse_complement(s))
@@ -295,49 +305,89 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
     return preds
 
 
-class _IndexView:
-    """The index for one call, read one node at a time: the whole-graph
-    arrays are wrapped in memoryviews, whose items index as Python ints
-    without a copy of the arrays. A node's color set, and a branching
-    node's real (code, target) out-edges, are built on first use and kept
-    for the call."""
+class _GraphView:
+    """The graph's half of every query's view, read one node at a time: the
+    whole-graph arrays wrapped in memoryviews, whose items index as Python
+    ints without a copy of the arrays; each branching node's real (code,
+    target) out-edges, built when a walk first reaches it; and the
+    starting-predecessor map, derived on the first assembly query. Built
+    on the graph's first query and kept in ``BossIndex._query``; it holds
+    no reference to the graph, so the two are dropped together."""
 
-    def __init__(self, boss: BossIndex, table: tuple[np.ndarray, ...]):
-        offsets, row_colors, colorable, rank = table
-        self._offsets, self._row_colors = memoryview(offsets), memoryview(row_colors)
-        self._colorable, self._rank = memoryview(colorable), memoryview(rank)
+    def __init__(self, boss: BossIndex):
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
         self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
-        self._sets: dict[int, frozenset[int]] = {}
         self.branches: dict[int, list[tuple[int, int]]] = {}
+        self.starting_preds: dict[int, list[int]] | None = None
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
         self.step_limit = boss.edge_count + boss.k
 
+    @staticmethod
+    def of(boss: BossIndex) -> _GraphView:
+        view = boss._query
+        if view is None:
+            view = boss._query = _GraphView(boss)
+        return view
+
+    @staticmethod
+    def for_assembly(boss: BossIndex) -> _GraphView:
+        """The graph's view with its starting-predecessor map."""
+        view = _GraphView.of(boss)
+        if view.starting_preds is None:
+            view.starting_preds = _starting_preds(boss)
+        return view
+
+
+class _ColorView:
+    """The colors' half of every query's view. ``table`` holds the decoded
+    rows (``decode_rows``), the colorable bitmap as bools and its running
+    rank, where ``rank[v - 1]`` is the row number of node v; the same
+    arrays are wrapped in memoryviews for one-node reads. A node's color
+    set is built on its first use. Built on the colors' first query and
+    kept in ``CompressedColors._query``. A lookup of an uncolorable node
+    raises ``NotColored`` each time: no failure is kept."""
+
+    def __init__(self, colors: CompressedColors):
+        offsets, row_colors = decode_rows(colors)
+        colorable = colors.N.to_bits().astype(bool)
+        self.table = offsets, row_colors, colorable, np.cumsum(colorable)
+        self._offsets, self._row_colors, self._colorable, self._rank = map(memoryview, self.table)
+        self._sets: dict[int, frozenset[int]] = {}
+
+    @staticmethod
+    def of(colors: CompressedColors) -> _ColorView:
+        view = colors._query
+        if view is None:
+            view = colors._query = _ColorView(colors)
+        return view
+
+    def row(self, v: int) -> memoryview:
+        """Node v's colors, ascending."""
+        if not self._colorable[v - 1]:
+            raise NotColored(f"node {v} is not in the colorable set")
+        r = self._rank[v - 1]
+        return self._row_colors[self._offsets[r - 1] : self._offsets[r]]
+
     def colors_of(self, v: int) -> frozenset[int]:
         got = self._sets.get(v)
         if got is None:
-            if not self._colorable[v - 1]:
-                raise NotColored(f"node {v} is not in the colorable set")
-            r = self._rank[v - 1]
-            got = frozenset(self._row_colors[self._offsets[r - 1] : self._offsets[r]])
-            self._sets[v] = got
+            got = self._sets[v] = frozenset(self.row(v))
         return got
 
 
-def _assemble_from(
-    view: _IndexView, starting_preds: dict[int, list[int]], v: int, label: str, x: float
-) -> str:
+def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
     when a single successor carries at least an x fraction of them."""
-    first_edge, targets, codes = view.first_edge, view.targets, view.codes
-    colors_of, branches, last_ending = view.colors_of, view.branches, view.last_ending
+    first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
+    branches, last_ending, starting_preds = graph.branches, graph.last_ending, graph.starting_preds
+    colors_of = palette.colors_of
     active: dict[int, int] = {c: v for c in colors_of(v)}
     finished: set[tuple[int, int]] = set()
     syms = bytearray()  # one code per step
     cur = v
-    for _ in range(view.edge_count + 1):
+    for _ in range(graph.edge_count + 1):
         for u in starting_preds.get(cur, ()):
             for c in colors_of(u):
                 if (c, u) not in finished:

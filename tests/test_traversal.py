@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
+from cdbg.container import IndexMeta, deserialize_index, read_index, serialize_index, write_index
 from cdbg.errors import BadStart, BadThreshold, NotColored
 from cdbg.sequence import ReadSet, reverse_complement
 from cdbg.synthetic import SyntheticConfig, generate_reads
@@ -175,7 +179,7 @@ def without_critical_colors(boss, colors):
 
 @pytest.fixture(params=["one_at_a_time", "lockstep"])
 def walk(request, monkeypatch):
-    """Every ``_walk_all`` call of the test takes the named walk."""
+    """Every reconstruction walk of the test takes the named walk."""
     crossover = sys.maxsize if request.param == "one_at_a_time" else 0
     monkeypatch.setattr(traversal, "LOCKSTEP_MIN_WALKS", crossover)
     return request.param
@@ -230,18 +234,152 @@ def test_build_seqs_matches_reconstruct_all_above_the_crossover():
     assert got == report.recovered
 
 
-def test_reconstruction_leaves_the_starting_predecessors_underived(mixed_indexes, monkeypatch):
-    # only assembly reads the starting predecessors
+def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, tmp_path):
+    # building, compressing and loading leave both query slots empty, so
+    # that set-up time and the RAM of a loaded index hold no query state;
+    # reconstruction fills them but derives no starting predecessors, and
+    # a failed derivation is not kept
+    _, boss, colors = index_for(list(mixed_read_set(1, 9).reads), 9)
+    path = tmp_path / "index.cdbg"
+    write_index(path, boss, colors, IndexMeta())
+    loaded, loaded_colors, _ = read_index(path)
+    for b, c in [(boss, colors), (loaded, loaded_colors)]:
+        assert b._query is None and c._query is None
+
     def fail(boss):
         raise AssertionError("starting predecessors derived")
 
     monkeypatch.setattr(traversal, "_starting_preds", fail)
-    boss, colors = mixed_indexes[1, 9]
     start = int(boss.starting_node_ids()[0])
     assert build_seqs(boss, colors, start)
     assert reconstruct_all(boss, colors).recovered
+    assert boss._query is not None and colors._query is not None
+    assert boss._query.starting_preds is None
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="starting predecessors"):
+            contig_assm(boss, colors, start, 0.5)
     with pytest.raises(AssertionError, match="starting predecessors"):
-        contig_assm(boss, colors, start, 0.5)
+        assemble_all(boss, colors, 0.5)
+
+
+def test_each_index_derives_its_query_state_once(monkeypatch):
+    # many queries of each kind on one index decode its color table once
+    # and derive its starting predecessors once; other colors on the same
+    # graph decode their own table and reuse the graph's map
+    calls = {"decode_rows": 0, "_starting_preds": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _orig=getattr(traversal, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(traversal, name, counted)
+    _, boss, colors = index_for(list(mixed_read_set(2, 9).reads), 9)
+    starts = boss.starting_node_ids().tolist()
+    for v in starts:
+        build_seqs(boss, colors, v)
+        contig_assm(boss, colors, v, 0.5)
+    reconstruct_all(boss, colors)
+    assemble_all(boss, colors, 0.5)
+    for v in starts[::3]:
+        build_seqs(boss, colors, v)
+        contig_assm(boss, colors, v, 1.0)
+    assert calls == {"decode_rows": 1, "_starting_preds": 1}
+    copy = dataclasses.replace(colors)
+    assert copy._query is None
+    assert assemble_all(boss, copy, 0.5) == assemble_all(boss, colors, 0.5)
+    assert reconstruct_all(boss, copy).recovered == reconstruct_all(boss, colors).recovered
+    assert calls == {"decode_rows": 2, "_starting_preds": 1}
+
+
+def reload(boss, colors):
+    """A new graph and new colors with empty query slots, by a round trip
+    through the container format."""
+    loaded, loaded_colors, _ = deserialize_index(serialize_index(boss, colors, IndexMeta()))
+    return loaded, loaded_colors
+
+
+def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_indexes):
+    # the graph's view, filled by queries with intact colors, lends nothing
+    # to queries with damaged ones, and a NotColored raise is not kept: the
+    # same call raises again, and the intact colors still answer
+    raised = 0
+    for boss, colors in mixed_indexes.values():
+        boss, colors = reload(boss, colors)
+        starts = boss.starting_node_ids().tolist()
+        walks = reference_walks(boss, colors)
+        reconstruct_all(boss, colors)
+        assemble_all(boss, colors, 0.5)
+        damaged = without_critical_colors(boss, colors)
+        for v in starts:
+            try:
+                want = [walk_color(boss, damaged, v, c) for c in get_colors(damaged, v)]
+            except NotColored:
+                raised += 1
+                for _ in range(2):
+                    with pytest.raises(NotColored):
+                        build_seqs(boss, damaged, v)
+            else:
+                assert build_seqs(boss, damaged, v) == [s for s in want if s is not None]
+            try:
+                want_contig = contig_assm_ref(boss, damaged, v, 0.5)
+            except NotColored:
+                for _ in range(2):
+                    with pytest.raises(NotColored):
+                        contig_assm(boss, damaged, v, 0.5)
+            else:
+                assert contig_assm(boss, damaged, v, 0.5) == want_contig
+            assert build_seqs(boss, colors, v) == [s for s in walks[v] if s is not None]
+    assert raised > 0
+
+
+def test_a_graph_answers_with_the_colors_of_another_load(tmp_path):
+    _, boss, colors = index_for(list(mixed_read_set(1, 31).reads), 31)
+    walks = reference_walks(boss, colors)
+    contigs = {v: contig_assm_ref(boss, colors, v, 0.5) for v in walks}
+    path = tmp_path / "index.cdbg"
+    write_index(path, boss, colors, IndexMeta())
+    (g1, c1, _), (g2, c2, _) = read_index(path), read_index(path)
+    assert assemble_all(g1, c1, 0.5) == assemble_all_ref(boss, colors, 0.5)
+    for g, c in [(g1, c2), (g2, c1), (g1, c1), (g2, c2)]:
+        for v, ws in walks.items():
+            assert build_seqs(g, c, v) == [s for s in ws if s is not None]
+            assert contig_assm(g, c, v, 0.5) == contigs[v]
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes"])
+def test_queries_in_any_order_match_the_reference(request, indexes):
+    # per-start queries in shuffled order, with whole-index queries between
+    # them, on freshly loaded indexes whose first query is any of the four
+    rng = np.random.default_rng(11)
+    for boss, colors in request.getfixturevalue(indexes).values():
+        walks = reference_walks(boss, colors)
+        recovered = [s for ws in walks.values() for s in ws if s is not None]
+        contigs = assemble_all_ref(boss, colors, 0.5)
+        boss, colors = reload(boss, colors)
+        for i, v in enumerate(rng.permutation(list(walks)).tolist()):
+            if i % 7 == 3:
+                assert reconstruct_all(boss, colors).recovered == recovered
+            if i % 7 == 5:
+                assert assemble_all(boss, colors, 0.5) == contigs
+            assert build_seqs(boss, colors, v) == [s for s in walks[v] if s is not None]
+            assert contig_assm(boss, colors, v, 0.5) == contig_assm_ref(boss, colors, v, 0.5)
+
+
+def test_a_queried_index_is_freed_with_its_last_reference():
+    # the views are held by the index alone and hold no reference back to
+    # it, so no cache and no reference cycle keeps a dropped index alive
+    _, boss, colors = index_for(list(mixed_read_set(2, 4).reads), 4)
+    start = int(boss.starting_node_ids()[0])
+    build_seqs(boss, colors, start)
+    assemble_all(boss, colors, 0.5)
+    refs = [weakref.ref(x) for x in (boss, colors, boss._query, colors._query)]
+    gc.disable()  # freed by reference counts alone, without the cycle collector
+    try:
+        del boss, colors
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 class TestAssemblyMatchesReference:
