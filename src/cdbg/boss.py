@@ -160,12 +160,8 @@ class BossIndex(Fields):
     Node ids are 1-based ranks in BOSS (colex label) order. Edge positions
     are 1-based indices into ``E``.
 
-    ``_query`` is empty at build and at load. The first traversal query
-    on the graph fills it with its view (``traversal._GraphView``), which
-    every later query reuses: memoryviews over the graph's own arrays (no
-    copy), the real out-edges of each branching node a walk has reached
-    and, once assembly has asked for it, the starting predecessors of the
-    nodes of indegree > 1. It is held until the graph is dropped.
+    ``_query`` is traversal's slot for its view of the graph
+    (``traversal._GraphView``), empty after build and after load.
     """
 
     def __init__(self):

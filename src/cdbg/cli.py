@@ -8,7 +8,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .boss import BossIndex
+from .boss import MAX_K, BossIndex
 from .coloring import color_all
 from .colormatrix import compress
 from .container import IndexMeta, deserialize_index, read_index, section_sizes, write_index
@@ -27,9 +27,6 @@ EXIT_DATA = 2
 EXIT_INTEGRITY = 3
 
 
-_THREADS_HELP = "accepted for compatibility and ignored; the work runs in one thread"
-
-
 class UsageError(Exception):
     pass
 
@@ -46,14 +43,12 @@ def make_parser() -> Parser:
     b = sub.add_parser("build", help="index a read file")
     b.add_argument("--input", required=True, help="FASTA/FASTQ read file")
     b.add_argument("--k", type=int, default=25, help="de Bruijn order (default 25)")
-    b.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     b.add_argument("--output", required=True, help="index container path")
 
     r = sub.add_parser("reconstruct", help="rebuild reads from an index")
     r.add_argument("--index", required=True)
     r.add_argument("--output", required=True, help="one sequence per line")
     r.add_argument("--verify", help="original read file for membership checking")
-    r.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
 
     a = sub.add_parser("assemble", help="assemble contigs from an index")
     a.add_argument("--index", required=True)
@@ -79,6 +74,8 @@ def make_parser() -> Parser:
 
 
 def cmd_build(args) -> int:
+    if not 3 <= args.k <= MAX_K:
+        raise UsageError(f"--k {args.k} outside [3, {MAX_K}]")
     with stage("parse"):
         reads = parse_reads(args.input, k=args.k)
     logger.info(
@@ -104,8 +101,8 @@ def cmd_build(args) -> int:
     )
     with stage("write"):
         index_bytes = write_index(args.output, boss, colors, meta)
-    record = compute_stats(boss, colors, meta, index_bytes)
-    print(record.as_table())
+    for line in compute_stats(boss, colors, meta, index_bytes).as_kv_lines():
+        print(line)
     return EXIT_OK
 
 
@@ -161,8 +158,6 @@ def cmd_stats(args) -> int:
     if args.json:
         print(json.dumps(record.as_dict()))
         return EXIT_OK
-    print(record.as_table())
-    print()
     for line in record.as_kv_lines():
         print(line)
     return EXIT_OK
@@ -202,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BadThreshold as exc:
+    except (UsageError, BadThreshold) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrityError as exc:

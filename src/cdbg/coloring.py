@@ -109,7 +109,8 @@ def color_all(
     boss: BossIndex, colorable: BitVector, reads: ReadSet, threads: int = 1
 ) -> DynamicColorTable:
     """Scan all strings of R' at once, then assign colors sequentially in
-    R' order. ``threads`` is accepted for compatibility and ignored."""
+    R' order. ``threads`` is ignored; it stays because the benchmark's
+    pipeline passes ``threads=1`` (ROADMAP item 1 removes both)."""
     strings = [s for s in reads.strings_with_rc() if len(s) >= boss.k]
     with stage("scan"):
         jobs = scan_all(boss, colorable, strings)

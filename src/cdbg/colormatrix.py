@@ -29,12 +29,8 @@ from .errors import IncompleteColoring, IntegrityError, NotColored
 class CompressedColors(Fields):
     """Immutable (N, F, payload) triple answering per-node color queries.
 
-    ``_query`` is empty at build and at load. The first traversal query
-    on these colors fills it with their view (``traversal._ColorView``),
-    which every later query reuses: the decoded rows (8 B per color entry
-    and per row), the colorable bitmap as bools and its running rank (9 B
-    per node), and the color set of each node a walk has inspected. It is
-    held until the colors are dropped.
+    ``_query`` is traversal's slot for its view of these colors
+    (``traversal._ColorView``), empty after build and after load.
     """
 
     N: BitVector

@@ -18,7 +18,6 @@ class StatsRecord:
     num_colors: int
     index_bytes: int
     plain_bytes: int
-    ambiguous_count: int | None = None
     section_bytes: dict[str, int] | None = None  # payload bytes by section tag
     graph_bytes: dict[str, int] | None = None  # graph section bytes by structure
     color_bytes: dict[str, int] | None = None  # color section bytes by structure
@@ -44,7 +43,8 @@ class StatsRecord:
         }
 
     def as_kv_lines(self) -> list[str]:
-        amb = "NA" if self.ambiguous_count is None else str(self.ambiguous_count)
+        """One ``name=value`` line per field and ratio, for ``cdbg build``
+        and ``cdbg stats``."""
         sections = [f"bytes_{tag}={n}" for tag, n in (self.section_bytes or {}).items()]
         sections += [f"bytes_BOSS_{name}={n}" for name, n in (self.graph_bytes or {}).items()]
         sections += [f"bytes_COLR_{name}={n}" for name, n in (self.color_bytes or {}).items()]
@@ -59,13 +59,7 @@ class StatsRecord:
             f"compression_rate={self.compression_rate:.4f}",
             f"bits_per_edge={self.bits_per_edge:.4f}",
             f"colored_fraction={self.colored_fraction:.6f}",
-            f"ambiguous_count={amb}",
         ] + sections
-
-    def as_table(self) -> str:
-        rows = [line.split("=", 1) for line in self.as_kv_lines()]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
 def compute_stats(
@@ -73,7 +67,6 @@ def compute_stats(
     colors: CompressedColors,
     meta: IndexMeta,
     index_bytes: int,
-    ambiguous_count: int | None = None,
     section_bytes: dict[str, int] | None = None,
     graph_bytes: dict[str, int] | None = None,
     color_bytes: dict[str, int] | None = None,
@@ -86,7 +79,6 @@ def compute_stats(
         num_colors=colors.num_colors,
         index_bytes=index_bytes,
         plain_bytes=meta.plain_bytes,
-        ambiguous_count=ambiguous_count,
         section_bytes=section_bytes,
         graph_bytes=graph_bytes,
         color_bytes=color_bytes,

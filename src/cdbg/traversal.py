@@ -81,8 +81,8 @@ def reconstruct_all(
     threads: int = 1,
 ) -> ReconstructionReport:
     """What build_seqs gives from every starting node, walked all at once,
-    with per-start counts. ``threads`` is accepted for compatibility and
-    ignored."""
+    with per-start counts. ``threads`` is ignored; it stays because the
+    benchmark's pipeline passes ``threads=1`` (ROADMAP item 1 removes both)."""
     report = ReconstructionReport()
     starts = boss.starting_node_ids()
     n_colors, walks = _walk_all(boss, colors, starts, _labels(boss, starts))
@@ -341,12 +341,14 @@ class _GraphView:
 
 class _ColorView:
     """The colors' half of every query's view. ``table`` holds the decoded
-    rows (``decode_rows``), the colorable bitmap as bools and its running
-    rank, where ``rank[v - 1]`` is the row number of node v; the same
-    arrays are wrapped in memoryviews for one-node reads. A node's color
-    set is built on its first use. Built on the colors' first query and
-    kept in ``CompressedColors._query``. A lookup of an uncolorable node
-    raises ``NotColored`` each time: no failure is kept."""
+    rows (``decode_rows``, 8 B per color entry and per row), the colorable
+    bitmap as bools and its running rank (9 B per node), where
+    ``rank[v - 1]`` is the row number of node v; the same arrays are
+    wrapped in memoryviews for one-node reads. A node's color set is built
+    on its first use. Built on the colors' first query and kept in
+    ``CompressedColors._query`` until the colors are dropped. A lookup of
+    an uncolorable node raises ``NotColored`` each time: no failure is
+    kept."""
 
     def __init__(self, colors: CompressedColors):
         offsets, row_colors = decode_rows(colors)

@@ -56,6 +56,17 @@ class TestBuild:
         assert re.findall(r"^INFO stage (\w+):", res.stderr, re.M) == list(stages)
         assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
 
+    @pytest.mark.parametrize("k", ["2", "64"])
+    def test_out_of_range_k_is_usage_error(self, tmp_path, k):
+        reads = tmp_path / "reads.fa"
+        reads.write_text(">r1\ntacgt\n")
+        index = tmp_path / "i.cdbg"
+        res = run_cli("build", "--input", str(reads), "--k", k, "--output", str(index))
+        assert res.returncode == 1
+        assert f"usage error: --k {k} outside [3, 63]" in res.stderr
+        assert "stage parse" not in res.stderr  # refused before the reads are read
+        assert not index.exists()
+
     def test_missing_input_flag_is_usage_error(self):
         res = run_cli("build", "--output", "x.cdbg")
         assert res.returncode == 1
@@ -135,7 +146,6 @@ class TestStats:
         assert record["num_colors"] == 2
         assert record["total_nodes"] == 11
         assert record["edge_count"] == 13
-        assert record["ambiguous_count"] is None
         assert record["bits_per_edge"] == 8 * record["index_bytes"] / 13
         assert record["compression_rate"] > 0
         sections = record["section_bytes"]
@@ -151,6 +161,20 @@ class TestStats:
         color = record["color_bytes"]
         assert list(color) == ["payload", "F"]
         assert sum(color.values()) == sections["COLR"]
+
+    def test_build_and_stats_print_one_name_value_form(self, tiny_index):
+        _, _, index, build_out = tiny_index
+        stats_out = run_cli("stats", "--index", str(index)).stdout
+        record = json.loads(run_cli("stats", "--index", str(index), "--json").stdout)
+        assert "ambiguous_count" not in record
+        for out in (build_out, stats_out):
+            lines = out.splitlines()
+            assert all(re.fullmatch(r"\w+=\S+", line) for line in lines), out
+            kv = dict(line.split("=", 1) for line in lines)
+            assert len(kv) == len(lines)  # no name twice
+            assert "ambiguous_count" not in kv
+            for name in ("total_nodes", "edge_count", "colored_nodes", "num_colors"):
+                assert int(kv[name]) == record[name]
 
     @pytest.mark.parametrize("damage", ["checksum", "version 1"])
     def test_corrupted_index_is_integrity_error(self, tiny_index, tmp_path, damage):
@@ -199,6 +223,17 @@ class TestReconstruct:
             "--output", str(tmp_path / "o.txt"),
         )
         assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["build", "reconstruct"])
+def test_threads_flag_is_usage_error(tiny_index, tmp_path, command):
+    _, reads, index, _ = tiny_index
+    source = ("--input", str(reads)) if command == "build" else ("--index", str(index))
+    out = tmp_path / "out"
+    res = run_cli(command, *source, "--threads", "4", "--output", str(out))
+    assert res.returncode == 1
+    assert "usage error: unrecognized arguments: --threads 4" in res.stderr
+    assert not out.exists()
 
 
 class TestAssemble:

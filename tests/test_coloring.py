@@ -19,8 +19,9 @@ from cdbg.errors import CorruptIndex, IncompleteColoring
 from cdbg._binio import Writer
 from cdbg.sequence import ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
+from cdbg.traversal import reconstruct_all
 
-from conftest import mixed_read_set
+from conftest import mixed_read_set, random_read_set
 from oracle import (
     NaiveDbg,
     color_rows_ref,
@@ -219,6 +220,71 @@ def test_safety_on_random_sets():
             # safety is only promised for unambiguous reads
             if is_unambiguous(boss, lambda v: colorable.get(v - 1), s):
                 assert path_is_safe(boss, lookup, s, color), s
+
+
+def repeats_a_k_minus_2_mer(strings, k) -> bool:
+    return any(
+        len({s[i : i + k - 2] for i in range(len(s) - k + 3)}) < len(s) - k + 3 for s in strings
+    )
+
+
+def shared_color_branches(boss, table) -> tuple[int, list[str]]:
+    """The number of starting and solid branching nodes, and the labels of
+    those with two real successors whose colour rows intersect."""
+    bits = boss.colorable.to_bits().astype(bool)
+    rank = np.cumsum(bits)
+    targets = boss.edge_targets()
+    real = targets != 0
+    successors = {}
+    for u, t in zip(boss.edge_sources()[real].tolist(), targets[real].tolist()):
+        successors.setdefault(u, []).append(t)
+    solid, starting = boss.solid_mask(), set(boss.starting_node_ids().tolist())
+    checked, shared = 0, []
+    for u, ts in successors.items():
+        if len(ts) < 2 or not (solid[u - 1] or u in starting):
+            continue
+        checked += 1
+        entries = [c for t in ts if bits[t - 1] for c in table.rows[rank[t - 1] - 1]]
+        if len(entries) > len(set(entries)):
+            shared.append(boss.node_label(u))
+    return checked, shared
+
+
+def guarantee_sets(ks):
+    for k in ks:
+        for seed in range(20 if k < 10 else 10):
+            yield k, mixed_read_set(seed, k)
+            if k < 10:
+                rng = np.random.default_rng(seed)
+                yield k, ReadSet.from_reads(random_read_set(rng, int(rng.integers(3, 9)), k, k + 12))
+
+
+@pytest.mark.parametrize("ks", [range(4, 10), (15, 31, 63)], ids=["k4-9", "k15-63"])
+def test_no_branch_passes_a_colour_to_two_successors(ks):
+    # what the reconstruction walks and assembly's stop rule rely on: when
+    # no string of R' holds a (k-2)-mer twice, a colour leaves a branching
+    # node by one real successor only
+    checked = 0
+    for k, reads in guarantee_sets(ks):
+        if repeats_a_k_minus_2_mer([s for s in reads.strings_with_rc() if len(s) >= k], k):
+            continue
+        boss = BossIndex.build(reads, k)
+        n, shared = shared_color_branches(boss, color_all(boss, boss.colorable, reads))
+        assert shared == [], (k, reads.reads)
+        checked += n
+    assert checked >= 100
+
+
+def test_a_repeated_k_minus_2_mer_passes_a_colour_to_two_successors():
+    # "aatt" occurs twice in the read, so its colour leaves "aatta" (and the
+    # reverse complement's leaves "ttaat") by two successors
+    reads = ReadSet.from_reads(["ccgtaattcaggaattaatc"])
+    boss = BossIndex.build(reads, 6)
+    table = color_all(boss, boss.colorable, reads)
+    assert sorted(shared_color_branches(boss, table)[1]) == ["aatta", "ttaat"]
+    report = reconstruct_all(boss, compress(table, boss.colorable))
+    assert report.recovered == []
+    assert report.ambiguous_count == 2
 
 
 def serialized(colors) -> bytes:
