@@ -6,25 +6,22 @@ colorable nodes. The graph derives their bitmap N at build and at load
 string s of R' (the reads plus their reverse complements), the scan
 collects two rank sets over the path of $·s·$:
 
-* W, the colorable nodes on the path, including the ending node;
-* I, the nodes whose colors s must avoid so that it can be told apart at
-  branches: its starting and ending nodes and the successors of every
-  branching node on the path or leading into a path node of indegree > 1,
-  the ending node included (a later string that ends there must not take
-  the colour of one that branched off before it).
+* W, the colorable nodes on the path, from the starting to the ending node;
+* U, W plus the successors of every branching node on the path or leading
+  into a path node of indegree > 1, the ending node included (a later
+  string that ends there must not take the colour of one that branched
+  off before it; ``_inspected_successors`` holds that rule).
 
-``scan_all`` computes W and I for all strings at once with whole-array
-operations; ``tests/oracle.py::scan_read_ref`` is the per-string graph
-walk it agrees with. A sequential pass then gives each string, in R'
-order (the greedy order), the smallest color absent from its I and W
-rows. Each row is one Python int with bit c - 1 set for color c, so the
-occupied colors are the OR of the string's I and W rows, its color is the
-lowest zero bit of that OR, and the W rows take that bit.
+``scan_all`` computes both for all strings at once with whole-array
+operations, as flat rank lists with per-string bounds;
+``tests/oracle.py::scan_read_ref`` is the per-string graph walk it agrees
+with. A sequential pass then gives each string, in R' order (the greedy
+order), the smallest color absent from its U rows. Each row is one Python
+int with bit c - 1 set for color c, so the string's color is the lowest
+zero bit of the OR of its U rows, and its W rows take that bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +37,6 @@ def mark_colorable(boss: BossIndex) -> BitVector:
     """Starting and ending nodes, plus the solid successors of branching
     nodes: the graph's own colourable bitmap, derived with the graph."""
     return boss.colorable
-
-
-@dataclass
-class ColoringJob:
-    """Scan result for one string of R': ranks to color and ranks to inspect."""
-
-    W: list[int]
-    I: list[int]
 
 
 class DynamicColorTable:
@@ -86,21 +75,20 @@ class DynamicColorTable:
         )
 
 
-def scan_read(boss: BossIndex, colorable: BitVector, read: str) -> ColoringJob:
-    """W and I of one string: ``scan_all`` of that string alone."""
-    return scan_all(boss, colorable, [read])[0]
+def scan_read(boss: BossIndex, colorable: BitVector, read: str) -> tuple[list[int], list[int]]:
+    """W and U of one string: ``scan_all`` of that string alone."""
+    w, _, u, _ = scan_all(boss, colorable, [read])
+    return w, u
 
 
-def assign_color(job: ColoringJob, table: DynamicColorTable) -> int:
-    """Pick the smallest color absent from I union W rows; add it to W rows."""
+def assign_color(w: list[int], u: list[int], table: DynamicColorTable) -> int:
+    """Pick the smallest color absent from the U rows; add it to the W rows."""
     masks = table.masks
     occupied = 0
-    for r in job.I:
-        occupied |= masks[r - 1]
-    for r in job.W:
+    for r in u:
         occupied |= masks[r - 1]
     bit = ~occupied & (occupied + 1)  # the lowest zero bit
-    for r in job.W:
+    for r in w:
         masks[r - 1] |= bit
     return bit.bit_length()
 
@@ -113,25 +101,30 @@ def color_all(
     pipeline passes ``threads=1`` (ROADMAP item 1 removes both)."""
     strings = [s for s in reads.strings_with_rc() if len(s) >= boss.k]
     with stage("scan"):
-        jobs = scan_all(boss, colorable, strings)
+        w, w_bounds, u, u_bounds = scan_all(boss, colorable, strings)
     with stage("assign"):
         table = DynamicColorTable(colorable.count)
-        for job in jobs:
-            table.read_colors.append(assign_color(job, table))
+        table.read_colors = [
+            assign_color(w[a:b], u[c:d], table)
+            for a, b, c, d in zip(w_bounds, w_bounds[1:], u_bounds, u_bounds[1:])
+        ]
     return table
 
 
-def scan_all(boss: BossIndex, colorable: BitVector, strings: list[str]) -> list[ColoringJob]:
-    """W and I of every string, equal to the per-string graph walk
-    ``tests/oracle.py::scan_read_ref`` string by string.
+def scan_all(
+    boss: BossIndex, colorable: BitVector, strings: list[str]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """W and U of every string as ``(w, w_bounds, u, u_bounds)``: string i's
+    ranks are ``w[w_bounds[i]:w_bounds[i + 1]]``, ascending, and likewise
+    for U. String by string they equal the W and I ∪ W of the per-string
+    graph walk ``tests/oracle.py::scan_read_ref``.
 
-    Raises ``CorruptIndex`` in the cases that walk does: a string
-    shorter than k, a path that breaks off the graph, an inspected
-    successor that is not colorable, or a path that does not end on a
-    colorable node.
+    Raises ``CorruptIndex`` where that walk does: a string shorter than
+    k, a path that breaks off the graph, an inspected successor that is
+    not colorable, or a path that does not end on a colorable node.
     """
     if not strings:
-        return []
+        return [], [0], [], [0]
     k = boss.k
     if min(len(s) for s in strings) < k:
         raise CorruptIndex(f"read shorter than order k={k}")
@@ -140,7 +133,7 @@ def scan_all(boss: BossIndex, colorable: BitVector, strings: list[str]) -> list[
     rank = np.cumsum(on)  # rank[v - 1] = rank1(v)
     n = len(strings)
     owner = np.repeat(np.arange(n), np.diff(offsets))
-    firsts, ends = path[offsets[:-1]], path[offsets[1:] - 1]
+    ends = path[offsets[1:] - 1]
 
     ptr, inspected = _inspected_successors(boss)
     idx, counts = _gather(ptr, path)
@@ -154,15 +147,8 @@ def scan_all(boss: BossIndex, colorable: BitVector, strings: list[str]) -> list[
     p1 = colorable.count + 1
     on_w = on[path - 1]
     w_keys = _unique(owner[on_w] * p1 + rank[path[on_w] - 1])
-    i_keys = _unique(np.concatenate([
-        np.repeat(owner, counts) * p1 + rank[seen - 1],
-        np.arange(n) * p1 + rank[firsts - 1],
-        np.arange(n) * p1 + rank[ends - 1],
-    ]))
-    return [
-        ColoringJob(W=w, I=r)
-        for w, r in zip(_split_keys(w_keys, p1, n), _split_keys(i_keys, p1, n))
-    ]
+    u_keys = _unique(np.concatenate([w_keys, np.repeat(owner, counts) * p1 + rank[seen - 1]]))
+    return (*_split_keys(w_keys, p1, n), *_split_keys(u_keys, p1, n))
 
 
 def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +209,6 @@ def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(node, np.arange(n + 2)), tgt
 
 
-def _split_keys(keys: np.ndarray, p1: int, n: int) -> list[list[int]]:
-    """Sorted keys ``string * p1 + rank`` to one sorted rank list per string."""
-    bounds = np.searchsorted(keys // p1, np.arange(n + 1)).tolist()
-    ranks = (keys % p1).tolist()
-    return [ranks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _split_keys(keys: np.ndarray, p1: int, n: int) -> tuple[list[int], list[int]]:
+    """Sorted keys ``string * p1 + rank`` to flat ranks and n + 1 bounds."""
+    return (keys % p1).tolist(), np.searchsorted(keys, np.arange(n + 1) * p1).tolist()

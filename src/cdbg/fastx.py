@@ -31,23 +31,23 @@ def sniff_format(path: str | Path) -> str:
 
 
 def iter_fasta(path: str | Path) -> Iterator[bytes]:
-    seq_parts: list[bytes] = []
-    saw_header = False
+    """Every record's sequence, an empty one included, so that ReadSet
+    counts it as rejected as it does an empty FASTQ record."""
+    seq_parts: list[bytes] | None = None  # None before the first header
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith(b">"):
-                if seq_parts:
+                if seq_parts is not None:
                     yield b"".join(seq_parts)
-                    seq_parts = []
-                saw_header = True
+                seq_parts = []
+            elif seq_parts is None:
+                raise ParseError("sequence data before first header", line=lineno)
             else:
-                if not saw_header:
-                    raise ParseError("sequence data before first header", line=lineno)
                 seq_parts.append(line)
-    if seq_parts:
+    if seq_parts is not None:
         yield b"".join(seq_parts)
 
 

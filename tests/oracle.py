@@ -323,9 +323,10 @@ def assemble_all_ref(boss, colors, x: float) -> list[str]:
 
 
 def scan_read_ref(boss, colorable, read: str):
-    """Walk the path of $·read·$ one node at a time and collect the W and I
-    rank sets (the per-string reference for ``coloring.scan_all``)."""
-    from cdbg.coloring import ColoringJob
+    """Walk the path of $·read·$ one node at a time and return the sorted W
+    and I rank lists (the per-string reference for ``coloring.scan_all``,
+    whose U is I ∪ W). I keeps the starting and ending ranks, although W
+    holds both."""
     from cdbg.errors import CorruptIndex
     from cdbg.sequence import DUMMY, SYMBOL_CODES
 
@@ -369,7 +370,7 @@ def scan_read_ref(boss, colorable, read: str):
     end_rank = int(nbits.rank1(v))
     w_ranks.add(end_rank)
     i_ranks.add(end_rank)
-    return ColoringJob(W=sorted(w_ranks), I=sorted(i_ranks))
+    return sorted(w_ranks), sorted(i_ranks)
 
 
 def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]], list[int]]:
@@ -382,14 +383,14 @@ def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]]
     rows: list[list[int]] = [[] for _ in range(colorable.count)]
     read_colors = []
     for s in strings:
-        job = scan_read_ref(boss, colorable, s)
+        w, i = scan_read_ref(boss, colorable, s)
         occupied = set()
-        for r in job.I + job.W:
+        for r in i + w:
             occupied.update(rows[r - 1])
         color = 1
         while color in occupied:
             color += 1
-        for r in job.W:
+        for r in w:
             insort(rows[r - 1], color)
         read_colors.append(color)
     return rows, read_colors

@@ -113,6 +113,17 @@ class TestBuild:
         assert "Traceback" not in res.stderr
 
 
+    def test_fasta_of_only_headers_is_data_error(self, tmp_path):
+        reads = tmp_path / "reads.fa"
+        reads.write_text(">r1\n>r2\n")
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 2
+        assert "2 rejected" in res.stderr
+        assert "error: no read of length >= k" in res.stderr
+
+
 class TestStats:
     def test_stats_worked_example(self, tiny_index):
         _, _, index, _ = tiny_index

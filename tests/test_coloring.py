@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import islice, product
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from cdbg.bitvectors import BitVector
 from cdbg.boss import BossIndex
 from cdbg.coloring import (
-    ColoringJob,
     DynamicColorTable,
     assign_color,
     color_all,
@@ -36,6 +36,22 @@ from oracle import (
 def labels_of_ranks(boss, colorable, ranks):
     ones = colorable.ones_positions()
     return {boss.node_label(int(ones[r - 1]) + 1) for r in ranks}
+
+
+def ref_rows(boss, colorable, s):
+    """The oracle's W and I ∪ W of one string: the two rank lists the
+    greedy step reads."""
+    w, i = scan_read_ref(boss, colorable, s)
+    return w, sorted(set(i) | set(w))
+
+
+def scan_rows(scan, n):
+    """Each string's W and U from ``scan_all``'s flat lists and bounds."""
+    w, w_bounds, u, u_bounds = scan
+    assert len(w_bounds) == len(u_bounds) == n + 1
+    return [
+        (w[w_bounds[i] : w_bounds[i + 1]], u[u_bounds[i] : u_bounds[i + 1]]) for i in range(n)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -74,45 +90,41 @@ class TestMarkColorable:
 class TestScanRead:
     def test_first_strand(self, e1):
         boss, colorable = e1
-        job = scan_read_ref(boss, colorable, "tacgt")
-        assert scan_read(boss, colorable, "tacgt") == job
-        assert labels_of_ranks(boss, colorable, job.W) == {"$ta", "gt$"}
-        assert labels_of_ranks(boss, colorable, job.I) >= {"$ta", "gta", "gt$"}
+        w, i = scan_read_ref(boss, colorable, "tacgt")
+        assert scan_read(boss, colorable, "tacgt") == ref_rows(boss, colorable, "tacgt")
+        assert labels_of_ranks(boss, colorable, w) == {"$ta", "gt$"}
+        assert labels_of_ranks(boss, colorable, i) >= {"$ta", "gta", "gt$"}
 
     def test_second_strand(self, e1):
         boss, colorable = e1
-        job = scan_read_ref(boss, colorable, "acgta")
-        assert labels_of_ranks(boss, colorable, job.W) == {"$ac", "gta", "ta$"}
-        assert labels_of_ranks(boss, colorable, job.I) >= {"$ac", "gta", "gt$", "ta$"}
+        w, i = scan_read_ref(boss, colorable, "acgta")
+        assert labels_of_ranks(boss, colorable, w) == {"$ac", "gta", "ta$"}
+        assert labels_of_ranks(boss, colorable, i) >= {"$ac", "gta", "gt$", "ta$"}
 
     def test_straight_line_w_equals_i(self):
         boss = BossIndex.build(ReadSet.from_reads(["aacctg"]), k=4)
         colorable = mark_colorable(boss)
-        job = scan_read_ref(boss, colorable, "aacctg")
-        assert labels_of_ranks(boss, colorable, job.W) == {"$aa", "tg$"}
-        assert labels_of_ranks(boss, colorable, job.I) == {"$aa", "tg$"}
+        w, i = scan_read_ref(boss, colorable, "aacctg")
+        assert labels_of_ranks(boss, colorable, w) == {"$aa", "tg$"}
+        assert labels_of_ranks(boss, colorable, i) == {"$aa", "tg$"}
 
 
 class TestAssignColor:
     def test_first_read_gets_color_one(self):
         table = DynamicColorTable(3)
-        job = ColoringJob(W=[1, 3], I=[1, 2, 3])
-        assert assign_color(job, table) == 1
+        assert assign_color([1, 3], [1, 2, 3], table) == 1
         assert table.rows == [[1], [], [1]]
 
     def test_occupied_colors_skipped(self):
         table = DynamicColorTable.from_rows([[1, 2], [4]])
-        job = ColoringJob(W=[2], I=[1, 2])
-        assert assign_color(job, table) == 3
+        assert assign_color([2], [1, 2], table) == 3
         assert table.rows[1] == [3, 4]
 
     def test_e1_order(self, e1):
         boss, colorable = e1
         table = DynamicColorTable(colorable.count)
-        j1 = scan_read_ref(boss, colorable, "tacgt")
-        j2 = scan_read_ref(boss, colorable, "acgta")
-        assert assign_color(j1, table) == 1
-        assert assign_color(j2, table) == 2
+        assert assign_color(*ref_rows(boss, colorable, "tacgt"), table) == 1
+        assert assign_color(*ref_rows(boss, colorable, "acgta"), table) == 2
 
 
 class TestColorAll:
@@ -300,8 +312,8 @@ def assert_coloring_matches_references(reads, boss, colorable, strings) -> Dynam
     entry."""
     got = color_all(boss, colorable, reads)
     want = DynamicColorTable(colorable.count)
-    for i, s in enumerate(strings):
-        want.read_colors.append(assign_color(scan_read_ref(boss, colorable, s), want))
+    for s in strings:
+        want.read_colors.append(assign_color(*ref_rows(boss, colorable, s), want))
     assert got == want
     rows, read_colors = color_rows_ref(boss, colorable, strings)
     assert (got.rows, got.read_colors) == (rows, read_colors)
@@ -344,6 +356,19 @@ class TestWideRows:
             compress(DynamicColorTable.from_rows(rows), colorable)
 
 
+@pytest.mark.parametrize("seed, k", [(seed, k) for seed in (1, 2) for k in (9, 15)])
+def test_reads_with_substitutions_match_references(seed, k):
+    # the read sets of test_traversal.py's error_indexes: error tips and
+    # bubbles give many branching nodes and nodes of indegree > 1
+    cfg = SyntheticConfig(genome_len=300, read_len=40, coverage=6, seed=seed, error_rate=0.02)
+    raw, clean = generate_reads(cfg)[1], generate_reads(replace(cfg, error_rate=0.0))[1]
+    assert sum(r != c for r, c in zip(raw, clean)) >= len(raw) // 2  # reads with an error
+    reads = ReadSet.from_reads(raw)
+    boss = BossIndex.build(reads, k)
+    strings = [s for s in reads.strings_with_rc() if len(s) >= k]
+    assert_coloring_matches_references(reads, boss, mark_colorable(boss), strings)
+
+
 @pytest.fixture(scope="module", params=[(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)])
 def mixed(request):
     seed, k = request.param
@@ -362,8 +387,8 @@ class TestArrayScanMatchesReference:
 
     def test_scan_all_matches_scan_read(self, mixed):
         _, boss, colorable, strings = mixed
-        want = [scan_read_ref(boss, colorable, s) for s in strings]
-        assert scan_all(boss, colorable, strings) == want
+        want = [ref_rows(boss, colorable, s) for s in strings]
+        assert scan_rows(scan_all(boss, colorable, strings), len(strings)) == want
 
     def test_color_all_matches_sequential_reference(self, mixed):
         assert_coloring_matches_references(*mixed)
@@ -379,12 +404,12 @@ class TestArrayScanMatchesReference:
         damaged = BitVector(bits)
         for s in strings:
             try:
-                want = scan_read_ref(boss, damaged, s)
+                want = ref_rows(boss, damaged, s)
             except CorruptIndex:
                 with pytest.raises(CorruptIndex):
                     scan_all(boss, damaged, [s])
             else:
-                assert scan_all(boss, damaged, [s]) == [want]
+                assert scan_rows(scan_all(boss, damaged, [s]), 1) == [want]
 
 
 @pytest.mark.parametrize(
@@ -413,7 +438,6 @@ def test_scan_on_a_graph_past_int32_keys():
     strings = rs.strings_with_rc()
     picked = np.random.default_rng(5).choice(len(strings), size=50, replace=False)
     sample = [strings[i] for i in sorted(picked)]
-    got = scan_all(boss, colorable, sample)
+    got = scan_rows(scan_all(boss, colorable, sample), len(sample))
     for i, s in enumerate(sample):
-        want = scan_read_ref(boss, colorable, s)
-        assert (got[i].W, got[i].I) == (want.W, want.I), i
+        assert got[i] == ref_rows(boss, colorable, s), i

@@ -85,6 +85,13 @@ class TestFastx:
         assert len(rs) == 0
         assert rs.n_rejected == 1
 
+    def test_empty_records_count_alike_in_fasta_and_fastq(self, tmp_path):
+        fa, fq = tmp_path / "e.fa", tmp_path / "e.fq"
+        fa.write_text(">a\n>b\nacgtacgtac\n>c\n")
+        fq.write_text("@a\n\n+\n\n@b\nacgtacgtac\n+\nIIIIIIIIII\n@c\n\n+\n\n")
+        counts = [(len(rs), rs.n_rejected) for rs in map(parse_reads, (fa, fq))]
+        assert counts == [(1, 2), (1, 2)]
+
     def test_format_sniffing(self, tmp_path):
         fa = tmp_path / "a.txt"
         fa.write_text(">x\nacgt\n")
