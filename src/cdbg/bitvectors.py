@@ -336,11 +336,11 @@ class SymbolSequence(Fields):
     ``closure_len`` ``$`` symbols from ``closure_start`` (0-based), the
     graph's closure edges.
 
-    On disk that run is its start alone, one byte (in the graph it is the
-    root's outdegree, at most 4); its length and the sequence's are the
-    caller's. The other ``$`` symbols are one bitvector over the symbols
-    outside the run, and every remaining symbol is a 2-bit code, a c g t =
-    0 1 2 3, packed by ``_pack_fields``; the marks give the number of codes.
+    On disk that run is its start, one byte (in the graph it is the root's
+    outdegree, at most 4), and its length, a u64. The other ``$`` symbols
+    are one bitvector over the symbols outside the run, and every
+    remaining symbol is a 2-bit code, a c g t = 0 1 2 3, packed by
+    ``_pack_fields``; the marks give the number of codes.
     """
 
     def __init__(self, codes: np.ndarray, closure_start: int, closure_len: int):
@@ -374,22 +374,25 @@ class SymbolSequence(Fields):
         dollar = rest == 1
         return bit_vector(dollar), _pack_fields(rest[~dollar] - 2, 2)
 
+    def _write_closure(self, w: Writer) -> None:
+        w.u8(self.closure_start)
+        w.u64(self.closure_len)
+
     def pieces(self) -> Pieces:
         marks, packed = self._split()
         return {
-            "closure": lambda w: w.u8(self.closure_start),
+            "closure": self._write_closure,
             "dollars": marks.serialize,
             "codes": lambda w: w.array(packed),
         }
 
     @classmethod
-    def deserialize(cls, r: Reader, n: int, closure_len: int) -> "SymbolSequence":
-        """The n symbols of a sequence whose closure run is closure_len
-        long. The lengths are checked against the stored bytes before any
-        n-sized array is allocated."""
+    def deserialize(cls, r: Reader, n: int) -> "SymbolSequence":
+        """The n symbols of a sequence. The lengths are checked against the
+        stored bytes before any n-sized array is allocated."""
+        start, closure_len = r.u8(), r.u64()
         if closure_len > n:
             raise IntegrityError(f"{closure_len} closure edges exceed the {n} edges")
-        start = r.u8()
         marks = read_bit_vector(r, n - closure_len)
         if start > marks.n:
             raise IntegrityError(f"closure run at {start} starts past the {n} edges")

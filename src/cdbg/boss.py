@@ -27,20 +27,21 @@ are exactly ids ``2..K[1]``, each owns one edge, and the closure edges are
 the edge positions ``first_edge[2] .. first_edge[K[1] + 1] - 1``.
 
 Stored, each field only where the loader cannot compute it: the edge
-count, ``K[1..5]`` (cumulative counts of node labels by last symbol;
-``K[0]`` is 0 and ``K[5]`` is the node count), ``E`` (the edge symbols),
-``B`` (a bitmap marking each node's first edge) and the disambiguation
-flags, one bit per edge. k is the container header's. The closure edges'
-``$`` symbols fill a run of ``K[1] - 1`` edges that starts at the root's
-outdegree, so only the start is stored. Every other ``$`` edge enters an
-ending node (and, ``$`` being the least symbol, is its node's first edge):
-their positions are one bitvector over the edges outside the run. The
-remaining symbols are 2-bit codes, as many as the unmarked edges. A node's
-edges carry strictly increasing symbols, so a node starts at every edge
-whose symbol is not greater than the previous edge's, and ``B`` is stored
-only at the others, the rising edges. The loader decodes the symbols,
-reads ``B`` off them and keeps neither the ``$`` positions nor the stored
-bits.
+count, ``E`` (the edge symbols), ``B`` (a bitmap marking each node's first
+edge) and the disambiguation flags, one bit per edge. k is the container
+header's. The closure edges' ``$`` symbols fill a run of ``K[1] - 1``
+edges that starts at the root's outdegree, so the run is its start and
+length. Every other ``$`` edge enters an ending node (and, ``$`` being the
+least symbol, is its node's first edge): their positions are one
+bitvector over the edges outside the run. The remaining symbols are 2-bit
+codes, as many as the unmarked edges. A node's edges carry strictly
+increasing symbols, so a node starts at every edge whose symbol is not
+greater than the previous edge's, and ``B`` is stored only at the others,
+the rising edges. The loader decodes the symbols, reads ``B`` off them
+and keeps neither the ``$`` positions nor the stored bits. Neither the
+node count (the set bits of ``B``) nor ``K`` is stored: every label but
+the root's ends in the symbol of its canonical incoming edge, so ``K``
+counts those edges by symbol.
 
 In RAM each structure is held once. ``E`` is one byte per edge and the
 flags stay the bitvector they were built or loaded as. ``B`` is unpacked
@@ -187,8 +188,6 @@ class BossIndex(Fields):
             b_bits = np.ones(m, dtype=np.uint8)  # a node starts where the label changes
             b_bits[1:] = ~_same_prefix(words, k, k - 1)
             last = (words[0] // np.uint64(5 ** (min(k, _HEAD_DIGITS) - 1))).astype(np.uint8) + 1
-            counts = np.bincount(last[b_bits == 1], minlength=6)[1:6]  # nodes by last symbol
-            kcum = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)  # A[i] = #last <= i
 
             # disambiguation flags: same symbol and same target as previous edge;
             # closure edges (`$` out of a label ending in `$`) have no target
@@ -202,32 +201,36 @@ class BossIndex(Fields):
             boss = cls.__new__(cls)
             boss.k = k
             boss._E = SymbolSequence(sym, int(np.argmax(closure)), int(closure.sum()))
-            boss._kcum = kcum
             boss._flags = bit_vector(minus)
-            boss.node_count = int(kcum[-1])
             boss.edge_count = m
         with stage("boss_derive"):
             boss._build_caches(b_bits, minus)
         return boss
 
     def _build_caches(self, b_bits: np.ndarray, minus: np.ndarray) -> None:
-        """The navigation arrays every query reads, built once at build and
-        at load from the unpacked ``B`` and flags, which are not kept: each
-        node's first edge (the only node-boundary array), each edge's target,
-        each node's parent (the source of its canonical, real and unflagged,
-        incoming edge), the starting nodes (those whose (k-2)-th parent is
-        the root) and the colourable bitmap: the starting and ending nodes
-        and the solid targets of the real edges of branching nodes."""
-        n, m = self.node_count, self.edge_count
+        """The node count, ``K`` and the navigation arrays every query
+        reads, built once at build and at load from the unpacked ``B`` and
+        flags, which are not kept: each node's first edge (the only
+        node-boundary array), each edge's target, each node's parent (the
+        source of its canonical, real and unflagged, incoming edge), the
+        starting nodes (those whose (k-2)-th parent is the root) and the
+        colourable bitmap: the starting and ending nodes and the solid
+        targets of the edges of branching nodes."""
+        m = self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
         self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
+        n = self.node_count = len(self._first_edge) - 2
         self._codes = self._E.codes()
-        ends = int(self._kcum[1])
-        if ends < 2 or self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
+        ends = self._E.closure_len + 1  # the ending nodes are ids 2..K[1]
+        if not 2 <= ends <= n:
+            raise CorruptIndex(f"{ends - 1} closure edges, not 1 to {n - 1}: one per ending node")
+        if self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
             raise CorruptIndex("an ending node does not own exactly one closure edge")
         if self._first_edge[2] - 1 != self._E.closure_start:
             raise CorruptIndex("the closure run does not start at the first ending node")
-        targets = self._derive_targets(minus)
+        targets, self._kcum = self._derive_targets(minus)
+        if self._kcum[1] != ends:
+            raise CorruptIndex("the $ edges do not enter every ending node")
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
         self._targets = targets.astype(width)
@@ -242,11 +245,6 @@ class BossIndex(Fields):
         self._parent[targets[canonical]] = self.edge_sources()[canonical]
         if len(canonical) != n - 1 or not self._parent[2:].all():
             raise CorruptIndex("a node lacks a canonical incoming edge")
-        # labels take their last symbol from K: it must be the symbol of the
-        # canonical incoming edge (the root's `$` has none)
-        in_symbols = np.bincount(self._codes[canonical], minlength=6)[1:]
-        if (in_symbols != np.diff(self._kcum) - [1, 0, 0, 0, 0]).any():
-            raise CorruptIndex("K disagrees with the symbols of the canonical incoming edges")
         # a label starts with `$` when its parent chain reaches the root
         # within k-2 steps; such labels form a tree below the root
         anc = self._ancestors(self.k - 2)
@@ -258,23 +256,28 @@ class BossIndex(Fields):
         bits = np.zeros(n + 1, dtype=np.uint8)
         bits[self._starting] = 1
         bits[2 : ends + 1] = 1
-        succ = targets[_branch_edges(self, targets)]
+        succ = targets[_branch_edges(self)]
         bits[succ[self._solid(anc)[succ]]] = 1
         self._colorable = BitVector(bits[1:])
         self._query = None  # see the class docstring
 
-    def _derive_targets(self, minus: np.ndarray) -> np.ndarray:
-        """Target node of every edge, 0 on closure edges: per symbol, the
-        target rank of an edge is the number of unflagged real edges of
-        that symbol up to and including it; ``$`` targets skip the root."""
+    def _derive_targets(self, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Target node of every edge, 0 on closure edges, and ``K``: per
+        symbol c, the target rank of an edge is the number of unflagged real
+        edges of symbol c up to and including it, after the labels of the
+        smaller symbols (the root's ends in ``$``, so ``$`` targets skip it)."""
+        E = self._E
         real = np.ones(self.edge_count, dtype=bool)
-        real[self._first_edge[2] - 1 : self._first_edge[self._kcum[1] + 1] - 1] = False
+        real[E.closure_start : E.closure_start + E.closure_len] = False
         targets = np.zeros(self.edge_count, dtype=np.int64)
+        K = [0]
         for c in range(1, 6):
             idx = np.flatnonzero(self._codes == c)
             ranks = np.cumsum(real[idx] & (minus[idx] == 0))
-            targets[idx] = np.where(real[idx], self._kcum[c - 1] + (c == 1) + ranks, 0)
-        return targets
+            base = K[-1] + (c == 1)
+            targets[idx] = np.where(real[idx], base + ranks, 0)
+            K.append(base + int(ranks[-1:].sum()))
+        return targets, np.array(K, dtype=np.int64)
 
     def _ancestors(self, d: int) -> np.ndarray:
         """The d-th parent of every node, by id, 0 past the root: binary
@@ -325,7 +328,8 @@ class BossIndex(Fields):
 
     @property
     def K(self) -> np.ndarray:
-        """K[i] = number of node labels ending with a symbol < i+1 (len 6)."""
+        """K[i] = number of node labels ending with a symbol < i+1 (len 6),
+        derived at build and at load; ``K[5]`` is the node count."""
         return self._kcum
 
     @property
@@ -459,7 +463,6 @@ class BossIndex(Fields):
     def pieces(self) -> Pieces:
         return {
             "edge_count": lambda w: w.u64(self.edge_count),
-            "K": lambda w: w.array(self._kcum[1:]),
             **self._E.pieces(),
             "B": self._rising_bits().serialize,
             "flags": self._flags.serialize,
@@ -473,18 +476,10 @@ class BossIndex(Fields):
         boss = cls.__new__(cls)
         boss.k = k
         m = boss.edge_count = r.u64()
-        kcum = boss._kcum = np.concatenate([[0], r.array(np.int64, 5)])
-        if (np.diff(kcum) < 0).any():
-            raise IntegrityError("K does not rise from 0")
-        if kcum[1] < 2:
-            raise IntegrityError("K counts no ending node")
-        n = boss.node_count = int(kcum[5])
-        boss._E = SymbolSequence.deserialize(r, m, int(kcum[1]) - 1)
+        boss._E = SymbolSequence.deserialize(r, m)
         rising = _rising(boss._E.codes())
         b = read_bit_vector(r, len(rising))
         boss._flags = read_bit_vector(r, m)
-        if m - len(rising) + b.count != n:
-            raise IntegrityError(f"first edges of the node bitmap disagree with the K[5]={n} nodes")
         b_bits = np.ones(m, dtype=np.uint8)
         b_bits[rising] = b.to_bits()
         try:
@@ -501,8 +496,8 @@ def _rising(codes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(codes[1:] > codes[:-1]) + 1
 
 
-def _branch_edges(boss: BossIndex, targets: np.ndarray) -> np.ndarray:
-    """Mask over edges: real edges leaving a node of outdegree > 1 (the
-    outdegree counts closure edges)."""
+def _branch_edges(boss: BossIndex) -> np.ndarray:
+    """Mask over edges: the edges leaving a node of outdegree > 1. None of
+    them is a closure edge, which is its ending node's only edge."""
     outdeg = np.diff(boss._first_edge[1:])
-    return (targets > 0) & np.repeat(outdeg > 1, outdeg)
+    return np.repeat(outdeg > 1, outdeg)

@@ -8,15 +8,16 @@ raises IntegrityError.
 The header's version is the only one in the file, and its k the only k.
 Inside the sections a field is stored only when the loader cannot compute
 it from the header or from the fields it has already read: no section,
-bitvector or Elias-Fano part carries a version, and no array or
-bitvector carries a length the loader knows.
+bitvector or Elias-Fano part carries a version, no array or bitvector
+carries a length the loader knows, and the graph section holds no count
+that the loader derives from the edges (the node count, ``K``).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ._binio import Reader, Writer
@@ -25,12 +26,12 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass
 class IndexMeta:
-    """Build-time facts that are not derivable from the structures."""
+    """Build-time facts not derivable from the structures, one u64 each."""
 
     plain_bytes: int = 0
     n_reads: int = 0
@@ -39,21 +40,12 @@ class IndexMeta:
     n_strings: int = 0
 
     def serialize(self, w: Writer) -> None:
-        w.u64(self.plain_bytes)
-        w.u64(self.n_reads)
-        w.u64(self.n_rejected)
-        w.u64(self.n_too_short)
-        w.u64(self.n_strings)
+        for f in fields(self):
+            w.u64(getattr(self, f.name))
 
     @classmethod
     def deserialize(cls, r: Reader) -> "IndexMeta":
-        return cls(
-            plain_bytes=r.u64(),
-            n_reads=r.u64(),
-            n_rejected=r.u64(),
-            n_too_short=r.u64(),
-            n_strings=r.u64(),
-        )
+        return cls(**{f.name: r.u64() for f in fields(cls)})
 
 
 def serialize_index(boss: BossIndex, colors: CompressedColors, meta: IndexMeta) -> bytes:

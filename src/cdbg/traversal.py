@@ -118,8 +118,8 @@ def _walk_all(
 
     Returns the number of colors of each start and, per walk in start
     order and then color order, its string, or None when the walk is
-    ambiguous: it reaches a branch where not exactly one real successor
-    holds its color, or takes more than edge_count + k steps. Raises
+    ambiguous: it reaches a branch where not exactly one successor holds
+    its color, or takes more than edge_count + k steps. Raises
     ``NotColored`` when a start or an inspected successor is not
     colorable. The walks read the index's views, derived on its first
     query (see the module docstring).
@@ -159,14 +159,12 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
         if len(syms) == graph.step_limit:
             return None  # a walk this long cycles
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
-        if end - e > 1:  # closure edges are skipped at a branch
-            hits = [f for f in range(e, end) if (t := targets[f]) and c in colors_of(t)]
+        if end - e > 1:
+            hits = [f for f in range(e, end) if c in colors_of(targets[f])]
             if len(hits) != 1:
                 return None
             e = hits[0]
         v = targets[e]
-        if not v:
-            return None  # a closure edge
         syms.append(codes[e])
     return syms.translate(_CODE_ASCII).decode()
 
@@ -199,14 +197,12 @@ def _walk_lockstep(
         lo = first_edge[cur]
         single = first_edge[cur + 1] - lo == 1
         pos = np.where(single, lo, 0)
-        nxt = np.where(single, targets[lo - 1], 0)  # 0 on a closure edge
+        nxt = np.where(single, targets[lo - 1], 0)
         if not single.all():
             branch = np.flatnonzero(~single)
             edges, counts = _gather(first_edge, cur[branch])
             owner = np.repeat(branch, counts)
             t = targets[edges - 1]
-            real = t > 0  # closure edges are skipped at a branch
-            edges, owner, t = edges[real], owner[real], t[real]
             _require_colored(colorable, t)
             q = (rank[t - 1] - 1) * width + col[owner]
             found = np.searchsorted(keys, q)
@@ -294,11 +290,11 @@ def _labels(boss: BossIndex, ids) -> list[str]:
 
 def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
     """The starting predecessors of each node of indegree > 1, in BOSS
-    order: the real out-edges of the starting nodes, in source order."""
+    order: the out-edges of the starting nodes, in source order."""
     targets, starts = boss.edge_targets(), boss.starting_node_ids()
     edges, counts = _gather(boss._first_edge, starts)
     into = targets[edges - 1]
-    keep = (into > 0) & (np.bincount(targets, minlength=boss.node_count + 1)[into] > 1)
+    keep = np.bincount(targets, minlength=boss.node_count + 1)[into] > 1
     preds: dict[int, list[int]] = {}
     for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
         preds.setdefault(t, []).append(u)
@@ -308,8 +304,8 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
 class _GraphView:
     """The graph's half of every query's view, read one node at a time: the
     whole-graph arrays wrapped in memoryviews, whose items index as Python
-    ints without a copy of the arrays; each branching node's real (code,
-    target) out-edges, built when a walk first reaches it; and the
+    ints without a copy of the arrays; each branching node's (code, target)
+    out-edges, built when a walk first reaches it; and the
     starting-predecessor map, derived on the first assembly query. Built
     on the graph's first query and kept in ``BossIndex._query``; it holds
     no reference to the graph, so the two are dropped together."""
@@ -398,12 +394,12 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
         if end - e == 1:
             cur = targets[e]
             if cur <= last_ending:
-                break  # an ending node or a closure edge
+                break  # an ending node
             syms.append(codes[e])
             continue
         succ = branches.get(cur)
         if succ is None:
-            succ = branches[cur] = [(codes[f], t) for f in range(e, end) if (t := targets[f])]
+            succ = branches[cur] = [(codes[f], targets[f]) for f in range(e, end)]
         succ_colors = {t: colors_of(t) for _, t in succ}
         # stop when two successors share a color: no safe continuation
         seen: set[int] = set()

@@ -245,8 +245,8 @@ class TestSymbolSequence:
         data = serialized(SymbolSequence(codes, start, run))
         other = np.array(codes_list, dtype=np.uint8)
         rest = int((other != 1).sum())
-        assert len(data) == 1 + len(serialized(bit_vector(other == 1))) + (2 * rest + 7) // 8
-        ss = SymbolSequence.deserialize(Reader(data), len(codes), run)
+        assert len(data) == 1 + 8 + len(serialized(bit_vector(other == 1))) + (2 * rest + 7) // 8
+        ss = SymbolSequence.deserialize(Reader(data), len(codes))
         assert np.array_equal(ss.codes(), codes)
         assert (ss.closure_start, ss.closure_len) == (start, run)
         for i in range(1, len(codes) + 1):
@@ -260,8 +260,8 @@ class TestSymbolSequence:
                 SymbolSequence(codes, start, run)
 
     @staticmethod
-    def stored(marks, payload: bytes, start: int = 0) -> Reader:
-        return Reader(bytes([start]) + serialized(marks) + payload)
+    def stored(marks, payload: bytes, start: int = 0, run: int = 0) -> Reader:
+        return Reader(bytes([start]) + run.to_bytes(8, "little") + serialized(marks) + payload)
 
     @pytest.mark.parametrize("n,payload", [(3, b""), (10**12, b"")])
     def test_rejects_wrong_byte_count(self, n, payload):
@@ -270,17 +270,17 @@ class TestSymbolSequence:
         # allocated
         marks = SparseBitVector(n, np.array([], dtype=np.int64))
         with pytest.raises(IntegrityError, match="truncated"):
-            SymbolSequence.deserialize(self.stored(marks, payload), n, 0)
+            SymbolSequence.deserialize(self.stored(marks, payload), n)
 
     @pytest.mark.parametrize("byte", [0b01000000, 0b10000000])
     def test_rejects_bits_past_the_last_symbol(self, byte):
         # three 2-bit codes fill bits 0..5 of the one byte
         marks = bit_vector(np.zeros(3, dtype=np.uint8))
-        ok = SymbolSequence.deserialize(self.stored(marks, b"\x24"), 3, 0)
+        ok = SymbolSequence.deserialize(self.stored(marks, b"\x24"), 3)
         assert ok.codes().tolist() == [2, 3, 4]
         with pytest.raises(IntegrityError, match="past their last symbol"):
-            SymbolSequence.deserialize(self.stored(marks, bytes([0x24 | byte])), 3, 0)
+            SymbolSequence.deserialize(self.stored(marks, bytes([0x24 | byte])), 3)
 
     def test_rejects_a_closure_run_longer_than_the_sequence(self):
         with pytest.raises(IntegrityError, match="3 closure edges exceed the 2 edges"):
-            SymbolSequence.deserialize(Reader(b""), 2, 3)
+            SymbolSequence.deserialize(Reader(bytes([0]) + (3).to_bytes(8, "little")), 2)

@@ -3,7 +3,7 @@ import pytest
 
 from cdbg.boss import BossIndex
 from cdbg.errors import BadLabel, BadOrder, BoundsError, EmptyIndex
-from cdbg.sequence import CODE_SYMBOLS, ReadSet, reverse_complement
+from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet, reverse_complement
 
 from oracle import (
     DUMMY,
@@ -26,6 +26,9 @@ def oracle_for(reads: list[str], k: int) -> NaiveDbg:
 def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
     assert boss.node_count == oracle.node_count
     assert boss.edge_count == oracle.edge_count
+    # K is derived from the edges: it must count the labels by last symbol
+    last = [SYMBOL_CODES[lab[-1]] for lab in oracle.labels]
+    assert boss.K.tolist() == np.cumsum(np.bincount(last, minlength=6)).tolist()
     labels = boss.node_labels(np.arange(1, boss.node_count + 1))
     assert ["".join(CODE_SYMBOLS[c] for c in row) for row in labels.tolist()] == oracle.labels
     for v in range(1, boss.node_count + 1):

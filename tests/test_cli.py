@@ -142,7 +142,7 @@ class TestStats:
         assert float(kv["bits_per_edge"]) == pytest.approx(bits, abs=1e-4)
         # each section is the sum of its fields
         for tag, names in (
-            ("BOSS", ("edge_count", "K", "closure", "dollars", "codes", "B", "flags")),
+            ("BOSS", ("edge_count", "closure", "dollars", "codes", "B", "flags")),
             ("COLR", ("payload", "F")),
         ):
             fields = [int(kv[f"bytes_{tag}_{name}"]) for name in names]
@@ -165,9 +165,10 @@ class TestStats:
         header = 4 + 1 + 2 + 1 + len(sections) * (4 + 8)  # magic, version, k, count, tables
         assert sum(sections.values()) == Path(index).stat().st_size - header - 4  # CRC32
         graph = record["graph_bytes"]
-        assert list(graph) == ["edge_count", "K", "closure", "dollars", "codes", "B", "flags"]
-        # 9 of the 11 edges outside the closure run are not $: 3 bytes of codes
-        assert (graph["edge_count"], graph["K"], graph["closure"], graph["codes"]) == (8, 40, 1, 3)
+        assert list(graph) == ["edge_count", "closure", "dollars", "codes", "B", "flags"]
+        # the closure run is its start byte and its u64 length; 9 of the 11
+        # edges outside it are not $: 3 bytes of codes
+        assert (graph["edge_count"], graph["closure"], graph["codes"]) == (8, 9, 3)
         assert sum(graph.values()) == sections["BOSS"]
         color = record["color_bytes"]
         assert list(color) == ["payload", "F"]

@@ -28,7 +28,7 @@ from cdbg.container import (
 )
 from cdbg.errors import IntegrityError, ParseError
 from cdbg.fastx import parse_reads, sniff_format, write_fasta
-from cdbg.sequence import SYMBOL_CODES, ReadSet
+from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import assemble_all, reconstruct_all
 
@@ -118,17 +118,17 @@ class TestContainer:
     def test_worked_example_container_is_pinned(self, built):
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
-        assert data[4] == FORMAT_VERSION == 5
-        assert len(data) == 201  # format 3 took 353 bytes, format 4 413
+        assert data[4] == FORMAT_VERSION == 6
+        assert len(data) == 169  # format 3 took 353 bytes, format 4 413, format 5 201
         assert hashlib.sha256(data).hexdigest() == (
-            "90b8244ea70c5ce937f093dc8a99f7b47669b2dc893cbfe68c14f2319e39ef4e"
+            "610b167731e42cb9db198fe60c971fd90289c849ee9cbc06145e0e75a76672f0"
         )
 
     @pytest.mark.parametrize(
         "k,digest",
         [
-            (25, "0ddcea038756da82c7bb29453b96850e0dd23223f7442ecb68077b0f179e84cc"),
-            (31, "00254b3e75d4f6f56524d2edd0b6c7a406f47392333fa2ce25dbae2ad864dcb1"),
+            (25, "d329151d8cc03b2661cf63a2b7774fbfca4705175e319689c8625947d620055a"),
+            (31, "5315691c7667da3a7428c9c8d0e582fde05a27639b011f1c14c5fba53c63a239"),
         ],
     )
     def test_synthetic_read_set_container_is_pinned(self, k, digest):
@@ -200,10 +200,10 @@ class TestContainer:
 
 def boss_fields(data: bytes) -> dict[str, int]:
     """Byte offsets in the container of the graph section's fields, in file
-    order: "edge_count" (where the section starts), "K" (K[1]),
-    "closure" (the closure run's start byte), the bitvectors "dollars",
-    "B" and "minus" (each at its tag byte), "codes" (the packed 2-bit
-    codes), and "end", where the section ends. The field sizes are those
+    order: "edge_count" (where the section starts), "closure" (the closure
+    run's start byte, then its u64 length), the bitvectors "dollars", "B"
+    and "minus" (each at its tag byte), "codes" (the packed 2-bit codes),
+    and "end", where the section ends. The field sizes are those
     ``cdbg stats`` reports."""
     pos = 4 + 1 + 2 + 1 + (4 + 8) + section_sizes(data)["META"] + (4 + 8)
     at = {}
@@ -275,6 +275,16 @@ def with_sparse(data: bytes, field: str, positions: list[int]) -> bytes:
     return spliced(data, "BOSS", at[field], end, w.getvalue())
 
 
+# The worked example's container in format 5, as format 5 wrote it
+FORMAT_5_WORKED_EXAMPLE = bytes.fromhex(
+    "43444247050400034d455441280000000000000005000000000000000100000000000000"
+    "000000000000000000000000000000000200000000000000424f53534f00000000000000"
+    "0d0000000000000003000000000000000600000000000000080000000000000009000000"
+    "000000000b00000000000000020110020000000000005c3a00010e000000000000000100"
+    "01000000000000434f4c5222000000000000000500000000000000000100000000000000"
+    "5412000000000000011f000000000000009bdcdcd1"
+)
+
 # The worked example's container in format 4, as format 4 wrote it
 FORMAT_4_WORKED_EXAMPLE = bytes.fromhex(
     "43444247040400034d455441290000000000000001050000000000000001000000000000"
@@ -303,20 +313,20 @@ class TestLoaderCrossChecks:
 
     def test_fields_are_where_the_sizes_put_them(self, built, data):
         # what the offsets below rest on: the worked example's graph
-        # section holds 13 edges, K[1..5] = 3 6 8 9 11, the closure run at
-        # 2 and its bitvectors plain; its colour section holds 5 entries of
-        # no low bits, then F
+        # section holds 13 edges, the closure run of 2 edges at 2 and its
+        # bitvectors plain; its colour section holds 5 entries of no low
+        # bits, then F
         at, colr = boss_fields(data), colr_fields(data)
-        assert int.from_bytes(data[at["edge_count"] : at["K"]], "little") == 13
-        assert np.frombuffer(data[at["K"] : at["K"] + 40], "<i8").tolist() == [3, 6, 8, 9, 11]
+        assert int.from_bytes(data[at["edge_count"] : at["closure"]], "little") == 13
         assert data[at["closure"]] == 2
+        assert int.from_bytes(data[at["closure"] + 1 : at["dollars"]], "little") == 2
         assert [data[at[name]] for name in ("dollars", "B", "minus")] == [1, 1, 1]
         assert at["end"] + (4 + 8) == colr["section"]
         assert data[colr["section"]] == 5 and data[colr["width"]] == 0
         assert data[colr["F"]] == 1 and colr["F"] + 9 == len(data) - 4
 
     @pytest.mark.parametrize("tag,field", [
-        *[("BOSS", f) for f in ("edge_count", "K", "closure", "dollars", "codes", "B", "flags")],
+        *[("BOSS", f) for f in ("edge_count", "closure", "dollars", "codes", "B", "flags")],
         ("COLR", "payload"), ("COLR", "F"),
     ])
     def test_section_cut_inside_a_field_is_refused(self, data, tag, field):
@@ -351,11 +361,11 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="past their last symbol"):
             deserialize_index(resealed(blob))
 
-    def test_edge_symbols_must_agree_with_k(self, built, data):
-        # every g edge relabelled c: the c targets then also cover the g
-        # bucket of K, so only the symbols disagree with K; the worked
-        # example has no c edge next to a g edge, so the rising edges, and
-        # with them the node boundaries, stay as they are
+    def test_relabelled_edge_symbols_load_as_a_consistent_graph(self, built, data):
+        # every g edge relabelled c: the worked example has no c edge next
+        # to a g edge, so the rising edges, and with them the node
+        # boundaries, stay as they are. K is derived from the symbols, so
+        # the labels follow them: the file is a valid index of tacct
         E = built[0].E
         codes = E.codes().copy()
         codes[codes == SYMBOL_CODES["g"]] = SYMBOL_CODES["c"]
@@ -363,8 +373,13 @@ class TestLoaderCrossChecks:
         first = boss_fields(data)["codes"]
         blob = bytearray(data)
         blob[first : first + len(packed)] = packed.tobytes()
-        with pytest.raises(IntegrityError, match="K disagrees"):
-            deserialize_index(resealed(blob))
+        boss, colors, _ = deserialize_index(resealed(blob))
+        labels = [boss.node_label(v) for v in range(1, boss.node_count + 1)]
+        assert all(a[::-1] < b[::-1] for a, b in zip(labels, labels[1:]))
+        for v, label in enumerate(labels, start=1):
+            for _, a, t in boss.successors(v):
+                assert boss.node_label(t) == label[1:] + CODE_SYMBOLS[a]
+        assert sorted(reconstruct_all(boss, colors).recovered) == ["accta", "tacct"]
 
     @pytest.mark.parametrize("field", ["dollars", "minus"])
     def test_sparse_positions_must_increase(self, built, data, field):
@@ -427,12 +442,13 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="closure run does not start"):
             deserialize_index(resealed(blob))
 
-    def test_k_must_count_an_ending_node(self, data):
-        # K[1] = 0: no label ends in $, not even the root's
-        at = boss_fields(data)["K"]
-        assert int.from_bytes(data[at : at + 8], "little") == 3
-        with pytest.raises(IntegrityError, match="K counts no ending node"):
-            deserialize_index(add_to_u64(data, at, -3))
+    def test_closure_run_must_count_the_ending_nodes(self, data):
+        # a run of 1 edge: ids 2..2 would be the ending nodes, but the
+        # unflagged $ edges enter two, so the derived K[1] is 3, not 2
+        at = boss_fields(data)["closure"] + 1
+        assert int.from_bytes(data[at : at + 8], "little") == 2
+        with pytest.raises(IntegrityError, match="the \\$ edges do not enter every ending node"):
+            deserialize_index(add_to_u64(data, at, -1))
 
     def test_graph_must_be_consistent(self, built, data):
         # every edge flagged: no edge has a target of its own
@@ -480,12 +496,13 @@ class TestLoaderCrossChecks:
 
     def test_node_bitmap_count_must_match_node_count(self, data):
         # B's bits at the 5 rising edges are 0 1 1 1 0; clearing the
-        # second keeps B's length and starts one node fewer than K[5]
+        # second keeps B's length and joins two nodes, one of them the
+        # second ending node, into one
         words_at = boss_fields(data)["B"] + 1
         assert data[words_at] == 0b01110
         blob = bytearray(data)
         blob[words_at] ^= 0b10
-        with pytest.raises(IntegrityError, match="disagree with the K\\[5\\]=11 nodes"):
+        with pytest.raises(IntegrityError, match="ending node does not own exactly one closure edge"):
             deserialize_index(resealed(blob))
 
     @pytest.mark.parametrize("version", [2, 3, 4])
@@ -503,17 +520,40 @@ class TestLoaderCrossChecks:
         path = tmp_path / "v4.cdbg"
         path.write_bytes(resealed(old))
         assert cli_main(["stats", "--index", str(path)]) == 3
-        # read as format 5, its sections are refused too
+        # read as the current format, its sections are refused too
         old[4] = FORMAT_VERSION
         with pytest.raises(IntegrityError):
             deserialize_index(resealed(old))
 
-    @pytest.mark.parametrize("entry,value", [(5, -1), (5, 1), (1, 100), (2, -100)])
-    def test_k_must_rise_from_zero_to_node_count(self, data, entry, value):
-        # K[0] = 0 is not stored, and K[5] is the node count
-        at = boss_fields(data)["K"] + 8 * (entry - 1)
-        with pytest.raises(IntegrityError, match="K"):
-            deserialize_index(add_to_u64(data, at, value))
+    def test_format_5_is_refused(self, tmp_path):
+        # format 5 stored K[1..5] in the graph section and the closure run
+        # as its start alone
+        old = bytearray(FORMAT_5_WORKED_EXAMPLE)
+        assert hashlib.sha256(old).hexdigest() == (
+            "90b8244ea70c5ce937f093dc8a99f7b47669b2dc893cbfe68c14f2319e39ef4e"
+        )
+        with pytest.raises(IntegrityError, match="unsupported container version"):
+            deserialize_index(bytes(old))
+        path = tmp_path / "v5.cdbg"
+        path.write_bytes(old)
+        assert cli_main(["stats", "--index", str(path)]) == 3
+        # read as the current format, its sections are refused too
+        old[4] = FORMAT_VERSION
+        with pytest.raises(IntegrityError):
+            deserialize_index(resealed(old))
+
+    @pytest.mark.parametrize("run,message", [
+        (0, "0 closure edges, not 1 to"),
+        (12, "past its 1 bits"),
+        (14, "14 closure edges exceed the 13 edges"),
+    ])
+    def test_closure_run_length_must_fit_the_graph(self, data, run, message):
+        # the stored run length is the number of ending nodes: 1 to n - 1
+        # of the 11 nodes, so at most the 13 edges. A run of 12 leaves one
+        # edge outside it, whose $ marks read as 1 bit set bits past it
+        at = boss_fields(data)["closure"] + 1
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(add_to_u64(data, at, run - 2))
 
     @pytest.mark.parametrize("delta", [1, 1000])
     def test_last_section_must_fit_the_body(self, data, delta):

@@ -439,6 +439,21 @@ def test_reconstruction_on_error_reads_matches_reference(error_indexes):
         assert_matches_reference(boss, colors)
 
 
+def test_walks_meet_no_closure_edge(mixed_indexes, error_indexes):
+    # the walks stand only on nodes above K[1] and take any edge of a
+    # branching node unfiltered: that holds because the closure edges are
+    # exactly the single edges of the ending nodes 2..K[1], and every edge
+    # of a node of outdegree > 1 has a target, on built and loaded graphs
+    indexes = [mixed_indexes[seed, k] for seed, k in MIXED if k in (3, 63)]
+    indexes += list(error_indexes.values())
+    for boss in (b for index in indexes for b in (index[0], reload(*index)[0])):
+        ends, first_edge, targets = int(boss.K[1]), boss._first_edge, boss.edge_targets()
+        outdeg = np.diff(first_edge[1:])
+        assert (outdeg[1:ends] == 1).all()
+        assert (np.flatnonzero(targets == 0) + 1).tolist() == first_edge[2 : ends + 1].tolist()
+        assert (targets[np.repeat(outdeg > 1, outdeg)] > 0).all()
+
+
 def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
     """Assembly and reconstruction run on views built from whole arrays:
     none of the per-element index lookups is called, and no query derives
