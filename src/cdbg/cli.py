@@ -138,6 +138,7 @@ def cmd_assemble(args) -> int:
         boss, colors, meta = read_index(args.index)
     with stage("assemble"):
         contigs = assemble_all(boss, colors, args.min_frac)
+    logger.info("starts=%d", len(boss.starting_node_ids()))  # one walk each
     logger.info("contigs=%d", len(contigs))
     with stage("write"):
         write_fasta(args.output, contigs, prefix="contig")

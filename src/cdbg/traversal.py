@@ -22,10 +22,17 @@ are faster in lockstep. Both give the same strings.
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of the active
-colors. It steps through the same views as reconstruction, and reads the
-starting predecessors of the nodes with indegree > 1 from a map
-(``_starting_preds``) that the graph view derives on the first assembly
-query; reconstruction never derives it.
+colors. It reads three caches that only assembly fills, so reconstruction
+never derives them. The graph view holds two, which read the graph alone:
+the starting predecessors of each node of indegree > 1
+(``_starting_preds``), derived whole on the first assembly query, and the
+unary run from each node of outdegree 1 where a walk stood, derived on
+the first walk that stands there. A walk crosses such a run in one step
+instead of one step per node. The color view holds the third: a record of
+each branching node where a walk stood, with its successors' colors,
+derived on the first walk that stands there. The walks of an
+``assemble_all`` call share long paths, so most runs and records are
+derived by one walk and read by many.
 """
 
 from __future__ import annotations
@@ -302,19 +309,26 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
 
 
 class _GraphView:
-    """The graph's half of every query's view, read one node at a time: the
-    whole-graph arrays wrapped in memoryviews, whose items index as Python
-    ints without a copy of the arrays; each branching node's (code, target)
-    out-edges, built when a walk first reaches it; and the
-    starting-predecessor map, derived on the first assembly query. Built
-    on the graph's first query and kept in ``BossIndex._query``; it holds
-    no reference to the graph, so the two are dropped together."""
+    """The graph's half of every query's view, read one node at a time. It
+    holds no color, so any colors can be read with it, and no reference to
+    the graph, so the two are dropped together. Built on the graph's first
+    query and kept in ``BossIndex._query``. Besides the whole-graph arrays,
+    wrapped in memoryviews whose items index as Python ints without a copy,
+    it keeps two maps that only assembly derives and reads:
+
+    * ``starting_preds``, the starting predecessors of each node of
+      indegree > 1 (``_starting_preds``), derived whole on the first
+      assembly query;
+    * ``runs``, keyed by a node of outdegree 1 at which an assembly walk
+      stood, the unary run from there (``derive_run``), derived when a
+      walk first stands there.
+    """
 
     def __init__(self, boss: BossIndex):
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
         self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
-        self.branches: dict[int, list[tuple[int, int]]] = {}
         self.starting_preds: dict[int, list[int]] | None = None
+        self.runs: dict[int, tuple[bytes, int]] = {}
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
         self.step_limit = boss.edge_count + boss.k
@@ -334,17 +348,51 @@ class _GraphView:
             view.starting_preds = _starting_preds(boss)
         return view
 
+    def derive_run(self, v: int) -> tuple[bytes, int]:
+        """The unary run from node v of outdegree 1, kept in ``runs``: the
+        codes of the edges it takes, one per node it visits, and the node
+        where it stops, which is a branching node, a node with starting
+        predecessors, or 0 for an ending node (whose edge adds no code). A
+        run longer than any walk's budget of edge_count + 1 visits is cut
+        there, so a unary cycle ends."""
+        first_edge, targets, codes = self.first_edge, self.targets, self.codes
+        last_ending, preds = self.last_ending, self.starting_preds
+        syms = bytearray()
+        e = first_edge[v] - 1
+        while len(syms) <= self.edge_count:
+            t = targets[e]
+            if t <= last_ending:
+                t = 0
+                break
+            syms.append(codes[e])
+            e = first_edge[t] - 1
+            if first_edge[t + 1] - 1 - e != 1 or t in preds:
+                break
+        run = self.runs[v] = bytes(syms), t
+        return run
+
+
+# (code, target, colors) of each successor that is not an ending node, and
+# the colors of each ending successor
+_BranchRecord = tuple[list[tuple[int, int, frozenset[int]]], list[frozenset[int]]]
+
 
 class _ColorView:
     """The colors' half of every query's view. ``table`` holds the decoded
     rows (``decode_rows``, 8 B per color entry and per row), the colorable
     bitmap as bools and its running rank (9 B per node), where
     ``rank[v - 1]`` is the row number of node v; the same arrays are
-    wrapped in memoryviews for one-node reads. A node's color set is built
-    on its first use. Built on the colors' first query and kept in
-    ``CompressedColors._query`` until the colors are dropped. A lookup of
-    an uncolorable node raises ``NotColored`` each time: no failure is
-    kept."""
+    wrapped in memoryviews for one-node reads. Built on the colors' first
+    query and kept in ``CompressedColors._query`` until the colors are
+    dropped. It keeps two maps, each filled one node at a time:
+
+    * ``_sets``, a node's color set, on its first use by any query;
+    * ``branches``, keyed by a branching node at which an assembly walk
+      stood, its record (``derive_branch``), derived when a walk first
+      stands there; only assembly derives and reads it.
+
+    A lookup of an uncolorable node raises ``NotColored`` each time: no
+    failure is kept in either map."""
 
     def __init__(self, colors: CompressedColors):
         offsets, row_colors = decode_rows(colors)
@@ -352,6 +400,7 @@ class _ColorView:
         self.table = offsets, row_colors, colorable, np.cumsum(colorable)
         self._offsets, self._row_colors, self._colorable, self._rank = map(memoryview, self.table)
         self._sets: dict[int, frozenset[int]] = {}
+        self.branches: dict[int, _BranchRecord | None] = {}
 
     @staticmethod
     def of(colors: CompressedColors) -> _ColorView:
@@ -373,59 +422,73 @@ class _ColorView:
             got = self._sets[v] = frozenset(self.row(v))
         return got
 
+    def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:
+        """Branching node v's record, kept in ``branches``: (code, target,
+        color set) for each successor that is not an ending node, and the
+        color sets of the ending successors; None when two successors share
+        a color. Every successor's colors are read, so an uncolorable one
+        raises whether or not two others share a color."""
+        first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
+        solid: list[tuple[int, int, frozenset[int]]] = []
+        ending: list[frozenset[int]] = []
+        seen: set[int] = set()
+        shared = False
+        for e in range(first_edge[v] - 1, first_edge[v + 1] - 1):
+            t = targets[e]
+            held = self.colors_of(t)
+            shared = shared or not seen.isdisjoint(held)
+            seen |= held
+            if t <= graph.last_ending:
+                ending.append(held)
+            else:
+                solid.append((codes[e], t, held))
+        record = self.branches[v] = None if shared else (solid, ending)
+        return record
+
 
 def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping a set of
     active reads (color -> starting node); extend through a branch only
-    when a single successor carries at least an x fraction of them."""
-    first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-    branches, last_ending, starting_preds = graph.branches, graph.last_ending, graph.starting_preds
-    colors_of = palette.colors_of
+    when a single successor carries at least an x fraction of them. The
+    walk visits at most edge_count + 1 nodes; it crosses each unary run in
+    one step and reads a branching node's successors from its record."""
+    first_edge, runs, starting_preds = graph.first_edge, graph.runs, graph.starting_preds
+    branches, colors_of = palette.branches, palette.colors_of
     active: dict[int, int] = {c: v for c in colors_of(v)}
     finished: set[tuple[int, int]] = set()
-    syms = bytearray()  # one code per step
-    cur = v
-    for _ in range(graph.edge_count + 1):
+    syms = bytearray()  # one code per edge taken
+    cur, budget = v, graph.edge_count + 1  # the nodes left to visit
+    while budget:
         for u in starting_preds.get(cur, ()):
             for c in colors_of(u):
                 if (c, u) not in finished:
                     active[c] = u
-        e, end = first_edge[cur] - 1, first_edge[cur + 1] - 1
-        if end - e == 1:
-            cur = targets[e]
-            if cur <= last_ending:
+        if first_edge[cur + 1] - first_edge[cur] == 1:
+            codes, stop = runs.get(cur) or graph.derive_run(cur)
+            if len(codes) >= budget:
+                syms += codes[:budget]  # the budget ends inside the run
+                break
+            syms += codes
+            budget -= len(codes)
+            if not stop:
                 break  # an ending node
-            syms.append(codes[e])
+            cur = stop
             continue
-        succ = branches.get(cur)
-        if succ is None:
-            succ = branches[cur] = [(codes[f], targets[f]) for f in range(e, end)]
-        succ_colors = {t: colors_of(t) for _, t in succ}
-        # stop when two successors share a color: no safe continuation
-        seen: set[int] = set()
-        shared = False
-        for cset in succ_colors.values():
-            if cset & seen:
-                shared = True
-            seen |= cset
-        if shared:
-            break
+        budget -= 1
+        record = branches[cur] if cur in branches else palette.derive_branch(graph, cur)
+        if record is None or not active:
+            break  # two successors share a color, or no read is active
+        solid, ending = record
         q_keys = set(active)
-        if not q_keys:
-            break
-        candidates = [
-            (code, t)
-            for code, t in succ
-            if t > last_ending and len(succ_colors[t] & q_keys) / len(q_keys) >= x
-        ]
-        for _, t in succ:
-            if t <= last_ending:
-                for c in succ_colors[t]:
-                    if c in active:
-                        finished.add((c, active.pop(c)))
+        candidates = [s for s in solid if len(s[2] & q_keys) / len(q_keys) >= x]
+        for held in ending:
+            for c in held:
+                if c in active:
+                    finished.add((c, active.pop(c)))
         if len(candidates) != 1:
             break
-        code, cur = candidates[0]
+        code, cur, held = candidates[0]
         syms.append(code)
-        active = {c: s for c, s in active.items() if c in succ_colors[cur]}
+        if not active.keys() <= held:
+            active = {c: s for c, s in active.items() if c in held}
     return (label + syms.translate(_CODE_ASCII).decode()).lstrip(DUMMY)

@@ -292,6 +292,34 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
     assert calls == {"decode_rows": 2, "_starting_preds": 1}
 
 
+def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
+    # the graph's view derives each unary run once, for every colors read
+    # with it; each colors' view derives its own branch records; and
+    # reconstruction derives no run
+    calls = {"derive_run": 0, "derive_branch": 0}
+    for cls, name in [(traversal._GraphView, "derive_run"), (traversal._ColorView, "derive_branch")]:
+
+        def counted(*args, _name=name, _orig=getattr(cls, name)):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    _, boss, colors = index_for(list(mixed_read_set(2, 9).reads), 9)
+    for v in boss.starting_node_ids().tolist():
+        build_seqs(boss, colors, v)
+    reconstruct_all(boss, colors)
+    assert calls == {"derive_run": 0, "derive_branch": 0}
+    contigs = assemble_all(boss, colors, 0.5)
+    first = dict(calls)
+    assert first["derive_run"] == len(boss._query.runs) > 0
+    assert first["derive_branch"] == len(colors._query.branches) > 0
+    assert assemble_all(boss, colors, 0.5) == contigs
+    assert calls == first
+    copy = dataclasses.replace(colors)
+    assert assemble_all(boss, copy, 0.5) == contigs
+    assert calls == {"derive_run": first["derive_run"], "derive_branch": 2 * first["derive_branch"]}
+
+
 def reload(boss, colors):
     """A new graph and new colors with empty query slots, by a round trip
     through the container format."""
@@ -439,6 +467,31 @@ def test_reconstruction_on_error_reads_matches_reference(error_indexes):
         assert_matches_reference(boss, colors)
 
 
+def repeat_read_set(rng, k: int) -> list[str]:
+    """Reads off both strands, at about 10x, of a random 300-400 bp genome
+    with one segment of k + 10 symbols copied at 3 places: long unary runs
+    that many assembly walks share, between branches inside the genome."""
+    genome = rng.integers(0, 4, size=int(rng.integers(300, 401)))
+    segment = rng.integers(0, 4, size=k + 10)
+    spacing = len(genome) // 3
+    for i in range(3):
+        genome[i * spacing : i * spacing + len(segment)] = segment
+    text = "".join("acgt"[c] for c in genome)
+    read_len = 100
+    reads = []
+    for pos in rng.integers(0, len(text) - read_len + 1, size=10 * len(text) // read_len):
+        r = text[pos : pos + read_len]
+        reads.append(reverse_complement(r) if rng.integers(2) else r)
+    return reads
+
+
+@pytest.mark.parametrize("k", [9, 15])
+def test_assembly_on_a_repeat_genome_matches_reference(k):
+    _, boss, colors = index_for(repeat_read_set(np.random.default_rng(k), k), k)
+    for x in (0.5, 1.0):
+        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+
+
 def test_walks_meet_no_closure_edge(mixed_indexes, error_indexes):
     # the walks stand only on nodes above K[1] and take any edge of a
     # branching node unfiltered: that holds because the closure edges are
@@ -502,6 +555,30 @@ def test_cycling_color_trail_is_ambiguous(walk):
     assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
     report = assert_matches_reference(boss, colors)
     assert report.per_start[start].ambiguous == 1
+
+
+@pytest.mark.parametrize(
+    "read, k, end, length",
+    [
+        ("acgtacgtacgt", 4, "gt$", 12),
+        ("acgtacgtacgtacgt", 5, "cgt$", 14),
+        ("aacgtaacgtaacgtaacgt", 6, "acgt$", 28),
+    ],
+)
+def test_assembly_cut_by_its_budget_matches_reference(read, k, end, length):
+    # drop the read's color from its ending node: the walk then cycles
+    # until its edge_count + 1 visits are spent, at times inside a unary run
+    reads = ReadSet.from_reads([read])
+    boss = BossIndex.build(reads, k=k)
+    colorable = mark_colorable(boss)
+    rows = color_all(boss, colorable, reads).rows
+    rows[colorable.rank1(boss.label_to_node(end)) - 1] = [99]
+    colors = compress(DynamicColorTable.from_rows(rows), colorable)
+    starts = boss.starting_node_ids().tolist()
+    contigs = [contig_assm(boss, colors, v, 0.5) for v in starts]
+    assert contigs == [contig_assm_ref(boss, colors, v, 0.5) for v in starts]
+    assert max(map(len, contigs)) == length
+    assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, colors, 0.5)
 
 
 class TestContigAssm:
