@@ -49,8 +49,9 @@ class CompressedColors(Fields):
         ``IntegrityError`` unless F, as long as the payload, marks one row
         per colorable node, the first at position 0, and the payload
         strictly increases from 1, so that every row is non-empty and
-        strictly increasing. The number of colors is the largest last color
-        of a row."""
+        strictly increasing. The number of colors C is the largest last color
+        of a row; a greedy coloring uses every color 1..C in some row, so C
+        above the payload length is refused too."""
         payload = MonotoneSequence.deserialize(r)
         f = read_bit_vector(r, len(payload))
         p = colorable.count
@@ -63,6 +64,8 @@ class CompressedColors(Fields):
             raise IntegrityError("color payload is not strictly increasing from 1")
         ends = np.append(f.ones_positions()[1:], len(ps)) - 1
         num_colors = int(np.diff(ps[ends], prepend=0).max()) if p else 0
+        if num_colors > len(ps):
+            raise IntegrityError(f"largest color {num_colors} exceeds the {len(ps)} color entries")
         return cls(N=colorable, F=f, payload=payload, p=p, num_colors=num_colors)
 
 

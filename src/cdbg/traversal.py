@@ -3,45 +3,40 @@
 Reconstruction spells each color of a starting node by following that
 color: at a branch it takes the one successor whose row holds the color,
 and it gives the color up as ambiguous when no successor or more than one
-holds it. Every query (``build_seqs``, ``reconstruct_all``,
-``contig_assm``, ``assemble_all``) reads the index through two views,
-each derived on the first query that needs it and kept on its object for
-every later query: the graph's ``_GraphView`` in ``BossIndex._query`` and
-the colors' ``_ColorView`` in ``CompressedColors._query``. So the color
-table is decoded once per loaded index, not once per call.
+holds it. Every query reads the index through two views, each derived on
+the first query that needs it and kept on its object for every later
+query: the graph's ``_GraphView`` in ``BossIndex._query`` and the colors'
+``_ColorView`` in ``CompressedColors._query``. So the color table is
+decoded once per loaded index, not once per call.
 
-A query chooses the walk by the number of (starting node, color) pairs.
-Below ``LOCKSTEP_MIN_WALKS`` pairs, each pair is walked one node at a time
-over the views. From there on all pairs are walked in lockstep, one
-whole-array step per edge, and the membership test at a branch is one
-``searchsorted`` over sorted (rank, color) keys. A lockstep step costs
-about the same however many walks it carries, so a few walks
-(``build_seqs`` from one start) are faster one at a time and many walks
-are faster in lockstep. Both give the same strings.
+Below ``LOCKSTEP_MIN_WALKS`` (starting node, color) pairs, a query walks
+each pair one node at a time, and from there on all pairs in lockstep,
+one whole-array step per edge. At a branch both read bit c - 1 of each
+successor's row bitmask: the one-node walk from a Python int, the lockstep
+walk from one gather over the color view's word matrix for all its walks.
+A lockstep step costs about the same however many walks it carries, so
+few walks are faster one at a time. Both walks give the same strings.
 
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
-when a single successor carries at least an ``x`` fraction of the active
-colors. It reads three caches that only assembly fills, so reconstruction
-never derives them. The graph view holds two, which read the graph alone:
-the starting predecessors of each node of indegree > 1
-(``_starting_preds``), derived whole on the first assembly query, and the
-unary run from each node of outdegree 1 where a walk stood, derived on
-the first walk that stands there. A walk crosses such a run in one step
-instead of one step per node. The color view holds the third: a record of
-each branching node where a walk stood, with its successors' colors,
-derived on the first walk that stands there. The walks of an
-``assemble_all`` call share long paths, so most runs and records are
-derived by one walk and read by many.
+when a single successor carries at least an ``x`` fraction of them. It
+reads three caches that only assembly fills: in the graph view, the
+starting predecessors of each node of indegree > 1 and the unary run from
+each node of outdegree 1 where a walk stood, which a walk crosses in one
+step; in the color view, a record of each branching node where a walk
+stood, with its successors' colors. The walks of an ``assemble_all`` call
+share long paths, so most runs and records are derived by one walk and
+read by many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
-from ._arrays import _gather
+from ._arrays import _gather, _unique
 from .boss import BossIndex
 from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, NotColored
@@ -75,7 +70,7 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
     palette = _ColorView.of(colors)
-    row = palette.row(v).tolist()
+    row = palette.colors(v)
     steps = _walk_pairs(boss, _GraphView.of(boss), palette, [v] * len(row), row)
     label = boss.node_label(v)
     return [(label + s).strip(DUMMY) for s in steps if s is not None]
@@ -88,18 +83,22 @@ def reconstruct_all(
     threads: int = 1,
 ) -> ReconstructionReport:
     """What build_seqs gives from every starting node, walked all at once,
-    with per-start counts. ``threads`` is ignored; it stays because the
-    benchmark's pipeline passes ``threads=1`` (ROADMAP item 1 removes both)."""
+    with per-start counts. A walk is ambiguous when it reaches a branch
+    where not exactly one successor holds its color, or takes more than
+    edge_count + k steps. Raises ``NotColored`` when a start or an
+    inspected successor is not colorable. ``threads`` is ignored; it stays
+    because the benchmark's pipeline passes ``threads=1`` (ROADMAP item 1
+    removes both)."""
     report = ReconstructionReport()
-    starts = boss.starting_node_ids()
-    n_colors, walks = _walk_all(boss, colors, starts, _labels(boss, starts))
-    bounds = np.concatenate([[0], np.cumsum(n_colors)]).tolist()
-    for v, lo, hi in zip(starts.tolist(), bounds[:-1], bounds[1:]):
-        recovered = [s for s in walks[lo:hi] if s is not None]
-        ambiguous = hi - lo - len(recovered)
-        report.per_start[v] = StartReport(
-            colors=hi - lo, recovered=len(recovered), ambiguous=ambiguous
-        )
+    ids = boss.starting_node_ids()
+    starts, palette = ids.tolist(), _ColorView.of(colors)
+    rows = [palette.decode(v) for v in starts]
+    cur = [v for v, row in zip(starts, rows) for _ in row]
+    steps = iter(_walk_pairs(boss, _GraphView.of(boss), palette, cur, list(chain(*rows))))
+    for v, label, row in zip(starts, _labels(boss, ids), rows):
+        recovered = [(label + s).strip(DUMMY) for s in islice(steps, len(row)) if s is not None]
+        ambiguous = len(row) - len(recovered)
+        report.per_start[v] = StartReport(len(row), len(recovered), ambiguous)
         report.recovered.extend(recovered)
         report.ambiguous_count += ambiguous
     if verify_against is not None:
@@ -108,40 +107,14 @@ def reconstruct_all(
 
 
 # The number of walks from which _walk_pairs steps them in lockstep.
-# Measured on a 2-core 2.1 GHz Xeon (medians of 30-40 alternated pairs, one
-# at a time against lockstep, each timing including one decode of the color
-# table): all 96 walks of repeats-k25 took 5.9 against 7.5 ms; strided
-# starts of decode-k25-10x took 4.9 against 6.1 ms at 98 walks, 6.2 against
-# 6.2 ms at 164 and 11.5 against 5.5 ms at all 394; on build-k31-30x, 103
-# walks took 8.5 against 7.1 ms. Both walks read the same decoded table,
-# which every query on an index shares, so the crossover holds without it.
+# Measured on a 2-core 2.1 GHz Xeon (medians of 40 alternated pairs, one
+# at a time against lockstep, each timing including one build of the color
+# view): all 96 walks of repeats-k25 took 6.5 against 7.5 ms; strided
+# starts of decode-k25-10x took 5.8 against 7.4 ms at 98 walks, 8.7 against
+# 8.4 ms at 165 and 20.7 against 10.5 ms at all 394; on build-k31-30x, 103
+# walks took 7.9 against 7.8 ms. Both walks read the same view, which every
+# query on an index shares, so the crossover holds without its build.
 LOCKSTEP_MIN_WALKS = 128
-
-
-def _walk_all(
-    boss: BossIndex, colors: CompressedColors, starts: np.ndarray, labels: list[str]
-) -> tuple[np.ndarray, list[str | None]]:
-    """Spell every color of every node in ``starts``, whose labels are given.
-
-    Returns the number of colors of each start and, per walk in start
-    order and then color order, its string, or None when the walk is
-    ambiguous: it reaches a branch where not exactly one successor holds
-    its color, or takes more than edge_count + k steps. Raises
-    ``NotColored`` when a start or an inspected successor is not
-    colorable. The walks read the index's views, derived on its first
-    query (see the module docstring).
-    """
-    palette = _ColorView.of(colors)
-    offsets, row_colors, colorable, rank = palette.table
-    _require_colored(colorable, starts)
-    walk_cols, n_colors = _gather(offsets, rank[starts - 1] - 1)
-    cur, col = np.repeat(starts, n_colors), row_colors[walk_cols]
-    steps = _walk_pairs(boss, _GraphView.of(boss), palette, cur.tolist(), col.tolist())
-    walk_labels = (label for label, n in zip(labels, n_colors.tolist()) for _ in range(n))
-    walks = [
-        None if s is None else (label + s).strip(DUMMY) for label, s in zip(walk_labels, steps)
-    ]
-    return n_colors, walks
 
 
 def _walk_pairs(
@@ -152,22 +125,21 @@ def _walk_pairs(
     time, more go in lockstep."""
     if len(col) < LOCKSTEP_MIN_WALKS:
         return [_walk_color(graph, palette, v, c) for v, c in zip(cur, col)]
-    cur, col = np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64)
-    return _walk_lockstep(boss, palette.table, cur, col)
+    return _walk_lockstep(boss, palette, np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64))
 
 
 def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
     """The symbols that color c's walk from starting node v appends to v's
     label, one node at a time; None when the walk is ambiguous."""
     first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-    colors_of, last_ending = palette.colors_of, graph.last_ending
+    mask, last_ending, bit = palette.mask, graph.last_ending, c - 1
     syms = bytearray()  # one code per step
     while v > last_ending:
         if len(syms) == graph.step_limit:
             return None  # a walk this long cycles
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
         if end - e > 1:
-            hits = [f for f in range(e, end) if c in colors_of(targets[f])]
+            hits = [f for f in range(e, end) if mask(targets[f]) >> bit & 1]
             if len(hits) != 1:
                 return None
             e = hits[0]
@@ -177,17 +149,13 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
 
 
 def _walk_lockstep(
-    boss: BossIndex, table: tuple[np.ndarray, ...], cur: np.ndarray, col: np.ndarray
+    boss: BossIndex, palette: _ColorView, cur: np.ndarray, col: np.ndarray
 ) -> list[str | None]:
     """What ``_walk_color`` gives for each walk (start ``cur``, color
     ``col``), all walks at once: one whole-array step per edge."""
-    offsets, row_colors, colorable, rank = table
-    n_walks = len(col)
-    # membership of color c in the row of rank r is key (r - 1) * width + c;
-    # rows ascend and ranks increase, so the keys are already sorted
-    width = int(row_colors.max()) + 1 if len(row_colors) else 1
-    keys = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)) * width + row_colors
-
+    words, rank, sparse = palette.words, palette.rank, palette.sparse
+    n_walks, n_words = len(col), words.shape[1]
+    beyond = int(col.max()) > 64 * n_words
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
     codes, last_ending = boss._codes, int(boss.K[1])  # ending nodes are ids 2..K[1]
@@ -210,10 +178,14 @@ def _walk_lockstep(
             edges, counts = _gather(first_edge, cur[branch])
             owner = np.repeat(branch, counts)
             t = targets[edges - 1]
-            _require_colored(colorable, t)
-            q = (rank[t - 1] - 1) * width + col[owner]
-            found = np.searchsorted(keys, q)
-            hit = keys[np.minimum(found, len(keys) - 1)] == q
+            r, bit = rank[t - 1], col[owner] - 1
+            if (r < 0).any():
+                raise NotColored(f"node {t[r < 0][0]} is not in the colorable set")
+            word = np.minimum(bit >> 6, n_words - 1) if beyond else bit >> 6
+            hit = (words[r, word] >> (bit & 63).astype(np.uint64) & 1).astype(bool)
+            if beyond:  # a color past the words is only in a sparse row
+                far = np.flatnonzero(bit >= 64 * n_words)
+                hit[far] = [c + 1 in sparse.get(x, ()) for x, c in zip(r[far].tolist(), bit[far].tolist())]
             edges, owner, t = edges[hit], owner[hit], t[hit]
             unique = np.bincount(owner, minlength=len(cur))[owner] == 1
             pos[owner[unique]] = edges[unique]
@@ -231,12 +203,6 @@ def _walk_lockstep(
         text[a:b] if good else None
         for a, b, good in zip([0] + ends[:-1], ends, ok.tolist())
     ]
-
-
-def _require_colored(colorable: np.ndarray, nodes: np.ndarray) -> None:
-    bad = nodes[~colorable[nodes - 1]]
-    if len(bad):
-        raise NotColored(f"node {bad[0]} is not in the colorable set")
 
 
 def verified_fraction(recovered: list[str], original: ReadSet) -> float:
@@ -258,14 +224,9 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
-    """Contigs from every starting node, deduplicated up to reverse
-    complement, longest first.
-
-    The output is every per-start contig, as ``contig_assm`` gives it from
-    each starting node: a contig contained in a longer one is kept. The
-    walks share the index's views and its starting-predecessor map, as
-    every ``contig_assm`` call does.
-    """
+    """Contigs from every starting node, as ``contig_assm`` gives them (a
+    contig contained in a longer one is kept), deduplicated up to reverse
+    complement, longest first."""
     _check_threshold(x)
     graph, palette = _GraphView.for_assembly(boss), _ColorView.of(colors)
     starts = boss.starting_node_ids()
@@ -309,20 +270,14 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
 
 
 class _GraphView:
-    """The graph's half of every query's view, read one node at a time. It
-    holds no color, so any colors can be read with it, and no reference to
-    the graph, so the two are dropped together. Built on the graph's first
-    query and kept in ``BossIndex._query``. Besides the whole-graph arrays,
-    wrapped in memoryviews whose items index as Python ints without a copy,
-    it keeps two maps that only assembly derives and reads:
-
-    * ``starting_preds``, the starting predecessors of each node of
-      indegree > 1 (``_starting_preds``), derived whole on the first
-      assembly query;
-    * ``runs``, keyed by a node of outdegree 1 at which an assembly walk
-      stood, the unary run from there (``derive_run``), derived when a
-      walk first stands there.
-    """
+    """The graph's half of every query's view: the whole-graph arrays as
+    memoryviews, whose items index as Python ints without a copy. It holds
+    no color and no reference to the graph, so any colors can be read with
+    it and the two are dropped together. Built on the graph's first query
+    and kept in ``BossIndex._query``. Only assembly fills its two maps:
+    ``starting_preds`` (``_starting_preds``), whole on the first assembly
+    query, and ``runs``, the unary run (``derive_run``) from each node of
+    outdegree 1 where an assembly walk stood."""
 
     def __init__(self, boss: BossIndex):
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
@@ -372,34 +327,54 @@ class _GraphView:
         return run
 
 
-# (code, target, colors) of each successor that is not an ending node, and
-# the colors of each ending successor
-_BranchRecord = tuple[list[tuple[int, int, frozenset[int]]], list[frozenset[int]]]
+# (code, target, color mask) of each successor that is not an ending node,
+# and the ascending colors of each ending successor
+_BranchRecord = tuple[list[tuple[int, int, int]], list[list[int]]]
 
 
 class _ColorView:
-    """The colors' half of every query's view. ``table`` holds the decoded
-    rows (``decode_rows``, 8 B per color entry and per row), the colorable
-    bitmap as bools and its running rank (9 B per node), where
-    ``rank[v - 1]`` is the row number of node v; the same arrays are
-    wrapped in memoryviews for one-node reads. Built on the colors' first
-    query and kept in ``CompressedColors._query`` until the colors are
-    dropped. It keeps two maps, each filled one node at a time:
+    """The colors' half of every query's view: each row of the color table
+    as a bitmask, bit c - 1 for color c, as ``DynamicColorTable.masks``
+    holds them during the build, decoded once (``decode_rows``). It holds:
 
-    * ``_sets``, a node's color set, on its first use by any query;
-    * ``branches``, keyed by a branching node at which an assembly walk
-      stood, its record (``derive_branch``), derived when a walk first
-      stands there; only assembly derives and reads it.
+    * ``words``, a (p, W) uint64 matrix, row r's colors 1..64W, which the
+      lockstep walk gathers from. W is ⌈C/64⌉ but at most the payload
+      entries per row, rounded down, so ``words`` takes at most one word
+      per entry;
+    * ``masks``, the same rows as Python ints, which the one-node walks
+      test with one shift: a list slot and, while W = 1, an int of at most
+      36 B per row;
+    * ``sparse``, each row holding a color past 64W (whose ``masks`` slot
+      is None) as an int64 array of its colors: 8 B per entry and a header;
+    * ``rank``, 8 B per node: node v's row is ``rank[v - 1]``, or -1 when
+      v is not colorable.
 
-    A lookup of an uncolorable node raises ``NotColored`` each time: no
-    failure is kept in either map."""
+    So the view grows with the payload, not with p·C. Built on the colors'
+    first query and kept in ``CompressedColors._query`` until the colors
+    are dropped. It fills two maps one node at a time: ``_lists``, a node's
+    ascending colors (``colors``), for ``build_seqs`` and assembly, and
+    ``branches``, a branching node's record (``derive_branch``) once an
+    assembly walk stood there. A lookup of an uncolorable node raises
+    ``NotColored`` each time: no failure is kept in either map."""
 
     def __init__(self, colors: CompressedColors):
         offsets, row_colors = decode_rows(colors)
         colorable = colors.N.to_bits().astype(bool)
-        self.table = offsets, row_colors, colorable, np.cumsum(colorable)
-        self._offsets, self._row_colors, self._colorable, self._rank = map(memoryview, self.table)
-        self._sets: dict[int, frozenset[int]] = {}
+        self.rank = np.where(colorable, np.cumsum(colorable) - 1, -1)
+        n_words = max(1, min(-(-colors.num_colors // 64), len(row_colors) // max(colors.p, 1)))
+        rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
+        fits = bit < 64 * n_words
+        self.words = np.zeros((colors.p, n_words), dtype=np.uint64)
+        word_bit = np.uint64(1) << (bit[fits] & 63).astype(np.uint64)
+        np.bitwise_or.at(self.words, (rows[fits], bit[fits] >> 6), word_bit)
+        self.masks = self.words[:, -1].tolist()
+        for j in reversed(range(n_words - 1)):
+            self.masks = [m << 64 | w for m, w in zip(self.masks, self.words[:, j].tolist())]
+        self.sparse: dict[int, np.ndarray] = {}
+        for r in _unique(rows[~fits]).tolist():  # the rows holding a color past the words
+            self.sparse[r], self.masks[r] = row_colors[offsets[r] : offsets[r + 1]].copy(), None
+        self._rank = memoryview(self.rank)
+        self._lists: dict[int, list[int]] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
 
     @staticmethod
@@ -409,40 +384,58 @@ class _ColorView:
             view = colors._query = _ColorView(colors)
         return view
 
-    def row(self, v: int) -> memoryview:
-        """Node v's colors, ascending."""
-        if not self._colorable[v - 1]:
-            raise NotColored(f"node {v} is not in the colorable set")
+    def mask(self, v: int) -> int:
+        """Node v's row as a bitmask; a sparse row's is built on each call."""
         r = self._rank[v - 1]
-        return self._row_colors[self._offsets[r - 1] : self._offsets[r]]
+        if r < 0:
+            raise NotColored(f"node {v} is not in the colorable set")
+        if (m := self.masks[r]) is None:
+            bits = np.packbits(np.bincount(self.sparse[r] - 1), bitorder="little")
+            m = int.from_bytes(bits.tobytes(), "little")
+        return m
 
-    def colors_of(self, v: int) -> frozenset[int]:
-        got = self._sets.get(v)
+    def decode(self, v: int) -> list[int]:
+        """Node v's colors, ascending, decoded on each call."""
+        if (r := self._rank[v - 1]) in self.sparse:
+            return self.sparse[r].tolist()
+        m, got = self.mask(v), []
+        while m:
+            low = m & -m
+            got.append(low.bit_length())
+            m ^= low
+        return got
+
+    def colors(self, v: int) -> list[int]:
+        """Node v's colors, ascending, kept in ``_lists``."""
+        got = self._lists.get(v)
         if got is None:
-            got = self._sets[v] = frozenset(self.row(v))
+            got = self._lists[v] = self.decode(v)
         return got
 
     def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:
-        """Branching node v's record, kept in ``branches``: (code, target,
-        color set) for each successor that is not an ending node, and the
-        color sets of the ending successors; None when two successors share
-        a color. Every successor's colors are read, so an uncolorable one
-        raises whether or not two others share a color."""
+        """Branching node v's record: (code, target, color mask) for each
+        successor that is not an ending node, and the colors of the ending
+        successors; None when two successors share a color. Kept in
+        ``branches`` unless a successor's row is sparse, since that row's
+        mask, built per call, may be as wide as C. Every successor's colors
+        are read, so an uncolorable one raises whether or not two others
+        share a color."""
         first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-        solid: list[tuple[int, int, frozenset[int]]] = []
-        ending: list[frozenset[int]] = []
-        seen: set[int] = set()
-        shared = False
+        solid: list[tuple[int, int, int]] = []
+        ending: list[list[int]] = []
+        seen, shared = 0, False
         for e in range(first_edge[v] - 1, first_edge[v + 1] - 1):
             t = targets[e]
-            held = self.colors_of(t)
-            shared = shared or not seen.isdisjoint(held)
+            held = self.mask(t)
+            shared = shared or bool(seen & held)
             seen |= held
             if t <= graph.last_ending:
-                ending.append(held)
+                ending.append(self.colors(t))
             else:
                 solid.append((codes[e], t, held))
-        record = self.branches[v] = None if shared else (solid, ending)
+        record = None if shared else (solid, ending)
+        if seen.bit_length() <= 64 * self.words.shape[1]:
+            self.branches[v] = record
         return record
 
 
@@ -453,16 +446,18 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
     walk visits at most edge_count + 1 nodes; it crosses each unary run in
     one step and reads a branching node's successors from its record."""
     first_edge, runs, starting_preds = graph.first_edge, graph.runs, graph.starting_preds
-    branches, colors_of = palette.branches, palette.colors_of
-    active: dict[int, int] = {c: v for c in colors_of(v)}
+    branches, colors = palette.branches, palette.colors
+    active: dict[int, int] = dict.fromkeys(colors(v), v)
+    held_active = palette.mask(v)  # the bits of active's colors
     finished: set[tuple[int, int]] = set()
     syms = bytearray()  # one code per edge taken
     cur, budget = v, graph.edge_count + 1  # the nodes left to visit
     while budget:
         for u in starting_preds.get(cur, ()):
-            for c in colors_of(u):
+            for c in colors(u):
                 if (c, u) not in finished:
                     active[c] = u
+                    held_active |= 1 << (c - 1)
         if first_edge[cur + 1] - first_edge[cur] == 1:
             codes, stop = runs.get(cur) or graph.derive_run(cur)
             if len(codes) >= budget:
@@ -479,16 +474,18 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
         if record is None or not active:
             break  # two successors share a color, or no read is active
         solid, ending = record
-        q_keys = set(active)
-        candidates = [s for s in solid if len(s[2] & q_keys) / len(q_keys) >= x]
+        n = len(active)
+        candidates = [s for s in solid if (s[2] & held_active).bit_count() / n >= x]
         for held in ending:
             for c in held:
                 if c in active:
                     finished.add((c, active.pop(c)))
+                    held_active ^= 1 << (c - 1)
         if len(candidates) != 1:
             break
         code, cur, held = candidates[0]
         syms.append(code)
-        if not active.keys() <= held:
-            active = {c: s for c, s in active.items() if c in held}
+        if held_active & ~held:
+            held_active &= held
+            active = {c: s for c, s in active.items() if held >> (c - 1) & 1}
     return (label + syms.translate(_CODE_ASCII).decode()).lstrip(DUMMY)

@@ -1,4 +1,5 @@
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -46,3 +47,10 @@ def mixed_read_set(seed: int, k: int) -> ReadSet:
         reads[4][:k],
     ]
     return ReadSet.from_reads(reads)
+
+
+def wide_read_set() -> ReadSet:
+    """80 reads behind one shared 7-symbol prefix. At k=9 they make 160
+    strings and need 80 colours, all in the starting node's row, so row
+    bitmasks are wider than a machine word."""
+    return ReadSet.from_reads(["gattaca" + "".join(t) for t in islice(product("acgt", repeat=4), 80)])

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from cdbg.sequence import ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import reconstruct_all
 
-from conftest import mixed_read_set, random_read_set
+from conftest import mixed_read_set, random_read_set, wide_read_set
 from oracle import (
     NaiveDbg,
     color_rows_ref,
@@ -333,9 +332,7 @@ def test_palindrome_without_branches_matches_references():
 
 @pytest.fixture(scope="module")
 def wide():
-    """80 reads behind one shared 7-symbol prefix, k=9: the starting node's
-    row holds 80 colours, so row bitmasks are wider than a machine word."""
-    reads = ReadSet.from_reads(["gattaca" + "".join(t) for t in islice(product("acgt", repeat=4), 80)])
+    reads = wide_read_set()
     boss = BossIndex.build(reads, 9)
     return reads, boss, mark_colorable(boss), reads.strings_with_rc()
 

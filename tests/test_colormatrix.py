@@ -101,7 +101,11 @@ class TestGetColors:
 
 @given(st.lists(st.lists(st.integers(1, 70), min_size=1, max_size=5, unique=True).map(sorted),
                 max_size=30))
-def test_loaded_num_colors_is_the_largest_last_color(rows):
+def test_loaded_num_colors_is_the_largest_last_color(drawn):
+    # a greedy coloring uses every color 1..C in some row, as the load
+    # check requires: number the drawn colors 1..C in order
+    number = {c: i for i, c in enumerate(sorted(set().union(*drawn)), 1)}
+    rows = [[number[c] for c in row] for row in drawn]
     cc = compress(table_of(rows), colorable_of(len(rows)))
     w = Writer()
     cc.serialize(w)

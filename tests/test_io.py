@@ -33,7 +33,7 @@ from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import assemble_all, reconstruct_all
 
 from conftest import mixed_read_set
-from oracle import decode_table, indegree, outdegree
+from oracle import compress_ref, decode_table, indegree, outdegree
 
 
 @pytest.fixture()
@@ -504,6 +504,45 @@ class TestLoaderCrossChecks:
         blob[words_at] ^= 0b10
         with pytest.raises(IntegrityError, match="ending node does not own exactly one closure edge"):
             deserialize_index(resealed(blob))
+
+    def test_largest_color_must_not_exceed_the_payload(self, built, tmp_path):
+        # a greedy coloring uses every color 1..C in some row, so C is at
+        # most the number of payload entries; one row holding color 2^40
+        # would make the query view allocate 2^34 words per row
+        boss, colors, meta = built
+        crafted = compress_ref([[1]] * (colors.p - 1) + [[2**40]], boss.colorable)
+        path = tmp_path / "crafted.cdbg"
+        write_index(path, boss, crafted, meta)
+        with pytest.raises(IntegrityError, match=f"largest color {2**40} exceeds the 5 color"):
+            read_index(path)
+        assert cli_main(["stats", "--index", str(path)]) == 3
+        out = tmp_path / "recovered.txt"
+        assert cli_main(["reconstruct", "--index", str(path), "--output", str(out)]) == 3
+
+    def test_a_wide_crafted_section_is_answered_under_the_fuzz_address_cap(self, tmp_path):
+        # colors 1..400,000 in one row and [1] in each of the other 53,658:
+        # a bitmask of ⌈C/64⌉ words for every row would take 2.7 GB, but
+        # the query view takes at most one word per payload entry for the
+        # rows' bitmasks and keeps the one wide row as a set
+        rng = np.random.default_rng(0)
+        reads = ReadSet.from_reads(["".join(rng.choice(list("acgt"), 12)) for _ in range(8000)])
+        boss = BossIndex.build(reads, k=9)
+        rows = [list(range(1, 400_001))] + [[1]] * (boss.colorable.count - 1)
+        path = tmp_path / "crafted.cdbg"
+        write_index(path, boss, compress_ref(rows, boss.colorable), IndexMeta())
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from cdbg.container import read_index\n"
+            "from cdbg.traversal import assemble_all, reconstruct_all\n"
+            "boss, colors, _ = read_index(sys.argv[1])\n"
+            "print(reconstruct_all(boss, colors).recovered_count, len(assemble_all(boss, colors, 0.5)))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("version", [2, 3, 4])
     def test_format_4_is_refused(self, tmp_path, version):

@@ -23,8 +23,15 @@ from cdbg.traversal import (
     reconstruct_all,
 )
 
-from conftest import mixed_read_set, random_read_set
-from oracle import assemble_all_ref, contig_assm_ref, is_unambiguous, walk_color
+from conftest import mixed_read_set, random_read_set, wide_read_set
+from oracle import (
+    assemble_all_ref,
+    compress_ref,
+    contig_assm_ref,
+    decode_table,
+    is_unambiguous,
+    walk_color,
+)
 
 
 def index_for(raw_reads, k):
@@ -375,7 +382,19 @@ def test_a_graph_answers_with_the_colors_of_another_load(tmp_path):
             assert contig_assm(g, c, v, 0.5) == contigs[v]
 
 
-@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes"])
+@pytest.fixture(scope="module")
+def wide_indexes():
+    """An index whose rows need more than one 64-bit word of bitmask."""
+    _, boss, colors = index_for(list(wide_read_set().reads), 9)
+    assert colors.num_colors > 64
+    # colors tripled: up to 240, past the view's two words a row (one per
+    # payload entry), so the rows holding them are kept as sets
+    tripled = compress_ref([[3 * c for c in row] for row in decode_table(colors)], boss.colorable)
+    assert traversal._ColorView(tripled).sparse
+    return {"wide": (boss, colors), "sparse": (boss, tripled)}
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
 def test_queries_in_any_order_match_the_reference(request, indexes):
     # per-start queries in shuffled order, with whole-index queries between
     # them, on freshly loaded indexes whose first query is any of the four
