@@ -11,11 +11,13 @@ decoded once per loaded index, not once per call.
 
 Below ``LOCKSTEP_MIN_WALKS`` (starting node, color) pairs, a query walks
 each pair one node at a time, and from there on all pairs in lockstep,
-one whole-array step per edge. At a branch both read bit c - 1 of each
-successor's row bitmask: the one-node walk from a Python int, the lockstep
-walk from one gather over the color view's word matrix for all its walks.
-A lockstep step costs about the same however many walks it carries, so
-few walks are faster one at a time. Both walks give the same strings.
+one whole-array step per branch: a step takes each walk's edge and hops
+along single out-edges to the next branch (``_hop_table``). At a branch
+both read bit c - 1 of each successor's row bitmask: the one-node walk
+from a Python int, the lockstep walk from one gather over the color
+view's word matrix for all its walks. A lockstep step costs about the
+same however many walks it carries, so few walks are faster one at a
+time. Both walks give the same strings.
 
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
@@ -107,14 +109,16 @@ def reconstruct_all(
 
 
 # The number of walks from which _walk_pairs steps them in lockstep.
-# Measured on a 2-core 2.1 GHz Xeon (medians of 40 alternated pairs, one
-# at a time against lockstep, each timing including one build of the color
-# view): all 96 walks of repeats-k25 took 6.5 against 7.5 ms; strided
-# starts of decode-k25-10x took 5.8 against 7.4 ms at 98 walks, 8.7 against
-# 8.4 ms at 165 and 20.7 against 10.5 ms at all 394; on build-k31-30x, 103
-# walks took 7.9 against 7.8 ms. Both walks read the same view, which every
-# query on an index shares, so the crossover holds without its build.
-LOCKSTEP_MIN_WALKS = 128
+# Measured on a 2-core 2.1 GHz Xeon (medians of 60 alternated pairs, one
+# at a time against lockstep, on a fresh graph view, so that each lockstep
+# timing includes deriving the hop table; the color view is built before).
+# Walks of strided starts: at k=25 the two cross between 40 and 56 walks
+# (decode-k25-10x 2.29 against 2.35 ms at 48, 2.64 against 2.42 ms at 56;
+# repeats-k25 2.42 against 2.34 ms at 40); at k=31 between 56 and 64
+# (build-k31-30x 4.18 against 4.52 ms at 56, 4.38 against 4.29 ms at 64).
+# All walks (40 pairs): repeats-k25's 96 took 5.1 against 2.8 ms,
+# decode-k25-10x's 394 16.3 against 3.9 ms.
+LOCKSTEP_MIN_WALKS = 56
 
 
 def _walk_pairs(
@@ -125,7 +129,7 @@ def _walk_pairs(
     time, more go in lockstep."""
     if len(col) < LOCKSTEP_MIN_WALKS:
         return [_walk_color(graph, palette, v, c) for v, c in zip(cur, col)]
-    return _walk_lockstep(boss, palette, np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64))
+    return _walk_lockstep(boss, graph, palette, np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64))
 
 
 def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
@@ -149,26 +153,35 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
 
 
 def _walk_lockstep(
-    boss: BossIndex, palette: _ColorView, cur: np.ndarray, col: np.ndarray
+    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: np.ndarray, col: np.ndarray
 ) -> list[str | None]:
     """What ``_walk_color`` gives for each walk (start ``cur``, color
-    ``col``), all walks at once: one whole-array step per edge."""
+    ``col``), all walks at once: one whole-array step per branch. A step
+    takes a walk's edge, by its color at a branch, and then the hop from
+    that edge's target (``_hop_table``); it counts every edge against the
+    step guard. Once all walks stop, the recovered ones are spelled in one
+    pass over their hops: the code of each edge a hop takes, as the
+    one-node walk reads it."""
     words, rank, sparse = palette.words, palette.rank, palette.sparse
     n_walks, n_words = len(col), words.shape[1]
-    beyond = int(col.max()) > 64 * n_words
+    beyond = int(col.max(initial=0)) > 64 * n_words
+    if graph.hops is None:
+        graph.hops = _hop_table(boss)
+    hop_to, hop_len = graph.hops
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
-    codes, last_ending = boss._codes, int(boss.K[1])  # ending nodes are ids 2..K[1]
-    wid = np.arange(n_walks)
-    ok = np.zeros(n_walks, dtype=bool)
-    step_wid, step_sym = [wid[:0]], [codes[:0]]
-    limit = boss.edge_count + boss.k
-    for step in range(limit + 1):
+    last_ending, limit = int(boss.K[1]), boss.edge_count + boss.k  # ending nodes are ids 2..K[1]
+    wid, steps = np.arange(n_walks), np.zeros(n_walks, dtype=np.int64)
+    ok, total = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
+    hops = [(wid[:0], wid[:0], hop_len[:0])]  # (walk, its step's edge, edges)
+    while True:
         done = cur <= last_ending
-        ok[wid[done]] = True
-        wid, cur, col = wid[~done], cur[~done], col[~done]
-        if not len(wid) or step == limit:
-            break  # walks left at the limit cycle and stay ambiguous
+        won = done & (steps <= limit)
+        ok[wid[won]], total[wid[won]] = True, steps[won]
+        go = ~done & (steps < limit)  # a walk at the limit cycles and stays ambiguous
+        wid, cur, col, steps = wid[go], cur[go], col[go], steps[go]
+        if not len(wid):
+            break
         lo = first_edge[cur]
         single = first_edge[cur + 1] - lo == 1
         pos = np.where(single, lo, 0)
@@ -191,14 +204,27 @@ def _walk_lockstep(
             pos[owner[unique]] = edges[unique]
             nxt[owner[unique]] = t[unique]
         alive = nxt > 0
-        wid, cur, col = wid[alive], nxt[alive], col[alive]
-        step_wid.append(wid)
-        step_sym.append(codes[pos[alive] - 1])
+        wid, nxt, col = wid[alive], nxt[alive], col[alive]
+        n = hop_len[nxt] + 1
+        cur, steps = hop_to[nxt], steps[alive] + n
+        hops.append((wid, pos[alive], n))
 
-    # each walk's symbols, one per step, in step order
-    walk_ids, syms = np.concatenate(step_wid), np.concatenate(step_sym)
-    text = syms[np.argsort(walk_ids, kind="stable")].tobytes().translate(_CODE_ASCII).decode()
-    ends = np.cumsum(np.bincount(walk_ids, minlength=n_walks)).tolist()
+    # the recovered walks' hops in walk order, each spelled from its step's
+    # edge on: inside a hop, a walk leaves each node by its one out-edge
+    wid, edge, n = (np.concatenate(a) for a in zip(*hops))
+    keep = np.flatnonzero(ok[wid])
+    keep = keep[np.argsort(wid[keep], kind="stable")]
+    n = n[keep]
+    first = np.cumsum(n) - n  # where each hop's first symbol goes
+    order = np.argsort(n, kind="stable")[::-1]  # longest hops first
+    first, edge = first[order], edge[keep[order]] - 1
+    syms = np.zeros(int(total.sum()), dtype=np.uint8)
+    longer = np.cumsum(np.bincount(n)[::-1])[::-1][1:]  # [j]: the hops of more than j edges
+    for j, m in enumerate(longer.tolist()):
+        syms[first[:m] + j] = boss._codes[edge[:m]]
+        edge = first_edge[targets[edge[:m]]] - 1
+    text = syms.tobytes().translate(_CODE_ASCII).decode()
+    ends = np.cumsum(total).tolist()
     return [
         text[a:b] if good else None
         for a, b, good in zip([0] + ends[:-1], ends, ok.tolist())
@@ -269,6 +295,27 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
     return preds
 
 
+def _hop_table(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Per node id, the node a walk lands on by following single out-edges
+    from it until a branching or ending node, or for k - 2 edges, and the
+    number of edges taken. The cap keeps that number in a byte and the
+    derivation to about 2 log2 k gathers: pointer doubling over whole
+    arrays, as ``BossIndex._ancestors`` lifts parents, in int64 and
+    stored at the graph's width."""
+    ids = np.arange(boss.node_count + 1)
+    moves = (np.diff(boss._first_edge) == 1) & (ids > boss.K[1])
+    up = np.where(moves, boss.edge_targets()[boss._first_edge[:-1] - 1], ids)
+    up_len, land, steps = moves.astype(np.uint8), ids, np.zeros(len(ids), dtype=np.uint8)
+    d = boss.k - 2
+    while d:
+        if d & 1:
+            land, steps = up[land], steps + up_len[land]
+        d >>= 1
+        if d:
+            up, up_len = up[up], up_len + up_len[up]
+    return land.astype(boss._first_edge.dtype), steps
+
+
 class _GraphView:
     """The graph's half of every query's view: the whole-graph arrays as
     memoryviews, whose items index as Python ints without a copy. It holds
@@ -277,13 +324,17 @@ class _GraphView:
     and kept in ``BossIndex._query``. Only assembly fills its two maps:
     ``starting_preds`` (``_starting_preds``), whole on the first assembly
     query, and ``runs``, the unary run (``derive_run``) from each node of
-    outdegree 1 where an assembly walk stood."""
+    outdegree 1 where an assembly walk stood. Only the lockstep walk fills
+    ``hops`` (``_hop_table``), whole on its first call: per node, where
+    its hop lands, at the graph's width, and the hop's edges in a byte,
+    so 5 B per node below 2**31 edges."""
 
     def __init__(self, boss: BossIndex):
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
         self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
         self.starting_preds: dict[int, list[int]] | None = None
         self.runs: dict[int, tuple[bytes, int]] = {}
+        self.hops: tuple[np.ndarray, np.ndarray] | None = None
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
         self.step_limit = boss.edge_count + boss.k

@@ -6,12 +6,16 @@ and loads the result. A container must either load or raise
 ``IntegrityError``; one that loads must answer ``reconstruct_all`` and
 ``assemble_all`` or raise ``NotColored``: a damaged graph can still
 derive a colorable set that misses a node a walk reaches, but every
-structure a query reads was checked at load.
+structure a query reads was checked at load. ``reconstruct_all`` runs
+twice, with every walk in lockstep and with every walk one at a time,
+and both must give the same strings and ambiguous count, or both raise
+``NotColored``.
 
 The process first caps its own address space, so an allocation sized by a
 damaged length field fails as ``MemoryError`` here instead of exhausting
 the machine. Prints one JSON object of outcome counts and exits 0, or
-prints the case and traceback of the first other exception and exits 1.
+prints the case and traceback of the first other exception, or of the
+first case where the two walks differ, and exits 1.
 
 Usage: python tests/fuzz_container.py SEED CASES
 """
@@ -52,11 +56,28 @@ def flipped(data: bytes, rng: np.random.Generator) -> bytes:
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
+def both_walks(boss, colors) -> list:
+    """``reconstruct_all``'s strings and ambiguous count, or ``NotColored``,
+    with every walk in lockstep and then with every walk one at a time."""
+    from cdbg import traversal
+    from cdbg.errors import NotColored
+
+    answers = []
+    for crossover in (0, sys.maxsize):
+        traversal.LOCKSTEP_MIN_WALKS = crossover
+        try:
+            report = traversal.reconstruct_all(boss, colors)
+            answers.append((report.recovered, report.ambiguous_count))
+        except NotColored:
+            answers.append(NotColored)
+    return answers
+
+
 def main(seed: int, cases: int) -> int:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
     from cdbg.container import deserialize_index
     from cdbg.errors import IntegrityError, NotColored
-    from cdbg.traversal import assemble_all, reconstruct_all
+    from cdbg.traversal import assemble_all
 
     data = index_bytes()
     rng = np.random.default_rng(seed)
@@ -69,8 +90,14 @@ def main(seed: int, cases: int) -> int:
             except IntegrityError:
                 counts["refused"] += 1
                 continue
+            lockstep, one_at_a_time = both_walks(boss, colors)
+            if lockstep != one_at_a_time:
+                print(f"case {case} of seed {seed}: the two walks differ", file=sys.stderr)
+                return 1
+            if lockstep is NotColored:
+                counts["NotColored"] += 1
+                continue
             try:
-                reconstruct_all(boss, colors)
                 assemble_all(boss, colors, 1.0)
                 counts["answered"] += 1
             except NotColored:

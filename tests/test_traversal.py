@@ -272,8 +272,10 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
     # and derive its starting predecessors once; other colors on the same
-    # graph decode their own table and reuse the graph's map
-    calls = {"decode_rows": 0, "_starting_preds": 0}
+    # graph decode their own table and reuse the graph's map. Only the
+    # lockstep walk derives the hop table, once per graph: building,
+    # loading, build_seqs below the crossover and assembly derive none
+    calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
         def counted(*args, _name=name, _orig=getattr(traversal, name)):
@@ -283,6 +285,7 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
         monkeypatch.setattr(traversal, name, counted)
     _, boss, colors = index_for(list(mixed_read_set(2, 9).reads), 9)
     starts = boss.starting_node_ids().tolist()
+    assert max(len(get_colors(colors, v)) for v in starts) < traversal.LOCKSTEP_MIN_WALKS
     for v in starts:
         build_seqs(boss, colors, v)
         contig_assm(boss, colors, v, 0.5)
@@ -291,12 +294,22 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
     for v in starts[::3]:
         build_seqs(boss, colors, v)
         contig_assm(boss, colors, v, 1.0)
-    assert calls == {"decode_rows": 1, "_starting_preds": 1}
+    assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 0}
+    monkeypatch.setattr(traversal, "LOCKSTEP_MIN_WALKS", 0)
+    recovered = reconstruct_all(boss, colors).recovered
+    for v in starts[::3]:
+        build_seqs(boss, colors, v)
+    assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 1}
     copy = dataclasses.replace(colors)
     assert copy._query is None
     assert assemble_all(boss, copy, 0.5) == assemble_all(boss, colors, 0.5)
-    assert reconstruct_all(boss, copy).recovered == reconstruct_all(boss, colors).recovered
-    assert calls == {"decode_rows": 2, "_starting_preds": 1}
+    assert reconstruct_all(boss, copy).recovered == recovered
+    assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
+    loaded, loaded_colors = reload(boss, colors)
+    assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
+    for _ in range(2):
+        assert reconstruct_all(loaded, loaded_colors).recovered == recovered
+    assert calls == {"decode_rows": 3, "_starting_preds": 1, "_hop_table": 2}
 
 
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
@@ -564,40 +577,70 @@ def test_cycling_color_trail_is_ambiguous(walk):
     # drop the read's color from its ending node: at the self-looping node
     # "aa" only the loop keeps the color, so the walk cycles until the
     # edge_count + k step guard gives it up
-    reads = ReadSet.from_reads(["aaaaa"])
-    boss = BossIndex.build(reads, k=3)
-    colorable = mark_colorable(boss)
-    rows = color_all(boss, colorable, reads).rows
-    rows[colorable.rank1(boss.label_to_node("a$")) - 1] = [99]
-    colors = compress(DynamicColorTable.from_rows(rows), colorable)
+    boss, colors = without_the_end_color("aaaaa", 3, "a$")
     start = boss.label_to_node("$a")
     assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
     report = assert_matches_reference(boss, colors)
     assert report.per_start[start].ambiguous == 1
 
 
-@pytest.mark.parametrize(
-    "read, k, end, length",
-    [
-        ("acgtacgtacgt", 4, "gt$", 12),
-        ("acgtacgtacgtacgt", 5, "cgt$", 14),
-        ("aacgtaacgtaacgtaacgt", 6, "acgt$", 28),
-    ],
-)
-def test_assembly_cut_by_its_budget_matches_reference(read, k, end, length):
-    # drop the read's color from its ending node: the walk then cycles
-    # until its edge_count + 1 visits are spent, at times inside a unary run
+def without_the_end_color(read, k, end):
+    """The index of one read with the read's color dropped from its ending
+    node ``end``, so the read's walk cycles."""
     reads = ReadSet.from_reads([read])
     boss = BossIndex.build(reads, k=k)
     colorable = mark_colorable(boss)
     rows = color_all(boss, colorable, reads).rows
     rows[colorable.rank1(boss.label_to_node(end)) - 1] = [99]
-    colors = compress(DynamicColorTable.from_rows(rows), colorable)
+    return boss, compress(DynamicColorTable.from_rows(rows), colorable)
+
+
+# reads whose unary runs, between branches, are longer than k - 2 edges
+BUDGET_CUTS = [
+    ("acgtacgtacgt", 4, "gt$", 12),
+    ("acgtacgtacgtacgt", 5, "cgt$", 14),
+    ("aacgtaacgtaacgtaacgt", 6, "acgt$", 28),
+]
+
+
+@pytest.mark.parametrize("read, k, end, length", BUDGET_CUTS)
+def test_assembly_cut_by_its_budget_matches_reference(read, k, end, length):
+    # drop the read's color from its ending node: the walk then cycles
+    # until its edge_count + 1 visits are spent, at times inside a unary run
+    boss, colors = without_the_end_color(read, k, end)
     starts = boss.starting_node_ids().tolist()
     contigs = [contig_assm(boss, colors, v, 0.5) for v in starts]
     assert contigs == [contig_assm_ref(boss, colors, v, 0.5) for v in starts]
     assert max(map(len, contigs)) == length
     assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, colors, 0.5)
+
+
+@pytest.mark.parametrize("read, k, end", [case[:3] for case in BUDGET_CUTS])
+def test_walks_cycling_through_long_unary_runs_match_reference(walk, read, k, end):
+    # the read's walk cycles through unary runs longer than a hop's k - 2
+    # edges until the edge_count + k step guard gives it up
+    boss, colors = without_the_end_color(read, k, end)
+    assert assert_matches_reference(boss, colors).ambiguous_count > 0
+
+
+@pytest.mark.parametrize(
+    "k, read",
+    [
+        (3, "gaactagttc"),
+        (9, random_read_set(np.random.default_rng(9), 1, 100, 100)[0]),
+        (63, random_read_set(np.random.default_rng(63), 1, 400, 400)[0]),
+    ],
+    ids=["k3", "k9", "k63"],
+)
+def test_a_chain_of_capped_hops_spells_a_branch_free_read(walk, k, read):
+    # no solid node branches, so each strand's walk is one unary run, which
+    # the lockstep crosses in hops of at most k - 2 edges after each step;
+    # at k=63 the run is longer than a hop's byte of length could count
+    reads, boss, colors = index_for([read], k)
+    outdeg = np.diff(boss._first_edge[1:])
+    assert (outdeg[boss.solid_mask()] == 1).all()
+    report = assert_matches_reference(boss, colors)
+    assert sorted(report.recovered) == sorted(reads.strings_with_rc())
 
 
 class TestContigAssm:
