@@ -215,10 +215,12 @@ class BossIndex(Fields):
         source of its canonical, real and unflagged, incoming edge), the
         starting nodes (those whose (k-2)-th parent is the root) and the
         colourable bitmap: the starting and ending nodes and the solid
-        targets of the edges of branching nodes."""
+        targets of the edges of branching nodes. The solid nodes are
+        counted here too, so that no later query lifts the parents again."""
         m = self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
-        self._first_edge = np.concatenate([[0], np.flatnonzero(b_bits) + 1, [m + 1]]).astype(width)
+        first = np.flatnonzero(b_bits.view(bool)) + 1
+        self._first_edge = np.concatenate([[0], first, [m + 1]]).astype(width)
         n = self.node_count = len(self._first_edge) - 2
         self._codes = self._E.codes()
         ends = self._E.closure_len + 1  # the ending nodes are ids 2..K[1]
@@ -241,8 +243,9 @@ class BossIndex(Fields):
         if n > 1 and indeg[2:].min() < 1:
             raise CorruptIndex("non-root node without incoming edge")
         canonical = np.flatnonzero((targets > 0) & (minus == 0))
+        sources = self.edge_sources()
         self._parent = np.zeros(n + 1, dtype=width)
-        self._parent[targets[canonical]] = self.edge_sources()[canonical]
+        self._parent[targets[canonical]] = sources[canonical]
         if len(canonical) != n - 1 or not self._parent[2:].all():
             raise CorruptIndex("a node lacks a canonical incoming edge")
         # a label starts with `$` when its parent chain reaches the root
@@ -256,28 +259,33 @@ class BossIndex(Fields):
         bits = np.zeros(n + 1, dtype=np.uint8)
         bits[self._starting] = 1
         bits[2 : ends + 1] = 1
-        succ = targets[_branch_edges(self)]
-        bits[succ[self._solid(anc)[succ]]] = 1
+        solid = self._solid(anc)
+        self.solid_count = int(solid.sum())
+        succ = targets[_branch_edges(self, sources)]
+        bits[succ[solid[succ]]] = 1
         self._colorable = BitVector(bits[1:])
         self._query = None  # see the class docstring
 
     def _derive_targets(self, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Target node of every edge, 0 on closure edges, and ``K``: per
-        symbol c, the target rank of an edge is the number of unflagged real
-        edges of symbol c up to and including it, after the labels of the
-        smaller symbols (the root's ends in ``$``, so ``$`` targets skip it)."""
+        """Target node of every edge, 0 on closure edges, and ``K``. One
+        stable sort of the codes lines the edges up by symbol, each symbol's
+        in edge order; along it, the target rank of an edge is 1 plus the
+        number of unflagged real edges up to and including it, since the
+        labels of each symbol follow those of the smaller ones and the root
+        (whose label ends in ``$``) comes first. ``K[c]`` is 1 plus the
+        number of unflagged real edges of symbol at most c."""
         E = self._E
-        real = np.ones(self.edge_count, dtype=bool)
-        real[E.closure_start : E.closure_start + E.closure_len] = False
-        targets = np.zeros(self.edge_count, dtype=np.int64)
-        K = [0]
-        for c in range(1, 6):
-            idx = np.flatnonzero(self._codes == c)
-            ranks = np.cumsum(real[idx] & (minus[idx] == 0))
-            base = K[-1] + (c == 1)
-            targets[idx] = np.where(real[idx], base + ranks, 0)
-            K.append(base + int(ranks[-1:].sum()))
-        return targets, np.array(K, dtype=np.int64)
+        closure = slice(E.closure_start, E.closure_start + E.closure_len)
+        counted = ~minus.view(bool)
+        counted[closure] = False
+        order = np.argsort(self._codes, kind="stable")
+        ranks = np.zeros(self.edge_count + 1, dtype=np.int64)  # [j]: counted among the first j
+        np.cumsum(counted[order], out=ranks[1:])
+        targets = np.empty(self.edge_count, dtype=np.int64)
+        targets[order] = ranks[1:] + 1
+        targets[closure] = 0
+        ends = np.cumsum(np.bincount(self._codes, minlength=6))  # [c]: the edges of symbol <= c
+        return targets, np.concatenate([[0], ranks[ends[1:]] + 1])
 
     def _ancestors(self, d: int) -> np.ndarray:
         """The d-th parent of every node, by id, 0 past the root: binary
@@ -412,22 +420,24 @@ class BossIndex(Fields):
     def node_labels(self, ids: np.ndarray) -> np.ndarray:
         """Label codes of many nodes, one row of k-1 codes per id.
 
-        Whole-array form of ``node_label``: k-1 steps from parent to
-        parent over the requested ids only, each taking a node's last label
-        symbol from its bucket in ``K``. Label symbols left of the root are
-        ``$``.
+        Whole-array form of ``node_label``: k-2 parent gathers over the
+        requested ids only give each label's chain of nodes, and then every
+        node of every chain gives its last label symbol at once, its bucket
+        in ``K``. Label symbols left of the root are ``$``.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 1 or ids.max() > self.node_count):
             raise BoundsError(f"node id out of range [1, {self.node_count}]")
-        labels = np.full((len(ids), self.k - 1), SYMBOL_CODES[DUMMY], dtype=np.uint8)
-        rows, cur = np.arange(len(ids)), ids
-        for j in range(self.k - 2, -1, -1):
-            keep = cur != 1
-            rows, cur = rows[keep], cur[keep]
-            labels[rows, j] = np.searchsorted(self._kcum, cur)
-            cur = self._parent[cur]
-        return labels
+        chain = np.empty((self.k - 1, len(ids)), dtype=np.int64)
+        chain[-1] = ids
+        for j in range(self.k - 2, 0, -1):
+            chain[j - 1] = self._parent[chain[j]]
+        # a node's bucket is 1 plus the bounds K[1..4] below it; the root's
+        # is `$`, and so is 0, which the chain holds past the root
+        codes = np.ones(chain.shape, dtype=np.uint8)
+        for bound in self._kcum[1:5].tolist():
+            codes += chain > bound
+        return np.ascontiguousarray(codes.T)
 
     def label_to_node(self, label: str) -> int | None:
         if len(label) != self.k - 1:
@@ -451,7 +461,8 @@ class BossIndex(Fields):
 
     def solid_mask(self) -> np.ndarray:
         """One bool per node, indexed by id - 1: true on labels without
-        ``$``. Computed from the (k-2)-th parents on each call."""
+        ``$``. Computed from the (k-2)-th parents on each call; their
+        count is ``solid_count``, kept from build or load."""
         return self._solid(self._ancestors(self.k - 2))[1:]
 
     # -- serialization -----------------------------------------------------
@@ -496,8 +507,8 @@ def _rising(codes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(codes[1:] > codes[:-1]) + 1
 
 
-def _branch_edges(boss: BossIndex) -> np.ndarray:
-    """Mask over edges: the edges leaving a node of outdegree > 1. None of
-    them is a closure edge, which is its ending node's only edge."""
-    outdeg = np.diff(boss._first_edge[1:])
-    return np.repeat(outdeg > 1, outdeg)
+def _branch_edges(boss: BossIndex, sources: np.ndarray) -> np.ndarray:
+    """Mask over edges, given each edge's source: the edges leaving a node
+    of outdegree > 1. None of them is a closure edge, which is its ending
+    node's only edge."""
+    return np.diff(boss._first_edge)[sources] > 1

@@ -198,7 +198,7 @@ def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     int32 once n > 46,340."""
     n = boss.node_count
     src, targets = boss.edge_sources().astype(np.int64), boss.edge_targets().astype(np.int64)
-    branch = _branch_edges(boss)
+    branch = _branch_edges(boss, src)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))
     into = branch & (np.bincount(targets, minlength=n + 1)[targets] > 1)

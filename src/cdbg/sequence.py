@@ -27,7 +27,7 @@ CODE_SYMBOLS = "\x00$acgt"  # code -> character, index 0 unused
 
 _RC_TABLE = str.maketrans("acgt", "tgca")
 _ENCODE_TABLE = bytes.maketrans(b"$acgt", bytes([1, 2, 3, 4, 5]))
-_VALID = frozenset(ALPHABET)
+_ACGT = ALPHABET.encode("ascii")
 
 
 def reverse_complement(s: str) -> str:
@@ -40,24 +40,29 @@ def reverse_complement(s: str) -> str:
 def validate_read(raw: str | bytes, k: int | None = None) -> tuple[str | None, str | None]:
     """Normalize a raw read to lowercase acgt.
 
+    The read is checked as bytes: its ends are stripped of ASCII
+    whitespace, it is lowercased, and it is refused when deleting every
+    ``acgt`` byte leaves any. A ``str`` is ASCII-encoded first, so one
+    that is not ASCII is refused as ``"non_acgt"``.
+
     Returns ``(sequence, None)`` on acceptance or ``(None, reason)`` on
     rejection; rejection is a counted event, never fatal. ``reason`` is one
     of ``"empty"``, ``"non_acgt"``, ``"too_short"`` (the latter only when k
     is known).
     """
-    if isinstance(raw, bytes):
+    if isinstance(raw, str):
         try:
-            raw = raw.decode("ascii")
-        except UnicodeDecodeError:
+            raw = raw.encode("ascii")
+        except UnicodeEncodeError:
             return None, "non_acgt"
     seq = raw.strip().lower()
     if not seq:
         return None, "empty"
-    if not _VALID.issuperset(seq):
+    if seq.translate(None, _ACGT):
         return None, "non_acgt"
     if k is not None and len(seq) < k:
         return None, "too_short"
-    return seq, None
+    return seq.decode("ascii"), None
 
 
 def encode(s: str) -> np.ndarray:

@@ -73,7 +73,7 @@ def compute_stats(
 ) -> StatsRecord:
     return StatsRecord(
         total_nodes=boss.node_count,
-        solid_nodes=int(boss.solid_mask().sum()),
+        solid_nodes=boss.solid_count,
         edge_count=boss.edge_count,
         colored_nodes=colors.p,
         num_colors=colors.num_colors,

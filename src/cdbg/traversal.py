@@ -19,6 +19,13 @@ view's word matrix for all its walks. A lockstep step costs about the
 same however many walks it carries, so few walks are faster one at a
 time. Both walks give the same strings.
 
+Around the walks, ``reconstruct_all`` works on whole arrays too: every
+starting node's colors come from one unpack of its rows in the color
+view's word matrix (``_ColorView.start_colors``; a sparse row from
+``sparse``), every start's label from one ``BossIndex.node_labels`` call,
+and the per-start counts from one ``bincount`` over the walks' owners.
+Only the recovered strings are made one at a time.
+
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
 when a single successor carries at least an ``x`` fraction of them. It
@@ -34,7 +41,6 @@ read by many.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 import numpy as np
 
@@ -72,8 +78,8 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
     palette = _ColorView.of(colors)
-    row = palette.colors(v)
-    steps = _walk_pairs(boss, _GraphView.of(boss), palette, [v] * len(row), row)
+    row = np.array(palette.colors(v), dtype=np.int64)
+    steps = _walk_pairs(boss, _GraphView.of(boss), palette, np.full(len(row), v), row)
     label = boss.node_label(v)
     return [(label + s).strip(DUMMY) for s in steps if s is not None]
 
@@ -92,17 +98,19 @@ def reconstruct_all(
     because the benchmark's pipeline passes ``threads=1`` (ROADMAP item 1
     removes both)."""
     report = ReconstructionReport()
-    ids = boss.starting_node_ids()
-    starts, palette = ids.tolist(), _ColorView.of(colors)
-    rows = [palette.decode(v) for v in starts]
-    cur = [v for v, row in zip(starts, rows) for _ in row]
-    steps = iter(_walk_pairs(boss, _GraphView.of(boss), palette, cur, list(chain(*rows))))
-    for v, label, row in zip(starts, _labels(boss, ids), rows):
-        recovered = [(label + s).strip(DUMMY) for s in islice(steps, len(row)) if s is not None]
-        ambiguous = len(row) - len(recovered)
-        report.per_start[v] = StartReport(len(row), len(recovered), ambiguous)
-        report.recovered.extend(recovered)
-        report.ambiguous_count += ambiguous
+    ids, palette = boss.starting_node_ids(), _ColorView.of(colors)
+    owner, col = palette.start_colors(ids)
+    steps = _walk_pairs(boss, _GraphView.of(boss), palette, ids[owner], col)
+    labels = _labels(boss, ids)
+    report.recovered = [
+        (labels[o] + s).strip(DUMMY) for o, s in zip(owner.tolist(), steps) if s is not None
+    ]
+    got = np.array([s is not None for s in steps], dtype=np.int64)
+    tally = np.bincount(2 * owner + got, minlength=2 * len(ids)).reshape(-1, 2).tolist()
+    report.per_start = {
+        v: StartReport(lost + won, won, lost) for v, (lost, won) in zip(ids.tolist(), tally)
+    }
+    report.ambiguous_count = len(steps) - len(report.recovered)
     if verify_against is not None:
         report.verified_fraction = verified_fraction(report.recovered, verify_against)
     return report
@@ -122,14 +130,14 @@ LOCKSTEP_MIN_WALKS = 56
 
 
 def _walk_pairs(
-    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: list[int], col: list[int]
+    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: np.ndarray, col: np.ndarray
 ) -> list[str | None]:
     """What ``_walk_color`` gives for each walk (start ``cur[i]``, color
     ``col[i]``). Fewer than ``LOCKSTEP_MIN_WALKS`` walks go one node at a
     time, more go in lockstep."""
     if len(col) < LOCKSTEP_MIN_WALKS:
-        return [_walk_color(graph, palette, v, c) for v, c in zip(cur, col)]
-    return _walk_lockstep(boss, graph, palette, np.array(cur, dtype=np.int64), np.array(col, dtype=np.int64))
+        return [_walk_color(graph, palette, v, c) for v, c in zip(cur.tolist(), col.tolist())]
+    return _walk_lockstep(boss, graph, palette, cur, col)
 
 
 def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
@@ -389,9 +397,9 @@ class _ColorView:
     holds them during the build, decoded once (``decode_rows``). It holds:
 
     * ``words``, a (p, W) uint64 matrix, row r's colors 1..64W, which the
-      lockstep walk gathers from. W is ⌈C/64⌉ but at most the payload
-      entries per row, rounded down, so ``words`` takes at most one word
-      per entry;
+      lockstep walk gathers from and ``start_colors`` unpacks. W is
+      ⌈C/64⌉ but at most the payload entries per row, rounded down, so
+      ``words`` takes at most one word per entry;
     * ``masks``, the same rows as Python ints, which the one-node walks
       test with one shift: a list slot and, while W = 1, an int of at most
       36 B per row;
@@ -416,8 +424,12 @@ class _ColorView:
         rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
         fits = bit < 64 * n_words
         self.words = np.zeros((colors.p, n_words), dtype=np.uint64)
+        # a row's colors strictly increase, so each (row, word) segment of
+        # the fitting bits is contiguous and its sum is its OR
+        cell = rows[fits] * n_words + (bit[fits] >> 6)
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
         word_bit = np.uint64(1) << (bit[fits] & 63).astype(np.uint64)
-        np.bitwise_or.at(self.words, (rows[fits], bit[fits] >> 6), word_bit)
+        self.words.ravel()[cell[first]] = np.add.reduceat(word_bit, first)
         self.masks = self.words[:, -1].tolist()
         for j in reversed(range(n_words - 1)):
             self.masks = [m << 64 | w for m, w in zip(self.masks, self.words[:, j].tolist())]
@@ -455,6 +467,27 @@ class _ColorView:
             got.append(low.bit_length())
             m ^= low
         return got
+
+    def start_colors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The colors of nodes ``ids`` as (position in ids, color) pairs,
+        by position and then color: the rows of ``words`` in one unpack,
+        each sparse row from ``sparse``. Raises ``NotColored`` for the
+        first node without a row."""
+        r = self.rank[ids - 1]
+        if (r < 0).any():
+            raise NotColored(f"node {ids[r < 0][0]} is not in the colorable set")
+        bits = np.unpackbits(self.words[r].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        far = np.flatnonzero(np.isin(r, list(self.sparse))) if self.sparse else r[:0]
+        bits[far] = 0
+        owner, bit = np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
+        col = bit + 1
+        if len(far):
+            rows = [self.sparse[x] for x in r[far].tolist()]
+            owner = np.concatenate([owner, np.repeat(far, [len(c) for c in rows])])
+            col = np.concatenate([col] + rows)
+            order = np.argsort(owner, kind="stable")
+            owner, col = owner[order], col[order]
+        return owner, col.astype(np.int64, copy=False)
 
     def colors(self, v: int) -> list[int]:
         """Node v's colors, ascending, kept in ``_lists``."""

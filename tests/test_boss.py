@@ -62,6 +62,7 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
         v for v in range(1, boss.node_count + 1) if oracle.is_starting(oracle.label(v))
     ]
     assert boss.solid_mask().tolist() == [oracle.is_solid(lab) for lab in oracle.labels]
+    assert boss.solid_count == sum(map(oracle.is_solid, oracle.labels))
     assert_targets_match_reference(boss)
 
 

@@ -92,6 +92,21 @@ class TestFastx:
         counts = [(len(rs), rs.n_rejected) for rs in map(parse_reads, (fa, fq))]
         assert counts == [(1, 2), (1, 2)]
 
+    def test_reads_are_checked_alike_in_fasta_and_fastq(self, tmp_path):
+        # CRLF line ends, upper case, a blank inside a sequence, a
+        # non-ASCII byte, an n, an empty record, a duplicate and a read
+        # shorter than k
+        seqs = [b"ACGTaCGT", b"acgt acgt", b"acg\xe9tacgt", b"acgtnacgt", b"", b"acgtacgt", b"acg"]
+        fa, fq = tmp_path / "r.fa", tmp_path / "r.fq"
+        fa.write_bytes(b"".join(b">r\r\n" + s + b"\r\n" for s in seqs) + b">m\r\nggcc\r\ntta\r\n")
+        fq.write_bytes(
+            b"".join(b"@r\r\n" + s + b"\r\n+\r\n" + b"I" * len(s) + b"\r\n" for s in seqs + [b"ggcctta"])
+        )
+        for path in (fa, fq):
+            rs = parse_reads(path, k=5)
+            assert rs.reads == ("acgtacgt", "ggcctta")
+            assert (rs.n_rejected, rs.n_duplicates, rs.n_too_short) == (4, 1, 1)
+
     def test_format_sniffing(self, tmp_path):
         fa = tmp_path / "a.txt"
         fa.write_text(">x\nacgt\n")

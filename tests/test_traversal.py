@@ -224,6 +224,23 @@ class TestWalksMatchReference:
                 assert_matches_reference(boss, damaged)
         assert raised > 0
 
+    def test_start_without_a_row_raises_not_colored(self, mixed_indexes, walk):
+        # a starting node whose N bit is cleared has no row: both queries
+        # raise for it before any walk
+        for boss, colors in mixed_indexes.values():
+            starts = boss.starting_node_ids().tolist()
+            v = starts[len(starts) // 2]
+            bits = colors.N.to_bits().copy()
+            bits[v - 1] = 0
+            damaged = CompressedColors(
+                N=BitVector(bits), F=colors.F, payload=colors.payload,
+                p=colors.p, num_colors=colors.num_colors,
+            )
+            with pytest.raises(NotColored, match=f"node {v} "):
+                reconstruct_all(boss, damaged)
+            with pytest.raises(NotColored, match=f"node {v} "):
+                build_seqs(boss, damaged, v)
+
 
 def test_build_seqs_matches_reconstruct_all_above_the_crossover():
     # reconstruct_all walks this index in lockstep and build_seqs walks one
