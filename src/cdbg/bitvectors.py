@@ -113,8 +113,9 @@ class BitVector:
         return (w << 6) + (x & -x).bit_length()
 
     def ones_positions(self) -> np.ndarray:
-        """0-based positions of all set bits."""
-        return np.flatnonzero(_unpack_bits(self._words, self.n)).astype(np.int64)
+        """0-based positions of all set bits, found on a bool view of the
+        unpacked bits (``bit_vector`` notes why)."""
+        return np.flatnonzero(_unpack_bits(self._words, self.n).view(bool)).astype(np.int64)
 
     def to_bits(self) -> np.ndarray:
         return _unpack_bits(self._words, self.n)
@@ -301,6 +302,8 @@ class MonotoneSequence:
         return [(h << l) | (lows >> (shift + t * l) & mask) for t, h in enumerate(highs)]
 
     def to_array(self) -> np.ndarray:
+        if not self.n:  # the common empty bitvector of kept implicit successors
+            return np.zeros(0, dtype=np.int64)
         highs = self._high.ones_positions() - np.arange(self.n, dtype=np.int64)
         return (highs << self._low_bits) | _unpack_fields(self._lows, self.n, self._low_bits)
 

@@ -55,8 +55,9 @@ k-2 symbols, so a label is read by stepping from parent to parent.
 A label starts with ``$`` exactly when its chain of parents reaches the
 root within k-2 steps: the starting nodes are those whose (k-2)-th parent
 is the root, and the solid nodes are the non-ending nodes whose chain
-does not reach it. From these the colourable bitmap (starting, ending and
-critical nodes) is derived too.
+does not reach it. From these the colourable nodes (starting, ending and
+critical nodes) are derived too, held as the implicit successors (see
+``implicit_candidates``) and the bitmap of the others.
 """
 
 from __future__ import annotations
@@ -213,10 +214,12 @@ class BossIndex(Fields):
         flags, which are not kept: each node's first edge (the only
         node-boundary array), each edge's target, each node's parent (the
         source of its canonical, real and unflagged, incoming edge), the
-        starting nodes (those whose (k-2)-th parent is the root) and the
-        colourable bitmap: the starting and ending nodes and the solid
-        targets of the edges of branching nodes. The solid nodes are
-        counted here too, so that no later query lifts the parents again."""
+        starting nodes (those whose (k-2)-th parent is the root), the
+        implicit successors among the solid targets of the edges of
+        branching nodes, and the bitmap of the other colourable nodes: the
+        starting and ending nodes and the other solid targets. The solid
+        nodes are counted here too, so that no later query lifts the
+        parents again."""
         m = self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
         first = np.flatnonzero(b_bits.view(bool)) + 1
@@ -254,7 +257,7 @@ class BossIndex(Fields):
         dollar = np.flatnonzero(anc[2:] < 2) + 2
         if len(dollar) and (dollar.min() <= ends or (indeg[dollar] != 1).any()):
             raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
-        self._starting = np.flatnonzero(anc == 1)
+        self._starting = np.flatnonzero(anc == 1).astype(width)
         self._starting.flags.writeable = False
         bits = np.zeros(n + 1, dtype=np.uint8)
         bits[self._starting] = 1
@@ -262,9 +265,25 @@ class BossIndex(Fields):
         solid = self._solid(anc)
         self.solid_count = int(solid.sum())
         succ = targets[_branch_edges(self, sources)]
+        # the other successor of a read-end branch (``_read_end_edges``) is
+        # implicit when it is solid, not starting and the successor of no
+        # other branching node
+        t = self._targets[self._read_end_edges()]
+        t = t[solid[t] & (bits[t] == 0)]
+        self._implicit = np.sort(t[np.bincount(succ, minlength=n + 1)[t] == 1])
+        self._implicit.flags.writeable = False
         bits[succ[solid[succ]]] = 1
-        self._colorable = BitVector(bits[1:])
+        bits[self._implicit] = 0
+        self._explicit = BitVector(bits[1:])
         self._query = None  # see the class docstring
+
+    def _read_end_edges(self) -> np.ndarray:
+        """0-based positions of the second edges of the nodes with two
+        edges, the first a $ edge. A node's edges carry increasing symbols
+        and only $ edges enter ending nodes, so these nodes are the
+        branching nodes with one successor besides an ending node."""
+        second = self._first_edge[np.flatnonzero(np.diff(self._first_edge) == 2)]
+        return second[self._codes[second - 1] == 1]
 
     def _derive_targets(self, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Target node of every edge, 0 on closure edges, and ``K``. One
@@ -331,8 +350,41 @@ class BossIndex(Fields):
     @property
     def colorable(self) -> BitVector:
         """Bitmap over node ids - 1 of the p nodes that receive colours:
-        starting, ending and critical nodes. Derived at build and at load."""
-        return self._colorable
+        starting, ending and critical nodes. Built on each access from
+        ``explicit_colorable`` and ``implicit_candidates``."""
+        if not len(self._implicit):
+            return self._explicit
+        bits = self._explicit.to_bits()
+        bits[self._implicit - 1] = 1
+        return BitVector(bits)
+
+    @property
+    def explicit_colorable(self) -> BitVector:
+        """Bitmap over node ids - 1 of the colourable nodes that are not
+        ``implicit_candidates``: every index of this graph stores their
+        rows. Derived at build and at load; the only node bitmap held."""
+        return self._explicit
+
+    @property
+    def implicit_candidates(self) -> np.ndarray:
+        """Sorted ids of the implicit successors: each is the one solid
+        successor of a branching node u whose other successors are all
+        ending nodes, not a starting node, and the successor of no other
+        branching node. A walk at u sends there every color that no ending
+        successor holds, so its row is stored only where it shares a color
+        with a sibling's. Derived at build and at load; the graph's own,
+        read-only array."""
+        return self._implicit
+
+    def implicit_siblings(self) -> np.ndarray:
+        """The sibling of each of ``implicit_candidates``, in their order:
+        the ending node that the $ edge of its branching node enters.
+        Derived on each call."""
+        implicit = np.zeros(self.node_count + 1, dtype=bool)
+        implicit[self._implicit] = True
+        second = self._read_end_edges()
+        second = second[implicit[self._targets[second]]]
+        return self._targets[second[np.argsort(self._targets[second])] - 1]
 
     @property
     def K(self) -> np.ndarray:

@@ -85,20 +85,14 @@ def cmd_build(args) -> int:
     boss = BossIndex.build(reads, args.k)  # logs the boss_sort and boss_derive stages
     colorable = boss.colorable  # derived with the graph, in boss_derive
     table = color_all(boss, colorable, reads)  # logs the scan and assign stages
-    logger.info(
-        "strings=%d nodes=%d edges=%d p=%d colors=%d",
-        len(table.read_colors), boss.node_count, boss.edge_count, colorable.count,
-        table.num_colors,
-    )
     with stage("compress"):
         colors = compress(table, colorable)
-    meta = IndexMeta(
-        plain_bytes=reads.plain_bytes,
-        n_reads=len(reads),
-        n_rejected=reads.n_rejected,
-        n_too_short=reads.n_too_short,
-        n_strings=len(table.read_colors),
+    logger.info(
+        "strings=%d nodes=%d edges=%d p=%d colors=%d implicit_nodes=%d",
+        len(table.read_colors), boss.node_count, boss.edge_count, colorable.count,
+        table.num_colors, len(colors.implicit),
     )
+    meta = IndexMeta(plain_bytes=reads.plain_bytes)
     with stage("write"):
         index_bytes = write_index(args.output, boss, colors, meta)
     for line in compute_stats(boss, colors, meta, index_bytes).as_kv_lines():

@@ -1,9 +1,9 @@
 """Partial graph coloring: the colorable nodes and greedy color assignment.
 
 Only starting, ending and critical nodes are colored; they are the p
-colorable nodes. The graph derives their bitmap N at build and at load
-(``BossIndex.colorable``), so the index does not store it. For every
-string s of R' (the reads plus their reverse complements), the scan
+colorable nodes. The graph derives them at build and at load
+(``BossIndex.colorable``), so the index does not store their bitmap. For
+every string s of R' (the reads plus their reverse complements), the scan
 collects two rank sets over the path of $·s·$:
 
 * W, the colorable nodes on the path, from the starting to the ending node;
@@ -19,6 +19,14 @@ with. A sequential pass then gives each string, in R' order (the greedy
 order), the smallest color absent from its U rows. Each row is one Python
 int with bit c - 1 set for color c, so the string's color is the lowest
 zero bit of the OR of its U rows, and its W rows take that bit.
+
+Every colorable row is filled, the rows of the graph's implicit
+successors (``BossIndex.implicit_candidates``) too. A walk at the
+branching node above such a node t sends t every color that no ending
+sibling holds, so the index drops t's row unless it shares a color with a
+sibling's row, which happens only where a string repeats a (k-2)-mer.
+``color_all`` records on the table which candidates keep their rows, and
+``colormatrix.compress`` drops the others.
 """
 
 from __future__ import annotations
@@ -35,17 +43,23 @@ from .stages import stage
 
 def mark_colorable(boss: BossIndex) -> BitVector:
     """Starting and ending nodes, plus the solid successors of branching
-    nodes: the graph's own colourable bitmap, derived with the graph."""
+    nodes: the graph's colourable bitmap (``BossIndex.colorable``)."""
     return boss.colorable
 
 
 class DynamicColorTable:
     """Growable per-colorable-node color sets: ``masks[r - 1]`` is the row of
-    colorable rank r as a Python int, with bit c - 1 set for color c."""
+    colorable rank r as a Python int, with bit c - 1 set for color c.
+    ``candidates`` holds the ids of the graph's implicit successors, and
+    ``kept`` whether each shares a color with a sibling and so keeps its
+    row in the index; a table made from rows has neither, so every row is
+    kept."""
 
     def __init__(self, p: int):
         self.masks: list[int] = [0] * p
         self.read_colors: list[int] = []
+        self.candidates = np.zeros(0, dtype=np.int64)
+        self.kept = np.zeros(0, dtype=bool)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "DynamicColorTable":
@@ -72,6 +86,8 @@ class DynamicColorTable:
             isinstance(other, DynamicColorTable)
             and self.masks == other.masks
             and self.read_colors == other.read_colors
+            and np.array_equal(self.candidates, other.candidates)
+            and np.array_equal(self.kept, other.kept)
         )
 
 
@@ -97,8 +113,9 @@ def color_all(
     boss: BossIndex, colorable: BitVector, reads: ReadSet, threads: int = 1
 ) -> DynamicColorTable:
     """Scan all strings of R' at once, then assign colors sequentially in
-    R' order. ``threads`` is ignored; it stays because the benchmark's
-    pipeline passes ``threads=1`` (ROADMAP item 1 removes both)."""
+    R' order, and record which implicit successors keep their rows.
+    ``threads`` is ignored; it stays because the benchmark's pipeline
+    passes ``threads=1`` (ROADMAP item 1 removes both)."""
     strings = [s for s in reads.strings_with_rc() if len(s) >= boss.k]
     with stage("scan"):
         w, w_bounds, u, u_bounds = scan_all(boss, colorable, strings)
@@ -108,7 +125,18 @@ def color_all(
             assign_color(w[a:b], u[c:d], table)
             for a, b, c, d in zip(w_bounds, w_bounds[1:], u_bounds, u_bounds[1:])
         ]
+        table.candidates = boss.implicit_candidates
+        table.kept = _shares_with_sibling(boss, colorable, table.masks)
     return table
+
+
+def _shares_with_sibling(boss: BossIndex, colorable: BitVector, masks: list[int]) -> np.ndarray:
+    """Per implicit successor, whether its row shares a color with its
+    sibling's row."""
+    ones = colorable.ones_positions()  # a node's row is its position among them
+    node = np.searchsorted(ones, boss.implicit_candidates - 1).tolist()
+    sibling = np.searchsorted(ones, boss.implicit_siblings() - 1).tolist()
+    return np.array([masks[t] & masks[s] != 0 for t, s in zip(node, sibling)], dtype=bool)
 
 
 def scan_all(

@@ -10,14 +10,17 @@ Inside the sections a field is stored only when the loader cannot compute
 it from the header or from the fields it has already read: no section,
 bitvector or Elias-Fano part carries a version, no array or bitvector
 carries a length the loader knows, and the graph section holds no count
-that the loader derives from the edges (the node count, ``K``).
+that the loader derives from the edges (the node count, ``K``). The
+color section holds no row for an implicit successor that shares no color
+with a sibling, and one bit per implicit successor tells which rows are
+there; the loader derives the implicit successors from the graph.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
 from ._binio import Reader, Writer
@@ -26,18 +29,20 @@ from .colormatrix import CompressedColors
 from .errors import IntegrityError
 
 MAGIC = b"CDBG"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 @dataclass
 class IndexMeta:
-    """Build-time facts not derivable from the structures, one u64 each."""
+    """Build-time facts not derivable from the structures, one u64 each:
+    the plain read bytes alone. The read and string counts are accepted
+    and dropped, because the benchmark's pipeline still passes them."""
 
     plain_bytes: int = 0
-    n_reads: int = 0
-    n_rejected: int = 0
-    n_too_short: int = 0
-    n_strings: int = 0
+    n_reads: InitVar[int] = 0
+    n_rejected: InitVar[int] = 0
+    n_too_short: InitVar[int] = 0
+    n_strings: InitVar[int] = 0
 
     def serialize(self, w: Writer) -> None:
         for f in fields(self):
@@ -105,7 +110,8 @@ def _read(found: dict[str, bytes], tag: str, read):
 
 def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMeta]:
     """The index in data. The graph section is read before the color
-    section, whose rows are checked against the graph's colorable nodes."""
+    section, whose rows are checked against the graph's colorable nodes
+    and implicit successors."""
     if int.from_bytes(data[-4:], "little") != zlib.crc32(memoryview(data)[:-4]):
         raise IntegrityError("checksum mismatch")
     version, k, sections = _walk(data)
@@ -116,7 +122,10 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
         raise IntegrityError("container misses a required section")
     meta = _read(found, "META", IndexMeta.deserialize)
     boss = _read(found, "BOSS", lambda r: BossIndex.deserialize(r, k))
-    colors = _read(found, "COLR", lambda r: CompressedColors.deserialize(r, boss.colorable))
+    colors = _read(
+        found, "COLR",
+        lambda r: CompressedColors.deserialize(r, boss.explicit_colorable, boss.implicit_candidates),
+    )
     return boss, colors, meta
 
 

@@ -14,7 +14,8 @@ class StatsRecord:
     total_nodes: int
     solid_nodes: int
     edge_count: int
-    colored_nodes: int
+    colored_nodes: int  # the nodes with a stored colour row
+    implicit_nodes: int  # the colourable nodes whose row is not stored
     num_colors: int
     index_bytes: int
     plain_bytes: int
@@ -53,6 +54,7 @@ class StatsRecord:
             f"solid_nodes={self.solid_nodes}",
             f"edge_count={self.edge_count}",
             f"colored_nodes={self.colored_nodes}",
+            f"implicit_nodes={self.implicit_nodes}",
             f"num_colors={self.num_colors}",
             f"index_bytes={self.index_bytes}",
             f"plain_bytes={self.plain_bytes}",
@@ -76,6 +78,7 @@ def compute_stats(
         solid_nodes=boss.solid_count,
         edge_count=boss.edge_count,
         colored_nodes=colors.p,
+        implicit_nodes=len(colors.implicit),
         num_colors=colors.num_colors,
         index_bytes=index_bytes,
         plain_bytes=meta.plain_bytes,

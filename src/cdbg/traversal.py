@@ -2,12 +2,14 @@
 
 Reconstruction spells each color of a starting node by following that
 color: at a branch it takes the one successor whose row holds the color,
-and it gives the color up as ambiguous when no successor or more than one
-holds it. Every query reads the index through two views, each derived on
-the first query that needs it and kept on its object for every later
-query: the graph's ``_GraphView`` in ``BossIndex._query`` and the colors'
-``_ColorView`` in ``CompressedColors._query``. So the color table is
-decoded once per loaded index, not once per call.
+and it gives the color up as ambiguous when more than one holds it, or
+when none does and the branch has no implicit successor, the successor
+without a row (``BossIndex.implicit_candidates``) that takes every color
+no stored row holds. Every query reads the index through two views, each
+derived on the first query that needs it and kept on its object for every
+later query: the graph's ``_GraphView`` in ``BossIndex._query`` and the
+colors' ``_ColorView`` in ``CompressedColors._query``. So the color table
+is decoded once per loaded index, not once per call.
 
 Below ``LOCKSTEP_MIN_WALKS`` (starting node, color) pairs, a query walks
 each pair one node at a time, and from there on all pairs in lockstep,
@@ -15,8 +17,10 @@ one whole-array step per branch: a step takes each walk's edge and hops
 along single out-edges to the next branch (``_hop_table``). At a branch
 both read bit c - 1 of each successor's row bitmask: the one-node walk
 from a Python int, the lockstep walk from one gather over the color
-view's word matrix for all its walks. A lockstep step costs about the
-same however many walks it carries, so few walks are faster one at a
+view's word matrix for all its walks. In the view an implicit successor
+reads an empty row (``_ColorView.empty``), kept apart from a node that is
+not colorable, which raises ``NotColored``. A lockstep step costs about
+the same however many walks it carries, so few walks are faster one at a
 time. Both walks give the same strings.
 
 Around the walks, ``reconstruct_all`` works on whole arrays too: every
@@ -28,14 +32,15 @@ Only the recovered strings are made one at a time.
 
 Contig assembly walks one starting node at a time: it keeps a set of
 active reads (color -> starting node) and extends through a branch only
-when a single successor carries at least an ``x`` fraction of them. It
-reads three caches that only assembly fills: in the graph view, the
-starting predecessors of each node of indegree > 1 and the unary run from
-each node of outdegree 1 where a walk stood, which a walk crosses in one
-step; in the color view, a record of each branching node where a walk
-stood, with its successors' colors. The walks of an ``assemble_all`` call
-share long paths, so most runs and records are derived by one walk and
-read by many.
+when a single successor carries at least an ``x`` fraction of them; an
+implicit successor carries the active colors that no other successor's
+row holds. It reads three caches that only assembly fills: in the graph
+view, the starting predecessors of each node of indegree > 1 and the
+unary run from each node of outdegree 1 where a walk stood, which a walk
+crosses in one step; in the color view, a record of each branching node
+where a walk stood, with its successors' colors. The walks of an
+``assemble_all`` call share long paths, so most runs and records are
+derived by one walk and read by many.
 """
 
 from __future__ import annotations
@@ -144,7 +149,8 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
     """The symbols that color c's walk from starting node v appends to v's
     label, one node at a time; None when the walk is ambiguous."""
     first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-    mask, last_ending, bit = palette.mask, graph.last_ending, c - 1
+    mask, rank, empty = palette.mask, palette._rank, palette.empty
+    last_ending, bit = graph.last_ending, c - 1
     syms = bytearray()  # one code per step
     while v > last_ending:
         if len(syms) == graph.step_limit:
@@ -152,6 +158,8 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
         if end - e > 1:
             hits = [f for f in range(e, end) if mask(targets[f]) >> bit & 1]
+            if not hits:  # no row holds c: the implicit successor does
+                hits = [f for f in range(e, end) if rank[targets[f] - 1] == empty]
             if len(hits) != 1:
                 return None
             e = hits[0]
@@ -170,7 +178,7 @@ def _walk_lockstep(
     step guard. Once all walks stop, the recovered ones are spelled in one
     pass over their hops: the code of each edge a hop takes, as the
     one-node walk reads it."""
-    words, rank, sparse = palette.words, palette.rank, palette.sparse
+    words, rank, sparse, empty = palette.words, palette.rank, palette.sparse, palette.empty
     n_walks, n_words = len(col), words.shape[1]
     beyond = int(col.max(initial=0)) > 64 * n_words
     if graph.hops is None:
@@ -207,10 +215,11 @@ def _walk_lockstep(
             if beyond:  # a color past the words is only in a sparse row
                 far = np.flatnonzero(bit >= 64 * n_words)
                 hit[far] = [c + 1 in sparse.get(x, ()) for x, c in zip(r[far].tolist(), bit[far].tolist())]
-            edges, owner, t = edges[hit], owner[hit], t[hit]
-            unique = np.bincount(owner, minlength=len(cur))[owner] == 1
-            pos[owner[unique]] = edges[unique]
-            nxt[owner[unique]] = t[unique]
+            # one hit takes its edge; no hit takes the implicit successor's
+            hits = np.bincount(owner[hit], minlength=len(cur))[owner]
+            take = np.where(r == empty, hits == 0, hit & (hits == 1))
+            pos[owner[take]] = edges[take]
+            nxt[owner[take]] = t[take]
         alive = nxt > 0
         wid, nxt, col = wid[alive], nxt[alive], col[alive]
         n = hop_len[nxt] + 1
@@ -387,7 +396,8 @@ class _GraphView:
 
 
 # (code, target, color mask) of each successor that is not an ending node,
-# and the ascending colors of each ending successor
+# and the ascending colors of each ending successor. An implicit
+# successor's mask is the complement of its siblings' rows, a negative int
 _BranchRecord = tuple[list[tuple[int, int, int]], list[list[int]]]
 
 
@@ -396,17 +406,18 @@ class _ColorView:
     as a bitmask, bit c - 1 for color c, as ``DynamicColorTable.masks``
     holds them during the build, decoded once (``decode_rows``). It holds:
 
-    * ``words``, a (p, W) uint64 matrix, row r's colors 1..64W, which the
-      lockstep walk gathers from and ``start_colors`` unpacks. W is
+    * ``words``, a (p + 1, W) uint64 matrix, row r's colors 1..64W, which
+      the lockstep walk gathers from and ``start_colors`` unpacks. W is
       ⌈C/64⌉ but at most the payload entries per row, rounded down, so
-      ``words`` takes at most one word per entry;
+      ``words`` takes at most one word per entry and the empty row;
     * ``masks``, the same rows as Python ints, which the one-node walks
       test with one shift: a list slot and, while W = 1, an int of at most
       36 B per row;
     * ``sparse``, each row holding a color past 64W (whose ``masks`` slot
       is None) as an int64 array of its colors: 8 B per entry and a header;
     * ``rank``, 8 B per node: node v's row is ``rank[v - 1]``, or -1 when
-      v is not colorable.
+      v is not colorable. Every implicit successor reads row ``empty``,
+      one past the stored rows, which holds no color.
 
     So the view grows with the payload, not with p·C. Built on the colors'
     first query and kept in ``CompressedColors._query`` until the colors
@@ -418,12 +429,14 @@ class _ColorView:
 
     def __init__(self, colors: CompressedColors):
         offsets, row_colors = decode_rows(colors)
-        colorable = colors.N.to_bits().astype(bool)
-        self.rank = np.where(colorable, np.cumsum(colorable) - 1, -1)
+        stored = colors.N.to_bits().view(bool)
+        self.rank = np.where(stored, np.cumsum(stored) - 1, -1)
+        self.empty = colors.p
+        self.rank[colors.implicit - 1] = self.empty
         n_words = max(1, min(-(-colors.num_colors // 64), len(row_colors) // max(colors.p, 1)))
         rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
         fits = bit < 64 * n_words
-        self.words = np.zeros((colors.p, n_words), dtype=np.uint64)
+        self.words = np.zeros((colors.p + 1, n_words), dtype=np.uint64)
         # a row's colors strictly increase, so each (row, word) segment of
         # the fitting bits is contiguous and its sum is its OR
         cell = rows[fits] * n_words + (bit[fits] >> 6)
@@ -499,11 +512,12 @@ class _ColorView:
     def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:
         """Branching node v's record: (code, target, color mask) for each
         successor that is not an ending node, and the colors of the ending
-        successors; None when two successors share a color. Kept in
-        ``branches`` unless a successor's row is sparse, since that row's
-        mask, built per call, may be as wide as C. Every successor's colors
-        are read, so an uncolorable one raises whether or not two others
-        share a color."""
+        successors; None when two successors share a color. An implicit
+        successor's mask is every color the other rows do not hold. Kept
+        in ``branches`` unless a successor's row is sparse, since that
+        row's mask, built per call, may be as wide as C. Every successor's
+        colors are read, so an uncolorable one raises whether or not two
+        others share a color."""
         first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
         solid: list[tuple[int, int, int]] = []
         ending: list[list[int]] = []
@@ -517,6 +531,8 @@ class _ColorView:
                 ending.append(self.colors(t))
             else:
                 solid.append((codes[e], t, held))
+        rank, empty = self._rank, self.empty
+        solid = [(code, t, ~seen if rank[t - 1] == empty else held) for code, t, held in solid]
         record = None if shared else (solid, ending)
         if seen.bit_length() <= 64 * self.words.shape[1]:
             self.branches[v] = record

@@ -9,7 +9,10 @@ held in plain dictionaries over label strings and queried by brute force.
 The module also holds the one-node-at-a-time readers of the succinct
 index (``outdegree``, ``is_critical``, ...) and the per-string, per-colour
 and per-contig walks that the library's whole-array paths replaced; the
-tests check those paths against them.
+tests check those paths against them. The walks read a full table, one
+row per colourable node (``compress_ref`` with every implicit successor
+kept), while the library reads the index without the rows of implicit
+successors.
 """
 
 from __future__ import annotations
@@ -151,6 +154,36 @@ def is_critical(boss, v: int) -> bool:
     return any(outdegree(boss, u) > 1 for u in boss.backward(v))
 
 
+def implicit_candidates_ref(boss) -> list[int]:
+    """The implicit successors, one node at a time: each node t that is
+    the one non-ending successor of a branching node u, solid, not a
+    starting node, and the successor of no other branching node."""
+    out = []
+    for u in range(1, boss.node_count + 1):
+        succ = [t for _, _, t in boss.successors(u)]
+        inner = [t for t in succ if not is_ending(boss, t)]
+        if len(succ) < 2 or len(inner) != 1:
+            continue
+        t = inner[0]
+        branching = [w for w in boss.backward(t) if outdegree(boss, w) > 1]
+        if is_solid(boss, t) and not boss.is_starting(t) and branching == [u]:
+            out.append(t)
+    return sorted(out)
+
+
+def kept_ref(boss, colorable, rows: list[list[int]]) -> list[bool]:
+    """Per implicit successor, whether its row shares a colour with the row
+    of a sibling, given every colourable node's row in rank order."""
+    def row(v):
+        return set(rows[colorable.rank1(v) - 1])
+
+    kept = []
+    for t in implicit_candidates_ref(boss):
+        (u,) = [w for w in boss.backward(t) if outdegree(boss, w) > 1]
+        kept.append(any(row(t) & row(s) for _, _, s in boss.successors(u) if s != t))
+    return kept
+
+
 def edge_targets_ref(boss) -> list[int]:
     """Target node of every edge, 0 on closure edges, from the edge codes,
     the disambiguation flags, B and K alone: the closure edges are those
@@ -203,7 +236,8 @@ def is_unambiguous(boss, is_colored, read: str) -> bool:
 
 def walk_color(boss, colors, v: int, color: int) -> str | None:
     """Spell the color's string from starting node v one graph step at a
-    time; None when ambiguous (the per-color reconstruction reference)."""
+    time; None when ambiguous (the per-color reconstruction reference, on a
+    full table)."""
     from cdbg.colormatrix import get_colors
     from cdbg.sequence import CODE_SYMBOLS, DUMMY
 
@@ -240,7 +274,8 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
 
 def contig_assm_ref(boss, colors, v: int, x: float) -> str:
     """Assemble one contig from starting node v one graph step at a time,
-    with one ``get_colors`` per color set (the assembly reference)."""
+    with one ``get_colors`` per color set (the assembly reference, on a
+    full table)."""
     from cdbg.colormatrix import get_colors
     from cdbg.errors import BadStart, BadThreshold
     from cdbg.sequence import CODE_SYMBOLS, DUMMY
@@ -396,25 +431,41 @@ def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]]
     return rows, read_colors
 
 
-def compress_ref(rows: list[list[int]], colorable):
-    """The colour section of the given non-empty rows, delta-encoded one
-    entry at a time."""
+def compress_ref(rows: list[list[int]], colorable, candidates=(), kept=None):
+    """The colour section of the given non-empty rows of the colourable
+    nodes, delta-encoded one entry at a time, less the rows of the implicit
+    successors ``candidates`` (node ids) that ``kept`` does not mark. By
+    default every one is kept: the full table, one row per colourable
+    node."""
     import numpy as np
 
-    from cdbg.bitvectors import MonotoneSequence, bit_vector
+    from cdbg.bitvectors import BitVector, MonotoneSequence, bit_vector
     from cdbg.colormatrix import CompressedColors
 
+    kept = [True] * len(candidates) if kept is None else list(kept)
+    implicit = [int(t) for t, keep in zip(candidates, kept) if not keep]
+    bits = colorable.to_bits().copy()
+    bits[np.array(implicit, dtype=np.int64) - 1] = 0
     deltas, f_bits = [], []
-    for row in rows:
-        f_bits += [1] + [0] * (len(row) - 1)
-        deltas += [row[0]] + [b - a for a, b in zip(row, row[1:])]
+    for v, row in zip(np.flatnonzero(colorable.to_bits()) + 1, rows):
+        if bits[v - 1]:
+            f_bits += [1] + [0] * (len(row) - 1)
+            deltas += [row[0]] + [b - a for a, b in zip(row, row[1:])]
     return CompressedColors(
-        N=colorable,
+        N=BitVector(bits),
         F=bit_vector(np.array(f_bits, dtype=np.uint8)),
         payload=MonotoneSequence(np.cumsum(deltas)),
-        p=len(rows),
+        p=int(bits.sum()),
         num_colors=max(row[-1] for row in rows),
+        kept=bit_vector(np.array(kept, dtype=bool)),
+        implicit=np.array(implicit, dtype=np.int64),
     )
+
+
+def full_colors(boss, table):
+    """The full colour table of a ``color_all`` table, every implicit
+    successor kept: what the walk references read."""
+    return compress_ref(table.rows, boss.colorable, boss.implicit_candidates)
 
 
 def decode_table(cc) -> list[list[int]]:

@@ -40,8 +40,8 @@ def tiny_index(tmp_path_factory):
 class TestBuild:
     def test_build_prints_stats(self, tiny_index):
         _, _, _, out = tiny_index
-        assert "colored_nodes" in out and "5" in out
-        assert "num_colors" in out
+        # of the 5 colourable nodes, gta is the implicit successor of cgt
+        assert {"colored_nodes=4", "implicit_nodes=1", "num_colors=2"} <= set(out.splitlines())
 
     def test_build_logs_stage_times_and_counts(self, tmp_path):
         reads = tmp_path / "reads.fa"
@@ -54,7 +54,7 @@ class TestBuild:
         for name in stages:
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
         assert re.findall(r"^INFO stage (\w+):", res.stderr, re.M) == list(stages)
-        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
+        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2 implicit_nodes=1" in res.stderr.splitlines()
 
     @pytest.mark.parametrize("k", ["2", "64"])
     def test_out_of_range_k_is_usage_error(self, tmp_path, k):
@@ -84,7 +84,7 @@ class TestBuild:
             "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
         )
         assert res.returncode == 0, res.stderr
-        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2" in res.stderr.splitlines()
+        assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2 implicit_nodes=1" in res.stderr.splitlines()
 
     def test_undecodable_read_is_rejected(self, tmp_path):
         reads = tmp_path / "reads.fa"
@@ -132,7 +132,7 @@ class TestStats:
         kv = dict(
             line.split("=", 1) for line in res.stdout.splitlines() if "=" in line
         )
-        assert kv["colored_nodes"] == "5"
+        assert (kv["colored_nodes"], kv["implicit_nodes"]) == ("4", "1")
         assert kv["num_colors"] == "2"
         assert float(kv["compression_rate"]) > 0
         assert sum(int(kv[f"bytes_{tag}"]) for tag in ("META", "BOSS", "COLR")) < int(
@@ -143,7 +143,7 @@ class TestStats:
         # each section is the sum of its fields
         for tag, names in (
             ("BOSS", ("edge_count", "closure", "dollars", "codes", "B", "flags")),
-            ("COLR", ("payload", "F")),
+            ("COLR", ("payload", "F", "kept")),
         ):
             fields = [int(kv[f"bytes_{tag}_{name}"]) for name in names]
             assert sum(fields) == int(kv[f"bytes_{tag}"])
@@ -153,7 +153,7 @@ class TestStats:
         res = run_cli("stats", "--index", str(index), "--json")
         assert res.returncode == 0, res.stderr
         record = json.loads(res.stdout)
-        assert record["colored_nodes"] == 5
+        assert (record["colored_nodes"], record["implicit_nodes"]) == (4, 1)
         assert record["num_colors"] == 2
         assert record["total_nodes"] == 11
         assert record["edge_count"] == 13
@@ -171,7 +171,7 @@ class TestStats:
         assert (graph["edge_count"], graph["closure"], graph["codes"]) == (8, 9, 3)
         assert sum(graph.values()) == sections["BOSS"]
         color = record["color_bytes"]
-        assert list(color) == ["payload", "F"]
+        assert list(color) == ["payload", "F", "kept"]
         assert sum(color.values()) == sections["COLR"]
 
     def test_build_and_stats_print_one_name_value_form(self, tiny_index):
@@ -185,7 +185,8 @@ class TestStats:
             kv = dict(line.split("=", 1) for line in lines)
             assert len(kv) == len(lines)  # no name twice
             assert "ambiguous_count" not in kv
-            for name in ("total_nodes", "edge_count", "colored_nodes", "num_colors"):
+            names = ("total_nodes", "edge_count", "colored_nodes", "implicit_nodes", "num_colors")
+            for name in names:
                 assert int(kv[name]) == record[name]
 
     @pytest.mark.parametrize("damage", ["checksum", "version 1"])

@@ -26,7 +26,9 @@ from oracle import (
     color_rows_ref,
     compress_ref,
     edge_targets_ref,
+    implicit_candidates_ref,
     is_unambiguous,
+    kept_ref,
     outdegree,
     scan_read_ref,
 )
@@ -306,17 +308,21 @@ def serialized(colors) -> bytes:
 
 def assert_coloring_matches_references(reads, boss, colorable, strings) -> DynamicColorTable:
     """``color_all`` equals the sequential ``scan_read_ref`` + ``assign_color``
-    pass and the sorted-list reference, and its compressed colour section
-    serializes to the bytes of the reference rows delta-encoded entry by
-    entry."""
+    pass and the sorted-list reference, with the implicit successors and
+    the ones that keep their rows derived one node at a time, and its
+    compressed colour section serializes to the bytes of the reference
+    rows, less the dropped ones, delta-encoded entry by entry."""
     got = color_all(boss, colorable, reads)
     want = DynamicColorTable(colorable.count)
     for s in strings:
         want.read_colors.append(assign_color(*ref_rows(boss, colorable, s), want))
-    assert got == want
     rows, read_colors = color_rows_ref(boss, colorable, strings)
+    want.candidates = np.array(implicit_candidates_ref(boss), dtype=np.int64)
+    want.kept = np.array(kept_ref(boss, colorable, rows), dtype=bool)
+    assert got == want
     assert (got.rows, got.read_colors) == (rows, read_colors)
-    assert serialized(compress(got, colorable)) == serialized(compress_ref(rows, colorable))
+    v7 = compress_ref(rows, colorable, want.candidates, want.kept)
+    assert serialized(compress(got, colorable)) == serialized(v7)
     return got
 
 

@@ -71,12 +71,29 @@ def e1():
     return boss, compress(table, colorable), table
 
 
+def stored_rows(boss, cc, table):
+    """The table's rows of the nodes that keep one in cc."""
+    ones = boss.colorable.ones_positions().tolist()
+    return [row for pos, row in zip(ones, table.rows) if cc.N.get(pos)]
+
+
 class TestGetColors:
 
     def test_worked_example(self, e1):
         boss, cc, _ = e1
-        assert get_colors(cc, boss.label_to_node("gta")) == [2]
         assert get_colors(cc, boss.label_to_node("gt$")) == [1]
+        assert get_colors(cc, boss.label_to_node("ta$")) == [2]
+
+    def test_implicit_successor_has_no_row(self, e1):
+        # gta is the one solid successor of the branching node cgt, whose
+        # other successor gt$ is an ending node: its row [2] is dropped
+        boss, cc, table = e1
+        gta = boss.label_to_node("gta")
+        assert boss.implicit_candidates.tolist() == cc.implicit.tolist() == [gta]
+        assert table.rows[boss.colorable.rank1(gta) - 1] == [2]
+        assert (cc.p, boss.colorable.count) == (4, 5) and not cc.N.get(gta - 1)
+        with pytest.raises(NotColored):
+            get_colors(cc, gta)
 
     def test_not_colored(self, e1):
         boss, cc, _ = e1
@@ -84,18 +101,24 @@ class TestGetColors:
             get_colors(cc, boss.label_to_node("acg"))
 
     def test_roundtrip_matches_dynamic_table(self, e1):
-        _, cc, table = e1
-        assert decode_table(cc) == table.rows
+        boss, cc, table = e1
+        assert decode_table(cc) == stored_rows(boss, cc, table)
+        full = compress(DynamicColorTable.from_rows(table.rows), boss.colorable)
+        assert decode_table(full) == table.rows
 
     def test_serialization_roundtrip(self, e1):
         # the section stores neither N nor the number of colours: the
-        # loader passes the graph's N and takes the largest last colour
+        # loader derives N from the graph's explicit colourable nodes and
+        # the implicit successors that keep a row, here none, and takes
+        # the largest last colour
         boss, cc, table = e1
         w = Writer()
         cc.serialize(w)
-        cc2 = CompressedColors.deserialize(Reader(w.getvalue()), boss.colorable)
-        assert decode_table(cc2) == table.rows
-        assert cc2.N is boss.colorable
+        cc2 = CompressedColors.deserialize(
+            Reader(w.getvalue()), boss.explicit_colorable, boss.implicit_candidates
+        )
+        assert decode_table(cc2) == stored_rows(boss, cc, table)
+        assert cc2.N is boss.explicit_colorable and cc2.implicit is boss.implicit_candidates
         assert (cc2.p, cc2.num_colors) == (cc.p, cc.num_colors)
 
 

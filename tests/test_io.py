@@ -133,17 +133,18 @@ class TestContainer:
     def test_worked_example_container_is_pinned(self, built):
         # a change to these bytes is a format change: bump FORMAT_VERSION
         data = serialize_index(*built)
-        assert data[4] == FORMAT_VERSION == 6
-        assert len(data) == 169  # format 3 took 353 bytes, format 4 413, format 5 201
+        assert data[4] == FORMAT_VERSION == 7
+        # format 3 took 353 bytes, format 4 413, format 5 201, format 6 169
+        assert len(data) == 146
         assert hashlib.sha256(data).hexdigest() == (
-            "610b167731e42cb9db198fe60c971fd90289c849ee9cbc06145e0e75a76672f0"
+            "2563f5e130dfa965f2c7fd101647c13e110cf82d48eb809d79e358ea6beaeaa1"
         )
 
     @pytest.mark.parametrize(
         "k,digest",
         [
-            (25, "d329151d8cc03b2661cf63a2b7774fbfca4705175e319689c8625947d620055a"),
-            (31, "5315691c7667da3a7428c9c8d0e582fde05a27639b011f1c14c5fba53c63a239"),
+            (25, "a222ffd24d7a19547839def63bb1d7bd173e1b8870053c4eca6e61feb48b3931"),
+            (31, "d0fe233a2bf973cf0c795293b2fe71bcf9ed85e9a87ae321debe7f7720866d6f"),
         ],
     )
     def test_synthetic_read_set_container_is_pinned(self, k, digest):
@@ -172,8 +173,10 @@ class TestContainer:
             for sym in "$acgt":
                 assert boss2.forward(v, sym) == boss.forward(v, sym)
         assert decode_table(colors2) == decode_table(colors)
-        # N is not stored: the loaded graph derives the same colorable nodes
-        assert colors2.N is boss2.colorable
+        # N is not stored: the loaded graph derives the same nodes with a
+        # row, here its explicit colorable nodes, as no implicit one keeps
+        # its row
+        assert colors2.N is boss2.explicit_colorable
         assert colors2.N.to_bits().tolist() == colors.N.to_bits().tolist()
 
     def test_checksum_detects_corruption(self, built, tmp_path):
@@ -232,8 +235,9 @@ def boss_fields(data: bytes) -> dict[str, int]:
 def colr_fields(data: bytes) -> dict[str, int]:
     """Byte offsets in the container of the colour section's fields: where
     the section starts, with the payload's entry count; the payload's low
-    width and high words (after their count); and the row bitmap F, at its
-    tag byte."""
+    width and high words (after their count); the row bitmap F and the
+    bits of the implicit successors that keep a row, each at its tag
+    byte."""
     r = Reader(data, pos=boss_fields(data)["end"] + (4 + 8))
     at = {"section": r._pos}
     n = r.u64()
@@ -243,6 +247,7 @@ def colr_fields(data: bytes) -> dict[str, int]:
     at["high"] = r._pos + 8
     r.array(np.uint64, r.u64())
     at["F"] = r._pos
+    at["kept"] = at["F"] + deserialize_index(data)[1].structure_bytes()["F"]
     return at
 
 
@@ -290,6 +295,15 @@ def with_sparse(data: bytes, field: str, positions: list[int]) -> bytes:
     return spliced(data, "BOSS", at[field], end, w.getvalue())
 
 
+# The worked example's container in format 6, as format 6 wrote it
+FORMAT_6_WORKED_EXAMPLE = bytes.fromhex(
+    "43444247060400034d455441280000000000000005000000000000000100000000000000"
+    "000000000000000000000000000000000200000000000000424f53532f00000000000000"
+    "0d000000000000000202000000000000000110020000000000005c3a00010e0000000000"
+    "0000010001000000000000434f4c52220000000000000005000000000000000001000000"
+    "000000005412000000000000011f000000000000004c3a950e"
+)
+
 # The worked example's container in format 5, as format 5 wrote it
 FORMAT_5_WORKED_EXAMPLE = bytes.fromhex(
     "43444247050400034d455441280000000000000005000000000000000100000000000000"
@@ -329,20 +343,21 @@ class TestLoaderCrossChecks:
     def test_fields_are_where_the_sizes_put_them(self, built, data):
         # what the offsets below rest on: the worked example's graph
         # section holds 13 edges, the closure run of 2 edges at 2 and its
-        # bitvectors plain; its colour section holds 5 entries of no low
-        # bits, then F
+        # bitvectors plain; its colour section holds 4 entries of no low
+        # bits, then F and the one implicit successor's bit, both plain
         at, colr = boss_fields(data), colr_fields(data)
         assert int.from_bytes(data[at["edge_count"] : at["closure"]], "little") == 13
         assert data[at["closure"]] == 2
         assert int.from_bytes(data[at["closure"] + 1 : at["dollars"]], "little") == 2
         assert [data[at[name]] for name in ("dollars", "B", "minus")] == [1, 1, 1]
         assert at["end"] + (4 + 8) == colr["section"]
-        assert data[colr["section"]] == 5 and data[colr["width"]] == 0
-        assert data[colr["F"]] == 1 and colr["F"] + 9 == len(data) - 4
+        assert data[colr["section"]] == 4 and data[colr["width"]] == 0
+        assert data[colr["F"]] == 1 and colr["F"] + 9 == colr["kept"]
+        assert data[colr["kept"]] == 1 and colr["kept"] + 9 == len(data) - 4
 
     @pytest.mark.parametrize("tag,field", [
         *[("BOSS", f) for f in ("edge_count", "closure", "dollars", "codes", "B", "flags")],
-        ("COLR", "payload"), ("COLR", "F"),
+        ("COLR", "payload"), ("COLR", "F"), ("COLR", "kept"),
     ])
     def test_section_cut_inside_a_field_is_refused(self, data, tag, field):
         # no field stores its own length: each is read at the length the
@@ -471,21 +486,37 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="graph section"):
             deserialize_index(with_sparse(data, "minus", list(range(m))))
 
-    @pytest.mark.parametrize("row", [1, 4])
+    @pytest.mark.parametrize("row", [1, 3])
     def test_row_bitmap_must_mark_p_rows(self, data, row):
-        # the worked example has five rows of one colour: F is plain, all set
+        # the worked example has four rows of one colour: F is plain, all set
         words_at = colr_fields(data)["F"] + 1
-        assert data[words_at] == 0b11111
+        assert data[words_at] == 0b1111
         blob = bytearray(data)
         blob[words_at] ^= 1 << row  # clear the start of a later row
-        with pytest.raises(IntegrityError, match="row bitmap marks 4 rows, not p=5"):
+        with pytest.raises(IntegrityError, match="row bitmap marks 3 rows, not p=4"):
             deserialize_index(resealed(blob))
 
     def test_plain_bits_past_the_length_are_refused(self, data):
-        # F holds one bit per payload entry: 5
+        # F holds one bit per payload entry: 4
         blob = bytearray(data)
-        blob[colr_fields(data)["F"] + 1] |= 1 << 5
-        with pytest.raises(IntegrityError, match="sets bits past its 5 bits"):
+        blob[colr_fields(data)["F"] + 1] |= 1 << 4
+        with pytest.raises(IntegrityError, match="sets bits past its 4 bits"):
+            deserialize_index(resealed(blob))
+
+    def test_a_kept_implicit_successor_needs_its_row(self, data):
+        # the worked example's one implicit successor, gta, keeps no row;
+        # marked as kept, it needs a fifth row that F does not mark
+        words_at = colr_fields(data)["kept"] + 1
+        assert data[words_at] == 0
+        blob = bytearray(data)
+        blob[words_at] |= 1
+        with pytest.raises(IntegrityError, match="row bitmap marks 4 rows, not p=5"):
+            deserialize_index(resealed(blob))
+
+    def test_kept_bits_past_the_implicit_successors_are_refused(self, data):
+        blob = bytearray(data)
+        blob[colr_fields(data)["kept"] + 1] |= 1 << 1
+        with pytest.raises(IntegrityError, match="sets bits past its 1 bits"):
             deserialize_index(resealed(blob))
 
     def test_row_bitmap_must_start_a_row_first(self, mixed):
@@ -499,9 +530,9 @@ class TestLoaderCrossChecks:
 
     @pytest.mark.parametrize("clear,set_", [(4, 3), (2, 0)])
     def test_payload_must_increase_strictly_from_one(self, data, clear, set_):
-        # the payload [2, 3, 4, 6, 8] has no low bits: entry j's high bit
-        # is bit value + j; moving one keeps its count, and gives
-        # [2, 2, 4, 6, 8] or [0, 3, 4, 6, 8]
+        # the payload [2, 3, 4, 6] has no low bits: entry j's high bit is
+        # bit value + j; moving one keeps its count, and gives [2, 2, 4, 6]
+        # or [0, 3, 4, 6]
         words_at = colr_fields(data)["high"]
         assert data[words_at] == 0b1010100
         blob = bytearray(data)
@@ -525,7 +556,8 @@ class TestLoaderCrossChecks:
         # most the number of payload entries; one row holding color 2^40
         # would make the query view allocate 2^34 words per row
         boss, colors, meta = built
-        crafted = compress_ref([[1]] * (colors.p - 1) + [[2**40]], boss.colorable)
+        rows = [[1]] * (boss.colorable.count - 1) + [[2**40]]
+        crafted = compress_ref(rows, boss.colorable, boss.implicit_candidates)
         path = tmp_path / "crafted.cdbg"
         write_index(path, boss, crafted, meta)
         with pytest.raises(IntegrityError, match=f"largest color {2**40} exceeds the 5 color"):
@@ -544,7 +576,8 @@ class TestLoaderCrossChecks:
         boss = BossIndex.build(reads, k=9)
         rows = [list(range(1, 400_001))] + [[1]] * (boss.colorable.count - 1)
         path = tmp_path / "crafted.cdbg"
-        write_index(path, boss, compress_ref(rows, boss.colorable), IndexMeta())
+        crafted = compress_ref(rows, boss.colorable, boss.implicit_candidates)
+        write_index(path, boss, crafted, IndexMeta())
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -596,6 +629,23 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError):
             deserialize_index(resealed(old))
 
+    def test_format_6_is_refused(self, tmp_path):
+        # format 6 stored four read counts in META and a row for every
+        # colourable node, gta's too, and no bits for implicit successors
+        old = bytearray(FORMAT_6_WORKED_EXAMPLE)
+        assert hashlib.sha256(old).hexdigest() == (
+            "610b167731e42cb9db198fe60c971fd90289c849ee9cbc06145e0e75a76672f0"
+        )
+        with pytest.raises(IntegrityError, match="unsupported container version"):
+            deserialize_index(bytes(old))
+        path = tmp_path / "v6.cdbg"
+        path.write_bytes(old)
+        assert cli_main(["stats", "--index", str(path)]) == 3
+        # read as the current format, its sections are refused too
+        old[4] = FORMAT_VERSION
+        with pytest.raises(IntegrityError):
+            deserialize_index(resealed(old))
+
     @pytest.mark.parametrize("run,message", [
         (0, "0 closure edges, not 1 to"),
         (12, "past its 1 bits"),
@@ -625,7 +675,7 @@ class TestLoaderCrossChecks:
         blob = bytearray(data)
         assert blob[words_at] & 0b100  # the high bit of the first entry
         blob[words_at] ^= 0b100
-        with pytest.raises(IntegrityError, match="high bits mark 4 entries in 1 words, not 5"):
+        with pytest.raises(IntegrityError, match="high bits mark 3 entries in 1 words, not 4"):
             deserialize_index(resealed(blob))
 
     @pytest.mark.parametrize("seed", [2, 21])
@@ -671,6 +721,8 @@ def test_format_round_trip(reads, k):
     assert np.array_equal(boss2._first_edge, boss._first_edge)
     assert np.array_equal(boss2.edge_disambiguation_flags, boss.edge_disambiguation_flags)
     assert decode_table(colors2) == decode_table(colors)
+    assert np.array_equal(boss2.implicit_candidates, boss.implicit_candidates)
+    assert np.array_equal(colors2.implicit, colors.implicit)
     assert serialize_index(boss2, colors2, meta2) == data
     assert reconstruct_all(boss2, colors2).recovered == reconstruct_all(boss, colors).recovered
     assert assemble_all(boss2, colors2, 0.5) == assemble_all(boss, colors, 0.5)

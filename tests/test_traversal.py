@@ -29,39 +29,42 @@ from oracle import (
     compress_ref,
     contig_assm_ref,
     decode_table,
+    full_colors,
     is_unambiguous,
     walk_color,
 )
 
 
 def index_for(raw_reads, k):
+    """The reads, their graph and colors, and the full table of those
+    colors, with every row, that the references read."""
     reads = ReadSet.from_reads(raw_reads)
     boss = BossIndex.build(reads, k=k)
     colorable = mark_colorable(boss)
-    colors = compress(color_all(boss, colorable, reads), colorable)
-    return reads, boss, colors
+    table = color_all(boss, colorable, reads)
+    return reads, boss, compress(table, colorable), full_colors(boss, table)
 
 
 class TestBuildSeqs:
     def test_worked_example(self):
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         assert build_seqs(boss, colors, boss.label_to_node("$ta")) == ["tacgt"]
         assert build_seqs(boss, colors, boss.label_to_node("$ac")) == ["acgta"]
 
     def test_bad_start(self):
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         with pytest.raises(BadStart):
             build_seqs(boss, colors, boss.label_to_node("acg"))
 
     def test_repeated_context_read_aborts(self):
         # single read X·b·X·c with X = "ac": both successors of the repeated
         # node carry the read's only color, so the walk must abort
-        _, boss, colors = index_for(["acgact"], 3)
+        _, boss, colors, _ = index_for(["acgact"], 3)
         start = boss.label_to_node("$a")
         assert build_seqs(boss, colors, start) == []
 
     def test_no_dummy_in_output(self):
-        _, boss, colors = index_for(["tacgt", "ccgtaat"], 4)
+        _, boss, colors, _ = index_for(["tacgt", "ccgtaat"], 4)
         for v in boss.starting_node_ids():
             for s in build_seqs(boss, colors, int(v)):
                 assert "$" not in s
@@ -69,14 +72,14 @@ class TestBuildSeqs:
 
 class TestReconstructAll:
     def test_worked_example(self):
-        reads, boss, colors = index_for(["tacgt"], 4)
+        reads, boss, colors, _ = index_for(["tacgt"], 4)
         report = reconstruct_all(boss, colors, verify_against=reads)
         assert set(report.recovered) == {"tacgt", "acgta"}
         assert report.ambiguous_count == 0
         assert report.verified_fraction == 1.0
 
     def test_ambiguous_read_counted_not_emitted(self):
-        reads, boss, colors = index_for(["acgact"], 3)
+        reads, boss, colors, _ = index_for(["acgact"], 3)
         report = reconstruct_all(boss, colors, verify_against=reads)
         assert report.ambiguous_count >= 1
         for s in report.recovered:
@@ -88,15 +91,15 @@ class TestReconstructAll:
             "".join(rng.choice(list("acgt"), size=int(rng.integers(25, 50))))
             for _ in range(12)
         ]
-        reads, boss, colors = index_for(raw, 9)
+        reads, boss, colors, _ = index_for(raw, 9)
         report = reconstruct_all(boss, colors, verify_against=reads)
         originals = set(reads.strings_with_rc())
         for s in report.recovered:
             assert s in originals
         # completeness: every unambiguous strand is recovered
-        got = set(report.recovered)
+        got, colorable = set(report.recovered), boss.colorable
         for s in originals:
-            if is_unambiguous(boss, lambda v: colors.N.get(v - 1) == 1, s):
+            if is_unambiguous(boss, lambda v: colorable.get(v - 1) == 1, s):
                 assert s in got
 
     @pytest.mark.parametrize("k", [4, 5, 6])
@@ -115,36 +118,39 @@ class TestReconstructAll:
             raw = [rand(rng.integers(1, 8)) + tail for _ in range(3)]
             raw += [rand(rng.integers(1, 8)) + tail + rand(rng.integers(1, 8)) for _ in range(3)]
             raw += [rand(rng.integers(k, k + 10)) for _ in range(2)]
-            reads, boss, colors = index_for(raw, k)
-            got = set(reconstruct_all(boss, colors).recovered)
+            reads, boss, colors, _ = index_for(raw, k)
+            got, colorable = set(reconstruct_all(boss, colors).recovered), boss.colorable
             for s in reads.strings_with_rc():
                 mers = [s[i : i + k - 1] for i in range(len(s) - k + 2)]
                 if (
                     len(s) >= k
                     and len(set(mers)) == len(mers)
-                    and is_unambiguous(boss, lambda v: colors.N.get(v - 1) == 1, s)
+                    and is_unambiguous(boss, lambda v: colorable.get(v - 1) == 1, s)
                 ):
                     assert s in got, (seed, s)
 
     def test_threads_do_not_change_result(self):
         raw = ["tacgtacc", "ccgtaatg", "tttacagg"]
-        reads, boss, colors = index_for(raw, 5)
+        reads, boss, colors, _ = index_for(raw, 5)
         r1 = reconstruct_all(boss, colors)
         r8 = reconstruct_all(boss, colors, threads=8)
         assert sorted(r1.recovered) == sorted(r8.recovered)
         assert r1.ambiguous_count == r8.ambiguous_count
 
 
-def reference_walks(boss, colors):
-    """Per-color reference walk from every starting node: {start: walks}."""
+def reference_walks(boss, full):
+    """Per-color reference walk from every starting node, on the full
+    table: {start: walks}."""
     return {
-        v: [walk_color(boss, colors, v, c) for c in get_colors(colors, v)]
+        v: [walk_color(boss, full, v, c) for c in get_colors(full, v)]
         for v in boss.starting_node_ids().tolist()
     }
 
 
-def assert_matches_reference(boss, colors):
-    walks = reference_walks(boss, colors)
+def assert_matches_reference(boss, colors, full=None):
+    """Reconstruction from colors matches the reference walks on full,
+    by default colors themselves, a table with every row."""
+    walks = reference_walks(boss, colors if full is None else full)
     report = reconstruct_all(boss, colors)
     want = [s for ws in walks.values() for s in ws if s is not None]
     assert report.recovered == want
@@ -169,8 +175,7 @@ MIXED = [(seed, k) for k in (3, 4, 9, 31, 63) for seed in (1, 2)]
 def mixed_indexes():
     out = {}
     for seed, k in MIXED:
-        _, boss, colors = index_for(list(mixed_read_set(seed, k).reads), k)
-        out[seed, k] = boss, colors
+        out[seed, k] = index_for(list(mixed_read_set(seed, k).reads), k)[1:]
     return out
 
 
@@ -195,8 +200,8 @@ def walk(request, monkeypatch):
 class TestWalksMatchReference:
     def test_reconstruct_and_build_seqs(self, mixed_indexes, walk):
         ambiguous = 0
-        for boss, colors in mixed_indexes.values():
-            ambiguous += assert_matches_reference(boss, colors).ambiguous_count
+        for boss, colors, full in mixed_indexes.values():
+            ambiguous += assert_matches_reference(boss, colors, full).ambiguous_count
         assert ambiguous > 0  # the repeated segment makes some walks ambiguous
 
     def test_cleared_successor_bit_raises_not_colored(self, mixed_indexes, walk):
@@ -204,8 +209,8 @@ class TestWalksMatchReference:
         # uncolorable; the reference and the walk must both raise, from
         # every start and from all starts at once
         raised = 0
-        for boss, colors in mixed_indexes.values():
-            damaged = without_critical_colors(boss, colors)
+        for boss, colors, full in mixed_indexes.values():
+            damaged = without_critical_colors(boss, full)
             for v in boss.starting_node_ids().tolist():
                 try:
                     want = [walk_color(boss, damaged, v, c) for c in get_colors(damaged, v)]
@@ -227,7 +232,7 @@ class TestWalksMatchReference:
     def test_start_without_a_row_raises_not_colored(self, mixed_indexes, walk):
         # a starting node whose N bit is cleared has no row: both queries
         # raise for it before any walk
-        for boss, colors in mixed_indexes.values():
+        for boss, colors, full in mixed_indexes.values():
             starts = boss.starting_node_ids().tolist()
             v = starts[len(starts) // 2]
             bits = colors.N.to_bits().copy()
@@ -242,11 +247,57 @@ class TestWalksMatchReference:
                 build_seqs(boss, damaged, v)
 
 
+@pytest.mark.parametrize("seed, k", [(5, 4), (10, 6)])
+def test_an_implicit_successor_sharing_a_color_keeps_its_row(walk, seed, k):
+    # a string of each set repeats a (k-2)-mer, so the row of one implicit
+    # successor shares a color with a sibling's row and is kept. Dropped,
+    # the walks would send that color to the sibling, where the full table
+    # finds it ambiguous, and assembly would pass another branch
+    _, boss, colors, full = index_for(list(mixed_read_set(seed, k).reads), k)
+    assert colors.kept.count == 1
+    assert_matches_reference(boss, colors, full)
+    assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
+
+
+def shared_segment_reads(n: int, k: int) -> list[str]:
+    """n distinct reads through one segment of k + 15 symbols: half end
+    with it, half go on into a second segment. The node that ends the first
+    segment branches into an ending node and one solid node, its implicit
+    successor, and every string through it needs a color of its own."""
+    rng = np.random.default_rng(n)
+
+    def rand(m: int) -> str:
+        return "".join(rng.choice(list("acgt"), size=m))
+
+    first, second = rand(k + 15), rand(10)
+    return [rand(12) + first + (second + rand(5) if i % 2 else "") for i in range(n)]
+
+
+def test_walks_past_implicit_successors_with_sparse_siblings(walk):
+    # 70 strings through the shared segment take colors 1..70, so the
+    # ending sibling of the implicit successor holds colors past the view's
+    # one word a row, kept as a sparse row: a color it does not hold goes
+    # to the implicit successor in both walks
+    _, boss, colors, full = index_for(shared_segment_reads(70, 25), 25)
+    assert colors.num_colors > 64
+    view = traversal._ColorView.of(colors)
+    sparse_siblings = [
+        t for t in colors.implicit.tolist()
+        for u in boss.backward(t)
+        for _, _, s in boss.successors(u)
+        if s != t and view.rank[s - 1] in view.sparse
+    ]
+    assert sparse_siblings
+    report = assert_matches_reference(boss, colors, full)
+    assert report.ambiguous_count == 0
+    assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
+
+
 def test_build_seqs_matches_reconstruct_all_above_the_crossover():
     # reconstruct_all walks this index in lockstep and build_seqs walks one
     # start's colors one at a time; each start's strings must agree
     raw = random_read_set(np.random.default_rng(5), 120, 15, 40)
-    _, boss, colors = index_for(raw, 7)  # k small enough for repeats
+    _, boss, colors, _ = index_for(raw, 7)  # k small enough for repeats
     report = reconstruct_all(boss, colors)
     per_start = report.per_start.values()
     assert sum(st.colors for st in per_start) >= traversal.LOCKSTEP_MIN_WALKS
@@ -263,7 +314,7 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
     # that set-up time and the RAM of a loaded index hold no query state;
     # reconstruction fills them but derives no starting predecessors, and
     # a failed derivation is not kept
-    _, boss, colors = index_for(list(mixed_read_set(1, 9).reads), 9)
+    _, boss, colors, _ = index_for(list(mixed_read_set(1, 9).reads), 9)
     path = tmp_path / "index.cdbg"
     write_index(path, boss, colors, IndexMeta())
     loaded, loaded_colors, _ = read_index(path)
@@ -300,7 +351,7 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(traversal, name, counted)
-    _, boss, colors = index_for(list(mixed_read_set(2, 9).reads), 9)
+    _, boss, colors, _ = index_for(list(mixed_read_set(2, 9).reads), 9)
     starts = boss.starting_node_ids().tolist()
     assert max(len(get_colors(colors, v)) for v in starts) < traversal.LOCKSTEP_MIN_WALKS
     for v in starts:
@@ -341,7 +392,7 @@ def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(cls, name, counted)
-    _, boss, colors = index_for(list(mixed_read_set(2, 9).reads), 9)
+    _, boss, colors, _ = index_for(list(mixed_read_set(2, 9).reads), 9)
     for v in boss.starting_node_ids().tolist():
         build_seqs(boss, colors, v)
     reconstruct_all(boss, colors)
@@ -369,13 +420,13 @@ def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_i
     # to queries with damaged ones, and a NotColored raise is not kept: the
     # same call raises again, and the intact colors still answer
     raised = 0
-    for boss, colors in mixed_indexes.values():
+    for boss, colors, full in mixed_indexes.values():
         boss, colors = reload(boss, colors)
         starts = boss.starting_node_ids().tolist()
-        walks = reference_walks(boss, colors)
+        walks = reference_walks(boss, full)
         reconstruct_all(boss, colors)
         assemble_all(boss, colors, 0.5)
-        damaged = without_critical_colors(boss, colors)
+        damaged = without_critical_colors(boss, full)
         for v in starts:
             try:
                 want = [walk_color(boss, damaged, v, c) for c in get_colors(damaged, v)]
@@ -399,13 +450,13 @@ def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_i
 
 
 def test_a_graph_answers_with_the_colors_of_another_load(tmp_path):
-    _, boss, colors = index_for(list(mixed_read_set(1, 31).reads), 31)
-    walks = reference_walks(boss, colors)
-    contigs = {v: contig_assm_ref(boss, colors, v, 0.5) for v in walks}
+    _, boss, colors, full = index_for(list(mixed_read_set(1, 31).reads), 31)
+    walks = reference_walks(boss, full)
+    contigs = {v: contig_assm_ref(boss, full, v, 0.5) for v in walks}
     path = tmp_path / "index.cdbg"
     write_index(path, boss, colors, IndexMeta())
     (g1, c1, _), (g2, c2, _) = read_index(path), read_index(path)
-    assert assemble_all(g1, c1, 0.5) == assemble_all_ref(boss, colors, 0.5)
+    assert assemble_all(g1, c1, 0.5) == assemble_all_ref(boss, full, 0.5)
     for g, c in [(g1, c2), (g2, c1), (g1, c1), (g2, c2)]:
         for v, ws in walks.items():
             assert build_seqs(g, c, v) == [s for s in ws if s is not None]
@@ -415,13 +466,16 @@ def test_a_graph_answers_with_the_colors_of_another_load(tmp_path):
 @pytest.fixture(scope="module")
 def wide_indexes():
     """An index whose rows need more than one 64-bit word of bitmask."""
-    _, boss, colors = index_for(list(wide_read_set().reads), 9)
+    _, boss, colors, full = index_for(list(wide_read_set().reads), 9)
     assert colors.num_colors > 64
     # colors tripled: up to 240, past the view's two words a row (one per
     # payload entry), so the rows holding them are kept as sets
-    tripled = compress_ref([[3 * c for c in row] for row in decode_table(colors)], boss.colorable)
+    rows = [[3 * c for c in row] for row in decode_table(full)]
+    cands, kept = boss.implicit_candidates, colors.kept.to_bits()
+    tripled = compress_ref(rows, boss.colorable, cands, kept)
     assert traversal._ColorView(tripled).sparse
-    return {"wide": (boss, colors), "sparse": (boss, tripled)}
+    tripled_full = compress_ref(rows, boss.colorable, cands)
+    return {"wide": (boss, colors, full), "sparse": (boss, tripled, tripled_full)}
 
 
 @pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
@@ -429,10 +483,10 @@ def test_queries_in_any_order_match_the_reference(request, indexes):
     # per-start queries in shuffled order, with whole-index queries between
     # them, on freshly loaded indexes whose first query is any of the four
     rng = np.random.default_rng(11)
-    for boss, colors in request.getfixturevalue(indexes).values():
-        walks = reference_walks(boss, colors)
+    for boss, colors, full in request.getfixturevalue(indexes).values():
+        walks = reference_walks(boss, full)
         recovered = [s for ws in walks.values() for s in ws if s is not None]
-        contigs = assemble_all_ref(boss, colors, 0.5)
+        contigs = assemble_all_ref(boss, full, 0.5)
         boss, colors = reload(boss, colors)
         for i, v in enumerate(rng.permutation(list(walks)).tolist()):
             if i % 7 == 3:
@@ -440,13 +494,13 @@ def test_queries_in_any_order_match_the_reference(request, indexes):
             if i % 7 == 5:
                 assert assemble_all(boss, colors, 0.5) == contigs
             assert build_seqs(boss, colors, v) == [s for s in walks[v] if s is not None]
-            assert contig_assm(boss, colors, v, 0.5) == contig_assm_ref(boss, colors, v, 0.5)
+            assert contig_assm(boss, colors, v, 0.5) == contig_assm_ref(boss, full, v, 0.5)
 
 
 def test_a_queried_index_is_freed_with_its_last_reference():
     # the views are held by the index alone and hold no reference back to
     # it, so no cache and no reference cycle keeps a dropped index alive
-    _, boss, colors = index_for(list(mixed_read_set(2, 4).reads), 4)
+    _, boss, colors, _ = index_for(list(mixed_read_set(2, 4).reads), 4)
     start = int(boss.starting_node_ids()[0])
     build_seqs(boss, colors, start)
     assemble_all(boss, colors, 0.5)
@@ -462,15 +516,15 @@ def test_a_queried_index_is_freed_with_its_last_reference():
 class TestAssemblyMatchesReference:
     @pytest.mark.parametrize("x", [0.2, 0.5, 1.0])
     def test_contig_assm_and_assemble_all(self, mixed_indexes, x):
-        for boss, colors in mixed_indexes.values():
+        for boss, colors, full in mixed_indexes.values():
             for v in boss.starting_node_ids().tolist():
-                assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, colors, v, x)
-            assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+                assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, full, v, x)
+            assert assemble_all(boss, colors, x) == assemble_all_ref(boss, full, x)
 
     def test_cleared_critical_bits_raise_not_colored(self, mixed_indexes):
         raised = 0
-        for boss, colors in mixed_indexes.values():
-            damaged = without_critical_colors(boss, colors)
+        for boss, colors, full in mixed_indexes.values():
+            damaged = without_critical_colors(boss, full)
             for v in boss.starting_node_ids().tolist():
                 try:
                     want = contig_assm_ref(boss, damaged, v, 0.5)
@@ -505,15 +559,15 @@ def error_indexes():
 
 @pytest.mark.parametrize("x", [0.5, 1.0])
 def test_assembly_on_error_reads_matches_reference(error_indexes, x):
-    for boss, colors in error_indexes.values():
+    for boss, colors, full in error_indexes.values():
         for v in boss.starting_node_ids().tolist():
-            assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, colors, v, x)
-        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+            assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, full, v, x)
+        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, full, x)
 
 
 def test_reconstruction_on_error_reads_matches_reference(error_indexes):
-    for boss, colors in error_indexes.values():
-        assert_matches_reference(boss, colors)
+    for boss, colors, full in error_indexes.values():
+        assert_matches_reference(boss, colors, full)
 
 
 def repeat_read_set(rng, k: int) -> list[str]:
@@ -536,9 +590,9 @@ def repeat_read_set(rng, k: int) -> list[str]:
 
 @pytest.mark.parametrize("k", [9, 15])
 def test_assembly_on_a_repeat_genome_matches_reference(k):
-    _, boss, colors = index_for(repeat_read_set(np.random.default_rng(k), k), k)
+    _, boss, colors, full = index_for(repeat_read_set(np.random.default_rng(k), k), k)
     for x in (0.5, 1.0):
-        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
+        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, full, x)
 
 
 def test_walks_meet_no_closure_edge(mixed_indexes, error_indexes):
@@ -548,7 +602,7 @@ def test_walks_meet_no_closure_edge(mixed_indexes, error_indexes):
     # of a node of outdegree > 1 has a target, on built and loaded graphs
     indexes = [mixed_indexes[seed, k] for seed, k in MIXED if k in (3, 63)]
     indexes += list(error_indexes.values())
-    for boss in (b for index in indexes for b in (index[0], reload(*index)[0])):
+    for boss in (b for index in indexes for b in (index[0], reload(*index[:2])[0])):
         ends, first_edge, targets = int(boss.K[1]), boss._first_edge, boss.edge_targets()
         outdeg = np.diff(first_edge[1:])
         assert (outdeg[1:ends] == 1).all()
@@ -578,7 +632,7 @@ def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
-    boss, colors = mixed_indexes[1, 9]
+    boss, colors, _ = mixed_indexes[1, 9]
     start = int(boss.starting_node_ids()[0])
     assert assemble_all(boss, colors, 0.5)
     assert reconstruct_all(boss, colors).recovered
@@ -653,10 +707,10 @@ def test_a_chain_of_capped_hops_spells_a_branch_free_read(walk, k, read):
     # no solid node branches, so each strand's walk is one unary run, which
     # the lockstep crosses in hops of at most k - 2 edges after each step;
     # at k=63 the run is longer than a hop's byte of length could count
-    reads, boss, colors = index_for([read], k)
+    reads, boss, colors, full = index_for([read], k)
     outdeg = np.diff(boss._first_edge[1:])
     assert (outdeg[boss.solid_mask()] == 1).all()
-    report = assert_matches_reference(boss, colors)
+    report = assert_matches_reference(boss, colors, full)
     assert sorted(report.recovered) == sorted(reads.strings_with_rc())
 
 
@@ -664,44 +718,44 @@ class TestContigAssm:
     def test_single_read_absorbs_reverse_strand(self):
         # the reverse strand starts at $ac, a predecessor of acg, so its
         # color joins the walk and the contig spans both strands
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         assert contig_assm(boss, colors, boss.label_to_node("$ta"), 0.5) == "tacgta"
 
     def test_single_read_full_threshold_stops_at_branch(self):
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         assert contig_assm(boss, colors, boss.label_to_node("$ta"), 1.0) == "tacgt"
 
     def test_two_read_overlap_union(self):
-        _, boss, colors = index_for(["tacgta", "cgtaac"], 4)
+        _, boss, colors, _ = index_for(["tacgta", "cgtaac"], 4)
         v = boss.label_to_node("$ta")
         assert contig_assm(boss, colors, v, 0.5) == "tacgtaac"
 
     def test_full_threshold_stops_at_color_split(self):
-        _, boss, colors = index_for(["tacgta", "cgtaac"], 4)
+        _, boss, colors, _ = index_for(["tacgta", "cgtaac"], 4)
         v = boss.label_to_node("$ta")
         assert contig_assm(boss, colors, v, 1.0) == "tacgta"
 
     def test_bad_threshold(self):
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         v = boss.label_to_node("$ta")
         for x in (0.0, -0.5, 1.5):
             with pytest.raises(BadThreshold):
                 contig_assm(boss, colors, v, x)
 
     def test_bad_start(self):
-        _, boss, colors = index_for(["tacgt"], 4)
+        _, boss, colors, _ = index_for(["tacgt"], 4)
         with pytest.raises(BadStart):
             contig_assm(boss, colors, boss.label_to_node("tac"), 0.5)
 
 
 class TestAssembleAll:
     def test_rc_duplicate_contigs_collapse(self):
-        _, boss, colors = index_for(["ccgtaat"], 4)
+        _, boss, colors, _ = index_for(["ccgtaat"], 4)
         contigs = assemble_all(boss, colors, 0.5)
         assert contigs == ["ccgtaat"]
 
     def test_overlap_union_present(self):
-        _, boss, colors = index_for(["tacgta", "cgtaac"], 4)
+        _, boss, colors, _ = index_for(["tacgta", "cgtaac"], 4)
         contigs = assemble_all(boss, colors, 0.5)
         assert any(c == "tacgtaac" or reverse_complement(c) == "tacgtaac" for c in contigs)
         # longest-first ordering
@@ -710,13 +764,13 @@ class TestAssembleAll:
     def test_longest_contig_dominates_reads(self):
         genome = "tacgtaaccggtattggcatcaa"
         reads = [genome[i : i + 12] for i in range(0, 12, 4)]
-        _, boss, colors = index_for(reads, 5)
+        _, boss, colors, _ = index_for(reads, 5)
         contigs = assemble_all(boss, colors, 0.5)
         assert max(len(c) for c in contigs) >= max(len(r) for r in reads)
 
     def test_four_read_chain_recovers_genome(self):
         genome = "tacgtaaccggtattggcatcaa"  # 23 bp, repeat-free at k=5
         reads = [genome[0:11], genome[4:15], genome[8:19], genome[12:23]]
-        _, boss, colors = index_for(reads, 5)
+        _, boss, colors, _ = index_for(reads, 5)
         contigs = assemble_all(boss, colors, 0.5)
         assert genome in contigs or reverse_complement(genome) in contigs
