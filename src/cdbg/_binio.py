@@ -64,8 +64,11 @@ class Reader:
         data = self._take(count * dtype.itemsize)
         return np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype, copy=False)
 
+    def left(self) -> int:
+        return len(self._data) - self._pos
+
     def done(self) -> bool:
-        return self._pos == len(self._data)
+        return not self.left()
 
 
 Pieces = dict[str, Callable[[Writer], None]]

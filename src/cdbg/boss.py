@@ -44,8 +44,8 @@ the root's ends in the symbol of its canonical incoming edge, so ``K``
 counts those edges by symbol.
 
 In RAM each structure is held once. ``E`` is one byte per edge and the
-flags stay the bitvector they were built or loaded as. ``B`` is unpacked
-once, at build and at load, into the first-edge array, the one
+flags are one plain ``BitVector``, whichever encoding stores them. ``B``
+is unpacked once, at build and at load, into the first-edge array, the one
 node-boundary array; ``B`` itself and each edge's source are derived from
 it when asked for. Also derived at build and at load, at the narrowest
 width that holds an edge position: each edge's target and each node's
@@ -69,7 +69,7 @@ import numpy as np
 
 from ._arrays import _unique
 from ._binio import Fields, Pieces, Reader
-from .bitvectors import AnyBitVector, BitVector, SymbolSequence, bit_vector, read_bit_vector
+from .bitvectors import BitVector, SymbolSequence
 from .errors import BadLabel, BadOrder, BoundsError, CorruptIndex, EmptyIndex, IntegrityError
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, SYMBOL_CODES, encode
 from .stages import stage
@@ -202,7 +202,7 @@ class BossIndex(Fields):
             boss = cls.__new__(cls)
             boss.k = k
             boss._E = SymbolSequence(sym, int(np.argmax(closure)), int(closure.sum()))
-            boss._flags = bit_vector(minus)
+            boss._flags = BitVector(minus)
             boss.edge_count = m
         with stage("boss_derive"):
             boss._build_caches(b_bits, minus)
@@ -519,9 +519,9 @@ class BossIndex(Fields):
 
     # -- serialization -----------------------------------------------------
 
-    def _rising_bits(self) -> AnyBitVector:
+    def _rising_bits(self) -> BitVector:
         """``B`` at the rising edges, the only bits that are stored."""
-        return bit_vector(self._b_bits()[_rising(self._codes)])
+        return BitVector(self._b_bits()[_rising(self._codes)])
 
     def pieces(self) -> Pieces:
         return {
@@ -541,8 +541,8 @@ class BossIndex(Fields):
         m = boss.edge_count = r.u64()
         boss._E = SymbolSequence.deserialize(r, m)
         rising = _rising(boss._E.codes())
-        b = read_bit_vector(r, len(rising))
-        boss._flags = read_bit_vector(r, m)
+        b = BitVector.deserialize(r, len(rising))
+        boss._flags = BitVector.deserialize(r, m)
         b_bits = np.ones(m, dtype=np.uint8)
         b_bits[rising] = b.to_bits()
         try:

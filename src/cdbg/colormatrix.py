@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from ._binio import Fields, Pieces, Reader
-from .bitvectors import AnyBitVector, BitVector, MonotoneSequence, bit_vector, read_bit_vector
+from .bitvectors import BitVector, MonotoneSequence
 from .coloring import DynamicColorTable
 from .errors import IncompleteColoring, IntegrityError, NotColored
 
@@ -44,11 +44,11 @@ class CompressedColors(Fields):
     """
 
     N: BitVector  # the nodes with a row
-    F: AnyBitVector
+    F: BitVector  # the first entry of each row in the payload
     payload: MonotoneSequence  # prefix sums of the delta list M'
     p: int
     num_colors: int
-    kept: AnyBitVector = field(default_factory=lambda: BitVector(_NONE))
+    kept: BitVector = field(default_factory=lambda: BitVector(_NONE))
     implicit: np.ndarray = field(default_factory=lambda: _NONE)
     _query: object = field(default=None, init=False, compare=False, repr=False)
 
@@ -73,8 +73,8 @@ class CompressedColors(Fields):
         1..C in the row of a starting node, so C above the payload length
         is refused too."""
         payload = MonotoneSequence.deserialize(r)
-        f = read_bit_vector(r, len(payload))
-        kept = read_bit_vector(r, len(candidates))
+        f = BitVector.deserialize(r, len(payload))
+        kept = BitVector.deserialize(r, len(candidates))
         stored, implicit = explicit, candidates
         if kept.count:
             bits = explicit.to_bits()
@@ -124,11 +124,11 @@ def compress(table: DynamicColorTable, colorable: BitVector) -> CompressedColors
     colors = 8 * (nz[i] - (np.cumsum(sizes) - sizes)[row]) + bit + 1
     return CompressedColors(
         N=stored,
-        F=bit_vector(np.diff(row, prepend=-1) != 0),
+        F=BitVector(np.diff(row, prepend=-1) != 0),
         payload=MonotoneSequence(colors + (np.cumsum(last) - last)[row]),
         p=len(masks),
         num_colors=int(last.max(initial=0)),
-        kept=bit_vector(table.kept),
+        kept=BitVector(table.kept),
         implicit=implicit,
     )
 

@@ -90,7 +90,7 @@ def _walk(data: bytes) -> tuple[int, int, list[tuple[str, bytes]]]:
     sections = []
     for _ in range(r.u8()):
         tag, length = r._take(4).decode("ascii", errors="replace"), r.u64()
-        if length > len(r._data) - r._pos:
+        if length > r.left():
             raise IntegrityError(f"section {tag} declares {length} bytes past the end of the data")
         sections.append((tag, r._take(length)))
     return version, k, sections

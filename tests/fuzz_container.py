@@ -76,7 +76,7 @@ def kept_damaged(data: bytes, rng: np.random.Generator) -> bytes:
     by a random bitvector, plain or sparse, set at random positions, some
     past the implicit successors, and one word longer or shorter at times."""
     from cdbg._binio import Writer
-    from cdbg.bitvectors import BitVector, SparseBitVector
+    from cdbg.bitvectors import BitVector, MonotoneSequence
     from cdbg.container import deserialize_index, section_sizes
 
     boss, colors, _ = deserialize_index(data)
@@ -86,7 +86,12 @@ def kept_damaged(data: bytes, rng: np.random.Generator) -> bytes:
     n = len(boss.implicit_candidates) + int(rng.choice([-64, -1, 0, 0, 1, 64]))
     bits = (rng.random(max(n, 0)) < rng.choice([0.0, 0.02, 0.5])).astype(np.uint8)
     w = Writer()
-    (BitVector(bits) if rng.integers(2) else SparseBitVector.from_bits(bits)).serialize(w)
+    if rng.integers(2):  # written as is, not in the smaller encoding
+        w.u8(1)
+        w.array(BitVector(bits)._words)
+    else:
+        w.u8(2)
+        MonotoneSequence(np.flatnonzero(bits)).serialize(w)
     field, size = w.getvalue(), section_sizes(data)["COLR"]
     at = len(data) - 4 - size - 8  # COLR's length: it is the last section
     body = bytearray(data[:start] + field)

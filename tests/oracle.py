@@ -439,7 +439,7 @@ def compress_ref(rows: list[list[int]], colorable, candidates=(), kept=None):
     node."""
     import numpy as np
 
-    from cdbg.bitvectors import BitVector, MonotoneSequence, bit_vector
+    from cdbg.bitvectors import BitVector, MonotoneSequence
     from cdbg.colormatrix import CompressedColors
 
     kept = [True] * len(candidates) if kept is None else list(kept)
@@ -453,11 +453,11 @@ def compress_ref(rows: list[list[int]], colorable, candidates=(), kept=None):
             deltas += [row[0]] + [b - a for a, b in zip(row, row[1:])]
     return CompressedColors(
         N=BitVector(bits),
-        F=bit_vector(np.array(f_bits, dtype=np.uint8)),
+        F=BitVector(np.array(f_bits, dtype=np.uint8)),
         payload=MonotoneSequence(np.cumsum(deltas)),
         p=int(bits.sum()),
         num_colors=max(row[-1] for row in rows),
-        kept=bit_vector(np.array(kept, dtype=bool)),
+        kept=BitVector(np.array(kept, dtype=bool)),
         implicit=np.array(implicit, dtype=np.int64),
     )
 

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdbg._binio import Reader, Writer
-from cdbg.bitvectors import (
-    BitVector,
-    MonotoneSequence,
-    SparseBitVector,
-    SymbolSequence,
-    bit_vector,
-    read_bit_vector,
-)
+from cdbg.bitvectors import BitVector, MonotoneSequence, SymbolSequence
 from cdbg.errors import BoundsError, IntegrityError
 
 
@@ -22,47 +15,114 @@ def naive_select(bits, j):
     return int(np.flatnonzero(bits)[j - 1]) + 1
 
 
-class TestBitVectorExamples:
-    """bits = 10110 pinned answers."""
+def serialized(obj) -> bytes:
+    w = Writer()
+    obj.serialize(w)
+    return w.getvalue()
 
-    @pytest.mark.parametrize("cls", [BitVector, SparseBitVector.from_bits])
-    def test_rank(self, cls):
-        bv = cls(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+
+def sparse_stored(positions) -> bytes:
+    """A bitvector stored as its set positions (tag 2), whatever its size."""
+    w = Writer()
+    w.u8(2)
+    MonotoneSequence(np.asarray(positions, dtype=np.int64)).serialize(w)
+    return w.getvalue()
+
+
+def encoded(bits, tag: int) -> bytes:
+    """bits stored in the encoding of the given tag, the smaller or not:
+    the packed words (1) or the set positions (2)."""
+    if tag == 2:
+        return sparse_stored(np.flatnonzero(bits))
+    w = Writer()
+    w.u8(1)
+    w.array(BitVector(bits)._words)
+    return w.getvalue()
+
+
+def loaded(bits, tag: int) -> BitVector:
+    """bits stored in the encoding of the given tag and loaded again."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    r = Reader(encoded(bits, tag))
+    bv = BitVector.deserialize(r, len(bits))
+    assert r.done() and type(bv) is BitVector
+    return bv
+
+
+class TestBitVectorExamples:
+    """bits = 10110 pinned answers, loaded from either stored encoding."""
+
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_rank(self, tag):
+        bv = loaded([1, 0, 1, 1, 0], tag)
         assert bv.rank1(0) == 0
         assert bv.rank1(5) == 3
         assert bv.rank1(3) == 2
 
-    @pytest.mark.parametrize("cls", [BitVector, SparseBitVector.from_bits])
-    def test_select(self, cls):
-        bv = cls(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_select(self, tag):
+        bv = loaded([1, 0, 1, 1, 0], tag)
         assert bv.select1(1) == 1
         assert bv.select1(3) == 4
 
-    @pytest.mark.parametrize("cls", [BitVector, SparseBitVector.from_bits])
-    def test_select_out_of_range(self, cls):
-        bv = cls(np.array([0, 0, 0, 0, 1], dtype=np.uint8))
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_select_out_of_range(self, tag):
+        bv = loaded([0, 0, 0, 0, 1], tag)
         assert bv.select1(1) == 5
         with pytest.raises(BoundsError):
             bv.select1(2)
 
-    @pytest.mark.parametrize("cls", [BitVector, SparseBitVector.from_bits])
-    def test_rank_out_of_range(self, cls):
-        bv = cls(np.array([1, 0], dtype=np.uint8))
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_rank_out_of_range(self, tag):
+        bv = loaded([1, 0], tag)
         with pytest.raises(BoundsError):
             bv.rank1(3)
+
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_get_ones_and_bits(self, tag):
+        bv = loaded([1, 0, 1, 1, 0], tag)
+        assert [bv.get(i) for i in range(5)] == [1, 0, 1, 1, 0]
+        assert bv.ones_positions().tolist() == [0, 2, 3]
+        assert bv.to_bits().tolist() == [1, 0, 1, 1, 0]
+        assert bv.count == 3
+        with pytest.raises(BoundsError):
+            bv.get(5)
+
+
+@pytest.mark.parametrize("tag", [1, 2])
+def test_each_encoding_loads_to_the_built_words(tag):
+    """A vector whose smaller encoding is the given one is stored in it
+    and loads to the words, count and answers of the vector built from
+    its bits."""
+    rng = np.random.default_rng(tag)
+    bits = (rng.random(5000) < {1: 0.3, 2: 0.01}[tag]).astype(np.uint8)
+    built = BitVector(bits)
+    data = serialized(built)
+    assert data[0] == tag and data == encoded(bits, tag)
+    r = Reader(data)
+    bv = BitVector.deserialize(r, len(bits))
+    assert r.done() and type(bv) is BitVector
+    assert np.array_equal(bv._words, built._words) and bv.count == built.count
+    ones = np.flatnonzero(bits)
+    assert [bv.get(int(i)) for i in ones[:50]] == [1] * 50
+    assert [bv.rank1(int(i)) for i in ones] == list(range(len(ones)))
+    assert [bv.select1(j) for j in range(1, len(ones) + 1)] == (ones + 1).tolist()
+    assert np.array_equal(bv.ones_positions(), ones)
+    assert np.array_equal(bv.to_bits(), bits)
 
 
 def test_differential_rank_select_1000_random_vectors():
     """Rank at both ends and 16 random positions, and select at the first
     and last set bit of every 64-bit word and 16 random occurrences, equal
     the linear-scan oracle: every word of select's rank directory and both
-    ends of each in-word scan are checked."""
+    ends of each in-word scan are checked. Each vector is stored and
+    loaded, in the sparse encoding where that is smaller."""
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(1, 4097))
         density = rng.uniform(0.01, 0.99)
         bits = (rng.random(n) < density).astype(np.uint8)
-        bv = bit_vector(bits)
+        bv = BitVector.deserialize(Reader(serialized(BitVector(bits))), n)
         cum = np.concatenate([[0], np.cumsum(bits)])
         for i in [0, n, *rng.integers(0, n + 1, size=16).tolist()]:
             assert bv.rank1(i) == cum[i]
@@ -79,61 +139,61 @@ def test_differential_rank_select_1000_random_vectors():
             assert bv.select1(bv.rank1(p)) == p
 
 
-def serialized(bv) -> bytes:
-    w = Writer()
-    bv.serialize(w)
-    return w.getvalue()
-
-
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=300))
-def test_bitvector_roundtrip_both_kinds(bits_list):
+def test_bitvector_roundtrip_both_encodings(bits_list):
     bits = np.array(bits_list, dtype=np.uint8)
-    for bv in (BitVector(bits), SparseBitVector.from_bits(bits)):
-        bv2 = read_bit_vector(Reader(serialized(bv)), len(bits))
-        assert np.array_equal(bv2.to_bits(), bits)
-        assert bv2.kind == bv.kind
+    for tag in (1, 2):
+        assert np.array_equal(loaded(bits, tag).to_bits(), bits)
 
 
 @given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
 def test_bit_vector_is_stored_in_the_smaller_encoding(n, density, rnd):
     bits = np.array([rnd.random() < density for _ in range(n)], dtype=np.uint8)
-    bv = bit_vector(bits)
-    sizes = {
-        kind: len(serialized(make(bits)))
-        for kind, make in (("plain", BitVector), ("sparse", SparseBitVector.from_bits))
-    }
-    assert len(serialized(bv)) == min(sizes.values())
-    assert bv.kind == ("sparse" if sizes["sparse"] < sizes["plain"] else "plain")
-    r = Reader(serialized(bv))
-    assert np.array_equal(read_bit_vector(r, n).to_bits(), bits) and r.done()
+    data = serialized(BitVector(bits))
+    sizes = {tag: len(encoded(bits, tag)) for tag in (1, 2)}
+    assert data[0] == (2 if sizes[2] < sizes[1] else 1)
+    assert data == encoded(bits, data[0])
+    r = Reader(data)
+    assert np.array_equal(BitVector.deserialize(r, n).to_bits(), bits) and r.done()
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 127, 1000, 2049, 4096])
 @pytest.mark.parametrize("density", [0.0, 0.002, 0.02, 0.05, 0.1, 0.15, 0.2, 0.5, 0.9, 1.0])
 def test_bit_vector_choice_matches_serializing_both(n, density):
-    # bit_vector computes both sizes; the rule it replaces serialized both
+    # serialize computes both sizes; the rule it replaces serialized both
     rng = np.random.default_rng(n * 1000 + int(density * 1000))
     for _ in range(5):
         bits = (rng.random(n) < density).astype(np.uint8)
-        plain, sparse = BitVector(bits), SparseBitVector.from_bits(bits)
-        want = "sparse" if len(serialized(sparse)) < len(serialized(plain)) else "plain"
-        bv = bit_vector(bits)
-        assert bv.kind == want
-        pos = sparse.ones_positions()
+        plain, sparse = encoded(bits, 1), encoded(bits, 2)
+        data = serialized(BitVector(bits))
+        assert data == (sparse if len(sparse) < len(plain) else plain)
+        pos = np.flatnonzero(bits)
         size = MonotoneSequence.serialized_size(len(pos), int(pos[-1]) if len(pos) else 0)
-        assert 1 + size == len(serialized(sparse))  # tag byte, then the sequence
-        r = Reader(serialized(bv))
-        assert np.array_equal(read_bit_vector(r, n).to_bits(), bits) and r.done()
+        assert 1 + size == len(sparse)  # tag byte, then the sequence
+        r = Reader(data)
+        assert np.array_equal(BitVector.deserialize(r, n).to_bits(), bits) and r.done()
 
 
 def test_sparse_serializes_smaller_than_plain():
     rng = np.random.default_rng(3)
     bits = np.zeros(200_000, dtype=np.uint8)
     bits[rng.choice(200_000, size=500, replace=False)] = 1
-    w_plain, w_sparse = Writer(), Writer()
-    BitVector(bits).serialize(w_plain)
-    SparseBitVector.from_bits(bits).serialize(w_sparse)
-    assert len(w_sparse.getvalue()) < len(w_plain.getvalue())
+    assert len(encoded(bits, 2)) < len(encoded(bits, 1))
+    assert serialized(BitVector(bits)) == encoded(bits, 2)
+
+
+@pytest.mark.parametrize("density,tag", [(0.5, 2), (0.001, 1)])
+def test_a_loaded_vector_is_written_in_its_smaller_encoding(density, tag):
+    # a foreign writer's larger encoding loads, and is written back in the
+    # smaller one
+    bits = (np.random.default_rng(0).random(3000) < density).astype(np.uint8)
+    bv = BitVector.deserialize(Reader(encoded(bits, tag)), len(bits))
+    assert serialized(bv) == encoded(bits, 3 - tag) != encoded(bits, tag)
+
+
+def test_unknown_tag_is_refused():
+    with pytest.raises(IntegrityError, match="unknown bitvector tag 3"):
+        BitVector.deserialize(Reader(b"\x03" + bytes(8)), 10)
 
 
 class TestMonotoneSequence:
@@ -251,7 +311,7 @@ class TestSymbolSequence:
         data = serialized(SymbolSequence(codes, start, run))
         other = np.array(codes_list, dtype=np.uint8)
         rest = int((other != 1).sum())
-        assert len(data) == 1 + 8 + len(serialized(bit_vector(other == 1))) + (2 * rest + 7) // 8
+        assert len(data) == 1 + 8 + len(serialized(BitVector(other == 1))) + (2 * rest + 7) // 8
         ss = SymbolSequence.deserialize(Reader(data), len(codes))
         assert np.array_equal(ss.codes(), codes)
         assert (ss.closure_start, ss.closure_len) == (start, run)
@@ -266,22 +326,22 @@ class TestSymbolSequence:
                 SymbolSequence(codes, start, run)
 
     @staticmethod
-    def stored(marks, payload: bytes, start: int = 0, run: int = 0) -> Reader:
-        return Reader(bytes([start]) + run.to_bytes(8, "little") + serialized(marks) + payload)
+    def stored(marks: bytes, payload: bytes, start: int = 0, run: int = 0) -> Reader:
+        return Reader(bytes([start]) + run.to_bytes(8, "little") + marks + payload)
 
     @pytest.mark.parametrize("n,payload", [(3, b""), (10**12, b"")])
     def test_rejects_wrong_byte_count(self, n, payload):
         # n symbols, none of them $, and no packed codes; the sparse marks
         # of 10**12 bits are refused before anything of that length is
         # allocated
-        marks = SparseBitVector(n, np.array([], dtype=np.int64))
+        marks = sparse_stored([])
         with pytest.raises(IntegrityError, match="truncated"):
             SymbolSequence.deserialize(self.stored(marks, payload), n)
 
     @pytest.mark.parametrize("byte", [0b01000000, 0b10000000])
     def test_rejects_bits_past_the_last_symbol(self, byte):
         # three 2-bit codes fill bits 0..5 of the one byte
-        marks = bit_vector(np.zeros(3, dtype=np.uint8))
+        marks = serialized(BitVector(np.zeros(3, dtype=np.uint8)))
         ok = SymbolSequence.deserialize(self.stored(marks, b"\x24"), 3)
         assert ok.codes().tolist() == [2, 3, 4]
         with pytest.raises(IntegrityError, match="past their last symbol"):

@@ -283,6 +283,21 @@ def spliced(data: bytes, tag: str, start: int, end: int, new: bytes) -> bytes:
     return resealed(blob)
 
 
+def run_capped(script: str, path: Path) -> subprocess.CompletedProcess:
+    """script run on the index at path in a fresh interpreter whose
+    address space is capped at 2 GiB, as ``tests/fuzz_container.py`` caps
+    its own; the script sees ``sys`` and ``read_index``."""
+    head = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from cdbg.container import read_index\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", head + script, str(path)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 def with_sparse(data: bytes, field: str, positions: list[int]) -> bytes:
     """The container with a bitvector of the graph section ("dollars" or
     "minus") replaced by a sparse bitvector with bits set at the given
@@ -578,19 +593,43 @@ class TestLoaderCrossChecks:
         path = tmp_path / "crafted.cdbg"
         crafted = compress_ref(rows, boss.colorable, boss.implicit_candidates)
         write_index(path, boss, crafted, IndexMeta())
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from cdbg.container import read_index\n"
+        res = run_capped(
             "from cdbg.traversal import assemble_all, reconstruct_all\n"
             "boss, colors, _ = read_index(sys.argv[1])\n"
-            "print(reconstruct_all(boss, colors).recovered_count, len(assemble_all(boss, colors, 0.5)))\n"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            "print(reconstruct_all(boss, colors).recovered_count, len(assemble_all(boss, colors, 0.5)))\n",
+            path,
         )
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize(
+        "count", [lambda m: m + 10**6, lambda m: 2**40, lambda m: 2**62], ids=["m+1e6", "2^40", "2^62"]
+    )
+    def test_an_edge_count_past_the_section_is_refused_before_allocating(self, tmp_path, count):
+        # reads of 60 bp at stride 7 over a 600 bp genome, k=9: the $ marks
+        # are stored as their positions, whose length the loader takes from
+        # the edge count. Each symbol outside the closure run costs a stored
+        # bit, so a count past 8 per byte left is refused before the marks
+        # are unpacked to that length, under the fuzz address cap
+        rng = np.random.default_rng(0)
+        genome = "".join(rng.choice(list("acgt"), 600))
+        data = container_of(ReadSet.from_reads([genome[i : i + 60] for i in range(0, 541, 7)]), 9)
+        at = boss_fields(data)
+        assert data[at["dollars"]] == 2  # sparse
+        m, run = (int.from_bytes(data[i : i + 8], "little") for i in (at["edge_count"], at["closure"] + 1))
+        path = tmp_path / "crafted.cdbg"
+        path.write_bytes(add_to_u64(data, at["edge_count"], count(m) - m))
+        res = run_capped(
+            "from cdbg.cli import main\n"
+            "from cdbg.errors import IntegrityError\n"
+            "try:\n"
+            "    read_index(sys.argv[1])\n"
+            "except IntegrityError as exc:\n"
+            "    print(exc)\n"
+            "sys.exit(main(['stats', '--index', sys.argv[1]]))\n",
+            path,
+        )
+        assert res.returncode == 3, res.stderr
+        assert res.stdout.startswith(f"truncated section: {count(m) - run} symbols"), res.stdout
 
     @pytest.mark.parametrize("version", [2, 3, 4])
     def test_format_4_is_refused(self, tmp_path, version):

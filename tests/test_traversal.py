@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdbg import traversal
-from cdbg.bitvectors import BitVector, MonotoneSequence, SparseBitVector
+from cdbg.bitvectors import BitVector, MonotoneSequence
 from cdbg.boss import BossIndex
 from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
@@ -618,7 +618,6 @@ def test_queries_make_no_per_node_lookups(mixed_indexes, monkeypatch):
     for cls, name in [
         (MonotoneSequence, "access"),
         (BitVector, "select1"),
-        (SparseBitVector, "select1"),
         (BossIndex, "edge_target"),
         (BossIndex, "successors"),
         (BossIndex, "backward"),
