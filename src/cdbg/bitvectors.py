@@ -124,12 +124,14 @@ class BitVector:
     def serialize(self, w: Writer) -> None:
         """A tag byte, then the words (tag 1) or the set positions as a
         ``MonotoneSequence`` (tag 2), whichever is smaller, plain on a tie.
-        Both sizes follow from the length, the count and the last set bit."""
-        pos = self.ones_positions()
-        sparse = MonotoneSequence.serialized_size(self.count, int(pos[-1]) if self.count else 0)
-        if sparse < 8 * len(self._words):
+        Both sizes follow from the length, the count and the last set bit,
+        read off the last nonzero word; the set positions are unpacked only
+        when the sparse encoding wins."""
+        top = np.flatnonzero(self._words)[-1:]  # the last nonzero word, if any
+        last = 64 * int(top[0]) + int(self._words[top[0]]).bit_length() - 1 if len(top) else 0
+        if MonotoneSequence.serialized_size(self.count, last) < 8 * len(self._words):
             w.u8(2)
-            return MonotoneSequence(pos).serialize(w)
+            return MonotoneSequence(self.ones_positions()).serialize(w)
         w.u8(1)
         w.array(self._words)
 

@@ -262,7 +262,10 @@ class BossIndex(Fields):
         bits = np.zeros(n + 1, dtype=np.uint8)
         bits[self._starting] = 1
         bits[2 : ends + 1] = 1
-        solid = self._solid(anc)
+        # the labels without `$`: above the ending nodes and not below the
+        # root within k-2 steps
+        solid = anc >= 2
+        solid[: ends + 1] = False
         self.solid_count = int(solid.sum())
         succ = targets[_branch_edges(self, sources)]
         # the other successor of a read-end branch (``_read_end_edges``) is
@@ -320,14 +323,6 @@ class BossIndex(Fields):
             if d:
                 up = up[up]
         return anc
-
-    def _solid(self, anc: np.ndarray) -> np.ndarray:
-        """Mask over ids 0..n of the labels without ``$``, from the
-        (k-2)-th parents: above the ending nodes and not below the root
-        within k-2 steps."""
-        solid = anc >= 2
-        solid[: self._kcum[1] + 1] = False
-        return solid
 
     # -- basic accessors ---------------------------------------------------
 
@@ -391,11 +386,6 @@ class BossIndex(Fields):
         """K[i] = number of node labels ending with a symbol < i+1 (len 6),
         derived at build and at load; ``K[5]`` is the node count."""
         return self._kcum
-
-    @property
-    def edge_disambiguation_flags(self) -> np.ndarray:
-        """One 0/1 byte per edge, unpacked from the flags on each access."""
-        return self._flags.to_bits()
 
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
@@ -510,12 +500,6 @@ class BossIndex(Fields):
     def starting_node_ids(self) -> np.ndarray:
         """Sorted ids of the starting nodes; the graph's own array."""
         return self._starting
-
-    def solid_mask(self) -> np.ndarray:
-        """One bool per node, indexed by id - 1: true on labels without
-        ``$``. Computed from the (k-2)-th parents on each call; their
-        count is ``solid_count``, kept from build or load."""
-        return self._solid(self._ancestors(self.k - 2))[1:]
 
     # -- serialization -----------------------------------------------------
 

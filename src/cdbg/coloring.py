@@ -52,21 +52,14 @@ class DynamicColorTable:
     colorable rank r as a Python int, with bit c - 1 set for color c.
     ``candidates`` holds the ids of the graph's implicit successors, and
     ``kept`` whether each shares a color with a sibling and so keeps its
-    row in the index; a table made from rows has neither, so every row is
-    kept."""
+    row in the index; a table whose masks are set by hand has neither, so
+    every row is kept."""
 
     def __init__(self, p: int):
         self.masks: list[int] = [0] * p
         self.read_colors: list[int] = []
         self.candidates = np.zeros(0, dtype=np.int64)
         self.kept = np.zeros(0, dtype=bool)
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "DynamicColorTable":
-        """A table holding the given colors at each colorable rank, in order."""
-        table = cls(len(rows))
-        table.masks = [sum(1 << (c - 1) for c in set(row)) for row in rows]
-        return table
 
     @property
     def rows(self) -> list[list[int]]:

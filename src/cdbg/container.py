@@ -1,9 +1,11 @@
 """On-disk index container: magic, version, k, length-prefixed sections, CRC.
 
-All multi-byte integers are little-endian fixed-width. Sections are
-length-prefixed so readers can skip tags they do not know. The trailing
-CRC32 covers every preceding byte; any mismatch (or bad magic/version)
-raises IntegrityError.
+All multi-byte integers are little-endian fixed-width. The sections are
+length-prefixed, and a container of this version holds exactly META,
+BOSS and COLR, in that order, and nothing after them: any other layout,
+a section missing, repeated, moved or unknown, raises IntegrityError.
+The trailing CRC32 covers every preceding byte; any mismatch (or bad
+magic/version) raises IntegrityError.
 
 The header's version is the only one in the file, and its k the only k.
 Inside the sections a field is stored only when the loader cannot compute
@@ -81,8 +83,9 @@ def write_index(path: str | Path, boss: BossIndex, colors: CompressedColors, met
 def _walk(data: bytes) -> tuple[int, int, list[tuple[str, bytes]]]:
     """The header's format version and k, and each section's tag and
     payload in file order. Raises ``IntegrityError`` on a container too
-    small or with a bad magic, and on a declared section length that runs
-    past the end of the data before the CRC."""
+    small or with a bad magic, on a declared section length that runs
+    past the end of the data before the CRC, and on bytes between the last
+    section and the CRC."""
     if len(data) < len(MAGIC) + 8 or data[:4] != MAGIC:
         raise IntegrityError("not a cdbg container")
     r = Reader(data[:-4], pos=len(MAGIC))
@@ -93,6 +96,8 @@ def _walk(data: bytes) -> tuple[int, int, list[tuple[str, bytes]]]:
         if length > r.left():
             raise IntegrityError(f"section {tag} declares {length} bytes past the end of the data")
         sections.append((tag, r._take(length)))
+    if r.left():
+        raise IntegrityError(f"{r.left()} bytes after the last section")
     return version, k, sections
 
 
@@ -117,9 +122,11 @@ def deserialize_index(data: bytes) -> tuple[BossIndex, CompressedColors, IndexMe
     version, k, sections = _walk(data)
     if version != FORMAT_VERSION:
         raise IntegrityError("unsupported container version")
-    found = {tag: payload for tag, payload in sections if tag in _SECTIONS}  # unknown tags are skipped
-    if len(found) < len(_SECTIONS):
-        raise IntegrityError("container misses a required section")
+    tags = tuple(tag for tag, _ in sections)
+    if tags != _SECTIONS:
+        held = " ".join(tags) or "none"
+        raise IntegrityError(f"container holds sections {held}, not {' '.join(_SECTIONS)}")
+    found = dict(sections)
     meta = _read(found, "META", IndexMeta.deserialize)
     boss = _read(found, "BOSS", lambda r: BossIndex.deserialize(r, k))
     colors = _read(

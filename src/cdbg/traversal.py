@@ -11,17 +11,17 @@ later query: the graph's ``_GraphView`` in ``BossIndex._query`` and the
 colors' ``_ColorView`` in ``CompressedColors._query``. So the color table
 is decoded once per loaded index, not once per call.
 
-Below ``LOCKSTEP_MIN_WALKS`` (starting node, color) pairs, a query walks
-each pair one node at a time, and from there on all pairs in lockstep,
-one whole-array step per branch: a step takes each walk's edge and hops
-along single out-edges to the next branch (``_hop_table``). At a branch
-both read bit c - 1 of each successor's row bitmask: the one-node walk
-from a Python int, the lockstep walk from one gather over the color
-view's word matrix for all its walks. In the view an implicit successor
-reads an empty row (``_ColorView.empty``), kept apart from a node that is
-not colorable, which raises ``NotColored``. A lockstep step costs about
-the same however many walks it carries, so few walks are faster one at a
-time. Both walks give the same strings.
+``reconstruct_all`` walks all its (starting node, color) pairs in
+lockstep (``_walk_lockstep``), one whole-array step per branch: a step
+takes each walk's edge and hops along single out-edges to the next branch
+(``_hop_table``). ``build_seqs`` walks its start's colors one node at a
+time (``_walk_color``): a start holds few colors, and a lockstep step costs
+about the same however many walks it carries. At a branch both read bit
+c - 1 of each successor's row bitmask: the one-node walk from a Python
+int, the lockstep walk from one gather over the color view's word matrix
+for all its walks. In the view an implicit successor reads an empty row
+(``_ColorView.empty``), kept apart from a node that is not colorable,
+which raises ``NotColored``. Both walks give the same strings.
 
 Around the walks, ``reconstruct_all`` works on whole arrays too: every
 starting node's colors come from one unpack of its rows in the color
@@ -82,9 +82,8 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     are skipped."""
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    palette = _ColorView.of(colors)
-    row = np.array(palette.colors(v), dtype=np.int64)
-    steps = _walk_pairs(boss, _GraphView.of(boss), palette, np.full(len(row), v), row)
+    graph, palette = _GraphView.of(boss), _ColorView.of(colors)
+    steps = [_walk_color(graph, palette, v, c) for c in palette.colors(v)]
     label = boss.node_label(v)
     return [(label + s).strip(DUMMY) for s in steps if s is not None]
 
@@ -105,7 +104,7 @@ def reconstruct_all(
     report = ReconstructionReport()
     ids, palette = boss.starting_node_ids(), _ColorView.of(colors)
     owner, col = palette.start_colors(ids)
-    steps = _walk_pairs(boss, _GraphView.of(boss), palette, ids[owner], col)
+    steps = _walk_lockstep(boss, _GraphView.of(boss), palette, ids[owner], col)
     labels = _labels(boss, ids)
     report.recovered = [
         (labels[o] + s).strip(DUMMY) for o, s in zip(owner.tolist(), steps) if s is not None
@@ -119,30 +118,6 @@ def reconstruct_all(
     if verify_against is not None:
         report.verified_fraction = verified_fraction(report.recovered, verify_against)
     return report
-
-
-# The number of walks from which _walk_pairs steps them in lockstep.
-# Measured on a 2-core 2.1 GHz Xeon (medians of 60 alternated pairs, one
-# at a time against lockstep, on a fresh graph view, so that each lockstep
-# timing includes deriving the hop table; the color view is built before).
-# Walks of strided starts: at k=25 the two cross between 40 and 56 walks
-# (decode-k25-10x 2.29 against 2.35 ms at 48, 2.64 against 2.42 ms at 56;
-# repeats-k25 2.42 against 2.34 ms at 40); at k=31 between 56 and 64
-# (build-k31-30x 4.18 against 4.52 ms at 56, 4.38 against 4.29 ms at 64).
-# All walks (40 pairs): repeats-k25's 96 took 5.1 against 2.8 ms,
-# decode-k25-10x's 394 16.3 against 3.9 ms.
-LOCKSTEP_MIN_WALKS = 56
-
-
-def _walk_pairs(
-    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: np.ndarray, col: np.ndarray
-) -> list[str | None]:
-    """What ``_walk_color`` gives for each walk (start ``cur[i]``, color
-    ``col[i]``). Fewer than ``LOCKSTEP_MIN_WALKS`` walks go one node at a
-    time, more go in lockstep."""
-    if len(col) < LOCKSTEP_MIN_WALKS:
-        return [_walk_color(graph, palette, v, c) for v, c in zip(cur.tolist(), col.tolist())]
-    return _walk_lockstep(boss, graph, palette, cur, col)
 
 
 def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
@@ -277,8 +252,6 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
     contigs: list[str] = []
     for v, label in zip(starts.tolist(), _labels(boss, starts)):
         s = _assemble_from(graph, palette, v, label, x)
-        if not s:
-            continue
         canon = min(s, reverse_complement(s))
         if canon not in seen:
             seen.add(canon)

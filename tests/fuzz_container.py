@@ -11,9 +11,9 @@ successors keep a row (``kept_damaged``). A container must either load or raise
 ``assemble_all`` or raise ``NotColored``: a damaged graph can still
 derive a colorable set that misses a node a walk reaches, but every
 structure a query reads was checked at load. ``reconstruct_all`` runs
-twice, with every walk in lockstep and with every walk one at a time,
-and both must give the same strings and ambiguous count, or both raise
-``NotColored``.
+twice, with its own lockstep walk and with ``build_seqs``'s one-node
+walk for each pair (``oracle.walk_each_pair``), and both must give the
+same strings and ambiguous count, or both raise ``NotColored``.
 
 The process first caps its own address space, so an allocation sized by a
 damaged length field fails as ``MemoryError`` here instead of exhausting
@@ -113,15 +113,19 @@ def both_walks(boss, colors) -> list:
     with every walk in lockstep and then with every walk one at a time."""
     from cdbg import traversal
     from cdbg.errors import NotColored
+    from oracle import walk_each_pair
 
     answers = []
-    for crossover in (0, sys.maxsize):
-        traversal.LOCKSTEP_MIN_WALKS = crossover
+    lockstep = traversal._walk_lockstep
+    for walk in (lockstep, walk_each_pair):
+        traversal._walk_lockstep = walk
         try:
             report = traversal.reconstruct_all(boss, colors)
             answers.append((report.recovered, report.ambiguous_count))
         except NotColored:
             answers.append(NotColored)
+        finally:
+            traversal._walk_lockstep = lockstep
     return answers
 
 

@@ -12,7 +12,10 @@ and per-contig walks that the library's whole-array paths replaced; the
 tests check those paths against them. The walks read a full table, one
 row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
-successors.
+successors. It also holds what only tests call: ``solid_mask``,
+``edge_disambiguation_flags``, ``table_from_rows``, and
+``walk_each_pair``, which puts ``build_seqs``'s walk in
+``reconstruct_all``'s place.
 """
 
 from __future__ import annotations
@@ -147,6 +150,19 @@ def is_solid(boss, v: int) -> bool:
     return not is_ending(boss, v) and boss.node_label(v)[0] != DUMMY
 
 
+def solid_mask(boss):
+    """One bool per node, indexed by id - 1: true on labels without ``$``,
+    read off every node's label at once."""
+    import numpy as np
+
+    return (boss.node_labels(np.arange(1, boss.node_count + 1)) != 1).all(axis=1)
+
+
+def edge_disambiguation_flags(boss):
+    """One 0/1 byte per edge, unpacked from the graph's flags."""
+    return boss._flags.to_bits()
+
+
 def is_critical(boss, v: int) -> bool:
     """Solid node with at least one predecessor of outdegree > 1."""
     if not is_solid(boss, v):
@@ -195,7 +211,7 @@ def edge_targets_ref(boss) -> list[int]:
     seen = [0] * 6
     targets = []
     for pos, (c, flagged) in enumerate(
-        zip(boss.E.codes().tolist(), boss.edge_disambiguation_flags.tolist()), start=1
+        zip(boss.E.codes().tolist(), edge_disambiguation_flags(boss).tolist()), start=1
     ):
         if 2 <= B.rank1(pos) <= K[1]:
             targets.append(0)
@@ -270,6 +286,15 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
         syms.append(CODE_SYMBOLS[edge_symbol(boss, pos)])
         cur = target
     return "".join(syms).strip(DUMMY)
+
+
+def walk_each_pair(boss, graph, palette, cur, col) -> list[str | None]:
+    """What ``traversal._walk_lockstep`` gives, from ``traversal._walk_color``
+    one (start ``cur[i]``, color ``col[i]``) pair at a time: in its place,
+    ``reconstruct_all`` takes the walk that ``build_seqs`` takes."""
+    from cdbg.traversal import _walk_color
+
+    return [_walk_color(graph, palette, v, c) for v, c in zip(cur.tolist(), col.tolist())]
 
 
 def contig_assm_ref(boss, colors, v: int, x: float) -> str:
@@ -429,6 +454,16 @@ def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]]
             insort(rows[r - 1], color)
         read_colors.append(color)
     return rows, read_colors
+
+
+def table_from_rows(rows: list[list[int]]):
+    """A ``DynamicColorTable`` holding the given colors at each colorable
+    rank, in order, with no implicit successor: every row is kept."""
+    from cdbg.coloring import DynamicColorTable
+
+    table = DynamicColorTable(len(rows))
+    table.masks = [sum(1 << (c - 1) for c in set(row)) for row in rows]
+    return table
 
 
 def compress_ref(rows: list[list[int]], colorable, candidates=(), kept=None):

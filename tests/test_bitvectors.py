@@ -174,6 +174,17 @@ def test_bit_vector_choice_matches_serializing_both(n, density):
         assert np.array_equal(BitVector.deserialize(r, n).to_bits(), bits) and r.done()
 
 
+@pytest.mark.parametrize("last", [0, 62, 63, 64, 127, 128, 4095])
+def test_the_last_set_bit_decides_the_encoding_at_a_word_edge(last):
+    # serialize reads the last set bit off the last nonzero word; a few set
+    # bits and one at last, at and around word edges
+    for n in (last + 1, 4096):
+        bits = np.zeros(n, dtype=np.uint8)
+        bits[[0, last // 2, last]] = 1
+        plain, sparse = encoded(bits, 1), encoded(bits, 2)
+        assert serialized(BitVector(bits)) == (sparse if len(sparse) < len(plain) else plain)
+
+
 def test_sparse_serializes_smaller_than_plain():
     rng = np.random.default_rng(3)
     bits = np.zeros(200_000, dtype=np.uint8)

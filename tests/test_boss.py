@@ -8,6 +8,7 @@ from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet, reverse_complemen
 from oracle import (
     DUMMY,
     NaiveDbg,
+    edge_disambiguation_flags,
     edge_targets_ref,
     forward_r,
     indegree,
@@ -15,6 +16,7 @@ from oracle import (
     is_ending,
     is_solid,
     outdegree,
+    solid_mask,
 )
 
 
@@ -61,7 +63,7 @@ def assert_matches_oracle(boss: BossIndex, oracle: NaiveDbg):
     assert boss.starting_node_ids().tolist() == [
         v for v in range(1, boss.node_count + 1) if oracle.is_starting(oracle.label(v))
     ]
-    assert boss.solid_mask().tolist() == [oracle.is_solid(lab) for lab in oracle.labels]
+    assert solid_mask(boss).tolist() == [oracle.is_solid(lab) for lab in oracle.labels]
     assert boss.solid_count == sum(map(oracle.is_solid, oracle.labels))
     assert_targets_match_reference(boss)
 
@@ -77,7 +79,7 @@ def assert_targets_match_reference(boss: BossIndex):
     sources = [B.rank1(pos) for pos in range(1, boss.edge_count + 1)]
     assert boss.edge_sources().tolist() == sources
     parent = [0] * (boss.node_count + 1)
-    flags = boss.edge_disambiguation_flags.tolist()
+    flags = edge_disambiguation_flags(boss).tolist()
     for src, t, flagged in zip(sources, targets, flags):
         if t and not flagged:
             assert parent[t] == 0, f"node {t} has two canonical incoming edges"
@@ -142,6 +144,24 @@ class TestWorkedExample:
         assert e1_boss.label_to_node("ttt") is None
         with pytest.raises(BadLabel):
             e1_boss.label_to_node("tac" + "g")
+        with pytest.raises(BadLabel, match="'tnc' contains symbols outside the alphabet"):
+            e1_boss.label_to_node("tnc")
+
+    @pytest.mark.parametrize("a, message", [
+        ("n", "symbol 'n' outside alphabet"),
+        ("A", "symbol 'A' outside alphabet"),
+        (0, "symbol code 0 outside \\[1, 5\\]"),
+        (6, "symbol code 6 outside \\[1, 5\\]"),
+    ])
+    def test_forward_refuses_a_symbol_outside_the_alphabet(self, e1_boss, a, message):
+        with pytest.raises(BoundsError, match=message):
+            e1_boss.forward(e1_boss.label_to_node("tac"), a)
+
+    @pytest.mark.parametrize("ids", [[0], [1, 12], [12, 1]])
+    def test_node_labels_refuses_an_id_out_of_range(self, e1_boss, ids):
+        # the worked example's nodes are ids 1..11
+        with pytest.raises(BoundsError, match="node id out of range \\[1, 11\\]"):
+            e1_boss.node_labels(np.array(ids))
 
     def test_taxonomy_predicates(self, e1_boss):
         assert e1_boss.is_starting(e1_boss.label_to_node("$ta"))

@@ -205,6 +205,20 @@ class TestStats:
         assert ("version" in res.stderr) == (damage == "version 1")
 
 
+    def test_an_extra_section_is_integrity_error(self, tiny_index, tmp_path):
+        # a fourth, empty section after COLR, under a valid checksum
+        _, _, index, _ = tiny_index
+        blob = bytearray(Path(index).read_bytes()[:-4])
+        blob[7] += 1  # the section count
+        blob += b"XTRA" + bytes(8)
+        bad = tmp_path / "extra.cdbg"
+        bad.write_bytes(bytes(blob) + zlib.crc32(bytes(blob)).to_bytes(4, "little"))
+        res = run_cli("stats", "--index", str(bad))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "sections META BOSS COLR XTRA, not META BOSS COLR" in res.stderr
+
+
 class TestReconstruct:
     def test_reconstruct_with_verify(self, tiny_index):
         d, reads, index, _ = tiny_index

@@ -31,6 +31,8 @@ from oracle import (
     kept_ref,
     outdegree,
     scan_read_ref,
+    solid_mask,
+    table_from_rows,
 )
 
 
@@ -117,7 +119,7 @@ class TestAssignColor:
         assert table.rows == [[1], [], [1]]
 
     def test_occupied_colors_skipped(self):
-        table = DynamicColorTable.from_rows([[1, 2], [4]])
+        table = table_from_rows([[1, 2], [4]])
         assert assign_color([2], [1, 2], table) == 3
         assert table.rows[1] == [3, 4]
 
@@ -251,7 +253,7 @@ def shared_color_branches(boss, table) -> tuple[int, list[str]]:
     successors = {}
     for u, t in zip(boss.edge_sources()[real].tolist(), targets[real].tolist()):
         successors.setdefault(u, []).append(t)
-    solid, starting = boss.solid_mask(), set(boss.starting_node_ids().tolist())
+    solid, starting = solid_mask(boss), set(boss.starting_node_ids().tolist())
     checked, shared = 0, []
     for u, ts in successors.items():
         if len(ts) < 2 or not (solid[u - 1] or u in starting):
@@ -356,7 +358,7 @@ class TestWideRows:
         r = max(range(len(rows)), key=lambda i: len(rows[i])) if which == "widest" else len(rows) - 1
         rows[r] = []
         with pytest.raises(IncompleteColoring, match=f"colorable rank {r + 1} received no color"):
-            compress(DynamicColorTable.from_rows(rows), colorable)
+            compress(table_from_rows(rows), colorable)
 
 
 @pytest.mark.parametrize("seed, k", [(seed, k) for seed in (1, 2) for k in (9, 15)])
@@ -393,6 +395,16 @@ class TestArrayScanMatchesReference:
         want = [ref_rows(boss, colorable, s) for s in strings]
         assert scan_rows(scan_all(boss, colorable, strings), len(strings)) == want
 
+    def test_scan_all_of_no_strings_is_empty(self, mixed):
+        _, boss, colorable, _ = mixed
+        assert scan_all(boss, colorable, []) == ([], [0], [], [0])
+
+    def test_scan_all_refuses_a_string_shorter_than_k(self, mixed):
+        _, boss, colorable, strings = mixed
+        short = strings[0][: boss.k - 1]
+        with pytest.raises(CorruptIndex, match=f"read shorter than order k={boss.k}"):
+            scan_all(boss, colorable, [strings[0], short])
+
     def test_color_all_matches_sequential_reference(self, mixed):
         assert_coloring_matches_references(*mixed)
 
@@ -402,7 +414,7 @@ class TestArrayScanMatchesReference:
         # strings whose path inspects or ends on such a node may fail
         _, boss, colorable, strings = mixed
         bits = colorable.to_bits().copy()
-        bits[np.flatnonzero(bits & boss.solid_mask())[::2]] = 0
+        bits[np.flatnonzero(bits & solid_mask(boss))[::2]] = 0
         bits[np.arange(1, boss.K[1])[::3]] = 0  # ending nodes are ids 2..K[1]
         damaged = BitVector(bits)
         for s in strings:

@@ -4,17 +4,17 @@ from hypothesis import given, strategies as st
 
 from cdbg.bitvectors import BitVector
 from cdbg.boss import BossIndex
-from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
+from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, decode_rows, get_colors
 from cdbg.errors import IncompleteColoring, NotColored
 from cdbg.sequence import ReadSet
 from cdbg._binio import Reader, Writer
 
-from oracle import decode_table
+from oracle import decode_table, table_from_rows
 
 
 def table_of(rows):
-    return DynamicColorTable.from_rows(rows)
+    return table_from_rows(rows)
 
 
 def colorable_of(p, n=None):
@@ -103,7 +103,7 @@ class TestGetColors:
     def test_roundtrip_matches_dynamic_table(self, e1):
         boss, cc, table = e1
         assert decode_table(cc) == stored_rows(boss, cc, table)
-        full = compress(DynamicColorTable.from_rows(table.rows), boss.colorable)
+        full = compress(table_from_rows(table.rows), boss.colorable)
         assert decode_table(full) == table.rows
 
     def test_serialization_roundtrip(self, e1):

@@ -27,13 +27,13 @@ from cdbg.container import (
     write_index,
 )
 from cdbg.errors import IntegrityError, ParseError
-from cdbg.fastx import parse_reads, sniff_format, write_fasta
+from cdbg.fastx import iter_fasta, parse_reads, sniff_format, write_fasta
 from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import assemble_all, reconstruct_all
 
 from conftest import mixed_read_set
-from oracle import compress_ref, decode_table, indegree, outdegree
+from oracle import compress_ref, decode_table, edge_disambiguation_flags, indegree, outdegree
 
 
 @pytest.fixture()
@@ -126,6 +126,32 @@ class TestFastx:
         p = tmp_path / "junk.txt"
         p.write_text("acgt\n")
         with pytest.raises(ParseError):
+            parse_reads(p)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_is_refused(self, tmp_path, text):
+        p = tmp_path / "empty.fa"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="empty input file"):
+            parse_reads(p)
+
+    def test_fasta_sequence_before_the_first_header_is_refused(self, tmp_path):
+        # parse_reads sniffs the first line and refuses it first; the
+        # FASTA reader refuses it on its own too
+        p = tmp_path / "headless.fa"
+        p.write_text("\nacgt\n>r1\nacgt\n")
+        with pytest.raises(ParseError, match="line 2: sequence data before first header"):
+            list(iter_fasta(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("@r1\nacgt\n+\nIIII\nr2\nacgt\n+\nIIII\n", "line 5: record does not start with '@'"),
+        ("@r1\nacgt\n+\nIIII\n@r2\nacgt\n+\n", "line 5: truncated record"),
+        ("@r1\nacgt\n+\nIII\n", "line 4: quality length differs from sequence"),
+    ])
+    def test_malformed_fastq_record_is_refused(self, tmp_path, text, message):
+        p = tmp_path / "bad.fq"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=message):
             parse_reads(p)
 
 
@@ -298,6 +324,21 @@ def run_capped(script: str, path: Path) -> subprocess.CompletedProcess:
     )
 
 
+def with_sections(data: bytes, tags: list[str]) -> bytes:
+    """The container with its sections laid out as tags name them, each
+    with the payload of that tag in data (an unknown tag's is empty), and
+    its CRC sealed again."""
+    payloads, at = {}, 4 + 1 + 2 + 1
+    for tag, size in section_sizes(data).items():
+        payloads[tag] = data[at + 4 + 8 : at + 4 + 8 + size]
+        at += 4 + 8 + size
+    body = bytearray(data[:7]) + bytes([len(tags)])
+    for tag in tags:
+        payload = payloads.get(tag, b"")
+        body += tag.encode("ascii") + len(payload).to_bytes(8, "little") + payload
+    return resealed(body + bytes(4))
+
+
 def with_sparse(data: bytes, field: str, positions: list[int]) -> bytes:
     """The container with a bitvector of the graph section ("dollars" or
     "minus") replaced by a sparse bitvector with bits set at the given
@@ -432,11 +473,11 @@ class TestLoaderCrossChecks:
         boss = built[0]
         ones = {
             "dollars": boss.E._split()[0].ones_positions().tolist(),
-            "minus": np.flatnonzero(boss.edge_disambiguation_flags).tolist(),
+            "minus": np.flatnonzero(edge_disambiguation_flags(boss)).tolist(),
         }[field]
         loaded = deserialize_index(with_sparse(data, field, ones))[0]
         assert np.array_equal(loaded.E.codes(), boss.E.codes())
-        assert np.array_equal(loaded.edge_disambiguation_flags, boss.edge_disambiguation_flags)
+        assert np.array_equal(edge_disambiguation_flags(loaded), edge_disambiguation_flags(boss))
         with pytest.raises(IntegrityError, match="sparse"):
             deserialize_index(with_sparse(data, field, [ones[0], ones[0]]))
 
@@ -451,7 +492,7 @@ class TestLoaderCrossChecks:
     def test_flag_width_must_keep_positions_in_int64(self, built, data):
         # one flag, at edge 8, stored sparse: 3 low bits in one word. Read
         # with 63 low bits, its entry would decode to a negative position
-        assert np.flatnonzero(built[0].edge_disambiguation_flags).tolist() == [8]
+        assert np.flatnonzero(edge_disambiguation_flags(built[0])).tolist() == [8]
         crafted = bytearray(with_sparse(data, "minus", [8]))
         width_at = boss_fields(data)["minus"] + 1 + 8
         assert crafted[width_at] == 3
@@ -704,6 +745,59 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match="COLR declares"):
             deserialize_index(add_to_u64(data, section_length_at(data, "COLR"), delta))
 
+    @pytest.mark.parametrize("tags", [
+        ["META", "BOSS", "COLR", "XTRA"],  # an extra section
+        ["XTRA", "META", "BOSS", "COLR"],
+        ["META", "BOSS", "COLR", "COLR"],  # a duplicated section
+        ["META", "META", "BOSS", "COLR"],
+        ["BOSS", "META", "COLR"],  # reordered
+        ["META", "COLR", "BOSS"],
+        ["META", "BOSS"],  # a missing section
+        [],
+    ])
+    def test_sections_must_be_meta_boss_colr_in_order(self, data, tags):
+        # each tag's payload is the one the index wrote; a repeated
+        # section, the same bytes twice, would load as either copy
+        assert with_sections(data, ["META", "BOSS", "COLR"]) == data
+        message = f"container holds sections {' '.join(tags) or 'none'}, not META BOSS COLR"
+        with pytest.raises(IntegrityError, match=message):
+            deserialize_index(with_sections(data, tags))
+
+    def test_bytes_after_the_last_section_are_refused(self, data):
+        body = data[:-4] + b"junk"
+        with pytest.raises(IntegrityError, match="4 bytes after the last section"):
+            deserialize_index(resealed(bytearray(body + bytes(4))))
+
+    def test_bad_magic_under_a_valid_checksum(self, data):
+        blob = bytearray(data)
+        blob[0] = ord("X")
+        with pytest.raises(IntegrityError, match="not a cdbg container"):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("k", [2, 64])
+    def test_header_k_must_be_a_supported_order(self, data, k):
+        blob = bytearray(data)
+        blob[5:7] = k.to_bytes(2, "little")
+        with pytest.raises(IntegrityError, match=f"order k={k} outside \\[3, 63\\]"):
+            deserialize_index(resealed(blob))
+
+    @pytest.mark.parametrize("flags, message", [
+        ([9, 18], "edge target rank exceeds node count"),
+        ([8, 12, 18], "all-dummy root acquired incoming edges"),
+        ([0, 9, 12, 18], "non-root node without incoming edge"),
+    ])
+    def test_crafted_flags_break_the_edge_targets(self, flags, message):
+        # tacgt and taagt at k=4 flag edges 9, 12 and 18 (0-based). Edge 12
+        # unflagged ranks one target too many. The flag of the $ edge 9 put
+        # on edge 8, the $ edge before it into the same ending node, leaves
+        # edge 8 no rank: its target is the root. Edge 0 flagged as well
+        # leaves the node it enters without a canonical incoming edge
+        data = container_of(ReadSet.from_reads(["tacgt", "taagt"]), 4)
+        flagged = edge_disambiguation_flags(deserialize_index(data)[0])
+        assert np.flatnonzero(flagged).tolist() == [9, 12, 18]
+        with pytest.raises(IntegrityError, match=f"graph section: {message}"):
+            deserialize_index(with_sparse(data, "minus", flags))
+
     def test_sections_must_be_read_to_their_end(self, data):
         end = section_length_at(data, "META") + 8 + section_sizes(data)["META"]
         with pytest.raises(IntegrityError, match="META holds bytes past"):
@@ -758,7 +852,7 @@ def test_format_round_trip(reads, k):
     boss2, colors2, meta2 = deserialize_index(data)
     assert np.array_equal(boss2._codes, boss._codes)
     assert np.array_equal(boss2._first_edge, boss._first_edge)
-    assert np.array_equal(boss2.edge_disambiguation_flags, boss.edge_disambiguation_flags)
+    assert np.array_equal(edge_disambiguation_flags(boss2), edge_disambiguation_flags(boss))
     assert decode_table(colors2) == decode_table(colors)
     assert np.array_equal(boss2.implicit_candidates, boss.implicit_candidates)
     assert np.array_equal(colors2.implicit, colors.implicit)

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import sys
 import weakref
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from cdbg import traversal
 from cdbg.bitvectors import BitVector, MonotoneSequence
 from cdbg.boss import BossIndex
-from cdbg.coloring import DynamicColorTable, color_all, mark_colorable
+from cdbg.coloring import color_all, mark_colorable
 from cdbg.colormatrix import CompressedColors, compress, get_colors
 from cdbg.container import IndexMeta, deserialize_index, read_index, serialize_index, write_index
 from cdbg.errors import BadStart, BadThreshold, NotColored
@@ -31,7 +30,10 @@ from oracle import (
     decode_table,
     full_colors,
     is_unambiguous,
+    solid_mask,
+    table_from_rows,
     walk_color,
+    walk_each_pair,
 )
 
 
@@ -182,7 +184,7 @@ def mixed_indexes():
 def without_critical_colors(boss, colors):
     """The index with the N bits of critical (solid colorable) nodes cleared."""
     bits = colors.N.to_bits().copy()
-    bits[np.flatnonzero(bits & boss.solid_mask())] = 0
+    bits[np.flatnonzero(bits & solid_mask(boss))] = 0
     return CompressedColors(
         N=BitVector(bits), F=colors.F, payload=colors.payload,
         p=colors.p, num_colors=colors.num_colors,
@@ -191,9 +193,10 @@ def without_critical_colors(boss, colors):
 
 @pytest.fixture(params=["one_at_a_time", "lockstep"])
 def walk(request, monkeypatch):
-    """Every reconstruction walk of the test takes the named walk."""
-    crossover = sys.maxsize if request.param == "one_at_a_time" else 0
-    monkeypatch.setattr(traversal, "LOCKSTEP_MIN_WALKS", crossover)
+    """``reconstruct_all`` of the test takes the named walk: its own
+    lockstep walk, or the one-node walk of ``build_seqs`` for each pair."""
+    if request.param == "one_at_a_time":
+        monkeypatch.setattr(traversal, "_walk_lockstep", walk_each_pair)
     return request.param
 
 
@@ -293,15 +296,12 @@ def test_walks_past_implicit_successors_with_sparse_siblings(walk):
     assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
 
 
-def test_build_seqs_matches_reconstruct_all_above_the_crossover():
+def test_build_seqs_matches_reconstruct_all_start_by_start():
     # reconstruct_all walks this index in lockstep and build_seqs walks one
     # start's colors one at a time; each start's strings must agree
     raw = random_read_set(np.random.default_rng(5), 120, 15, 40)
     _, boss, colors, _ = index_for(raw, 7)  # k small enough for repeats
     report = reconstruct_all(boss, colors)
-    per_start = report.per_start.values()
-    assert sum(st.colors for st in per_start) >= traversal.LOCKSTEP_MIN_WALKS
-    assert max(st.colors for st in per_start) < traversal.LOCKSTEP_MIN_WALKS
     assert report.ambiguous_count > 0
     got = []
     for v in report.per_start:
@@ -340,9 +340,9 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
     # and derive its starting predecessors once; other colors on the same
-    # graph decode their own table and reuse the graph's map. Only the
-    # lockstep walk derives the hop table, once per graph: building,
-    # loading, build_seqs below the crossover and assembly derive none
+    # graph decode their own table and reuse the graph's map. Only
+    # reconstruct_all's lockstep walk derives the hop table, once per
+    # graph: building, loading, build_seqs and assembly derive none
     calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
@@ -353,20 +353,16 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
         monkeypatch.setattr(traversal, name, counted)
     _, boss, colors, _ = index_for(list(mixed_read_set(2, 9).reads), 9)
     starts = boss.starting_node_ids().tolist()
-    assert max(len(get_colors(colors, v)) for v in starts) < traversal.LOCKSTEP_MIN_WALKS
     for v in starts:
         build_seqs(boss, colors, v)
         contig_assm(boss, colors, v, 0.5)
-    reconstruct_all(boss, colors)
     assemble_all(boss, colors, 0.5)
-    for v in starts[::3]:
-        build_seqs(boss, colors, v)
-        contig_assm(boss, colors, v, 1.0)
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 0}
-    monkeypatch.setattr(traversal, "LOCKSTEP_MIN_WALKS", 0)
     recovered = reconstruct_all(boss, colors).recovered
     for v in starts[::3]:
         build_seqs(boss, colors, v)
+        contig_assm(boss, colors, v, 1.0)
+    assert reconstruct_all(boss, colors).recovered == recovered
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 1}
     copy = dataclasses.replace(colors)
     assert copy._query is None
@@ -662,7 +658,7 @@ def without_the_end_color(read, k, end):
     colorable = mark_colorable(boss)
     rows = color_all(boss, colorable, reads).rows
     rows[colorable.rank1(boss.label_to_node(end)) - 1] = [99]
-    return boss, compress(DynamicColorTable.from_rows(rows), colorable)
+    return boss, compress(table_from_rows(rows), colorable)
 
 
 # reads whose unary runs, between branches, are longer than k - 2 edges
@@ -708,7 +704,7 @@ def test_a_chain_of_capped_hops_spells_a_branch_free_read(walk, k, read):
     # at k=63 the run is longer than a hop's byte of length could count
     reads, boss, colors, full = index_for([read], k)
     outdeg = np.diff(boss._first_edge[1:])
-    assert (outdeg[boss.solid_mask()] == 1).all()
+    assert (outdeg[solid_mask(boss)] == 1).all()
     report = assert_matches_reference(boss, colors, full)
     assert sorted(report.recovered) == sorted(reads.strings_with_rc())
 
