@@ -74,16 +74,6 @@ class Reader:
 Pieces = dict[str, Callable[[Writer], None]]
 
 
-def serialized_sizes(pieces: Pieces) -> dict[str, int]:
-    """Bytes that each named writer of a structure's fields writes."""
-    sizes = {}
-    for name, write in pieces.items():
-        w = Writer()
-        write(w)
-        sizes[name] = len(w.getvalue())
-    return sizes
-
-
 class Fields:
     """A structure stored as named fields: ``pieces`` gives the writer of
     each, in file order, so that what is written and what is reported as
@@ -98,4 +88,9 @@ class Fields:
 
     def structure_bytes(self) -> dict[str, int]:
         """Bytes of each field, in file order; they sum to the structure."""
-        return serialized_sizes(self.pieces())
+        sizes = {}
+        for name, write in self.pieces().items():
+            w = Writer()
+            write(w)
+            sizes[name] = len(w.getvalue())
+        return sizes

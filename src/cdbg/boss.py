@@ -160,7 +160,20 @@ class BossIndex(Fields):
     """Succinct de Bruijn graph of order k with node taxonomy queries.
 
     Node ids are 1-based ranks in BOSS (colex label) order. Edge positions
-    are 1-based indices into ``E``.
+    are 1-based indices into ``E``. Attributes set at build and at load:
+
+    * ``E``, the edge symbols (``SymbolSequence``);
+    * ``K``, ``K[i]`` = number of node labels ending with a symbol < i+1
+      (len 6), derived; ``K[5]`` is the node count;
+    * ``implicit_candidates``, sorted ids of the implicit successors: each
+      is the one solid successor of a branching node u whose other
+      successors are all ending nodes, not a starting node, and the
+      successor of no other branching node. A walk at u sends there every
+      color that no ending successor holds, so its row is stored only where
+      it shares a color with a sibling's. Derived; read-only;
+    * ``explicit_colorable``, bitmap over node ids - 1 of the colourable
+      nodes that are not ``implicit_candidates``: every index of this graph
+      stores their rows. Derived; the only node bitmap held.
 
     ``_query`` is traversal's slot for its view of the graph
     (``traversal._GraphView``), empty after build and after load.
@@ -201,7 +214,7 @@ class BossIndex(Fields):
 
             boss = cls.__new__(cls)
             boss.k = k
-            boss._E = SymbolSequence(sym, int(np.argmax(closure)), int(closure.sum()))
+            boss.E = SymbolSequence(sym, int(np.argmax(closure)), int(closure.sum()))
             boss._flags = BitVector(minus)
             boss.edge_count = m
         with stage("boss_derive"):
@@ -225,16 +238,16 @@ class BossIndex(Fields):
         first = np.flatnonzero(b_bits.view(bool)) + 1
         self._first_edge = np.concatenate([[0], first, [m + 1]]).astype(width)
         n = self.node_count = len(self._first_edge) - 2
-        self._codes = self._E.codes()
-        ends = self._E.closure_len + 1  # the ending nodes are ids 2..K[1]
+        self._codes = self.E.codes()
+        ends = self.E.closure_len + 1  # the ending nodes are ids 2..K[1]
         if not 2 <= ends <= n:
             raise CorruptIndex(f"{ends - 1} closure edges, not 1 to {n - 1}: one per ending node")
         if self._first_edge[ends + 1] - self._first_edge[2] != ends - 1:
             raise CorruptIndex("an ending node does not own exactly one closure edge")
-        if self._first_edge[2] - 1 != self._E.closure_start:
+        if self._first_edge[2] - 1 != self.E.closure_start:
             raise CorruptIndex("the closure run does not start at the first ending node")
-        targets, self._kcum = self._derive_targets(minus)
-        if self._kcum[1] != ends:
+        targets, self.K = self._derive_targets(minus)
+        if self.K[1] != ends:
             raise CorruptIndex("the $ edges do not enter every ending node")
         if len(targets) and targets.max() > n:
             raise CorruptIndex("edge target rank exceeds node count")
@@ -273,11 +286,11 @@ class BossIndex(Fields):
         # other branching node
         t = self._targets[self._read_end_edges()]
         t = t[solid[t] & (bits[t] == 0)]
-        self._implicit = np.sort(t[np.bincount(succ, minlength=n + 1)[t] == 1])
-        self._implicit.flags.writeable = False
+        self.implicit_candidates = np.sort(t[np.bincount(succ, minlength=n + 1)[t] == 1])
+        self.implicit_candidates.flags.writeable = False
         bits[succ[solid[succ]]] = 1
-        bits[self._implicit] = 0
-        self._explicit = BitVector(bits[1:])
+        bits[self.implicit_candidates] = 0
+        self.explicit_colorable = BitVector(bits[1:])
         self._query = None  # see the class docstring
 
     def _read_end_edges(self) -> np.ndarray:
@@ -296,7 +309,7 @@ class BossIndex(Fields):
         labels of each symbol follow those of the smaller ones and the root
         (whose label ends in ``$``) comes first. ``K[c]`` is 1 plus the
         number of unflagged real edges of symbol at most c."""
-        E = self._E
+        E = self.E
         closure = slice(E.closure_start, E.closure_start + E.closure_len)
         counted = ~minus.view(bool)
         counted[closure] = False
@@ -327,10 +340,6 @@ class BossIndex(Fields):
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def E(self) -> SymbolSequence:
-        return self._E
-
-    @property
     def B(self) -> BitVector:
         """Bitmap marking each node's first edge, built from the first-edge
         array on each access."""
@@ -347,45 +356,21 @@ class BossIndex(Fields):
         """Bitmap over node ids - 1 of the p nodes that receive colours:
         starting, ending and critical nodes. Built on each access from
         ``explicit_colorable`` and ``implicit_candidates``."""
-        if not len(self._implicit):
-            return self._explicit
-        bits = self._explicit.to_bits()
-        bits[self._implicit - 1] = 1
+        if not len(self.implicit_candidates):
+            return self.explicit_colorable
+        bits = self.explicit_colorable.to_bits()
+        bits[self.implicit_candidates - 1] = 1
         return BitVector(bits)
-
-    @property
-    def explicit_colorable(self) -> BitVector:
-        """Bitmap over node ids - 1 of the colourable nodes that are not
-        ``implicit_candidates``: every index of this graph stores their
-        rows. Derived at build and at load; the only node bitmap held."""
-        return self._explicit
-
-    @property
-    def implicit_candidates(self) -> np.ndarray:
-        """Sorted ids of the implicit successors: each is the one solid
-        successor of a branching node u whose other successors are all
-        ending nodes, not a starting node, and the successor of no other
-        branching node. A walk at u sends there every color that no ending
-        successor holds, so its row is stored only where it shares a color
-        with a sibling's. Derived at build and at load; the graph's own,
-        read-only array."""
-        return self._implicit
 
     def implicit_siblings(self) -> np.ndarray:
         """The sibling of each of ``implicit_candidates``, in their order:
         the ending node that the $ edge of its branching node enters.
         Derived on each call."""
         implicit = np.zeros(self.node_count + 1, dtype=bool)
-        implicit[self._implicit] = True
+        implicit[self.implicit_candidates] = True
         second = self._read_end_edges()
         second = second[implicit[self._targets[second]]]
         return self._targets[second[np.argsort(self._targets[second])] - 1]
-
-    @property
-    def K(self) -> np.ndarray:
-        """K[i] = number of node labels ending with a symbol < i+1 (len 6),
-        derived at build and at load; ``K[5]`` is the node count."""
-        return self._kcum
 
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
@@ -450,7 +435,7 @@ class BossIndex(Fields):
 
     def node_label(self, v: int) -> str:
         self._check_node(v)
-        K, parent = self._kcum.tolist(), memoryview(self._parent)
+        K, parent = self.K.tolist(), memoryview(self._parent)
         syms: list[str] = []
         cur = v
         while cur != 1 and len(syms) < self.k - 1:
@@ -477,7 +462,7 @@ class BossIndex(Fields):
         # a node's bucket is 1 plus the bounds K[1..4] below it; the root's
         # is `$`, and so is 0, which the chain holds past the root
         codes = np.ones(chain.shape, dtype=np.uint8)
-        for bound in self._kcum[1:5].tolist():
+        for bound in self.K[1:5].tolist():
             codes += chain > bound
         return np.ascontiguousarray(codes.T)
 
@@ -510,7 +495,7 @@ class BossIndex(Fields):
     def pieces(self) -> Pieces:
         return {
             "edge_count": lambda w: w.u64(self.edge_count),
-            **self._E.pieces(),
+            **self.E.pieces(),
             "B": self._rising_bits().serialize,
             "flags": self._flags.serialize,
         }
@@ -523,8 +508,8 @@ class BossIndex(Fields):
         boss = cls.__new__(cls)
         boss.k = k
         m = boss.edge_count = r.u64()
-        boss._E = SymbolSequence.deserialize(r, m)
-        rising = _rising(boss._E.codes())
+        boss.E = SymbolSequence.deserialize(r, m)
+        rising = _rising(boss.E.codes())
         b = BitVector.deserialize(r, len(rising))
         boss._flags = BitVector.deserialize(r, m)
         b_bits = np.ones(m, dtype=np.uint8)

@@ -105,12 +105,8 @@ def cmd_reconstruct(args) -> int:
         boss, colors, meta = read_index(args.index)
     with stage("reconstruct"):
         report = reconstruct_all(boss, colors)
-    logger.info(
-        "walks=%d recovered=%d ambiguous=%d",
-        sum(s.colors for s in report.per_start.values()),
-        report.recovered_count,
-        report.ambiguous_count,
-    )
+    recovered, ambiguous = report.recovered_count, report.ambiguous_count
+    logger.info("walks=%d recovered=%d ambiguous=%d", recovered + ambiguous, recovered, ambiguous)
     if args.verify:
         with stage("verify"):
             report.verified_fraction = verified_fraction(report.recovered, parse_reads(args.verify))
@@ -118,8 +114,8 @@ def cmd_reconstruct(args) -> int:
         with open(args.output, "w") as fh:
             for s in report.recovered:
                 fh.write(s + "\n")
-    print(f"recovered_sequences={report.recovered_count}")
-    print(f"ambiguous_count={report.ambiguous_count}")
+    print(f"recovered_sequences={recovered}")
+    print(f"ambiguous_count={ambiguous}")
     if report.verified_fraction is not None:
         print(f"recovered_percentage={100.0 * report.verified_fraction:.2f}")
     return EXIT_OK

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .boss import BossIndex
 from .colormatrix import CompressedColors
@@ -49,15 +49,8 @@ class StatsRecord:
         sections = [f"bytes_{tag}={n}" for tag, n in (self.section_bytes or {}).items()]
         sections += [f"bytes_BOSS_{name}={n}" for name, n in (self.graph_bytes or {}).items()]
         sections += [f"bytes_COLR_{name}={n}" for name, n in (self.color_bytes or {}).items()]
-        return [
-            f"total_nodes={self.total_nodes}",
-            f"solid_nodes={self.solid_nodes}",
-            f"edge_count={self.edge_count}",
-            f"colored_nodes={self.colored_nodes}",
-            f"implicit_nodes={self.implicit_nodes}",
-            f"num_colors={self.num_colors}",
-            f"index_bytes={self.index_bytes}",
-            f"plain_bytes={self.plain_bytes}",
+        counts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.type == "int"]
+        return counts + [
             f"compression_rate={self.compression_rate:.4f}",
             f"bits_per_edge={self.bits_per_edge:.4f}",
             f"colored_fraction={self.colored_fraction:.6f}",

@@ -9,6 +9,8 @@ import numpy as np
 
 from .sequence import reverse_complement
 
+_ACGT = np.frombuffer(b"acgt", dtype=np.uint8)  # base code -> ASCII byte
+
 
 @dataclass
 class SyntheticConfig:
@@ -34,7 +36,7 @@ class SyntheticConfig:
 def generate_genome(cfg: SyntheticConfig) -> str:
     rng = np.random.default_rng(cfg.seed)
     codes = rng.integers(0, 4, size=cfg.genome_len)
-    return "".join("acgt"[c] for c in codes)
+    return _ACGT[codes].tobytes().decode("ascii")
 
 
 def generate_reads(cfg: SyntheticConfig) -> tuple[str, list[str]]:
@@ -48,7 +50,7 @@ def generate_reads(cfg: SyntheticConfig) -> tuple[str, list[str]]:
     starts = rng.integers(0, cfg.genome_len - cfg.read_len + 1, size=n)
     strands = rng.integers(0, 2, size=n)
     reads = []
-    for pos, strand in zip(starts, strands):
+    for pos, strand in zip(starts.tolist(), strands.tolist()):
         r = genome[pos : pos + cfg.read_len]
         reads.append(reverse_complement(r) if strand else r)
     if cfg.error_rate:
@@ -60,9 +62,9 @@ def _substitute(reads: list[str], rate: float, rng: np.random.Generator) -> list
     """The reads with each base replaced, with probability rate, by one of
     the other three bases, uniformly."""
     codes = np.frombuffer("".join(reads).encode("ascii"), dtype=np.uint8)
-    codes = np.searchsorted(np.frombuffer(b"acgt", dtype=np.uint8), codes)
+    codes = np.searchsorted(_ACGT, codes)
     hit = np.flatnonzero(rng.random(len(codes)) < rate)
     codes[hit] = (codes[hit] + rng.integers(1, 4, size=len(hit))) % 4
-    text = np.frombuffer(b"acgt", dtype=np.uint8)[codes].tobytes().decode("ascii")
+    text = _ACGT[codes].tobytes().decode("ascii")
     ends = np.cumsum([len(r) for r in reads]).tolist()
     return [text[a:b] for a, b in zip([0] + ends, ends)]

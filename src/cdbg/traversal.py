@@ -161,7 +161,7 @@ def _walk_lockstep(
     hop_to, hop_len = graph.hops
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
-    last_ending, limit = int(boss.K[1]), boss.edge_count + boss.k  # ending nodes are ids 2..K[1]
+    last_ending, limit = graph.last_ending, graph.step_limit
     wid, steps = np.arange(n_walks), np.zeros(n_walks, dtype=np.int64)
     ok, total = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
     hops = [(wid[:0], wid[:0], hop_len[:0])]  # (walk, its step's edge, edges)
@@ -443,17 +443,6 @@ class _ColorView:
             m = int.from_bytes(bits.tobytes(), "little")
         return m
 
-    def decode(self, v: int) -> list[int]:
-        """Node v's colors, ascending, decoded on each call."""
-        if (r := self._rank[v - 1]) in self.sparse:
-            return self.sparse[r].tolist()
-        m, got = self.mask(v), []
-        while m:
-            low = m & -m
-            got.append(low.bit_length())
-            m ^= low
-        return got
-
     def start_colors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The colors of nodes ``ids`` as (position in ids, color) pairs,
         by position and then color: the rows of ``words`` in one unpack,
@@ -479,7 +468,15 @@ class _ColorView:
         """Node v's colors, ascending, kept in ``_lists``."""
         got = self._lists.get(v)
         if got is None:
-            got = self._lists[v] = self.decode(v)
+            if (r := self._rank[v - 1]) in self.sparse:
+                got = self.sparse[r].tolist()
+            else:
+                m, got = self.mask(v), []
+                while m:
+                    low = m & -m
+                    got.append(low.bit_length())
+                    m ^= low
+            self._lists[v] = got
         return got
 
     def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:

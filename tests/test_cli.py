@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import zlib
@@ -356,3 +357,19 @@ class TestSynth:
             "--output", str(tmp_path / "x.fa"),
         )
         assert res.returncode == 1
+
+
+def test_readme_commands_run_as_written(tmp_path):
+    # the README's round trip, each `cdbg` run as `python -m cdbg`, so that
+    # the README cannot drift from the CLI
+    readme = (PKG_ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n(cdbg .*?)```", readme, re.S).group(1)
+    stdout = []
+    for line in block.splitlines():
+        command, *args = shlex.split(line)
+        assert command == "cdbg"
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 0, (line, res.stderr)
+        stdout.append(res.stdout)
+    assert len(stdout) == 5
+    assert "recovered_percentage=100.00\n" in "".join(stdout)

@@ -27,7 +27,7 @@ from cdbg.container import (
     write_index,
 )
 from cdbg.errors import IntegrityError, ParseError
-from cdbg.fastx import iter_fasta, parse_reads, sniff_format, write_fasta
+from cdbg.fastx import parse_reads, write_fasta
 from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import assemble_all, reconstruct_all
@@ -108,12 +108,16 @@ class TestFastx:
             assert (rs.n_rejected, rs.n_duplicates, rs.n_too_short) == (4, 1, 1)
 
     def test_format_sniffing(self, tmp_path):
+        # the first non-blank line sets the format, whatever the file name;
+        # a FASTA sequence line starting with '@' is read as sequence, a
+        # FASTQ record with a '>' line does not start a FASTA record
         fa = tmp_path / "a.txt"
-        fa.write_text(">x\nacgt\n")
+        fa.write_text("\n>x\nacgt\n@cgt\n>y\nggcc\n")
         fq = tmp_path / "b.txt"
-        fq.write_text("@x\nacgt\n+\nIIII\n")
-        assert sniff_format(fa) == "fasta"
-        assert sniff_format(fq) == "fastq"
+        fq.write_text("\n@x\nacgt\n+\n>III\n")
+        assert parse_reads(fa).reads == ("ggcc",)
+        assert parse_reads(fa).n_rejected == 1
+        assert parse_reads(fq).reads == ("acgt",)
 
     def test_malformed_fastq_reports_line(self, tmp_path):
         p = tmp_path / "bad.fq"
@@ -136,12 +140,23 @@ class TestFastx:
             parse_reads(p)
 
     def test_fasta_sequence_before_the_first_header_is_refused(self, tmp_path):
-        # parse_reads sniffs the first line and refuses it first; the
-        # FASTA reader refuses it on its own too
+        # one check refuses it, at its first sequence line
         p = tmp_path / "headless.fa"
         p.write_text("\nacgt\n>r1\nacgt\n")
-        with pytest.raises(ParseError, match="line 2: sequence data before first header"):
-            list(iter_fasta(p))
+        with pytest.raises(ParseError) as exc:
+            parse_reads(p)
+        assert str(exc.value) == "line 2: file starts with neither '>' nor '@'"
+
+    @pytest.mark.parametrize("name, text", [
+        ("r.fa", "\n\njunk\n>r1\nacgt\n"),
+        ("r.fq", "\n \t\n\njunk\n@r1\nacgt\n+\nIIII\n"),
+    ])
+    def test_junk_after_blank_lines_is_refused_at_its_line(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError, match="starts with neither") as exc:
+            parse_reads(p)
+        assert exc.value.line == text.split("\n").index("junk") + 1
 
     @pytest.mark.parametrize("text, message", [
         ("@r1\nacgt\n+\nIIII\nr2\nacgt\n+\nIIII\n", "line 5: record does not start with '@'"),
@@ -896,6 +911,19 @@ class TestSynthetic:
         g1, r1 = generate_reads(cfg)
         g2, r2 = generate_reads(cfg)
         assert g1 == g2 and r1 == r2
+
+    @pytest.mark.parametrize("error_rate, digest", [
+        (0.0, "f30e4276b7ef2ea73f2437975f14627500d0260305b2a6948dedcd416fc4681c"),
+        (0.01, "5d827ceeb1663c62420bfc103e3f8cc9abbfa7f4c6203888597a4dc747bb7446"),
+    ])
+    def test_output_is_pinned(self, error_rate, digest):
+        # the genome and the reads, one per line; a change here changes
+        # the benchmark's read sets and the synthetic indexes pinned in
+        # TestContainer
+        cfg = SyntheticConfig(genome_len=2000, coverage=10, seed=0, error_rate=error_rate)
+        genome, reads = generate_reads(cfg)
+        assert len(reads) == 200
+        assert hashlib.sha256("\n".join([genome, *reads]).encode()).hexdigest() == digest
 
     def test_reads_come_from_both_strands(self):
         from cdbg.sequence import reverse_complement
