@@ -177,35 +177,47 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
     to its ending node, flat with per-string offsets.
 
     All strings walk in lockstep from the all-dummy root (node 1) over
-    s + "$"; after k-2 steps each is at its starting node. Strings are
-    ordered longest first, so the ones still walking are a prefix.
-    """
-    k = boss.k
-    steps = np.array([len(s) + 1 for s in strings], dtype=np.int64)
-    syms = encode(DUMMY.join(strings) + DUMMY)
-    sym_start = np.concatenate([[0], np.cumsum(steps)[:-1]])
-    offsets = np.concatenate([[0], np.cumsum(steps - (k - 3))])
-    path = np.empty(offsets[-1], dtype=np.int64)
+    s + "$": k-3 steps over s[:k-3], then one step per path node, the first
+    reaching the starting node. The symbols s[k-3:] + "$" are laid out as
+    the path is, so one index per string reads a step's symbol and writes
+    the node it reaches. Strings are ordered longest first, so the ones
+    still walking are a prefix, its length per step from the sorted lengths.
 
-    # forward(v, c) is fwd[5 * v + c - 1], the target of v's edge with symbol c,
+    A walk stands at 5 * v for node v and ``fwd[5 * v + c]`` is
+    5 * forward(v, c), so a step is one add and one gather. Node 0's
+    entries and those of missing edges are 0: a walk that leaves the graph
+    stays at node 0, so one check of the paths' last nodes after the walk
+    names the first string, in R' order, whose path holds a 0.
+    """
+    k, n = boss.k, len(strings)
+    lens = np.array([len(s) for s in strings], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lens - (k - 4))])
+    syms = encode(DUMMY.join(s[k - 3 :] for s in strings) + DUMMY)
+    path = np.empty(offsets[-1], dtype=np.int64)
     # at the narrowest width that holds an index into the table
-    size = 5 * (boss.node_count + 1)
+    size = 5 * (boss.node_count + 1) + 1
     fwd = np.zeros(size, dtype=np.int32 if size < 2**31 else np.int64)
-    fwd[5 * boss.edge_sources().astype(np.int64) + boss._codes - 1] = boss.edge_targets()
-    order = np.argsort(-steps, kind="stable")
-    neg_steps = -steps[order]
-    sym_start, path_start = sym_start[order], offsets[:-1][order] - (k - 2)
-    cur = np.ones(len(strings), dtype=np.int64)
-    for j in range(int(steps.max())):
-        a = int(np.searchsorted(neg_steps, -j))  # strings with more than j steps
-        cur = fwd[5 * cur[:a] + syms[sym_start[:a] + j] - 1]
-        if not cur.all():
-            i = int(order[np.flatnonzero(cur == 0)].min())
-            if j < k - 2:
-                raise CorruptIndex(f"starting node missing for prefix of string {i}")
-            raise CorruptIndex(f"path of string {i} breaks off the graph")
-        if j >= k - 3:
-            path[path_start[:a] + j + 1] = cur
+    fwd[5 * boss.edge_sources().astype(np.int64) + boss._codes] = boss.edge_targets()
+    fwd *= 5
+    order = np.argsort(-lens, kind="stable")
+    at = offsets[:-1][order]
+    walking = np.cumsum(np.bincount(np.diff(offsets))[::-1])[::-1][1:].tolist()
+    prefix = encode("".join(s[: k - 3] for s in strings)).reshape(n, k - 3)[order]
+    cur = np.full(n, 5, dtype=fwd.dtype)
+    # the sums index at full width: a narrower index is widened by the gather
+    for j in range(k - 3):
+        cur = fwd[np.add(cur, prefix[:, j], dtype=np.intp)]
+    for j, a in enumerate(walking):  # a: the strings with more than j steps left
+        idx = at[:a] + j
+        cur = fwd[np.add(cur[:a], syms[idx], dtype=np.intp)]
+        path[idx] = cur
+    path //= 5
+    ends = path[offsets[1:] - 1]  # 0 where a path left the graph
+    if not ends.all():
+        i = int(np.argmin(ends))
+        if not path[offsets[i]]:
+            raise CorruptIndex(f"starting node missing for prefix of string {i}")
+        raise CorruptIndex(f"path of string {i} breaks off the graph")
     return path, offsets
 
 

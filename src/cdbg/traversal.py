@@ -17,9 +17,9 @@ takes each walk's edge and hops along single out-edges to the next branch
 (``_hop_table``). ``build_seqs`` walks its start's colors one node at a
 time (``_walk_color``): a start holds few colors, and a lockstep step costs
 about the same however many walks it carries. At a branch both read bit
-c - 1 of each successor's row bitmask: the one-node walk from a Python
-int, the lockstep walk from one gather over the color view's word matrix
-for all its walks. In the view an implicit successor reads an empty row
+c - 1 of each successor's row bitmask: the one-node walk from Python ints,
+in one pass over the branch's out-edges, the lockstep walk from one gather
+over the color view's word matrix for all its walks. In the view an implicit successor reads an empty row
 (``_ColorView.empty``), kept apart from a node that is not colorable,
 which raises ``NotColored``. Both walks give the same strings.
 
@@ -122,24 +122,40 @@ def reconstruct_all(
 
 def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
     """The symbols that color c's walk from starting node v appends to v's
-    label, one node at a time; None when the walk is ambiguous."""
+    label, one node at a time; None when the walk is ambiguous or takes
+    more than edge_count + k steps. A branch is read in one pass that counts
+    the successors whose row holds c (a sparse row through ``mask``) and the
+    implicit successors. Every out-edge is read before the choice, so an
+    uncolorable successor raises ``NotColored`` where the lockstep does."""
     first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-    mask, rank, empty = palette.mask, palette._rank, palette.empty
+    mask, masks, rank, empty = palette.mask, palette.masks, palette._rank, palette.empty
     last_ending, bit = graph.last_ending, c - 1
     syms = bytearray()  # one code per step
-    while v > last_ending:
-        if len(syms) == graph.step_limit:
-            return None  # a walk this long cycles
+    for _ in range(graph.step_limit):
+        if v <= last_ending:
+            break
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
         if end - e > 1:
-            hits = [f for f in range(e, end) if mask(targets[f]) >> bit & 1]
-            if not hits:  # no row holds c: the implicit successor does
-                hits = [f for f in range(e, end) if rank[targets[f] - 1] == empty]
-            if len(hits) != 1:
+            hits = implicit = 0
+            for f in range(e, end):
+                r = rank[targets[f] - 1]
+                m = masks[r] if r >= 0 else None
+                if m is None:
+                    m = mask(targets[f])  # a sparse row, or NotColored
+                if m >> bit & 1:
+                    hits, hit = hits + 1, f
+                elif r == empty:
+                    implicit, spare = implicit + 1, f
+            if hits == 1:
+                e = hit
+            elif not hits and implicit == 1:
+                e = spare
+            else:
                 return None
-            e = hits[0]
         v = targets[e]
         syms.append(codes[e])
+    if v > last_ending:
+        return None  # a walk this long cycles
     return syms.translate(_CODE_ASCII).decode()
 
 

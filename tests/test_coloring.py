@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdbg.bitvectors import BitVector
 from cdbg.boss import BossIndex
@@ -16,7 +17,7 @@ from cdbg.coloring import (
 from cdbg.colormatrix import compress
 from cdbg.errors import CorruptIndex, IncompleteColoring
 from cdbg._binio import Writer
-from cdbg.sequence import ReadSet
+from cdbg.sequence import ReadSet, reverse_complement
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import reconstruct_all
 
@@ -428,17 +429,70 @@ class TestArrayScanMatchesReference:
 
 
 @pytest.mark.parametrize(
-    "foreign",
+    "foreign, message",
     [
-        "gggggg",  # no starting node for its prefix
-        "taccgt",  # leaves the graph after the starting node
-        "tacg",  # on the graph, but "cg" is no ending node
+        # no starting node for its prefix
+        ("gggggg", "starting node missing for prefix of string 0"),
+        # leaves the graph after the starting node
+        ("taccgt", "path of string 0 breaks off the graph"),
+        # on the graph, but "cg" is no ending node; its reverse complement
+        # "cgta" has no starting node, so it leaves the graph at an earlier
+        # step, but the first string in R' order is named
+        ("tacg", "path of string 0 breaks off the graph"),
     ],
+    ids=["gggggg", "taccgt", "tacg"],
 )
-def test_color_all_rejects_read_not_in_graph(e1, foreign):
+def test_color_all_rejects_read_not_in_graph(e1, foreign, message):
     boss, colorable = e1
-    with pytest.raises(CorruptIndex):
+    with pytest.raises(CorruptIndex, match=f"^{message}$"):
         color_all(boss, colorable, ReadSet.from_reads([foreign]))
+
+
+@pytest.mark.parametrize(
+    "later, its_reason",
+    [
+        ("taccgt", "path of string 0 breaks off the graph"),
+        ("gggggg", "starting node missing for prefix of string 0"),
+    ],
+    ids=["taccgt", "gggggg"],
+)
+def test_scan_names_the_first_string_that_leaves_the_graph(e1, later, its_reason):
+    # "tacgtg" leaves the graph at its last symbol, the other string at an
+    # earlier step of the lockstep walk; the scan names the first string in
+    # R' order whose path breaks, with that string's own reason
+    boss, colorable = e1
+    with pytest.raises(CorruptIndex, match="^path of string 0 breaks off the graph$"):
+        scan_all(boss, colorable, ["tacgtg", later])
+    with pytest.raises(CorruptIndex, match=f"^{its_reason}$"):
+        scan_all(boss, colorable, [later, "tacgtg"])
+
+
+def dna(min_len: int, max_len: int):
+    return st.integers(min_len, max_len).flatmap(lambda n: st.text("acgt", min_size=n, max_size=n))
+
+
+@st.composite
+def unequal_read_sets(draw):
+    """k in 3..12 and reads of k to 3k symbols, with palindromes and with
+    duplicates, which the scan walks as strings of their own."""
+    k = draw(st.integers(3, 12))
+    reads = draw(st.lists(dna(k, 3 * k), min_size=1, max_size=8))
+    reads += [h + reverse_complement(h) for h in draw(st.lists(dna(-(-k // 2), 3 * k // 2), max_size=2))]
+    reads += draw(st.lists(st.sampled_from(reads), max_size=3))
+    return k, reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(unequal_read_sets())
+def test_scan_all_matches_the_per_string_walk_on_unequal_lengths(case):
+    # strings of unequal lengths leave the lockstep walk at different
+    # steps, so the number still walking changes from step to step
+    k, reads = case
+    boss = BossIndex.build(ReadSet.from_reads(reads), k=k)
+    colorable = mark_colorable(boss)
+    strings = [s for r in reads for s in (r, reverse_complement(r))]
+    got = scan_rows(scan_all(boss, colorable, strings), len(strings))
+    assert got == [ref_rows(boss, colorable, s) for s in strings]
 
 
 def test_scan_on_a_graph_past_int32_keys():

@@ -309,6 +309,40 @@ def test_build_seqs_matches_reconstruct_all_start_by_start():
     assert got == report.recovered
 
 
+def test_build_seqs_matches_reconstruct_all_on_branch_dense_walks():
+    # the benchmark's regime: 100 bp reads at 30x over 1 kb with k=31, so
+    # nearly every branch on a walk is a read end whose solid successor is
+    # implicit and takes the colors its ending sibling lacks
+    _, raw = generate_reads(SyntheticConfig(genome_len=1000, read_len=100, coverage=30, seed=0))
+    reads, boss, colors, _ = index_for(raw, 31)
+    assert len(colors.implicit) > len(reads.reads)
+    report = reconstruct_all(boss, colors)
+    assert report.ambiguous_count == 0
+    got = []
+    for v in report.per_start:
+        got.extend(build_seqs(boss, colors, v))
+    assert got == report.recovered
+
+
+def test_an_uncolorable_successor_after_two_hits_raises(walk):
+    # every row but the ending nodes' holds color 1, so the walk of "$g"
+    # passes "ga" to "ac", where the successors "ca" and "cc" hold it and
+    # the last one, "cg", is not colorable. Both walks read every out-edge
+    # of a branch before they choose, so they raise rather than give the
+    # color up as ambiguous at the second hit
+    boss = BossIndex.build(ReadSet.from_reads(["gacaa", "gacca", "gacga"]), k=3)
+    ac, cg = boss.label_to_node("ac"), boss.label_to_node("cg")
+    assert [t for _, _, t in boss.successors(ac)] == [boss.label_to_node(x) for x in ("ca", "cc", "cg")]
+    bits = boss.colorable.to_bits().copy()
+    bits[cg - 1] = 0
+    rows = [[2] if v <= boss.K[1] else [1] for v in (np.flatnonzero(bits) + 1).tolist()]
+    colors = compress(table_from_rows(rows), BitVector(bits))
+    with pytest.raises(NotColored, match=f"node {cg} "):
+        build_seqs(boss, colors, boss.label_to_node("$g"))
+    with pytest.raises(NotColored, match=f"node {cg} "):
+        reconstruct_all(boss, colors)
+
+
 def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, tmp_path):
     # building, compressing and loading leave both query slots empty, so
     # that set-up time and the RAM of a loaded index hold no query state;
