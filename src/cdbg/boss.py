@@ -437,12 +437,13 @@ class BossIndex(Fields):
         self._check_node(v)
         K, parent = self.K.tolist(), memoryview(self._parent)
         syms: list[str] = []
-        cur = v
-        while cur != 1 and len(syms) < self.k - 1:
-            syms.append(CODE_SYMBOLS[bisect_left(K, cur)])
-            cur = parent[cur]
-        pad = DUMMY * (self.k - 1 - len(syms))
-        return pad + "".join(reversed(syms))
+        for _ in range(self.k - 1):
+            if v == 1:
+                break
+            syms.append(CODE_SYMBOLS[bisect_left(K, v)])
+            v = parent[v]
+        syms.reverse()
+        return DUMMY * (self.k - 1 - len(syms)) + "".join(syms)
 
     def node_labels(self, ids: np.ndarray) -> np.ndarray:
         """Label codes of many nodes, one row of k-1 codes per id.
@@ -479,8 +480,9 @@ class BossIndex(Fields):
 
     def is_starting(self, v: int) -> bool:
         self._check_node(v)
-        i = int(np.searchsorted(self._starting, v))
-        return i < len(self._starting) and int(self._starting[i]) == v
+        starts = memoryview(self._starting)
+        i = bisect_left(starts, v)
+        return i < len(starts) and starts[i] == v
 
     def starting_node_ids(self) -> np.ndarray:
         """Sorted ids of the starting nodes; the graph's own array."""

@@ -30,17 +30,22 @@ view's word matrix (``_ColorView.start_colors``; a sparse row from
 and the per-start counts from one ``bincount`` over the walks' owners.
 Only the recovered strings are made one at a time.
 
-Contig assembly walks one starting node at a time: it keeps a set of
-active reads (color -> starting node) and extends through a branch only
-when a single successor carries at least an ``x`` fraction of them; an
-implicit successor carries the active colors that no other successor's
-row holds. It reads three caches that only assembly fills: in the graph
-view, the starting predecessors of each node of indegree > 1 and the
-unary run from each node of outdegree 1 where a walk stood, which a walk
-crosses in one step; in the color view, a record of each branching node
-where a walk stood, with its successors' colors. The walks of an
-``assemble_all`` call share long paths, so most runs and records are
-derived by one walk and read by many.
+Contig assembly walks one starting node at a time. It keeps the active
+reads as one bitmask of their colors, with the starting node that
+activated each, and extends through a branch only when a single
+successor carries at least an ``x`` fraction of them; an implicit
+successor carries the active colors that no other successor's row holds.
+Most branches on a walk are read ends: an ending node and one implicit
+successor without a row, so the walk goes on exactly while the reads
+that end there are few enough. A walk crosses such branches inside its
+runs and stops its run only at a real branch, at a node with starting
+predecessors or at an ending node. It reads three caches that only
+assembly fills: in the graph view, the starting predecessors of each node
+of indegree > 1; in the color view, the run from each node where a walk
+stood, which records the read-end branches it crosses, and a record of
+each real branching node where a walk stood, with its successors' colors.
+The walks of an ``assemble_all`` call share long paths, so most runs and
+records are derived by one walk and read by many.
 """
 
 from __future__ import annotations
@@ -327,19 +332,16 @@ class _GraphView:
     memoryviews, whose items index as Python ints without a copy. It holds
     no color and no reference to the graph, so any colors can be read with
     it and the two are dropped together. Built on the graph's first query
-    and kept in ``BossIndex._query``. Only assembly fills its two maps:
-    ``starting_preds`` (``_starting_preds``), whole on the first assembly
-    query, and ``runs``, the unary run (``derive_run``) from each node of
-    outdegree 1 where an assembly walk stood. Only the lockstep walk fills
-    ``hops`` (``_hop_table``), whole on its first call: per node, where
-    its hop lands, at the graph's width, and the hop's edges in a byte,
-    so 5 B per node below 2**31 edges."""
+    and kept in ``BossIndex._query``. Only assembly fills
+    ``starting_preds`` (``_starting_preds``), whole on its first query.
+    Only the lockstep walk fills ``hops`` (``_hop_table``), whole on its
+    first call: per node, where its hop lands, at the graph's width, and
+    the hop's edges in a byte, so 5 B per node below 2**31 edges."""
 
     def __init__(self, boss: BossIndex):
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
         self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
         self.starting_preds: dict[int, list[int]] | None = None
-        self.runs: dict[int, tuple[bytes, int]] = {}
         self.hops: tuple[np.ndarray, np.ndarray] | None = None
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
@@ -360,34 +362,15 @@ class _GraphView:
             view.starting_preds = _starting_preds(boss)
         return view
 
-    def derive_run(self, v: int) -> tuple[bytes, int]:
-        """The unary run from node v of outdegree 1, kept in ``runs``: the
-        codes of the edges it takes, one per node it visits, and the node
-        where it stops, which is a branching node, a node with starting
-        predecessors, or 0 for an ending node (whose edge adds no code). A
-        run longer than any walk's budget of edge_count + 1 visits is cut
-        there, so a unary cycle ends."""
-        first_edge, targets, codes = self.first_edge, self.targets, self.codes
-        last_ending, preds = self.last_ending, self.starting_preds
-        syms = bytearray()
-        e = first_edge[v] - 1
-        while len(syms) <= self.edge_count:
-            t = targets[e]
-            if t <= last_ending:
-                t = 0
-                break
-            syms.append(codes[e])
-            e = first_edge[t] - 1
-            if first_edge[t + 1] - 1 - e != 1 or t in preds:
-                break
-        run = self.runs[v] = bytes(syms), t
-        return run
-
 
 # (code, target, color mask) of each successor that is not an ending node,
-# and the ascending colors of each ending successor. An implicit
+# and the colors of the ending successors as one mask. An implicit
 # successor's mask is the complement of its siblings' rows, a negative int
-_BranchRecord = tuple[list[tuple[int, int, int]], list[list[int]]]
+_BranchRecord = tuple[list[tuple[int, int, int]], int]
+# the codes of a run's edges, the node where it stops (0 for an ending
+# node) and, per read-end branch it crosses, (the codes taken before that
+# branch, the ending sibling's row as a mask)
+_Run = tuple[bytes, int, tuple[tuple[int, int], ...]]
 
 
 class _ColorView:
@@ -410,11 +393,14 @@ class _ColorView:
 
     So the view grows with the payload, not with p·C. Built on the colors'
     first query and kept in ``CompressedColors._query`` until the colors
-    are dropped. It fills two maps one node at a time: ``_lists``, a node's
-    ascending colors (``colors``), for ``build_seqs`` and assembly, and
-    ``branches``, a branching node's record (``derive_branch``) once an
-    assembly walk stood there. A lookup of an uncolorable node raises
-    ``NotColored`` each time: no failure is kept in either map."""
+    are dropped. It fills three maps one node at a time: ``_lists``, a
+    node's ascending colors (``colors``), for ``build_seqs`` and assembly;
+    and, once an assembly walk stood at a node, ``runs``, its run
+    (``derive_run``), or None at a real branching node, and ``branches``,
+    that branching node's record (``derive_branch``). Runs live here, not
+    in the graph's view, because which read-end branches a run crosses
+    depends on the rows. A lookup of an uncolorable node raises
+    ``NotColored`` each time: no failure is kept in any map."""
 
     def __init__(self, colors: CompressedColors):
         offsets, row_colors = decode_rows(colors)
@@ -440,6 +426,7 @@ class _ColorView:
             self.sparse[r], self.masks[r] = row_colors[offsets[r] : offsets[r + 1]].copy(), None
         self._rank = memoryview(self.rank)
         self._lists: dict[int, list[int]] = {}
+        self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
 
     @staticmethod
@@ -495,26 +482,63 @@ class _ColorView:
             self._lists[v] = got
         return got
 
+    def derive_run(self, graph: _GraphView, v: int) -> _Run | None:
+        """The run from node v, kept in ``runs``; None when v is a real
+        branching node. A run takes single out-edges and crosses each
+        read-end branch whose solid successor reads row ``empty`` and whose
+        ending sibling's row is in ``masks``. It stops at any other
+        branching node, so the walk's branch step reads a sibling without
+        a row or with a sparse one and the run, derived ahead of the walk,
+        raises nothing; at a node with starting predecessors; or at an
+        ending node (stop 0, whose edge adds no code). It is cut after any
+        walk's budget of edge_count + 1 edges, so a cycle ends."""
+        first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
+        last_ending, preds = graph.last_ending, graph.starting_preds
+        rank, masks, empty = self._rank, self.masks, self.empty
+        syms, crossed = bytearray(), []
+        t = v
+        while len(syms) <= graph.edge_count:
+            e = first_edge[t] - 1
+            out = first_edge[t + 1] - 1 - e
+            if out == 2 and targets[e] <= last_ending and rank[targets[e + 1] - 1] == empty:
+                r = rank[targets[e] - 1]
+                if r < 0 or masks[r] is None:
+                    break
+                crossed.append((len(syms), masks[r]))
+                e += 1
+            elif out != 1:
+                break
+            t = targets[e]
+            if t <= last_ending:
+                t = 0
+                break
+            syms.append(codes[e])
+            if t in preds:
+                break
+        run = None if t == v and not syms else (bytes(syms), t, tuple(crossed))
+        self.runs[v] = run
+        return run
+
     def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:
         """Branching node v's record: (code, target, color mask) for each
         successor that is not an ending node, and the colors of the ending
-        successors; None when two successors share a color. An implicit
-        successor's mask is every color the other rows do not hold. Kept
-        in ``branches`` unless a successor's row is sparse, since that
-        row's mask, built per call, may be as wide as C. Every successor's
-        colors are read, so an uncolorable one raises whether or not two
-        others share a color."""
+        successors as one mask; None when two successors share a color. An
+        implicit successor's mask is every color the other rows do not
+        hold. Kept in ``branches`` unless a successor's row is sparse, since
+        that row's mask, built per call, may be as wide as C. Every
+        successor's colors are read, so an uncolorable one raises whether
+        or not two others share a color."""
         first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
         solid: list[tuple[int, int, int]] = []
-        ending: list[list[int]] = []
-        seen, shared = 0, False
+        seen = ending = 0
+        shared = False
         for e in range(first_edge[v] - 1, first_edge[v + 1] - 1):
             t = targets[e]
             held = self.mask(t)
             shared = shared or bool(seen & held)
             seen |= held
             if t <= graph.last_ending:
-                ending.append(self.colors(t))
+                ending |= held
             else:
                 solid.append((codes[e], t, held))
         rank, empty = self._rank, self.empty
@@ -526,33 +550,55 @@ class _ColorView:
 
 
 def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x: float) -> str:
-    """Walk from starting node v, whose label is given, keeping a set of
-    active reads (color -> starting node); extend through a branch only
-    when a single successor carries at least an x fraction of them. The
-    walk visits at most edge_count + 1 nodes; it crosses each unary run in
-    one step and reads a branching node's successors from its record."""
-    first_edge, runs, starting_preds = graph.first_edge, graph.runs, graph.starting_preds
-    branches, colors = palette.branches, palette.colors
-    active: dict[int, int] = dict.fromkeys(colors(v), v)
-    held_active = palette.mask(v)  # the bits of active's colors
-    finished: set[tuple[int, int]] = set()
+    """Walk from starting node v, whose label is given, keeping the active
+    reads; extend through a branch only when a single successor carries at
+    least an x fraction of them. The walk visits at most edge_count + 1
+    nodes; it crosses each run, read-end branches included, in one step
+    and reads a real branching node's successors from its record."""
+    runs, branches = palette.runs, palette.branches
+    starting_preds, colors = graph.starting_preds, palette.colors
+    active = palette.mask(v)  # bit c - 1 for each active read's color c
+    owner: dict[int, int] = {}  # color -> the start that activated it, where not v
+    finished: dict[int, int] = {}  # start -> the mask of its colors that ended
+
+    def finish(gone: int) -> None:
+        while gone:
+            low = gone & -gone
+            s = owner.get(low.bit_length(), v)
+            finished[s] = finished.get(s, 0) | low
+            gone ^= low
+
     syms = bytearray()  # one code per edge taken
     cur, budget = v, graph.edge_count + 1  # the nodes left to visit
     while budget:
         for u in starting_preds.get(cur, ()):
+            done = finished.get(u, 0)
             for c in colors(u):
-                if (c, u) not in finished:
-                    active[c] = u
-                    held_active |= 1 << (c - 1)
-        if first_edge[cur + 1] - first_edge[cur] == 1:
-            codes, stop = runs.get(cur) or graph.derive_run(cur)
-            if len(codes) >= budget:
+                if not done >> (c - 1) & 1:
+                    owner[c] = u
+                    active |= 1 << (c - 1)
+        run = runs[cur] if cur in runs else palette.derive_run(graph, cur)
+        if run is not None:
+            codes, stop, crossed = run
+            taken = len(codes)
+            for at, ended in crossed:  # each read-end branch, decided as a branch step
+                if gone := active & ended:
+                    left = active ^ gone
+                    if left.bit_count() / active.bit_count() < x:
+                        taken = at
+                        break
+                    finish(gone)
+                    active = left
+                elif not active:  # else all active reads go on, a share of 1
+                    taken = at
+                    break
+            if taken >= budget:
                 syms += codes[:budget]  # the budget ends inside the run
                 break
-            syms += codes
-            budget -= len(codes)
-            if not stop:
-                break  # an ending node
+            syms += codes[:taken]
+            if taken < len(codes) or not stop:
+                break  # a read-end branch stopped the walk, or an ending node
+            budget -= taken
             cur = stop
             continue
         budget -= 1
@@ -560,18 +606,14 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
         if record is None or not active:
             break  # two successors share a color, or no read is active
         solid, ending = record
-        n = len(active)
-        candidates = [s for s in solid if (s[2] & held_active).bit_count() / n >= x]
-        for held in ending:
-            for c in held:
-                if c in active:
-                    finished.add((c, active.pop(c)))
-                    held_active ^= 1 << (c - 1)
+        n = active.bit_count()
+        candidates = [s for s in solid if (s[2] & active).bit_count() / n >= x]
+        if gone := active & ending:
+            finish(gone)
+            active ^= gone
         if len(candidates) != 1:
             break
         code, cur, held = candidates[0]
         syms.append(code)
-        if held_active & ~held:
-            held_active &= held
-            active = {c: s for c, s in active.items() if held >> (c - 1) & 1}
+        active &= held
     return (label + syms.translate(_CODE_ASCII).decode()).lstrip(DUMMY)

@@ -13,13 +13,17 @@ derive a colorable set that misses a node a walk reaches, but every
 structure a query reads was checked at load. ``reconstruct_all`` runs
 twice, with its own lockstep walk and with ``build_seqs``'s one-node
 walk for each pair (``oracle.walk_each_pair``), and both must give the
-same strings and ambiguous count, or both raise ``NotColored``.
+same strings and ambiguous count, or both raise ``NotColored``. Where
+the loaded colors keep every row (no implicit successor without one),
+``assemble_all`` at x = 0.5 and at x = 1.0 must give the contigs of
+``oracle.assemble_all_ref``, or both raise ``NotColored``; elsewhere it
+runs at x = 1.0 and must answer or raise ``NotColored``.
 
 The process first caps its own address space, so an allocation sized by a
 damaged length field fails as ``MemoryError`` here instead of exhausting
 the machine. Prints one JSON object of outcome counts and exits 0, or
 prints the case and traceback of the first other exception, or of the
-first case where the two walks differ, and exits 1.
+first case where the two walks or the two assemblies differ, and exits 1.
 
 Usage: python tests/fuzz_container.py SEED CASES
 """
@@ -129,6 +133,22 @@ def both_walks(boss, colors) -> list:
     return answers
 
 
+def both_assemblies(boss, colors, x: float) -> list:
+    """``assemble_all``'s contigs at x, or ``NotColored``, and the same from
+    ``oracle.assemble_all_ref``."""
+    from cdbg.errors import NotColored
+    from cdbg.traversal import assemble_all
+    from oracle import assemble_all_ref
+
+    answers = []
+    for assemble in (assemble_all, assemble_all_ref):
+        try:
+            answers.append(assemble(boss, colors, x))
+        except NotColored:
+            answers.append(NotColored)
+    return answers
+
+
 def main(seed: int, cases: int) -> int:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
     from cdbg.container import deserialize_index
@@ -153,11 +173,19 @@ def main(seed: int, cases: int) -> int:
             if lockstep is NotColored:
                 counts["NotColored"] += 1
                 continue
-            try:
-                assemble_all(boss, colors, 1.0)
-                counts["answered"] += 1
-            except NotColored:
-                counts["NotColored"] += 1
+            if len(colors.implicit):
+                try:
+                    assemble_all(boss, colors, 1.0)
+                    counts["answered"] += 1
+                except NotColored:
+                    counts["NotColored"] += 1
+                continue
+            for x in (0.5, 1.0):  # counted by x = 1.0, as the cases above
+                got, want = both_assemblies(boss, colors, x)
+                if got != want:
+                    print(f"case {case} of seed {seed}: assemblies differ at x={x}", file=sys.stderr)
+                    return 1
+            counts["NotColored" if got is NotColored else "answered"] += 1
         except Exception:
             print(f"case {case} of seed {seed}:", file=sys.stderr)
             traceback.print_exc()

@@ -30,6 +30,7 @@ from oracle import (
     decode_table,
     full_colors,
     is_unambiguous,
+    kept_ref,
     solid_mask,
     table_from_rows,
     walk_color,
@@ -259,7 +260,12 @@ def test_an_implicit_successor_sharing_a_color_keeps_its_row(walk, seed, k):
     _, boss, colors, full = index_for(list(mixed_read_set(seed, k).reads), k)
     assert colors.kept.count == 1
     assert_matches_reference(boss, colors, full)
-    assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
+    # an assembly run crosses a read-end branch only where the implicit
+    # successor has no row: at the kept one the walk stays a branch step
+    for x in (0.5, 1.0):
+        for v in boss.starting_node_ids().tolist():
+            assert contig_assm(boss, colors, v, x) == contig_assm_ref(boss, full, v, x)
+        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, full, x)
 
 
 def shared_segment_reads(n: int, k: int) -> list[str]:
@@ -374,9 +380,10 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
     # and derive its starting predecessors once; other colors on the same
-    # graph decode their own table and reuse the graph's map. Only
-    # reconstruct_all's lockstep walk derives the hop table, once per
-    # graph: building, loading, build_seqs and assembly derive none
+    # graph decode their own table and runs and reuse the graph's map.
+    # Only reconstruct_all's lockstep walk derives the hop table, once per
+    # graph: building, loading, build_seqs and assembly derive none. Only
+    # assembly derives runs, each once per colors' view
     calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
@@ -392,36 +399,41 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
         contig_assm(boss, colors, v, 0.5)
     assemble_all(boss, colors, 0.5)
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 0}
+    runs = dict(colors._query.runs)
+    assert runs
     recovered = reconstruct_all(boss, colors).recovered
     for v in starts[::3]:
         build_seqs(boss, colors, v)
         contig_assm(boss, colors, v, 1.0)
     assert reconstruct_all(boss, colors).recovered == recovered
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 1}
+    assert colors._query.runs == runs
     copy = dataclasses.replace(colors)
     assert copy._query is None
     assert assemble_all(boss, copy, 0.5) == assemble_all(boss, colors, 0.5)
     assert reconstruct_all(boss, copy).recovered == recovered
     assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
+    assert copy._query.runs == runs and colors._query.runs == runs
     loaded, loaded_colors = reload(boss, colors)
     assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
     for _ in range(2):
         assert reconstruct_all(loaded, loaded_colors).recovered == recovered
     assert calls == {"decode_rows": 3, "_starting_preds": 1, "_hop_table": 2}
+    assert loaded_colors._query.runs == {}
 
 
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
-    # the graph's view derives each unary run once, for every colors read
-    # with it; each colors' view derives its own branch records; and
-    # reconstruction derives no run
+    # runs read rows, so each colors' view derives its own runs, like its
+    # branch records, once each however many walks read them; a copy of
+    # the colors derives them again, and reconstruction derives none
     calls = {"derive_run": 0, "derive_branch": 0}
-    for cls, name in [(traversal._GraphView, "derive_run"), (traversal._ColorView, "derive_branch")]:
+    for name in calls:
 
-        def counted(*args, _name=name, _orig=getattr(cls, name)):
+        def counted(*args, _name=name, _orig=getattr(traversal._ColorView, name)):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(traversal._ColorView, name, counted)
     _, boss, colors, _ = index_for(list(mixed_read_set(2, 9).reads), 9)
     for v in boss.starting_node_ids().tolist():
         build_seqs(boss, colors, v)
@@ -429,13 +441,15 @@ def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
     assert calls == {"derive_run": 0, "derive_branch": 0}
     contigs = assemble_all(boss, colors, 0.5)
     first = dict(calls)
-    assert first["derive_run"] == len(boss._query.runs) > 0
+    assert first["derive_run"] == len(colors._query.runs) > 0
     assert first["derive_branch"] == len(colors._query.branches) > 0
+    assert any(run and run[2] for run in colors._query.runs.values())  # a run crosses a branch
     assert assemble_all(boss, colors, 0.5) == contigs
     assert calls == first
     copy = dataclasses.replace(colors)
     assert assemble_all(boss, copy, 0.5) == contigs
-    assert calls == {"derive_run": first["derive_run"], "derive_branch": 2 * first["derive_branch"]}
+    assert calls == {name: 2 * n for name, n in first.items()}
+    assert copy._query.runs == colors._query.runs
 
 
 def reload(boss, colors):
@@ -552,26 +566,72 @@ class TestAssemblyMatchesReference:
             assert assemble_all(boss, colors, x) == assemble_all_ref(boss, full, x)
 
     def test_cleared_critical_bits_raise_not_colored(self, mixed_indexes):
-        raised = 0
-        for boss, colors, full in mixed_indexes.values():
-            damaged = without_critical_colors(boss, full)
-            for v in boss.starting_node_ids().tolist():
+        # each index with the N bits of its critical nodes cleared, in the
+        # full table that both walks read; and, once per read-end branch
+        # whose implicit successor has no row, with the row of its ending
+        # sibling removed from the table as built and from the full table.
+        # A run is derived ahead of the walk, but raises only where the
+        # walk arrives: not for a sibling past where it stops, always for
+        # one before. On the staggered reads one run crosses two read ends
+        outcomes = {f"{kind} {how}": 0 for kind in ("critical", "read_end") for how in ("raised", "answered")}
+        staggered = index_for(staggered_reads(), 9)[1:]
+        for boss, colors, full in [*mixed_indexes.values(), staggered]:
+            critical = without_critical_colors(boss, full)
+            damages = [("critical", critical, critical, 0.5)]
+            for e in read_end_siblings(boss, colors):
+                damaged = without_the_row(boss, colors, full, e)
+                damages += [("read_end", *damaged, x) for x in (0.5, 1.0)]
+            for kind, damaged, damaged_full, x in damages:
+                for v in boss.starting_node_ids().tolist():
+                    try:
+                        want = contig_assm_ref(boss, damaged_full, v, x)
+                    except NotColored:
+                        outcomes[f"{kind} raised"] += 1
+                        with pytest.raises(NotColored):
+                            contig_assm(boss, damaged, v, x)
+                    else:
+                        outcomes[f"{kind} answered"] += 1
+                        assert contig_assm(boss, damaged, v, x) == want
                 try:
-                    want = contig_assm_ref(boss, damaged, v, 0.5)
+                    want_all = assemble_all_ref(boss, damaged_full, x)
                 except NotColored:
-                    raised += 1
                     with pytest.raises(NotColored):
-                        contig_assm(boss, damaged, v, 0.5)
+                        assemble_all(boss, damaged, x)
                 else:
-                    assert contig_assm(boss, damaged, v, 0.5) == want
-            try:
-                want_all = assemble_all_ref(boss, damaged, 0.5)
-            except NotColored:
-                with pytest.raises(NotColored):
-                    assemble_all(boss, damaged, 0.5)
-            else:
-                assert assemble_all(boss, damaged, 0.5) == want_all
-        assert raised > 0
+                    assert assemble_all(boss, damaged, x) == want_all
+        assert min(outcomes.values()) > 0, outcomes
+
+
+def staggered_reads() -> list[str]:
+    """Three reads along one random 90 bp genome, each starting inside the
+    one before and ending past it. The third starts before the first ends,
+    so on each strand one run crosses the ends of the first two: at x = 1.0
+    the walk from the first read's start stops at the first end."""
+    rng = np.random.default_rng(7)
+    genome = "".join(rng.choice(list("acgt"), size=90))
+    return [genome[:30], genome[5:45], genome[20:]]
+
+
+def read_end_siblings(boss, colors) -> list[int]:
+    """The ending sibling of each implicit successor without a row in
+    ``colors``."""
+    siblings = []
+    for t in colors.implicit.tolist():
+        (u,) = [w for w in boss.backward(t) if len(boss.successors(w)) > 1]
+        siblings.append(boss.successors(u)[0][2])
+    return siblings
+
+
+def without_the_row(boss, colors, full, e):
+    """The table as built (``colors``) and the full table, both without
+    node e's row: e is not colorable."""
+    bits = boss.colorable.to_bits().copy()
+    bits[e - 1] = 0
+    rows = decode_table(full)
+    del rows[boss.colorable.rank1(e) - 1]
+    colorable, candidates = BitVector(bits), boss.implicit_candidates
+    built = compress_ref(rows, colorable, candidates, colors.kept.to_bits().view(bool).tolist())
+    return built, compress_ref(rows, colorable, candidates)
 
 
 @pytest.fixture(scope="module")
@@ -677,49 +737,63 @@ def test_cycling_color_trail_is_ambiguous(walk):
     # drop the read's color from its ending node: at the self-looping node
     # "aa" only the loop keeps the color, so the walk cycles until the
     # edge_count + k step guard gives it up
-    boss, colors = without_the_end_color("aaaaa", 3, "a$")
+    boss, _, colors = without_the_end_color("aaaaa", 3, "a$")
     start = boss.label_to_node("$a")
     assert [walk_color(boss, colors, start, c) for c in get_colors(colors, start)] == [None]
     report = assert_matches_reference(boss, colors)
     assert report.per_start[start].ambiguous == 1
 
 
-def without_the_end_color(read, k, end):
-    """The index of one read with the read's color dropped from its ending
-    node ``end``, so the read's walk cycles."""
+def without_the_end_color(read, k, end, color=99):
+    """The graph of one read, with the read's color dropped from its ending
+    node ``end``, which holds ``color`` instead, so the read's walk cycles:
+    the graph, the table as built (an implicit successor keeps its row only
+    where it shares a color with a sibling's) and the full table."""
     reads = ReadSet.from_reads([read])
     boss = BossIndex.build(reads, k=k)
     colorable = mark_colorable(boss)
     rows = color_all(boss, colorable, reads).rows
-    rows[colorable.rank1(boss.label_to_node(end)) - 1] = [99]
-    return boss, compress(table_from_rows(rows), colorable)
+    rows[colorable.rank1(boss.label_to_node(end)) - 1] = [color]
+    kept = kept_ref(boss, colorable, rows)
+    built = compress_ref(rows, colorable, boss.implicit_candidates, kept)
+    return boss, built, compress(table_from_rows(rows), colorable)
 
 
-# reads whose unary runs, between branches, are longer than k - 2 edges
+# reads whose unary runs, between branches, are longer than k - 2 edges.
+# The last read's path enters a cycle that holds no starting node and
+# leaves it only at the read's end, a read-end branch
 BUDGET_CUTS = [
     ("acgtacgtacgt", 4, "gt$", 12),
     ("acgtacgtacgtacgt", 5, "cgt$", 14),
     ("aacgtaacgtaacgtaacgt", 6, "acgt$", 28),
+    ("gaacgatcaacgatcaacgatc", 6, "gatc$", 33),
 ]
 
 
 @pytest.mark.parametrize("read, k, end, length", BUDGET_CUTS)
 def test_assembly_cut_by_its_budget_matches_reference(read, k, end, length):
     # drop the read's color from its ending node: the walk then cycles
-    # until its edge_count + 1 visits are spent, at times inside a unary run
-    boss, colors = without_the_end_color(read, k, end)
-    starts = boss.starting_node_ids().tolist()
-    contigs = [contig_assm(boss, colors, v, 0.5) for v in starts]
-    assert contigs == [contig_assm_ref(boss, colors, v, 0.5) for v in starts]
-    assert max(map(len, contigs)) == length
-    assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, colors, 0.5)
+    # until its edge_count + 1 visits are spent, at times inside a run.
+    # In the table as built, the read-end branch's implicit successor has
+    # no row. Color 99 lies past the color view's one word, so the ending
+    # sibling's row is sparse and a run stops at that branch; color 64
+    # lies inside it, so a run crosses the branch and each crossed edge
+    # costs one visit. On the last read the run from its start goes round
+    # the cycle until the budget cuts it
+    for color in (99, 64):
+        boss, colors, full = without_the_end_color(read, k, end, color)
+        starts = boss.starting_node_ids().tolist()
+        contigs = [contig_assm(boss, colors, v, 0.5) for v in starts]
+        assert contigs == [contig_assm_ref(boss, full, v, 0.5) for v in starts]
+        assert max(map(len, contigs)) == length
+        assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
 
 
 @pytest.mark.parametrize("read, k, end", [case[:3] for case in BUDGET_CUTS])
 def test_walks_cycling_through_long_unary_runs_match_reference(walk, read, k, end):
     # the read's walk cycles through unary runs longer than a hop's k - 2
     # edges until the edge_count + k step guard gives it up
-    boss, colors = without_the_end_color(read, k, end)
+    boss, _, colors = without_the_end_color(read, k, end)
     assert assert_matches_reference(boss, colors).ambiguous_count > 0
 
 
