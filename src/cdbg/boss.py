@@ -175,8 +175,8 @@ class BossIndex(Fields):
       nodes that are not ``implicit_candidates``: every index of this graph
       stores their rows. Derived; the only node bitmap held.
 
-    ``_query`` is traversal's slot for its view of the graph
-    (``traversal._GraphView``), empty after build and after load.
+    The graph keeps no query state: traversal's view of an index
+    (``traversal._IndexView``) is kept with its colors.
     """
 
     def __init__(self):
@@ -291,7 +291,6 @@ class BossIndex(Fields):
         bits[succ[solid[succ]]] = 1
         bits[self.implicit_candidates] = 0
         self.explicit_colorable = BitVector(bits[1:])
-        self._query = None  # see the class docstring
 
     def _read_end_edges(self) -> np.ndarray:
         """0-based positions of the second edges of the nodes with two

@@ -62,26 +62,8 @@ class DynamicColorTable:
         self.kept = np.zeros(0, dtype=bool)
 
     @property
-    def rows(self) -> list[list[int]]:
-        """Each row's colors in increasing order; a copy, derived from the masks."""
-        return [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in self.masks]
-
-    @property
-    def p(self) -> int:
-        return len(self.masks)
-
-    @property
     def num_colors(self) -> int:
         return max(self.read_colors, default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DynamicColorTable)
-            and self.masks == other.masks
-            and self.read_colors == other.read_colors
-            and np.array_equal(self.candidates, other.candidates)
-            and np.array_equal(self.kept, other.kept)
-        )
 
 
 def scan_read(boss: BossIndex, colorable: BitVector, read: str) -> tuple[list[int], list[int]]:

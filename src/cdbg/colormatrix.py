@@ -39,8 +39,9 @@ class CompressedColors(Fields):
     ``kept`` marks, per implicit successor of the graph, the ones with a
     row, and ``implicit`` holds the ids of the others, the colorable nodes
     without a row; a table built without them keeps every row.
-    ``_query`` is traversal's slot for its view of these colors
-    (``traversal._ColorView``), empty after build and after load.
+    ``_query`` is traversal's slot for its view of the index: these
+    colors and the graph they were last queried with
+    (``traversal._IndexView``). It is empty after build and after load.
     """
 
     N: BitVector  # the nodes with a row

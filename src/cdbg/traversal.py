@@ -5,11 +5,10 @@ color: at a branch it takes the one successor whose row holds the color,
 and it gives the color up as ambiguous when more than one holds it, or
 when none does and the branch has no implicit successor, the successor
 without a row (``BossIndex.implicit_candidates``) that takes every color
-no stored row holds. Every query reads the index through two views, each
-derived on the first query that needs it and kept on its object for every
-later query: the graph's ``_GraphView`` in ``BossIndex._query`` and the
-colors' ``_ColorView`` in ``CompressedColors._query``. So the color table
-is decoded once per loaded index, not once per call.
+no stored row holds. Every query reads the index through one view
+(``_IndexView``), derived on the first query and kept with the colors
+for every later query with the same graph. So the color table is
+decoded once per loaded index, not once per call.
 
 ``reconstruct_all`` walks all its (starting node, color) pairs in
 lockstep (``_walk_lockstep``), one whole-array step per branch: a step
@@ -19,16 +18,17 @@ time (``_walk_color``): a start holds few colors, and a lockstep step costs
 about the same however many walks it carries. At a branch both read bit
 c - 1 of each successor's row bitmask: the one-node walk from Python ints,
 in one pass over the branch's out-edges, the lockstep walk from one gather
-over the color view's word matrix for all its walks. In the view an implicit successor reads an empty row
-(``_ColorView.empty``), kept apart from a node that is not colorable,
-which raises ``NotColored``. Both walks give the same strings.
+over the view's word matrix for all its walks. An implicit successor
+reads an empty row (``_IndexView.empty``), kept apart from a node that
+is not colorable, which raises ``NotColored``. Both walks give the same
+strings.
 
 Around the walks, ``reconstruct_all`` works on whole arrays too: every
-starting node's colors come from one unpack of its rows in the color
-view's word matrix (``_ColorView.start_colors``; a sparse row from
-``sparse``), every start's label from one ``BossIndex.node_labels`` call,
-and the per-start counts from one ``bincount`` over the walks' owners.
-Only the recovered strings are made one at a time.
+starting node's colors come from one unpack of its rows in the view's
+word matrix (``_IndexView.start_colors``; a sparse row from ``sparse``),
+every start's label from one ``BossIndex.node_labels`` call, and the
+per-start counts from one ``bincount`` over the walks' owners. Only the
+recovered strings are made one at a time.
 
 Contig assembly walks one starting node at a time. It keeps the active
 reads as one bitmask of their colors, with the starting node that
@@ -39,17 +39,18 @@ Most branches on a walk are read ends: an ending node and one implicit
 successor without a row, so the walk goes on exactly while the reads
 that end there are few enough. A walk crosses such branches inside its
 runs and stops its run only at a real branch, at a node with starting
-predecessors or at an ending node. It reads three caches that only
-assembly fills: in the graph view, the starting predecessors of each node
-of indegree > 1; in the color view, the run from each node where a walk
-stood, which records the read-end branches it crosses, and a record of
-each real branching node where a walk stood, with its successors' colors.
-The walks of an ``assemble_all`` call share long paths, so most runs and
-records are derived by one walk and read by many.
+predecessors or at an ending node. It reads three caches of the view
+that only assembly fills: the starting predecessors of each node of
+indegree > 1, the run from each node where a walk stood, which records
+the read-end branches it crosses, and a record of each real branching
+node where a walk stood, with its successors' colors. The walks of an
+``assemble_all`` call share long paths, so most runs and records are
+derived by one walk and read by many.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,11 @@ def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
     are skipped."""
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    graph, palette = _GraphView.of(boss), _ColorView.of(colors)
-    steps = [_walk_color(graph, palette, v, c) for c in palette.colors(v)]
+    view = _IndexView.of(boss, colors)
+    m, steps = view.mask(v), []
+    while m:  # v's colors, ascending
+        steps.append(_walk_color(view, v, (m & -m).bit_length()))
+        m &= m - 1
     label = boss.node_label(v)
     return [(label + s).strip(DUMMY) for s in steps if s is not None]
 
@@ -107,9 +111,11 @@ def reconstruct_all(
     because the benchmark's pipeline passes ``threads=1`` (ROADMAP item 1
     removes both)."""
     report = ReconstructionReport()
-    ids, palette = boss.starting_node_ids(), _ColorView.of(colors)
-    owner, col = palette.start_colors(ids)
-    steps = _walk_lockstep(boss, _GraphView.of(boss), palette, ids[owner], col)
+    ids, view = boss.starting_node_ids(), _IndexView.of(boss, colors)
+    if view.hops is None:
+        view.hops = _hop_table(boss)
+    owner, col = view.start_colors(ids)
+    steps = _walk_lockstep(view, ids[owner], col)
     labels = _labels(boss, ids)
     report.recovered = [
         (labels[o] + s).strip(DUMMY) for o, s in zip(owner.tolist(), steps) if s is not None
@@ -125,18 +131,18 @@ def reconstruct_all(
     return report
 
 
-def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str | None:
+def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
     """The symbols that color c's walk from starting node v appends to v's
     label, one node at a time; None when the walk is ambiguous or takes
     more than edge_count + k steps. A branch is read in one pass that counts
     the successors whose row holds c (a sparse row through ``mask``) and the
     implicit successors. Every out-edge is read before the choice, so an
     uncolorable successor raises ``NotColored`` where the lockstep does."""
-    first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-    mask, masks, rank, empty = palette.mask, palette.masks, palette._rank, palette.empty
-    last_ending, bit = graph.last_ending, c - 1
+    first_edge, targets, codes = view.first_edge, view.targets, view.codes
+    mask, masks, rank, empty = view.mask, view.masks, view._rank, view.empty
+    last_ending, bit = view.last_ending, c - 1
     syms = bytearray()  # one code per step
-    for _ in range(graph.step_limit):
+    for _ in range(view.step_limit):
         if v <= last_ending:
             break
         e, end = first_edge[v] - 1, first_edge[v + 1] - 1
@@ -164,9 +170,7 @@ def _walk_color(graph: _GraphView, palette: _ColorView, v: int, c: int) -> str |
     return syms.translate(_CODE_ASCII).decode()
 
 
-def _walk_lockstep(
-    boss: BossIndex, graph: _GraphView, palette: _ColorView, cur: np.ndarray, col: np.ndarray
-) -> list[str | None]:
+def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[str | None]:
     """What ``_walk_color`` gives for each walk (start ``cur``, color
     ``col``), all walks at once: one whole-array step per branch. A step
     takes a walk's edge, by its color at a branch, and then the hop from
@@ -174,15 +178,13 @@ def _walk_lockstep(
     step guard. Once all walks stop, the recovered ones are spelled in one
     pass over their hops: the code of each edge a hop takes, as the
     one-node walk reads it."""
-    words, rank, sparse, empty = palette.words, palette.rank, palette.sparse, palette.empty
+    words, rank, sparse, empty = view.words, view.rank, view.sparse, view.empty
     n_walks, n_words = len(col), words.shape[1]
     beyond = int(col.max(initial=0)) > 64 * n_words
-    if graph.hops is None:
-        graph.hops = _hop_table(boss)
-    hop_to, hop_len = graph.hops
+    hop_to, hop_len = view.hops
     # int64 once per call: mixed-width numpy steps on small arrays are slower
-    targets, first_edge = boss.edge_targets().astype(np.int64), boss._first_edge.astype(np.int64)
-    last_ending, limit = graph.last_ending, graph.step_limit
+    targets, first_edge = (np.asarray(a).astype(np.int64) for a in (view.targets, view.first_edge))
+    last_ending, limit = view.last_ending, view.step_limit
     wid, steps = np.arange(n_walks), np.zeros(n_walks, dtype=np.int64)
     ok, total = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
     hops = [(wid[:0], wid[:0], hop_len[:0])]  # (walk, its step's edge, edges)
@@ -231,10 +233,10 @@ def _walk_lockstep(
     first = np.cumsum(n) - n  # where each hop's first symbol goes
     order = np.argsort(n, kind="stable")[::-1]  # longest hops first
     first, edge = first[order], edge[keep[order]] - 1
-    syms = np.zeros(int(total.sum()), dtype=np.uint8)
+    syms, codes = np.zeros(int(total.sum()), dtype=np.uint8), np.asarray(view.codes)
     longer = np.cumsum(np.bincount(n)[::-1])[::-1][1:]  # [j]: the hops of more than j edges
     for j, m in enumerate(longer.tolist()):
-        syms[first[:m] + j] = boss._codes[edge[:m]]
+        syms[first[:m] + j] = codes[edge[:m]]
         edge = first_edge[targets[edge[:m]]] - 1
     text = syms.tobytes().translate(_CODE_ASCII).decode()
     ends = np.cumsum(total).tolist()
@@ -258,8 +260,7 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    graph, palette = _GraphView.for_assembly(boss), _ColorView.of(colors)
-    return _assemble_from(graph, palette, v, boss.node_label(v), x)
+    return _assemble_from(_IndexView.for_assembly(boss, colors), v, boss.node_label(v), x)
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
@@ -267,12 +268,11 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
     contig contained in a longer one is kept), deduplicated up to reverse
     complement, longest first."""
     _check_threshold(x)
-    graph, palette = _GraphView.for_assembly(boss), _ColorView.of(colors)
-    starts = boss.starting_node_ids()
+    view, starts = _IndexView.for_assembly(boss, colors), boss.starting_node_ids()
     seen: set[str] = set()
     contigs: list[str] = []
     for v, label in zip(starts.tolist(), _labels(boss, starts)):
-        s = _assemble_from(graph, palette, v, label, x)
+        s = _assemble_from(view, v, label, x)
         canon = min(s, reverse_complement(s))
         if canon not in seen:
             seen.add(canon)
@@ -327,42 +327,6 @@ def _hop_table(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
     return land.astype(boss._first_edge.dtype), steps
 
 
-class _GraphView:
-    """The graph's half of every query's view: the whole-graph arrays as
-    memoryviews, whose items index as Python ints without a copy. It holds
-    no color and no reference to the graph, so any colors can be read with
-    it and the two are dropped together. Built on the graph's first query
-    and kept in ``BossIndex._query``. Only assembly fills
-    ``starting_preds`` (``_starting_preds``), whole on its first query.
-    Only the lockstep walk fills ``hops`` (``_hop_table``), whole on its
-    first call: per node, where its hop lands, at the graph's width, and
-    the hop's edges in a byte, so 5 B per node below 2**31 edges."""
-
-    def __init__(self, boss: BossIndex):
-        self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
-        self.targets = memoryview(boss.edge_targets())  # 0 on closure edges
-        self.starting_preds: dict[int, list[int]] | None = None
-        self.hops: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
-        self.edge_count = boss.edge_count
-        self.step_limit = boss.edge_count + boss.k
-
-    @staticmethod
-    def of(boss: BossIndex) -> _GraphView:
-        view = boss._query
-        if view is None:
-            view = boss._query = _GraphView(boss)
-        return view
-
-    @staticmethod
-    def for_assembly(boss: BossIndex) -> _GraphView:
-        """The graph's view with its starting-predecessor map."""
-        view = _GraphView.of(boss)
-        if view.starting_preds is None:
-            view.starting_preds = _starting_preds(boss)
-        return view
-
-
 # (code, target, color mask) of each successor that is not an ending node,
 # and the colors of the ending successors as one mask. An implicit
 # successor's mask is the complement of its siblings' rows, a negative int
@@ -373,15 +337,23 @@ _BranchRecord = tuple[list[tuple[int, int, int]], int]
 _Run = tuple[bytes, int, tuple[tuple[int, int], ...]]
 
 
-class _ColorView:
-    """The colors' half of every query's view: each row of the color table
-    as a bitmask, bit c - 1 for color c, as ``DynamicColorTable.masks``
-    holds them during the build, decoded once (``decode_rows``). It holds:
+class _IndexView:
+    """Every query's view of one index, graph and colors, built on the
+    first query and kept in ``CompressedColors._query``. A query with
+    another graph object builds it again, so it never answers with one
+    graph's arrays for another. It refers to the graph only weakly and
+    not to the colors, so an index and its view are dropped together.
 
-    * ``words``, a (p + 1, W) uint64 matrix, row r's colors 1..64W, which
-      the lockstep walk gathers from and ``start_colors`` unpacks. W is
-      ⌈C/64⌉ but at most the payload entries per row, rounded down, so
-      ``words`` takes at most one word per entry and the empty row;
+    * the graph's arrays as memoryviews, whose items index as Python ints
+      without a copy: ``first_edge``, ``codes`` and ``targets`` (0 on
+      closure edges); and ``last_ending``, ``edge_count``, ``step_limit``;
+    * ``words``, each row of the color table as a bitmask, bit c - 1 for
+      color c, as ``DynamicColorTable.masks`` holds them during the build,
+      decoded once (``decode_rows``): a (p + 1, W) uint64 matrix, row r's
+      colors 1..64W, which the lockstep walk gathers from and
+      ``start_colors`` unpacks. W is ⌈C/64⌉ but at most the payload
+      entries per row, rounded down, so ``words`` takes at most one word
+      per entry and the empty row;
     * ``masks``, the same rows as Python ints, which the one-node walks
       test with one shift: a list slot and, while W = 1, an int of at most
       36 B per row;
@@ -391,18 +363,24 @@ class _ColorView:
       v is not colorable. Every implicit successor reads row ``empty``,
       one past the stored rows, which holds no color.
 
-    So the view grows with the payload, not with p·C. Built on the colors'
-    first query and kept in ``CompressedColors._query`` until the colors
-    are dropped. It fills three maps one node at a time: ``_lists``, a
-    node's ascending colors (``colors``), for ``build_seqs`` and assembly;
-    and, once an assembly walk stood at a node, ``runs``, its run
-    (``derive_run``), or None at a real branching node, and ``branches``,
-    that branching node's record (``derive_branch``). Runs live here, not
-    in the graph's view, because which read-end branches a run crosses
-    depends on the rows. A lookup of an uncolorable node raises
-    ``NotColored`` each time: no failure is kept in any map."""
+    So the view grows with the payload, not with p·C. Four caches are
+    filled only by the queries that read them: ``hops`` (``_hop_table``),
+    whole on the first ``reconstruct_all``, per node where its hop lands,
+    at the graph's width, and the hop's edges in a byte, so 5 B per node
+    below 2**31 edges; ``starting_preds`` (``_starting_preds``), whole on
+    the first assembly; and, once an assembly walk stood at a node,
+    ``runs``, its run (``derive_run``), or None at a real branching node,
+    and ``branches``, that branching node's record (``derive_branch``). A
+    lookup of an uncolorable node raises ``NotColored`` each time: no
+    failure is kept in any map."""
 
-    def __init__(self, colors: CompressedColors):
+    def __init__(self, boss: BossIndex, colors: CompressedColors):
+        self.graph = weakref.ref(boss)
+        self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
+        self.targets = memoryview(boss.edge_targets())
+        self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
+        self.edge_count = boss.edge_count
+        self.step_limit = boss.edge_count + boss.k
         offsets, row_colors = decode_rows(colors)
         stored = colors.N.to_bits().view(bool)
         self.rank = np.where(stored, np.cumsum(stored) - 1, -1)
@@ -425,15 +403,24 @@ class _ColorView:
         for r in _unique(rows[~fits]).tolist():  # the rows holding a color past the words
             self.sparse[r], self.masks[r] = row_colors[offsets[r] : offsets[r + 1]].copy(), None
         self._rank = memoryview(self.rank)
-        self._lists: dict[int, list[int]] = {}
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
+        self.hops: tuple[np.ndarray, np.ndarray] | None = None
+        self.starting_preds: dict[int, list[int]] | None = None
 
     @staticmethod
-    def of(colors: CompressedColors) -> _ColorView:
+    def of(boss: BossIndex, colors: CompressedColors) -> _IndexView:
         view = colors._query
-        if view is None:
-            view = colors._query = _ColorView(colors)
+        if view is None or view.graph() is not boss:
+            view = colors._query = _IndexView(boss, colors)
+        return view
+
+    @staticmethod
+    def for_assembly(boss: BossIndex, colors: CompressedColors) -> _IndexView:
+        """The index's view with its starting-predecessor map."""
+        view = _IndexView.of(boss, colors)
+        if view.starting_preds is None:
+            view.starting_preds = _starting_preds(boss)
         return view
 
     def mask(self, v: int) -> int:
@@ -467,22 +454,7 @@ class _ColorView:
             owner, col = owner[order], col[order]
         return owner, col.astype(np.int64, copy=False)
 
-    def colors(self, v: int) -> list[int]:
-        """Node v's colors, ascending, kept in ``_lists``."""
-        got = self._lists.get(v)
-        if got is None:
-            if (r := self._rank[v - 1]) in self.sparse:
-                got = self.sparse[r].tolist()
-            else:
-                m, got = self.mask(v), []
-                while m:
-                    low = m & -m
-                    got.append(low.bit_length())
-                    m ^= low
-            self._lists[v] = got
-        return got
-
-    def derive_run(self, graph: _GraphView, v: int) -> _Run | None:
+    def derive_run(self, v: int) -> _Run | None:
         """The run from node v, kept in ``runs``; None when v is a real
         branching node. A run takes single out-edges and crosses each
         read-end branch whose solid successor reads row ``empty`` and whose
@@ -492,12 +464,12 @@ class _ColorView:
         raises nothing; at a node with starting predecessors; or at an
         ending node (stop 0, whose edge adds no code). It is cut after any
         walk's budget of edge_count + 1 edges, so a cycle ends."""
-        first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
-        last_ending, preds = graph.last_ending, graph.starting_preds
+        first_edge, targets, codes = self.first_edge, self.targets, self.codes
+        last_ending, preds = self.last_ending, self.starting_preds
         rank, masks, empty = self._rank, self.masks, self.empty
         syms, crossed = bytearray(), []
         t = v
-        while len(syms) <= graph.edge_count:
+        while len(syms) <= self.edge_count:
             e = first_edge[t] - 1
             out = first_edge[t + 1] - 1 - e
             if out == 2 and targets[e] <= last_ending and rank[targets[e + 1] - 1] == empty:
@@ -519,7 +491,7 @@ class _ColorView:
         self.runs[v] = run
         return run
 
-    def derive_branch(self, graph: _GraphView, v: int) -> _BranchRecord | None:
+    def derive_branch(self, v: int) -> _BranchRecord | None:
         """Branching node v's record: (code, target, color mask) for each
         successor that is not an ending node, and the colors of the ending
         successors as one mask; None when two successors share a color. An
@@ -528,7 +500,7 @@ class _ColorView:
         that row's mask, built per call, may be as wide as C. Every
         successor's colors are read, so an uncolorable one raises whether
         or not two others share a color."""
-        first_edge, targets, codes = graph.first_edge, graph.targets, graph.codes
+        first_edge, targets, codes = self.first_edge, self.targets, self.codes
         solid: list[tuple[int, int, int]] = []
         seen = ending = 0
         shared = False
@@ -537,7 +509,7 @@ class _ColorView:
             held = self.mask(t)
             shared = shared or bool(seen & held)
             seen |= held
-            if t <= graph.last_ending:
+            if t <= self.last_ending:
                 ending |= held
             else:
                 solid.append((codes[e], t, held))
@@ -549,15 +521,14 @@ class _ColorView:
         return record
 
 
-def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x: float) -> str:
+def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping the active
     reads; extend through a branch only when a single successor carries at
     least an x fraction of them. The walk visits at most edge_count + 1
     nodes; it crosses each run, read-end branches included, in one step
     and reads a real branching node's successors from its record."""
-    runs, branches = palette.runs, palette.branches
-    starting_preds, colors = graph.starting_preds, palette.colors
-    active = palette.mask(v)  # bit c - 1 for each active read's color c
+    runs, branches, starting_preds, mask = view.runs, view.branches, view.starting_preds, view.mask
+    active = mask(v)  # bit c - 1 for each active read's color c
     owner: dict[int, int] = {}  # color -> the start that activated it, where not v
     finished: dict[int, int] = {}  # start -> the mask of its colors that ended
 
@@ -569,15 +540,16 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
             gone ^= low
 
     syms = bytearray()  # one code per edge taken
-    cur, budget = v, graph.edge_count + 1  # the nodes left to visit
+    cur, budget = v, view.edge_count + 1  # the nodes left to visit
     while budget:
         for u in starting_preds.get(cur, ()):
-            done = finished.get(u, 0)
-            for c in colors(u):
-                if not done >> (c - 1) & 1:
-                    owner[c] = u
-                    active |= 1 << (c - 1)
-        run = runs[cur] if cur in runs else palette.derive_run(graph, cur)
+            new = mask(u) & ~finished[u] if u in finished else mask(u)
+            active |= new
+            while new:  # highest first: no negative int, as ``m & -m`` makes
+                c = new.bit_length()
+                owner[c] = u
+                new ^= 1 << c - 1
+        run = runs[cur] if cur in runs else view.derive_run(cur)
         if run is not None:
             codes, stop, crossed = run
             taken = len(codes)
@@ -602,7 +574,7 @@ def _assemble_from(graph: _GraphView, palette: _ColorView, v: int, label: str, x
             cur = stop
             continue
         budget -= 1
-        record = branches[cur] if cur in branches else palette.derive_branch(graph, cur)
+        record = branches[cur] if cur in branches else view.derive_branch(cur)
         if record is None or not active:
             break  # two successors share a color, or no read is active
         solid, ending = record

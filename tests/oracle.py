@@ -13,7 +13,7 @@ tests check those paths against them. The walks read a full table, one
 row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
 successors. It also holds what only tests call: ``solid_mask``,
-``edge_disambiguation_flags``, ``table_from_rows``, and
+``edge_disambiguation_flags``, ``table_rows``, ``table_from_rows``, and
 ``walk_each_pair``, which puts ``build_seqs``'s walk in
 ``reconstruct_all``'s place.
 """
@@ -288,13 +288,13 @@ def walk_color(boss, colors, v: int, color: int) -> str | None:
     return "".join(syms).strip(DUMMY)
 
 
-def walk_each_pair(boss, graph, palette, cur, col) -> list[str | None]:
+def walk_each_pair(view, cur, col) -> list[str | None]:
     """What ``traversal._walk_lockstep`` gives, from ``traversal._walk_color``
     one (start ``cur[i]``, color ``col[i]``) pair at a time: in its place,
     ``reconstruct_all`` takes the walk that ``build_seqs`` takes."""
     from cdbg.traversal import _walk_color
 
-    return [_walk_color(graph, palette, v, c) for v, c in zip(cur.tolist(), col.tolist())]
+    return [_walk_color(view, v, c) for v, c in zip(cur.tolist(), col.tolist())]
 
 
 def contig_assm_ref(boss, colors, v: int, x: float) -> str:
@@ -456,6 +456,12 @@ def color_rows_ref(boss, colorable, strings: list[str]) -> tuple[list[list[int]]
     return rows, read_colors
 
 
+def table_rows(table) -> list[list[int]]:
+    """Each row of a ``DynamicColorTable``, its colors in increasing order,
+    derived from the masks."""
+    return [[i + 1 for i in range(m.bit_length()) if m >> i & 1] for m in table.masks]
+
+
 def table_from_rows(rows: list[list[int]]):
     """A ``DynamicColorTable`` holding the given colors at each colorable
     rank, in order, with no implicit successor: every row is kept."""
@@ -500,7 +506,7 @@ def compress_ref(rows: list[list[int]], colorable, candidates=(), kept=None):
 def full_colors(boss, table):
     """The full colour table of a ``color_all`` table, every implicit
     successor kept: what the walk references read."""
-    return compress_ref(table.rows, boss.colorable, boss.implicit_candidates)
+    return compress_ref(table_rows(table), boss.colorable, boss.implicit_candidates)
 
 
 def decode_table(cc) -> list[list[int]]:

@@ -33,6 +33,7 @@ from oracle import (
     kept_ref,
     solid_mask,
     table_from_rows,
+    table_rows,
     walk_color,
     walk_each_pair,
 )
@@ -289,7 +290,7 @@ def test_walks_past_implicit_successors_with_sparse_siblings(walk):
     # to the implicit successor in both walks
     _, boss, colors, full = index_for(shared_segment_reads(70, 25), 25)
     assert colors.num_colors > 64
-    view = traversal._ColorView.of(colors)
+    view = traversal._IndexView.of(boss, colors)
     sparse_siblings = [
         t for t in colors.implicit.tolist()
         for u in boss.backward(t)
@@ -350,16 +351,16 @@ def test_an_uncolorable_successor_after_two_hits_raises(walk):
 
 
 def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, tmp_path):
-    # building, compressing and loading leave both query slots empty, so
-    # that set-up time and the RAM of a loaded index hold no query state;
-    # reconstruction fills them but derives no starting predecessors, and
-    # a failed derivation is not kept
+    # building, compressing and loading leave the colors' query slot empty
+    # and the graph without one, so that set-up time and the RAM of a
+    # loaded index hold no query state; reconstruction fills the slot but
+    # derives no starting predecessors, and a failed derivation is not kept
     _, boss, colors, _ = index_for(list(mixed_read_set(1, 9).reads), 9)
     path = tmp_path / "index.cdbg"
     write_index(path, boss, colors, IndexMeta())
     loaded, loaded_colors, _ = read_index(path)
     for b, c in [(boss, colors), (loaded, loaded_colors)]:
-        assert b._query is None and c._query is None
+        assert "_query" not in vars(b) and c._query is None
 
     def fail(boss):
         raise AssertionError("starting predecessors derived")
@@ -368,8 +369,8 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
     start = int(boss.starting_node_ids()[0])
     assert build_seqs(boss, colors, start)
     assert reconstruct_all(boss, colors).recovered
-    assert boss._query is not None and colors._query is not None
-    assert boss._query.starting_preds is None
+    assert "_query" not in vars(boss) and colors._query is not None
+    assert colors._query.starting_preds is None and colors._query.hops is not None
     for _ in range(2):
         with pytest.raises(AssertionError, match="starting predecessors"):
             contig_assm(boss, colors, start, 0.5)
@@ -380,10 +381,11 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
     # and derive its starting predecessors once; other colors on the same
-    # graph decode their own table and runs and reuse the graph's map.
-    # Only reconstruct_all's lockstep walk derives the hop table, once per
-    # graph: building, loading, build_seqs and assembly derive none. Only
-    # assembly derives runs, each once per colors' view
+    # graph have a view of their own, so they decode their own table and
+    # derive their own runs, hop table and predecessor map. Only
+    # reconstruct_all derives the hop table, once per view: building,
+    # loading, build_seqs and assembly derive none. Only assembly derives
+    # runs, each once per view
     calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
@@ -412,28 +414,28 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
     assert copy._query is None
     assert assemble_all(boss, copy, 0.5) == assemble_all(boss, colors, 0.5)
     assert reconstruct_all(boss, copy).recovered == recovered
-    assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
+    assert calls == {"decode_rows": 2, "_starting_preds": 2, "_hop_table": 2}
     assert copy._query.runs == runs and colors._query.runs == runs
     loaded, loaded_colors = reload(boss, colors)
-    assert calls == {"decode_rows": 2, "_starting_preds": 1, "_hop_table": 1}
+    assert calls == {"decode_rows": 2, "_starting_preds": 2, "_hop_table": 2}
     for _ in range(2):
         assert reconstruct_all(loaded, loaded_colors).recovered == recovered
-    assert calls == {"decode_rows": 3, "_starting_preds": 1, "_hop_table": 2}
+    assert calls == {"decode_rows": 3, "_starting_preds": 2, "_hop_table": 3}
     assert loaded_colors._query.runs == {}
 
 
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
-    # runs read rows, so each colors' view derives its own runs, like its
-    # branch records, once each however many walks read them; a copy of
-    # the colors derives them again, and reconstruction derives none
+    # each index's view derives its runs and branch records once each,
+    # however many walks read them; a copy of the colors has a view of its
+    # own and derives them again, and reconstruction derives none
     calls = {"derive_run": 0, "derive_branch": 0}
     for name in calls:
 
-        def counted(*args, _name=name, _orig=getattr(traversal._ColorView, name)):
+        def counted(*args, _name=name, _orig=getattr(traversal._IndexView, name)):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(traversal._ColorView, name, counted)
+        monkeypatch.setattr(traversal._IndexView, name, counted)
     _, boss, colors, _ = index_for(list(mixed_read_set(2, 9).reads), 9)
     for v in boss.starting_node_ids().tolist():
         build_seqs(boss, colors, v)
@@ -460,7 +462,7 @@ def reload(boss, colors):
 
 
 def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_indexes):
-    # the graph's view, filled by queries with intact colors, lends nothing
+    # the view of the intact colors, filled by their queries, lends nothing
     # to queries with damaged ones, and a NotColored raise is not kept: the
     # same call raises again, and the intact colors still answer
     raised = 0
@@ -517,7 +519,7 @@ def wide_indexes():
     rows = [[3 * c for c in row] for row in decode_table(full)]
     cands, kept = boss.implicit_candidates, colors.kept.to_bits()
     tripled = compress_ref(rows, boss.colorable, cands, kept)
-    assert traversal._ColorView(tripled).sparse
+    assert traversal._IndexView(boss, tripled).sparse
     tripled_full = compress_ref(rows, boss.colorable, cands)
     return {"wide": (boss, colors, full), "sparse": (boss, tripled, tripled_full)}
 
@@ -542,17 +544,46 @@ def test_queries_in_any_order_match_the_reference(request, indexes):
 
 
 def test_a_queried_index_is_freed_with_its_last_reference():
-    # the views are held by the index alone and hold no reference back to
-    # it, so no cache and no reference cycle keeps a dropped index alive
+    # the view is held by the colors alone and holds no strong reference
+    # back to the graph or the colors, so no cache and no reference cycle
+    # keeps a dropped index alive
     _, boss, colors, _ = index_for(list(mixed_read_set(2, 4).reads), 4)
     start = int(boss.starting_node_ids()[0])
     build_seqs(boss, colors, start)
+    reconstruct_all(boss, colors)
     assemble_all(boss, colors, 0.5)
-    refs = [weakref.ref(x) for x in (boss, colors, boss._query, colors._query)]
+    refs = [weakref.ref(x) for x in (boss, colors, colors._query)]
     gc.disable()  # freed by reference counts alone, without the cycle collector
     try:
         del boss, colors
         assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_colors_queried_with_another_graph_let_the_first_one_go():
+    # colors queried with one load's graph and then with an equal load's
+    # answer alike through both; the second query builds a view for the
+    # second graph, and the view keeps neither graph: each is freed once
+    # dropped while the colors live on
+    _, boss, colors, _ = index_for(list(mixed_read_set(2, 4).reads), 4)
+    g1, c = reload(boss, colors)
+    g2, _ = reload(boss, colors)
+    start = int(g1.starting_node_ids()[0])
+    recovered = reconstruct_all(g1, c).recovered
+    contigs = assemble_all(g1, c, 0.5)
+    seqs = build_seqs(g1, c, start)
+    assert reconstruct_all(g2, c).recovered == recovered
+    assert assemble_all(g2, c, 0.5) == contigs
+    assert build_seqs(g2, c, start) == seqs
+    assert c._query.graph() is g2
+    refs = [weakref.ref(g) for g in (g1, g2)]
+    gc.disable()  # freed by reference counts alone, without the cycle collector
+    try:
+        del g1
+        assert refs[0]() is None
+        del g2
+        assert refs[1]() is None and c._query is not None
     finally:
         gc.enable()
 
@@ -752,7 +783,7 @@ def without_the_end_color(read, k, end, color=99):
     reads = ReadSet.from_reads([read])
     boss = BossIndex.build(reads, k=k)
     colorable = mark_colorable(boss)
-    rows = color_all(boss, colorable, reads).rows
+    rows = table_rows(color_all(boss, colorable, reads))
     rows[colorable.rank1(boss.label_to_node(end)) - 1] = [color]
     kept = kept_ref(boss, colorable, rows)
     built = compress_ref(rows, colorable, boss.implicit_candidates, kept)
