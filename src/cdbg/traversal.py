@@ -24,11 +24,11 @@ is not colorable, which raises ``NotColored``. Both walks give the same
 strings.
 
 Around the walks, ``reconstruct_all`` works on whole arrays too: every
-starting node's colors come from one unpack of its rows in the view's
-word matrix (``_IndexView.start_colors``; a sparse row from ``sparse``),
-every start's label from one ``BossIndex.node_labels`` call, and the
-per-start counts from one ``bincount`` over the walks' owners. Only the
-recovered strings are made one at a time.
+starting node's colors come from one gather of the view's decoded rows
+(``_IndexView.start_colors``), every start's label from one
+``BossIndex.node_labels`` call, and the per-start counts from one
+``bincount`` over the walks' owners. Only the recovered strings are made
+one at a time.
 
 Contig assembly walks one starting node at a time. It keeps the active
 reads as one bitmask of their colors, with the starting node that
@@ -135,9 +135,10 @@ def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
     """The symbols that color c's walk from starting node v appends to v's
     label, one node at a time; None when the walk is ambiguous or takes
     more than edge_count + k steps. A branch is read in one pass that counts
-    the successors whose row holds c (a sparse row through ``mask``) and the
-    implicit successors. Every out-edge is read before the choice, so an
-    uncolorable successor raises ``NotColored`` where the lockstep does."""
+    the successors whose row holds c (a row past the words through
+    ``mask``) and the implicit successors. Every out-edge is read before
+    the choice, so an uncolorable successor raises ``NotColored`` where the
+    lockstep does."""
     first_edge, targets, codes = view.first_edge, view.targets, view.codes
     mask, masks, rank, empty = view.mask, view.masks, view._rank, view.empty
     last_ending, bit = view.last_ending, c - 1
@@ -152,7 +153,7 @@ def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
                 r = rank[targets[f] - 1]
                 m = masks[r] if r >= 0 else None
                 if m is None:
-                    m = mask(targets[f])  # a sparse row, or NotColored
+                    m = mask(targets[f])  # a row past the words, or NotColored
                 if m >> bit & 1:
                     hits, hit = hits + 1, f
                 elif r == empty:
@@ -178,7 +179,7 @@ def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[s
     step guard. Once all walks stop, the recovered ones are spelled in one
     pass over their hops: the code of each edge a hop takes, as the
     one-node walk reads it."""
-    words, rank, sparse, empty = view.words, view.rank, view.sparse, view.empty
+    words, rank, empty = view.words, view.rank, view.empty
     n_walks, n_words = len(col), words.shape[1]
     beyond = int(col.max(initial=0)) > 64 * n_words
     hop_to, hop_len = view.hops
@@ -210,9 +211,14 @@ def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[s
                 raise NotColored(f"node {t[r < 0][0]} is not in the colorable set")
             word = np.minimum(bit >> 6, n_words - 1) if beyond else bit >> 6
             hit = (words[r, word] >> (bit & 63).astype(np.uint64) & 1).astype(bool)
-            if beyond:  # a color past the words is only in a sparse row
+            if beyond:  # a color past the words: a binary search of its row
                 far = np.flatnonzero(bit >= 64 * n_words)
-                hit[far] = [c + 1 in sparse.get(x, ()) for x, c in zip(r[far].tolist(), bit[far].tolist())]
+                at, c = view.offsets[r[far]].astype(np.int64) - 1, bit[far] + 1
+                end, row_colors = view.offsets[r[far] + 1], view.row_colors
+                for j in reversed(range(int((end - at).max(initial=1)).bit_length())):
+                    to = at + (1 << j)  # ``at`` moves to the last entry below c
+                    at = np.where((to < end) & (row_colors.take(to, mode="clip") < c), to, at)
+                hit[far] = (at + 1 < end) & (row_colors.take(at + 1, mode="clip") == c)
             # one hit takes its edge; no hit takes the implicit successor's
             hits = np.bincount(owner[hit], minlength=len(cur))[owner]
             take = np.where(r == empty, hits == 0, hit & (hits == 1))
@@ -348,17 +354,19 @@ class _IndexView:
       without a copy: ``first_edge``, ``codes`` and ``targets`` (0 on
       closure edges); and ``last_ending``, ``edge_count``, ``step_limit``;
     * ``words``, each row of the color table as a bitmask, bit c - 1 for
-      color c, as ``DynamicColorTable.masks`` holds them during the build,
-      decoded once (``decode_rows``): a (p + 1, W) uint64 matrix, row r's
-      colors 1..64W, which the lockstep walk gathers from and
-      ``start_colors`` unpacks. W is ⌈C/64⌉ but at most the payload
-      entries per row, rounded down, so ``words`` takes at most one word
-      per entry and the empty row;
+      color c, as ``DynamicColorTable.masks`` holds them during the build:
+      a (p + 1, W) uint64 matrix, row r's colors 1..64W, which the
+      lockstep walk gathers from. W is ⌈C/64⌉ but at most the payload
+      entries per row, rounded up, so ``words`` takes at most two words
+      per payload entry and one per row;
     * ``masks``, the same rows as Python ints, which the one-node walks
       test with one shift: a list slot and, while W = 1, an int of at most
-      36 B per row;
-    * ``sparse``, each row holding a color past 64W (whose ``masks`` slot
-      is None) as an int64 array of its colors: 8 B per entry and a header;
+      36 B per row. A row holding a color past 64W has None;
+    * ``offsets`` and ``row_colors``, every row as ``decode_rows`` gives
+      it, with the empty row appended, each at the narrowest integer width
+      that holds it: ``start_colors`` gathers from them, ``mask`` builds a
+      row's mask past the words from them, and the lockstep walk tests a
+      color past the words by a binary search of its row;
     * ``rank``, 8 B per node: node v's row is ``rank[v - 1]``, or -1 when
       v is not colorable. Every implicit successor reads row ``empty``,
       one past the stored rows, which holds no color.
@@ -386,22 +394,21 @@ class _IndexView:
         self.rank = np.where(stored, np.cumsum(stored) - 1, -1)
         self.empty = colors.p
         self.rank[colors.implicit - 1] = self.empty
-        n_words = max(1, min(-(-colors.num_colors // 64), len(row_colors) // max(colors.p, 1)))
+        n_words = max(1, min(-(-colors.num_colors // 64), -(-len(row_colors) // max(colors.p, 1))))
         rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
         fits = bit < 64 * n_words
         self.words = np.zeros((colors.p + 1, n_words), dtype=np.uint64)
-        # a row's colors strictly increase, so each (row, word) segment of
-        # the fitting bits is contiguous and its sum is its OR
-        cell = rows[fits] * n_words + (bit[fits] >> 6)
-        first = np.flatnonzero(np.diff(cell, prepend=-1))
         word_bit = np.uint64(1) << (bit[fits] & 63).astype(np.uint64)
-        self.words.ravel()[cell[first]] = np.add.reduceat(word_bit, first)
+        np.bitwise_or.at(self.words.ravel(), rows[fits] * n_words + (bit[fits] >> 6), word_bit)
         self.masks = self.words[:, -1].tolist()
         for j in reversed(range(n_words - 1)):
             self.masks = [m << 64 | w for m, w in zip(self.masks, self.words[:, j].tolist())]
-        self.sparse: dict[int, np.ndarray] = {}
         for r in _unique(rows[~fits]).tolist():  # the rows holding a color past the words
-            self.sparse[r], self.masks[r] = row_colors[offsets[r] : offsets[r + 1]].copy(), None
+            self.masks[r] = None
+        # row ``empty`` appended; signed, so that int64 arithmetic stays int64
+        width = np.min_scalar_type(-1 - len(row_colors))
+        self.offsets = np.append(offsets, len(row_colors)).astype(width)
+        self.row_colors = row_colors.astype(np.min_scalar_type(colors.num_colors))
         self._rank = memoryview(self.rank)
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
@@ -424,35 +431,25 @@ class _IndexView:
         return view
 
     def mask(self, v: int) -> int:
-        """Node v's row as a bitmask; a sparse row's is built on each call."""
+        """Node v's row as a bitmask; a row past the words has its mask
+        built from ``row_colors`` on each call."""
         r = self._rank[v - 1]
         if r < 0:
             raise NotColored(f"node {v} is not in the colorable set")
         if (m := self.masks[r]) is None:
-            bits = np.packbits(np.bincount(self.sparse[r] - 1), bitorder="little")
-            m = int.from_bytes(bits.tobytes(), "little")
+            bits = np.bincount(self.row_colors[self.offsets[r] : self.offsets[r + 1]] - 1)
+            m = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
         return m
 
     def start_colors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The colors of nodes ``ids`` as (position in ids, color) pairs,
-        by position and then color: the rows of ``words`` in one unpack,
-        each sparse row from ``sparse``. Raises ``NotColored`` for the
-        first node without a row."""
+        by position and then color: one gather of their rows. Raises
+        ``NotColored`` for the first node without a row."""
         r = self.rank[ids - 1]
         if (r < 0).any():
             raise NotColored(f"node {ids[r < 0][0]} is not in the colorable set")
-        bits = np.unpackbits(self.words[r].astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        far = np.flatnonzero(np.isin(r, list(self.sparse))) if self.sparse else r[:0]
-        bits[far] = 0
-        owner, bit = np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
-        col = bit + 1
-        if len(far):
-            rows = [self.sparse[x] for x in r[far].tolist()]
-            owner = np.concatenate([owner, np.repeat(far, [len(c) for c in rows])])
-            col = np.concatenate([col] + rows)
-            order = np.argsort(owner, kind="stable")
-            owner, col = owner[order], col[order]
-        return owner, col.astype(np.int64, copy=False)
+        entries, counts = _gather(self.offsets, r)
+        return np.repeat(np.arange(len(ids)), counts), self.row_colors[entries].astype(np.int64)
 
     def derive_run(self, v: int) -> _Run | None:
         """The run from node v, kept in ``runs``; None when v is a real
@@ -460,10 +457,10 @@ class _IndexView:
         read-end branch whose solid successor reads row ``empty`` and whose
         ending sibling's row is in ``masks``. It stops at any other
         branching node, so the walk's branch step reads a sibling without
-        a row or with a sparse one and the run, derived ahead of the walk,
-        raises nothing; at a node with starting predecessors; or at an
-        ending node (stop 0, whose edge adds no code). It is cut after any
-        walk's budget of edge_count + 1 edges, so a cycle ends."""
+        a row or with one past the words and the run, derived ahead of the
+        walk, raises nothing; at a node with starting predecessors; or at
+        an ending node (stop 0, whose edge adds no code). It is cut after
+        any walk's budget of edge_count + 1 edges, so a cycle ends."""
         first_edge, targets, codes = self.first_edge, self.targets, self.codes
         last_ending, preds = self.last_ending, self.starting_preds
         rank, masks, empty = self._rank, self.masks, self.empty
@@ -496,10 +493,10 @@ class _IndexView:
         successor that is not an ending node, and the colors of the ending
         successors as one mask; None when two successors share a color. An
         implicit successor's mask is every color the other rows do not
-        hold. Kept in ``branches`` unless a successor's row is sparse, since
-        that row's mask, built per call, may be as wide as C. Every
-        successor's colors are read, so an uncolorable one raises whether
-        or not two others share a color."""
+        hold. Kept in ``branches`` unless a successor's row is past the
+        words, since that row's mask, built per call, may be as wide as C.
+        Every successor's colors are read, so an uncolorable one raises
+        whether or not two others share a color."""
         first_edge, targets, codes = self.first_edge, self.targets, self.codes
         solid: list[tuple[int, int, int]] = []
         seen = ending = 0

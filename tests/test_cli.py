@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from fuzz_reads import run_cases
+
 PKG_ROOT = Path(__file__).resolve().parents[1]
 # the CLI runs from this checkout's sources, installed or not
 CLI_ENV = {
@@ -123,6 +125,15 @@ class TestBuild:
         assert res.returncode == 2
         assert "2 rejected" in res.stderr
         assert "error: no read of length >= k" in res.stderr
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edited_read_files_build_or_are_data_errors(self, tmp_path, seed):
+        # 100 FASTA and FASTQ files with bits flipped, spans cut or bytes
+        # inserted (tests/fuzz_reads.py), built in this process: each one
+        # exits 0 or 2 and raises nothing
+        counts = run_cases(seed, 100, tmp_path)
+        assert sum(counts.values()) == 100
+        assert counts["built"] > 0 and counts["refused"] > 0
 
 
 class TestStats:

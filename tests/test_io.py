@@ -30,7 +30,7 @@ from cdbg.errors import IntegrityError, ParseError
 from cdbg.fastx import parse_reads, write_fasta
 from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
-from cdbg.traversal import assemble_all, reconstruct_all
+from cdbg.traversal import _IndexView, assemble_all, reconstruct_all
 
 from conftest import mixed_read_set
 from oracle import compress_ref, decode_table, edge_disambiguation_flags, indegree, outdegree
@@ -640,8 +640,9 @@ class TestLoaderCrossChecks:
     def test_a_wide_crafted_section_is_answered_under_the_fuzz_address_cap(self, tmp_path):
         # colors 1..400,000 in one row and [1] in each of the other 53,658:
         # a bitmask of ⌈C/64⌉ words for every row would take 2.7 GB, but
-        # the query view takes at most one word per payload entry for the
-        # rows' bitmasks and keeps the one wide row as a set
+        # the query view takes at most ⌈entries/p⌉ words a row for the
+        # rows' bitmasks, at most two words per payload entry, and reads
+        # the one wide row from its decoded row
         rng = np.random.default_rng(0)
         reads = ReadSet.from_reads(["".join(rng.choice(list("acgt"), 12)) for _ in range(8000)])
         boss = BossIndex.build(reads, k=9)
@@ -656,6 +657,8 @@ class TestLoaderCrossChecks:
             path,
         )
         assert res.returncode == 0, res.stderr
+        view = _IndexView(boss, crafted)
+        assert view.words.size <= 2 * len(crafted.payload) + crafted.p + 1
 
     @pytest.mark.parametrize(
         "count", [lambda m: m + 10**6, lambda m: 2**40, lambda m: 2**62], ids=["m+1e6", "2^40", "2^62"]

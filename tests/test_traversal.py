@@ -283,21 +283,22 @@ def shared_segment_reads(n: int, k: int) -> list[str]:
     return [rand(12) + first + (second + rand(5) if i % 2 else "") for i in range(n)]
 
 
-def test_walks_past_implicit_successors_with_sparse_siblings(walk):
-    # 70 strings through the shared segment take colors 1..70, so the
+def test_walks_past_implicit_successors_with_siblings_past_the_words(walk):
+    # 140 strings through the shared segment take colors 1..140, so the
     # ending sibling of the implicit successor holds colors past the view's
-    # one word a row, kept as a sparse row: a color it does not hold goes
-    # to the implicit successor in both walks
-    _, boss, colors, full = index_for(shared_segment_reads(70, 25), 25)
-    assert colors.num_colors > 64
+    # two words a row (⌈entries / p⌉), read from its decoded row: a color
+    # it does not hold goes to the implicit successor in both walks
+    _, boss, colors, full = index_for(shared_segment_reads(140, 25), 25)
+    assert colors.num_colors > 128
     view = traversal._IndexView.of(boss, colors)
-    sparse_siblings = [
+    assert view.words.shape[1] == 2
+    siblings_past_the_words = [
         t for t in colors.implicit.tolist()
         for u in boss.backward(t)
         for _, _, s in boss.successors(u)
-        if s != t and view.rank[s - 1] in view.sparse
+        if s != t and view.masks[view.rank[s - 1]] is None
     ]
-    assert sparse_siblings
+    assert siblings_past_the_words
     report = assert_matches_reference(boss, colors, full)
     assert report.ambiguous_count == 0
     assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
@@ -514,14 +515,17 @@ def wide_indexes():
     """An index whose rows need more than one 64-bit word of bitmask."""
     _, boss, colors, full = index_for(list(wide_read_set().reads), 9)
     assert colors.num_colors > 64
-    # colors tripled: up to 240, past the view's two words a row (one per
-    # payload entry), so the rows holding them are kept as sets
+    # colors tripled: up to 240, past the view's three words a row (at
+    # most ⌈entries / p⌉), so the rows holding them are read from the
+    # decoded rows
     rows = [[3 * c for c in row] for row in decode_table(full)]
     cands, kept = boss.implicit_candidates, colors.kept.to_bits()
     tripled = compress_ref(rows, boss.colorable, cands, kept)
-    assert traversal._IndexView(boss, tripled).sparse
+    view = traversal._IndexView(boss, tripled)
+    assert view.words.shape[1] == 3
+    assert sum(m is None for m in view.masks) == 55
     tripled_full = compress_ref(rows, boss.colorable, cands)
-    return {"wide": (boss, colors, full), "sparse": (boss, tripled, tripled_full)}
+    return {"wide": (boss, colors, full), "tripled": (boss, tripled, tripled_full)}
 
 
 @pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
@@ -541,6 +545,56 @@ def test_queries_in_any_order_match_the_reference(request, indexes):
                 assert assemble_all(boss, colors, 0.5) == contigs
             assert build_seqs(boss, colors, v) == [s for s in walks[v] if s is not None]
             assert contig_assm(boss, colors, v, 0.5) == contig_assm_ref(boss, full, v, 0.5)
+
+
+def test_colors_past_the_words_are_looked_up_in_their_own_rows():
+    # random rows of 1-3 colors from 100..300 on a graph with error
+    # branches: the view keeps ⌈entries/p⌉ = 2 words a row, so colors
+    # 129..300 are looked up by a binary search of the row, whose
+    # neighbours often hold the color. Every start walked in lockstep with
+    # each of those colors, held by the start or not, and with 301 matches
+    # the reference
+    cfg = SyntheticConfig(genome_len=300, read_len=40, coverage=6, seed=1, error_rate=0.02)
+    boss = BossIndex.build(ReadSet.from_reads(generate_reads(cfg)[1]), k=9)
+    rng = np.random.default_rng(0)
+    rows = [sorted(rng.choice(np.arange(100, 301), int(rng.integers(1, 4)), replace=False).tolist())
+            for _ in range(boss.colorable.count)]
+    colors = compress_ref(rows, boss.colorable, boss.implicit_candidates)
+    view = traversal._IndexView(boss, colors)
+    assert view.words.shape[1] == 2
+    view.hops = traversal._hop_table(boss)
+    starts = boss.starting_node_ids()
+    far = np.arange(129, 302)
+    cur, col = np.repeat(starts, len(far)), np.tile(far, len(starts))
+    labels = dict(zip(starts.tolist(), traversal._labels(boss, starts)))
+    got = [
+        None if s is None else (labels[v] + s).strip("$")
+        for v, s in zip(cur.tolist(), traversal._walk_lockstep(view, cur, col))
+    ]
+    want = [walk_color(boss, colors, v, c) for v, c in zip(cur.tolist(), col.tolist())]
+    assert got == want
+    assert sum(s is not None for s in got) > 0
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
+def test_start_colors_are_the_decoded_start_rows(request, indexes):
+    # one gather over the view's decoded rows gives every start's row,
+    # rows holding colors past the words included
+    for boss, colors, _ in request.getfixturevalue(indexes).values():
+        ids = boss.starting_node_ids()
+        owner, col = traversal._IndexView(boss, colors).start_colors(ids)
+        rows = decode_table(colors)
+        want = [(i, c) for i, v in enumerate(ids.tolist()) for c in rows[colors.N.rank1(v) - 1]]
+        assert list(zip(owner.tolist(), col.tolist())) == want
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
+def test_the_view_words_take_at_most_two_per_entry(request, indexes):
+    # W = min(⌈C/64⌉, ⌈entries/p⌉) words a row, so (p + 1)·W is at most
+    # entries + entries/p + p + 1
+    for boss, colors, _ in request.getfixturevalue(indexes).values():
+        view = traversal._IndexView(boss, colors)
+        assert view.words.size <= 2 * len(colors.payload) + colors.p + 1
 
 
 def test_a_queried_index_is_freed_with_its_last_reference():
@@ -807,10 +861,10 @@ def test_assembly_cut_by_its_budget_matches_reference(read, k, end, length):
     # until its edge_count + 1 visits are spent, at times inside a run.
     # In the table as built, the read-end branch's implicit successor has
     # no row. Color 99 lies past the color view's one word, so the ending
-    # sibling's row is sparse and a run stops at that branch; color 64
-    # lies inside it, so a run crosses the branch and each crossed edge
-    # costs one visit. On the last read the run from its start goes round
-    # the cycle until the budget cuts it
+    # sibling's mask is not in ``masks`` and a run stops at that branch;
+    # color 64 lies inside it, so a run crosses the branch and each crossed
+    # edge costs one visit. On the last read the run from its start goes
+    # round the cycle until the budget cuts it
     for color in (99, 64):
         boss, colors, full = without_the_end_color(read, k, end, color)
         starts = boss.starting_node_ids().tolist()
