@@ -355,8 +355,6 @@ class BossIndex(Fields):
         """Bitmap over node ids - 1 of the p nodes that receive colours:
         starting, ending and critical nodes. Built on each access from
         ``explicit_colorable`` and ``implicit_candidates``."""
-        if not len(self.implicit_candidates):
-            return self.explicit_colorable
         bits = self.explicit_colorable.to_bits()
         bits[self.implicit_candidates - 1] = 1
         return BitVector(bits)

@@ -90,7 +90,7 @@ def cmd_build(args) -> int:
     logger.info(
         "strings=%d nodes=%d edges=%d p=%d colors=%d implicit_nodes=%d",
         len(table.read_colors), boss.node_count, boss.edge_count, colorable.count,
-        table.num_colors, len(colors.implicit),
+        colors.num_colors, len(colors.implicit),
     )
     meta = IndexMeta(plain_bytes=reads.plain_bytes)
     with stage("write"):
@@ -141,11 +141,9 @@ def cmd_assemble(args) -> int:
 def cmd_stats(args) -> int:
     data = Path(args.index).read_bytes()
     boss, colors, meta = deserialize_index(data)
-    record = compute_stats(
-        boss, colors, meta, len(data),
-        section_bytes=section_sizes(data), graph_bytes=boss.structure_bytes(),
-        color_bytes=colors.structure_bytes(),
-    )
+    record = compute_stats(boss, colors, meta, len(data))
+    record.section_bytes, record.graph_bytes = section_sizes(data), boss.structure_bytes()
+    record.color_bytes = colors.structure_bytes()
     if args.json:
         print(json.dumps(record.as_dict()))
         return EXIT_OK

@@ -53,17 +53,15 @@ class DynamicColorTable:
     ``candidates`` holds the ids of the graph's implicit successors, and
     ``kept`` whether each shares a color with a sibling and so keeps its
     row in the index; a table whose masks are set by hand has neither, so
-    every row is kept."""
+    every row is kept. ``read_colors`` holds each string's color in R'
+    order; the number of colors C is read from the compressed section
+    (``CompressedColors.num_colors``), not from the table."""
 
     def __init__(self, p: int):
         self.masks: list[int] = [0] * p
         self.read_colors: list[int] = []
         self.candidates = np.zeros(0, dtype=np.int64)
         self.kept = np.zeros(0, dtype=bool)
-
-    @property
-    def num_colors(self) -> int:
-        return max(self.read_colors, default=0)
 
 
 def scan_read(boss: BossIndex, colorable: BitVector, read: str) -> tuple[list[int], list[int]]:

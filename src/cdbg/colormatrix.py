@@ -62,7 +62,7 @@ class CompressedColors(Fields):
 
     @classmethod
     def deserialize(
-        cls, r: Reader, explicit: BitVector, candidates: np.ndarray = _NONE
+        cls, r: Reader, explicit: BitVector, candidates: np.ndarray
     ) -> "CompressedColors":
         """The section, with N the nodes of the loaded graph's explicit
         colorable bitmap and the implicit successors ``candidates`` whose
@@ -108,13 +108,10 @@ def compress(table: DynamicColorTable, colorable: BitVector) -> CompressedColors
     masks = table.masks
     if 0 in masks:
         raise IncompleteColoring(f"colorable rank {masks.index(0) + 1} received no color")
-    stored, implicit = colorable, table.candidates[~table.kept]
-    if len(implicit):
-        bits = colorable.to_bits()
-        dropped = set((np.cumsum(bits)[implicit - 1] - 1).tolist())
-        masks = [m for r, m in enumerate(masks) if r not in dropped]
-        bits[implicit - 1] = 0
-        stored = BitVector(bits)
+    implicit, bits = table.candidates[~table.kept], colorable.to_bits()
+    stored = bits.copy()
+    stored[implicit - 1] = 0
+    masks = [m for m, keep in zip(masks, stored[bits.view(bool)].tolist()) if keep]
     last = np.array([m.bit_length() for m in masks], dtype=np.int64)  # each row's last color
     sizes = (last + 7) // 8
     data = b"".join(map(int.to_bytes, masks, sizes.tolist(), repeat("little")))
@@ -124,7 +121,7 @@ def compress(table: DynamicColorTable, colorable: BitVector) -> CompressedColors
     row = np.repeat(np.arange(len(masks)), sizes)[nz[i]]
     colors = 8 * (nz[i] - (np.cumsum(sizes) - sizes)[row]) + bit + 1
     return CompressedColors(
-        N=stored,
+        N=BitVector(stored),
         F=BitVector(np.diff(row, prepend=-1) != 0),
         payload=MonotoneSequence(colors + (np.cumsum(last) - last)[row]),
         p=len(masks),

@@ -58,14 +58,11 @@ class StatsRecord:
 
 
 def compute_stats(
-    boss: BossIndex,
-    colors: CompressedColors,
-    meta: IndexMeta,
-    index_bytes: int,
-    section_bytes: dict[str, int] | None = None,
-    graph_bytes: dict[str, int] | None = None,
-    color_bytes: dict[str, int] | None = None,
+    boss: BossIndex, colors: CompressedColors, meta: IndexMeta, index_bytes: int
 ) -> StatsRecord:
+    """The counts and sizes of an index of ``index_bytes`` bytes. The
+    per-section and per-structure bytes stay None: ``cdbg stats`` fills
+    them from the container bytes it reads."""
     return StatsRecord(
         total_nodes=boss.node_count,
         solid_nodes=boss.solid_count,
@@ -75,7 +72,4 @@ def compute_stats(
         num_colors=colors.num_colors,
         index_bytes=index_bytes,
         plain_bytes=meta.plain_bytes,
-        section_bytes=section_bytes,
-        graph_bytes=graph_bytes,
-        color_bytes=color_bytes,
     )

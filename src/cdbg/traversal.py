@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import _gather, _unique
+from ._arrays import _gather
 from .boss import BossIndex
 from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, NotColored
@@ -140,7 +140,7 @@ def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
     the choice, so an uncolorable successor raises ``NotColored`` where the
     lockstep does."""
     first_edge, targets, codes = view.first_edge, view.targets, view.codes
-    mask, masks, rank, empty = view.mask, view.masks, view._rank, view.empty
+    mask, masks, rank, empty = view.mask, view.row_masks(), view._rank, view.empty
     last_ending, bit = view.last_ending, c - 1
     syms = bytearray()  # one code per step
     for _ in range(view.step_limit):
@@ -359,20 +359,22 @@ class _IndexView:
       lockstep walk gathers from. W is ⌈C/64⌉ but at most the payload
       entries per row, rounded up, so ``words`` takes at most two words
       per payload entry and one per row;
-    * ``masks``, the same rows as Python ints, which the one-node walks
-      test with one shift: a list slot and, while W = 1, an int of at most
-      36 B per row. A row holding a color past 64W has None;
     * ``offsets`` and ``row_colors``, every row as ``decode_rows`` gives
       it, with the empty row appended, each at the narrowest integer width
       that holds it: ``start_colors`` gathers from them, ``mask`` builds a
       row's mask past the words from them, and the lockstep walk tests a
       color past the words by a binary search of its row;
-    * ``rank``, 8 B per node: node v's row is ``rank[v - 1]``, or -1 when
-      v is not colorable. Every implicit successor reads row ``empty``,
-      one past the stored rows, which holds no color.
+    * ``rank``: node v's row is ``rank[v - 1]``, or -1 when v is not
+      colorable, at the narrowest signed width that holds -1 and p, so
+      2 B per node below 2**15 rows. Every implicit successor reads row
+      ``empty``, one past the stored rows, which holds no color.
 
-    So the view grows with the payload, not with p·C. Four caches are
-    filled only by the queries that read them: ``hops`` (``_hop_table``),
+    So the view grows with the payload, not with p·C. Five caches are
+    filled only by the queries that read them: ``masks``
+    (``row_masks``), the rows of ``words`` as Python ints, which the
+    one-node walks and assembly test with one shift, a list slot and,
+    while W = 1, an int of at most 36 B per row, with None for a row
+    holding a color past 64W; ``hops`` (``_hop_table``),
     whole on the first ``reconstruct_all``, per node where its hop lands,
     at the graph's width, and the hop's edges in a byte, so 5 B per node
     below 2**31 edges; ``starting_preds`` (``_starting_preds``), whole on
@@ -391,8 +393,9 @@ class _IndexView:
         self.step_limit = boss.edge_count + boss.k
         offsets, row_colors = decode_rows(colors)
         stored = colors.N.to_bits().view(bool)
-        self.rank = np.where(stored, np.cumsum(stored) - 1, -1)
         self.empty = colors.p
+        ranks = np.cumsum(stored, dtype=np.min_scalar_type(-1 - self.empty))
+        self.rank = np.where(stored, ranks - 1, -1)
         self.rank[colors.implicit - 1] = self.empty
         n_words = max(1, min(-(-colors.num_colors // 64), -(-len(row_colors) // max(colors.p, 1))))
         rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
@@ -400,16 +403,12 @@ class _IndexView:
         self.words = np.zeros((colors.p + 1, n_words), dtype=np.uint64)
         word_bit = np.uint64(1) << (bit[fits] & 63).astype(np.uint64)
         np.bitwise_or.at(self.words.ravel(), rows[fits] * n_words + (bit[fits] >> 6), word_bit)
-        self.masks = self.words[:, -1].tolist()
-        for j in reversed(range(n_words - 1)):
-            self.masks = [m << 64 | w for m, w in zip(self.masks, self.words[:, j].tolist())]
-        for r in _unique(rows[~fits]).tolist():  # the rows holding a color past the words
-            self.masks[r] = None
         # row ``empty`` appended; signed, so that int64 arithmetic stays int64
         width = np.min_scalar_type(-1 - len(row_colors))
         self.offsets = np.append(offsets, len(row_colors)).astype(width)
         self.row_colors = row_colors.astype(np.min_scalar_type(colors.num_colors))
         self._rank = memoryview(self.rank)
+        self.masks: list[int | None] | None = None
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
         self.hops: tuple[np.ndarray, np.ndarray] | None = None
@@ -430,13 +429,25 @@ class _IndexView:
             view.starting_preds = _starting_preds(boss)
         return view
 
+    def row_masks(self) -> list[int | None]:
+        """``masks``, derived from ``words`` on the first call."""
+        if self.masks is None:
+            words, masks = self.words, self.words[:, -1].tolist()
+            for j in reversed(range(words.shape[1] - 1)):
+                masks = [m << 64 | w for m, w in zip(masks, words[:, j].tolist())]
+            last = self.row_colors[self.offsets[1:-1] - 1]  # rows ascend: each one's largest
+            for r in np.flatnonzero(last > 64 * words.shape[1]).tolist():
+                masks[r] = None
+            self.masks = masks
+        return self.masks
+
     def mask(self, v: int) -> int:
         """Node v's row as a bitmask; a row past the words has its mask
         built from ``row_colors`` on each call."""
         r = self._rank[v - 1]
         if r < 0:
             raise NotColored(f"node {v} is not in the colorable set")
-        if (m := self.masks[r]) is None:
+        if (m := (self.masks or self.row_masks())[r]) is None:
             bits = np.bincount(self.row_colors[self.offsets[r] : self.offsets[r + 1]] - 1)
             m = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
         return m
@@ -463,7 +474,7 @@ class _IndexView:
         any walk's budget of edge_count + 1 edges, so a cycle ends."""
         first_edge, targets, codes = self.first_edge, self.targets, self.codes
         last_ending, preds = self.last_ending, self.starting_preds
-        rank, masks, empty = self._rank, self.masks, self.empty
+        rank, masks, empty = self._rank, self.row_masks(), self.empty
         syms, crossed = bytearray(), []
         t = v
         while len(syms) <= self.edge_count:

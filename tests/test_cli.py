@@ -59,6 +59,18 @@ class TestBuild:
         assert re.findall(r"^INFO stage (\w+):", res.stderr, re.M) == list(stages)
         assert "INFO strings=2 nodes=11 edges=13 p=5 colors=2 implicit_nodes=1" in res.stderr.splitlines()
 
+    def test_build_logs_the_colors_that_stats_prints(self, tiny_index, tmp_path):
+        # the number of colors has one derivation, from the color section:
+        # the build logs what stats reads back from the index
+        _, reads, index, _ = tiny_index
+        res = run_cli(
+            "build", "--input", str(reads), "--k", "4", "--output", str(tmp_path / "i.cdbg")
+        )
+        assert res.returncode == 0, res.stderr
+        logged = re.search(r"^INFO strings=\d+ .* colors=(\d+) ", res.stderr, re.M)
+        record = json.loads(run_cli("stats", "--index", str(index), "--json").stdout)
+        assert int(logged[1]) == record["num_colors"]
+
     @pytest.mark.parametrize("k", ["2", "64"])
     def test_out_of_range_k_is_usage_error(self, tmp_path, k):
         reads = tmp_path / "reads.fa"
@@ -229,6 +241,24 @@ class TestStats:
         assert res.returncode == 3
         assert res.stdout == ""
         assert "sections META BOSS COLR XTRA, not META BOSS COLR" in res.stderr
+
+
+def test_view_bytes_counts_masks_only_after_the_walks_that_read_them(tiny_index):
+    # tests/view_bytes.py on the tiny index: reconstruction's view holds a
+    # hop table and no row masks, assembly's the masks and no hop table
+    _, _, index, _ = tiny_index
+    script = Path(__file__).with_name("view_bytes.py")
+    res = subprocess.run(
+        [sys.executable, str(script), str(index)], capture_output=True, text=True, env=CLI_ENV
+    )
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    rec, asm = record["reconstruct_all"], record["assemble_all"]
+    assert (rec["masks_built"], asm["masks_built"]) == (False, True)
+    for held in (rec["bytes"], asm["bytes"]):
+        assert held["total"] == sum(n for part, n in held.items() if part != "total")
+        assert held["rank"] > 0 and held["words"] > 0
+    assert rec["bytes"]["hops"] > 0 and asm["bytes"]["masks"] > 0
 
 
 class TestReconstruct:

@@ -132,7 +132,7 @@ def test_loaded_num_colors_is_the_largest_last_color(drawn):
     cc = compress(table_of(rows), colorable_of(len(rows)))
     w = Writer()
     cc.serialize(w)
-    cc2 = CompressedColors.deserialize(Reader(w.getvalue()), cc.N)
+    cc2 = CompressedColors.deserialize(Reader(w.getvalue()), cc.N, np.zeros(0, dtype=np.int64))
     assert decode_table(cc2) == rows
     assert cc2.num_colors == cc.num_colors == max((row[-1] for row in rows), default=0)
 
@@ -169,7 +169,7 @@ def test_decode_rows_matches_get_colors(max_len, tag):
     w = Writer()
     built.serialize(w)
     assert w.getvalue()[built.structure_bytes()["payload"]] == tag  # F's tag byte
-    cc = CompressedColors.deserialize(Reader(w.getvalue()), built.N)
+    cc = CompressedColors.deserialize(Reader(w.getvalue()), built.N, np.zeros(0, dtype=np.int64))
     offsets, colors = decode_rows(cc)
     for r, pos in enumerate(cc.N.ones_positions()):
         assert colors[offsets[r] : offsets[r + 1]].tolist() == get_colors(cc, int(pos) + 1)

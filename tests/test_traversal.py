@@ -296,7 +296,7 @@ def test_walks_past_implicit_successors_with_siblings_past_the_words(walk):
         t for t in colors.implicit.tolist()
         for u in boss.backward(t)
         for _, _, s in boss.successors(u)
-        if s != t and view.masks[view.rank[s - 1]] is None
+        if s != t and view.row_masks()[view.rank[s - 1]] is None
     ]
     assert siblings_past_the_words
     report = assert_matches_reference(boss, colors, full)
@@ -351,11 +351,21 @@ def test_an_uncolorable_successor_after_two_hits_raises(walk):
         reconstruct_all(boss, colors)
 
 
+def row_masks_ref(colors, n_words: int) -> list[int | None]:
+    """The rows as bitmasks, bit c - 1 for color c, as the view derived
+    them when it built them with its words: None for a row holding a color
+    past n_words words, and 0 for the empty row appended."""
+    rows = decode_table(colors)
+    return [sum(1 << c - 1 for c in row) if row[-1] <= 64 * n_words else None for row in rows] + [0]
+
+
 def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, tmp_path):
     # building, compressing and loading leave the colors' query slot empty
     # and the graph without one, so that set-up time and the RAM of a
     # loaded index hold no query state; reconstruction fills the slot but
-    # derives no starting predecessors, and a failed derivation is not kept
+    # derives neither the starting predecessors nor the row masks, and a
+    # failed derivation is not kept. The first one-node walk or assembly
+    # builds the masks, once
     _, boss, colors, _ = index_for(list(mixed_read_set(1, 9).reads), 9)
     path = tmp_path / "index.cdbg"
     write_index(path, boss, colors, IndexMeta())
@@ -368,15 +378,29 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 
     monkeypatch.setattr(traversal, "_starting_preds", fail)
     start = int(boss.starting_node_ids()[0])
-    assert build_seqs(boss, colors, start)
     assert reconstruct_all(boss, colors).recovered
     assert "_query" not in vars(boss) and colors._query is not None
-    assert colors._query.starting_preds is None and colors._query.hops is not None
+    view = colors._query
+    assert view.starting_preds is None and view.hops is not None and view.masks is None
+    assert build_seqs(boss, colors, start)
+    masks = view.masks
+    assert masks == row_masks_ref(colors, view.words.shape[1])
     for _ in range(2):
         with pytest.raises(AssertionError, match="starting predecessors"):
             contig_assm(boss, colors, start, 0.5)
     with pytest.raises(AssertionError, match="starting predecessors"):
         assemble_all(boss, colors, 0.5)
+    assert colors._query is view and view.masks is masks
+    monkeypatch.undo()
+    assert reconstruct_all(loaded, loaded_colors).recovered
+    view = loaded_colors._query
+    assert view.masks is None
+    assert contig_assm(loaded, loaded_colors, start, 0.5)
+    masks = view.masks
+    assert masks == row_masks_ref(loaded_colors, view.words.shape[1])
+    assemble_all(loaded, loaded_colors, 0.5)
+    build_seqs(loaded, loaded_colors, start)
+    assert loaded_colors._query is view and view.masks is masks
 
 
 def test_each_index_derives_its_query_state_once(monkeypatch):
@@ -523,7 +547,7 @@ def wide_indexes():
     tripled = compress_ref(rows, boss.colorable, cands, kept)
     view = traversal._IndexView(boss, tripled)
     assert view.words.shape[1] == 3
-    assert sum(m is None for m in view.masks) == 55
+    assert sum(m is None for m in view.row_masks()) == 55
     tripled_full = compress_ref(rows, boss.colorable, cands)
     return {"wide": (boss, colors, full), "tripled": (boss, tripled, tripled_full)}
 
@@ -586,6 +610,23 @@ def test_start_colors_are_the_decoded_start_rows(request, indexes):
         rows = decode_table(colors)
         want = [(i, c) for i, v in enumerate(ids.tolist()) for c in rows[colors.N.rank1(v) - 1]]
         assert list(zip(owner.tolist(), col.tolist())) == want
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
+def test_the_view_ranks_rows_at_the_narrowest_signed_width(request, indexes):
+    # node v's row is the rank of v in N less one, -1 for a node without a
+    # row and p for an implicit successor, held in the narrowest signed
+    # integer that holds -1 and p; the row masks wait for their first read
+    for boss, colors, _ in request.getfixturevalue(indexes).values():
+        view = traversal._IndexView(boss, colors)
+        stored = colors.N.to_bits().view(bool)
+        want = np.where(stored, np.cumsum(stored) - 1, -1)
+        want[colors.implicit - 1] = colors.p
+        width = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= colors.p)
+        assert view.rank.dtype == width and np.array_equal(view.rank, want)
+        assert view.masks is None
+        masks = view.row_masks()
+        assert masks == row_masks_ref(colors, view.words.shape[1]) and view.row_masks() is masks
 
 
 @pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
