@@ -169,8 +169,9 @@ class BossIndex(Fields):
       is the one solid successor of a branching node u whose other
       successors are all ending nodes, not a starting node, and the
       successor of no other branching node. A walk at u sends there every
-      color that no ending successor holds, so its row is stored only where
-      it shares a color with a sibling's. Derived; read-only;
+      color that its sibling, the ending node u's $ edge enters, lacks, so
+      its row is stored only where it shares a color with the sibling's
+      (``coloring._shares_with_sibling`` pairs them). Derived; read-only;
     * ``explicit_colorable``, bitmap over node ids - 1 of the colourable
       nodes that are not ``implicit_candidates``: every index of this graph
       stores their rows. Derived; the only node bitmap held.
@@ -359,16 +360,6 @@ class BossIndex(Fields):
         bits[self.implicit_candidates - 1] = 1
         return BitVector(bits)
 
-    def implicit_siblings(self) -> np.ndarray:
-        """The sibling of each of ``implicit_candidates``, in their order:
-        the ending node that the $ edge of its branching node enters.
-        Derived on each call."""
-        implicit = np.zeros(self.node_count + 1, dtype=bool)
-        implicit[self.implicit_candidates] = True
-        second = self._read_end_edges()
-        second = second[implicit[self._targets[second]]]
-        return self._targets[second[np.argsort(self._targets[second])] - 1]
-
     def _check_node(self, v: int) -> None:
         if not 1 <= v <= self.node_count:
             raise BoundsError(f"node id {v} out of range [1, {self.node_count}]")
@@ -487,15 +478,12 @@ class BossIndex(Fields):
 
     # -- serialization -----------------------------------------------------
 
-    def _rising_bits(self) -> BitVector:
-        """``B`` at the rising edges, the only bits that are stored."""
-        return BitVector(self._b_bits()[_rising(self._codes)])
-
     def pieces(self) -> Pieces:
+        """The stored fields; ``B`` only at the rising edges."""
         return {
             "edge_count": lambda w: w.u64(self.edge_count),
             **self.E.pieces(),
-            "B": self._rising_bits().serialize,
+            "B": BitVector(self._b_bits()[_rising(self._codes)]).serialize,
             "flags": self._flags.serialize,
         }
 

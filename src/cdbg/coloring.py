@@ -105,10 +105,14 @@ def color_all(
 
 def _shares_with_sibling(boss: BossIndex, colorable: BitVector, masks: list[int]) -> np.ndarray:
     """Per implicit successor, whether its row shares a color with its
-    sibling's row."""
+    sibling's: the target of the $ edge just before the read-end edge
+    (``BossIndex._read_end_edges``) that enters it."""
+    targets, second = boss.edge_targets(), boss._read_end_edges()
+    sibling_of = np.zeros(boss.node_count + 1, dtype=targets.dtype)
+    sibling_of[targets[second]] = targets[second - 1]
     ones = colorable.ones_positions()  # a node's row is its position among them
     node = np.searchsorted(ones, boss.implicit_candidates - 1).tolist()
-    sibling = np.searchsorted(ones, boss.implicit_siblings() - 1).tolist()
+    sibling = np.searchsorted(ones, sibling_of[boss.implicit_candidates] - 1).tolist()
     return np.array([masks[t] & masks[s] != 0 for t, s in zip(node, sibling)], dtype=bool)
 
 
@@ -129,14 +133,16 @@ def scan_all(
     k = boss.k
     if min(len(s) for s in strings) < k:
         raise CorruptIndex(f"read shorter than order k={k}")
-    path, offsets = _walk_paths(boss, strings)
+    # int64 once: ``_inspected_successors``'s keys overflow int32 past 46,340 nodes
+    src, targets = boss.edge_sources().astype(np.int64), boss.edge_targets().astype(np.int64)
+    path, offsets = _walk_paths(boss, src, targets, strings)
     on = colorable.to_bits().astype(bool)
     rank = np.cumsum(on)  # rank[v - 1] = rank1(v)
     n = len(strings)
     owner = np.repeat(np.arange(n), np.diff(offsets))
     ends = path[offsets[1:] - 1]
 
-    ptr, inspected = _inspected_successors(boss)
+    ptr, inspected = _inspected_successors(boss, src, targets)
     idx, counts = _gather(ptr, path)
     seen = inspected[idx]
     bad = seen[~on[seen - 1]]
@@ -152,7 +158,9 @@ def scan_all(
     return (*_split_keys(w_keys, p1, n), *_split_keys(u_keys, p1, n))
 
 
-def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _walk_paths(
+    boss: BossIndex, src: np.ndarray, targets: np.ndarray, strings: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
     """Node path of $·s·$ for every string, from its starting node $·s[:k-2]
     to its ending node, flat with per-string offsets.
 
@@ -177,7 +185,7 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
     # at the narrowest width that holds an index into the table
     size = 5 * (boss.node_count + 1) + 1
     fwd = np.zeros(size, dtype=np.int32 if size < 2**31 else np.int64)
-    fwd[5 * boss.edge_sources().astype(np.int64) + boss._codes] = boss.edge_targets()
+    fwd[5 * src + boss._codes] = targets
     fwd *= 5
     order = np.argsort(-lens, kind="stable")
     at = offsets[:-1][order]
@@ -201,16 +209,16 @@ def _walk_paths(boss: BossIndex, strings: list[str]) -> tuple[np.ndarray, np.nda
     return path, offsets
 
 
-def _inspected_successors(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
-    """CSR over node ids: the successors the per-string walk
-    (``tests/oracle.py::scan_read_ref``) inspects when its path passes
-    node v, the ending node included. They are the real successors of v
-    when v branches, and, when v has indegree > 1, those of every branching
-    predecessor of v. Row v is ``inspected[ptr[v]:ptr[v + 1]]``. Node ids
-    are widened to int64 first: the key ``node * (n + 1) + tgt`` exceeds
-    int32 once n > 46,340."""
+def _inspected_successors(
+    boss: BossIndex, src: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR over node ids, given each edge's source and target as int64:
+    the successors the per-string walk (``tests/oracle.py::scan_read_ref``)
+    inspects when its path passes node v, the ending node included. They
+    are the real successors of v when v branches, and, when v has
+    indegree > 1, those of every branching predecessor of v. Row v is
+    ``inspected[ptr[v]:ptr[v + 1]]``."""
     n = boss.node_count
-    src, targets = boss.edge_sources().astype(np.int64), boss.edge_targets().astype(np.int64)
     branch = _branch_edges(boss, src)
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))

@@ -25,6 +25,8 @@ class SyntheticConfig:
             raise ValueError("read length exceeds genome length")
         if min(self.genome_len, self.read_len, self.coverage) <= 0:
             raise ValueError("genome length, read length and coverage must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValueError("error rate must lie in [0, 1]")
 

@@ -13,7 +13,8 @@ tests check those paths against them. The walks read a full table, one
 row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
 successors. It also holds what only tests call: ``solid_mask``,
-``edge_disambiguation_flags``, ``table_rows``, ``table_from_rows``, and
+``edge_disambiguation_flags``, ``label_edge_disagreements`` (the check
+of ROADMAP item 2), ``table_rows``, ``table_from_rows``, and
 ``walk_each_pair``, which puts ``build_seqs``'s walk in
 ``reconstruct_all``'s place.
 """
@@ -161,6 +162,30 @@ def solid_mask(boss):
 def edge_disambiguation_flags(boss):
     """One 0/1 byte per edge, unpacked from the graph's flags."""
     return boss._flags.to_bits()
+
+
+def label_edge_disagreements(boss) -> list[int]:
+    """0-based positions of the flagged edges that disagree with the node
+    labels. A flagged edge shares the target of the preceding unflagged
+    edge of its symbol, closure edges aside, so its source must end in the
+    same k-2 label symbols as that edge's source. Listed: each flagged,
+    non-closure edge whose source does not, and each one with no such
+    preceding edge. A graph whose edges agree with its labels lists none."""
+    sources = boss.edge_sources().tolist()
+    closure = range(boss.E.closure_start, boss.E.closure_start + boss.E.closure_len)
+    flags = edge_disambiguation_flags(boss).tolist()
+    unflagged: dict[int, int] = {}  # symbol -> the last unflagged edge's position
+    out = []
+    for pos, c in enumerate(boss.E.codes().tolist()):
+        if pos in closure:
+            continue
+        if not flags[pos]:
+            unflagged[c] = pos
+        elif c not in unflagged or (
+            boss.node_label(sources[pos])[1:] != boss.node_label(sources[unflagged[c]])[1:]
+        ):
+            out.append(pos)
+    return out
 
 
 def is_critical(boss, v: int) -> bool:

@@ -240,6 +240,23 @@ class TestMonotoneSequence:
         assert np.array_equal(seq.to_array(), vals)
         assert seq.access(999_999) == int(vals[-1])
 
+    @pytest.mark.parametrize("n, last, width", [
+        (0, 0, 0),
+        (1, 0, 0),
+        (4, 15, 2),
+        (1, 2**53 - 2, 52),  # a float log2 of 2**53 - 1 rounds up to 53
+        (1, 2**53 - 1, 53),
+        (1, 2**60 - 2, 59),  # and of 2**60 - 1 to 60
+        (1, 2**62 - 1, 62),
+    ])
+    def test_low_width_is_the_exact_floor_of_log2(self, n, last, width):
+        # floor(log2((last + 1) // n)): the low bits per entry
+        assert MonotoneSequence._low_width(n, last) == width
+        if n == 1:
+            seq = MonotoneSequence(np.array([last]))
+            assert seq._low_bits == width
+            assert seq.access(0) == last == seq.to_array()[0]
+
     @pytest.mark.parametrize("gap", [1, 3, 37, 1000, 2**20 + 7, 2**35 + 3])
     def test_access_every_entry_matches_to_array(self, gap):
         # gaps set the low-bit width, so entries straddle word boundaries

@@ -392,6 +392,13 @@ class TestSynth:
         res = run_cli("synth", "--error-rate", rate, "--output", str(tmp_path / "x.fa"))
         assert res.returncode == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        # numpy refuses a negative seed; the config refuses it first
+        res = run_cli("synth", "--seed", "-1", "--output", str(tmp_path / "x.fa"))
+        assert res.returncode == 1
+        assert "usage error: seed must be nonnegative" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_read_longer_than_genome_is_usage_error(self, tmp_path):
         res = run_cli(
             "synth", "--genome-len", "50", "--read-len", "100",

@@ -32,8 +32,16 @@ from cdbg.sequence import CODE_SYMBOLS, SYMBOL_CODES, ReadSet
 from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import _IndexView, assemble_all, reconstruct_all
 
-from conftest import mixed_read_set
-from oracle import compress_ref, decode_table, edge_disambiguation_flags, indegree, outdegree
+import fuzz_container
+from conftest import mixed_read_set, wide_read_set
+from oracle import (
+    compress_ref,
+    decode_table,
+    edge_disambiguation_flags,
+    indegree,
+    label_edge_disagreements,
+    outdegree,
+)
 
 
 @pytest.fixture()
@@ -879,6 +887,51 @@ def test_format_round_trip(reads, k):
     assert assemble_all(boss2, colors2, 0.5) == assemble_all(boss, colors, 0.5)
     if reads == "errors":  # some ending node is entered by two $ edges
         assert boss.E._split()[0].count > boss.E.closure_len
+
+
+@pytest.mark.parametrize("reads,k", [
+    *[(f"mixed-{seed}", k) for seed in (1, 2, 3) for k in (3, 9, 63)],
+    ("errors", 25),
+    ("wide", 9),
+    ("fuzz", 9),
+])
+def test_built_graphs_agree_with_their_labels(reads, k):
+    # every flagged edge's source ends in the k-2 label symbols of the
+    # source of the preceding unflagged edge of its symbol (ROADMAP item
+    # 2's check), in the loaded graphs; "fuzz" is the two undamaged
+    # containers of tests/fuzz_container.py
+    if reads == "fuzz":
+        containers = fuzz_container.index_bytes()
+    elif reads == "errors":
+        containers = [container_of(error_read_set(), k)]
+    elif reads == "wide":
+        containers = [container_of(wide_read_set(), k)]
+    else:
+        containers = [container_of(mixed_read_set(int(reads[6:]), k), k)]
+    for data in containers:
+        assert label_edge_disagreements(deserialize_index(data)[0]) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the load accepts flagged edges that disagree with the labels",
+)
+def test_graphs_whose_edges_disagree_with_their_labels_are_refused():
+    # tests/fuzz_container.py's cases that load such a graph and fail its
+    # differential checks, made again by calling its damaged() in case order
+    built, full = fuzz_container.index_bytes()
+    loaded = []
+    for seed, cases in ((5, (766, 1198)), (10, (258,))):
+        rng = np.random.default_rng(seed)
+        for case in range(max(cases) + 1):
+            data = fuzz_container.damaged(case, built, full, rng)
+            if case in cases:
+                try:
+                    deserialize_index(data)
+                    loaded.append((seed, case))
+                except IntegrityError:
+                    pass
+    assert loaded == []
 
 
 def test_colorable_bitmap_is_held_as_plain_words(mixed):
