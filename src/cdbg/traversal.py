@@ -11,10 +11,21 @@ for every later query with the same graph. So the color table is
 decoded once per loaded index, not once per call.
 
 ``reconstruct_all`` walks all its (starting node, color) pairs in
-lockstep (``_walk_lockstep``), one whole-array step per branch: a step
-takes each walk's edge and hops along single out-edges to the next branch
-(``_hop_table``). ``build_seqs`` walks its start's colors one node at a
-time (``_walk_color``): a start holds few colors, and a lockstep step costs
+lockstep (``_walk_lockstep``), one whole-array step per real branch: a
+step takes each walk's edge, by its color at a branch, and then the hop
+from that edge's target (``_hop_table``), for at most k - 2 edges. A hop
+follows single out-edges and crosses read-end branches: a node with two
+out-edges, the first a $ edge into an ending node whose row holds no
+color past the hop mask, the second into an implicit successor. There a
+walk takes the $ edge when the ending row holds its color and the
+implicit successor otherwise, so it is never ambiguous there. Each hop
+keeps the OR of the ending rows it crosses as one mask word; a walk whose
+color is in its hop's mask ends inside that hop, and one edge-by-edge
+pass after the lockstep finds where. Every other branch, a read-end
+branch whose ending row holds a color past the mask included, is a step.
+
+``build_seqs`` walks its start's colors one node at a time
+(``_walk_color``): a start holds few colors, and a lockstep step costs
 about the same however many walks it carries. At a branch both read bit
 c - 1 of each successor's row bitmask: the one-node walk from Python ints,
 in one pass over the branch's out-edges, the lockstep walk from one gather
@@ -60,6 +71,7 @@ from .boss import BossIndex
 from .colormatrix import CompressedColors, decode_rows
 from .errors import BadStart, BadThreshold, NotColored
 from .sequence import CODE_SYMBOLS, DUMMY, ReadSet, reverse_complement
+from .stages import stage
 
 _CODE_ASCII = bytes.maketrans(bytes(range(len(CODE_SYMBOLS))), CODE_SYMBOLS.encode("ascii"))
 
@@ -113,7 +125,8 @@ def reconstruct_all(
     report = ReconstructionReport()
     ids, view = boss.starting_node_ids(), _IndexView.of(boss, colors)
     if view.hops is None:
-        view.hops = _hop_table(boss)
+        with stage("hops"):
+            view.hops, view.hop_masks = _hop_table(view)
     owner, col = view.start_colors(ids)
     steps = _walk_lockstep(view, ids[owner], col)
     labels = _labels(boss, ids)
@@ -173,22 +186,31 @@ def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
 
 def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[str | None]:
     """What ``_walk_color`` gives for each walk (start ``cur``, color
-    ``col``), all walks at once: one whole-array step per branch. A step
-    takes a walk's edge, by its color at a branch, and then the hop from
-    that edge's target (``_hop_table``); it counts every edge against the
-    step guard. Once all walks stop, the recovered ones are spelled in one
-    pass over their hops: the code of each edge a hop takes, as the
-    one-node walk reads it."""
+    ``col``), all walks at once: one whole-array step per real branch. A
+    step takes a walk's edge, by its color at a branch, and then the hop
+    from that edge's target (``_hop_table``); it counts every edge against
+    the step guard. A walk whose color is in the hop's mask ends at a read
+    end inside the hop: it is set aside, and once all walks stop, one
+    edge-by-edge pass finds the crossed node where each takes its $ edge.
+    Then the recovered walks are spelled in one pass over their hops: the
+    code of each edge a hop takes, as the one-node walk reads it."""
     words, rank, empty = view.words, view.rank, view.empty
-    n_walks, n_words = len(col), words.shape[1]
-    beyond = int(col.max(initial=0)) > 64 * n_words
-    hop_to, hop_len = view.hops
+    n_walks, n_words, top = len(col), words.shape[1], int(col.max(initial=0))
+    (hop_to, hop_len, crossed), hop_mask = view.hops, view.hop_masks
+    mask_type, mask_bits = hop_mask.dtype.type, 8 * hop_mask.itemsize
+    beyond, past_mask = top > 64 * n_words, top > mask_bits
     # int64 once per call: mixed-width numpy steps on small arrays are slower
     targets, first_edge = (np.asarray(a).astype(np.int64) for a in (view.targets, view.first_edge))
+    # the edge a hop leaves each node by, 0-based, at the graph's width:
+    # a crossed node's second
+    leave = np.asarray(view.first_edge)[:-1] - 1
+    leave[crossed] += 1
     last_ending, limit = view.last_ending, view.step_limit
     wid, steps = np.arange(n_walks), np.zeros(n_walks, dtype=np.int64)
     ok, total = np.zeros(n_walks, dtype=bool), np.zeros(n_walks, dtype=np.int64)
-    hops = [(wid[:0], wid[:0], hop_len[:0])]  # (walk, its step's edge, edges)
+    # (walk, its edges before the step, the step's edge, edges)
+    hops = [(wid[:0], wid[:0], wid[:0], hop_len[:0])]
+    aside = []  # (walk, hop start, color, edges before the step, the step's edge)
     while True:
         done = cur <= last_ending
         won = done & (steps <= limit)
@@ -225,27 +247,58 @@ def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[s
             pos[owner[take]] = edges[take]
             nxt[owner[take]] = t[take]
         alive = nxt > 0
-        wid, nxt, col = wid[alive], nxt[alive], col[alive]
+        wid, nxt, col, pos, steps = wid[alive], nxt[alive], col[alive], pos[alive], steps[alive]
+        bit = np.minimum(col - 1, mask_bits - 1) if past_mask else col - 1
+        ends = (hop_mask[nxt] >> bit.astype(mask_type) & 1).astype(bool)
+        if past_mask:  # no crossed row holds a color past the mask
+            ends &= col <= mask_bits
+        if ends.any():
+            aside.append((wid[ends], nxt[ends], col[ends], steps[ends], pos[ends]))
+            go = ~ends
+            wid, nxt, col, pos, steps = wid[go], nxt[go], col[go], pos[go], steps[go]
         n = hop_len[nxt] + 1
-        cur, steps = hop_to[nxt], steps[alive] + n
-        hops.append((wid, pos[alive], n))
+        hops.append((wid, steps, pos, n))
+        cur, steps = hop_to[nxt], steps + n
 
-    # the recovered walks' hops in walk order, each spelled from its step's
-    # edge on: inside a hop, a walk leaves each node by its one out-edge
-    wid, edge, n = (np.concatenate(a) for a in zip(*hops))
+    # each walk set aside ends at the first crossed node of its hop whose
+    # ending row holds its color: it spells its hop up to that node, and
+    # then the $ edge
+    if aside:
+        wid, at, col, before, pos = (np.concatenate(a) for a in zip(*aside))
+        end_row = np.full(len(leave), empty, dtype=rank.dtype)
+        end_row[crossed] = rank[targets[first_edge[crossed] - 1] - 1]
+        gap, at_end = np.zeros_like(before), np.zeros_like(at)  # per walk: its j and crossed node
+        left, bit = np.arange(len(wid)), (col - 1).astype(np.uint64)
+        j = 0  # the hop's edges before node ``at``
+        while len(left):
+            hit = (words[end_row[at], 0] >> bit & 1).astype(bool)
+            w = left[hit]
+            gap[w], at_end[w] = j, at[hit]
+            go = ~hit
+            left, bit, at, j = left[go], bit[go], targets[leave[at[go]]], j + 1
+        # the step's edge, j edges and the $ edge; a walk that ends visits
+        # no node twice, so it keeps within the step guard
+        ok[wid], total[wid] = True, before + gap + 2
+        hops.append((wid, before, pos, (gap + 1).astype(np.uint8)))
+        hops.append((wid, before + gap + 1, first_edge[at_end], np.ones(len(wid), dtype=np.uint8)))
+
+    # the recovered walks' hops, each spelled from its step's edge on, at
+    # its walk's place in the text: inside a hop, a walk leaves each node
+    # by ``leave``
+    wid, before, edge, n = (np.concatenate(a) for a in zip(*hops))
     keep = np.flatnonzero(ok[wid])
-    keep = keep[np.argsort(wid[keep], kind="stable")]
-    n = n[keep]
-    first = np.cumsum(n) - n  # where each hop's first symbol goes
-    order = np.argsort(n, kind="stable")[::-1]  # longest hops first
-    first, edge = first[order], edge[keep[order]] - 1
+    ends = np.cumsum(total)
+    order = keep[np.argsort(n[keep], kind="stable")[::-1]]  # longest hops first
+    n, edge = n[order], edge[order] - 1
+    first = (ends - total)[wid[order]] + before[order]  # where each hop's first symbol goes
     syms, codes = np.zeros(int(total.sum()), dtype=np.uint8), np.asarray(view.codes)
     longer = np.cumsum(np.bincount(n)[::-1])[::-1][1:]  # [j]: the hops of more than j edges
+    after = leave[targets]  # [e]: the edge a hop takes after edge e
     for j, m in enumerate(longer.tolist()):
         syms[first[:m] + j] = codes[edge[:m]]
-        edge = first_edge[targets[edge[:m]]] - 1
+        edge = after[edge[:m]]
     text = syms.tobytes().translate(_CODE_ASCII).decode()
-    ends = np.cumsum(total).tolist()
+    ends = ends.tolist()
     return [
         text[a:b] if good else None
         for a, b, good in zip([0] + ends[:-1], ends, ok.tolist())
@@ -312,25 +365,50 @@ def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
     return preds
 
 
-def _hop_table(boss: BossIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Per node id, the node a walk lands on by following single out-edges
-    from it until a branching or ending node, or for k - 2 edges, and the
-    number of edges taken. The cap keeps that number in a byte and the
-    derivation to about 2 log2 k gathers: pointer doubling over whole
-    arrays, as ``BossIndex._ancestors`` lifts parents, in int64 and
-    stored at the graph's width."""
+def _hop_table(view: _IndexView) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The hops of the index's graph: per node id, the node a walk lands
+    on by following single out-edges from it and crossing read-end
+    branches, until any other branching node or an ending node, or for
+    k - 2 edges; the number of edges taken; and the crossed nodes. A hop
+    crosses a node with two out-edges, the first a $ edge into an ending
+    node whose row holds no color past the mask, the second into an
+    implicit successor, by its second edge. Apart, per node id, the hop's
+    mask: the OR of the crossed ending rows, bit c - 1 for color c, in
+    the narrowest unsigned word that holds min(C, 64) bits. The cap keeps
+    the edge count in a byte and the derivation to about 2 log2 k rounds
+    of gathers: pointer doubling over whole arrays, as
+    ``BossIndex._ancestors`` lifts parents, in int64 and stored at the
+    graph's width."""
+    boss = view.graph()
+    first_edge, targets, last_ending = boss._first_edge, boss.edge_targets(), view.last_ending
     ids = np.arange(boss.node_count + 1)
-    moves = (np.diff(boss._first_edge) == 1) & (ids > boss.K[1])
-    up = np.where(moves, boss.edge_targets()[boss._first_edge[:-1] - 1], ids)
-    up_len, land, steps = moves.astype(np.uint8), ids, np.zeros(len(ids), dtype=np.uint8)
-    d = boss.k - 2
-    while d:
-        if d & 1:
-            land, steps = up[land], steps + up_len[land]
+    out = np.diff(first_edge) * (ids > last_ending)  # no hop leaves the root or an ending node
+    moves = out == 1
+    up = np.where(moves, targets[first_edge[:-1] - 1], ids)
+    two = np.flatnonzero(out == 2)
+    end, spare = targets[first_edge[two] - 1], targets[first_edge[two]]
+    row = view.rank[end - 1].astype(np.int64)
+    keep = (end <= last_ending) & (view.rank[spare - 1] == view.empty)
+    keep &= (row >= 0) & (row < view.empty)
+    two, row = two[keep], row[keep]
+    mask_type = np.min_scalar_type((1 << min(int(view.row_colors.max(initial=1)), 64)) - 1)
+    fits = view.row_colors[view.offsets[row + 1] - 1] <= 8 * mask_type.itemsize  # rows ascend
+    crossed, row = two[fits], row[fits]
+    moves[crossed], up[crossed] = True, targets[first_edge[crossed]]
+    up_mask = np.zeros(len(ids), dtype=mask_type)
+    up_mask[crossed] = view.words[row, 0]
+    up_len, d = moves.astype(np.uint8), boss.k - 2
+    if d & 1:
+        land, steps, mask = up, up_len, up_mask
+    else:
+        land, steps, mask = ids, np.zeros_like(up_len), np.zeros_like(up_mask)
+    while d > 1:
         d >>= 1
-        if d:
-            up, up_len = up[up], up_len + up_len[up]
-    return land.astype(boss._first_edge.dtype), steps
+        up, up_len, up_mask = up[up], up_len + up_len[up], up_mask | up_mask[up]
+        if d & 1:
+            land, steps, mask = up[land], steps + up_len[land], mask | up_mask[land]
+    width = first_edge.dtype
+    return (land.astype(width), steps, crossed.astype(width)), mask
 
 
 # (code, target, color mask) of each successor that is not an ending node,
@@ -369,15 +447,20 @@ class _IndexView:
       2 B per node below 2**15 rows. Every implicit successor reads row
       ``empty``, one past the stored rows, which holds no color.
 
-    So the view grows with the payload, not with p·C. Five caches are
+    So the view grows with the payload, not with p·C. Six caches are
     filled only by the queries that read them: ``masks``
     (``row_masks``), the rows of ``words`` as Python ints, which the
     one-node walks and assembly test with one shift, a list slot and,
     while W = 1, an int of at most 36 B per row, with None for a row
-    holding a color past 64W; ``hops`` (``_hop_table``),
-    whole on the first ``reconstruct_all``, per node where its hop lands,
-    at the graph's width, and the hop's edges in a byte, so 5 B per node
-    below 2**31 edges; ``starting_preds`` (``_starting_preds``), whole on
+    holding a color past 64W; ``hops`` and ``hop_masks``
+    (``_hop_table``), whole on the first ``reconstruct_all``: per node
+    where its hop lands, at the graph's width, and the hop's edges in a
+    byte, with the crossed read-end branches' ids at the graph's width,
+    and apart per node the hop's mask, in the narrowest unsigned word
+    that holds min(C, 64) bits. Below 2**31 edges that is 5 B per node
+    and the mask's 1, 2, 4 or 8 B (4 B for C from 17 to 32), and 4 B per
+    crossed node;
+    ``starting_preds`` (``_starting_preds``), whole on
     the first assembly; and, once an assembly walk stood at a node,
     ``runs``, its run (``derive_run``), or None at a real branching node,
     and ``branches``, that branching node's record (``derive_branch``). A
@@ -411,7 +494,8 @@ class _IndexView:
         self.masks: list[int | None] | None = None
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
-        self.hops: tuple[np.ndarray, np.ndarray] | None = None
+        self.hops: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.hop_masks: np.ndarray | None = None
         self.starting_preds: dict[int, list[int]] | None = None
 
     @staticmethod

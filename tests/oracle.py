@@ -14,9 +14,9 @@ row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
 successors. It also holds what only tests call: ``solid_mask``,
 ``edge_disambiguation_flags``, ``label_edge_disagreements`` (the check
-of ROADMAP item 2), ``table_rows``, ``table_from_rows``, and
-``walk_each_pair``, which puts ``build_seqs``'s walk in
-``reconstruct_all``'s place.
+of ROADMAP item 2), ``table_rows``, ``table_from_rows``, ``hop_ref``,
+the lockstep's hop table one node at a time, and ``walk_each_pair``,
+which puts ``build_seqs``'s walk in ``reconstruct_all``'s place.
 """
 
 from __future__ import annotations
@@ -320,6 +320,33 @@ def walk_each_pair(view, cur, col) -> list[str | None]:
     from cdbg.traversal import _walk_color
 
     return [_walk_color(view, v, c) for v, c in zip(cur.tolist(), col.tolist())]
+
+
+def hop_ref(view, v: int) -> tuple[int, int, int, list[int]]:
+    """What ``traversal._hop_table`` holds for node v, one edge at a time:
+    the node where the hop from v lands, its edges, the OR of the ending
+    rows it crosses as a mask (bit c - 1 for color c) and the nodes it
+    crosses. A hop takes a node's one out-edge, or crosses a node with two
+    whose first enters an ending node with a stored row of colors up to
+    64 and whose second enters an implicit successor. It stops at any
+    other node, at the root or an ending node, or after k - 2 edges."""
+    boss = view.graph()
+    rank, empty = view._rank, view.empty
+    land, taken, held, crossed = v, 0, 0, []
+    while taken < boss.k - 2 and land > boss.K[1]:
+        out = [t for _, _, t in boss.successors(land)]
+        if len(out) == 2 and is_ending(boss, out[0]) and rank[out[1] - 1] == empty:
+            if not 0 <= rank[out[0] - 1] < empty or view.mask(out[0]).bit_length() > 64:
+                break
+            held |= view.mask(out[0])
+            crossed.append(land)
+            land = out[1]
+        elif len(out) == 1:
+            land = out[0]
+        else:
+            break
+        taken += 1
+    return land, taken, held, crossed
 
 
 def contig_assm_ref(boss, colors, v: int, x: float) -> str:

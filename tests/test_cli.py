@@ -245,7 +245,8 @@ class TestStats:
 
 def test_view_bytes_counts_masks_only_after_the_walks_that_read_them(tiny_index):
     # tests/view_bytes.py on the tiny index: reconstruction's view holds a
-    # hop table and no row masks, assembly's the masks and no hop table
+    # hop table with its masks and no row masks, assembly's the row masks
+    # and no hop table
     _, _, index, _ = tiny_index
     script = Path(__file__).with_name("view_bytes.py")
     res = subprocess.run(
@@ -258,7 +259,8 @@ def test_view_bytes_counts_masks_only_after_the_walks_that_read_them(tiny_index)
     for held in (rec["bytes"], asm["bytes"]):
         assert held["total"] == sum(n for part, n in held.items() if part != "total")
         assert held["rank"] > 0 and held["words"] > 0
-    assert rec["bytes"]["hops"] > 0 and asm["bytes"]["masks"] > 0
+    assert rec["bytes"]["hops"] > 0 and rec["bytes"]["hop_masks"] > 0
+    assert asm["bytes"]["masks"] > 0
 
 
 class TestReconstruct:
@@ -282,7 +284,7 @@ class TestReconstruct:
             "--verify", str(reads),
         )
         assert res.returncode == 0, res.stderr
-        for name in ("load", "reconstruct", "verify", "write"):
+        for name in ("load", "hops", "reconstruct", "verify", "write"):
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
         assert "INFO walks=2 recovered=2 ambiguous=0" in res.stderr.splitlines()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import logging
 import weakref
 
 import numpy as np
@@ -23,12 +24,14 @@ from cdbg.traversal import (
 )
 
 from conftest import mixed_read_set, random_read_set, wide_read_set
+from fuzz_walks import run_cases as fuzz_walk_cases
 from oracle import (
     assemble_all_ref,
     compress_ref,
     contig_assm_ref,
     decode_table,
     full_colors,
+    hop_ref,
     is_unambiguous,
     kept_ref,
     solid_mask,
@@ -449,6 +452,28 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
     assert loaded_colors._query.runs == {}
 
 
+def test_the_hop_table_derivation_logs_one_stage_per_view(caplog):
+    # the first reconstruct_all on a loaded index logs the hop table's
+    # derivation as one stage line; a second on the same index logs none
+    _, boss, colors, _ = index_for(list(mixed_read_set(1, 9).reads), 9)
+    loaded, loaded_colors = reload(boss, colors)
+    caplog.set_level(logging.INFO, logger="cdbg.stages")
+    reconstruct_all(loaded, loaded_colors)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["stage hops"]
+    caplog.clear()
+    reconstruct_all(loaded, loaded_colors)
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_read_sets_walk_alike_in_lockstep_and_one_node_at_a_time(seed):
+    # tests/fuzz_walks.py: 60 random read sets, k from 3 to 63, with
+    # repeats and substitutions, whose raw walks the lockstep and the
+    # one-node walk spell alike; some of them ambiguous
+    counts = fuzz_walk_cases(seed, 60)
+    assert counts["cases"] == 60 and counts["recovered"] > 0 and counts["ambiguous"] > 0
+
+
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
     # each index's view derives its runs and branch records once each,
     # however many walks read them; a copy of the colors has a view of its
@@ -536,10 +561,15 @@ def test_a_graph_answers_with_the_colors_of_another_load(tmp_path):
 
 @pytest.fixture(scope="module")
 def wide_indexes():
-    """An index whose rows need more than one 64-bit word of bitmask."""
-    _, boss, colors, full = index_for(list(wide_read_set().reads), 9)
+    """An index whose rows need more than one 64-bit word of bitmask: the
+    wide reads and every other one extended by 6 symbols, so that the 40
+    reads extended end at read-end branches, with colors up to 120."""
+    reads = list(wide_read_set().reads)
+    rng = np.random.default_rng(0)
+    reads += [r + "".join(rng.choice(list("acgt"), size=6)) for r in reads[::2]]
+    _, boss, colors, full = index_for(reads, 9)
     assert colors.num_colors > 64
-    # colors tripled: up to 240, past the view's three words a row (at
+    # colors tripled: up to 360, past the view's three words a row (at
     # most ⌈entries / p⌉), so the rows holding them are read from the
     # decoded rows
     rows = [[3 * c for c in row] for row in decode_table(full)]
@@ -547,7 +577,7 @@ def wide_indexes():
     tripled = compress_ref(rows, boss.colorable, cands, kept)
     view = traversal._IndexView(boss, tripled)
     assert view.words.shape[1] == 3
-    assert sum(m is None for m in view.row_masks()) == 55
+    assert sum(m is None for m in view.row_masks()) == 196
     tripled_full = compress_ref(rows, boss.colorable, cands)
     return {"wide": (boss, colors, full), "tripled": (boss, tripled, tripled_full)}
 
@@ -586,7 +616,7 @@ def test_colors_past_the_words_are_looked_up_in_their_own_rows():
     colors = compress_ref(rows, boss.colorable, boss.implicit_candidates)
     view = traversal._IndexView(boss, colors)
     assert view.words.shape[1] == 2
-    view.hops = traversal._hop_table(boss)
+    view.hops, view.hop_masks = traversal._hop_table(view)
     starts = boss.starting_node_ids()
     far = np.arange(129, 302)
     cur, col = np.repeat(starts, len(far)), np.tile(far, len(starts))
@@ -598,6 +628,35 @@ def test_colors_past_the_words_are_looked_up_in_their_own_rows():
     want = [walk_color(boss, colors, v, c) for v, c in zip(cur.tolist(), col.tolist())]
     assert got == want
     assert sum(s is not None for s in got) > 0
+
+
+@pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])
+def test_the_hop_table_matches_the_one_edge_reference(request, indexes):
+    # every node's landing node, edges and mask, and the crossed nodes, as
+    # oracle.hop_ref walks them one edge at a time, at k = 3 to 63. The
+    # mask is the narrowest unsigned word of min(C, 64) bits. The tripled
+    # index's ending rows hold colors past 64, so some of its read-end
+    # branches stay branch steps while others are crossed
+    kept = {}
+    for name, (boss, colors, _) in request.getfixturevalue(indexes).items():
+        view = traversal._IndexView(boss, colors)
+        (hop_to, hop_len, crossed), masks = traversal._hop_table(view)
+        assert masks.dtype == np.min_scalar_type((1 << min(colors.num_colors, 64)) - 1)
+        refs = [hop_ref(view, v) for v in range(1, boss.node_count + 1)]
+        assert hop_to[1:].tolist() == [land for land, _, _, _ in refs]
+        assert hop_len[1:].tolist() == [taken for _, taken, _, _ in refs]
+        assert [int(m) for m in masks[1:]] == [held for _, _, held, _ in refs]
+        assert crossed.tolist() == [v for v, ref in enumerate(refs, 1) if ref[3][:1] == [v]]
+        assert {u for ref in refs for u in ref[3]} <= set(crossed.tolist())
+        read_ends = []
+        for u in range(int(boss.K[1]) + 1, boss.node_count + 1):
+            out = [t for _, _, t in boss.successors(u)]
+            if len(out) == 2 and out[0] <= boss.K[1] and view.rank[out[1] - 1] == view.empty:
+                read_ends.append(u)
+        kept[name] = (len(crossed), len(set(read_ends) - set(crossed.tolist())))
+    assert sum(n for n, _ in kept.values()) > 0, kept
+    if indexes == "wide_indexes":
+        assert kept["tripled"][1] > 0, kept
 
 
 @pytest.mark.parametrize("indexes", ["mixed_indexes", "error_indexes", "wide_indexes"])

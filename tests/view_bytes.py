@@ -11,7 +11,10 @@ at a time and counts the traced bytes that each drop frees:
 * ``words``: the rows' bitmask words;
 * ``masks``: the rows as Python ints, built only by the walks that read them;
 * ``decoded_rows``: ``offsets`` and ``row_colors``;
-* ``hops``: the lockstep's hop table;
+* ``hops``: the lockstep's hop table: each node's landing node and edge
+  count, and the crossed nodes;
+* ``hop_masks``: each node's hop mask, the colors of the ending rows its
+  hop crosses;
 * ``other``: the rest of the view;
 
 and ``total``, their sum. Tracing starts after the load, so only what the
@@ -35,6 +38,7 @@ PARTS = {
     "masks": ("masks",),
     "decoded_rows": ("offsets", "row_colors"),
     "hops": ("hops",),
+    "hop_masks": ("hop_masks",),
 }
 
 
