@@ -62,7 +62,7 @@ derived by one walk and read by many.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,14 +85,21 @@ class StartReport:
 
 @dataclass
 class ReconstructionReport:
-    recovered: list[str] = field(default_factory=list)
-    ambiguous_count: int = 0
-    per_start: dict[int, StartReport] = field(default_factory=dict)
+    recovered: list[str]
+    ambiguous_count: int
+    starts: np.ndarray  # the starting nodes
+    tally: np.ndarray  # per start, its (ambiguous, recovered) walks
     verified_fraction: float | None = None
 
     @property
     def recovered_count(self) -> int:
         return len(self.recovered)
+
+    @property
+    def per_start(self) -> dict[int, StartReport]:
+        """Each start's report, made from ``tally`` on each read."""
+        tally = zip(self.starts.tolist(), self.tally.tolist())
+        return {v: StartReport(lost + won, won, lost) for v, (lost, won) in tally}
 
 
 def build_seqs(boss: BossIndex, colors: CompressedColors, v: int) -> list[str]:
@@ -122,26 +129,17 @@ def reconstruct_all(
     inspected successor is not colorable. ``threads`` is ignored; it stays
     because the benchmark's pipeline passes ``threads=1`` (ROADMAP item 1
     removes both)."""
-    report = ReconstructionReport()
     ids, view = boss.starting_node_ids(), _IndexView.of(boss, colors)
-    if view.hops is None:
-        with stage("hops"):
-            view.hops, view.hop_masks = _hop_table(view)
     owner, col = view.start_colors(ids)
     steps = _walk_lockstep(view, ids[owner], col)
     labels = _labels(boss, ids)
-    report.recovered = [
+    recovered = [
         (labels[o] + s).strip(DUMMY) for o, s in zip(owner.tolist(), steps) if s is not None
     ]
     got = np.array([s is not None for s in steps], dtype=np.int64)
-    tally = np.bincount(2 * owner + got, minlength=2 * len(ids)).reshape(-1, 2).tolist()
-    report.per_start = {
-        v: StartReport(lost + won, won, lost) for v, (lost, won) in zip(ids.tolist(), tally)
-    }
-    report.ambiguous_count = len(steps) - len(report.recovered)
-    if verify_against is not None:
-        report.verified_fraction = verified_fraction(report.recovered, verify_against)
-    return report
+    tally = np.bincount(2 * owner + got, minlength=2 * len(ids)).reshape(-1, 2)
+    fraction = None if verify_against is None else verified_fraction(recovered, verify_against)
+    return ReconstructionReport(recovered, len(steps) - len(recovered), ids, tally, fraction)
 
 
 def _walk_color(view: _IndexView, v: int, c: int) -> str | None:
@@ -194,9 +192,12 @@ def _walk_lockstep(view: _IndexView, cur: np.ndarray, col: np.ndarray) -> list[s
     edge-by-edge pass finds the crossed node where each takes its $ edge.
     Then the recovered walks are spelled in one pass over their hops: the
     code of each edge a hop takes, as the one-node walk reads it."""
+    if view.hops is None:
+        with stage("hops"):
+            view.hops = _hop_table(view)
     words, rank, empty = view.words, view.rank, view.empty
     n_walks, n_words, top = len(col), words.shape[1], int(col.max(initial=0))
-    (hop_to, hop_len, crossed), hop_mask = view.hops, view.hop_masks
+    (hop_to, hop_len, crossed), hop_mask = view.hops
     mask_type, mask_bits = hop_mask.dtype.type, 8 * hop_mask.itemsize
     beyond, past_mask = top > 64 * n_words, top > mask_bits
     # int64 once per call: mixed-width numpy steps on small arrays are slower
@@ -315,19 +316,22 @@ def verified_fraction(recovered: list[str], original: ReadSet) -> float:
 
 
 def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> str:
-    """Assemble one contig starting from v with extension threshold x."""
+    """Assemble one contig starting from v with extension threshold x. A
+    starting predecessor u of a node the walk enters activates u's colors:
+    when u has two or more out-edges, only those the node's row holds."""
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
-    return _assemble_from(_IndexView.for_assembly(boss, colors), v, boss.node_label(v), x)
+    return _assemble_from(_IndexView.of(boss, colors), v, boss.node_label(v), x)
 
 
 def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[str]:
     """Contigs from every starting node, as ``contig_assm`` gives them (a
-    contig contained in a longer one is kept), deduplicated up to reverse
-    complement, longest first."""
+    contig contained in a longer one is kept; a starting predecessor with
+    two or more out-edges activates only the colors that the entered node
+    holds), deduplicated up to reverse complement, longest first."""
     _check_threshold(x)
-    view, starts = _IndexView.for_assembly(boss, colors), boss.starting_node_ids()
+    view, starts = _IndexView.of(boss, colors), boss.starting_node_ids()
     seen: set[str] = set()
     contigs: list[str] = []
     for v, label in zip(starts.tolist(), _labels(boss, starts)):
@@ -352,16 +356,17 @@ def _labels(boss: BossIndex, ids) -> list[str]:
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
-def _starting_preds(boss: BossIndex) -> dict[int, list[int]]:
-    """The starting predecessors of each node of indegree > 1, in BOSS
-    order: the out-edges of the starting nodes, in source order."""
+def _starting_preds(boss: BossIndex) -> dict[int, list[tuple[int, bool]]]:
+    """Per node of indegree > 1, (u, whether u has two or more out-edges)
+    for each starting predecessor u, in the BOSS order of u's edges."""
     targets, starts = boss.edge_targets(), boss.starting_node_ids()
     edges, counts = _gather(boss._first_edge, starts)
     into = targets[edges - 1]
     keep = np.bincount(targets, minlength=boss.node_count + 1)[into] > 1
-    preds: dict[int, list[int]] = {}
-    for u, t in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist()):
-        preds.setdefault(t, []).append(u)
+    preds: dict[int, list[tuple[int, bool]]] = {}
+    branching = (np.repeat(counts, counts) > 1)[keep].tolist()
+    for u, t, b in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist(), branching):
+        preds.setdefault(t, []).append((u, b))
     return preds
 
 
@@ -447,21 +452,20 @@ class _IndexView:
       2 B per node below 2**15 rows. Every implicit successor reads row
       ``empty``, one past the stored rows, which holds no color.
 
-    So the view grows with the payload, not with p·C. Six caches are
+    So the view grows with the payload, not with p·C. Five caches are
     filled only by the queries that read them: ``masks``
     (``row_masks``), the rows of ``words`` as Python ints, which the
     one-node walks and assembly test with one shift, a list slot and,
     while W = 1, an int of at most 36 B per row, with None for a row
-    holding a color past 64W; ``hops`` and ``hop_masks``
-    (``_hop_table``), whole on the first ``reconstruct_all``: per node
-    where its hop lands, at the graph's width, and the hop's edges in a
-    byte, with the crossed read-end branches' ids at the graph's width,
-    and apart per node the hop's mask, in the narrowest unsigned word
-    that holds min(C, 64) bits. Below 2**31 edges that is 5 B per node
-    and the mask's 1, 2, 4 or 8 B (4 B for C from 17 to 32), and 4 B per
-    crossed node;
+    holding a color past 64W; ``hops`` (``_hop_table``), whole on the
+    first lockstep walk: per node where its hop lands, at the graph's
+    width, and the hop's edges in a byte, with the crossed read-end
+    branches' ids at the graph's width, and apart per node the hop's
+    mask, in the narrowest unsigned word that holds min(C, 64) bits.
+    Below 2**31 edges that is 5 B per node and the mask's 1, 2, 4 or 8 B
+    (4 B for C from 17 to 32), and 4 B per crossed node;
     ``starting_preds`` (``_starting_preds``), whole on
-    the first assembly; and, once an assembly walk stood at a node,
+    the first assembly walk; and, once an assembly walk stood at a node,
     ``runs``, its run (``derive_run``), or None at a real branching node,
     and ``branches``, that branching node's record (``derive_branch``). A
     lookup of an uncolorable node raises ``NotColored`` each time: no
@@ -494,23 +498,14 @@ class _IndexView:
         self.masks: list[int | None] | None = None
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
-        self.hops: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.hop_masks: np.ndarray | None = None
-        self.starting_preds: dict[int, list[int]] | None = None
+        self.hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+        self.starting_preds: dict[int, list[tuple[int, bool]]] | None = None
 
     @staticmethod
     def of(boss: BossIndex, colors: CompressedColors) -> _IndexView:
         view = colors._query
         if view is None or view.graph() is not boss:
             view = colors._query = _IndexView(boss, colors)
-        return view
-
-    @staticmethod
-    def for_assembly(boss: BossIndex, colors: CompressedColors) -> _IndexView:
-        """The index's view with its starting-predecessor map."""
-        view = _IndexView.of(boss, colors)
-        if view.starting_preds is None:
-            view.starting_preds = _starting_preds(boss)
         return view
 
     def row_masks(self) -> list[int | None]:
@@ -619,6 +614,8 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     least an x fraction of them. The walk visits at most edge_count + 1
     nodes; it crosses each run, read-end branches included, in one step
     and reads a real branching node's successors from its record."""
+    if view.starting_preds is None:
+        view.starting_preds = _starting_preds(view.graph())
     runs, branches, starting_preds, mask = view.runs, view.branches, view.starting_preds, view.mask
     active = mask(v)  # bit c - 1 for each active read's color c
     owner: dict[int, int] = {}  # color -> the start that activated it, where not v
@@ -634,8 +631,10 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     syms = bytearray()  # one code per edge taken
     cur, budget = v, view.edge_count + 1  # the nodes left to visit
     while budget:
-        for u in starting_preds.get(cur, ()):
+        for u, branching in starting_preds.get(cur, ()):
             new = mask(u) & ~finished[u] if u in finished else mask(u)
+            if branching:
+                new &= mask(cur)
             active |= new
             while new:  # highest first: no negative int, as ``m & -m`` makes
                 c = new.bit_length()

@@ -50,25 +50,31 @@ def random_case(rng: np.random.Generator) -> tuple[int, list[str]]:
     return k, reads
 
 
+def build_case(k: int, raw: list[str]):
+    """The read set, graph, colour table and compressed colours of ``raw``,
+    built as ``cdbg build`` builds them."""
+    from cdbg.boss import BossIndex
+    from cdbg.coloring import color_all
+    from cdbg.colormatrix import compress
+    from cdbg.sequence import ReadSet
+
+    reads = ReadSet.from_reads(raw, k=k)
+    boss = BossIndex.build(reads, k)
+    table = color_all(boss, boss.colorable, reads)
+    return reads, boss, table, compress(table, boss.colorable)
+
+
 def run_cases(seed: int, cases: int) -> dict[str, int]:
     """Walks every case both ways and counts the walks. Raises
     ``AssertionError`` naming the first case whose walks differ."""
-    from cdbg.boss import BossIndex
-    from cdbg.coloring import color_all, mark_colorable
-    from cdbg.colormatrix import compress
-    from cdbg.sequence import ReadSet
-    from cdbg.traversal import _IndexView, _walk_lockstep, reconstruct_all
+    from cdbg.traversal import _IndexView, _walk_lockstep
     from oracle import walk_each_pair
 
     rng = np.random.default_rng(seed)
     counts = {"cases": 0, "walks": 0, "recovered": 0, "ambiguous": 0}
     for case in range(cases):
         k, raw = random_case(rng)
-        reads = ReadSet.from_reads(raw)
-        boss = BossIndex.build(reads, k=k)
-        colorable = mark_colorable(boss)
-        colors = compress(color_all(boss, colorable, reads), colorable)
-        reconstruct_all(boss, colors)  # derives the view and its hop table
+        _, boss, _, colors = build_case(k, raw)
         view, ids = _IndexView.of(boss, colors), boss.starting_node_ids()
         owner, col = view.start_colors(ids)
         cur = ids[owner]

@@ -352,7 +352,10 @@ def hop_ref(view, v: int) -> tuple[int, int, int, list[int]]:
 def contig_assm_ref(boss, colors, v: int, x: float) -> str:
     """Assemble one contig from starting node v one graph step at a time,
     with one ``get_colors`` per color set (the assembly reference, on a
-    full table)."""
+    full table). At a node of indegree > 1 the colors of each starting
+    predecessor u become active; a u with two or more out-edges activates
+    only those that the entered node also holds, since its strings that
+    hold the others leave u by another edge."""
     from cdbg.colormatrix import get_colors
     from cdbg.errors import BadStart, BadThreshold
     from cdbg.sequence import CODE_SYMBOLS, DUMMY
@@ -371,8 +374,9 @@ def contig_assm_ref(boss, colors, v: int, x: float) -> str:
         if indegree(boss, cur) > 1:
             for u in boss.backward(cur):
                 if boss.is_starting(u):
+                    here = set(get_colors(colors, cur)) if outdegree(boss, u) > 1 else None
                     for c in get_colors(colors, u):
-                        if (c, u) not in finished:
+                        if (c, u) not in finished and (here is None or c in here):
                             active[c] = u
         succ = boss.successors(cur)
         if len(succ) == 1:

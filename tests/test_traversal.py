@@ -24,6 +24,7 @@ from cdbg.traversal import (
 )
 
 from conftest import mixed_read_set, random_read_set, wide_read_set
+from fuzz_assembly import run_cases as fuzz_assembly_cases
 from fuzz_walks import run_cases as fuzz_walk_cases
 from oracle import (
     assemble_all_ref,
@@ -307,6 +308,22 @@ def test_walks_past_implicit_successors_with_siblings_past_the_words(walk):
     assert assemble_all(boss, colors, 0.5) == assemble_all_ref(boss, full, 0.5)
 
 
+def test_per_start_reports_are_made_only_when_read(monkeypatch):
+    # reconstruct_all keeps one tally row per start; the StartReports are
+    # made from it when per_start is read, and equal the walks' counts
+    _, boss, colors, full = index_for(list(mixed_read_set(1, 9).reads), 9)
+    made = []
+    monkeypatch.setattr(traversal, "StartReport", lambda *a: made.append(a) or StartReport(*a))
+    report = reconstruct_all(boss, colors)
+    assert made == []
+    walks = reference_walks(boss, full)
+    assert report.per_start == {
+        v: StartReport(len(ws), sum(s is not None for s in ws), sum(s is None for s in ws))
+        for v, ws in walks.items()
+    }
+    assert len(made) == len(walks) == len(boss.starting_node_ids())
+
+
 def test_build_seqs_matches_reconstruct_all_start_by_start():
     # reconstruct_all walks this index in lockstep and build_seqs walks one
     # start's colors one at a time; each start's strings must agree
@@ -474,6 +491,26 @@ def test_random_read_sets_walk_alike_in_lockstep_and_one_node_at_a_time(seed):
     assert counts["cases"] == 60 and counts["recovered"] > 0 and counts["ambiguous"] > 0
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_read_sets_assemble_as_the_full_table(seed):
+    # tests/fuzz_assembly.py at x = 0.5 on 20 random read sets: assembly
+    # on the built index gives the contigs of the full table. Seed 1 case
+    # 18 (k = 6) has starting nodes with two out-edges, whose colors that
+    # leave by the other edge stay inactive
+    counts = fuzz_assembly_cases(seed, 20, xs=(0.5,))
+    assert counts["assemblies"] == 20
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_read_sets_recover_every_string_that_repeats_no_k2mer(seed):
+    # tests/fuzz_assembly.py without assembly on 60 random read sets: every
+    # string of R' that repeats no (k - 2)-mer is recovered and no string
+    # outside R' is. Most strings that repeat one are lost (ROADMAP item 7)
+    counts = fuzz_assembly_cases(seed, 60, xs=())
+    assert counts["cases"] == 60 and counts["unrepeated"] > 0
+    assert 0 < counts["repeating_lost"] <= counts["repeating"]
+
+
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
     # each index's view derives its runs and branch records once each,
     # however many walks read them; a copy of the colors has a view of its
@@ -616,7 +653,7 @@ def test_colors_past_the_words_are_looked_up_in_their_own_rows():
     colors = compress_ref(rows, boss.colorable, boss.implicit_candidates)
     view = traversal._IndexView(boss, colors)
     assert view.words.shape[1] == 2
-    view.hops, view.hop_masks = traversal._hop_table(view)
+    view.hops = traversal._hop_table(view)
     starts = boss.starting_node_ids()
     far = np.arange(129, 302)
     cur, col = np.repeat(starts, len(far)), np.tile(far, len(starts))

@@ -11,10 +11,10 @@ at a time and counts the traced bytes that each drop frees:
 * ``words``: the rows' bitmask words;
 * ``masks``: the rows as Python ints, built only by the walks that read them;
 * ``decoded_rows``: ``offsets`` and ``row_colors``;
-* ``hops``: the lockstep's hop table: each node's landing node and edge
-  count, and the crossed nodes;
-* ``hop_masks``: each node's hop mask, the colors of the ending rows its
-  hop crosses;
+* ``hops``: the lockstep's hop table without its masks: each node's
+  landing node and edge count, and the crossed nodes;
+* ``hop_masks``: the hop table's masks, per node the colors of the
+  ending rows its hop crosses;
 * ``other``: the rest of the view;
 
 and ``total``, their sum. Tracing starts after the load, so only what the
@@ -37,8 +37,8 @@ PARTS = {
     "words": ("words",),
     "masks": ("masks",),
     "decoded_rows": ("offsets", "row_colors"),
-    "hops": ("hops",),
-    "hop_masks": ("hop_masks",),
+    "hops": ("hop_nodes",),
+    "hop_masks": ("hops",),
 }
 
 
@@ -54,6 +54,9 @@ def held_after(path: str, query) -> dict:
         gc.collect()
         view, sizes = colors._query, dict.fromkeys([*PARTS, "other"], 0)
         built = view.masks is not None
+        # the hop table is one attribute, (node arrays, masks): its node
+        # arrays move to an attribute of their own, so each part drops apart
+        view.hop_nodes, view.hops = view.hops or (None, None)
         for part, names in PARTS.items():
             before = tracemalloc.get_traced_memory()[0]
             for name in names:
