@@ -67,7 +67,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ._arrays import _unique
+from ._arrays import _gather, _unique
 from ._binio import Fields, Pieces, Reader
 from .bitvectors import BitVector, SymbolSequence
 from .errors import BadLabel, BadOrder, BoundsError, CorruptIndex, EmptyIndex, IntegrityError
@@ -233,11 +233,15 @@ class BossIndex(Fields):
         branching nodes, and the bitmap of the other colourable nodes: the
         starting and ending nodes and the other solid targets. The solid
         nodes are counted here too, so that no later query lifts the
-        parents again."""
+        parents again. No indegree is counted: the canonical edges enter
+        nodes 2, 3, ... in turn and only flagged edges repeat a target
+        (``_derive_targets``), so the checks read the flagged edges and
+        the count of the others."""
         m = self.edge_count
         width = np.int32 if m < 2**31 - 1 else np.int64
         first = np.flatnonzero(b_bits.view(bool)) + 1
-        self._first_edge = np.concatenate([[0], first, [m + 1]]).astype(width)
+        self._first_edge = np.concatenate([[0], first, [m + 1]], dtype=width)
+        del first
         n = self.node_count = len(self._first_edge) - 2
         self._codes = self.E.codes()
         ends = self.E.closure_len + 1  # the ending nodes are ids 2..K[1]
@@ -247,45 +251,47 @@ class BossIndex(Fields):
             raise CorruptIndex("an ending node does not own exactly one closure edge")
         if self._first_edge[2] - 1 != self.E.closure_start:
             raise CorruptIndex("the closure run does not start at the first ending node")
-        targets, self.K = self._derive_targets(minus)
+        targets, self.K, canonical = self._derive_targets(minus, width)
         if self.K[1] != ends:
             raise CorruptIndex("the $ edges do not enter every ending node")
-        if len(targets) and targets.max() > n:
+        if len(canonical) > n - 1:  # the last one's target is len(canonical) + 1
             raise CorruptIndex("edge target rank exceeds node count")
-        self._targets = targets.astype(width)
-        self._targets.flags.writeable = False
-        indeg = np.bincount(targets, minlength=n + 1)
-        if indeg[1] != 0:
+        self._targets = targets
+        targets.flags.writeable = False
+        flagged = targets[minus.view(bool)]
+        flagged = flagged[flagged > 0]  # the targets of the flagged real edges
+        if (flagged == 1).any():
             raise CorruptIndex("all-dummy root acquired incoming edges")
-        if n > 1 and indeg[2:].min() < 1:
+        if len(canonical) < n - 1:
             raise CorruptIndex("non-root node without incoming edge")
-        canonical = np.flatnonzero((targets > 0) & (minus == 0))
-        sources = self.edge_sources()
+        # nodes 2..n have one canonical incoming edge each: a check of that could never fail
         self._parent = np.zeros(n + 1, dtype=width)
-        self._parent[targets[canonical]] = sources[canonical]
-        if len(canonical) != n - 1 or not self._parent[2:].all():
-            raise CorruptIndex("a node lacks a canonical incoming edge")
-        # a label starts with `$` when its parent chain reaches the root
-        # within k-2 steps; such labels form a tree below the root
+        self._parent[2:] = self.edge_sources()[canonical]
+        del canonical
+        # a label starts with `$` when its parent chain reaches the root within
+        # k-2 steps; such labels form a tree below the root: none also ends in
+        # `$` (ids 2..K[1]), and no flagged edge enters one
         anc = self._ancestors(self.k - 2)
-        dollar = np.flatnonzero(anc[2:] < 2) + 2
-        if len(dollar) and (dollar.min() <= ends or (indeg[dollar] != 1).any()):
+        if (anc[2 : ends + 1] < 2).any() or (anc[flagged] < 2).any():
             raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
         self._starting = np.flatnonzero(anc == 1).astype(width)
         self._starting.flags.writeable = False
-        bits = np.zeros(n + 1, dtype=np.uint8)
-        bits[self._starting] = 1
-        bits[2 : ends + 1] = 1
         # the labels without `$`: above the ending nodes and not below the
         # root within k-2 steps
         solid = anc >= 2
         solid[: ends + 1] = False
-        self.solid_count = int(solid.sum())
-        succ = targets[_branch_edges(self, sources)]
+        self.solid_count = int(np.count_nonzero(solid))
+        bits = np.zeros(n + 1, dtype=np.uint8)
+        bits[self._starting] = 1
+        bits[2 : ends + 1] = 1
+        outdeg = np.diff(self._first_edge)
+        branching = np.flatnonzero(outdeg > 1)
+        edges, counts = _gather(self._first_edge, branching)
+        succ = targets[edges - 1]
         # the other successor of a read-end branch (``_read_end_edges``) is
         # implicit when it is solid, not starting and the successor of no
         # other branching node
-        t = self._targets[self._read_end_edges()]
+        t = targets[self._read_end_edges(branching[counts == 2])]
         t = t[solid[t] & (bits[t] == 0)]
         self.implicit_candidates = np.sort(t[np.bincount(succ, minlength=n + 1)[t] == 1])
         self.implicit_candidates.flags.writeable = False
@@ -293,45 +299,53 @@ class BossIndex(Fields):
         bits[self.implicit_candidates] = 0
         self.explicit_colorable = BitVector(bits[1:])
 
-    def _read_end_edges(self) -> np.ndarray:
-        """0-based positions of the second edges of the nodes with two
-        edges, the first a $ edge. A node's edges carry increasing symbols
-        and only $ edges enter ending nodes, so these nodes are the
-        branching nodes with one successor besides an ending node."""
-        second = self._first_edge[np.flatnonzero(np.diff(self._first_edge) == 2)]
+    def _read_end_edges(self, two: np.ndarray) -> np.ndarray:
+        """0-based positions of the second edges of the given nodes with
+        two edges whose first edge is a $ edge. A node's edges carry
+        increasing symbols and only $ edges enter ending nodes, so these
+        are the branching nodes with one successor besides an ending
+        node."""
+        second = self._first_edge[two]
         return second[self._codes[second - 1] == 1]
 
-    def _derive_targets(self, minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Target node of every edge, 0 on closure edges, and ``K``. One
-        stable sort of the codes lines the edges up by symbol, each symbol's
-        in edge order; along it, the target rank of an edge is 1 plus the
-        number of unflagged real edges up to and including it, since the
-        labels of each symbol follow those of the smaller ones and the root
-        (whose label ends in ``$``) comes first. ``K[c]`` is 1 plus the
-        number of unflagged real edges of symbol at most c."""
+    def _derive_targets(self, minus: np.ndarray, width: type) -> tuple[np.ndarray, ...]:
+        """Target node of every edge at ``width``, 0 on closure edges,
+        ``K``, and the 0-based positions of the canonical (unflagged real)
+        edges by target. One stable sort of the codes lines the edges up by
+        symbol, each symbol's in edge order; along it, the target rank of an
+        edge is 1 plus the number of canonical edges up to and including
+        it, since the labels of each symbol follow those of the smaller
+        ones and the root (whose label ends in ``$``) comes first. So the
+        canonical edges enter nodes 2, 3, ... in turn and a flagged edge
+        the node of the one before it, or the root: only flagged edges
+        repeat a target, and no indegree count is needed. ``K[c]`` is 1
+        plus the number of canonical edges of symbol at most c."""
         E = self.E
         closure = slice(E.closure_start, E.closure_start + E.closure_len)
         counted = ~minus.view(bool)
         counted[closure] = False
         order = np.argsort(self._codes, kind="stable")
-        ranks = np.zeros(self.edge_count + 1, dtype=np.int64)  # [j]: counted among the first j
-        np.cumsum(counted[order], out=ranks[1:])
-        targets = np.empty(self.edge_count, dtype=np.int64)
-        targets[order] = ranks[1:] + 1
+        counted = counted[order]
+        ranks = np.zeros(self.edge_count + 1, dtype=width)  # [j]: counted among the first j
+        # add.accumulate: cumsum makes a method-name string that CPython's type cache then keeps
+        np.add.accumulate(counted, out=ranks[1:])
+        targets = np.empty(self.edge_count, dtype=width)
+        targets[order] = ranks[1:]
+        targets += 1
         targets[closure] = 0
-        ends = np.cumsum(np.bincount(self._codes, minlength=6))  # [c]: the edges of symbol <= c
-        return targets, np.concatenate([[0], ranks[ends[1:]] + 1])
+        ends = np.add.accumulate(np.bincount(self._codes, minlength=6))  # [c]: symbols <= c
+        return targets, np.concatenate([[0], ranks[ends[1:]] + 1]), order[counted]
 
     def _ancestors(self, d: int) -> np.ndarray:
         """The d-th parent of every node, by id, 0 past the root: binary
         lifting over the parent array, widened to int64 once because int64
         gathers are faster here than int32 ones. Lifting takes about 2 log2 d
-        gathers; d plain gathers made loading a k=31 index about 20% slower."""
-        up = self._parent.astype(np.int64)
-        anc = np.arange(self.node_count + 1)
+        gathers; d plain gathers made loading a k=31 index about 20% slower.
+        The lowest set bit of d takes the lifted parents as they are."""
+        up, anc = self._parent.astype(np.int64), None
         while d:
             if d & 1:
-                anc = up[anc]
+                anc = up if anc is None else up[anc]
             d >>= 1
             if d:
                 up = up[up]
@@ -514,9 +528,3 @@ def _rising(codes: np.ndarray) -> np.ndarray:
     every other edge, and only there does ``B`` need a stored bit."""
     return np.flatnonzero(codes[1:] > codes[:-1]) + 1
 
-
-def _branch_edges(boss: BossIndex, sources: np.ndarray) -> np.ndarray:
-    """Mask over edges, given each edge's source: the edges leaving a node
-    of outdegree > 1. None of them is a closure edge, which is its ending
-    node's only edge."""
-    return np.diff(boss._first_edge)[sources] > 1

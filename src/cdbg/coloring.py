@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitvectors import BitVector
 from ._arrays import _gather, _unique
-from .boss import BossIndex, _branch_edges
+from .boss import BossIndex
 from .errors import CorruptIndex
 from .sequence import DUMMY, ReadSet, encode
 from .stages import stage
@@ -107,7 +107,8 @@ def _shares_with_sibling(boss: BossIndex, colorable: BitVector, masks: list[int]
     """Per implicit successor, whether its row shares a color with its
     sibling's: the target of the $ edge just before the read-end edge
     (``BossIndex._read_end_edges``) that enters it."""
-    targets, second = boss.edge_targets(), boss._read_end_edges()
+    targets = boss.edge_targets()
+    second = boss._read_end_edges(np.flatnonzero(np.diff(boss._first_edge) == 2))
     sibling_of = np.zeros(boss.node_count + 1, dtype=targets.dtype)
     sibling_of[targets[second]] = targets[second - 1]
     ones = colorable.ones_positions()  # a node's row is its position among them
@@ -219,7 +220,8 @@ def _inspected_successors(
     indegree > 1, those of every branching predecessor of v. Row v is
     ``inspected[ptr[v]:ptr[v + 1]]``."""
     n = boss.node_count
-    branch = _branch_edges(boss, src)
+    # the edges of nodes of outdegree > 1; an ending node's one edge is its closure edge
+    branch = np.diff(boss._first_edge)[src] > 1
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))
     into = branch & (np.bincount(targets, minlength=n + 1)[targets] > 1)

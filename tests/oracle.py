@@ -12,7 +12,8 @@ and per-contig walks that the library's whole-array paths replaced; the
 tests check those paths against them. The walks read a full table, one
 row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
-successors. It also holds what only tests call: ``solid_mask``,
+successors. It also holds what only tests call: ``graph_caches_ref``, the
+graph's derived arrays as the graph once derived them, ``solid_mask``,
 ``edge_disambiguation_flags``, ``label_edge_disagreements`` (the check
 of ROADMAP item 2), ``table_rows``, ``table_from_rows``, ``hop_ref``,
 the lockstep's hop table one node at a time, and ``walk_each_pair``,
@@ -210,6 +211,98 @@ def implicit_candidates_ref(boss) -> list[int]:
         if is_solid(boss, t) and not boss.is_starting(t) and branching == [u]:
             out.append(t)
     return sorted(out)
+
+
+def graph_caches_ref(boss) -> dict:
+    """The arrays the graph derives at build and at load, derived again the
+    way the graph once did, checks included, from the codes, ``B``, the
+    flags and ``E``'s closure run alone: each edge's source, the canonical
+    edges by ``flatnonzero``, an indegree ``bincount``, the ancestors
+    lifted from a gather through every node id and the branch edges found
+    through every edge's source. Keyed by the graph's attribute names;
+    ``explicit_colorable`` is its words."""
+    import numpy as np
+
+    from cdbg.bitvectors import BitVector
+    from cdbg.errors import CorruptIndex
+
+    m, k, E = boss.edge_count, boss.k, boss.E
+    codes, minus = boss._codes, boss._flags.to_bits()
+    width = np.int32 if m < 2**31 - 1 else np.int64
+    first = np.flatnonzero(boss._b_bits().view(bool)) + 1
+    first_edge = np.concatenate([[0], first, [m + 1]]).astype(width)
+    n = len(first_edge) - 2
+    ends = E.closure_len + 1
+    if not 2 <= ends <= n:
+        raise CorruptIndex(f"{ends - 1} closure edges, not 1 to {n - 1}: one per ending node")
+    if first_edge[ends + 1] - first_edge[2] != ends - 1:
+        raise CorruptIndex("an ending node does not own exactly one closure edge")
+    if first_edge[2] - 1 != E.closure_start:
+        raise CorruptIndex("the closure run does not start at the first ending node")
+
+    closure = slice(E.closure_start, E.closure_start + E.closure_len)
+    counted = ~minus.view(bool)
+    counted[closure] = False
+    order = np.argsort(codes, kind="stable")
+    ranks = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counted[order], out=ranks[1:])
+    targets = np.empty(m, dtype=np.int64)
+    targets[order] = ranks[1:] + 1
+    targets[closure] = 0
+    sym_ends = np.cumsum(np.bincount(codes, minlength=6))
+    K = np.concatenate([[0], ranks[sym_ends[1:]] + 1])
+
+    if K[1] != ends:
+        raise CorruptIndex("the $ edges do not enter every ending node")
+    if len(targets) and targets.max() > n:
+        raise CorruptIndex("edge target rank exceeds node count")
+    indeg = np.bincount(targets, minlength=n + 1)
+    if indeg[1] != 0:
+        raise CorruptIndex("all-dummy root acquired incoming edges")
+    if n > 1 and indeg[2:].min() < 1:
+        raise CorruptIndex("non-root node without incoming edge")
+    canonical = np.flatnonzero((targets > 0) & (minus == 0))
+    outdeg = np.diff(first_edge)
+    sources = np.repeat(np.arange(1, n + 1, dtype=width), outdeg[1:])
+    parent = np.zeros(n + 1, dtype=width)
+    parent[targets[canonical]] = sources[canonical]
+    if len(canonical) != n - 1 or not parent[2:].all():
+        raise CorruptIndex("a node lacks a canonical incoming edge")
+
+    up, anc, d = parent.astype(np.int64), np.arange(n + 1), k - 2
+    while d:
+        if d & 1:
+            anc = up[anc]
+        d >>= 1
+        if d:
+            up = up[up]
+    dollar = np.flatnonzero(anc[2:] < 2) + 2
+    if len(dollar) and (dollar.min() <= ends or (indeg[dollar] != 1).any()):
+        raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
+    starting = np.flatnonzero(anc == 1).astype(width)
+    bits = np.zeros(n + 1, dtype=np.uint8)
+    bits[starting] = 1
+    bits[2 : ends + 1] = 1
+    solid = anc >= 2
+    solid[: ends + 1] = False
+    targets = targets.astype(width)
+    succ = targets[outdeg[sources] > 1]
+    second = first_edge[np.flatnonzero(outdeg == 2)]
+    t = targets[second[codes[second - 1] == 1]]
+    t = t[solid[t] & (bits[t] == 0)]
+    implicit = np.sort(t[np.bincount(succ, minlength=n + 1)[t] == 1])
+    bits[succ[solid[succ]]] = 1
+    bits[implicit] = 0
+    return {
+        "_first_edge": first_edge,
+        "_targets": targets,
+        "_parent": parent,
+        "K": K,
+        "_starting": starting,
+        "solid_count": int(solid.sum()),
+        "implicit_candidates": implicit,
+        "explicit_colorable": BitVector(bits[1:])._words,
+    }
 
 
 def kept_ref(boss, colorable, rows: list[list[int]]) -> list[bool]:

@@ -33,11 +33,13 @@ from cdbg.synthetic import SyntheticConfig, generate_reads
 from cdbg.traversal import _IndexView, assemble_all, reconstruct_all
 
 import fuzz_container
+import load_bytes
 from conftest import mixed_read_set, wide_read_set
 from oracle import (
     compress_ref,
     decode_table,
     edge_disambiguation_flags,
+    graph_caches_ref,
     indegree,
     label_edge_disagreements,
     outdegree,
@@ -408,6 +410,9 @@ FORMAT_4_WORKED_EXAMPLE = bytes.fromhex(
     "000000000001050000000000000000000000000000000001010e00000000000000080000"
     "000000000054120000000000008e548636"
 )
+
+
+NOT_A_TREE = "the labels with a leading \\$ do not form a tree below the root"
 
 
 class TestLoaderCrossChecks:
@@ -824,6 +829,42 @@ class TestLoaderCrossChecks:
         with pytest.raises(IntegrityError, match=f"graph section: {message}"):
             deserialize_index(with_sparse(data, "minus", flags))
 
+    @pytest.mark.parametrize("reads, k, flags, message", [
+        # tacgt and taagt at k=4 flag edges 9, 12 and 18. The flag of the $
+        # edge 18 put on edge 8, the first real $ edge, sends edge 8 to the
+        # root
+        (["tacgt", "taagt"], 4, [8, 9, 12], "all-dummy root acquired incoming edges"),
+        # gattaca and attacg at k=5 flag the a edges 13 and 31. The a edge
+        # 30 flagged as well leaves n - 2 unflagged real edges, so the
+        # targets stop one node short of the last
+        (["gattaca", "attacg"], 5, [13, 30, 31], "non-root node without incoming edge"),
+        # the a edge 12 flagged instead of 13 enters $$$a, the target of
+        # the a edge before it, the root's: a node with a leading $
+        # entered twice
+        (["gattaca", "attacg"], 5, [12, 31], NOT_A_TREE),
+        # the root's a edge flagged instead of edge 31 moves the targets of
+        # the a edges before 31 down one node: the parent chain of the
+        # ending node aca$ then reaches the root within k-2 steps
+        (["gattaca", "attacg"], 5, [0, 13], NOT_A_TREE),
+    ])
+    def test_crafted_flags_break_the_node_tree(self, reads, k, flags, message):
+        # each check the loader makes on the flagged edges or on the count
+        # of unflagged ones, in place of an indegree count
+        data = container_of(ReadSet.from_reads(reads), k)
+        flagged = edge_disambiguation_flags(deserialize_index(data)[0])
+        assert np.flatnonzero(flagged).tolist() == {4: [9, 12, 18], 5: [13, 31]}[k]
+        with pytest.raises(IntegrityError, match=f"graph section: {message}"):
+            deserialize_index(with_sparse(data, "minus", flags))
+
+    def test_flags_on_closure_edges_change_nothing(self):
+        # gattaca and attacg at k=5 flag edges 13 and 31; edge 4 is a
+        # closure edge, whose flag no target rank and no check reads
+        data = container_of(ReadSet.from_reads(["gattaca", "attacg"]), 5)
+        boss = deserialize_index(data)[0]
+        assert boss.edge_target(4 + 1) is None
+        flagged = deserialize_index(with_sparse(data, "minus", [4, 13, 31]))[0]
+        assert_same_fields(graph_fields(flagged), graph_fields(boss))
+
     def test_sections_must_be_read_to_their_end(self, data):
         end = section_length_at(data, "META") + 8 + section_sizes(data)["META"]
         with pytest.raises(IntegrityError, match="META holds bytes past"):
@@ -862,6 +903,54 @@ def error_read_set() -> ReadSet:
     return ReadSet.from_reads(generate_reads(cfg)[1])
 
 
+GRAPH_FIELDS = (
+    "_first_edge", "_targets", "_parent", "K", "_starting", "solid_count", "implicit_candidates",
+)
+
+
+def graph_fields(boss: BossIndex) -> dict:
+    """The arrays the graph derives at build and at load, keyed as
+    ``oracle.graph_caches_ref`` keys them."""
+    fields = {name: getattr(boss, name) for name in GRAPH_FIELDS}
+    return {**fields, "explicit_colorable": boss.explicit_colorable._words}
+
+
+def assert_same_fields(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        a, b = np.asarray(got[name]), np.asarray(value)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def palindrome_read_set() -> ReadSet:
+    """Palindromes (each its own reverse complement), a duplicate and
+    reads contained in others."""
+    return ReadSet.from_reads([
+        "acgcgt", "gaattc", "ttgaattcaa", "aattcgaatt", "cgaattcg",
+        "ttgaattcaa", "gaattcaag", "tgaattca", "acgcgtacgcgt",
+    ])
+
+
+@pytest.mark.parametrize("reads,k", [
+    *[(f"mixed-{seed}", k) for seed in (1, 2, 3) for k in (3, 4, 9, 27, 28, 63)],
+    *[("palindromes", k) for k in (3, 4, 5, 6)],
+    ("errors", 25),
+    ("wide", 9),
+])
+def test_derived_graph_matches_the_reference(reads, k):
+    # the built and the loaded graph derive what the former derivation
+    # (oracle.graph_caches_ref) derives from their stored fields, array by
+    # array and at the same widths
+    sets = {"errors": error_read_set, "wide": wide_read_set, "palindromes": palindrome_read_set}
+    read_set = sets[reads]() if reads in sets else mixed_read_set(int(reads[6:]), k)
+    boss = BossIndex.build(read_set, k=k)
+    colorable = mark_colorable(boss)
+    colors = compress(color_all(boss, colorable, read_set), colorable)
+    loaded = deserialize_index(serialize_index(boss, colors, IndexMeta()))[0]
+    for graph in (boss, loaded):
+        assert_same_fields(graph_fields(graph), graph_caches_ref(graph))
+
+
 @pytest.mark.parametrize("reads,k", [
     *[(f"mixed-{seed}", k) for seed in (1, 2, 3) for k in (3, 63)],
     ("mixed-4", 4),
@@ -882,6 +971,7 @@ def test_format_round_trip(reads, k):
     assert decode_table(colors2) == decode_table(colors)
     assert np.array_equal(boss2.implicit_candidates, boss.implicit_candidates)
     assert np.array_equal(colors2.implicit, colors.implicit)
+    assert_same_fields(graph_fields(boss2), graph_fields(boss))
     assert serialize_index(boss2, colors2, meta2) == data
     assert reconstruct_all(boss2, colors2).recovered == reconstruct_all(boss, colors).recovered
     assert assemble_all(boss2, colors2, 0.5) == assemble_all(boss, colors, 0.5)
@@ -955,6 +1045,17 @@ def test_loaded_graph_holds_two_per_edge_arrays(mixed):
             if isinstance(a, np.ndarray) and len(a) == boss.edge_count:
                 arrays.setdefault(id(a), name)
     assert sorted(arrays.values()) == ["_codes", "_targets"]
+
+
+def test_load_peaks_below_four_and_a_half_times_what_it_keeps(tmp_path):
+    # the graph derivation at load allocates few edge-sized temporaries
+    # and frees them before the int64 lifting (ROADMAP item 10's load)
+    reads, index = tmp_path / "reads.fa", tmp_path / "index.cdbg"
+    assert cli_main(["synth", "--genome-len", "5000", "--coverage", "20", "--output", str(reads)]) == 0
+    assert cli_main(["build", "--input", str(reads), "--k", "25", "--output", str(index)]) == 0
+    read_index(index)  # what numpy and Python allocate once per process is not kept
+    record = load_bytes.load_bytes(str(index))
+    assert record["peak_bytes"] <= 4.5 * record["kept_bytes"], record
 
 
 class TestSynthetic:
