@@ -219,15 +219,18 @@ class BossIndex(Fields):
             boss._flags = BitVector(minus)
             boss.edge_count = m
         with stage("boss_derive"):
-            boss._build_caches(b_bits, minus)
+            boss._first_edge = _first_edges(b_bits)
+            boss._build_caches(minus)
         return boss
 
-    def _build_caches(self, b_bits: np.ndarray, minus: np.ndarray) -> None:
+    def _build_caches(self, minus: np.ndarray) -> None:
         """The node count, ``K`` and the navigation arrays every query
-        reads, built once at build and at load from the unpacked ``B`` and
-        flags, which are not kept: each node's first edge (the only
-        node-boundary array), each edge's target, each node's parent (the
-        source of its canonical, real and unflagged, incoming edge), the
+        reads, built once at build and at load from the first-edge array
+        (the only node-boundary array) and the unpacked flags. The flags
+        are not kept; where the caller holds no other reference to them,
+        as the loader does, they are freed before the parents are lifted.
+        Derived: each edge's target, each node's parent (the source of its
+        canonical, real and unflagged, incoming edge), the
         starting nodes (those whose (k-2)-th parent is the root), the
         implicit successors among the solid targets of the edges of
         branching nodes, and the bitmap of the other colourable nodes: the
@@ -237,11 +240,7 @@ class BossIndex(Fields):
         nodes 2, 3, ... in turn and only flagged edges repeat a target
         (``_derive_targets``), so the checks read the flagged edges and
         the count of the others."""
-        m = self.edge_count
-        width = np.int32 if m < 2**31 - 1 else np.int64
-        first = np.flatnonzero(b_bits.view(bool)) + 1
-        self._first_edge = np.concatenate([[0], first, [m + 1]], dtype=width)
-        del first
+        width = self._first_edge.dtype.type
         n = self.node_count = len(self._first_edge) - 2
         self._codes = self.E.codes()
         ends = self.E.closure_len + 1  # the ending nodes are ids 2..K[1]
@@ -260,6 +259,7 @@ class BossIndex(Fields):
         targets.flags.writeable = False
         flagged = targets[minus.view(bool)]
         flagged = flagged[flagged > 0]  # the targets of the flagged real edges
+        del minus
         if (flagged == 1).any():
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if len(canonical) < n - 1:
@@ -470,13 +470,34 @@ class BossIndex(Fields):
         return np.ascontiguousarray(codes.T)
 
     def label_to_node(self, label: str) -> int | None:
+        """The node whose label is ``label``, or None: a binary search over
+        the colex-sorted labels. A probe compares the labels from their last
+        symbols back, stepping from parent to parent as ``node_label`` does
+        (the root and every step past it read ``$``), and stops at the first
+        symbol that differs, so only a match reads all k-1 symbols."""
         if len(label) != self.k - 1:
             raise BadLabel(f"label length {len(label)} != k-1 = {self.k - 1}")
         if any(ch not in SYMBOL_CODES for ch in label):
             raise BadLabel(f"label {label!r} contains symbols outside the alphabet")
-        n = self.node_count  # binary search over the colex-sorted labels
-        i = bisect_left(range(1, n + 1), label[::-1], key=lambda v: self.node_label(v)[::-1])
-        return i + 1 if i < n and self.node_label(i + 1) == label else None
+        K, parent = self.K.tolist(), memoryview(self._parent)
+        want = [SYMBOL_CODES[ch] for ch in reversed(label)]
+
+        def differ(v: int) -> int:  # the sign of node v's label against label, colex
+            for c in want:
+                # v's last symbol is its bucket in K; 0, past the root, reads `$`
+                if d := (bisect_left(K, v) or 1) - c:
+                    return d
+                v = parent[v]
+            return 0
+
+        lo, hi = 1, self.node_count + 1  # the first node whose label is not below
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if differ(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo if lo <= self.node_count and not differ(lo) else None
 
     # -- taxonomy ----------------------------------------------------------
 
@@ -515,11 +536,23 @@ class BossIndex(Fields):
         boss._flags = BitVector.deserialize(r, m)
         b_bits = np.ones(m, dtype=np.uint8)
         b_bits[rising] = b.to_bits()
+        del rising
+        boss._first_edge = _first_edges(b_bits)
+        del b_bits  # neither is alive while the parents are lifted
         try:
-            boss._build_caches(b_bits, boss._flags.to_bits())
+            boss._build_caches(boss._flags.to_bits())
         except CorruptIndex as exc:
             raise IntegrityError(f"graph section: {exc}") from exc
         return boss
+
+
+def _first_edges(b_bits: np.ndarray) -> np.ndarray:
+    """The first-edge array of the unpacked ``B``: 0, each node's first
+    edge position, and one past the last edge, at the narrowest width that
+    holds an edge position."""
+    m = len(b_bits)
+    width = np.int32 if m < 2**31 - 1 else np.int64
+    return np.concatenate([[0], np.flatnonzero(b_bits.view(bool)) + 1, [m + 1]], dtype=width)
 
 
 def _rising(codes: np.ndarray) -> np.ndarray:

@@ -52,9 +52,12 @@ that end there are few enough. A walk crosses such branches inside its
 runs and stops its run only at a real branch, at a node with starting
 predecessors or at an ending node. It reads three caches of the view
 that only assembly fills: the starting predecessors of each node of
-indegree > 1, the run from each node where a walk stood, which records
-the read-end branches it crosses, and a record of each real branching
-node where a walk stood, with its successors' colors. The walks of an
+indegree > 1, read per node from a byte that whole-array steps over the
+starts' out-edges and the flagged edges derive, so that a single
+``contig_assm`` pays little before its walk; the run from each node
+where a walk stood, which records the read-end branches it crosses; and
+a record of each real branching node where a walk stood, with its
+successors' colors. The walks of an
 ``assemble_all`` call share long paths, so most runs and records are
 derived by one walk and read by many.
 """
@@ -318,7 +321,9 @@ def verified_fraction(recovered: list[str], original: ReadSet) -> float:
 def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> str:
     """Assemble one contig starting from v with extension threshold x. A
     starting predecessor u of a node the walk enters activates u's colors:
-    when u has two or more out-edges, only those the node's row holds."""
+    when u has two or more out-edges, only those the node's row holds.
+    The starting predecessors are read per node, from a byte per node
+    derived on the index's first assembly walk (``_starting_preds``)."""
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
@@ -329,7 +334,9 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
     """Contigs from every starting node, as ``contig_assm`` gives them (a
     contig contained in a longer one is kept; a starting predecessor with
     two or more out-edges activates only the colors that the entered node
-    holds), deduplicated up to reverse complement, longest first."""
+    holds), deduplicated up to reverse complement, longest first. The
+    walks share the view's per-node starting predecessors and its runs
+    and branch records."""
     _check_threshold(x)
     view, starts = _IndexView.of(boss, colors), boss.starting_node_ids()
     seen: set[str] = set()
@@ -356,18 +363,37 @@ def _labels(boss: BossIndex, ids) -> list[str]:
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
-def _starting_preds(boss: BossIndex) -> dict[int, list[tuple[int, bool]]]:
-    """Per node of indegree > 1, (u, whether u has two or more out-edges)
-    for each starting predecessor u, in the BOSS order of u's edges."""
+def _starting_preds(boss: BossIndex) -> tuple[bytearray, dict[int, list[tuple[int, bool]]]]:
+    """The starting predecessors u of each node of indegree > 1, each with
+    whether u has two or more out-edges, in two parts: per node id a byte,
+    0 for none, 1 + that flag when the node's parent is its one starting
+    predecessor, and 3 when the node is listed; and the list of each
+    listed node, its (u, flag) pairs in the BOSS order of u's edges. A
+    node is listed when it has several starting predecessors, or one that
+    is not its parent, which happen only where the graph's labels and
+    edges disagree. A node has indegree > 1 exactly when a flagged edge
+    enters it, since the canonical edges enter each node but the root
+    once (``BossIndex._derive_targets``), so only the starts' out-edges
+    and the flagged edges are read."""
     targets, starts = boss.edge_targets(), boss.starting_node_ids()
+    entered = np.zeros(boss.node_count + 1, dtype=bool)  # by a flagged edge; 0 by a closure edge
+    entered[targets[boss._flags.ones_positions()]] = True
     edges, counts = _gather(boss._first_edge, starts)
     into = targets[edges - 1]
-    keep = np.bincount(targets, minlength=boss.node_count + 1)[into] > 1
-    preds: dict[int, list[tuple[int, bool]]] = {}
-    branching = (np.repeat(counts, counts) > 1)[keep].tolist()
-    for u, t, b in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist(), branching):
-        preds.setdefault(t, []).append((u, b))
-    return preds
+    keep = entered[into]
+    into, u = into[keep], np.repeat(starts, counts)[keep]
+    branching = (np.repeat(counts, counts) > 1)[keep]
+    held = bytearray(boss.node_count + 1)  # indexes faster than a memoryview
+    kinds = np.frombuffer(held, dtype=np.uint8)
+    kinds[into] = 1 + branching
+    met = np.sort(into)
+    kinds[met[1:][met[1:] == met[:-1]]] = 3
+    kinds[into[u != boss._parent[into]]] = 3
+    listed: dict[int, list[tuple[int, bool]]] = {}
+    on = kinds[into] == 3
+    for t, v, b in zip(into[on].tolist(), u[on].tolist(), branching[on].tolist()):
+        listed.setdefault(t, []).append((v, b))
+    return held, listed
 
 
 def _hop_table(view: _IndexView) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
@@ -434,8 +460,9 @@ class _IndexView:
     not to the colors, so an index and its view are dropped together.
 
     * the graph's arrays as memoryviews, whose items index as Python ints
-      without a copy: ``first_edge``, ``codes`` and ``targets`` (0 on
-      closure edges); and ``last_ending``, ``edge_count``, ``step_limit``;
+      without a copy: ``first_edge``, ``codes``, ``targets`` (0 on
+      closure edges) and ``parent``; and ``last_ending``, ``edge_count``,
+      ``step_limit``;
     * ``words``, each row of the color table as a bitmask, bit c - 1 for
       color c, as ``DynamicColorTable.masks`` holds them during the build:
       a (p + 1, W) uint64 matrix, row r's colors 1..64W, which the
@@ -464,9 +491,12 @@ class _IndexView:
     mask, in the narrowest unsigned word that holds min(C, 64) bits.
     Below 2**31 edges that is 5 B per node and the mask's 1, 2, 4 or 8 B
     (4 B for C from 17 to 32), and 4 B per crossed node;
-    ``starting_preds`` (``_starting_preds``), whole on
-    the first assembly walk; and, once an assembly walk stood at a node,
-    ``runs``, its run (``derive_run``), or None at a real branching node,
+    ``starting_preds`` (``_starting_preds``), whole on the first assembly
+    walk: per node id a byte in a ``bytearray`` (none; the parent, which
+    branches or not; or listed), and apart the pairs of the listed nodes,
+    which only graphs whose labels and edges disagree have; and, once an
+    assembly walk stood at a node, ``runs``, its run (``derive_run``), or
+    None at a real branching node,
     and ``branches``, that branching node's record (``derive_branch``). A
     lookup of an uncolorable node raises ``NotColored`` each time: no
     failure is kept in any map."""
@@ -474,15 +504,16 @@ class _IndexView:
     def __init__(self, boss: BossIndex, colors: CompressedColors):
         self.graph = weakref.ref(boss)
         self.first_edge, self.codes = memoryview(boss._first_edge), memoryview(boss._codes)
-        self.targets = memoryview(boss.edge_targets())
+        self.targets, self.parent = memoryview(boss.edge_targets()), memoryview(boss._parent)
         self.last_ending = int(boss.K[1])  # ending nodes are ids 2..K[1]
         self.edge_count = boss.edge_count
         self.step_limit = boss.edge_count + boss.k
         offsets, row_colors = decode_rows(colors)
-        stored = colors.N.to_bits().view(bool)
+        held = colors.N.ones_positions()
         self.empty = colors.p
-        ranks = np.cumsum(stored, dtype=np.min_scalar_type(-1 - self.empty))
-        self.rank = np.where(stored, ranks - 1, -1)
+        # a scatter wraps as a narrow cumsum would where N holds more than p rows
+        self.rank = np.full(colors.N.n, -1, dtype=np.min_scalar_type(-1 - self.empty))
+        self.rank[held] = np.arange(len(held))
         self.rank[colors.implicit - 1] = self.empty
         n_words = max(1, min(-(-colors.num_colors // 64), -(-len(row_colors) // max(colors.p, 1))))
         rows, bit = np.repeat(np.arange(colors.p), np.diff(offsets)), row_colors - 1
@@ -499,7 +530,7 @@ class _IndexView:
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
         self.hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-        self.starting_preds: dict[int, list[tuple[int, bool]]] | None = None
+        self.starting_preds: tuple[bytearray, dict[int, list[tuple[int, bool]]]] | None = None
 
     @staticmethod
     def of(boss: BossIndex, colors: CompressedColors) -> _IndexView:
@@ -552,7 +583,7 @@ class _IndexView:
         an ending node (stop 0, whose edge adds no code). It is cut after
         any walk's budget of edge_count + 1 edges, so a cycle ends."""
         first_edge, targets, codes = self.first_edge, self.targets, self.codes
-        last_ending, preds = self.last_ending, self.starting_preds
+        last_ending, kinds = self.last_ending, self.starting_preds[0]
         rank, masks, empty = self._rank, self.row_masks(), self.empty
         syms, crossed = bytearray(), []
         t = v
@@ -572,7 +603,7 @@ class _IndexView:
                 t = 0
                 break
             syms.append(codes[e])
-            if t in preds:
+            if kinds[t]:
                 break
         run = None if t == v and not syms else (bytes(syms), t, tuple(crossed))
         self.runs[v] = run
@@ -616,7 +647,8 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     and reads a real branching node's successors from its record."""
     if view.starting_preds is None:
         view.starting_preds = _starting_preds(view.graph())
-    runs, branches, starting_preds, mask = view.runs, view.branches, view.starting_preds, view.mask
+    runs, branches, mask = view.runs, view.branches, view.mask
+    (kinds, listed), parent = view.starting_preds, view.parent
     active = mask(v)  # bit c - 1 for each active read's color c
     owner: dict[int, int] = {}  # color -> the start that activated it, where not v
     finished: dict[int, int] = {}  # start -> the mask of its colors that ended
@@ -631,12 +663,24 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     syms = bytearray()  # one code per edge taken
     cur, budget = v, view.edge_count + 1  # the nodes left to visit
     while budget:
-        for u, branching in starting_preds.get(cur, ()):
+        kind = kinds[cur]  # 0, or 1 + whether its parent, a start, branches, or 3
+        if kind == 3:  # cur's starting predecessors are listed
+            for u, branching in listed[cur]:
+                new = mask(u) & ~finished[u] if u in finished else mask(u)
+                if branching:
+                    new &= mask(cur)
+                active |= new
+                while new:  # highest first: no negative int, as ``m & -m`` makes
+                    c = new.bit_length()
+                    owner[c] = u
+                    new ^= 1 << c - 1
+        elif kind:  # the same for its parent, read in place: a tuple or a
+            u = parent[cur]  # call per activation made the walks 2-5% slower
             new = mask(u) & ~finished[u] if u in finished else mask(u)
-            if branching:
+            if kind == 2:
                 new &= mask(cur)
             active |= new
-            while new:  # highest first: no negative int, as ``m & -m`` makes
+            while new:
                 c = new.bit_length()
                 owner[c] = u
                 new ^= 1 << c - 1

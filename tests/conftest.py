@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from cdbg.boss import BossIndex
 from cdbg.sequence import ReadSet, reverse_complement
+from cdbg.synthetic import SyntheticConfig, generate_reads
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,10 @@ def wide_read_set() -> ReadSet:
     strings and need 80 colours, all in the starting node's row, so row
     bitmasks are wider than a machine word."""
     return ReadSet.from_reads(["gattaca" + "".join(t) for t in islice(product("acgt", repeat=4), 80)])
+
+
+def error_read_set() -> ReadSet:
+    """A 2 kb / 10x synthetic read set with 1% substitutions: more $ edges
+    than ending nodes, and branches the error-free sets lack."""
+    cfg = SyntheticConfig(genome_len=2000, coverage=10, seed=0, error_rate=0.01)
+    return ReadSet.from_reads(generate_reads(cfg)[1])

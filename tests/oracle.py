@@ -13,7 +13,9 @@ tests check those paths against them. The walks read a full table, one
 row per colourable node (``compress_ref`` with every implicit successor
 kept), while the library reads the index without the rows of implicit
 successors. It also holds what only tests call: ``graph_caches_ref``, the
-graph's derived arrays as the graph once derived them, ``solid_mask``,
+graph's derived arrays as the graph once derived them,
+``label_to_node_ref`` and ``starting_preds_ref``, the label lookup and
+assembly's starting-predecessor map as they once were, ``solid_mask``,
 ``edge_disambiguation_flags``, ``label_edge_disagreements`` (the check
 of ROADMAP item 2), ``table_rows``, ``table_from_rows``, ``hop_ref``,
 the lockstep's hop table one node at a time, and ``walk_each_pair``,
@@ -303,6 +305,42 @@ def graph_caches_ref(boss) -> dict:
         "implicit_candidates": implicit,
         "explicit_colorable": BitVector(bits[1:])._words,
     }
+
+
+def label_to_node_ref(boss, label: str) -> int | None:
+    """``BossIndex.label_to_node`` as the graph once answered it: a binary
+    search whose every probe spells a whole label through ``node_label``."""
+    from bisect import bisect_left
+
+    from cdbg.errors import BadLabel
+    from cdbg.sequence import SYMBOL_CODES
+
+    if len(label) != boss.k - 1:
+        raise BadLabel(f"label length {len(label)} != k-1 = {boss.k - 1}")
+    if any(ch not in SYMBOL_CODES for ch in label):
+        raise BadLabel(f"label {label!r} contains symbols outside the alphabet")
+    n = boss.node_count  # binary search over the colex-sorted labels
+    i = bisect_left(range(1, n + 1), label[::-1], key=lambda v: boss.node_label(v)[::-1])
+    return i + 1 if i < n and boss.node_label(i + 1) == label else None
+
+
+def starting_preds_ref(boss) -> dict[int, list[tuple[int, bool]]]:
+    """Per node of indegree > 1, (u, whether u has two or more out-edges)
+    for each starting predecessor u, in the BOSS order of u's edges: the
+    map assembly once derived whole, from an indegree ``bincount``."""
+    import numpy as np
+
+    from cdbg._arrays import _gather
+
+    targets, starts = boss.edge_targets(), boss.starting_node_ids()
+    edges, counts = _gather(boss._first_edge, starts)
+    into = targets[edges - 1]
+    keep = np.bincount(targets, minlength=boss.node_count + 1)[into] > 1
+    preds: dict[int, list[tuple[int, bool]]] = {}
+    branching = (np.repeat(counts, counts) > 1)[keep].tolist()
+    for u, t, b in zip(np.repeat(starts, counts)[keep].tolist(), into[keep].tolist(), branching):
+        preds.setdefault(t, []).append((u, b))
+    return preds
 
 
 def kept_ref(boss, colorable, rows: list[list[int]]) -> list[bool]:

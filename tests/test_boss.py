@@ -15,9 +15,12 @@ from oracle import (
     is_critical,
     is_ending,
     is_solid,
+    label_to_node_ref,
     outdegree,
     solid_mask,
 )
+
+from conftest import error_read_set, mixed_read_set, wide_read_set
 
 
 def oracle_for(reads: list[str], k: int) -> NaiveDbg:
@@ -260,3 +263,33 @@ def test_reads_sharing_suffixes_merge_chains():
     reads = ["ttacag", "ggacag", "ttacat"]
     boss = BossIndex.build(ReadSet.from_reads(reads), k=4)
     assert_matches_oracle(boss, oracle_for(reads, 4))
+
+
+def lookup_probes(boss: BossIndex, rng) -> list[str]:
+    """Every node's label, and labels that no node need have: a `$` inside
+    a node's label, the all-`$` label, labels ending in `$` and random
+    strings with and without `$`."""
+    w = boss.k - 1
+    labels = [boss.node_label(v) for v in range(1, boss.node_count + 1)]
+
+    def rand(alphabet: str, n: int = w) -> str:
+        return "".join(rng.choice(list(alphabet), size=n))
+
+    inside = [lab[: w // 2] + DUMMY + lab[w // 2 + 1 :] for lab in labels[::3]]
+    ending = [rand("acgt", w - 1) + DUMMY for _ in range(50)] + [lab[1:] + DUMMY for lab in labels[::7]]
+    return labels + inside + [DUMMY * w] + ending + [rand(a) for a in ("acgt", "$acgt") for _ in range(100)]
+
+
+@pytest.mark.parametrize("reads,k", [
+    *[("mixed", k) for k in (3, 4, 9, 27, 28, 63)], ("wide", 9), ("errors", 25),
+])
+def test_label_lookup_matches_the_full_label_search(reads, k):
+    # label_to_node stops each probe at the first symbol that differs; it
+    # answers as the search whose probes spell whole labels
+    # (oracle.label_to_node_ref) on every node's label and on absent ones
+    read_set = {"wide": wide_read_set, "errors": error_read_set}.get(reads, lambda: mixed_read_set(1, k))()
+    boss = BossIndex.build(read_set, k=k)
+    probes = lookup_probes(boss, np.random.default_rng(k))
+    got = [boss.label_to_node(lab) for lab in probes]
+    assert got == [label_to_node_ref(boss, lab) for lab in probes]
+    assert got[: boss.node_count] == list(range(1, boss.node_count + 1))

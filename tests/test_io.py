@@ -34,7 +34,7 @@ from cdbg.traversal import _IndexView, assemble_all, reconstruct_all
 
 import fuzz_container
 import load_bytes
-from conftest import mixed_read_set, wide_read_set
+from conftest import error_read_set, mixed_read_set, wide_read_set
 from oracle import (
     compress_ref,
     decode_table,
@@ -894,13 +894,6 @@ class TestLoaderCrossChecks:
         counts = json.loads(res.stdout)
         assert sum(counts.values()) == 400
         assert counts["refused"] > 300 and counts["answered"] > 0
-
-
-def error_read_set() -> ReadSet:
-    """A 2 kb / 10x synthetic read set with 1% substitutions: more $ edges
-    than ending nodes, and branches the error-free sets lack."""
-    cfg = SyntheticConfig(genome_len=2000, coverage=10, seed=0, error_rate=0.01)
-    return ReadSet.from_reads(generate_reads(cfg)[1])
 
 
 GRAPH_FIELDS = (

@@ -5,8 +5,9 @@ Loads INDEX twice. After ``reconstruct_all`` on the first load, and after
 ``assemble_all`` (x = 0.5) on the second, it drops the view's parts one
 at a time and counts the traced bytes that each drop frees:
 
-* ``assembly``: assembly's caches, runs, branch records and starting
-  predecessors, which share some of the masks' ints;
+* ``assembly``: assembly's caches, runs and branch records, which share
+  some of the masks' ints, and the starting predecessors: a byte per
+  node id and the pairs of the listed nodes;
 * ``rank``: the node-to-row map, with its memoryview;
 * ``words``: the rows' bitmask words;
 * ``masks``: the rows as Python ints, built only by the walks that read them;
