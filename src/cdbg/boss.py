@@ -257,23 +257,30 @@ class BossIndex(Fields):
             raise CorruptIndex("edge target rank exceeds node count")
         self._targets = targets
         targets.flags.writeable = False
-        flagged = targets[minus.view(bool)]
-        flagged = flagged[flagged > 0]  # the targets of the flagged real edges
+        at = np.flatnonzero(minus.view(bool)).astype(width)  # the flagged edges, 0-based
         del minus
-        if (flagged == 1).any():
+        if (targets[at] == 1).any():
             raise CorruptIndex("all-dummy root acquired incoming edges")
         if len(canonical) < n - 1:
             raise CorruptIndex("non-root node without incoming edge")
         # nodes 2..n have one canonical incoming edge each: a check of that could never fail
         self._parent = np.zeros(n + 1, dtype=width)
-        self._parent[2:] = self.edge_sources()[canonical]
-        del canonical
+        sources = self.edge_sources()
+        self._parent[2:] = sources[canonical]
+        sources = sources[at]  # of the flagged edges: a closure edge's is an ending node
+        flagged = targets[at]
+        flagged = flagged[flagged > 0]  # the targets of the flagged real edges
+        del canonical, at
         # a label starts with `$` when its parent chain reaches the root within
         # k-2 steps; such labels form a tree below the root: none also ends in
         # `$` (ids 2..K[1]), and no flagged edge enters one
         anc = self._ancestors(self.k - 2)
         if (anc[2 : ends + 1] < 2).any() or (anc[flagged] < 2).any():
             raise CorruptIndex("the labels with a leading $ do not form a tree below the root")
+        # nor leaves one: `$` sorts first, so a flagged edge's source follows
+        # a node with the same last k-2 label symbols and a smaller first one
+        if (anc[sources] < 2).any():
+            raise CorruptIndex("a flagged edge leaves a node whose label starts with $")
         self._starting = np.flatnonzero(anc == 1).astype(width)
         self._starting.flags.writeable = False
         # the labels without `$`: above the ending nodes and not below the

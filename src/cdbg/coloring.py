@@ -217,14 +217,19 @@ def _inspected_successors(
     the successors the per-string walk (``tests/oracle.py::scan_read_ref``)
     inspects when its path passes node v, the ending node included. They
     are the real successors of v when v branches, and, when v has
-    indegree > 1, those of every branching predecessor of v. Row v is
+    indegree > 1, those of every branching predecessor of v. A node has
+    indegree > 1 exactly when a flagged edge enters it, since the
+    canonical edges enter each node but the root once
+    (``BossIndex._derive_targets``). Row v is
     ``inspected[ptr[v]:ptr[v + 1]]``."""
     n = boss.node_count
     # the edges of nodes of outdegree > 1; an ending node's one edge is its closure edge
     branch = np.diff(boss._first_edge)[src] > 1
     own_src, own_tgt = src[branch], targets[branch]
     own_ptr = np.searchsorted(own_src, np.arange(n + 2))
-    into = branch & (np.bincount(targets, minlength=n + 1)[targets] > 1)
+    merge = np.zeros(n + 1, dtype=bool)  # indegree > 1; a flagged closure edge marks 0
+    merge[targets[boss._flags.ones_positions()]] = True
+    into = branch & merge[targets]
     idx, counts = _gather(own_ptr, src[into])
     node = np.concatenate([own_src, np.repeat(targets[into], counts)])
     tgt = np.concatenate([own_tgt, own_tgt[idx]])

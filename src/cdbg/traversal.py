@@ -51,9 +51,9 @@ successor without a row, so the walk goes on exactly while the reads
 that end there are few enough. A walk crosses such branches inside its
 runs and stops its run only at a real branch, at a node with starting
 predecessors or at an ending node. It reads three caches of the view
-that only assembly fills: the starting predecessors of each node of
-indegree > 1, read per node from a byte that whole-array steps over the
-starts' out-edges and the flagged edges derive, so that a single
+that only assembly fills: the starting predecessor of each node of
+indegree > 1, its parent or none, read per node from a byte that
+whole-array steps over the flagged edges derive, so that a single
 ``contig_assm`` pays little before its walk; the run from each node
 where a walk stood, which records the read-end branches it crosses; and
 a record of each real branching node where a walk stood, with its
@@ -322,8 +322,9 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     """Assemble one contig starting from v with extension threshold x. A
     starting predecessor u of a node the walk enters activates u's colors:
     when u has two or more out-edges, only those the node's row holds.
-    The starting predecessors are read per node, from a byte per node
-    derived on the index's first assembly walk (``_starting_preds``)."""
+    The one starting predecessor a node can have is its parent, read per
+    node from a byte derived on the index's first assembly walk
+    (``_starting_preds``)."""
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
@@ -363,37 +364,24 @@ def _labels(boss: BossIndex, ids) -> list[str]:
     return [text[i : i + w] for i in range(0, len(text), w)]
 
 
-def _starting_preds(boss: BossIndex) -> tuple[bytearray, dict[int, list[tuple[int, bool]]]]:
-    """The starting predecessors u of each node of indegree > 1, each with
-    whether u has two or more out-edges, in two parts: per node id a byte,
-    0 for none, 1 + that flag when the node's parent is its one starting
-    predecessor, and 3 when the node is listed; and the list of each
-    listed node, its (u, flag) pairs in the BOSS order of u's edges. A
-    node is listed when it has several starting predecessors, or one that
-    is not its parent, which happen only where the graph's labels and
-    edges disagree. A node has indegree > 1 exactly when a flagged edge
+def _starting_preds(boss: BossIndex) -> bytearray:
+    """Per node id a byte: 1 + whether its parent has two or more
+    out-edges when the node has indegree > 1 and its parent is a starting
+    node, else 0. A node has indegree > 1 exactly when a flagged edge
     enters it, since the canonical edges enter each node but the root
-    once (``BossIndex._derive_targets``), so only the starts' out-edges
-    and the flagged edges are read."""
-    targets, starts = boss.edge_targets(), boss.starting_node_ids()
-    entered = np.zeros(boss.node_count + 1, dtype=bool)  # by a flagged edge; 0 by a closure edge
-    entered[targets[boss._flags.ones_positions()]] = True
-    edges, counts = _gather(boss._first_edge, starts)
-    into = targets[edges - 1]
-    keep = entered[into]
-    into, u = into[keep], np.repeat(starts, counts)[keep]
-    branching = (np.repeat(counts, counts) > 1)[keep]
+    once (``BossIndex._derive_targets``). No flagged edge leaves a
+    starting node (the load refuses one), so a starting node enters only
+    its children, and a node's one possible starting predecessor is its
+    parent: only the flagged edges are read."""
+    t = boss.edge_targets()[boss._flags.ones_positions()]  # 0 for a closure edge
+    u = boss._parent[t]
+    starts = np.append(boss.starting_node_ids(), boss.node_count + 1)  # past every parent
+    start = starts[np.searchsorted(starts, u)] == u
+    t, u = t[start], u[start]
     held = bytearray(boss.node_count + 1)  # indexes faster than a memoryview
-    kinds = np.frombuffer(held, dtype=np.uint8)
-    kinds[into] = 1 + branching
-    met = np.sort(into)
-    kinds[met[1:][met[1:] == met[:-1]]] = 3
-    kinds[into[u != boss._parent[into]]] = 3
-    listed: dict[int, list[tuple[int, bool]]] = {}
-    on = kinds[into] == 3
-    for t, v, b in zip(into[on].tolist(), u[on].tolist(), branching[on].tolist()):
-        listed.setdefault(t, []).append((v, b))
-    return held, listed
+    first_edge = boss._first_edge
+    np.frombuffer(held, dtype=np.uint8)[t] = 1 + (first_edge[u + 1] - first_edge[u] > 1)
+    return held
 
 
 def _hop_table(view: _IndexView) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
@@ -492,11 +480,9 @@ class _IndexView:
     Below 2**31 edges that is 5 B per node and the mask's 1, 2, 4 or 8 B
     (4 B for C from 17 to 32), and 4 B per crossed node;
     ``starting_preds`` (``_starting_preds``), whole on the first assembly
-    walk: per node id a byte in a ``bytearray`` (none; the parent, which
-    branches or not; or listed), and apart the pairs of the listed nodes,
-    which only graphs whose labels and edges disagree have; and, once an
-    assembly walk stood at a node, ``runs``, its run (``derive_run``), or
-    None at a real branching node,
+    walk: per node id a byte in a ``bytearray`` (none, or the parent,
+    which branches or not); and, once an assembly walk stood at a node,
+    ``runs``, its run (``derive_run``), or None at a real branching node,
     and ``branches``, that branching node's record (``derive_branch``). A
     lookup of an uncolorable node raises ``NotColored`` each time: no
     failure is kept in any map."""
@@ -530,7 +516,7 @@ class _IndexView:
         self.runs: dict[int, _Run | None] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
         self.hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
-        self.starting_preds: tuple[bytearray, dict[int, list[tuple[int, bool]]]] | None = None
+        self.starting_preds: bytearray | None = None
 
     @staticmethod
     def of(boss: BossIndex, colors: CompressedColors) -> _IndexView:
@@ -583,7 +569,7 @@ class _IndexView:
         an ending node (stop 0, whose edge adds no code). It is cut after
         any walk's budget of edge_count + 1 edges, so a cycle ends."""
         first_edge, targets, codes = self.first_edge, self.targets, self.codes
-        last_ending, kinds = self.last_ending, self.starting_preds[0]
+        last_ending, kinds = self.last_ending, self.starting_preds
         rank, masks, empty = self._rank, self.row_masks(), self.empty
         syms, crossed = bytearray(), []
         t = v
@@ -648,7 +634,7 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     if view.starting_preds is None:
         view.starting_preds = _starting_preds(view.graph())
     runs, branches, mask = view.runs, view.branches, view.mask
-    (kinds, listed), parent = view.starting_preds, view.parent
+    kinds, parent = view.starting_preds, view.parent
     active = mask(v)  # bit c - 1 for each active read's color c
     owner: dict[int, int] = {}  # color -> the start that activated it, where not v
     finished: dict[int, int] = {}  # start -> the mask of its colors that ended
@@ -663,24 +649,13 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     syms = bytearray()  # one code per edge taken
     cur, budget = v, view.edge_count + 1  # the nodes left to visit
     while budget:
-        kind = kinds[cur]  # 0, or 1 + whether its parent, a start, branches, or 3
-        if kind == 3:  # cur's starting predecessors are listed
-            for u, branching in listed[cur]:
-                new = mask(u) & ~finished[u] if u in finished else mask(u)
-                if branching:
-                    new &= mask(cur)
-                active |= new
-                while new:  # highest first: no negative int, as ``m & -m`` makes
-                    c = new.bit_length()
-                    owner[c] = u
-                    new ^= 1 << c - 1
-        elif kind:  # the same for its parent, read in place: a tuple or a
-            u = parent[cur]  # call per activation made the walks 2-5% slower
+        if kind := kinds[cur]:  # cur's parent u is a starting node: its colors activate
+            u = parent[cur]
             new = mask(u) & ~finished[u] if u in finished else mask(u)
-            if kind == 2:
+            if kind == 2:  # u branches: only those that cur's row holds
                 new &= mask(cur)
             active |= new
-            while new:
+            while new:  # highest first: no negative int, as ``m & -m`` makes
                 c = new.bit_length()
                 owner[c] = u
                 new ^= 1 << c - 1

@@ -10,7 +10,11 @@ successors keep a row (``kept_damaged``). A container must either load or raise
 ``IntegrityError``; one that loads must answer ``reconstruct_all`` and
 ``assemble_all`` or raise ``NotColored``: a damaged graph can still
 derive a colorable set that misses a node a walk reaches, but every
-structure a query reads was checked at load. ``reconstruct_all`` runs
+structure a query reads was checked at load. In a graph that loads,
+each node has at most one starting predecessor, its parent, as
+``oracle.starting_preds_ref`` reads them off the edges; assembly reads
+no other, so a load that let a flagged edge leave a node with a leading
+``$`` fails the fuzz here. ``reconstruct_all`` runs
 twice, with its own lockstep walk and with ``build_seqs``'s one-node
 walk for each pair (``oracle.walk_each_pair``), and both must give the
 same strings and ambiguous count, or both raise ``NotColored``. Where
@@ -154,6 +158,7 @@ def main(seed: int, cases: int) -> int:
     from cdbg.container import deserialize_index
     from cdbg.errors import IntegrityError, NotColored
     from cdbg.traversal import assemble_all
+    from oracle import starting_preds_ref
 
     built, full = index_bytes()
     rng = np.random.default_rng(seed)
@@ -166,6 +171,11 @@ def main(seed: int, cases: int) -> int:
             except IntegrityError:
                 counts["refused"] += 1
                 continue
+            preds = starting_preds_ref(boss)
+            if any(len(p) > 1 or p[0][0] != boss._parent[t] for t, p in preds.items()):
+                print(f"case {case} of seed {seed}: a start enters a node it is not the parent of",
+                      file=sys.stderr)
+                return 1
             lockstep, one_at_a_time = both_walks(boss, colors)
             if lockstep != one_at_a_time:
                 print(f"case {case} of seed {seed}: the two walks differ", file=sys.stderr)

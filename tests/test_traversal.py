@@ -23,7 +23,6 @@ from cdbg.traversal import (
     reconstruct_all,
 )
 
-import fuzz_container
 from conftest import error_read_set, mixed_read_set, random_read_set, wide_read_set
 from fuzz_assembly import run_cases as fuzz_assembly_cases
 from fuzz_walks import run_cases as fuzz_walk_cases
@@ -36,7 +35,6 @@ from oracle import (
     hop_ref,
     is_unambiguous,
     kept_ref,
-    label_to_node_ref,
     solid_mask,
     starting_preds_ref,
     table_from_rows,
@@ -428,13 +426,12 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
 
 def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
-    # and derive its starting predecessors (a byte per node, and the pairs
-    # of the listed nodes) once; other colors on the same graph have a
-    # view of their own, so they decode their own table and derive their
-    # own runs, hop table and starting predecessors. Only reconstruct_all
-    # derives the hop table, once per view: building, loading, build_seqs
-    # and assembly derive none. Only assembly derives runs, each once per
-    # view
+    # and derive its starting predecessors (a byte per node) once; other
+    # colors on the same graph have a view of their own, so they decode
+    # their own table and derive their own runs, hop table and starting
+    # predecessors. Only reconstruct_all derives the hop table, once per
+    # view: building, loading, build_seqs and assembly derive none. Only
+    # assembly derives runs, each once per view
     calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
@@ -557,13 +554,9 @@ def starting_preds_by_node(boss, colors) -> dict[int, list[tuple[int, bool]]]:
     an assembly walk entering it activates, read node by node from the
     view as ``_assemble_from`` reads them, after one walk derived them."""
     contig_assm(boss, colors, int(boss.starting_node_ids()[0]), 1.0)
-    (kinds, listed), parent = colors._query.starting_preds, colors._query.parent
+    kinds, parent = colors._query.starting_preds, colors._query.parent
     assert len(kinds) == boss.node_count + 1
-    return {
-        t: listed[t] if kinds[t] == 3 else [(parent[t], kinds[t] == 2)]
-        for t in range(1, boss.node_count + 1)
-        if kinds[t]
-    }
+    return {t: [(parent[t], kinds[t] == 2)] for t in range(1, boss.node_count + 1) if kinds[t]}
 
 
 @pytest.mark.parametrize("reads,k", [
@@ -579,38 +572,6 @@ def test_starting_predecessors_per_node_match_the_whole_map(reads, k):
         want = starting_preds_ref(graph)
         assert starting_preds_by_node(graph, graph_colors) == want
         assert want or reads == "wide"
-
-
-def fuzz_case(seed: int, case: int):
-    """The index of tests/fuzz_container.py's case, made again by calling
-    its damaged() in case order."""
-    built, full = fuzz_container.index_bytes()
-    rng = np.random.default_rng(seed)
-    for c in range(case + 1):
-        data = fuzz_container.damaged(c, built, full, rng)
-    return deserialize_index(data)[:2]
-
-
-@pytest.mark.parametrize("seed,case", [(2, 1918), (16, 1682)])
-def test_graphs_whose_edges_disagree_with_their_labels_assemble_as_the_reference(seed, case):
-    # two bit-flipped full tables that load a graph whose edges disagree
-    # with its labels (ROADMAP item 2). In seed 2's case 1918, starting
-    # node 496 has a flagged edge into node 1371 but is not its parent, so
-    # the starting predecessors are read off the edges, not the parents;
-    # in seed 16's case 1682, node 1459 has two starting predecessors.
-    # Assembly and label lookup answer as their references
-    boss, colors = fuzz_case(seed, case)
-    assert len(colors.implicit) == 0
-    want = starting_preds_ref(boss)
-    if seed == 2:
-        assert want[1371] == [(496, False)] and boss._parent[1371] != 496
-    else:
-        assert want[1459] == [(850, False), (852, False)]
-    assert starting_preds_by_node(boss, colors) == want
-    for x in (0.5, 1.0):
-        assert assemble_all(boss, colors, x) == assemble_all_ref(boss, colors, x)
-    labels = [boss.node_label(v) for v in range(1, boss.node_count + 1)]
-    assert [boss.label_to_node(lab) for lab in labels] == [label_to_node_ref(boss, lab) for lab in labels]
 
 
 def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_indexes):

@@ -6,8 +6,8 @@ Loads INDEX twice. After ``reconstruct_all`` on the first load, and after
 at a time and counts the traced bytes that each drop frees:
 
 * ``assembly``: assembly's caches, runs and branch records, which share
-  some of the masks' ints, and the starting predecessors: a byte per
-  node id and the pairs of the listed nodes;
+  some of the masks' ints, and the starting predecessors, a byte per
+  node id;
 * ``rank``: the node-to-row map, with its memoryview;
 * ``words``: the rows' bitmask words;
 * ``masks``: the rows as Python ints, built only by the walks that read them;
