@@ -48,24 +48,30 @@ successor carries at least an ``x`` fraction of them; an implicit
 successor carries the active colors that no other successor's row holds.
 Most branches on a walk are read ends: an ending node and one implicit
 successor without a row, so the walk goes on exactly while the reads
-that end there are few enough. A walk crosses such branches inside its
-runs and stops its run only at a real branch, at a node with starting
-predecessors or at an ending node. It reads three caches of the view
-that only assembly fills: the starting predecessor of each node of
-indegree > 1, its parent or none, read per node from a byte that
-whole-array steps over the flagged edges derive, so that a single
-``contig_assm`` pays little before its walk; the run from each node
-where a walk stood, which records the read-end branches it crosses; and
-a record of each real branching node where a walk stood, with its
-successors' colors. The walks of an
-``assemble_all`` call share long paths, so most runs and records are
-derived by one walk and read by many.
+that end there are few enough. A walk reads its path in segments: maximal
+stretches of single out-edges and crossed read-end branches, which stop
+only at a real branch, at an ending node or at a merge node (indegree >
+1) that a segment already passes. A segment records in walk order, as
+events, the read-end branches it crosses and each starting predecessor
+whose colors activate on the way, so on error-free reads, where nearly
+every read start is such a predecessor, a walk crosses many starts in
+one step. It reads three caches of the view that only assembly fills:
+per node a byte, derived by whole-array steps over the flagged edges,
+that marks the merge nodes and the one starting predecessor a node can
+have, its parent, so that a single ``contig_assm`` pays little before
+its walk; the segments, with the entry of each node where one starts or
+of each merge node it passes, so a walk that enters in the middle reads
+on from there; and a record of each real branching node where a walk
+stood, with its successors' colors. The walks of an ``assemble_all``
+call share long paths, so most segments and records are derived by one
+walk and read by many.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -324,7 +330,9 @@ def contig_assm(boss: BossIndex, colors: CompressedColors, v: int, x: float) -> 
     when u has two or more out-edges, only those the node's row holds.
     The one starting predecessor a node can have is its parent, read per
     node from a byte derived on the index's first assembly walk
-    (``_starting_preds``)."""
+    (``_starting_preds``). The walk reads the view's segments, deriving
+    those it is the first to reach, so a single call derives about one
+    segment per real branch on its path."""
     _check_threshold(x)
     if not boss.is_starting(v):
         raise BadStart(f"node {v} is not a starting node")
@@ -336,8 +344,9 @@ def assemble_all(boss: BossIndex, colors: CompressedColors, x: float) -> list[st
     contig contained in a longer one is kept; a starting predecessor with
     two or more out-edges activates only the colors that the entered node
     holds), deduplicated up to reverse complement, longest first. The
-    walks share the view's per-node starting predecessors and its runs
-    and branch records."""
+    walks share the view's per-node starting predecessors and its
+    segments and branch records: a walk that reaches a merge node that an
+    earlier walk passed reads that walk's segment on from there."""
     _check_threshold(x)
     view, starts = _IndexView.of(boss, colors), boss.starting_node_ids()
     seen: set[str] = set()
@@ -365,22 +374,25 @@ def _labels(boss: BossIndex, ids) -> list[str]:
 
 
 def _starting_preds(boss: BossIndex) -> bytearray:
-    """Per node id a byte: 1 + whether its parent has two or more
-    out-edges when the node has indegree > 1 and its parent is a starting
-    node, else 0. A node has indegree > 1 exactly when a flagged edge
-    enters it, since the canonical edges enter each node but the root
-    once (``BossIndex._derive_targets``). No flagged edge leaves a
-    starting node (the load refuses one), so a starting node enters only
-    its children, and a node's one possible starting predecessor is its
-    parent: only the flagged edges are read."""
+    """Per node id a byte: 0 when the node has indegree <= 1; for a merge
+    node (indegree > 1), 2 + whether its parent has two or more out-edges
+    when its parent is a starting node, else 1. A node has indegree > 1
+    exactly when a flagged edge enters it, since the canonical edges enter
+    each node but the root once (``BossIndex._derive_targets``). No
+    flagged edge leaves a starting node (the load refuses one), so a
+    starting node enters only its children, and a node's one possible
+    starting predecessor is its parent: only the flagged edges are read."""
     t = boss.edge_targets()[boss._flags.ones_positions()]  # 0 for a closure edge
+    held = bytearray(boss.node_count + 1)  # indexes faster than a memoryview
+    kinds = np.frombuffer(held, dtype=np.uint8)
+    kinds[t] = 1
+    kinds[0] = 0
     u = boss._parent[t]
     starts = np.append(boss.starting_node_ids(), boss.node_count + 1)  # past every parent
     start = starts[np.searchsorted(starts, u)] == u
     t, u = t[start], u[start]
-    held = bytearray(boss.node_count + 1)  # indexes faster than a memoryview
     first_edge = boss._first_edge
-    np.frombuffer(held, dtype=np.uint8)[t] = 1 + (first_edge[u + 1] - first_edge[u] > 1)
+    kinds[t] = 2 + (first_edge[u + 1] - first_edge[u] > 1)
     return held
 
 
@@ -434,10 +446,18 @@ def _hop_table(view: _IndexView) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarr
 # and the colors of the ending successors as one mask. An implicit
 # successor's mask is the complement of its siblings' rows, a negative int
 _BranchRecord = tuple[list[tuple[int, int, int]], int]
-# the codes of a run's edges, the node where it stops (0 for an ending
-# node) and, per read-end branch it crosses, (the codes taken before that
-# branch, the ending sibling's row as a mask)
-_Run = tuple[bytes, int, tuple[tuple[int, int], ...]]
+# [the codes of a segment's edges, where it stops, its events]: it stops at
+# an ending node (0), at a merge node that the walk reads on from (its id),
+# or with a branch step at a real branching node (minus its id). Its events
+# are in walk order, each at the codes taken before the node where it
+# happens: (position, 0, the ending sibling's row as a mask) where a
+# read-end branch is crossed, (position, u, the colors u activates) where
+# starting node u is a starting predecessor, and (position, node, None)
+# where that activation meets a node without a row. A list, so that the
+# entries made while it is derived can refer to it
+_Segment = list
+# a segment, a position in it and the index of its first event there
+_Entry = tuple[_Segment, int, int]
 
 
 class _IndexView:
@@ -462,6 +482,8 @@ class _IndexView:
       that holds it: ``start_colors`` gathers from them, ``mask`` builds a
       row's mask past the words from them, and the lockstep walk tests a
       color past the words by a binary search of its row;
+    * ``num_colors``, C, the length less one of each assembly walk's list
+      of color owners;
     * ``rank``: node v's row is ``rank[v - 1]``, or -1 when v is not
       colorable, at the narrowest signed width that holds -1 and p, so
       2 B per node below 2**15 rows. Every implicit successor reads row
@@ -480,12 +502,17 @@ class _IndexView:
     Below 2**31 edges that is 5 B per node and the mask's 1, 2, 4 or 8 B
     (4 B for C from 17 to 32), and 4 B per crossed node;
     ``starting_preds`` (``_starting_preds``), whole on the first assembly
-    walk: per node id a byte in a ``bytearray`` (none, or the parent,
-    which branches or not); and, once an assembly walk stood at a node,
-    ``runs``, its run (``derive_run``), or None at a real branching node,
-    and ``branches``, that branching node's record (``derive_branch``). A
-    lookup of an uncolorable node raises ``NotColored`` each time: no
-    failure is kept in any map."""
+    walk: per node id a byte in a ``bytearray`` (none, a merge node, or one
+    whose parent is a starting node, which branches or not); and, once
+    an assembly walk stood at a node, ``segments``, the segments derived
+    (``derive_segment``), with ``segment_at``, the entry of each node
+    where a segment starts and of each merge node it passes, and
+    ``branches``, the record of each real branching node
+    (``derive_branch``). A segment holds its activations' masks, so a
+    walk that enters it reads no row. A lookup of an
+    uncolorable node raises ``NotColored`` each time: no failure is kept
+    in any map, and a segment keeps an activation at such a node as an
+    event that raises where a walk reaches it."""
 
     def __init__(self, boss: BossIndex, colors: CompressedColors):
         self.graph = weakref.ref(boss)
@@ -497,6 +524,7 @@ class _IndexView:
         offsets, row_colors = decode_rows(colors)
         held = colors.N.ones_positions()
         self.empty = colors.p
+        self.num_colors = colors.num_colors
         # a scatter wraps as a narrow cumsum would where N holds more than p rows
         self.rank = np.full(colors.N.n, -1, dtype=np.min_scalar_type(-1 - self.empty))
         self.rank[held] = np.arange(len(held))
@@ -513,7 +541,8 @@ class _IndexView:
         self.row_colors = row_colors.astype(np.min_scalar_type(colors.num_colors))
         self._rank = memoryview(self.rank)
         self.masks: list[int | None] | None = None
-        self.runs: dict[int, _Run | None] = {}
+        self.segments: list[_Segment] = []
+        self.segment_at: dict[int, _Entry] = {}
         self.branches: dict[int, _BranchRecord | None] = {}
         self.hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
         self.starting_preds: bytearray | None = None
@@ -558,42 +587,65 @@ class _IndexView:
         entries, counts = _gather(self.offsets, r)
         return np.repeat(np.arange(len(ids)), counts), self.row_colors[entries].astype(np.int64)
 
-    def derive_run(self, v: int) -> _Run | None:
-        """The run from node v, kept in ``runs``; None when v is a real
-        branching node. A run takes single out-edges and crosses each
-        read-end branch whose solid successor reads row ``empty`` and whose
-        ending sibling's row is in ``masks``. It stops at any other
-        branching node, so the walk's branch step reads a sibling without
-        a row or with one past the words and the run, derived ahead of the
-        walk, raises nothing; at a node with starting predecessors; or at
-        an ending node (stop 0, whose edge adds no code). It is cut after
-        any walk's budget of edge_count + 1 edges, so a cycle ends."""
-        first_edge, targets, codes = self.first_edge, self.targets, self.codes
-        last_ending, kinds = self.last_ending, self.starting_preds
-        rank, masks, empty = self._rank, self.row_masks(), self.empty
-        syms, crossed = bytearray(), []
-        t = v
-        while len(syms) <= self.edge_count:
+    def derive_segment(self, v: int) -> _Entry:
+        """The segment from node v, kept in ``segments``, and v's entry in
+        ``segment_at``, (segment, 0, 0). A segment takes single out-edges
+        and crosses each read-end branch whose solid successor reads row
+        ``empty`` and whose ending sibling's row is in ``masks``. It stops
+        at an ending node, whose edge adds no code; at a merge node that a
+        segment already passes, so a cycle ends there; or at any other
+        branching node, after that node's activation, so the walk's branch
+        step reads a sibling without a row or with one past the words. A
+        real branching v gives a segment without codes. Each merge node
+        that a segment passes maps to its position and first event, so a
+        walk that enters there reads on from the middle. It is cut after
+        any walk's budget of edge_count + 1 edges. Activations are read
+        ahead of the walk, so a node without a row becomes an event that
+        raises ``NotColored`` only where a walk reaches it, and the
+        derivation raises nothing."""
+        first_edge, targets, codes, parent = self.first_edge, self.targets, self.codes, self.parent
+        last_ending, kinds, where = self.last_ending, self.starting_preds, self.segment_at
+        rank, masks, empty, mask = self._rank, self.row_masks(), self.empty, self.mask
+        syms, events, segment = bytearray(), [], []  # the segment is filled at the end
+        passed = {v: (segment, 0, 0)}  # the entries of v and of the merge nodes passed
+        t, p, limit = v, 0, self.edge_count  # p: the codes taken
+        while p <= limit:
             e = first_edge[t] - 1
             out = first_edge[t + 1] - 1 - e
+            ended = None
             if out == 2 and targets[e] <= last_ending and rank[targets[e + 1] - 1] == empty:
                 r = rank[targets[e] - 1]
-                if r < 0 or masks[r] is None:
-                    break
-                crossed.append((len(syms), masks[r]))
-                e += 1
-            elif out != 1:
+                ended = masks[r] if r >= 0 else None  # None: not crossed
+            branch = out != 1 and ended is None
+            if kind := kinds[t]:
+                if p:
+                    if t in passed or t in where:
+                        break
+                    if not branch:
+                        passed[t] = (segment, p, len(events))
+                if kind > 1:  # the parent u is a starting node
+                    u = parent[t]
+                    bad = u if rank[u - 1] < 0 else t if kind == 3 and rank[t - 1] < 0 else 0
+                    if bad:
+                        events.append((p, bad, None))
+                    else:  # a branching u activates only the colors that t holds
+                        events.append((p, u, mask(u) & mask(t) if kind == 3 else mask(u)))
+            if branch:
+                t = -t
                 break
+            if ended is not None:
+                events.append((p, 0, ended))
+                e += 1
             t = targets[e]
             if t <= last_ending:
                 t = 0
                 break
             syms.append(codes[e])
-            if kinds[t]:
-                break
-        run = None if t == v and not syms else (bytes(syms), t, tuple(crossed))
-        self.runs[v] = run
-        return run
+            p += 1
+        segment += bytes(syms), t, tuple(events)
+        self.segments.append(segment)
+        where.update(passed)
+        return passed[v]
 
     def derive_branch(self, v: int) -> _BranchRecord | None:
         """Branching node v's record: (code, target, color mask) for each
@@ -629,72 +681,76 @@ def _assemble_from(view: _IndexView, v: int, label: str, x: float) -> str:
     """Walk from starting node v, whose label is given, keeping the active
     reads; extend through a branch only when a single successor carries at
     least an x fraction of them. The walk visits at most edge_count + 1
-    nodes; it crosses each run, read-end branches included, in one step
-    and reads a real branching node's successors from its record."""
+    nodes; it reads each segment, from where it enters, in one step, its
+    read-end branches and activations as events in walk order, and reads a
+    real branching node's successors from its record."""
     if view.starting_preds is None:
         view.starting_preds = _starting_preds(view.graph())
-    runs, branches, mask = view.runs, view.branches, view.mask
-    kinds, parent = view.starting_preds, view.parent
-    active = mask(v)  # bit c - 1 for each active read's color c
-    owner: dict[int, int] = {}  # color -> the start that activated it, where not v
+    where, branches = view.segment_at, view.branches
+    active = view.mask(v)  # bit c - 1 for each active read's color c
+    owner = [v] * (view.num_colors + 1)  # color -> the start that activated it last
     finished: dict[int, int] = {}  # start -> the mask of its colors that ended
-
-    def finish(gone: int) -> None:
-        while gone:
-            low = gone & -gone
-            s = owner.get(low.bit_length(), v)
-            finished[s] = finished.get(s, 0) | low
-            gone ^= low
-
     syms = bytearray()  # one code per edge taken
     cur, budget = v, view.edge_count + 1  # the nodes left to visit
     while budget:
-        if kind := kinds[cur]:  # cur's parent u is a starting node: its colors activate
-            u = parent[cur]
-            new = mask(u) & ~finished[u] if u in finished else mask(u)
-            if kind == 2:  # u branches: only those that cur's row holds
-                new &= mask(cur)
-            active |= new
-            while new:  # highest first: no negative int, as ``m & -m`` makes
-                c = new.bit_length()
-                owner[c] = u
-                new ^= 1 << c - 1
-        run = runs[cur] if cur in runs else view.derive_run(cur)
-        if run is not None:
-            codes, stop, crossed = run
-            taken = len(codes)
-            for at, ended in crossed:  # each read-end branch, decided as a branch step
-                if gone := active & ended:
-                    left = active ^ gone
-                    if left.bit_count() / active.bit_count() < x:
-                        taken = at
-                        break
-                    finish(gone)
-                    active = left
-                elif not active:  # else all active reads go on, a share of 1
-                    taken = at
-                    break
-            if taken >= budget:
-                syms += codes[:budget]  # the budget ends inside the run
+        entry = where[cur] if cur in where else view.derive_segment(cur)
+        (codes, stop, events), at, i = entry
+        end, taken = at + budget, len(codes)  # the budget ends at ``end``
+        for pos, u, new in islice(events, i, None):
+            if pos >= end:
                 break
-            syms += codes[:taken]
-            if taken < len(codes) or not stop:
-                break  # a read-end branch stopped the walk, or an ending node
-            budget -= taken
+            if u:  # u's colors activate, but those that already ended with u
+                if new is None:
+                    raise NotColored(f"node {u} is not in the colorable set")
+                if u in finished:
+                    new &= ~finished[u]
+                active |= new
+                while new:  # highest first: no negative int, as ``m & -m`` makes
+                    c = new.bit_length()
+                    owner[c] = u
+                    new ^= 1 << c - 1
+            elif gone := active & new:  # a read-end branch, decided as a branch step
+                left = active ^ gone
+                if left.bit_count() / active.bit_count() < x:
+                    taken = pos
+                    break
+                active = left
+                # each ended color's pair with the start that activated it,
+                # written out as at the branch step: a nested function
+                # called here cost about a tenth of assemble_all at 5 kb
+                while gone:
+                    low = gone & -gone
+                    s = owner[low.bit_length()]
+                    finished[s] = finished.get(s, 0) | low
+                    gone ^= low
+            elif not active:  # else all active reads go on, a share of 1
+                taken = pos
+                break
+        if taken >= end:
+            syms += codes[at:end]  # the budget ends inside the segment
+            break
+        syms += codes[at:taken]
+        if taken < len(codes) or not stop:
+            break  # a read-end branch stopped the walk, or an ending node
+        budget -= taken - at
+        if stop > 0:
             cur = stop
             continue
-        budget -= 1
-        record = branches[cur] if cur in branches else view.derive_branch(cur)
+        budget -= 1  # a branch step at node -stop
+        record = branches[-stop] if -stop in branches else view.derive_branch(-stop)
         if record is None or not active:
             break  # two successors share a color, or no read is active
         solid, ending = record
         n = active.bit_count()
         candidates = [s for s in solid if (s[2] & active).bit_count() / n >= x]
-        if gone := active & ending:
-            finish(gone)
-            active ^= gone
         if len(candidates) != 1:
             break
+        gone = active & ending  # these colors end; ``held`` holds none of them
+        while gone:
+            low = gone & -gone
+            s = owner[low.bit_length()]
+            finished[s] = finished.get(s, 0) | low
+            gone ^= low
         code, cur, held = candidates[0]
         syms.append(code)
         active &= held

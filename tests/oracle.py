@@ -15,7 +15,9 @@ kept), while the library reads the index without the rows of implicit
 successors. It also holds what only tests call: ``graph_caches_ref``, the
 graph's derived arrays as the graph once derived them,
 ``label_to_node_ref`` and ``starting_preds_ref``, the label lookup and
-assembly's starting-predecessor map as they once were, ``solid_mask``,
+assembly's starting-predecessor map as they once were,
+``assemble_by_runs_ref`` (with ``run_view_ref`` and ``derive_run_ref``),
+assembly's walk as it was before its segments, ``solid_mask``,
 ``edge_disambiguation_flags``, ``label_edge_disagreements`` (the check
 of ROADMAP item 2), ``table_rows``, ``table_from_rows``, ``hop_ref``,
 the lockstep's hop table one node at a time, and ``walk_each_pair``,
@@ -567,6 +569,139 @@ def assemble_all_ref(boss, colors, x: float) -> list[str]:
             contigs.append(s)
     contigs.sort(key=lambda s: (-len(s), s))
     return contigs
+
+
+def run_view_ref(boss, colors):
+    """A query view of the index for ``assemble_by_runs_ref``, with the
+    caches that assembly kept before its segments: ``runs``, empty, and
+    ``starting_preds``, per node id 1 + whether its one starting
+    predecessor branches, or 0 without one. A view of its own, so the
+    walks under test share no cache with the reference."""
+    from cdbg.traversal import _IndexView
+
+    view = _IndexView(boss, colors)
+    view.starting_preds = bytearray(boss.node_count + 1)
+    for t, preds in starting_preds_ref(boss).items():
+        view.starting_preds[t] = 1 + preds[0][1]
+    view.runs = {}
+    return view
+
+
+def derive_run_ref(view, v: int):
+    """The run from node v, kept in ``runs``; None when v is a real
+    branching node. A run takes single out-edges and crosses each
+    read-end branch whose solid successor reads row ``empty`` and whose
+    ending sibling's row is in ``masks``. It stops at any other
+    branching node, so the walk's branch step reads a sibling without
+    a row or with one past the words and the run, derived ahead of the
+    walk, raises nothing; at a node with starting predecessors; or at
+    an ending node (stop 0, whose edge adds no code). It is cut after
+    any walk's budget of edge_count + 1 edges, so a cycle ends."""
+    first_edge, targets, codes = view.first_edge, view.targets, view.codes
+    last_ending, kinds = view.last_ending, view.starting_preds
+    rank, masks, empty = view._rank, view.row_masks(), view.empty
+    syms, crossed = bytearray(), []
+    t = v
+    while len(syms) <= view.edge_count:
+        e = first_edge[t] - 1
+        out = first_edge[t + 1] - 1 - e
+        if out == 2 and targets[e] <= last_ending and rank[targets[e + 1] - 1] == empty:
+            r = rank[targets[e] - 1]
+            if r < 0 or masks[r] is None:
+                break
+            crossed.append((len(syms), masks[r]))
+            e += 1
+        elif out != 1:
+            break
+        t = targets[e]
+        if t <= last_ending:
+            t = 0
+            break
+        syms.append(codes[e])
+        if kinds[t]:
+            break
+    run = None if t == v and not syms else (bytes(syms), t, tuple(crossed))
+    view.runs[v] = run
+    return run
+
+
+def assemble_by_runs_ref(view, v: int, label: str, x: float) -> str:
+    """What ``traversal.contig_assm`` gives, by the walk that assembly
+    took before its segments, on a view from ``run_view_ref``: the walk
+    stops its run at every node with a starting predecessor and activates
+    that predecessor's colors there. The walk visits at most
+    edge_count + 1 nodes; it crosses each run, read-end branches
+    included, in one step and reads a real branching node's successors
+    from its record."""
+    from cdbg.sequence import DUMMY
+    from cdbg.traversal import _CODE_ASCII
+
+    runs, branches, mask = view.runs, view.branches, view.mask
+    kinds, parent = view.starting_preds, view.parent
+    active = mask(v)  # bit c - 1 for each active read's color c
+    owner: dict[int, int] = {}  # color -> the start that activated it, where not v
+    finished: dict[int, int] = {}  # start -> the mask of its colors that ended
+
+    def finish(gone: int) -> None:
+        while gone:
+            low = gone & -gone
+            s = owner.get(low.bit_length(), v)
+            finished[s] = finished.get(s, 0) | low
+            gone ^= low
+
+    syms = bytearray()  # one code per edge taken
+    cur, budget = v, view.edge_count + 1  # the nodes left to visit
+    while budget:
+        if kind := kinds[cur]:  # cur's parent u is a starting node: its colors activate
+            u = parent[cur]
+            new = mask(u) & ~finished[u] if u in finished else mask(u)
+            if kind == 2:  # u branches: only those that cur's row holds
+                new &= mask(cur)
+            active |= new
+            while new:  # highest first: no negative int, as ``m & -m`` makes
+                c = new.bit_length()
+                owner[c] = u
+                new ^= 1 << c - 1
+        run = runs[cur] if cur in runs else derive_run_ref(view, cur)
+        if run is not None:
+            codes, stop, crossed = run
+            taken = len(codes)
+            for at, ended in crossed:  # each read-end branch, decided as a branch step
+                if gone := active & ended:
+                    left = active ^ gone
+                    if left.bit_count() / active.bit_count() < x:
+                        taken = at
+                        break
+                    finish(gone)
+                    active = left
+                elif not active:  # else all active reads go on, a share of 1
+                    taken = at
+                    break
+            if taken >= budget:
+                syms += codes[:budget]  # the budget ends inside the run
+                break
+            syms += codes[:taken]
+            if taken < len(codes) or not stop:
+                break  # a read-end branch stopped the walk, or an ending node
+            budget -= taken
+            cur = stop
+            continue
+        budget -= 1
+        record = branches[cur] if cur in branches else view.derive_branch(cur)
+        if record is None or not active:
+            break  # two successors share a color, or no read is active
+        solid, ending = record
+        n = active.bit_count()
+        candidates = [s for s in solid if (s[2] & active).bit_count() / n >= x]
+        if gone := active & ending:
+            finish(gone)
+            active ^= gone
+        if len(candidates) != 1:
+            break
+        code, cur, held = candidates[0]
+        syms.append(code)
+        active &= held
+    return (label + syms.translate(_CODE_ASCII).decode()).lstrip(DUMMY)
 
 
 def scan_read_ref(boss, colorable, read: str):

@@ -330,7 +330,9 @@ class TestAssemble:
             assert len(re.findall(rf"^INFO stage {name}: \d+\.\d{{3}} s$", res.stderr, re.M)) == 1
         assert "INFO contigs=2" in res.stderr.splitlines()
         assert "contigs=2" in res.stdout.splitlines()
-        assert "INFO starts=2" in res.stderr.splitlines()  # $ta and $ac
+        # $ta and $ac; the walk from $ac steps into acg, which $ta's
+        # segment passes, and reads that segment on from there
+        assert "INFO starts=2 segments=2" in res.stderr.splitlines()
 
     def test_zero_threshold_is_usage_error(self, tiny_index, tmp_path):
         _, _, index, _ = tiny_index

@@ -25,16 +25,20 @@ from cdbg.traversal import (
 
 from conftest import error_read_set, mixed_read_set, random_read_set, wide_read_set
 from fuzz_assembly import run_cases as fuzz_assembly_cases
+from fuzz_walks import build_case, random_case
 from fuzz_walks import run_cases as fuzz_walk_cases
 from oracle import (
     assemble_all_ref,
+    assemble_by_runs_ref,
     compress_ref,
     contig_assm_ref,
     decode_table,
     full_colors,
     hop_ref,
+    indegree,
     is_unambiguous,
     kept_ref,
+    run_view_ref,
     solid_mask,
     starting_preds_ref,
     table_from_rows,
@@ -403,6 +407,7 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
     assert "_query" not in vars(boss) and colors._query is not None
     view = colors._query
     assert view.starting_preds is None and view.hops is not None and view.masks is None
+    assert view.segments == [] and view.segment_at == {} and view.branches == {}
     assert build_seqs(boss, colors, start)
     masks = view.masks
     assert masks == row_masks_ref(colors, view.words.shape[1])
@@ -411,7 +416,7 @@ def test_reconstruction_leaves_the_starting_predecessors_underived(monkeypatch, 
             contig_assm(boss, colors, start, 0.5)
     with pytest.raises(AssertionError, match="starting predecessors"):
         assemble_all(boss, colors, 0.5)
-    assert colors._query is view and view.masks is masks
+    assert colors._query is view and view.masks is masks and view.segments == []
     monkeypatch.undo()
     assert reconstruct_all(loaded, loaded_colors).recovered
     view = loaded_colors._query
@@ -428,10 +433,10 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
     # many queries of each kind on one index decode its color table once
     # and derive its starting predecessors (a byte per node) once; other
     # colors on the same graph have a view of their own, so they decode
-    # their own table and derive their own runs, hop table and starting
-    # predecessors. Only reconstruct_all derives the hop table, once per
-    # view: building, loading, build_seqs and assembly derive none. Only
-    # assembly derives runs, each once per view
+    # their own table and derive their own segments, hop table and
+    # starting predecessors. Only reconstruct_all derives the hop table,
+    # once per view: building, loading, build_seqs and assembly derive
+    # none. Only assembly derives segments, each once per view
     calls = {"decode_rows": 0, "_starting_preds": 0, "_hop_table": 0}
     for name in calls:
 
@@ -447,27 +452,27 @@ def test_each_index_derives_its_query_state_once(monkeypatch):
         contig_assm(boss, colors, v, 0.5)
     assemble_all(boss, colors, 0.5)
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 0}
-    runs = dict(colors._query.runs)
-    assert runs
+    segments = [list(segment) for segment in colors._query.segments]
+    assert segments
     recovered = reconstruct_all(boss, colors).recovered
     for v in starts[::3]:
         build_seqs(boss, colors, v)
         contig_assm(boss, colors, v, 1.0)
     assert reconstruct_all(boss, colors).recovered == recovered
     assert calls == {"decode_rows": 1, "_starting_preds": 1, "_hop_table": 1}
-    assert colors._query.runs == runs
+    assert colors._query.segments == segments
     copy = dataclasses.replace(colors)
     assert copy._query is None
     assert assemble_all(boss, copy, 0.5) == assemble_all(boss, colors, 0.5)
     assert reconstruct_all(boss, copy).recovered == recovered
     assert calls == {"decode_rows": 2, "_starting_preds": 2, "_hop_table": 2}
-    assert copy._query.runs == runs and colors._query.runs == runs
+    assert copy._query.segments == segments and colors._query.segments == segments
     loaded, loaded_colors = reload(boss, colors)
     assert calls == {"decode_rows": 2, "_starting_preds": 2, "_hop_table": 2}
     for _ in range(2):
         assert reconstruct_all(loaded, loaded_colors).recovered == recovered
     assert calls == {"decode_rows": 3, "_starting_preds": 2, "_hop_table": 3}
-    assert loaded_colors._query.runs == {}
+    assert loaded_colors._query.segments == []
 
 
 def test_the_hop_table_derivation_logs_one_stage_per_view(caplog):
@@ -513,10 +518,11 @@ def test_random_read_sets_recover_every_string_that_repeats_no_k2mer(seed):
 
 
 def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
-    # each index's view derives its runs and branch records once each,
-    # however many walks read them; a copy of the colors has a view of its
+    # each index's view derives its segments and branch records once each,
+    # however many walks read them, and a walk that enters a segment in the
+    # middle reads it from there; a copy of the colors has a view of its
     # own and derives them again, and reconstruction derives none
-    calls = {"derive_run": 0, "derive_branch": 0}
+    calls = {"derive_segment": 0, "derive_branch": 0}
     for name in calls:
 
         def counted(*args, _name=name, _orig=getattr(traversal._IndexView, name)):
@@ -528,18 +534,156 @@ def test_each_assembly_cache_is_derived_once_by_its_owner(monkeypatch):
     for v in boss.starting_node_ids().tolist():
         build_seqs(boss, colors, v)
     reconstruct_all(boss, colors)
-    assert calls == {"derive_run": 0, "derive_branch": 0}
+    assert calls == {"derive_segment": 0, "derive_branch": 0}
     contigs = assemble_all(boss, colors, 0.5)
-    first = dict(calls)
-    assert first["derive_run"] == len(colors._query.runs) > 0
-    assert first["derive_branch"] == len(colors._query.branches) > 0
-    assert any(run and run[2] for run in colors._query.runs.values())  # a run crosses a branch
+    first, view = dict(calls), colors._query
+    assert first["derive_segment"] == len(view.segments) > 0
+    assert first["derive_branch"] == len(view.branches) > 0
+    starts = [segment for segment, at, _ in view.segment_at.values() if not at]
+    assert len(starts) == len({id(s) for s in starts}) == len(view.segments)
+    assert any(at for _, at, _ in view.segment_at.values())  # a merge node inside a segment
+    events = [u for segment in view.segments for _, u, _ in segment[2]]
+    assert 0 in events and any(events)  # a segment crosses a branch and activates
     assert assemble_all(boss, colors, 0.5) == contigs
     assert calls == first
     copy = dataclasses.replace(colors)
     assert assemble_all(boss, copy, 0.5) == contigs
     assert calls == {name: 2 * n for name, n in first.items()}
-    assert copy._query.runs == colors._query.runs
+    assert copy._query.segments == view.segments
+
+
+def contig_or_none(boss, colors, v: int, x: float) -> str | None:
+    """``contig_assm`` from v, or None where it raises ``NotColored``."""
+    try:
+        return contig_assm(boss, colors, v, x)
+    except NotColored:
+        return None
+
+
+def contigs_by_runs(boss, colors, x: float) -> dict[int, str | None]:
+    """Each start's contig by the walk that assembly took before its
+    segments (``oracle.assemble_by_runs_ref``), on a view of its own;
+    None where that walk raises ``NotColored``."""
+    view, out = run_view_ref(boss, colors), {}
+    for v in boss.starting_node_ids().tolist():
+        try:
+            out[v] = assemble_by_runs_ref(view, v, boss.node_label(v), x)
+        except NotColored:
+            out[v] = None
+    return out
+
+
+def contigs_in_order(boss, colors, x: float, starts: list[int]) -> dict[int, str | None]:
+    """``contig_or_none`` from each of ``starts`` in turn, on a fresh view."""
+    colors._query = None
+    return {v: contig_or_none(boss, colors, v, x) for v in starts}
+
+
+def assembled(contigs: dict[int, str]) -> list[str]:
+    """What ``assemble_all`` makes of these per-start contigs."""
+    seen, out = set(), []
+    for v in sorted(contigs):
+        canon = min(contigs[v], reverse_complement(contigs[v]))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(contigs[v])
+    return sorted(out, key=lambda s: (-len(s), s))
+
+
+def assert_entries_hold(view) -> None:
+    """Every entry of ``segment_at`` lies in a kept segment, at a position
+    inside it, with its first event the first one there."""
+    kept = {id(segment) for segment in view.segments}
+    for segment, at, i in view.segment_at.values():
+        codes, _, events = segment
+        assert id(segment) in kept and 0 <= at <= len(codes)
+        assert [pos for pos, _, _ in events[:i]] == [pos for pos, _, _ in events if pos < at]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_segment_walks_match_the_run_walks_in_any_start_order(seed):
+    # on random read sets (tests/fuzz_walks.py: k from 3 to 63, repeats and
+    # substitutions), contig_assm from every start, in two shuffled orders
+    # on a fresh view each, gives what the walk that stopped at every
+    # starting predecessor gives, and assemble_all then its contigs: which
+    # walk derived a segment first changes no contig
+    rng = np.random.default_rng(seed)
+    checks = 0
+    for _ in range(20):
+        k, raw = random_case(rng)
+        _, boss, _, colors = build_case(k, raw)
+        starts = boss.starting_node_ids().tolist()
+        for x in (0.3, 0.5, 1.0):
+            want = contigs_by_runs(boss, colors, x)
+            for _ in range(2):
+                rng.shuffle(starts)
+                assert contigs_in_order(boss, colors, x, starts) == want
+                assert_entries_hold(colors._query)
+                checks += 1
+            assert assemble_all(boss, colors, x) == assembled(want)
+    assert checks == 120
+
+
+def test_a_unary_cycle_is_one_segment_that_the_budget_cuts():
+    # the last read of BUDGET_CUTS without its end color: its walk enters
+    # a cycle of unary nodes and read-end branches at a merge node, where
+    # the segment that passed it stops when it meets it again; the walk
+    # reads round the cycle until its budget ends, as the run walk does
+    read, k, end, length = BUDGET_CUTS[-1]
+    boss, colors, _ = without_the_end_color(read, k, end, 64)
+    want = contigs_by_runs(boss, colors, 0.5)
+    assert max(map(len, want.values())) == length
+    assert contigs_in_order(boss, colors, 0.5, sorted(want)) == want
+    view = colors._query
+    assert any(s[1] > 0 and view.segment_at[s[1]][0] is s for s in view.segments)
+
+
+def test_a_walk_entering_a_segment_after_a_branch_step_reads_it_from_there():
+    # the walk from $ggt passes tgtc and then gtca, a merge node whose
+    # other predecessor agtc branches; the walk from $agt steps from agtc
+    # into gtca and reads the first walk's segment from there. In the other
+    # order the branch step's successor starts a segment, where the first
+    # walk's segment then stops
+    tail = "ttgcaccat"
+    _, boss, colors, full = index_for(["agtca" + tail, "cagtcgacctttg", "ggtgtca" + tail], 5)
+    merge, branch = boss.label_to_node("gtca"), boss.label_to_node("agtc")
+    first, second = boss.label_to_node("$ggt"), boss.label_to_node("$agt")
+    for x in (0.5, 1.0):
+        want = contigs_by_runs(boss, colors, x)
+        assert want[second] == contig_assm_ref(boss, full, second, x) == "agtca" + tail
+        colors._query = None
+        assert contig_assm(boss, colors, first, x) == want[first]
+        view = colors._query
+        entry = view.segment_at[merge]
+        assert entry[1] > 0 and branch not in view.branches
+        assert contig_assm(boss, colors, second, x) == want[second]
+        assert branch in view.branches and view.segment_at[merge] is entry
+        order = [second, first]
+        assert contigs_in_order(boss, colors, x, order) == {v: want[v] for v in order}
+        assert colors._query.segment_at[merge][1] == 0
+
+
+def test_an_activation_without_a_row_raises_only_where_a_walk_reaches_it(mixed_indexes):
+    # with the critical nodes' rows cleared, a branching start's child has
+    # no row. The derivation raises nothing and keeps each segment whole,
+    # the activation kept as an event; a walk raises NotColored where it
+    # reaches that event, as the run walk raises, again on the same view,
+    # and a walk that stops before it does not raise, though its segment
+    # holds the event: a derivation that raised there would raise for it
+    events = raised = 0
+    for boss, _, full in mixed_indexes.values():
+        damaged = without_critical_colors(boss, full)
+        starts = boss.starting_node_ids().tolist()
+        want = contigs_by_runs(boss, damaged, 0.5)
+        rng = np.random.default_rng(len(starts))
+        for _ in range(2):
+            rng.shuffle(starts)
+            assert contigs_in_order(boss, damaged, 0.5, starts) == want
+            assert {v: contig_or_none(boss, damaged, v, 0.5) for v in starts} == want
+            assert_entries_hold(damaged._query)
+        events += sum(held is None for s in damaged._query.segments for _, _, held in s[2])
+        raised += sum(s is None for s in want.values())
+    assert events > 0 and 0 < raised
 
 
 def reload(boss, colors):
@@ -556,7 +700,7 @@ def starting_preds_by_node(boss, colors) -> dict[int, list[tuple[int, bool]]]:
     contig_assm(boss, colors, int(boss.starting_node_ids()[0]), 1.0)
     kinds, parent = colors._query.starting_preds, colors._query.parent
     assert len(kinds) == boss.node_count + 1
-    return {t: [(parent[t], kinds[t] == 2)] for t in range(1, boss.node_count + 1) if kinds[t]}
+    return {t: [(parent[t], kinds[t] == 3)] for t in range(1, boss.node_count + 1) if kinds[t] > 1}
 
 
 @pytest.mark.parametrize("reads,k", [
@@ -565,13 +709,17 @@ def starting_preds_by_node(boss, colors) -> dict[int, list[tuple[int, bool]]]:
 def test_starting_predecessors_per_node_match_the_whole_map(reads, k):
     # node by node, the view's starting predecessors are the (u,
     # branching) pairs of the map that assembly once derived whole from an
-    # indegree count (oracle.starting_preds_ref), built and loaded
+    # indegree count (oracle.starting_preds_ref), built and loaded; and
+    # the byte is nonzero exactly at the nodes of indegree > 1
     read_set = {"wide": wide_read_set, "errors": error_read_set}.get(reads, lambda: mixed_read_set(1, k))()
     _, boss, colors, _ = index_for(list(read_set.reads), k)
     for graph, graph_colors in [(boss, colors), reload(boss, colors)]:
         want = starting_preds_ref(graph)
         assert starting_preds_by_node(graph, graph_colors) == want
         assert want or reads == "wide"
+        kinds = graph_colors._query.starting_preds
+        merges = [v for v in range(1, graph.node_count + 1) if indegree(graph, v) > 1]
+        assert [v for v in range(1, graph.node_count + 1) if kinds[v]] == merges
 
 
 def test_damaged_colors_after_intact_ones_raise_where_the_reference_does(mixed_indexes):

@@ -5,9 +5,9 @@ Loads INDEX twice. After ``reconstruct_all`` on the first load, and after
 ``assemble_all`` (x = 0.5) on the second, it drops the view's parts one
 at a time and counts the traced bytes that each drop frees:
 
-* ``assembly``: assembly's caches, runs and branch records, which share
-  some of the masks' ints, and the starting predecessors, a byte per
-  node id;
+* ``assembly``: assembly's caches: the segments and their entries per
+  node, and the branch records, which share some of the masks' ints, and
+  the starting predecessors, a byte per node id;
 * ``rank``: the node-to-row map, with its memoryview;
 * ``words``: the rows' bitmask words;
 * ``masks``: the rows as Python ints, built only by the walks that read them;
@@ -33,7 +33,7 @@ import sys
 import tracemalloc
 
 PARTS = {
-    "assembly": ("runs", "branches", "starting_preds"),
+    "assembly": ("segments", "segment_at", "branches", "starting_preds"),
     "rank": ("rank", "_rank"),
     "words": ("words",),
     "masks": ("masks",),
